@@ -36,7 +36,7 @@ from .expr import (
     mul,
     neg,
 )
-from .sampling import Report, SamplePlan, random_polynomial
+from .sampling import Report, Residual, SamplePlan, random_polynomial
 
 __all__ = [
     "LieAlgebroid",
@@ -283,7 +283,7 @@ class ARepresentation:
         """Max residual of nabla_[a,b] = [nabla_a, nabla_b] on random
         polynomial sections."""
         A = self.algebroid
-        worst = 0.0
+        worst = Residual()
         for _ in range(n_pairs):
             al = A.random_section(plan.rng)
             be = A.random_section(plan.rng)
@@ -296,13 +296,12 @@ class ARepresentation:
             rhs2 = self.apply(be, self.apply(al, s.components))
             for p in plan.points(A.chart, 8):
                 for d in range(self.bundle.rank):
-                    res = abs(
+                    worst.update(
                         evaluate(lhs[d], p)
                         - evaluate(rhs1[d], p)
                         + evaluate(rhs2[d], p)
                     )
-                    worst = max(worst, res)
-        return worst
+        return worst.value
 
 
 def check_axioms(
@@ -323,8 +322,8 @@ def check_axioms(
     draws, pts = plan.split_budget(per_draw=25)
     draws = max(2, min(draws, 10))
 
-    jac_worst = 0.0
-    anch_worst = 0.0
+    jac_worst = Residual()
+    anch_worst = Residual()
     for _ in range(draws):
         al = A.random_section(plan.rng)
         be = A.random_section(plan.rng)
@@ -342,29 +341,27 @@ def check_axioms(
             )
         ]
         for p in plan.points(A.chart, pts):
-            jac_worst = max(jac_worst, float(np.max(np.abs(jacobiator.value(p)))))
+            jac_worst.update(jacobiator.value(p))
             for x in anchor_defect:
-                anch_worst = max(anch_worst, abs(evaluate(x, p)))
-    rep.add("jacobi", jac_worst, tol)
-    rep.add("anchor_morphism", anch_worst, tol)
+                anch_worst.update(evaluate(x, p))
+    rep.add("jacobi", jac_worst.value, tol)
+    rep.add("anchor_morphism", anch_worst.value, tol)
 
     if ideal is not None:
         k = ideal.k
         pts_list = plan.points(A.chart, max(20, pts))
-        rho_worst = 0.0
-        inv_worst = 0.0
+        rho_worst = Residual()
+        inv_worst = Residual()
         for p in pts_list:
             for a in range(k):
                 for i in range(A.chart.dim):
-                    rho_worst = max(rho_worst, abs(evaluate(A.anchor[i][a], p)))
+                    rho_worst.update(evaluate(A.anchor[i][a], p))
             for b in range(A.rank):
                 for a in range(k):
                     for c in range(k, A.rank):
-                        inv_worst = max(
-                            inv_worst, abs(evaluate(A.structure[b][a][c], p))
-                        )
-        rep.add("ideal_anchor", rho_worst, 1e-10 if tol > 1e-10 else tol)
-        rep.add("ideal_bracket", inv_worst, tol)
+                        inv_worst.update(evaluate(A.structure[b][a][c], p))
+        rep.add("ideal_anchor", rho_worst.value, 1e-10 if tol > 1e-10 else tol)
+        rep.add("ideal_bracket", inv_worst.value, tol)
     return rep
 
 
@@ -429,7 +426,7 @@ def check_A_invariant(
     report = Report(command="check-A-invariant", seed=plan.seed, samples=plan.samples)
 
     # Condition 1: coefficient matrices match sum_i rho^i_b Gamma_i.
-    worst1 = 0.0
+    worst1 = Residual()
     diffs = []
     for b in range(A.rank):
         D = [[ZERO] * rV for _ in range(rV)]
@@ -442,14 +439,14 @@ def check_A_invariant(
         diffs.append(D)
     # Condition 2: curvature contracted with the anchor vanishes.
     R = curvature_tensor(conn)
-    worst2 = 0.0
+    worst2 = Residual()
     pts = plan.points(A.chart, min(plan.samples, 60))
     for p in pts:
         for b in range(A.rank):
             for D in (diffs[b],):
                 for row in D:
                     for x in row:
-                        worst1 = max(worst1, abs(evaluate(x, p)))
+                        worst1.update(evaluate(x, p))
         rho_p = A.anchor_value(p)
         Rp = {ij: np.array([[evaluate(x, p) for x in row] for row in mat]) for ij, mat in R.items()}
         for b in range(A.rank):
@@ -460,9 +457,9 @@ def check_A_invariant(
                         M += rho_p[i, b] * Rp[(i, j)]
                     elif i > j:
                         M -= rho_p[i, b] * Rp[(j, i)]
-                worst2 = max(worst2, float(np.max(np.abs(M))) if M.size else 0.0)
-    report.add("invariance_anchor_compatibility", worst1, tol)
-    report.add("invariance_curvature_contraction", worst2, tol)
+                worst2.update(M)
+    report.add("invariance_anchor_compatibility", worst1.value, tol)
+    report.add("invariance_curvature_contraction", worst2.value, tol)
     return report
 
 
@@ -513,7 +510,7 @@ class BasicCurvature:
         tensor property makes frame evaluation sufficient)."""
         A = self.A
         n = A.chart.dim
-        worst = 0.0
+        worst = Residual()
         pts = plan.points(A.chart, n_points)
         for a in range(A.rank):
             for b in range(a + 1, A.rank):
@@ -522,8 +519,8 @@ class BasicCurvature:
                     X[i] = ONE
                     s = self.section_expr(A.frame_section(a), A.frame_section(b), X)
                     for p in pts:
-                        worst = max(worst, float(np.max(np.abs(s.value(p)))))
-        return worst
+                        worst.update(s.value(p))
+        return worst.value
 
 
 def basic_curvature(A: LieAlgebroid, conn: LinearConnection) -> BasicCurvature:
@@ -573,7 +570,7 @@ def cartan_build_connection(
         ]
 
     # Parallelism of l: [e_a, l(e_b)] - l(nabla_{rho(e_b)} e_a + [e_a, e_b]).
-    worst_par = 0.0
+    worst_par = Residual()
     pts = plan.points(A.chart, 20)
     for a in range(r):
         ea = A.frame_section(a)
@@ -584,12 +581,12 @@ def cartan_build_connection(
             rhs = embed(apply_l(inner))
             defect = lhs - rhs
             for p in pts:
-                worst_par = max(worst_par, float(np.max(np.abs(defect.value(p)))))
-    report.add("parallel_splitting", worst_par, tol)
+                worst_par.update(defect.value(p))
+    report.add("parallel_splitting", worst_par.value, tol)
 
     # l kills the basic curvature.
     bc = basic_curvature(A, conn)
-    worst_bc = 0.0
+    worst_bc = Residual()
     for a in range(r):
         for b in range(a + 1, r):
             for i in range(n):
@@ -599,8 +596,8 @@ def cartan_build_connection(
                 ls = apply_l(s)
                 for p in pts:
                     for x in ls:
-                        worst_bc = max(worst_bc, abs(evaluate(x, p)))
-    report.add("splitting_kills_basic_curvature", worst_bc, tol)
+                        worst_bc.update(evaluate(x, p))
+    report.add("splitting_kills_basic_curvature", worst_bc.value, tol)
 
     if not report.passed:
         raise ConstructionRefused(

@@ -26,7 +26,7 @@ from .expr import (
     mul,
     neg,
 )
-from .sampling import SamplePlan
+from .sampling import Residual, SamplePlan
 
 __all__ = [
     "Bundle",
@@ -373,13 +373,13 @@ def connection_is_flat(
     points within ``tol``.  Returns (flat, max residual)."""
     plan = plan or SamplePlan(seed=42, samples=64)
     R = curvature_tensor(conn)
-    worst = 0.0
+    worst = Residual()
     for p in plan.points(conn.bundle.chart, 64):
         for mat in R.values():
             for row in mat:
                 for x in row:
-                    worst = max(worst, abs(evaluate(x, p)))
-    return worst < tol, worst
+                    worst.update(evaluate(x, p))
+    return worst.value < tol, worst.value
 
 
 class FiberBracket:
@@ -478,7 +478,7 @@ class FiberBracket:
         sampled points; the bracket is fiberwise, so no derivatives of
         the structure functions enter."""
         r = self.bundle.rank
-        worst = 0.0
+        worst = Residual()
         for p in plan.points(self.bundle.chart, n_points):
             c = np.array(
                 [
@@ -497,8 +497,8 @@ class FiberBracket:
                                 + c[b, d, k] * c[k, a]
                                 + c[d, a, k] * c[k, b]
                             )
-                        worst = max(worst, float(np.max(np.abs(total))))
-        return worst
+                        worst.update(total)
+        return worst.value
 
 
 def fiber_bracket_wedge(

@@ -49,7 +49,7 @@ from .groupoid import (
 )
 from .modelio import ModelError, load_model
 from .rankone import check_rank_one, extract_rank_one, verify_witness
-from .sampling import Report, SamplePlan
+from .sampling import Report, Residual, SamplePlan
 
 __all__ = ["run", "main", "OPERATION_COVERAGE", "SUBCOMMANDS"]
 
@@ -175,51 +175,34 @@ def _cmd_coupling(args, plan, tol):
         cd2 = extract_coupling(
             form.algebroid, form.ideal, form, plan.fork("ext"), check=False
         )
-        worst_g = worst_u = worst_b = 0.0
+        worst_g, worst_u, worst_b = Residual(), Residual(), Residual()
         n = cd.base.chart.dim
         for p in plan.points(cd.base.chart, 30):
             for i in range(n):
-                worst_g = max(
-                    worst_g,
-                    float(np.max(np.abs(cd.gamma(i, p) - cd2.gamma(i, p)))),
-                )
+                worst_g.update(cd.gamma(i, p) - cd2.gamma(i, p))
                 for a in range(cd.base.rank):
-                    worst_u = max(
-                        worst_u,
-                        float(np.max(np.abs(cd.u(a, i, p) - cd2.u(a, i, p)))),
-                    )
+                    worst_u.update(cd.u(a, i, p) - cd2.u(a, i, p))
             for a in range(cd.base.rank):
                 for b in range(cd.base.rank):
                     for c in range(cd.base.rank):
-                        worst_b = max(
-                            worst_b,
-                            abs(
-                                evaluate(cd.base.structure[a][b][c], p)
-                                - evaluate(cd2.base.structure[a][b][c], p)
-                            ),
+                        worst_b.update(
+                            evaluate(cd.base.structure[a][b][c], p)
+                            - evaluate(cd2.base.structure[a][b][c], p)
                         )
-        rep.add("roundtrip_fiber_connection", worst_g, tol)
-        rep.add("roundtrip_mixed_tensor", worst_u, tol)
-        rep.add("roundtrip_base_structure", worst_b, tol)
+        rep.add("roundtrip_fiber_connection", worst_g.value, tol)
+        rep.add("roundtrip_mixed_tensor", worst_u.value, tol)
+        rep.add("roundtrip_base_structure", worst_b.value, tol)
         # Reverse direction: the rebuilt form agrees with the form the
         # second coupling generates.
         form2 = coupling_to_im(cd2, plan=plan.fork("c2i2"), check=False)
-        worst_f = 0.0
+        worst_f = Residual()
         for p in plan.points(cd.base.chart, 15):
             for a in range(form.algebroid.rank):
                 for i in range(n):
-                    worst_f = max(
-                        worst_f,
-                        float(
-                            np.max(
-                                np.abs(
-                                    form.op_value(a, (i,), p)
-                                    - form2.op_value(a, (i,), p)
-                                )
-                            )
-                        ),
+                    worst_f.update(
+                        form.op_value(a, (i,), p) - form2.op_value(a, (i,), p)
                     )
-        rep.add("roundtrip_connection_form", worst_f, tol)
+        rep.add("roundtrip_connection_form", worst_f.value, tol)
     return rep
 
 
@@ -252,20 +235,16 @@ def _cmd_curvature(args, plan, tol):
     arep = canonical_representation(curv.algebroid, curv.ideal)
     rep = check_im_form(curv, arep, plan, tol=tol)
     rep.command = "curvature"
-    worst = 0.0
+    worst = Residual()
     n = cd.base.chart.dim
     for p in plan.points(cd.base.chart, 25):
         for a in range(curv.algebroid.rank):
             for i in range(n):
                 for j in range(i + 1, n):
-                    worst = max(
-                        worst, float(np.max(np.abs(curv.op_value(a, (i, j), p))))
-                    )
-                worst = max(
-                    worst, float(np.max(np.abs(curv.sym_value(a, (i,), p))))
-                )
-    rep.extra["curvature_max_value"] = worst
-    rep.extra["curvature_vanishes"] = bool(worst < 1e-9)
+                    worst.update(curv.op_value(a, (i, j), p))
+                worst.update(curv.sym_value(a, (i,), p))
+    rep.extra["curvature_max_value"] = worst.value
+    rep.extra["curvature_vanishes"] = bool(worst.value < 1e-9)
     return rep
 
 
@@ -403,7 +382,7 @@ def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float = 1e-8) ->
         # cocycle through the cochain contraction.
         pair = kernel_flat_two_form(cd)
         ev = chain_map(pair)
-        worst = 0.0
+        worst = Residual()
         B = cd.base
         rng = plan.fork("chain").rng
         for _ in range(4):
@@ -418,8 +397,8 @@ def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float = 1e-8) ->
                     for i in range(B.chart.dim):
                         lam += ca * rho_b[i] * cd.u(a, i, p)
                 got = np.array([evaluate(x, p) for x in vals])
-                worst = max(worst, float(np.max(np.abs(got - lam))))
-        rep.add("chain_map_matches_base_cocycle", worst, 1e-9)
+                worst.update(got - lam)
+        rep.add("chain_map_matches_base_cocycle", worst.value, 1e-9)
     return rep
 
 

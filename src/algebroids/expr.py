@@ -529,8 +529,11 @@ def evaluate(e: Expr, p: Sequence[float]) -> float:
     """Evaluate at a point (sequence of chart.dim floats).
 
     Raises PoleError for division by a near-zero denominator and
-    DomainError for log of a nonpositive argument, each reporting the
-    offending subtree.
+    DomainError for log of a nonpositive argument and for a result the
+    float arithmetic cannot represent (exp or power overflow, an
+    overflowing or inf - inf sum, sin/cos of inf), each reporting the
+    offending subtree.  NaN produced by plain float arithmetic (such as
+    inf * 0) is returned as is; the residual checkers fail on it.
     """
     op = e.op
     if op == _CONST:
@@ -538,7 +541,11 @@ def evaluate(e: Expr, p: Sequence[float]) -> float:
     if op == _COORD:
         return float(p[e.index])
     if op == _ADD:
-        return math.fsum(evaluate(a, p) for a in e.args)
+        vals = [evaluate(a, p) for a in e.args]
+        try:
+            return math.fsum(vals)
+        except (ValueError, OverflowError):
+            raise DomainError("non-finite sum", e) from None
     if op == _MUL:
         r = 1.0
         for a in e.args:
@@ -553,13 +560,18 @@ def evaluate(e: Expr, p: Sequence[float]) -> float:
         b = evaluate(e.args[0], p)
         if e.exponent < 0 and abs(b) < _POLE_TOL:
             raise PoleError("negative power of (near-)zero", e)
-        return b**e.exponent
+        try:
+            return b**e.exponent
+        except OverflowError:
+            raise DomainError("power overflow", e) from None
     if op == _NEG:
         return -evaluate(e.args[0], p)
-    if op == "sin":
-        return math.sin(evaluate(e.args[0], p))
-    if op == "cos":
-        return math.cos(evaluate(e.args[0], p))
+    if op == "sin" or op == "cos":
+        a = evaluate(e.args[0], p)
+        try:
+            return math.sin(a) if op == "sin" else math.cos(a)
+        except ValueError:
+            raise DomainError(f"{op} of an infinite argument", e) from None
     if op == "exp":
         a = evaluate(e.args[0], p)
         if a > 700.0:
@@ -803,7 +815,8 @@ def expr_equal(
 ) -> bool:
     """Probabilistic expression equality: evaluate both sides on random
     chart points and compare within ``tol``.  Points at which either
-    side fails to evaluate (poles) are resampled."""
+    side fails to evaluate (poles) are resampled; a NaN or inf value on
+    either side means the expressions are not equal."""
     rng = np.random.default_rng(seed)
     checked = 0
     attempts = 0
@@ -817,6 +830,8 @@ def expr_equal(
             vb = evaluate(b, p)
         except EvalError:
             continue
+        if not (math.isfinite(va) and math.isfinite(vb)):
+            return False
         if abs(va - vb) > tol * (1.0 + max(abs(va), abs(vb))):
             return False
         checked += 1

@@ -55,7 +55,7 @@ from .imforms import (
     center_basis,
     coupling_to_im,
 )
-from .sampling import Report, SamplePlan
+from .sampling import Report, Residual, SamplePlan
 
 __all__ = [
     "ExampleSpec",
@@ -250,8 +250,8 @@ def _transitive_algebroid(
 def _require_curvature_is_ad(fiber, nabla, Omega, plan, tol: float = 1e-8):
     n, k = fiber.bundle.chart.dim, fiber.bundle.rank
     R = curvature_tensor(nabla)
-    worst_ad = 0.0
-    worst_closed = 0.0
+    worst_ad = Residual()
+    worst_closed = Residual()
     # Covariant closedness: sum of signed covariant derivatives of the
     # antisymmetric components over ordered triples.
     for p in plan.points(fiber.bundle.chart, 25):
@@ -266,7 +266,7 @@ def _require_curvature_is_ad(fiber, nabla, Omega, plan, tol: float = 1e-8):
                 Rm = np.array([[evaluate(x, p) for x in row] for row in R[(i, j)]])
                 Om = np.array([evaluate(x, p) for x in Omega[i][j]])
                 adO = np.einsum("f,fce->ce", Om, cvals).T
-                worst_ad = max(worst_ad, float(np.max(np.abs(Rm - adO))))
+                worst_ad.update(Rm - adO)
     OmForm = CoeffForm(
         fiber.bundle,
         2,
@@ -282,13 +282,11 @@ def _require_curvature_is_ad(fiber, nabla, Omega, plan, tol: float = 1e-8):
         dOm = exterior_covariant_derivative(nabla, OmForm)
         for p in plan.points(fiber.bundle.chart, 25):
             for idx in dOm.comps:
-                worst_closed = max(
-                    worst_closed, float(np.max(np.abs(dOm.value(idx, p))))
-                )
-    if worst_ad > tol or worst_closed > tol:
+                worst_closed.update(dOm.value(idx, p))
+    if worst_ad.value > tol or worst_closed.value > tol:
         rep = Report(command="transitive-build", seed=plan.seed, samples=plan.samples)
-        rep.add("curvature_equals_ad_of_twist", worst_ad, tol)
-        rep.add("twist_covariantly_closed", worst_closed, tol)
+        rep.add("curvature_equals_ad_of_twist", worst_ad.value, tol)
+        rep.add("twist_covariantly_closed", worst_closed.value, tol)
         raise ConstructionRefused(
             "twist 2-form incompatible with the connection", rep
         )
@@ -501,21 +499,21 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
     flat, res = connection_is_flat(nablaL, plan.fork("flat"))
     rep.add("fiber_connection_flat", res, 1e-10)
     OmForm = CoeffForm(fiber.bundle, 2, Om)
-    worst_center = 0.0
+    worst_center = Residual()
     for p in plan.points(chart, 25):
         Z = center_basis(fiber, p)
         proj = Z @ Z.T
         for idx in OmForm.comps:
             v = OmForm.value(idx, p)
-            worst_center = max(worst_center, float(np.max(np.abs(v - proj @ v))))
-    rep.add("twist_center_valued", worst_center, 1e-9)
+            worst_center.update(v - proj @ v)
+    rep.add("twist_center_valued", worst_center.value, 1e-9)
     if dim >= 3:
         dOm = exterior_covariant_derivative(nablaL, OmForm)
-        worst = 0.0
+        worst = Residual()
         for p in plan.points(chart, 25):
             for idx in dOm.comps:
-                worst = max(worst, float(np.max(np.abs(dOm.value(idx, p)))))
-        rep.add("twist_covariantly_closed", worst, 1e-9)
+                worst.update(dOm.value(idx, p))
+        rep.add("twist_covariantly_closed", worst.value, 1e-9)
     if not rep.passed:
         raise ConstructionRefused("kernel-flat construction preconditions failed", rep)
 
@@ -579,18 +577,18 @@ def transitive_im_connection(
         raise ValueError("tau must be an r x n Expr matrix")
 
     # rho o tau = Id and transitivity at samples.
-    worst = 0.0
+    worst = Residual()
     rank_bad = 0.0
     for p in plan.points(A.chart, 25):
         rho = A.anchor_value(p)
         tv = np.array([[evaluate(x, p) for x in row] for row in tau])
-        worst = max(worst, float(np.max(np.abs(rho @ tv - np.eye(n)))))
+        worst.update(rho @ tv - np.eye(n))
         s = np.linalg.svd(rho, compute_uv=False)
         if len(s) < n or s[n - 1] < 1e-9:
             rank_bad = max(rank_bad, 1.0)
-    if worst > tol:
+    if worst.value > tol:
         rep = Report(command="transitive-im", seed=plan.seed, samples=plan.samples)
-        rep.add("anchor_splitting", worst, tol)
+        rep.add("anchor_splitting", worst.value, tol)
         raise ConstructionRefused("tau is not a splitting of the anchor", rep)
     if rank_bad > 0:
         rep = Report(command="transitive-im", seed=plan.seed, samples=plan.samples)

@@ -15,6 +15,7 @@ then explicit:  (g, x) -> (g exp(t v), exp(-t v).x).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ from .bundles import Bundle, LinearConnection
 from .expr import (
     Chart,
     Expr,
-    ONE,
     ZERO,
     add,
     const,
@@ -41,8 +41,8 @@ from .expr import (
     neg,
     substitute,
 )
-from .imforms import NumericCouplingData, NumericIMOneForm
-from .sampling import Report, SamplePlan
+from .imforms import NumericCouplingData, NumericIMOneForm, quotient_algebroid
+from .sampling import Report, Residual, SamplePlan
 
 __all__ = [
     "MatrixGroup",
@@ -95,19 +95,16 @@ class MatrixGroup:
         self._pinv = np.linalg.pinv(flat) if self.dim else np.zeros((0, self.N**2))
         # Structure constants from commutators; require closure.
         self.structure = np.zeros((self.dim, self.dim, self.dim))
-        worst = 0.0
+        worst = Residual()
         for a in range(self.dim):
             for b in range(self.dim):
                 comm = self.basis[a] @ self.basis[b] - self.basis[b] @ self.basis[a]
                 coef = self._pinv @ comm.ravel()
-                worst = max(
-                    worst,
-                    float(np.max(np.abs(self._flat @ coef - comm.ravel()))),
-                )
+                worst.update(self._flat @ coef - comm.ravel())
                 self.structure[a, b] = coef
-        if worst > tol:
+        if worst.value > tol:
             raise ValueError(
-                f"basis does not close under commutators (residual {worst:.2e})"
+                f"basis does not close under commutators (residual {worst.value:.2e})"
             )
 
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
@@ -263,23 +260,13 @@ class ActionGroupoid:
         report = Report(command="groupoid-structure", seed=plan.seed, samples=plan.samples)
         rng = plan.rng
         I = np.eye(self.group.N)
-        id_res = 0.0
-        comp_res = 0.0
-        ad_res = 0.0
-        frame_res = 0.0
+        id_res, comp_res, ad_res, frame_res = (Residual() for _ in range(4))
         n_pairs = min(plan.samples, 100)
         for _ in range(n_pairs):
             g1, x = self.sample_arrow(rng)
             g2, _ = self.sample_arrow(rng)
-            id_res = max(id_res, float(np.max(np.abs(self.act(I, x) - np.asarray(x)))))
-            comp_res = max(
-                comp_res,
-                float(
-                    np.max(
-                        np.abs(self.act(g1, self.act(g2, x)) - self.act(g1 @ g2, x))
-                    )
-                ),
-            )
+            id_res.update(self.act(I, x) - np.asarray(x))
+            comp_res.update(self.act(g1, self.act(g2, x)) - self.act(g1 @ g2, x))
             # Conjugation maps the fiber over x onto the fiber over g1.x:
             # compare orthonormalized spans.
             F = self.kframe(x)
@@ -294,19 +281,14 @@ class ActionGroupoid:
             )
             Q1, _ = np.linalg.qr(Fg)
             Q2, _ = np.linalg.qr(Fy)
-            ad_res = max(
-                ad_res, float(np.max(np.abs(Q1 @ Q1.T - Q2 @ Q2.T)))
-            )
+            ad_res.update(Q1 @ Q1.T - Q2 @ Q2.T)
             # Ideal sections must sit in the kernel of the action.
             for j in range(self.k):
-                frame_res = max(
-                    frame_res,
-                    float(np.max(np.abs(self.action_field(F[:, j], x)))),
-                )
-        report.add("action_identity", id_res, 1e-12)
-        report.add("action_composition", comp_res, 1e-8)
-        report.add("ideal_conjugation_invariance", ad_res, 1e-7)
-        report.add("ideal_in_action_kernel", frame_res, 1e-8)
+                frame_res.update(self.action_field(F[:, j], x))
+        report.add("action_identity", id_res.value, 1e-12)
+        report.add("action_composition", comp_res.value, 1e-8)
+        report.add("ideal_conjugation_invariance", ad_res.value, 1e-7)
+        report.add("ideal_in_action_kernel", frame_res.value, 1e-8)
         return report
 
     def action_algebroid(self) -> tuple[LieAlgebroid, IdealBundle]:
@@ -392,7 +374,7 @@ class ActionGroupoid:
 
 
 class MultForm:
-    """Fiber-valued form on the arrow space, of degree 0, 1 or 2.
+    """Fiber-valued form on the arrow space, of degree 0 to 3.
 
     The evaluator receives an arrow (g, x) and ``degree`` tangent
     vectors, each a pair (group tangent matrix at g, chart vector), and
@@ -400,8 +382,8 @@ class MultForm:
     """
 
     def __init__(self, gpd: ActionGroupoid, degree: int, evaluator: Callable):
-        if degree not in (0, 1, 2):
-            raise ValueError("only degrees 0, 1, 2 are supported")
+        if degree not in (0, 1, 2, 3):
+            raise ValueError("only degrees 0, 1, 2, 3 are supported")
         self.gpd = gpd
         self.degree = degree
         self._eval = evaluator
@@ -414,18 +396,13 @@ class MultForm:
     def antisymmetry_residual(self, plan: SamplePlan, n_samples: int = 20) -> float:
         if self.degree != 2:
             return 0.0
-        worst = 0.0
+        worst = Residual()
         for _ in range(n_samples):
             g, x = self.gpd.sample_arrow(plan.rng)
             T1 = self.gpd.sample_tangent(g, plan.rng)
             T2 = self.gpd.sample_tangent(g, plan.rng)
-            worst = max(
-                worst,
-                float(
-                    np.max(np.abs(self(g, x, T1, T2) + self(g, x, T2, T1)))
-                ),
-            )
-        return worst
+            worst.update(self(g, x, T1, T2) + self(g, x, T2, T1))
+        return worst.value
 
 
 def connection_from_splitting(
@@ -451,8 +428,8 @@ def connection_from_splitting(
         return np.array([[evaluate(e, x) for e in row] for row in l])
 
     report = Report(command="connection-from-splitting", seed=plan.seed, samples=plan.samples)
-    eq_res = 0.0
-    id_res = 0.0
+    eq_res = Residual()
+    id_res = Residual()
     for _ in range(min(plan.samples, 60)):
         g, x = gpd.sample_arrow(plan.rng)
         v = plan.rng.uniform(-1, 1, size=d)
@@ -463,13 +440,11 @@ def connection_from_splitting(
             gpd.group.ad_action(g, gpd.kframe(x) @ (l_val(x) @ v))
         )
         lhs_m = gpd.group.to_matrix(lhs)
-        eq_res = max(eq_res, float(np.max(np.abs(lhs_m - rhs))))
+        eq_res.update(lhs_m - rhs)
         F = gpd.kframe(x)
-        id_res = max(
-            id_res, float(np.max(np.abs(l_val(x) @ F - np.eye(k))))
-        )
-    report.add("splitting_equivariance", eq_res, tol)
-    report.add("splitting_identity_on_ideal", id_res, 1e-9)
+        id_res.update(l_val(x) @ F - np.eye(k))
+    report.add("splitting_equivariance", eq_res.value, tol)
+    report.add("splitting_identity_on_ideal", id_res.value, 1e-9)
     if not report.passed:
         raise EquivarianceError(
             "splitting rejected: "
@@ -557,6 +532,16 @@ def _w_basis_tangent(gpd: ActionGroupoid, g, mu: int):
     return (np.zeros((gpd.group.N, gpd.group.N)), w)
 
 
+def _move(gpd: ActionGroupoid, g, x, mu: int, s: float):
+    """Arrow (g, x) moved by s along the mu-th stock vector field."""
+    d = gpd.group.dim
+    if mu < d:
+        return g @ expm(s * gpd.group.basis[mu]), np.asarray(x, dtype=float)
+    y = np.asarray(x, dtype=float).copy()
+    y[mu - d] += s
+    return g, y
+
+
 def _coords_in_w_basis(gpd: ActionGroupoid, g, T) -> np.ndarray:
     xi, w = T
     cg = gpd.group.coords(np.linalg.solve(g, xi))
@@ -577,27 +562,20 @@ def d_nabla_s(
     d, n = gpd.group.dim, gpd.chart.dim
     m = d + n
 
-    def move(g, x, mu, s):
-        if mu < d:
-            return g @ expm(s * gpd.group.basis[mu]), np.asarray(x, dtype=float)
-        y = np.asarray(x, dtype=float).copy()
-        y[mu - d] += s
-        return g, y
-
     def matrix(g, x):
         x = np.asarray(x, dtype=float)
         vals = [omega(g, x, _w_basis_tangent(gpd, g, nu)) for nu in range(m)]
         out = np.zeros((m, m, gpd.k))
         for mu in range(m):
             for nu in range(mu + 1, m):
-                gm, xm = move(g, x, mu, step)
-                gm2, xm2 = move(g, x, mu, -step)
+                gm, xm = _move(gpd, g, x, mu, step)
+                gm2, xm2 = _move(gpd, g, x, mu, -step)
                 dmu = (
                     omega(gm, xm, _w_basis_tangent(gpd, gm, nu))
                     - omega(gm2, xm2, _w_basis_tangent(gpd, gm2, nu))
                 ) / (2 * step)
-                gn, xn = move(g, x, nu, step)
-                gn2, xn2 = move(g, x, nu, -step)
+                gn, xn = _move(gpd, g, x, nu, step)
+                gn2, xn2 = _move(gpd, g, x, nu, -step)
                 dnu = (
                     omega(gn, xn, _w_basis_tangent(gpd, gn, mu))
                     - omega(gn2, xn2, _w_basis_tangent(gpd, gn2, mu))
@@ -671,10 +649,8 @@ def covariant_exterior_D(
             if not checked[0]:
                 checked[0] = True
                 val_half = dnabla_half(g, x, hT1, hT2)
-                drift = float(np.max(np.abs(val - val_half)))
-                scale = max(
-                    float(np.max(np.abs(val))), float(np.max(np.abs(val_half)))
-                )
+                drift = Residual().update(val - val_half).value
+                scale = Residual().update(val).update(val_half).value
                 # Honest second-order differences agree to several
                 # digits; disagreement beyond a tenth of the magnitude
                 # means the step is noise-dominated.
@@ -692,15 +668,7 @@ def covariant_exterior_D(
     if omega.degree != 2:
         raise ValueError("degree must be 1 or 2")
 
-    d, n = gpd.group.dim, gpd.chart.dim
-    m = d + n
-
-    def move(g, x, mu, s):
-        if mu < d:
-            return g @ expm(s * gpd.group.basis[mu]), np.asarray(x, dtype=float)
-        y = np.asarray(x, dtype=float).copy()
-        y[mu - d] += s
-        return g, y
+    m = gpd.group.dim + gpd.chart.dim
 
     def evaluator(g, x, T1, T2, T3):
         x = np.asarray(x, dtype=float)
@@ -717,25 +685,11 @@ def covariant_exterior_D(
                     if coef == 0.0:
                         continue
                     total += coef * _d2_component(
-                        gpd, omega, conn, g, x, mu, nu, lam, move, step
+                        gpd, omega, conn, g, x, mu, nu, lam, step
                     )
         return total
 
-    return _DegreeThree(gpd, evaluator)
-
-
-class _DegreeThree:
-    """Minimal wrapper for the degree-3 output of the second covariant
-    derivative; only evaluation is needed for the Bianchi residual."""
-
-    degree = 3
-
-    def __init__(self, gpd, evaluator):
-        self.gpd = gpd
-        self._eval = evaluator
-
-    def __call__(self, g, x, T1, T2, T3):
-        return np.asarray(self._eval(g, x, T1, T2, T3))
+    return MultForm(gpd, 3, evaluator)
 
 
 def _perm3():
@@ -749,7 +703,7 @@ def _perm3():
     ]
 
 
-def _d2_component(gpd, omega, conn, g, x, mu, nu, lam, move, step):
+def _d2_component(gpd, omega, conn, g, x, mu, nu, lam, step):
     """One component of the covariant differential of a 2-form on the
     stock fields (coordinate-like, with group-group brackets)."""
     d = gpd.group.dim
@@ -764,8 +718,8 @@ def _d2_component(gpd, omega, conn, g, x, mu, nu, lam, move, step):
         [(mu, (nu, lam)), (nu, (mu, lam)), (lam, (mu, nu))]
     ):
         sgn = (-1.0) ** t
-        gp, xp = move(g, x, a, step)
-        gm, xm = move(g, x, a, -step)
+        gp, xp = _move(gpd, g, x, a, step)
+        gm, xm = _move(gpd, g, x, a, -step)
         dval = (omega_on(gp, xp, *rest) - omega_on(gm, xm, *rest)) / (2 * step)
         if a >= d:
             dval += conn.gamma_value(a - d, x) @ omega_on(g, x, *rest)
@@ -803,31 +757,36 @@ def check_groupoid_properties(
 
     # (multiplicativity of alpha) delta alpha = 0 on composable pairs.
     d_alpha = simplicial_delta(gpd, alpha)
-    worst = 0.0
+    worst = Residual()
     for _ in range(n_pairs):
         g1, x = gpd.sample_arrow(rng)
         g2, _ = gpd.sample_arrow(rng)
         xi1 = g1 @ gpd.group.to_matrix(rng.uniform(-1, 1, size=gpd.group.dim))
         xi2 = g2 @ gpd.group.to_matrix(rng.uniform(-1, 1, size=gpd.group.dim))
         w = rng.uniform(-1, 1, size=gpd.chart.dim)
-        worst = max(worst, float(np.max(np.abs(d_alpha(g1, g2, x, (xi1, xi2, w))))))
-    report.add("delta_alpha", worst, delta_tol)
+        worst.update(d_alpha(g1, g2, x, (xi1, xi2, w)))
+    report.add("delta_alpha", worst.value, delta_tol)
 
     # Scale of the curvature over the sample, for relative residuals.
-    scale = 0.0
+    scale = Residual()
     samples = []
     for _ in range(n_points):
         g, x = gpd.sample_arrow(rng)
         T1 = gpd.sample_tangent(g, rng)
         T2 = gpd.sample_tangent(g, rng)
         v = Omega(g, x, T1, T2)
-        scale = max(scale, float(np.max(np.abs(v))))
+        scale.update(v)
         samples.append((g, x, T1, T2, v))
-    denom = 1.0 + scale
+    denom = 1.0 + scale.value
+
+    def relative(res: Residual) -> float:
+        # A non-finite curvature scale must fail the check, not divide
+        # the residual down to zero.
+        return res.value / denom if math.isfinite(denom) else math.inf
 
     # (a) delta Omega = 0.
     d_Omega = simplicial_delta(gpd, Omega)
-    worst = 0.0
+    worst = Residual()
     for _ in range(min(n_pairs, 40)):
         g1, x = gpd.sample_arrow(rng)
         g2, _ = gpd.sample_arrow(rng)
@@ -838,32 +797,28 @@ def check_groupoid_properties(
             w = rng.uniform(-1, 1, size=gpd.chart.dim)
             return (xi1, xi2, w)
 
-        worst = max(
-            worst,
-            float(np.max(np.abs(d_Omega(g1, g2, x, pair_tangent(), pair_tangent())))),
-        )
-    report.add("delta_Omega", worst / denom, tol)
+        worst.update(d_Omega(g1, g2, x, pair_tangent(), pair_tangent()))
+    report.add("delta_Omega", relative(worst), tol)
 
     # (b) structure equation Omega = d^nabla alpha + [alpha, alpha]-half.
     dn_alpha = d_nabla_s(gpd, alpha, conn, step=step)
-    worst = 0.0
+    worst = Residual()
     for g, x, T1, T2, v in samples:
         c = gpd.fiber_structure(x)
         a1 = alpha(g, x, T1)
         a2 = alpha(g, x, T2)
         half_bracket = np.einsum("a,b,abc->c", a1, a2, c)
-        res = v - dn_alpha(g, x, T1, T2) - half_bracket
-        worst = max(worst, float(np.max(np.abs(res))))
-    report.add("structure_equation", worst / denom, tol)
+        worst.update(v - dn_alpha(g, x, T1, T2) - half_bracket)
+    report.add("structure_equation", relative(worst), tol)
 
     # (c) Bianchi: D Omega = 0.
     DOmega = covariant_exterior_D(gpd, Omega, conn, alpha=alpha, step=max(step, 2e-4))
-    worst = 0.0
+    worst = Residual()
     for _ in range(min(n_points, 12)):
         g, x = gpd.sample_arrow(rng)
         Ts = [gpd.sample_tangent(g, rng) for _ in range(3)]
-        worst = max(worst, float(np.max(np.abs(DOmega(g, x, *Ts)))))
-    report.add("bianchi", worst / denom, tol)
+        worst.update(DOmega(g, x, *Ts))
+    report.add("bianchi", relative(worst), tol)
     return report
 
 
@@ -964,9 +919,6 @@ def numeric_extract_coupling(
 ) -> NumericCouplingData:
     """Coupling accessors of a numerically backed connection form, using
     the groupoid's symbolic splitting for the complementary frame."""
-    from .algebroid import bracket as _bracket
-    from .bundles import Section as _Section
-
     if gpd.splitting is None:
         raise ValueError("groupoid carries no splitting")
     A, ideal, P = gpd.action_algebroid()
@@ -983,39 +935,18 @@ def numeric_extract_coupling(
     ]
     dl = [[[differentiate(l_ad[c][a], i) for i in range(n)] for a in range(r)] for c in range(k)]
 
-    def gamma_only(i, p):
+    def gamma_fn(i, p):
         return np.stack([form.op_value(c, (i,), p) for c in range(k)], axis=1)
 
     if k == r:
         # Full ideal: the quotient is rank zero and only the fiber
         # connection carries content.
         return NumericCouplingData(
-            None, ideal.fiber, gamma_only,
+            None, ideal.fiber, gamma_fn,
             lambda a, i, p: np.zeros(k),
         )
 
-    comp_secs = []
-    for a in range(k, r):
-        comps = [fold(neg(l_ad[c][a])) for c in range(k)] + [ZERO] * (r - k)
-        comps[a] = ONE
-        comp_secs.append(_Section(A.bundle, comps))
-    rB = r - k
-    anchor = [[A.anchor[i][k + a] for a in range(rB)] for i in range(n)]
-    structure = [[None] * rB for _ in range(rB)]
-    for a in range(rB):
-        for b in range(rB):
-            if b < a:
-                structure[a][b] = [fold(neg(x)) for x in structure[b][a]]
-                continue
-            if a == b:
-                structure[a][b] = [ZERO] * rB
-                continue
-            w = _bracket(A, comp_secs[a], comp_secs[b])
-            structure[a][b] = [w.components[k + c] for c in range(rB)]
-    B = LieAlgebroid(Bundle(A.chart, rB, "B"), anchor, structure)
-
-    def gamma_fn(i, p):
-        return np.stack([form.op_value(c, (i,), p) for c in range(k)], axis=1)
+    B = quotient_algebroid(A, k, l_ad)
 
     def u_fn(a, i, p):
         vec = -form.op_value(k + a, (i,), p)

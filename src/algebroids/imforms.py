@@ -51,7 +51,7 @@ from .expr import (
     mul,
     neg,
 )
-from .sampling import Report, SamplePlan
+from .sampling import Report, Residual, SamplePlan
 
 __all__ = [
     "IMOneForm",
@@ -61,6 +61,7 @@ __all__ = [
     "NumericCouplingData",
     "check_im_form",
     "extract_coupling",
+    "quotient_algebroid",
     "coupling_to_im",
     "check_structure_equations",
     "build_semidirect",
@@ -273,15 +274,13 @@ class NumericIMOneForm:
     def connection_residual(self, plan: SamplePlan, n_points: int = 30) -> float:
         """Sampled version of the symbol-restricts-to-identity predicate."""
         k = self.ideal.k
-        worst = 0.0
+        worst = Residual()
         for p in plan.points(self.algebroid.chart, n_points):
             for a in range(k):
-                v = self.sym_value(a, (), p)
-                v = v - np.eye(self.value_rank)[:, a] if False else v
                 unit = np.zeros(self.value_rank)
                 unit[a] = 1.0
-                worst = max(worst, float(np.max(np.abs(self.sym_value(a, (), p) - unit))))
-        return worst
+                worst.update(self.sym_value(a, (), p) - unit)
+        return worst.value
 
 
 class _SectionData:
@@ -443,7 +442,7 @@ def check_im_form(
     draws, pts = plan.split_budget(per_draw=20)
     draws = max(2, min(draws, 10))
 
-    worst = {1: 0.0, 2: 0.0, 3: 0.0}
+    worst = {1: Residual(), 2: Residual(), 3: Residual()}
     for _ in range(draws):
         alpha = A.random_section(plan.rng)
         beta = A.random_section(plan.rng)
@@ -462,7 +461,7 @@ def check_im_form(
                         res += va[3][i] * _sym_of_section(form, vb_, (i,), p)
                     if vb_[3][i] != 0.0:
                         res += vb_[3][i] * _sym_of_section(form, va, (i,), p)
-                worst[1] = max(worst[1], float(np.max(np.abs(res))))
+                worst[1].update(res)
 
             # identity 2: L([a,b]) = Lie_a L(b) - Lie_b L(a)
             for idx in itertools.combinations(range(n), k):
@@ -485,9 +484,7 @@ def check_im_form(
                     idx,
                     p,
                 )
-                worst[2] = max(
-                    worst[2], float(np.max(np.abs(lhs - lie_ab + lie_ba)))
-                )
+                worst[2].update(lhs - lie_ab + lie_ba)
 
             # identity 3: sym([a,b]) = Lie_a sym(b) - i_{rho(b)} L(a)
             for idx in itertools.combinations(range(n), k - 1):
@@ -510,12 +507,12 @@ def check_im_form(
                     )
                     if v is not None:
                         contr += vb_[3][i] * v
-                worst[3] = max(worst[3], float(np.max(np.abs(lhs - lie_s + contr))))
+                worst[3].update(lhs - lie_s + contr)
 
     if k == 2:
-        report.add("im_identity_1", worst[1], tol)
-    report.add("im_identity_2", worst[2], tol)
-    report.add("im_identity_3", worst[3], tol)
+        report.add("im_identity_1", worst[1].value, tol)
+    report.add("im_identity_2", worst[2].value, tol)
+    report.add("im_identity_3", worst[3].value, tol)
 
     if isinstance(form, NumericIMOneForm):
         res = form.connection_residual(plan.fork("connpred"))
@@ -597,7 +594,7 @@ class CouplingData:
     def skew_residual(self, plan: SamplePlan, n_points: int = 30) -> float:
         B = self.base
         n, rB = B.chart.dim, B.rank
-        worst = 0.0
+        worst = Residual()
         for p in plan.points(B.chart, n_points):
             rho = B.anchor_value(p)
             for a in range(rB):
@@ -605,8 +602,8 @@ class CouplingData:
                     v = np.zeros(self.k)
                     for i in range(n):
                         v += rho[i, b] * self.u(a, i, p) + rho[i, a] * self.u(b, i, p)
-                    worst = max(worst, float(np.max(np.abs(v))))
-        return worst
+                    worst.update(v)
+        return worst.value
 
     def base_rep_on_fiber(self) -> ARepresentation:
         """The base acting on the fiber bundle through the connection
@@ -703,28 +700,8 @@ def extract_coupling(
     k, r, n = ideal.k, A.rank, A.chart.dim
     if k >= r:
         raise ValueError("coupling extraction needs a nontrivial quotient")
-
-    # Complementary frame: e~_a = e_a - sum_c l^c_a e_c for a >= k.
-    comp_secs = []
-    for a in range(k, r):
-        comps = [fold(neg(form.l[c][a])) for c in range(k)] + [ZERO] * (r - k)
-        comps[a] = ONE
-        comp_secs.append(Section(A.bundle, comps))
-
+    B = quotient_algebroid(A, k, form.l)
     rB = r - k
-    anchor = [[A.anchor[i][k + a] for a in range(rB)] for i in range(n)]
-    structure = [[None] * rB for _ in range(rB)]
-    for a in range(rB):
-        for b in range(rB):
-            if b < a:
-                structure[a][b] = [fold(neg(x)) for x in structure[b][a]]
-                continue
-            if a == b:
-                structure[a][b] = [ZERO] * rB
-                continue
-            w = bracket(A, comp_secs[a], comp_secs[b])
-            structure[a][b] = [w.components[k + c] for c in range(rB)]
-    B = LieAlgebroid(Bundle(A.chart, rB, label="B"), anchor, structure)
 
     gam = [
         [[form.frame_values[a].component((i,))[c] for a in range(k)] for c in range(k)]
@@ -750,6 +727,35 @@ def extract_coupling(
         U.append(row)
 
     return CouplingData(B, ideal.fiber, nablaL, U, plan=plan.fork("skew"))
+
+
+def quotient_algebroid(
+    A: LieAlgebroid, k: int, l: Sequence[Sequence[Expr]]
+) -> LieAlgebroid:
+    """Quotient of A by the span of its first k frame elements, carried
+    on the complementary frame e~_a = e_a - sum_c l[c][a] e_c (a >= k)
+    of a k x rank splitting l."""
+    r, n = A.rank, A.chart.dim
+    comp_secs = []
+    for a in range(k, r):
+        comps = [fold(neg(l[c][a])) for c in range(k)] + [ZERO] * (r - k)
+        comps[a] = ONE
+        comp_secs.append(Section(A.bundle, comps))
+
+    rB = r - k
+    anchor = [[A.anchor[i][k + a] for a in range(rB)] for i in range(n)]
+    structure = [[None] * rB for _ in range(rB)]
+    for a in range(rB):
+        for b in range(rB):
+            if b < a:
+                structure[a][b] = [fold(neg(x)) for x in structure[b][a]]
+                continue
+            if a == b:
+                structure[a][b] = [ZERO] * rB
+                continue
+            w = bracket(A, comp_secs[a], comp_secs[b])
+            structure[a][b] = [w.components[k + c] for c in range(rB)]
+    return LieAlgebroid(Bundle(A.chart, rB, label="B"), anchor, structure)
 
 
 def build_semidirect(cd) -> LieAlgebroid:
@@ -874,7 +880,7 @@ def check_structure_equations(
         for i in range(n)
     }
 
-    s1 = s2 = s3 = 0.0
+    s1, s2, s3 = Residual(), Residual(), Residual()
     for p in pts:
         Gams = [cd.gamma(i, p) for i in range(n)]
         dGams = [[cd.dgamma(j, i, p) for i in range(n)] for j in range(n)]
@@ -912,7 +918,7 @@ def check_structure_equations(
                     rhs = np.einsum("f,fe->e", Gams[i][:, a], cvals[:, b, :]) + np.einsum(
                         "f,fe->e", Gams[i][:, b], cvals[a, :, :]
                     )
-                    s1 = max(s1, float(np.max(np.abs(lhs - rhs))))
+                    s1.update(lhs - rhs)
 
         # (S2): curvature along anchored directions equals the adjoint
         # action of the mixed tensor.
@@ -932,7 +938,7 @@ def check_structure_equations(
                     t3 = -sum(drho[j, i, a] * Gams[i][:, c] for i in range(n))
                     uaj = uvals[a, j]
                     t4 = np.einsum("f,fe->e", uaj, cvals[:, c, :])
-                    s2 = max(s2, float(np.max(np.abs(t1 - t2 - t3 - t4))))
+                    s2.update(t1 - t2 - t3 - t4)
 
         # (S3): the mixed cocycle equation on base frame pairs.
         for a in range(rB):
@@ -954,11 +960,11 @@ def check_structure_equations(
                     t4 = -sum(drho[j, i, b] * uvals[a, i] for i in range(n))
                     t5 = +sum(drho[j, i, a] * uvals[b, i] for i in range(n))
                     rhs = sum(cB[a, b, cc] * uvals[cc, j] for cc in range(rB))
-                    s3 = max(s3, float(np.max(np.abs(t1 - t2 + t3 + t4 + t5 - rhs))))
+                    s3.update(t1 - t2 + t3 + t4 + t5 - rhs)
 
-    report.add("S1", s1, tol)
-    report.add("S2", s2, tol)
-    report.add("S3", s3, tol)
+    report.add("S1", s1.value, tol)
+    report.add("S2", s2.value, tol)
+    report.add("S3", s3.value, tol)
 
     if variant == "S1'S3'":
         flat_res = _curvature_residual(cd, pts)
@@ -978,7 +984,7 @@ def check_structure_equations(
 
 def _curvature_residual(cd, pts) -> float:
     n = cd.base.chart.dim
-    worst = 0.0
+    worst = Residual()
     for p in pts:
         Gams = [cd.gamma(i, p) for i in range(n)]
         for i in range(n):
@@ -989,8 +995,8 @@ def _curvature_residual(cd, pts) -> float:
                     + Gams[i] @ Gams[j]
                     - Gams[j] @ Gams[i]
                 )
-                worst = max(worst, float(np.max(np.abs(R))))
-    return worst
+                worst.update(R)
+    return worst.value
 
 
 def center_basis(fiber: FiberBracket, p, svd_tol: float = 1e-9) -> np.ndarray:
@@ -1007,7 +1013,7 @@ def center_basis(fiber: FiberBracket, p, svd_tol: float = 1e-9) -> np.ndarray:
 
 
 def _center_residual_of_u(cd, pts, svd_tol: float) -> float:
-    worst = 0.0
+    worst = Residual()
     rank_seen = None
     n, rB = cd.base.chart.dim, cd.base.rank
     for p in pts:
@@ -1022,8 +1028,8 @@ def _center_residual_of_u(cd, pts, svd_tol: float) -> float:
         for a in range(rB):
             for i in range(n):
                 v = cd.u(a, i, p)
-                worst = max(worst, float(np.max(np.abs(v - proj @ v))))
-    return worst
+                worst.update(v - proj @ v)
+    return worst.value
 
 
 def kernel_flat_two_form(cd: CouplingData) -> IMTwoForm:
@@ -1095,27 +1101,26 @@ def classify_flatness(
     report = Report(command="classify", seed=plan.seed, samples=plan.samples)
 
     curv = _curvature_residual(cd, pts)
-    u_res = 0.0
-    leaf_res = 0.0
+    totally = Residual().update(curv)
+    leaf_res = Residual()
     for p in pts:
         rho = B.anchor_value(p)
         for a in range(rB):
             for i in range(n):
-                u_res = max(u_res, float(np.max(np.abs(cd.u(a, i, p)))))
+                totally.update(cd.u(a, i, p))
             for b in range(rB):
-                v = sum(rho[i, b] * cd.u(a, i, p) for i in range(n))
-                leaf_res = max(leaf_res, float(np.max(np.abs(v))))
+                leaf_res.update(sum(rho[i, b] * cd.u(a, i, p) for i in range(n)))
 
     report.add("kernel_flat_curvature", curv, tol)
-    report.add("leafwise_anchored_U", leaf_res, tol)
-    report.add("totally_flat_U", max(u_res, curv), tol)
+    report.add("leafwise_anchored_U", leaf_res.value, tol)
+    report.add("totally_flat_U", totally.value, tol)
 
     classes = set()
     if curv < tol:
         classes.add("kernel")
-    if leaf_res < tol:
+    if leaf_res.value < tol:
         classes.add("leafwise")
-    if curv < tol and u_res < tol:
+    if totally.value < tol:
         classes.add("totally")
         classes |= {"leafwise", "kernel"}
     report.extra["flatness"] = [c for c in FLATNESS_ORDER if c in classes]

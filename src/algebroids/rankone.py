@@ -18,7 +18,7 @@ import numpy as np
 from .algebroid import LieAlgebroid
 from .expr import Expr, ZERO, add, differentiate, div, evaluate, fold, mul, neg
 from .imforms import CouplingData
-from .sampling import Report, SamplePlan
+from .sampling import Report, Residual, SamplePlan
 
 __all__ = [
     "RankOneData",
@@ -149,7 +149,7 @@ def check_rank_one(
 
     # Trivialized curvature condition: the connection form is closed
     # along anchored directions.
-    s2 = 0.0
+    s2 = Residual()
     for p in pts:
         rho = B.anchor_value(p)
         dth = np.zeros((n, n))
@@ -158,12 +158,12 @@ def check_rank_one(
             dth[i, j] = v
             dth[j, i] = -v
         contr = rho.T @ dth  # rows: frame elements, cols: direction
-        s2 = max(s2, float(np.max(np.abs(contr))) if contr.size else 0.0)
-    report.add("S2_trivialized", s2, tol)
+        s2.update(contr)
+    report.add("S2_trivialized", s2.value, tol)
 
     # Trivialized mixed equation on base frame pairs; Lie derivatives
     # of the tensor rows are formed symbolically once per pair.
-    s3 = 0.0
+    s3 = Residual()
     dU = [_d_one_form(data.U1[a], n) for a in range(rB)]
     rho_cols = [B.rho_of(B.frame_section(a)) for a in range(rB)]
     lieU = [
@@ -199,11 +199,11 @@ def check_rank_one(
                 wedge = np.outer(th, Uv[a]) - np.outer(Uv[a], th)
                 i_b_wedge = rho_b @ wedge
                 rhs = lie - i_b_dU + term_theta - i_b_wedge
-                s3 = max(s3, float(np.max(np.abs(lhs - rhs))))
-    report.add("S3_trivialized", s3, tol)
+                s3.update(lhs - rhs)
+    report.add("S3_trivialized", s3.value, tol)
 
     # Tangentiality of the cochain representatives on the anchor kernel.
-    tang = 0.0
+    tang = Residual()
     ranks = []
     kernels = []
     for p in pts:
@@ -225,9 +225,9 @@ def check_rank_one(
         )
         Vv = np.array([evaluate(x, p) for x in data.V])
         for col in ker.T:
-            tang = max(tang, float(np.max(np.abs(col @ lamv))))
-            tang = max(tang, abs(float(col @ Vv)))
-    report.add("tangential_representatives", tang, tol)
+            tang.update(col @ lamv)
+            tang.update(col @ Vv)
+    report.add("tangential_representatives", tang.value, tol)
     report.extra["anchor_rank"] = modal
     report.extra["discarded_rank_jump_points"] = discarded
     return report
@@ -317,11 +317,11 @@ def verify_witness(
         ]
 
     def max_at(exprs) -> float:
-        worst = 0.0
+        worst = Residual()
         for p in pts:
             for x in exprs:
-                worst = max(worst, abs(evaluate(x, p)))
-        return worst
+                worst.update(evaluate(x, p))
+        return worst.value
 
     lam_flat = [lam_shift[a][b] for a in range(rB) for b in range(rB)]
 
@@ -348,7 +348,7 @@ def verify_witness(
         if kind == "leafwise_flat":
             # Invariance only requires closedness along anchored
             # directions.
-            worst = 0.0
+            worst = Residual()
             for p in pts:
                 rho = B.anchor_value(p)
                 dm = np.zeros((n, n))
@@ -357,8 +357,8 @@ def verify_witness(
                     dm[i, j] = v
                     dm[j, i] = -v
                 contr = rho.T @ dm
-                worst = max(worst, float(np.max(np.abs(contr))) if contr.size else 0.0)
-            report.add("theta_invariant", worst, tol)
+                worst.update(contr)
+            report.add("theta_invariant", worst.value, tol)
         else:
             report.add("theta_closed", max_at(dth.values()), tol)
         report.add("V_matches_pullback", max_at(V_match), tol)
@@ -419,7 +419,7 @@ def verify_witness(
             OmM[i][j] = x
             OmM[j][i] = fold(neg(x))
         # Covariant closedness: d Omega + theta ^ Omega = 0.
-        worst = 0.0
+        worst = Residual()
         if n >= 3:
             for i in range(n):
                 for j in range(i + 1, n):
@@ -432,8 +432,8 @@ def verify_witness(
                             neg(mul(theta_w[j], OmM[i][kk])),
                             mul(theta_w[kk], OmM[i][j]),
                         )
-                        worst = max(worst, max_at([fold(t)]))
-        report.add("Omega_covariantly_closed", worst, tol)
+                        worst.update(max_at([fold(t)]))
+        report.add("Omega_covariantly_closed", worst.value, tol)
         lam_match = [
             fold(
                 add(

@@ -8,6 +8,7 @@ triple determines the verdict byte-for-byte.
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .expr import Chart, Expr, add, const, coord, mul, _sample_point
 
-__all__ = ["SamplePlan", "Check", "Report", "random_polynomial"]
+__all__ = ["SamplePlan", "Residual", "Check", "Report", "random_polynomial"]
 
 
 class SamplePlan:
@@ -81,6 +82,36 @@ def random_polynomial(chart: Chart, rng: np.random.Generator, degree: int = 2) -
     from .expr import fold
 
     return fold(e)
+
+
+class Residual:
+    """Running reduction of sampled values to one residual.
+
+    ``value`` is the largest absolute value seen (0.0 before any), or
+    ``inf`` once any value is NaN or +-inf, so a check that met a value
+    it could not measure fails instead of dropping it.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0.0
+
+    def update(self, values) -> "Residual":
+        """Fold in a scalar or an array of any shape; an empty array
+        contributes nothing."""
+        if isinstance(values, (float, int)):
+            v = abs(values)
+        else:
+            a = np.abs(np.asarray(values, dtype=float))
+            if a.size == 0:
+                return self
+            v = float(a.max())
+        if not math.isfinite(v):
+            v = math.inf
+        if v > self.value:
+            self.value = float(v)
+        return self
 
 
 @dataclass

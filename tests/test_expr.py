@@ -96,6 +96,23 @@ def test_evaluate_examples():
         evaluate(parse("x1/x2", CH2), [1.0, 0.0])
     with pytest.raises(DomainError):
         evaluate(parse("log(x1)", Chart(1)), [-1.0])
+    # Results float arithmetic cannot represent name their subtree.
+    for text in (
+        "exp(700)*exp(700)*x1 - exp(700)*exp(700)*x2",
+        "sin(exp(700)*exp(700)*x1)",
+        "cos(exp(700)*exp(700)*x1)",
+        "(exp(700)*x1)^2",
+    ):
+        with pytest.raises(DomainError):
+            evaluate(parse(text, CH2), [1.0, 1.0])
+
+
+def test_expr_equal_rejects_non_finite_values():
+    # inf compared with 0 passed the relative test: |inf| > tol*(1+inf)
+    # is False.
+    inf_expr = parse("exp(700)*exp(700)*x1", CH2)
+    assert not expr_equal(inf_expr, parse("0", CH2), CH2)
+    assert not expr_equal(parse("0", CH2), inf_expr, CH2)
 
 
 def test_fold_idempotent():

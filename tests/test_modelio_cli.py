@@ -2,6 +2,7 @@
 operation coverage."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -170,6 +171,44 @@ def test_verify_algebroid_broken_structure():
     assert code == 1
     doc = json.loads(out)
     assert not next(c for c in doc["checks"] if c["name"] == "ideal_anchor")["pass"]
+
+
+def _so3_radial_with_anchor(tmp_path, expr):
+    """The so3_radial model with its anchor entry [0][0] replaced."""
+    doc = json.loads((MODELS / "so3_radial.json").read_text())
+    doc["algebroid"]["anchor"][0][0] = expr
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_nan_residual_fails_its_check(tmp_path):
+    # exp(700)^2 overflows to inf and inf * 0 is NaN at every point: the
+    # NaN must fail the check, not be dropped as max(0.0, nan) drops it.
+    model = _so3_radial_with_anchor(tmp_path, "exp(700)*exp(700)*x1*(x2 - x2)")
+    code, out = invoke(["verify-ideal", "--model", model, "--json", "--samples", "40"])
+    assert code == 1
+    doc = json.loads(out)
+    check = next(c for c in doc["checks"] if c["name"] == "ideal_anchor")
+    assert check["max_residual"] == math.inf and not check["pass"]
+    assert doc["pass"] is False
+
+
+@pytest.mark.parametrize(
+    "expr",
+    [
+        "exp(700)*exp(700)*x1 - exp(700)*exp(700)*(x1 + 1)",
+        "sin(exp(700)*exp(700)*x1)",
+        "cos(exp(700)*exp(700)*x1)",
+        "(exp(700)*x1)^2",
+    ],
+    ids=["inf_minus_inf_sum", "sin_of_inf", "cos_of_inf", "power_overflow"],
+)
+def test_non_finite_evaluation_exits_3(tmp_path, capsys, expr):
+    model = _so3_radial_with_anchor(tmp_path, expr)
+    code, _ = invoke(["verify-algebroid", "--model", model, "--samples", "40"])
+    assert code == 3
+    assert "evaluation error" in capsys.readouterr().err
 
 
 def test_verify_ideal_and_im():

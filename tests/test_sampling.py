@@ -1,0 +1,34 @@
+"""Tests for the residual accumulator every checker reduces samples with."""
+
+import math
+
+import numpy as np
+import pytest
+
+from algebroids.sampling import Residual
+
+
+def test_residual_starts_at_zero_and_keeps_largest_magnitude():
+    r = Residual()
+    assert r.value == 0.0
+    r.update(-3.0)
+    r.update(2)
+    assert r.value == 3.0
+    r.update(np.array([[0.5, -4.0], [1.0, 2.0]]))
+    assert r.value == 4.0 and type(r.value) is float
+    r.update(np.float64(-5.5))
+    assert r.value == 5.5
+
+
+def test_residual_empty_array_counts_as_zero():
+    assert Residual().update(np.zeros((3, 0))).value == 0.0
+    assert Residual().update(1e-3).update(np.array([])).value == 1e-3
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_residual_non_finite_is_inf(bad):
+    assert Residual().update(bad).value == math.inf
+    assert Residual().update(np.array([0.0, bad, 1.0])).value == math.inf
+    # Later finite values do not hide it.
+    assert Residual().update(bad).update(7.0).value == math.inf
+    assert Residual().update(7.0).update(np.array([bad])).value == math.inf
