@@ -11,6 +11,7 @@ Exit codes: 0 all checks passed, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -86,6 +87,13 @@ OPERATION_COVERAGE = {
 }
 
 
+def _tolerance(text: str) -> float:
+    v = float(text)
+    if not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite: {text!r}")
+    return v
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="algebroids",
@@ -98,7 +106,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--model", help="model JSON file")
         sp.add_argument("--seed", type=int, default=42)
         sp.add_argument("--samples", type=int, default=200)
-        sp.add_argument("--tol", type=float, default=None)
+        sp.add_argument("--tol", type=_tolerance, default=None)
         sp.add_argument("--json", action="store_true", dest="as_json")
 
     for name in SUBCOMMANDS:

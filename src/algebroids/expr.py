@@ -119,6 +119,12 @@ class Chart:
             if not lo < hi:
                 raise ValueError(f"empty coordinate interval [{lo}, {hi}]")
             bd.append((lo, hi))
+        farthest_corner = [max(-lo, hi) for lo, hi in bd]
+        if excluded_origin and float(np.linalg.norm(farthest_corner)) < 0.1:
+            raise ValueError(
+                "the chart bounds lie entirely inside the excluded ball "
+                "of radius 0.1 around the origin"
+            )
         self.dim = dim
         self.bounds = tuple(bd)
         self.excluded_origin = bool(excluded_origin)
@@ -528,6 +534,16 @@ def _diff(e: Expr, i: int) -> Expr:
 def evaluate(e: Expr, p: Sequence[float]) -> float:
     """Evaluate at a point (sequence of chart.dim floats).
 
+    Each distinct subtree is evaluated once per call: ``fold`` and
+    ``differentiate`` share subtrees by object identity, and the value
+    of every non-leaf node is kept, keyed by ``id``, until the call
+    returns.  The arithmetic and its order are those of a walk of the
+    whole tree: a sum is ``math.fsum`` of its arguments in order, a
+    product multiplies its arguments left to right starting from 1.0,
+    and a quotient evaluates its denominator, checks it for a pole,
+    then evaluates its numerator.  So the value, and the first error
+    raised, do not depend on how much of the tree is shared.
+
     Raises PoleError for division by a near-zero denominator and
     DomainError for log of a nonpositive argument and for a result the
     float arithmetic cannot represent (exp or power overflow, an
@@ -540,45 +556,80 @@ def evaluate(e: Expr, p: Sequence[float]) -> float:
         return float(e.value)
     if op == _COORD:
         return float(p[e.index])
+    # The root keeps every node alive until the call returns, so no id
+    # in the memo can be reused by another node meanwhile.
+    return _eval_node(e, p, {})
+
+
+def _eval_arg(a: Expr, p: Sequence[float], memo: dict[int, float]) -> float:
+    """Value of an argument: a leaf is read, any other node is taken
+    from ``memo`` or evaluated and stored there."""
+    op = a.op
+    if op == _COORD:
+        return float(p[a.index])
+    if op == _CONST:
+        return float(a.value)
+    key = id(a)
+    v = memo.get(key)
+    if v is None:
+        v = memo[key] = _eval_node(a, p, memo)
+    return v
+
+
+def _eval_node(e: Expr, p: Sequence[float], memo: dict[int, float]) -> float:
+    """Value of the non-leaf node ``e`` from the values of its
+    arguments; the caller stores it."""
+    op = e.op
+    if op == _DIV:
+        den = _eval_arg(e.args[1], p, memo)
+        if abs(den) < _POLE_TOL:
+            raise PoleError("division by (near-)zero", e)
+        return _eval_arg(e.args[0], p, memo) / den
+    # _eval_arg inlined: this loop runs once per node, and a call per
+    # argument costs as much as the arithmetic on small trees.
+    vals = []
+    for a in e.args:
+        aop = a.op
+        if aop == _COORD:
+            vals.append(float(p[a.index]))
+        elif aop == _CONST:
+            vals.append(float(a.value))
+        else:
+            key = id(a)
+            v = memo.get(key)
+            if v is None:
+                v = memo[key] = _eval_node(a, p, memo)
+            vals.append(v)
+    if op == _MUL:
+        r = 1.0
+        for v in vals:
+            r *= v
+        return r
     if op == _ADD:
-        vals = [evaluate(a, p) for a in e.args]
         try:
             return math.fsum(vals)
         except (ValueError, OverflowError):
             raise DomainError("non-finite sum", e) from None
-    if op == _MUL:
-        r = 1.0
-        for a in e.args:
-            r *= evaluate(a, p)
-        return r
-    if op == _DIV:
-        den = evaluate(e.args[1], p)
-        if abs(den) < _POLE_TOL:
-            raise PoleError("division by (near-)zero", e)
-        return evaluate(e.args[0], p) / den
+    (a,) = vals
     if op == _POW:
-        b = evaluate(e.args[0], p)
-        if e.exponent < 0 and abs(b) < _POLE_TOL:
+        if e.exponent < 0 and abs(a) < _POLE_TOL:
             raise PoleError("negative power of (near-)zero", e)
         try:
-            return b**e.exponent
+            return a**e.exponent
         except OverflowError:
             raise DomainError("power overflow", e) from None
     if op == _NEG:
-        return -evaluate(e.args[0], p)
+        return -a
     if op == "sin" or op == "cos":
-        a = evaluate(e.args[0], p)
         try:
             return math.sin(a) if op == "sin" else math.cos(a)
         except ValueError:
             raise DomainError(f"{op} of an infinite argument", e) from None
     if op == "exp":
-        a = evaluate(e.args[0], p)
         if a > 700.0:
             raise DomainError("exp overflow", e)
         return math.exp(a)
     if op == "log":
-        a = evaluate(e.args[0], p)
         if a <= 0.0:
             raise DomainError("log of nonpositive argument", e)
         return math.log(a)

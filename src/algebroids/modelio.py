@@ -170,9 +170,11 @@ REPORT_SCHEMA = {
                 "required": ["name", "max_residual", "tolerance", "pass"],
                 "properties": {
                     "name": {"type": "string"},
-                    "max_residual": {"type": "number"},
+                    # null, with non_finite true, when a sample was NaN or inf.
+                    "max_residual": {"type": ["number", "null"]},
                     "tolerance": {"type": "number"},
                     "pass": {"type": "boolean"},
+                    "non_finite": {"type": "boolean"},
                 },
                 "additionalProperties": False,
             },
@@ -455,11 +457,14 @@ def load_model(path: str) -> ModelFile:
         pointer = "/" + "/".join(str(p) for p in e.absolute_path)
         raise ModelError(f"schema violation at {pointer}: {e.message}")
     csec = raw["chart"]
-    chart = Chart(
-        csec["dim"],
-        bounds=csec.get("bounds"),
-        excluded_origin=csec.get("excluded_origin", False),
-    )
+    try:
+        chart = Chart(
+            csec["dim"],
+            bounds=csec.get("bounds"),
+            excluded_origin=csec.get("excluded_origin", False),
+        )
+    except ValueError as e:
+        raise ModelError(f"at /chart: {e}") from e
     model = ModelFile(path=path, raw=raw, chart=chart)
     # Eagerly validate every supplied section so load errors surface here.
     for section in ("algebroid", "ideal", "im_form", "coupling", "groupoid"):

@@ -114,6 +114,18 @@ class Residual:
         return self
 
 
+def _finite_or_none(v):
+    """``v`` with every non-finite float in it, also inside dicts and
+    lists, replaced by None: JSON has no inf or NaN."""
+    if isinstance(v, float):
+        return v if math.isfinite(v) else None
+    if isinstance(v, dict):
+        return {k: _finite_or_none(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_finite_or_none(x) for x in v]
+    return v
+
+
 @dataclass
 class Check:
     """One named residual check."""
@@ -127,12 +139,16 @@ class Check:
         return bool(self.max_residual < self.tolerance)
 
     def as_dict(self) -> dict:
-        return {
+        finite = math.isfinite(self.max_residual)
+        d = {
             "name": self.name,
-            "max_residual": float(self.max_residual),
+            "max_residual": float(self.max_residual) if finite else None,
             "tolerance": float(self.tolerance),
             "pass": self.passed,
         }
+        if not finite:
+            d["non_finite"] = True
+        return d
 
 
 @dataclass
@@ -174,11 +190,11 @@ class Report:
             "checks": [c.as_dict() for c in self.checks],
             "pass": self.passed,
         }
-        d.update(self.extra)
+        d.update(_finite_or_none(self.extra))
         return d
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), sort_keys=True) + "\n"
+        return json.dumps(self.as_dict(), sort_keys=True, allow_nan=False) + "\n"
 
     def table(self) -> str:
         lines = [f"{'check':<44} {'max residual':>14} {'tolerance':>11} verdict"]

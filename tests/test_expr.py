@@ -2,6 +2,8 @@
 folding, and the finite-difference cross-check."""
 
 import math
+import struct
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from algebroids.expr import (
     sin,
     to_str,
 )
+from algebroids.sampling import random_polynomial
 
 CH2 = Chart(2)
 
@@ -105,6 +108,133 @@ def test_evaluate_examples():
     ):
         with pytest.raises(DomainError):
             evaluate(parse(text, CH2), [1.0, 1.0])
+
+
+def _tree_walk(e, p):
+    """Reference evaluator: the plain recursive walk of the whole tree,
+    which re-evaluates every shared subtree where it occurs."""
+    op = e.op
+    if op == "const":
+        return float(e.value)
+    if op == "coord":
+        return float(p[e.index])
+    if op == "add":
+        vals = [_tree_walk(a, p) for a in e.args]
+        try:
+            return math.fsum(vals)
+        except (ValueError, OverflowError):
+            raise DomainError("non-finite sum", e) from None
+    if op == "mul":
+        r = 1.0
+        for a in e.args:
+            r *= _tree_walk(a, p)
+        return r
+    if op == "div":
+        den = _tree_walk(e.args[1], p)
+        if abs(den) < 1e-12:
+            raise PoleError("division by (near-)zero", e)
+        return _tree_walk(e.args[0], p) / den
+    if op == "pow":
+        b = _tree_walk(e.args[0], p)
+        if e.exponent < 0 and abs(b) < 1e-12:
+            raise PoleError("negative power of (near-)zero", e)
+        try:
+            return b**e.exponent
+        except OverflowError:
+            raise DomainError("power overflow", e) from None
+    if op == "neg":
+        return -_tree_walk(e.args[0], p)
+    if op == "sin" or op == "cos":
+        a = _tree_walk(e.args[0], p)
+        try:
+            return math.sin(a) if op == "sin" else math.cos(a)
+        except ValueError:
+            raise DomainError(f"{op} of an infinite argument", e) from None
+    if op == "exp":
+        a = _tree_walk(e.args[0], p)
+        if a > 700.0:
+            raise DomainError("exp overflow", e)
+        return math.exp(a)
+    if op == "log":
+        a = _tree_walk(e.args[0], p)
+        if a <= 0.0:
+            raise DomainError("log of nonpositive argument", e)
+        return math.log(a)
+    raise ValueError(f"unknown node {op!r}")
+
+
+def _outcome(f, e, p):
+    """A value as its bit pattern (every NaN alike), or an error as its
+    class and the text of the subtree it names."""
+    try:
+        v = f(e, p)
+    except expr.EvalError as err:
+        return type(err).__name__, to_str(err.subtree)
+    return "nan" if math.isnan(v) else struct.pack("<d", v)
+
+
+def _random_dag(rng, chart, steps):
+    """Random expression DAG: every new node takes its arguments from
+    the nodes built so far, so subtrees are shared by identity."""
+    x1, x2 = coord(0), coord(1)
+    pool = [random_polynomial(chart, rng) for _ in range(3)]
+    # x1 - x2 vanishes on the grid diagonal; the product is inf where
+    # x1 + x2 > 1.02, so products and quotients of the two can be NaN.
+    huge = mul(exp(mul(const(700), x1)), exp(mul(const(700), x2)))
+    pool += [x1, x2, add(x1, neg(x2)), const(0), huge]
+    for _ in range(steps):
+        def pick():
+            return pool[int(rng.integers(len(pool)))]
+
+        kind = rng.choice(["add", "mul", "div", "pow", "neg", "sin", "cos", "exp", "log"])
+        if kind == "add":
+            node = add(pick(), pick(), pick())
+        elif kind == "mul":
+            node = mul(pick(), pick(), pick())
+        elif kind == "div":
+            node = div(pick(), pick())
+        elif kind == "pow":
+            node = pow_int(pick(), int(rng.choice([-3, -2, -1, 2, 3, 5])))
+        elif kind == "neg":
+            node = neg(pick())
+        elif kind == "exp":
+            node = exp(mul(const(float(rng.choice([1.0, 700.0]))), pick()))
+        else:
+            node = {"sin": sin, "cos": cos, "log": log}[kind](pick())
+        pool.append(node)
+    return pool[-4:]
+
+
+def test_evaluate_matches_tree_walk():
+    # Values bit for bit and the first error by class and subtree, at
+    # random points and on a grid that hits poles (x1 = 0, x1 = x2).
+    rng = np.random.default_rng(2024)
+    grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    seen = {"value": 0, "nan": 0, "PoleError": 0, "DomainError": 0}
+    for _ in range(400):
+        exprs = _random_dag(rng, CH2, steps=12)
+        for _ in range(4):
+            if rng.uniform() < 0.5:
+                p = rng.choice(grid, size=2)
+            else:
+                p = rng.uniform(-1, 1, size=2)
+            for e in exprs:
+                want = _outcome(_tree_walk, e, p)
+                assert _outcome(evaluate, e, p) == want, to_str(e)
+                kind = want[0] if isinstance(want, tuple) else "nan" if want == "nan" else "value"
+                seen[kind] += 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_evaluate_shared_subtrees_once():
+    # 60 doublings: a walk of the whole tree would take about 2^60 steps.
+    for node, want in ((mul, 1.0), (add, 2.0**60)):
+        e = coord(0)
+        for _ in range(60):
+            e = node(e, e)
+        start = time.perf_counter()
+        assert evaluate(e, [1.0]) == want
+        assert time.perf_counter() - start < 1.0
 
 
 def test_expr_equal_rejects_non_finite_values():
@@ -202,6 +332,11 @@ def test_chart_validation():
     c = Chart(2, excluded_origin=True)
     assert not c.contains([0.01, 0.01])
     assert c.contains([0.5, 0.5])
+    # A box with no point outside the excluded ball is refused.
+    with pytest.raises(ValueError):
+        Chart(2, bounds=[(0.01, 0.02), (-0.05, 0.05)], excluded_origin=True)
+    Chart(2, bounds=[(0.01, 0.02), (-0.05, 0.05)])
+    Chart(2, bounds=[(0.01, 0.02), (-0.05, 0.1)], excluded_origin=True)
 
 
 def _random_expr(rng, chart, depth):

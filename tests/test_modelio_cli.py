@@ -2,7 +2,6 @@
 operation coverage."""
 
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +90,9 @@ def test_check_structure_bad_u_fails():
 
 def test_exit_codes():
     assert run(["no-such-command"]) == 2
+    # A tolerance JSON cannot carry is a usage error.
+    for tol in ("inf", "nan"):
+        assert run(["classify", "--model", str(MODELS / "product_so3.json"), "--tol", tol]) == 2
     code, _ = invoke(["classify", "--model", "/does/not/exist.json"])
     assert code == 3
     # Missing required section.
@@ -173,6 +175,18 @@ def test_verify_algebroid_broken_structure():
     assert not next(c for c in doc["checks"] if c["name"] == "ideal_anchor")["pass"]
 
 
+def test_chart_inside_excluded_ball_is_a_model_error(tmp_path, capsys):
+    # Every point of this box lies within 0.1 of the origin, which the
+    # chart excludes: no sample point exists.
+    doc = json.loads((MODELS / "so3_radial.json").read_text())
+    doc["chart"]["bounds"] = [[0.01, 0.02], [-0.01, 0.01], [-0.01, 0.01]]
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    code, _ = invoke(["verify-algebroid", "--model", str(p), "--samples", "20"])
+    assert code == 3
+    assert "model error" in capsys.readouterr().err
+
+
 def _so3_radial_with_anchor(tmp_path, expr):
     """The so3_radial model with its anchor entry [0][0] replaced."""
     doc = json.loads((MODELS / "so3_radial.json").read_text())
@@ -182,16 +196,30 @@ def _so3_radial_with_anchor(tmp_path, expr):
     return str(p)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
 def test_nan_residual_fails_its_check(tmp_path):
+    from jsonschema import Draft202012Validator
+
+    from algebroids.modelio import REPORT_SCHEMA
+
     # exp(700)^2 overflows to inf and inf * 0 is NaN at every point: the
     # NaN must fail the check, not be dropped as max(0.0, nan) drops it.
     model = _so3_radial_with_anchor(tmp_path, "exp(700)*exp(700)*x1*(x2 - x2)")
     code, out = invoke(["verify-ideal", "--model", model, "--json", "--samples", "40"])
     assert code == 1
-    doc = json.loads(out)
+    # Strict JSON: the residual is null and flagged, not the bare token
+    # Infinity, which strict parsers reject.
+    doc = json.loads(out, parse_constant=_reject_constant)
+    Draft202012Validator(REPORT_SCHEMA).validate(doc)
     check = next(c for c in doc["checks"] if c["name"] == "ideal_anchor")
-    assert check["max_residual"] == math.inf and not check["pass"]
+    assert check["max_residual"] is None and check["non_finite"] is True
+    assert not check["pass"]
     assert doc["pass"] is False
+    finite = next(c for c in doc["checks"] if c["name"] == "ideal_bracket")
+    assert "non_finite" not in finite
 
 
 @pytest.mark.parametrize(

@@ -1,11 +1,13 @@
-"""Tests for the residual accumulator every checker reduces samples with."""
+"""Tests for the residual accumulator every checker reduces samples
+with, and for the JSON form of reports."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from algebroids.sampling import Residual
+from algebroids.sampling import Report, Residual
 
 
 def test_residual_starts_at_zero_and_keeps_largest_magnitude():
@@ -32,3 +34,22 @@ def test_residual_non_finite_is_inf(bad):
     # Later finite values do not hide it.
     assert Residual().update(bad).update(7.0).value == math.inf
     assert Residual().update(7.0).update(np.array([bad])).value == math.inf
+
+
+def test_report_json_writes_non_finite_numbers_as_null():
+    rep = Report(command="t", seed=1, samples=2)
+    rep.add("finite", 1e-12, 1e-8)
+    rep.add("nan", math.nan, 1e-8)
+    rep.extra["curvature_max_value"] = math.inf
+    rep.extra["residuals"] = {"S1": -math.inf, "S2": 0.5}
+
+    def reject(name):
+        raise ValueError(name)
+
+    doc = json.loads(rep.to_json(), parse_constant=reject)
+    assert doc["checks"][0] == {"name": "finite", "max_residual": 1e-12, "tolerance": 1e-8, "pass": True}
+    assert doc["checks"][1] == {
+        "name": "nan", "max_residual": None, "tolerance": 1e-8, "pass": False, "non_finite": True,
+    }
+    assert doc["curvature_max_value"] is None
+    assert doc["residuals"] == {"S1": None, "S2": 0.5}
