@@ -20,6 +20,7 @@ from .bundles import (
     CoeffForm,
     FiberBracket,
     LinearConnection,
+    PointMap,
     Section,
     covariant_derivative,
     curvature_tensor,
@@ -74,7 +75,7 @@ class LieAlgebroid:
     Jacobi and the anchor-morphism property are checkable, not assumed.
     """
 
-    __slots__ = ("bundle", "anchor", "structure")
+    __slots__ = ("bundle", "anchor", "structure", "anchor_map", "structure_map")
 
     def __init__(
         self,
@@ -87,8 +88,10 @@ class LieAlgebroid:
             raise ValueError("anchor must be an n x r matrix of Exprs")
         self.bundle = bundle
         self.anchor = tuple(tuple(fold(x) for x in row) for row in anchor)
+        self.anchor_map = PointMap.exact(self.anchor)
         # Reuse the fiberwise container for storage + antisymmetry check.
-        self.structure = FiberBracket(bundle, structure).c
+        fb = FiberBracket(bundle, structure)
+        self.structure, self.structure_map = fb.c, fb.c_map
 
     @property
     def chart(self):
@@ -121,9 +124,7 @@ class LieAlgebroid:
         ]
 
     def anchor_value(self, p) -> np.ndarray:
-        return np.array(
-            [[evaluate(x, p) for x in row] for row in self.anchor]
-        )
+        return self.anchor_map.value(p)
 
     def fiber_bracket(self, k: int | None = None) -> FiberBracket:
         """Fiberwise bracket restricted to the first k frame elements
@@ -438,17 +439,14 @@ def check_A_invariant(
                 D[d][c] = fold(add(*terms))
         diffs.append(D)
     # Condition 2: curvature contracted with the anchor vanishes.
-    R = curvature_tensor(conn)
+    diff_map = PointMap.exact(diffs)
+    R = {ij: PointMap.exact(mat) for ij, mat in curvature_tensor(conn).items()}
     worst2 = Residual()
     pts = plan.points(A.chart, min(plan.samples, 60))
     for p in pts:
-        for b in range(A.rank):
-            for D in (diffs[b],):
-                for row in D:
-                    for x in row:
-                        worst1.update(evaluate(x, p))
+        worst1.update(diff_map.value(p))
         rho_p = A.anchor_value(p)
-        Rp = {ij: np.array([[evaluate(x, p) for x in row] for row in mat]) for ij, mat in R.items()}
+        Rp = {ij: m.value(p) for ij, m in R.items()}
         for b in range(A.rank):
             for j in range(n):
                 M = np.zeros((rV, rV))

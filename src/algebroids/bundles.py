@@ -32,6 +32,7 @@ __all__ = [
     "Bundle",
     "Section",
     "CoeffForm",
+    "PointMap",
     "LinearConnection",
     "FiberBracket",
     "covariant_derivative",
@@ -212,6 +213,45 @@ class CoeffForm:
         return CoeffForm(self.bundle, self.degree - 1, out)
 
 
+class PointMap:
+    """An array-valued map on the chart with first partials:
+    ``value(p)`` and ``partial(j, p)`` (the derivative along the j-th
+    coordinate) return arrays of one shape.
+
+    Exact maps (``PointMap.exact``) carry their entries as Exprs in
+    ``exprs``; sampled ones (``imforms.sampled_map``) carry only a point
+    callable, differentiated by the finite-difference stencil, and
+    ``exprs`` is None.
+    """
+
+    __slots__ = ("value", "partial", "exprs")
+
+    def __init__(self, value, partial, exprs=None):
+        self.value = value
+        self.partial = partial
+        self.exprs = exprs
+
+    @classmethod
+    def exact(cls, entries) -> "PointMap":
+        """From a nested sequence of Exprs; entries are evaluated in
+        row-major order, partials through their symbolic derivatives."""
+        grid = np.array(entries, dtype=object)
+        flat, shape = list(grid.flat), grid.shape
+        derivs: dict[int, list[Expr]] = {}
+
+        def at(exprs, p) -> np.ndarray:
+            out = np.array([evaluate(x, p) for x in exprs])
+            return out if len(shape) == 1 else out.reshape(shape)
+
+        def partial(j: int, p) -> np.ndarray:
+            d = derivs.get(j)
+            if d is None:
+                d = derivs[j] = [differentiate(x, j) for x in flat]
+            return at(d, p)
+
+        return cls(lambda p: at(flat, p), partial, entries)
+
+
 def zero_form(bundle: Bundle, degree: int) -> CoeffForm:
     return CoeffForm(bundle, degree, {})
 
@@ -246,7 +286,7 @@ class LinearConnection:
     nabla_{d_i} e_a = sum_b (G_i)[b][a] e_b.
     """
 
-    __slots__ = ("bundle", "christoffel")
+    __slots__ = ("bundle", "christoffel", "gamma_maps")
 
     def __init__(self, bundle: Bundle, christoffel: Sequence[Sequence[Sequence[Expr]]]):
         n, r = bundle.chart.dim, bundle.rank
@@ -259,6 +299,7 @@ class LinearConnection:
             mats.append(tuple(tuple(fold(x) for x in row) for row in G))
         self.bundle = bundle
         self.christoffel = tuple(mats)
+        self.gamma_maps = tuple(PointMap.exact(G) for G in self.christoffel)
 
     @classmethod
     def trivial(cls, bundle: Bundle) -> "LinearConnection":
@@ -267,14 +308,10 @@ class LinearConnection:
         return cls(bundle, [zero for _ in range(n)])
 
     def gamma_value(self, i: int, p) -> np.ndarray:
-        G = self.christoffel[i]
-        return np.array([[evaluate(x, p) for x in row] for row in G])
+        return self.gamma_maps[i].value(p)
 
     def gamma_dvalue(self, j: int, i: int, p) -> np.ndarray:
-        G = self.christoffel[i]
-        return np.array(
-            [[evaluate(differentiate(x, j), p) for x in row] for row in G]
-        )
+        return self.gamma_maps[i].partial(j, p)
 
     def apply_matrix(self, i: int, vec: Sequence[Expr]) -> list[Expr]:
         """Frame action of nabla_{d_i} on a coefficient vector: the
@@ -372,13 +409,10 @@ def connection_is_flat(
     """Sampled flatness predicate: curvature entries vanish on 64 chart
     points within ``tol``.  Returns (flat, max residual)."""
     plan = plan or SamplePlan(seed=42, samples=64)
-    R = curvature_tensor(conn)
+    R = PointMap.exact(list(curvature_tensor(conn).values()))
     worst = Residual()
     for p in plan.points(conn.bundle.chart, 64):
-        for mat in R.values():
-            for row in mat:
-                for x in row:
-                    worst.update(evaluate(x, p))
+        worst.update(R.value(p))
     return worst.value < tol, worst.value
 
 
@@ -392,7 +426,7 @@ class FiberBracket:
     sampled evaluation before being replaced by the canonical form.
     """
 
-    __slots__ = ("bundle", "c")
+    __slots__ = ("bundle", "c", "c_map")
 
     def __init__(self, bundle: Bundle, structure: Sequence[Sequence[Sequence[Expr]]]):
         from .expr import expr_equal, neg as _neg
@@ -432,6 +466,7 @@ class FiberBracket:
                 c[b][a] = derived
         self.bundle = bundle
         self.c = tuple(tuple(row) for row in c)
+        self.c_map = PointMap.exact(self.c)
 
     @classmethod
     def abelian(cls, bundle: Bundle) -> "FiberBracket":
@@ -465,13 +500,7 @@ class FiberBracket:
 
     def ad_value(self, p) -> np.ndarray:
         """Stacked adjoint matrices at a point: ad[a][k][b] = c_{ab}^k."""
-        r = self.bundle.rank
-        out = np.zeros((r, r, r))
-        for a in range(r):
-            for b in range(r):
-                for k in range(r):
-                    out[a, k, b] = evaluate(self.c[a][b][k], p)
-        return out
+        return self.c_map.value(p).transpose(0, 2, 1)
 
     def jacobi_residual(self, plan: SamplePlan, n_points: int = 64) -> float:
         """Max Jacobi identity residual of the fiberwise bracket at
@@ -480,12 +509,7 @@ class FiberBracket:
         r = self.bundle.rank
         worst = Residual()
         for p in plan.points(self.bundle.chart, n_points):
-            c = np.array(
-                [
-                    [[evaluate(self.c[a][b][k], p) for k in range(r)] for b in range(r)]
-                    for a in range(r)
-                ]
-            )
+            c = self.c_map.value(p)
             # Jacobi: [[ea,eb],ed] + [[eb,ed],ea] + [[ed,ea],eb] = 0
             for a in range(r):
                 for b in range(r):

@@ -24,7 +24,7 @@ from .algebroid import (
     check_axioms,
     check_A_invariant,
 )
-from .expr import EvalError, evaluate
+from .expr import EvalError, SamplingError, evaluate
 from .factory import ExampleSpec, make_example, transitive_im_connection
 from .imforms import (
     CenterDegeneracyError,
@@ -190,13 +190,7 @@ def _cmd_coupling(args, plan, tol):
                 worst_g.update(cd.gamma(i, p) - cd2.gamma(i, p))
                 for a in range(cd.base.rank):
                     worst_u.update(cd.u(a, i, p) - cd2.u(a, i, p))
-            for a in range(cd.base.rank):
-                for b in range(cd.base.rank):
-                    for c in range(cd.base.rank):
-                        worst_b.update(
-                            evaluate(cd.base.structure[a][b][c], p)
-                            - evaluate(cd2.base.structure[a][b][c], p)
-                        )
+            worst_b.update(cd.base.structure_map.value(p) - cd2.base.structure_map.value(p))
         rep.add("roundtrip_fiber_connection", worst_g.value, tol)
         rep.add("roundtrip_mixed_tensor", worst_u.value, tol)
         rep.add("roundtrip_base_structure", worst_b.value, tol)
@@ -437,7 +431,7 @@ def run(argv=None) -> int:
     plan = SamplePlan(seed=args.seed, samples=args.samples)
     try:
         rep = _DISPATCH[args.command](args, plan, args.tol)
-    except ModelError as e:
+    except (ModelError, SamplingError) as e:
         print(f"model error: {e}", file=sys.stderr)
         return 3
     except (ConstructionRefused, EquivarianceError) as e:

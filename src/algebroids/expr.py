@@ -29,6 +29,7 @@ __all__ = [
     "EvalError",
     "PoleError",
     "DomainError",
+    "SamplingError",
     "const",
     "coord",
     "add",
@@ -92,6 +93,11 @@ class PoleError(EvalError):
 
 class DomainError(EvalError):
     pass
+
+
+class SamplingError(ValueError):
+    """No sample point could be drawn from a chart: 10,000 uniform
+    draws from its box all fell inside the excluded ball."""
 
 
 class Chart:
@@ -897,7 +903,7 @@ def _sample_point(chart: Chart, rng: np.random.Generator) -> np.ndarray:
         if chart.excluded_origin and float(np.linalg.norm(p)) < 0.1:
             continue
         return p
-    raise ValueError(
+    raise SamplingError(
         "could not sample a chart point outside the excluded ball; "
-        "the bounds may lie entirely inside it"
+        "the bounds may lie almost entirely inside it"
     )

@@ -30,6 +30,7 @@ from .bundles import (
     CoeffForm,
     FiberBracket,
     LinearConnection,
+    PointMap,
     Section,
     curvature_tensor,
 )
@@ -248,22 +249,17 @@ def _transitive_algebroid(
 
 
 def _require_curvature_is_ad(fiber, nabla, Omega, plan, tol: float = 1e-8):
-    n, k = fiber.bundle.chart.dim, fiber.bundle.rank
-    R = curvature_tensor(nabla)
+    n = fiber.bundle.chart.dim
+    R = {ij: PointMap.exact(M) for ij, M in curvature_tensor(nabla).items()}
     worst_ad = Residual()
     worst_closed = Residual()
     # Covariant closedness: sum of signed covariant derivatives of the
     # antisymmetric components over ordered triples.
     for p in plan.points(fiber.bundle.chart, 25):
-        cvals = np.array(
-            [
-                [[evaluate(fiber.c[a][b][e], p) for e in range(k)] for b in range(k)]
-                for a in range(k)
-            ]
-        )
+        cvals = fiber.c_map.value(p)
         for i in range(n):
             for j in range(i + 1, n):
-                Rm = np.array([[evaluate(x, p) for x in row] for row in R[(i, j)]])
+                Rm = R[(i, j)].value(p)
                 Om = np.array([evaluate(x, p) for x in Omega[i][j]])
                 adO = np.einsum("f,fce->ce", Om, cvals).T
                 worst_ad.update(Rm - adO)

@@ -35,13 +35,13 @@ from .expr import (
     const,
     coord,
     differentiate,
-    evaluate,
     fold,
     mul,
     neg,
     substitute,
 )
-from .imforms import NumericCouplingData, NumericIMOneForm, quotient_algebroid
+from .bundles import PointMap
+from .imforms import NumericCouplingData, NumericIMOneForm, fd_partial, quotient_algebroid
 from .sampling import Report, Residual, SamplePlan
 
 __all__ = [
@@ -180,15 +180,15 @@ class ActionGroupoid:
                 raise ValueError("splitting must be a k x d Expr matrix")
             self.splitting = tuple(tuple(fold(x) for x in row) for row in splitting)
 
+        self._action = PointMap.exact(self.action_exprs)
         # Exact derivatives of the action in group and chart directions.
-        self._jac_x = [
-            [differentiate(self.action_exprs[i], N * N + j) for j in range(n)]
-            for i in range(n)
-        ]
-        self._jac_g = [
-            [differentiate(self.action_exprs[i], q) for q in range(N * N)]
-            for i in range(n)
-        ]
+        self._jac_x = PointMap.exact(
+            [[differentiate(a, N * N + j) for j in range(n)] for a in self.action_exprs]
+        )
+        self._jac_g = PointMap.exact(
+            [[differentiate(a, q) for q in range(N * N)] for a in self.action_exprs]
+        )
+        self._frame = PointMap.exact(self.ideal_frame)
         self._alg = None
 
     # Numeric evaluation helpers.
@@ -196,16 +196,13 @@ class ActionGroupoid:
         return np.concatenate([np.asarray(g, dtype=float).ravel(), np.asarray(x, dtype=float)])
 
     def act(self, g: np.ndarray, x) -> np.ndarray:
-        gx = self._combined(g, x)
-        return np.array([evaluate(a, gx) for a in self.action_exprs])
+        return self._action.value(self._combined(g, x))
 
     def act_jac_x(self, g: np.ndarray, x) -> np.ndarray:
-        gx = self._combined(g, x)
-        return np.array([[evaluate(e, gx) for e in row] for row in self._jac_x])
+        return self._jac_x.value(self._combined(g, x))
 
     def act_jac_g(self, g: np.ndarray, x) -> np.ndarray:
-        gx = self._combined(g, x)
-        return np.array([[evaluate(e, gx) for e in row] for row in self._jac_g])
+        return self._jac_g.value(self._combined(g, x))
 
     def action_field(self, v: np.ndarray, x) -> np.ndarray:
         """Naive infinitesimal action: d/dt of exp(tv).x at t = 0."""
@@ -213,9 +210,7 @@ class ActionGroupoid:
         return self.act_jac_g(I, x) @ self.group.to_matrix(v).ravel()
 
     def kframe(self, x) -> np.ndarray:
-        return np.array(
-            [[evaluate(c, x) for c in sec] for sec in self.ideal_frame]
-        ).T  # d x k
+        return self._frame.value(x).T  # d x k
 
     def kcoords(self, x, w: np.ndarray) -> np.ndarray:
         F = self.kframe(x)
@@ -311,7 +306,7 @@ class ActionGroupoid:
         for i in range(n):
             mapping[N * N + i] = coord(i)
         jac_g_at_id = [
-            [substitute(e, mapping) for e in row] for row in self._jac_g
+            [substitute(e, mapping) for e in row] for row in self._jac_g.exprs
         ]
         anchor = []
         for i in range(n):
@@ -395,7 +390,7 @@ class MultForm:
 
     def antisymmetry_residual(self, plan: SamplePlan, n_samples: int = 20) -> float:
         if self.degree != 2:
-            return 0.0
+            raise ValueError(f"antisymmetry is measured on degree 2 forms, not degree {self.degree}")
         worst = Residual()
         for _ in range(n_samples):
             g, x = self.gpd.sample_arrow(plan.rng)
@@ -424,8 +419,7 @@ def connection_from_splitting(
         raise ValueError("no splitting supplied")
     d, k, n = gpd.group.dim, gpd.k, gpd.chart.dim
 
-    def l_val(x) -> np.ndarray:
-        return np.array([[evaluate(e, x) for e in row] for row in l])
+    l_val = PointMap.exact(l).value
 
     report = Report(command="connection-from-splitting", seed=plan.seed, samples=plan.samples)
     eq_res = Residual()
@@ -466,11 +460,11 @@ def delta_of_function(gpd: ActionGroupoid, f: Sequence[Expr]) -> Callable:
     if len(f) != gpd.k:
         raise ValueError("function must have one coefficient per ideal frame section")
 
+    fmap = PointMap.exact(f)
+
     def F(g, x):
         y = gpd.act(g, x)
-        fy = np.array([evaluate(c, y) for c in f])
-        fx = np.array([evaluate(c, np.asarray(x, dtype=float)) for c in f])
-        return gpd.twist(g, x, fy) - fx
+        return gpd.twist(g, x, fmap.value(y)) - fmap.value(np.asarray(x, dtype=float))
 
     return F
 
@@ -843,7 +837,8 @@ def differentiate_to_im(
     N = gpd.group.N
     I = np.eye(N)
 
-    dP = [[[differentiate(P[b][a], i) for i in range(n)] for a in range(d)] for b in range(d)]
+    # Column a of P: the a-th adapted frame element in the group basis.
+    frame = [PointMap.exact([P[b][a] for b in range(d)]) for a in range(d)]
 
     def l_const(v: np.ndarray, x) -> np.ndarray:
         """Symbol on the constant section with coordinates v, at x."""
@@ -852,12 +847,13 @@ def differentiate_to_im(
 
     def L_const(b: int, x) -> np.ndarray:
         """Operator value on the b-th constant basis section: an
-        (n x k) array of flow derivatives (fourth-order stencil in the
-        flow parameter)."""
+        (n x k) array of flow derivatives (the finite-difference stencil
+        in the flow parameter)."""
         x = np.asarray(x, dtype=float)
         Umat = gpd.group.basis[b]
 
-        def F(eps: float) -> np.ndarray:
+        def F(t: np.ndarray) -> np.ndarray:
+            eps = t[0]
             ge = expm(eps * Umat)
             gi = expm(-eps * Umat)
             y = gpd.act(gi, x)
@@ -872,12 +868,10 @@ def differentiate_to_im(
                 out[i] = _twist_by(gpd, ge, y, val)
             return out
 
-        h = max(step, 1e-3)
-        return (-F(2 * h) + 8 * F(h) - 8 * F(-h) + F(-2 * h)) / (12 * h)
+        return fd_partial(F, 0, [0.0], max(step, 1e-3))
 
     def sym_fn(a: int, x: np.ndarray) -> np.ndarray:
-        v = np.array([evaluate(P[b][a], x) for b in range(d)])
-        return l_const(v, x)
+        return l_const(frame[a].value(x), x)
 
     # Cache the flow derivatives per (b, point) since the operator
     # accessor sweeps the direction index at a fixed point.
@@ -891,15 +885,12 @@ def differentiate_to_im(
 
     def op_fn_cached(a: int, i: int, x: np.ndarray) -> np.ndarray:
         out = np.zeros(k)
+        Pa, dPa = frame[a].value(x), frame[a].partial(i, x)
         for b in range(d):
-            Pba = evaluate(P[b][a], x)
-            dPba = evaluate(dP[b][a][i], x)
-            if Pba != 0.0:
-                out += Pba * L_const_cached(b, x)[i]
-            if dPba != 0.0:
-                ub = np.zeros(d)
-                ub[b] = 1.0
-                out += dPba * l_const(ub, x)
+            if Pa[b] != 0.0:
+                out += Pa[b] * L_const_cached(b, x)[i]
+            if dPa[b] != 0.0:
+                out += dPa[b] * l_const(np.eye(d)[b], x)
         return out
 
     return NumericIMOneForm(A, ideal, sym_fn, op_fn_cached, fd_step=5e-4)
@@ -933,7 +924,6 @@ def numeric_extract_coupling(
         ]
         for c in range(k)
     ]
-    dl = [[[differentiate(l_ad[c][a], i) for i in range(n)] for a in range(r)] for c in range(k)]
 
     def gamma_fn(i, p):
         return np.stack([form.op_value(c, (i,), p) for c in range(k)], axis=1)
@@ -941,21 +931,19 @@ def numeric_extract_coupling(
     if k == r:
         # Full ideal: the quotient is rank zero and only the fiber
         # connection carries content.
-        return NumericCouplingData(
-            None, ideal.fiber, gamma_fn,
-            lambda a, i, p: np.zeros(k),
-        )
+        return NumericCouplingData(None, ideal.fiber, gamma_fn, None)
 
     B = quotient_algebroid(A, k, l_ad)
+    # Column k + a of the symbol: the splitting on the a-th complement
+    # frame element.
+    l_cols = [PointMap.exact([l_ad[c][k + a] for c in range(k)]) for a in range(r - k)]
 
     def u_fn(a, i, p):
         vec = -form.op_value(k + a, (i,), p)
+        lval = l_cols[a].value(p)
         for c in range(k):
-            lval = evaluate(l_ad[c][k + a], p)
-            if lval != 0.0:
-                vec += lval * form.op_value(c, (i,), p)
-        for c in range(k):
-            vec[c] += evaluate(dl[c][k + a][i], p)
-        return vec
+            if lval[c] != 0.0:
+                vec += lval[c] * form.op_value(c, (i,), p)
+        return vec + l_cols[a].partial(i, p)
 
     return NumericCouplingData(B, ideal.fiber, gamma_fn, u_fn)

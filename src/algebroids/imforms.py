@@ -8,13 +8,20 @@ A degree-k form is stored by its frame values plus the extension rule
 which makes the symbol equation hold by construction; the checkers
 therefore only test the three compatibility identities.
 
-Checkers access forms and couplings through small value/derivative
-accessors, so numerically-backed twins (from the groupoid side) run
-through the same code paths as exact symbolic objects.
+Checkers read forms and couplings only through value/derivative
+accessors (``sym_value``/``sym_dvalue``/``op_value``/``op_dvalue``,
+``gamma``/``dgamma``/``u``/``du``) backed by ``bundles.PointMap``s.
+Exact data fills the maps from its Exprs, with symbolic partials;
+sampled data from the groupoid side (``NumericIMOneForm``,
+``NumericCouplingData``) fills them from point evaluators, with
+partials by the one finite-difference stencil ``fd_partial``.  Both
+run through the same checkers; ``exact`` tells them apart where a
+check needs the Exprs themselves.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -33,6 +40,7 @@ from .bundles import (
     CoeffForm,
     FiberBracket,
     LinearConnection,
+    PointMap,
     Section,
     exterior_covariant_derivative,
     sort_with_sign,
@@ -59,6 +67,7 @@ __all__ = [
     "NumericIMOneForm",
     "CouplingData",
     "NumericCouplingData",
+    "sampled_map",
     "check_im_form",
     "extract_coupling",
     "quotient_algebroid",
@@ -87,9 +96,17 @@ def _value_bundle(value) -> Bundle:
 
 
 class _IMFormBase:
-    """Shared storage and accessors for degree-1 and degree-2 forms."""
+    """Shared storage and accessors for degree-1 and degree-2 forms.
+
+    The checkers read a form only through its accessors, which look up
+    one point map per frame element and strictly increasing index tuple
+    (signed, like ``CoeffForm.component``).  An exact form also keeps
+    its symbol and operator as CoeffForms in ``symbols`` and
+    ``frame_values``; a sampled form has only point maps.
+    """
 
     degree: int
+    symbols = frame_values = None
 
     def __init__(
         self,
@@ -107,11 +124,26 @@ class _IMFormBase:
         for f in frame_values:
             if f.bundle != vb or f.degree != self.degree:
                 raise ValueError("frame value degree/bundle mismatch")
-        self.algebroid = algebroid
-        self.ideal = value if isinstance(value, IdealBundle) else None
-        self.value_bundle = vb
         self.symbols = tuple(symbols)
         self.frame_values = tuple(frame_values)
+        self._bind(
+            algebroid,
+            value,
+            [_component_maps(s) for s in symbols],
+            [_component_maps(f) for f in frame_values],
+        )
+
+    def _bind(self, algebroid, value, sym_maps, op_maps) -> None:
+        self.algebroid = algebroid
+        self.ideal = value if isinstance(value, IdealBundle) else None
+        self.value_bundle = _value_bundle(value)
+        self._sym_maps = sym_maps
+        self._op_maps = op_maps
+
+    @property
+    def exact(self) -> bool:
+        """Whether the form carries its Exprs (else it is sampled)."""
+        return self.frame_values is not None
 
     @property
     def value_rank(self) -> int:
@@ -119,18 +151,24 @@ class _IMFormBase:
 
     # Value/derivative accessors used by the generic checkers.
     def sym_value(self, a: int, idx: tuple, p) -> np.ndarray:
-        return self.symbols[a].value(idx, p)
+        return self._component(self._sym_maps[a], idx, p)
 
     def sym_dvalue(self, j: int, a: int, idx: tuple, p) -> np.ndarray:
-        comp = self.symbols[a].component(idx)
-        return np.array([evaluate(differentiate(x, j), p) for x in comp])
+        return self._component(self._sym_maps[a], idx, p, j)
 
     def op_value(self, a: int, idx: tuple, p) -> np.ndarray:
-        return self.frame_values[a].value(idx, p)
+        return self._component(self._op_maps[a], idx, p)
 
     def op_dvalue(self, j: int, a: int, idx: tuple, p) -> np.ndarray:
-        comp = self.frame_values[a].component(idx)
-        return np.array([evaluate(differentiate(x, j), p) for x in comp])
+        return self._component(self._op_maps[a], idx, p, j)
+
+    def _component(self, maps, idx, p, j=None) -> np.ndarray:
+        sign, key = sort_with_sign(idx)
+        if sign == 0:
+            return np.zeros(self.value_rank)
+        m = maps[key]
+        v = m.value(p) if j is None else m.partial(j, p)
+        return v if sign == 1 else -v
 
     # Symbolic evaluation on sections.
     def sym_of(self, alpha: Section) -> CoeffForm:
@@ -205,11 +243,16 @@ class IMTwoForm(_IMFormBase):
 
     degree = 2
 
-    def __init__(self, algebroid, value, symbols, frame_values):
-        super().__init__(algebroid, value, symbols, frame_values)
-
     def is_connection(self) -> bool:
         return False
+
+
+def _component_maps(form: CoeffForm) -> dict[tuple, PointMap]:
+    n = form.bundle.chart.dim
+    return {
+        key: PointMap.exact(form.component(key))
+        for key in itertools.combinations(range(n), form.degree)
+    }
 
 
 def fd_partial(fn: Callable[[np.ndarray], np.ndarray], j: int, p, h: float) -> np.ndarray:
@@ -226,11 +269,19 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], j: int, p, h: float) -> n
     return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
 
 
-class NumericIMOneForm:
-    """Numerically-backed connection form: frame values are point
-    evaluators and derivatives are higher-order central differences.
-    Used by the groupoid harness; satisfies the same accessor protocol
-    as IMOneForm."""
+def sampled_map(fn: Callable[[np.ndarray], np.ndarray], h: float) -> PointMap:
+    """Point map of a point evaluator; partials by ``fd_partial`` with
+    step h."""
+    return PointMap(
+        lambda p: np.asarray(fn(np.asarray(p, dtype=float))),
+        lambda j, p: fd_partial(fn, j, p, h),
+    )
+
+
+class NumericIMOneForm(_IMFormBase):
+    """Sampled connection form from the groupoid side: the symbol and
+    the operator on each frame element and chart direction are point
+    evaluators, differentiated by the finite-difference stencil."""
 
     degree = 1
 
@@ -242,85 +293,50 @@ class NumericIMOneForm:
         op_fn: Callable[[int, int, np.ndarray], np.ndarray],
         fd_step: float = 2e-3,
     ):
-        self.algebroid = algebroid
-        self.ideal = ideal
-        self.value_bundle = ideal.bundle
-        self._sym = sym_fn
-        self._op = op_fn
-        self.h = fd_step
+        r, n = algebroid.rank, algebroid.chart.dim
+        self._bind(
+            algebroid,
+            ideal,
+            [{(): sampled_map(functools.partial(sym_fn, a), fd_step)} for a in range(r)],
+            [
+                {(i,): sampled_map(functools.partial(op_fn, a, i), fd_step) for i in range(n)}
+                for a in range(r)
+            ],
+        )
 
-    @property
-    def value_rank(self) -> int:
-        return self.value_bundle.rank
 
-    def sym_value(self, a, idx, p) -> np.ndarray:
-        return np.asarray(self._sym(a, np.asarray(p, dtype=float)))
-
-    def sym_dvalue(self, j, a, idx, p) -> np.ndarray:
-        return fd_partial(lambda q: self._sym(a, q), j, p, self.h)
-
-    def op_value(self, a, idx, p) -> np.ndarray:
-        sign, key = sort_with_sign(idx)
-        if sign == 0:
-            return np.zeros(self.value_rank)
-        return sign * np.asarray(self._op(a, key[0], np.asarray(p, dtype=float)))
-
-    def op_dvalue(self, j, a, idx, p) -> np.ndarray:
-        sign, key = sort_with_sign(idx)
-        if sign == 0:
-            return np.zeros(self.value_rank)
-        return sign * fd_partial(lambda q: self._op(a, key[0], q), j, p, self.h)
-
-    def connection_residual(self, plan: SamplePlan, n_points: int = 30) -> float:
-        """Sampled version of the symbol-restricts-to-identity predicate."""
-        k = self.ideal.k
-        worst = Residual()
-        for p in plan.points(self.algebroid.chart, n_points):
-            for a in range(k):
-                unit = np.zeros(self.value_rank)
-                unit[a] = 1.0
-                worst.update(self.sym_value(a, (), p) - unit)
-        return worst.value
+def _connection_residual(form, plan: SamplePlan, n_points: int = 30) -> float:
+    """Sampled version of the symbol-restricts-to-identity predicate."""
+    worst = Residual()
+    for p in plan.points(form.algebroid.chart, n_points):
+        for a in range(form.ideal.k):
+            worst.update(form.sym_value(a, (), p) - np.eye(form.value_rank)[a])
+    return worst.value
 
 
 class _SectionData:
-    """Cached values / first and second derivatives of a section's
-    coefficients at a point."""
+    """Values and first and second partials of a section's
+    coefficients, and its anchor image with first partials."""
 
     def __init__(self, A: LieAlgebroid, alpha: Section):
-        self.A = A
-        self.alpha = alpha
-        n, r = A.chart.dim, A.rank
-        self.jac_exprs = [
-            [differentiate(alpha.components[a], j) for j in range(n)] for a in range(r)
-        ]
-        self.hess_exprs = [
-            [[differentiate(self.jac_exprs[a][j], i) for i in range(n)] for j in range(n)]
-            for a in range(r)
-        ]
-        self.rho = A.rho_of(alpha)
-        self.drho = [
-            [differentiate(self.rho[m], j) for j in range(n)]
-            for m in range(n)
-        ]
+        self.n = n = A.chart.dim
+        self.val = PointMap.exact(alpha.components)
+        self.jac = PointMap.exact(
+            [[differentiate(c, j) for j in range(n)] for c in alpha.components]
+        )
+        self.rho = PointMap.exact(A.rho_of(alpha))
 
     def at(self, p):
-        n, r = self.A.chart.dim, self.A.rank
-        val = np.array([evaluate(c, p) for c in self.alpha.components])
-        jac = np.array(
-            [[evaluate(self.jac_exprs[a][j], p) for j in range(n)] for a in range(r)]
+        """(val, jac, hess, rho, drho) at p; the last index of jac, hess
+        and drho is the differentiation direction."""
+        dirs = range(self.n)
+        return (
+            self.val.value(p),
+            self.jac.value(p),
+            np.stack([self.jac.partial(i, p) for i in dirs], axis=-1),
+            self.rho.value(p),
+            np.stack([self.rho.partial(j, p) for j in dirs], axis=-1),
         )
-        hess = np.array(
-            [
-                [[evaluate(self.hess_exprs[a][j][i], p) for i in range(n)] for j in range(n)]
-                for a in range(r)
-            ]
-        )
-        rho = np.array([evaluate(x, p) for x in self.rho])
-        drho = np.array(
-            [[evaluate(self.drho[m][j], p) for j in range(n)] for m in range(n)]
-        )
-        return val, jac, hess, rho, drho
 
 
 def _op_of_section(form, sd_vals, idx, p) -> np.ndarray:
@@ -385,14 +401,6 @@ def _signed_lookup(fn, idx) -> np.ndarray:
     return v if sign == 1 else -v
 
 
-def _rep_matrices(rep: ARepresentation, p) -> list[np.ndarray]:
-    rV = rep.bundle.rank
-    return [
-        np.array([[evaluate(rep.coeffs[b][d][c], p) for c in range(rV)] for d in range(rV)])
-        for b in range(rep.algebroid.rank)
-    ]
-
-
 def _lie_of(form, rep_mats, sd_vals, value_fn, dvalue_fn, idx, p) -> np.ndarray:
     """Lie derivative along the section (with cached data sd_vals) of a
     V-valued form given by lookup callables, at index tuple idx."""
@@ -442,6 +450,7 @@ def check_im_form(
     draws, pts = plan.split_budget(per_draw=20)
     draws = max(2, min(draws, 10))
 
+    rep_maps = [PointMap.exact(M) for M in rep.coeffs]
     worst = {1: Residual(), 2: Residual(), 3: Residual()}
     for _ in range(draws):
         alpha = A.random_section(plan.rng)
@@ -451,7 +460,7 @@ def check_im_form(
         sdg = _SectionData(A, gamma)
         for p in plan.points(A.chart, pts):
             va, vb_, vg = sda.at(p), sdb.at(p), sdg.at(p)
-            rep_mats = _rep_matrices(rep, p)
+            rep_mats = [m.value(p) for m in rep_maps]
 
             if k == 2:
                 # identity 1: i_{rho(a)} sym(b) + i_{rho(b)} sym(a) = 0
@@ -514,12 +523,12 @@ def check_im_form(
     report.add("im_identity_2", worst[2].value, tol)
     report.add("im_identity_3", worst[3].value, tol)
 
-    if isinstance(form, NumericIMOneForm):
-        res = form.connection_residual(plan.fork("connpred"))
+    if k == 1 and form.exact:
+        report.extra["connection_predicate"] = form.is_connection()
+    elif k == 1:
+        res = _connection_residual(form, plan.fork("connpred"))
         report.extra["connection_predicate"] = bool(res < 1e-6)
         report.extra["connection_predicate_residual"] = float(res)
-    elif isinstance(form, IMOneForm):
-        report.extra["connection_predicate"] = form.is_connection()
     return report
 
 
@@ -529,6 +538,8 @@ class CouplingData:
 
     ``U[a][i]`` is the fiber coefficient vector of the tensor evaluated
     on the a-th base frame element and the i-th coordinate direction.
+    The checkers read the connection and the tensor only through point
+    maps, by ``gamma``/``dgamma``/``u``/``du``.
     """
 
     def __init__(
@@ -547,8 +558,6 @@ class CouplingData:
         rB, n, kk = base.rank, base.chart.dim, fiber.bundle.rank
         if len(U) != rB or any(len(row) != n for row in U):
             raise ValueError("U must be indexed by base frame x chart direction")
-        self.base = base
-        self.fiber = fiber
         self.nablaL = nablaL
         self.U = tuple(
             tuple(tuple(fold(x) for x in vec) for vec in row) for row in U
@@ -557,7 +566,12 @@ class CouplingData:
             for vec in row:
                 if len(vec) != kk:
                     raise ValueError("U entries must be fiber coefficient vectors")
-        self._semidirect = None
+        self._bind(
+            base,
+            fiber,
+            nablaL.gamma_maps,
+            [[PointMap.exact(vec) for vec in row] for row in self.U],
+        )
         if verify_skew:
             res = self.skew_residual(plan or SamplePlan(seed=42, samples=40))
             if res > 1e-9:
@@ -565,24 +579,34 @@ class CouplingData:
                     f"mixed tensor is not anchor-skew (residual {res:.2e})"
                 )
 
+    def _bind(self, base, fiber, gamma_maps, u_maps) -> None:
+        self.base = base
+        self.fiber = fiber
+        self._gamma_maps = gamma_maps
+        self._u_maps = u_maps
+        self._semidirect = None
+
+    @property
+    def exact(self) -> bool:
+        """Whether the coupling carries its Exprs (else it is sampled)."""
+        return self.U is not None
+
     @property
     def k(self) -> int:
         return self.fiber.bundle.rank
 
-    # Accessors shared with the numeric twin.
+    # Value/derivative accessors used by the generic checkers.
     def gamma(self, i: int, p) -> np.ndarray:
-        return self.nablaL.gamma_value(i, p)
+        return self._gamma_maps[i].value(p)
 
     def dgamma(self, j: int, i: int, p) -> np.ndarray:
-        return self.nablaL.gamma_dvalue(j, i, p)
+        return self._gamma_maps[i].partial(j, p)
 
     def u(self, a: int, i: int, p) -> np.ndarray:
-        return np.array([evaluate(x, p) for x in self.U[a][i]])
+        return self._u_maps[a][i].value(p)
 
     def du(self, j: int, a: int, i: int, p) -> np.ndarray:
-        return np.array(
-            [evaluate(differentiate(x, j), p) for x in self.U[a][i]]
-        )
+        return self._u_maps[a][i].partial(j, p)
 
     def u_form(self, a: int) -> CoeffForm:
         """U on the a-th base frame element, as a fiber-valued 1-form."""
@@ -636,42 +660,35 @@ class CouplingData:
         return self._semidirect
 
 
-class NumericCouplingData:
-    """Coupling accessors backed by point evaluators (base and fiber
-    stay symbolic); derivative access is higher-order central finite
-    differences.  A ``None`` base encodes the degenerate full-ideal
-    case (rank-zero quotient), for which only the bracket-preservation
-    equation carries content."""
+class NumericCouplingData(CouplingData):
+    """Sampled coupling data: the fiber connection and the mixed tensor
+    are point evaluators (base and fiber stay symbolic), differentiated
+    by the finite-difference stencil.  A ``None`` base encodes the
+    degenerate full-ideal case (rank-zero quotient), for which only the
+    bracket-preservation equation carries content and ``u_fn`` is
+    unused."""
+
+    nablaL = U = None
 
     def __init__(
         self,
         base: LieAlgebroid | None,
         fiber: FiberBracket,
         gamma_fn: Callable[[int, np.ndarray], np.ndarray],
-        u_fn: Callable[[int, int, np.ndarray], np.ndarray],
+        u_fn: Callable[[int, int, np.ndarray], np.ndarray] | None,
         fd_step: float = 2e-3,
     ):
-        self.base = base
-        self.fiber = fiber
-        self._gamma = gamma_fn
-        self._u = u_fn
-        self.h = fd_step
-
-    @property
-    def k(self) -> int:
-        return self.fiber.bundle.rank
-
-    def gamma(self, i, p) -> np.ndarray:
-        return np.asarray(self._gamma(i, np.asarray(p, dtype=float)))
-
-    def dgamma(self, j, i, p) -> np.ndarray:
-        return fd_partial(lambda q: self._gamma(i, q), j, p, self.h)
-
-    def u(self, a, i, p) -> np.ndarray:
-        return np.asarray(self._u(a, i, np.asarray(p, dtype=float)))
-
-    def du(self, j, a, i, p) -> np.ndarray:
-        return fd_partial(lambda q: self._u(a, i, q), j, p, self.h)
+        n = fiber.bundle.chart.dim
+        rB = base.rank if base is not None else 0
+        self._bind(
+            base,
+            fiber,
+            [sampled_map(functools.partial(gamma_fn, i), fd_step) for i in range(n)],
+            [
+                [sampled_map(functools.partial(u_fn, a, i), fd_step) for i in range(n)]
+                for a in range(rB)
+            ],
+        )
 
 
 def extract_coupling(
@@ -761,11 +778,11 @@ def quotient_algebroid(
 def build_semidirect(cd) -> LieAlgebroid:
     """Rebuild the algebroid on fiber + base from coupling data; the
     first k frame elements span the bundle of ideals."""
+    if not cd.exact:
+        raise TypeError("build_semidirect needs symbolic coupling data")
     B, fiber = cd.base, cd.fiber
     k, rB, n = cd.k, B.rank, B.chart.dim
     r = k + rB
-    if not isinstance(cd, CouplingData):
-        raise TypeError("build_semidirect needs symbolic coupling data")
     anchor = [[ZERO] * k + [B.anchor[i][a] for a in range(rB)] for i in range(n)]
     structure = [[[ZERO] * r for _ in range(r)] for _ in range(r)]
     Gam = cd.nablaL.christoffel
@@ -872,38 +889,16 @@ def check_structure_equations(
     report = Report(command="check-structure", seed=plan.seed, samples=plan.samples)
     pts = plan.points(chart, max(10, min(plan.samples, 40)))
 
-    c_exprs = fiber.c
-    dc_exprs = {
-        (a, b, i): [differentiate(c_exprs[a][b][e], i) for e in range(k)]
-        for a in range(k)
-        for b in range(k)
-        for i in range(n)
-    }
 
     s1, s2, s3 = Residual(), Residual(), Residual()
     for p in pts:
         Gams = [cd.gamma(i, p) for i in range(n)]
         dGams = [[cd.dgamma(j, i, p) for i in range(n)] for j in range(n)]
-        cvals = np.array(
-            [
-                [[evaluate(c_exprs[a][b][e], p) for e in range(k)] for b in range(k)]
-                for a in range(k)
-            ]
-        )
+        cvals = fiber.c_map.value(p)
         if rB:
             rho = B.anchor_value(p)
-            drho = np.array(
-                [
-                    [[evaluate(differentiate(B.anchor[i][a], j), p) for a in range(rB)] for i in range(n)]
-                    for j in range(n)
-                ]
-            )
-            cB = np.array(
-                [
-                    [[evaluate(B.structure[a][b][cc], p) for cc in range(rB)] for b in range(rB)]
-                    for a in range(rB)
-                ]
-            )
+            drho = np.array([B.anchor_map.partial(j, p) for j in range(n)])
+            cB = B.structure_map.value(p)
             uvals = np.array([[cd.u(a, i, p) for i in range(n)] for a in range(rB)])
             duvals = np.array(
                 [[[cd.du(j, a, i, p) for i in range(n)] for a in range(rB)] for j in range(n)]
@@ -911,10 +906,10 @@ def check_structure_equations(
 
         # (S1): the fiber connection preserves the fiberwise bracket.
         for i in range(n):
+            dc = fiber.c_map.partial(i, p)
             for a in range(k):
                 for b in range(k):
-                    dc = np.array([evaluate(x, p) for x in dc_exprs[(a, b, i)]])
-                    lhs = dc + Gams[i] @ cvals[a, b]
+                    lhs = dc[a, b] + Gams[i] @ cvals[a, b]
                     rhs = np.einsum("f,fe->e", Gams[i][:, a], cvals[:, b, :]) + np.einsum(
                         "f,fe->e", Gams[i][:, b], cvals[a, :, :]
                     )
@@ -971,14 +966,11 @@ def check_structure_equations(
         report.add("kernel_flat_curvature", flat_res, tol)
         center_res = _center_residual_of_u(cd, pts, svd_tol)
         report.add("U_center_valued", center_res, center_tol)
-        if isinstance(cd, CouplingData):
-            pair = kernel_flat_two_form(cd)
-            rep2 = check_im_form(
-                pair, cd.base_rep_on_fiber(), plan.fork("kfpair"), tol=tol
-            )
-            report.merge(rep2, prefix="U_pair_")
-        else:
+        if not cd.exact:
             raise TypeError("the kernel-flat variant needs symbolic coupling data")
+        pair = kernel_flat_two_form(cd)
+        rep2 = check_im_form(pair, cd.base_rep_on_fiber(), plan.fork("kfpair"), tol=tol)
+        report.merge(rep2, prefix="U_pair_")
     return report
 
 

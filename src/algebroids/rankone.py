@@ -174,12 +174,7 @@ def check_rank_one(
         rho = B.anchor_value(p)
         th = np.array([evaluate(x, p) for x in data.theta])
         Uv = np.array([[evaluate(x, p) for x in row] for row in data.U1])
-        cB = np.array(
-            [
-                [[evaluate(B.structure[a][b][c], p) for c in range(rB)] for b in range(rB)]
-                for a in range(rB)
-            ]
-        )
+        cB = B.structure_map.value(p)
         dUm = []
         for a in range(rB):
             m = np.zeros((n, n))

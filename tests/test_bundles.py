@@ -8,6 +8,7 @@ from algebroids.bundles import (
     CoeffForm,
     FiberBracket,
     LinearConnection,
+    PointMap,
     Section,
     connection_is_flat,
     covariant_derivative,
@@ -18,7 +19,18 @@ from algebroids.bundles import (
     sort_with_sign,
     zero_form,
 )
-from algebroids.expr import Chart, ZERO, const, coord, evaluate, expr_equal, parse
+from algebroids.expr import (
+    Chart,
+    PoleError,
+    ZERO,
+    const,
+    coord,
+    differentiate,
+    evaluate,
+    expr_equal,
+    parse,
+)
+from algebroids.imforms import sampled_map
 from algebroids.sampling import SamplePlan, random_polynomial
 
 CH2 = Chart(2)
@@ -247,3 +259,38 @@ def _random_form(V, degree, rng):
         for idx in itertools.combinations(range(V.chart.dim), degree)
     }
     return CoeffForm(V, degree, comps)
+
+
+def test_point_map_exact_partials_match_stencil():
+    # Exact partials are the evaluated symbolic derivatives, bit for
+    # bit; the 4-point stencil reproduces them on quadratics up to
+    # rounding.
+    ch = Chart(3)
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        entries = [[random_polynomial(ch, rng) for _ in range(3)] for _ in range(2)]
+        exact = PointMap.exact(entries)
+        sampled = sampled_map(exact.value, 1e-3)
+        p = rng.uniform(-0.9, 0.9, size=3)
+        want = np.array([[evaluate(x, p) for x in row] for row in entries])
+        assert exact.value(p).shape == (2, 3)
+        assert np.array_equal(exact.value(p), want)
+        assert np.array_equal(sampled.value(p), want)
+        for j in range(3):
+            d = np.array([[evaluate(differentiate(x, j), p) for x in row] for row in entries])
+            assert np.array_equal(exact.partial(j, p), d)
+            assert np.max(np.abs(sampled.partial(j, p) - d)) < 1e-9
+
+
+def test_point_map_passes_pole_errors_through():
+    m = PointMap.exact([parse("x1", CH2), parse("1/x2", CH2)])
+    at_pole = np.array([0.5, 0.0])
+    with pytest.raises(PoleError) as exact:
+        m.value(at_pole)
+    with pytest.raises(PoleError):
+        m.partial(1, at_pole)
+    # The stencil point x2 - 2h of the sampled map lands on the pole.
+    with pytest.raises(PoleError) as sampled:
+        sampled_map(m.value, 0.25).partial(1, np.array([0.5, 0.5]))
+    assert str(sampled.value) == str(exact.value)
+    assert sampled.value.subtree is exact.value.subtree

@@ -371,3 +371,13 @@ def _assert_coords_in_range(e, dim):
         assert e.index < dim
     for a in e.args:
         _assert_coords_in_range(a, dim)
+
+
+def test_sample_point_failure_is_a_sampling_error():
+    # The chart is accepted (its farthest corner lies outside the
+    # excluded ball), but 10,000 draws miss the sliver outside the ball.
+    from algebroids.expr import SamplingError, _sample_point
+
+    chart = Chart(2, bounds=[(0, 0.0708), (0, 0.0708)], excluded_origin=True)
+    with pytest.raises(SamplingError, match="excluded ball"):
+        _sample_point(chart, np.random.default_rng(42))

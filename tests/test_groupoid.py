@@ -190,6 +190,15 @@ def test_curvature_antisymmetry_so3():
     assert Om.antisymmetry_residual(SamplePlan(seed=4, samples=20), 10) < 1e-8
 
 
+def test_antisymmetry_residual_needs_degree_two():
+    # A degree-1 form has no antisymmetry to measure: asking for it must
+    # not return a residual of 0.0 that was never computed.
+    gpd = so2_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    with pytest.raises(ValueError, match="degree 2"):
+        alpha.antisymmetry_residual(SamplePlan(seed=4, samples=20))
+
+
 def test_groupoid_properties_so3():
     gpd = so3_radial_groupoid()
     plan = SamplePlan(seed=42, samples=60)

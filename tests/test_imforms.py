@@ -2,6 +2,8 @@
 semidirect rebuilds, curvature, flatness classes, the covariant
 differential and the cochain map."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,8 @@ from algebroids.imforms import (
     CenterDegeneracyError,
     CouplingData,
     IMOneForm,
+    NumericCouplingData,
+    NumericIMOneForm,
     _center_residual_of_u,
     build_semidirect,
     center_basis,
@@ -52,10 +56,12 @@ from algebroids.imforms import (
     extract_coupling,
     kernel_flat_two_form,
 )
+from algebroids.modelio import load_model
 from algebroids.rankone import extract_rank_one
 from algebroids.sampling import SamplePlan
 
 CH2 = Chart(2)
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def rank_one_coupling(dim=2, theta=None, U1=None, verify_skew=True):
@@ -600,3 +606,67 @@ def test_chain_map_intertwines(flat67_model):
             r = np.array([evaluate(x, p) for x in rhs])
             worst = max(worst, float(np.max(np.abs(l - r))))
     assert worst < 1e-8
+
+
+def _verdicts(report):
+    return {c.name: (c.passed, c.max_residual) for c in report.checks}
+
+
+def _assert_same_verdicts(exact, sampled):
+    # The sampled side carries the stencil error (up to about 1e-8 here
+    # at h = 2e-3), so verdicts are compared at the tolerance the
+    # lie-functor check uses for sampled data.
+    e, s = _verdicts(exact), _verdicts(sampled)
+    assert e.keys() == s.keys()
+    for name, (passed, res) in e.items():
+        assert s[name][0] == passed, name
+        assert abs(s[name][1] - res) < 1e-7, name
+
+
+def test_im_form_checker_agrees_across_backends(radial_model, radial_form):
+    # The radial connection form and a copy with one operator entry
+    # bent by 1e-3 sin(x2): the sampled versions only see point
+    # evaluators of the exact entries.
+    A, ideal = radial_model.algebroid, radial_model.ideal
+    vb = radial_form.value_bundle
+    bump = CoeffForm(vb, 1, {(0,): [fold(mul(const(1e-3), parse("sin(x2)", A.chart)))]})
+    fv = list(radial_form.frame_values)
+    bent = IMOneForm(A, ideal, radial_form.l, [fv[0], fv[1] + bump, fv[2]])
+    rep = canonical_representation(A, ideal)
+    outcomes = []
+    for form in (radial_form, bent):
+        sampled = NumericIMOneForm(
+            A,
+            ideal,
+            lambda a, x, f=form: f.sym_value(a, (), x),
+            lambda a, i, x, f=form: f.op_value(a, (i,), x),
+        )
+        assert form.exact and not sampled.exact
+        exact_rep = check_im_form(form, rep, SamplePlan(seed=3, samples=40), tol=1e-6)
+        sampled_rep = check_im_form(sampled, rep, SamplePlan(seed=3, samples=40), tol=1e-6)
+        _assert_same_verdicts(exact_rep, sampled_rep)
+        assert exact_rep.extra["connection_predicate"] is True
+        assert sampled_rep.extra["connection_predicate"] is True
+        outcomes.append(exact_rep.passed)
+    assert outcomes == [True, False]
+
+
+def test_structure_equations_agree_across_backends(radial_model, radial_form):
+    m = radial_model
+    radial = extract_coupling(m.algebroid, m.ideal, radial_form, SamplePlan(seed=1, samples=40))
+    bad = load_model(str(MODELS / "bad_u.json")).coupling()
+    outcomes = []
+    for cd in (radial, bad):
+        sampled = NumericCouplingData(cd.base, cd.fiber, cd.gamma, cd.u)
+        assert cd.exact and not sampled.exact
+        plan = SamplePlan(seed=3, samples=40)
+        exact_rep = check_structure_equations(cd, plan=plan.fork("se"), tol=1e-6)
+        sampled_rep = check_structure_equations(sampled, plan=plan.fork("se"), tol=1e-6)
+        _assert_same_verdicts(exact_rep, sampled_rep)
+        outcomes.append(exact_rep.passed)
+        # Checks that need the Exprs refuse sampled data.
+        with pytest.raises(TypeError):
+            build_semidirect(sampled)
+        with pytest.raises(TypeError):
+            check_structure_equations(sampled, variant="S1'S3'", plan=plan.fork("kf"))
+    assert outcomes == [True, False]

@@ -187,6 +187,21 @@ def test_chart_inside_excluded_ball_is_a_model_error(tmp_path, capsys):
     assert "model error" in capsys.readouterr().err
 
 
+def test_chart_without_sample_points_is_a_model_error(tmp_path, capsys):
+    # The farthest corner of this box lies just outside the excluded
+    # ball, so the chart is accepted, but the sliver outside the ball is
+    # too small for the sampler to hit.
+    doc = json.loads((MODELS / "product_so3.json").read_text())
+    doc["chart"]["bounds"] = [[0, 0.0708], [0, 0.0708]]
+    doc["chart"]["excluded_origin"] = True
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    code, _ = invoke(["verify-algebroid", "--model", str(p), "--samples", "20"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model error:") and "excluded ball" in err
+
+
 def _so3_radial_with_anchor(tmp_path, expr):
     """The so3_radial model with its anchor entry [0][0] replaced."""
     doc = json.loads((MODELS / "so3_radial.json").read_text())
