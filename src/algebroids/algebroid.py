@@ -32,7 +32,6 @@ from .expr import (
     add,
     differentiate,
     div,
-    evaluate,
     fold,
     mul,
     neg,
@@ -295,13 +294,13 @@ class ARepresentation:
             lhs = self.apply(bracket(A, al, be), s.components)
             rhs1 = self.apply(al, self.apply(be, s.components))
             rhs2 = self.apply(be, self.apply(al, s.components))
-            for p in plan.points(A.chart, 8):
-                for d in range(self.bundle.rank):
-                    worst.update(
-                        evaluate(lhs[d], p)
-                        - evaluate(rhs1[d], p)
-                        + evaluate(rhs2[d], p)
-                    )
+            terms = PointMap.exact(list(zip(lhs, rhs1, rhs2)))
+
+            def defect(p):
+                v = terms.value(p)
+                return v[:, 0] - v[:, 1] + v[:, 2]
+
+            worst.update(PointMap(defect).sup(plan.points(A.chart, 8)))
         return worst.value
 
 
@@ -334,35 +333,28 @@ def check_axioms(
             + bracket(A, bracket(A, be, ga), al)
             + bracket(A, bracket(A, ga, al), be)
         )
-        anchor_defect = [
+        anchor_defect = PointMap.exact([
             fold(add(x, neg(y)))
             for x, y in zip(
                 A.rho_of(bracket(A, al, be)),
                 vf_bracket(A.rho_of(al), A.rho_of(be), A.chart.dim),
             )
-        ]
-        for p in plan.points(A.chart, pts):
-            jac_worst.update(jacobiator.value(p))
-            for x in anchor_defect:
-                anch_worst.update(evaluate(x, p))
+        ])
+        points = plan.points(A.chart, pts)
+        jac_worst.update(PointMap.exact(jacobiator.components).sup(points))
+        anch_worst.update(anchor_defect.sup(points))
     rep.add("jacobi", jac_worst.value, tol)
     rep.add("anchor_morphism", anch_worst.value, tol)
 
     if ideal is not None:
         k = ideal.k
         pts_list = plan.points(A.chart, max(20, pts))
-        rho_worst = Residual()
-        inv_worst = Residual()
-        for p in pts_list:
-            for a in range(k):
-                for i in range(A.chart.dim):
-                    rho_worst.update(evaluate(A.anchor[i][a], p))
-            for b in range(A.rank):
-                for a in range(k):
-                    for c in range(k, A.rank):
-                        inv_worst.update(evaluate(A.structure[b][a][c], p))
-        rep.add("ideal_anchor", rho_worst.value, 1e-10 if tol > 1e-10 else tol)
-        rep.add("ideal_bracket", inv_worst.value, tol)
+        ideal_anchor = PointMap.exact([row[:k] for row in A.anchor])
+        ideal_bracket = PointMap.exact(
+            [[row[a][k:] for a in range(k)] for row in A.structure]
+        )
+        rep.add("ideal_anchor", ideal_anchor.sup(pts_list), 1e-10 if tol > 1e-10 else tol)
+        rep.add("ideal_bracket", ideal_bracket.sup(pts_list), tol)
     return rep
 
 
@@ -516,8 +508,7 @@ class BasicCurvature:
                     X = [ZERO] * n
                     X[i] = ONE
                     s = self.section_expr(A.frame_section(a), A.frame_section(b), X)
-                    for p in pts:
-                        worst.update(s.value(p))
+                    worst.update(PointMap.exact(s.components).sup(pts))
         return worst.value
 
 
@@ -577,9 +568,7 @@ def cartan_build_connection(
             lhs = bracket(A, ea, embed(apply_l(eb)))
             inner = covariant_derivative(conn, A.rho_of(eb), ea) + bracket(A, ea, eb)
             rhs = embed(apply_l(inner))
-            defect = lhs - rhs
-            for p in pts:
-                worst_par.update(defect.value(p))
+            worst_par.update(PointMap.exact((lhs - rhs).components).sup(pts))
     report.add("parallel_splitting", worst_par.value, tol)
 
     # l kills the basic curvature.
@@ -591,10 +580,7 @@ def cartan_build_connection(
                 X = [ZERO] * n
                 X[i] = ONE
                 s = bc.section_expr(A.frame_section(a), A.frame_section(b), X)
-                ls = apply_l(s)
-                for p in pts:
-                    for x in ls:
-                        worst_bc.update(evaluate(x, p))
+                worst_bc.update(PointMap.exact(apply_l(s)).sup(pts))
     report.add("splitting_kills_basic_curvature", worst_bc.value, tol)
 
     if not report.passed:

@@ -80,7 +80,7 @@ class Section:
         self.components = components
 
     def value(self, p) -> np.ndarray:
-        return np.array([evaluate(c, p) for c in self.components])
+        return PointMap.exact(self.components).value(p)
 
     def __add__(self, other: "Section") -> "Section":
         if other.bundle != self.bundle:
@@ -171,7 +171,7 @@ class CoeffForm:
         return tuple(fold(neg(v)) for v in vec)
 
     def value(self, idx: Sequence[int], p) -> np.ndarray:
-        return np.array([evaluate(c, p) for c in self.component(idx)])
+        return PointMap.exact(self.component(idx)).value(p)
 
     def is_structurally_zero(self) -> bool:
         return not self.comps
@@ -219,17 +219,30 @@ class PointMap:
     coordinate) return arrays of one shape.
 
     Exact maps (``PointMap.exact``) carry their entries as Exprs in
-    ``exprs``; sampled ones (``imforms.sampled_map``) carry only a point
-    callable, differentiated by the finite-difference stencil, and
-    ``exprs`` is None.
+    ``exprs``; ``PointMap.exact`` is the one place outside ``expr`` that
+    evaluates Exprs.  Sampled ones (``imforms.sampled_map``) carry only
+    a point callable, differentiated by the finite-difference stencil,
+    and ``exprs`` is None.  A map built from a plain point callable with
+    no ``partial`` serves numeric combinations of other maps' values
+    that are only reduced by ``sup``.
     """
 
     __slots__ = ("value", "partial", "exprs")
 
-    def __init__(self, value, partial, exprs=None):
+    def __init__(self, value, partial=None, exprs=None):
         self.value = value
         self.partial = partial
         self.exprs = exprs
+
+    def sup(self, points) -> float:
+        """The ``Residual`` value of ``value(p)`` over the points: the
+        largest absolute entry, ``inf`` if any entry is NaN or inf, 0.0
+        for no points.  Points are visited in order, so the first
+        evaluation error is that of a loop over them."""
+        worst = Residual()
+        for p in points:
+            worst.update(self.value(p))
+        return worst.value
 
     @classmethod
     def exact(cls, entries) -> "PointMap":
@@ -410,10 +423,8 @@ def connection_is_flat(
     points within ``tol``.  Returns (flat, max residual)."""
     plan = plan or SamplePlan(seed=42, samples=64)
     R = PointMap.exact(list(curvature_tensor(conn).values()))
-    worst = Residual()
-    for p in plan.points(conn.bundle.chart, 64):
-        worst.update(R.value(p))
-    return worst.value < tol, worst.value
+    worst = R.sup(plan.points(conn.bundle.chart, 64))
+    return worst < tol, worst
 
 
 class FiberBracket:

@@ -22,9 +22,9 @@ from .algebroid import (
     canonical_representation,
     cartan_build_connection,
     check_axioms,
-    check_A_invariant,
 )
-from .expr import EvalError, SamplingError, evaluate
+from .bundles import PointMap
+from .expr import EvalError, SamplingError
 from .factory import ExampleSpec, make_example, transitive_im_connection
 from .imforms import (
     CenterDegeneracyError,
@@ -36,7 +36,6 @@ from .imforms import (
     classify_flatness,
     coupling_to_im,
     curvature_im,
-    d_im,
     extract_coupling,
     kernel_flat_two_form,
 )
@@ -89,8 +88,8 @@ OPERATION_COVERAGE = {
 
 def _tolerance(text: str) -> float:
     v = float(text)
-    if not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite: {text!r}")
+    if not math.isfinite(v) or v <= 0:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and > 0: {text!r}")
     return v
 
 
@@ -339,7 +338,10 @@ def _cmd_example(args, plan, tol):
 
 def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float = 1e-8) -> Report:
     """Family-appropriate checker suite over a factory output."""
-    model = make_example(spec, plan.fork("build"))
+    try:
+        model = make_example(spec, plan.fork("build"))
+    except ValueError as e:
+        raise ModelError(f"example {spec.name!r}: {e}") from e
     rep = Report(command=f"example:{spec.name}", seed=plan.seed, samples=plan.samples)
     ax = check_axioms(model.algebroid, model.ideal, plan.fork("axioms"), tol=tol)
     rep.merge(ax, prefix="axioms_")
@@ -390,16 +392,18 @@ def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float = 1e-8) ->
         for _ in range(4):
             al = B.random_section(rng)
             be = B.random_section(rng)
-            vals = ev(al, be)
-            for p in plan.points(B.chart, 8):
+            got = PointMap.exact(ev(al, be))
+            rho_b = PointMap.exact(B.rho_of(be))
+
+            def defect(p):
                 lam = np.zeros(cd.k)
-                rho_b = np.array([evaluate(x, p) for x in B.rho_of(be)])
+                rb, ca = rho_b.value(p), al.value(p)
                 for a in range(B.rank):
-                    ca = evaluate(al.components[a], p)
                     for i in range(B.chart.dim):
-                        lam += ca * rho_b[i] * cd.u(a, i, p)
-                got = np.array([evaluate(x, p) for x in vals])
-                worst.update(got - lam)
+                        lam += ca[a] * rb[i] * cd.u(a, i, p)
+                return got.value(p) - lam
+
+            worst.update(PointMap(defect).sup(plan.points(B.chart, 8)))
         rep.add("chain_map_matches_base_cocycle", worst.value, 1e-9)
     return rep
 

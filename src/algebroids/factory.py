@@ -44,7 +44,6 @@ from .expr import (
     coord,
     differentiate,
     div,
-    evaluate,
     fold,
     mul,
     neg,
@@ -150,6 +149,25 @@ def _parse_matrix(rows, chart: Chart):
     return out
 
 
+def _parse_two_form(rows, chart: Chart, k: int) -> list:
+    """A fiber-valued 2-form given as one vector of k entries per
+    increasing pair (i, j) in lexicographic order, returned as
+    Omega[i][j] on all pairs i != j (None on the diagonal)."""
+    n = chart.dim
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    given = _parse_matrix(rows, chart)
+    if len(given) != len(pairs) or any(len(vec) != k for vec in given):
+        raise ValueError(
+            f"omega must list one fiber vector of {k} entries per increasing "
+            f"pair ({len(pairs)} rows), got {[len(vec) for vec in given]}"
+        )
+    Om = [[None] * n for _ in range(n)]
+    for (i, j), vec in zip(pairs, given):
+        Om[i][j] = vec
+        Om[j][i] = [fold(neg(x)) for x in vec]
+    return Om
+
+
 def make_example(spec: ExampleSpec, plan: SamplePlan | None = None) -> ExampleModel:
     plan = plan or SamplePlan()
     builder = {
@@ -251,18 +269,17 @@ def _transitive_algebroid(
 def _require_curvature_is_ad(fiber, nabla, Omega, plan, tol: float = 1e-8):
     n = fiber.bundle.chart.dim
     R = {ij: PointMap.exact(M) for ij, M in curvature_tensor(nabla).items()}
-    worst_ad = Residual()
-    worst_closed = Residual()
-    # Covariant closedness: sum of signed covariant derivatives of the
-    # antisymmetric components over ordered triples.
-    for p in plan.points(fiber.bundle.chart, 25):
+    Om = {ij: PointMap.exact(Omega[ij[0]][ij[1]]) for ij in R}
+
+    def ad_defect(p) -> np.ndarray:
         cvals = fiber.c_map.value(p)
-        for i in range(n):
-            for j in range(i + 1, n):
-                Rm = R[(i, j)].value(p)
-                Om = np.array([evaluate(x, p) for x in Omega[i][j]])
-                adO = np.einsum("f,fce->ce", Om, cvals).T
-                worst_ad.update(Rm - adO)
+        return np.array([
+            R[ij].value(p) - np.einsum("f,fce->ce", Om[ij].value(p), cvals).T
+            for ij in R
+        ])
+
+    worst_ad = PointMap(ad_defect).sup(plan.points(fiber.bundle.chart, 25))
+    worst_closed = 0.0
     OmForm = CoeffForm(
         fiber.bundle,
         2,
@@ -272,17 +289,18 @@ def _require_curvature_is_ad(fiber, nabla, Omega, plan, tol: float = 1e-8):
             for j in range(i + 1, n)
         },
     )
+    # Covariant closedness: sum of signed covariant derivatives of the
+    # antisymmetric components over ordered triples.
     if n >= 3:
         from .bundles import exterior_covariant_derivative
 
         dOm = exterior_covariant_derivative(nabla, OmForm)
-        for p in plan.points(fiber.bundle.chart, 25):
-            for idx in dOm.comps:
-                worst_closed.update(dOm.value(idx, p))
-    if worst_ad.value > tol or worst_closed.value > tol:
+        dOm_map = PointMap.exact(list(dOm.comps.values()))
+        worst_closed = dOm_map.sup(plan.points(fiber.bundle.chart, 25))
+    if worst_ad > tol or worst_closed > tol:
         rep = Report(command="transitive-build", seed=plan.seed, samples=plan.samples)
-        rep.add("curvature_equals_ad_of_twist", worst_ad.value, tol)
-        rep.add("twist_covariantly_closed", worst_closed.value, tol)
+        rep.add("curvature_equals_ad_of_twist", worst_ad, tol)
+        rep.add("twist_covariantly_closed", worst_closed, tol)
         raise ConstructionRefused(
             "twist 2-form incompatible with the connection", rep
         )
@@ -352,14 +370,7 @@ def _build_transitive(params: dict, plan: SamplePlan) -> ExampleModel:
     if omega is None:
         Om = _curvature_of_theta(fiber, theta)
     else:
-        Om = [[None] * dim for _ in range(dim)]
-        given = _parse_matrix(omega, chart)  # rows: increasing pairs
-        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-        if len(given) != len(pairs):
-            raise ValueError("omega must list one fiber vector per increasing pair")
-        for (i, j), vec in zip(pairs, given):
-            Om[i][j] = list(vec)
-            Om[j][i] = [fold(neg(x)) for x in vec]
+        Om = _parse_two_form(omega, chart, k)
     A = _transitive_algebroid(chart, fiber, nabla, Om, plan.fork("trans"))
     ideal = IdealBundle(A, k, plan=plan.fork("ideal"))
     tau = [[ZERO] * dim for _ in range(k)] + [
@@ -440,12 +451,7 @@ def _build_principal_type(params: dict, plan: SamplePlan) -> ExampleModel:
     if omega is None:
         Om = _curvature_of_theta(fiber, theta)
     else:
-        Om = [[None] * dim for _ in range(dim)]
-        given = _parse_matrix(omega, chart)
-        pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
-        for (i, j), vec in zip(pairs, given):
-            Om[i][j] = list(vec)
-            Om[j][i] = [fold(neg(x)) for x in vec]
+        Om = _parse_two_form(omega, chart, k)
     # Precondition: connection curvature equals the adjoint of Omega.
     _require_curvature_is_ad(fiber, nabla, Om, plan.fork("ad"))
     B = tangent_algebroid(chart)
@@ -478,15 +484,13 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
             for i in range(dim)
         ]
     nablaL = LinearConnection(fiber.bundle, gam)
-    pairs = [(i, j) for i in range(dim) for j in range(i + 1, dim)]
     if omega is None:
-        Om = {pairs[0]: [ZERO] * k}
         vec = [ZERO] * k
         vec[k - 1] = ONE  # last fiber direction is central for the stock fibers
-        Om = {pairs[0]: vec}
+        Om = {(0, 1): vec}
     else:
-        given = _parse_matrix(omega, chart)
-        Om = {pair: list(vec) for pair, vec in zip(pairs, given)}
+        full = _parse_two_form(omega, chart, k)
+        Om = {(i, j): full[i][j] for i in range(dim) for j in range(i + 1, dim)}
     # Preconditions: flat connection, center-valued and covariantly
     # closed 2-form.
     rep = Report(command="principal-type-flat", seed=plan.seed, samples=plan.samples)
@@ -495,21 +499,18 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
     flat, res = connection_is_flat(nablaL, plan.fork("flat"))
     rep.add("fiber_connection_flat", res, 1e-10)
     OmForm = CoeffForm(fiber.bundle, 2, Om)
-    worst_center = Residual()
-    for p in plan.points(chart, 25):
+    Om_map = PointMap.exact(list(OmForm.comps.values()))
+
+    def off_center(p) -> np.ndarray:
         Z = center_basis(fiber, p)
         proj = Z @ Z.T
-        for idx in OmForm.comps:
-            v = OmForm.value(idx, p)
-            worst_center.update(v - proj @ v)
-    rep.add("twist_center_valued", worst_center.value, 1e-9)
+        return np.array([v - proj @ v for v in Om_map.value(p)])
+
+    rep.add("twist_center_valued", PointMap(off_center).sup(plan.points(chart, 25)), 1e-9)
     if dim >= 3:
         dOm = exterior_covariant_derivative(nablaL, OmForm)
-        worst = Residual()
-        for p in plan.points(chart, 25):
-            for idx in dOm.comps:
-                worst.update(dOm.value(idx, p))
-        rep.add("twist_covariantly_closed", worst.value, 1e-9)
+        dOm_map = PointMap.exact(list(dOm.comps.values()))
+        rep.add("twist_covariantly_closed", dOm_map.sup(plan.points(chart, 25)), 1e-9)
     if not rep.passed:
         raise ConstructionRefused("kernel-flat construction preconditions failed", rep)
 
@@ -575,9 +576,10 @@ def transitive_im_connection(
     # rho o tau = Id and transitivity at samples.
     worst = Residual()
     rank_bad = 0.0
+    tau_map = PointMap.exact(tau)
     for p in plan.points(A.chart, 25):
         rho = A.anchor_value(p)
-        tv = np.array([[evaluate(x, p) for x in row] for row in tau])
+        tv = tau_map.value(p)
         worst.update(rho @ tv - np.eye(n))
         s = np.linalg.svd(rho, compute_uv=False)
         if len(s) < n or s[n - 1] < 1e-9:

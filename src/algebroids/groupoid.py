@@ -446,10 +446,19 @@ def connection_from_splitting(
             report,
         )
 
+    # The splitting depends on the point only: evaluate it once per
+    # distinct point, not once per tangent vector.
+    l_at: dict[bytes, np.ndarray] = {}
+
     def evaluator(g, x, T):
         xi, _w = T
         v = gpd.group.coords(np.linalg.solve(g, xi))
-        return l_val(np.asarray(x, dtype=float)) @ v
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        lx = l_at.get(key)
+        if lx is None:
+            lx = l_at[key] = l_val(x)
+        return lx @ v
 
     return MultForm(gpd, 1, evaluator)
 

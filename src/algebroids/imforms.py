@@ -54,7 +54,6 @@ from .expr import (
     add,
     const,
     differentiate,
-    evaluate,
     fold,
     mul,
     neg,
@@ -1172,7 +1171,7 @@ class CochainEvaluator:
         return list(out.component(()))
 
     def value(self, p, *sections: Section) -> np.ndarray:
-        return np.array([evaluate(x, p) for x in self(*sections)])
+        return PointMap.exact(self(*sections)).value(p)
 
 
 def chain_map(form) -> CochainEvaluator:

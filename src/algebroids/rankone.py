@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .algebroid import LieAlgebroid
-from .expr import Expr, ZERO, add, differentiate, div, evaluate, fold, mul, neg
+from .bundles import PointMap
+from .expr import Expr, ZERO, add, differentiate, div, fold, mul, neg
 from .imforms import CouplingData
 from .sampling import Report, Residual, SamplePlan
 
@@ -117,13 +118,30 @@ def _lie_derivative_one_form(X: Sequence[Expr], om: Sequence[Expr], n: int) -> l
     return out
 
 
-def _d_one_form(om: Sequence[Expr], n: int):
-    """Exterior derivative of a scalar 1-form as a dict on pairs."""
-    return {
-        (i, j): fold(add(differentiate(om[j], i), neg(differentiate(om[i], j))))
-        for i in range(n)
-        for j in range(i + 1, n)
-    }
+def _d_map(om: Sequence[Expr], n: int) -> PointMap:
+    """Exterior derivative of a scalar 1-form as an antisymmetric n x n
+    matrix map: the increasing pairs are evaluated, the lower triangle
+    is their negation."""
+    rows, cols = np.triu_indices(n, 1)
+    upper = PointMap.exact([
+        fold(add(differentiate(om[j], i), neg(differentiate(om[i], j))))
+        for i, j in zip(rows.tolist(), cols.tolist())
+    ])
+
+    def value(p) -> np.ndarray:
+        v = upper.value(p)
+        m = np.zeros((n, n))
+        m[rows, cols] = v
+        m[cols, rows] = -v
+        return m
+
+    return PointMap(value)
+
+
+def _anchored_sup(B: LieAlgebroid, d: PointMap, pts) -> float:
+    """Residual of a scalar 2-form map contracted with the anchor
+    columns (closedness along anchored directions)."""
+    return PointMap(lambda p: B.anchor_value(p).T @ d.value(p)).sup(pts)
 
 
 def check_rank_one(
@@ -145,50 +163,34 @@ def check_rank_one(
     report = Report(command="check-rank-one", seed=plan.seed, samples=plan.samples)
     pts = plan.points(B.chart, max(12, min(plan.samples, 40)))
 
-    dtheta = _d_one_form(data.theta, n)
-
     # Trivialized curvature condition: the connection form is closed
     # along anchored directions.
-    s2 = Residual()
-    for p in pts:
-        rho = B.anchor_value(p)
-        dth = np.zeros((n, n))
-        for (i, j), x in dtheta.items():
-            v = evaluate(x, p)
-            dth[i, j] = v
-            dth[j, i] = -v
-        contr = rho.T @ dth  # rows: frame elements, cols: direction
-        s2.update(contr)
-    report.add("S2_trivialized", s2.value, tol)
+    report.add("S2_trivialized", _anchored_sup(B, _d_map(data.theta, n), pts), tol)
 
     # Trivialized mixed equation on base frame pairs; Lie derivatives
     # of the tensor rows are formed symbolically once per pair.
     s3 = Residual()
-    dU = [_d_one_form(data.U1[a], n) for a in range(rB)]
+    theta_map = PointMap.exact(data.theta)
+    U_map = PointMap.exact(data.U1)
+    dU_maps = [_d_map(data.U1[a], n) for a in range(rB)]
     rho_cols = [B.rho_of(B.frame_section(a)) for a in range(rB)]
-    lieU = [
+    lie_map = PointMap.exact([
         [_lie_derivative_one_form(rho_cols[a], list(data.U1[b]), n) for b in range(rB)]
         for a in range(rB)
-    ]
+    ])
     for p in pts:
         rho = B.anchor_value(p)
-        th = np.array([evaluate(x, p) for x in data.theta])
-        Uv = np.array([[evaluate(x, p) for x in row] for row in data.U1])
+        th = theta_map.value(p)
+        Uv = U_map.value(p)
         cB = B.structure_map.value(p)
-        dUm = []
-        for a in range(rB):
-            m = np.zeros((n, n))
-            for (i, j), x in dU[a].items():
-                v = evaluate(x, p)
-                m[i, j] = v
-                m[j, i] = -v
-            dUm.append(m)
+        dUm = [m.value(p) for m in dU_maps]
+        lieU = lie_map.value(p)
         for a in range(rB):
             rho_a = rho[:, a]
             for b in range(rB):
                 rho_b = rho[:, b]
                 lhs = sum(cB[a, b, c] * Uv[c] for c in range(rB))
-                lie = np.array([evaluate(x, p) for x in lieU[a][b]])
+                lie = lieU[a, b]
                 i_b_dU = rho_b @ dUm[a]
                 term_theta = float(th @ rho_a) * Uv[b]
                 wedge = np.outer(th, Uv[a]) - np.outer(Uv[a], th)
@@ -209,16 +211,16 @@ def check_rank_one(
         kernels.append(vt[rank:].T)
     modal = int(np.bincount(ranks).argmax())
     discarded = 0
+    lam_map = PointMap.exact(data.lam)
+    V_map = PointMap.exact(data.V)
     for p, rank, ker in zip(pts, ranks, kernels):
         if rank != modal:
             discarded += 1
             continue
         if ker.shape[1] == 0:
             continue
-        lamv = np.array(
-            [[evaluate(data.lam[a][b], p) for b in range(rB)] for a in range(rB)]
-        )
-        Vv = np.array([evaluate(x, p) for x in data.V])
+        lamv = lam_map.value(p)
+        Vv = V_map.value(p)
         for col in ker.T:
             tang.update(col @ lamv)
             tang.update(col @ Vv)
@@ -311,18 +313,9 @@ def verify_witness(
             for a in range(rB)
         ]
 
-    def max_at(exprs) -> float:
-        worst = Residual()
-        for p in pts:
-            for x in exprs:
-                worst.update(evaluate(x, p))
-        return worst.value
-
-    lam_flat = [lam_shift[a][b] for a in range(rB) for b in range(rB)]
-
     if kind == "product":
-        report.add("V_vanishes_after_gauge", max_at(data.V), tol)
-        report.add("lambda_vanishes_after_shift", max_at(lam_flat), tol)
+        report.add("V_vanishes_after_gauge", PointMap.exact(data.V).sup(pts), tol)
+        report.add("lambda_vanishes_after_shift", PointMap.exact(lam_shift).sup(pts), tol)
         return report
 
     theta_w = witnesses.get("theta")
@@ -330,7 +323,7 @@ def verify_witness(
         if theta_w is None:
             raise ValueError(f"witness kind {kind!r} needs a 'theta' 1-form")
         theta_w = [fold(t) for t in theta_w]
-        dth = _d_one_form(theta_w, n)
+        dth = _d_map(theta_w, n)
         V_match = [
             fold(
                 add(
@@ -343,23 +336,13 @@ def verify_witness(
         if kind == "leafwise_flat":
             # Invariance only requires closedness along anchored
             # directions.
-            worst = Residual()
-            for p in pts:
-                rho = B.anchor_value(p)
-                dm = np.zeros((n, n))
-                for (i, j), x in dth.items():
-                    v = evaluate(x, p)
-                    dm[i, j] = v
-                    dm[j, i] = -v
-                contr = rho.T @ dm
-                worst.update(contr)
-            report.add("theta_invariant", worst.value, tol)
+            report.add("theta_invariant", _anchored_sup(B, dth, pts), tol)
         else:
-            report.add("theta_closed", max_at(dth.values()), tol)
-        report.add("V_matches_pullback", max_at(V_match), tol)
+            report.add("theta_closed", dth.sup(pts), tol)
+        report.add("V_matches_pullback", PointMap.exact(V_match).sup(pts), tol)
 
     if kind in ("totally_flat", "leafwise_flat"):
-        report.add("lambda_exact", max_at(lam_flat), tol)
+        report.add("lambda_exact", PointMap.exact(lam_shift).sup(pts), tol)
         return report
 
     if kind == "kernel_flat":
@@ -398,7 +381,7 @@ def verify_witness(
             for b in range(rB)
             if a != b
         ]
-        report.add("lambda_matches_pair_image", max_at(lam_match), tol)
+        report.add("lambda_matches_pair_image", PointMap.exact(lam_match).sup(pts), tol)
         return report
 
     if kind == "principal_type":
@@ -414,21 +397,22 @@ def verify_witness(
             OmM[i][j] = x
             OmM[j][i] = fold(neg(x))
         # Covariant closedness: d Omega + theta ^ Omega = 0.
-        worst = Residual()
-        if n >= 3:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for kk in range(j + 1, n):
-                        t = add(
-                            differentiate(OmM[j][kk], i),
-                            neg(differentiate(OmM[i][kk], j)),
-                            differentiate(OmM[i][j], kk),
-                            mul(theta_w[i], OmM[j][kk]),
-                            neg(mul(theta_w[j], OmM[i][kk])),
-                            mul(theta_w[kk], OmM[i][j]),
-                        )
-                        worst.update(max_at([fold(t)]))
-        report.add("Omega_covariantly_closed", worst.value, tol)
+        closed = [
+            fold(
+                add(
+                    differentiate(OmM[j][kk], i),
+                    neg(differentiate(OmM[i][kk], j)),
+                    differentiate(OmM[i][j], kk),
+                    mul(theta_w[i], OmM[j][kk]),
+                    neg(mul(theta_w[j], OmM[i][kk])),
+                    mul(theta_w[kk], OmM[i][j]),
+                )
+            )
+            for i in range(n)
+            for j in range(i + 1, n)
+            for kk in range(j + 1, n)
+        ]
+        report.add("Omega_covariantly_closed", PointMap.exact(closed).sup(pts), tol)
         lam_match = [
             fold(
                 add(
@@ -445,7 +429,7 @@ def verify_witness(
             for a in range(rB)
             for b in range(rB)
         ]
-        report.add("lambda_matches_pullback", max_at(lam_match), tol)
+        report.add("lambda_matches_pullback", PointMap.exact(lam_match).sup(pts), tol)
         return report
 
     raise AssertionError("unreachable")

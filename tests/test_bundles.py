@@ -31,7 +31,7 @@ from algebroids.expr import (
     parse,
 )
 from algebroids.imforms import sampled_map
-from algebroids.sampling import SamplePlan, random_polynomial
+from algebroids.sampling import Residual, SamplePlan, random_polynomial
 
 CH2 = Chart(2)
 
@@ -294,3 +294,88 @@ def test_point_map_passes_pole_errors_through():
         sampled_map(m.value, 0.25).partial(1, np.array([0.5, 0.5]))
     assert str(sampled.value) == str(exact.value)
     assert sampled.value.subtree is exact.value.subtree
+
+
+def test_point_map_sup_of_no_points_is_zero():
+    assert PointMap.exact([parse("1/x1", CH2)]).sup([]) == 0.0
+
+
+def test_point_map_sup_non_finite_reads_inf():
+    p = np.zeros(2)
+    for bad in (np.nan, np.inf, -np.inf):
+        m = PointMap(lambda q, bad=bad: np.array([[1e300, bad], [-2.0, 0.0]]))
+        assert m.sup([p, p]) == np.inf
+    # Evaluated Exprs: inf * 0 is NaN at the origin, inf elsewhere.
+    m = PointMap.exact([coord(1), parse("exp(700)*exp(700)*x1", CH2)])
+    assert m.sup([np.ones(2)]) == np.inf
+    assert m.sup([p]) == np.inf
+
+
+def test_point_map_sup_matches_residual_loop():
+    ch = Chart(3)
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        entries = [[random_polynomial(ch, rng) for _ in range(2)] for _ in range(3)]
+        pts = [rng.uniform(-1, 1, size=3) for _ in range(7)]
+        want = Residual()
+        for p in pts:
+            for row in entries:
+                for x in row:
+                    want.update(evaluate(x, p))
+        assert PointMap.exact(entries).sup(pts) == want.value
+
+
+def test_point_map_sup_passes_pole_errors_through():
+    m = PointMap.exact([parse("x1", CH2), parse("1/x2", CH2)])
+    at_pole = np.array([0.5, 0.0])
+    with pytest.raises(PoleError) as direct:
+        m.value(at_pole)
+    with pytest.raises(PoleError) as reduced:
+        m.sup([np.array([0.5, 0.5]), at_pole])
+    assert str(reduced.value) == str(direct.value)
+    assert reduced.value.subtree is direct.value.subtree
+
+
+def test_only_point_map_exact_evaluates_outside_expr():
+    """Every Expr array reaches numbers through ``PointMap.exact``: no
+    module of the package but ``expr`` calls ``evaluate`` elsewhere, so
+    a batched evaluator has one place to plug into."""
+    import ast
+    from pathlib import Path
+
+    import algebroids
+
+    class Scan(ast.NodeVisitor):
+        def __init__(self, path):
+            self.path, self.scope, self.allowed, self.stray = path, [], 0, []
+
+        def _nested(self, node):
+            self.scope.append(node.name)
+            self.generic_visit(node)
+            self.scope.pop()
+
+        visit_ClassDef = visit_FunctionDef = visit_AsyncFunctionDef = _nested
+
+        def visit_ImportFrom(self, node):
+            for alias in node.names:
+                if alias.name == "evaluate" and alias.asname not in (None, "evaluate"):
+                    self.stray.append(f"{self.path.name}:{node.lineno} imports evaluate as {alias.asname}")
+
+        def visit_Call(self, node):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "evaluate":
+                if self.path.name == "bundles.py" and self.scope[:2] == ["PointMap", "exact"]:
+                    self.allowed += 1
+                else:
+                    self.stray.append(f"{self.path.name}:{node.lineno} in {'.'.join(self.scope)}")
+            self.generic_visit(node)
+
+    allowed, stray = 0, []
+    for path in sorted(Path(algebroids.__file__).parent.glob("*.py")):
+        if path.name != "expr.py":
+            scan = Scan(path)
+            scan.visit(ast.parse(path.read_text(), str(path)))
+            allowed, stray = allowed + scan.allowed, stray + scan.stray
+    assert stray == []
+    assert allowed >= 1

@@ -90,8 +90,9 @@ def test_check_structure_bad_u_fails():
 
 def test_exit_codes():
     assert run(["no-such-command"]) == 2
-    # A tolerance JSON cannot carry is a usage error.
-    for tol in ("inf", "nan"):
+    # A tolerance JSON cannot carry, or one no residual can pass, is a
+    # usage error.
+    for tol in ("inf", "nan", "0", "-1"):
         assert run(["classify", "--model", str(MODELS / "product_so3.json"), "--tol", tol]) == 2
     code, _ = invoke(["classify", "--model", "/does/not/exist.json"])
     assert code == 3
@@ -200,6 +201,26 @@ def test_chart_without_sample_points_is_a_model_error(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("model error:") and "excluded ball" in err
+
+
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        # Too few omega rows for the three pairs of a 3-dimensional chart.
+        ("principal_type", {"dim": 3, "omega": [["0", "0", "0"]]}, "increasing pair"),
+        ("transitive", {"dim": 2, "omega": [["1"], ["1"]]}, "increasing pair"),
+        ("transitive", {"dim": 2, "omega": [["1", "0"]]}, "entries"),
+        ("product", {"bogus": 1}, "unknown product parameters"),
+    ],
+)
+def test_bad_example_parameters_are_model_errors(tmp_path, capsys, name, params, message):
+    p = tmp_path / "model.json"
+    doc = {"schema_version": 1, "chart": {"dim": 2}, "example": {"name": name, "params": params}}
+    p.write_text(json.dumps(doc))
+    code, out = invoke(["example", name, "--model", str(p), "--samples", "20", "--json"])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("model error:") and message in err
 
 
 def _so3_radial_with_anchor(tmp_path, expr):
