@@ -274,11 +274,6 @@ class ARepresentation:
             out.append(fold(add(*terms)))
         return out
 
-    def apply_section(self, alpha: Section, s: Section) -> Section:
-        if s.bundle != self.bundle:
-            raise ValueError("section not valued in the representation bundle")
-        return Section(self.bundle, self.apply(alpha, s.components))
-
     def flatness_residual(self, plan: SamplePlan, n_pairs: int = 6) -> float:
         """Max residual of nabla_[a,b] = [nabla_a, nabla_b] on random
         polynomial sections."""

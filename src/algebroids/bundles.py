@@ -20,6 +20,7 @@ from .expr import (
     ZERO,
     add,
     const,
+    compile_tape,
     differentiate,
     evaluate,
     fold,
@@ -246,23 +247,25 @@ class PointMap:
 
     @classmethod
     def exact(cls, entries) -> "PointMap":
-        """From a nested sequence of Exprs; entries are evaluated in
-        row-major order, partials through their symbolic derivatives."""
+        """From a nested sequence of Exprs.  All entries compile into one
+        tape on first use, and their partials along direction j into
+        another on the first ``partial(j, ·)``; each run of a tape
+        evaluates every distinct subtree of its entries once, with the
+        values and the first error of ``evaluate`` over the entries in
+        row-major order."""
         grid = np.array(entries, dtype=object)
         flat, shape = list(grid.flat), grid.shape
-        derivs: dict[int, list[Expr]] = {}
+        tapes: dict = {}  # None: the values; j: the partials along j
 
-        def at(exprs, p) -> np.ndarray:
-            out = np.array([evaluate(x, p) for x in exprs])
+        def at(j, p) -> np.ndarray:
+            tape = tapes.get(j)
+            if tape is None:
+                exprs = flat if j is None else [differentiate(x, j) for x in flat]
+                tape = tapes[j] = compile_tape(exprs)
+            out = np.array(evaluate(tape, p), dtype=float)
             return out if len(shape) == 1 else out.reshape(shape)
 
-        def partial(j: int, p) -> np.ndarray:
-            d = derivs.get(j)
-            if d is None:
-                d = derivs[j] = [differentiate(x, j) for x in flat]
-            return at(d, p)
-
-        return cls(lambda p: at(flat, p), partial, entries)
+        return cls(lambda p: at(None, p), at, entries)
 
 
 def zero_form(bundle: Bundle, degree: int) -> CoeffForm:
@@ -322,9 +325,6 @@ class LinearConnection:
 
     def gamma_value(self, i: int, p) -> np.ndarray:
         return self.gamma_maps[i].value(p)
-
-    def gamma_dvalue(self, j: int, i: int, p) -> np.ndarray:
-        return self.gamma_maps[i].partial(j, p)
 
     def apply_matrix(self, i: int, vec: Sequence[Expr]) -> list[Expr]:
         """Frame action of nabla_{d_i} on a coefficient vector: the
@@ -512,28 +512,6 @@ class FiberBracket:
     def ad_value(self, p) -> np.ndarray:
         """Stacked adjoint matrices at a point: ad[a][k][b] = c_{ab}^k."""
         return self.c_map.value(p).transpose(0, 2, 1)
-
-    def jacobi_residual(self, plan: SamplePlan, n_points: int = 64) -> float:
-        """Max Jacobi identity residual of the fiberwise bracket at
-        sampled points; the bracket is fiberwise, so no derivatives of
-        the structure functions enter."""
-        r = self.bundle.rank
-        worst = Residual()
-        for p in plan.points(self.bundle.chart, n_points):
-            c = self.c_map.value(p)
-            # Jacobi: [[ea,eb],ed] + [[eb,ed],ea] + [[ed,ea],eb] = 0
-            for a in range(r):
-                for b in range(r):
-                    for d in range(r):
-                        total = np.zeros(r)
-                        for k in range(r):
-                            total += (
-                                c[a, b, k] * c[k, d]
-                                + c[b, d, k] * c[k, a]
-                                + c[d, a, k] * c[k, b]
-                            )
-                        worst.update(total)
-        return worst.value
 
 
 def fiber_bracket_wedge(

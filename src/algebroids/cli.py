@@ -394,10 +394,11 @@ def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float = 1e-8) ->
             be = B.random_section(rng)
             got = PointMap.exact(ev(al, be))
             rho_b = PointMap.exact(B.rho_of(be))
+            al_map = PointMap.exact(al.components)
 
             def defect(p):
                 lam = np.zeros(cd.k)
-                rb, ca = rho_b.value(p), al.value(p)
+                rb, ca = rho_b.value(p), al_map.value(p)
                 for a in range(B.rank):
                     for i in range(B.chart.dim):
                         lam += ca[a] * rb[i] * cd.u(a, i, p)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from operator import itemgetter
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -45,7 +46,8 @@ __all__ = [
     "fold",
     "differentiate",
     "evaluate",
-    "gradient",
+    "compile_tape",
+    "Tape",
     "to_str",
     "parse",
     "substitute",
@@ -537,18 +539,23 @@ def _diff(e: Expr, i: int) -> Expr:
     raise ValueError(f"unknown node {op!r}")
 
 
-def evaluate(e: Expr, p: Sequence[float]) -> float:
+def evaluate(e: Expr | Tape, p: Sequence[float]) -> float | tuple[float, ...]:
     """Evaluate at a point (sequence of chart.dim floats).
 
-    Each distinct subtree is evaluated once per call: ``fold`` and
-    ``differentiate`` share subtrees by object identity, and the value
-    of every non-leaf node is kept, keyed by ``id``, until the call
-    returns.  The arithmetic and its order are those of a walk of the
-    whole tree: a sum is ``math.fsum`` of its arguments in order, a
-    product multiplies its arguments left to right starting from 1.0,
-    and a quotient evaluates its denominator, checks it for a pole,
-    then evaluates its numerator.  So the value, and the first error
-    raised, do not depend on how much of the tree is shared.
+    ``e`` is an Expr, whose float value is returned, or a ``Tape`` from
+    ``compile_tape``, whose entries' values are returned as a tuple.
+    An Expr is compiled into a tape of one entry first: the tape is the
+    one evaluation path.
+
+    The arithmetic and its order are those of a walk of the whole tree:
+    a sum is ``math.fsum`` of its arguments in order, a product
+    multiplies its arguments left to right starting from 1.0, and a
+    quotient evaluates its denominator, checks it for a pole, then
+    evaluates its numerator.  Each distinct subtree is evaluated once,
+    which changes neither the value nor the first error raised.  A
+    tape of many entries (``bundles.PointMap.exact``) also evaluates a
+    subtree shared between entries once, and gives each entry the
+    value it has alone and, in entry order, its first error.
 
     Raises PoleError for division by a near-zero denominator and
     DomainError for log of a nonpositive argument and for a result the
@@ -557,93 +564,194 @@ def evaluate(e: Expr, p: Sequence[float]) -> float:
     offending subtree.  NaN produced by plain float arithmetic (such as
     inf * 0) is returned as is; the residual checkers fail on it.
     """
-    op = e.op
-    if op == _CONST:
-        return float(e.value)
-    if op == _COORD:
-        return float(p[e.index])
-    # The root keeps every node alive until the call returns, so no id
-    # in the memo can be reused by another node meanwhile.
-    return _eval_node(e, p, {})
+    if isinstance(e, Tape):
+        return _run(e, p)
+    return _run(compile_tape((e,)), p)[0]
 
 
-def _eval_arg(a: Expr, p: Sequence[float], memo: dict[int, float]) -> float:
-    """Value of an argument: a leaf is read, any other node is taken
-    from ``memo`` or evaluated and stored there."""
-    op = a.op
-    if op == _COORD:
-        return float(p[a.index])
-    if op == _CONST:
-        return float(a.value)
-    key = id(a)
-    v = memo.get(key)
-    if v is None:
-        v = memo[key] = _eval_node(a, p, memo)
-    return v
+# Tape opcodes, in the order _run tests them.
+(
+    _T_MUL, _T_ADD, _T_NEG, _T_COORD, _T_POLE, _T_DIV, _T_POW,
+    _T_SIN, _T_COS, _T_EXP, _T_LOG, _T_CONST,
+) = range(12)
+_T_FUNC = {"sin": _T_SIN, "cos": _T_COS, "exp": _T_EXP, "log": _T_LOG}
 
 
-def _eval_node(e: Expr, p: Sequence[float], memo: dict[int, float]) -> float:
-    """Value of the non-leaf node ``e`` from the values of its
-    arguments; the caller stores it."""
-    op = e.op
-    if op == _DIV:
-        den = _eval_arg(e.args[1], p, memo)
-        if abs(den) < _POLE_TOL:
-            raise PoleError("division by (near-)zero", e)
-        return _eval_arg(e.args[0], p, memo) / den
-    # _eval_arg inlined: this loop runs once per node, and a call per
-    # argument costs as much as the arithmetic on small trees.
-    vals = []
-    for a in e.args:
-        aop = a.op
-        if aop == _COORD:
-            vals.append(float(p[a.index]))
-        elif aop == _CONST:
-            vals.append(float(a.value))
+class Tape:
+    """Straight-line code for a list of Exprs, from ``compile_tape``.
+
+    ``template`` holds one register per distinct subtree, the constants
+    already converted to float; ``code`` holds ``(opcode, dst, a, b,
+    node)`` instructions that fill the other registers in order, with
+    the node kept to name it in an error; ``out`` reads the entries'
+    registers off, in entry order.
+    """
+
+    __slots__ = ("template", "code", "out")
+
+    def __init__(self, template, code, outs):
+        self.template = template
+        self.code = code
+        self.out = _getter(tuple(outs))
+
+
+def compile_tape(exprs: Sequence[Expr]) -> Tape:
+    """Compile Exprs into one tape by value numbering.
+
+    A node's number is keyed by its op, the numbers of its arguments,
+    its exponent, and for leaves its index or its value's type and
+    value, so structurally equal subtrees get one register however
+    many entries share them, and no recursive ``Expr.__eq__`` runs.
+    A constant's key holds its type, and a float's exact bits, so
+    constants that compare equal but are not alike (``0`` and ``-0.0``;
+    ``1/2`` and ``0.5``, which print differently) never share one.
+
+    Entries are emitted in order, each depth first as ``evaluate``
+    walks it (a quotient: denominator, pole check, numerator, divide),
+    and a subtree at its first occurrence only.  Running the tape
+    therefore does each entry's arithmetic in ``evaluate``'s order, and
+    its first error is the first one a loop of ``evaluate`` over the
+    entries would raise, naming an equal subtree.
+    """
+    numbers: dict[tuple, int] = {}
+    by_id: dict[int, int] = {}  # the entries keep every node alive meanwhile
+    template: list[float] = []
+    code: list[tuple] = []
+    append = code.append
+
+    def emit(e: Expr) -> int:
+        """Register of ``e``, emitting its code first if it is new."""
+        op = e.op
+        if op == _CONST:
+            v = e.value
+            key = (_CONST, type(v), v.hex() if type(v) is float else v)
+            s = numbers.get(key)
+            if s is None:
+                s = numbers[key] = len(template)
+                try:
+                    template.append(float(v))
+                except OverflowError:  # raised in evaluation order instead
+                    template.append(0.0)
+                    append((_T_CONST, s, v, None, e))
+        elif op == _COORD:
+            key = (_COORD, e.index)
+            s = numbers.get(key)
+            if s is None:
+                s = numbers[key] = len(template)
+                template.append(0.0)
+                append((_T_COORD, s, e.index, None, e))
+        elif op == _DIV:
+            num, den = e.args
+            d = by_id.get(id(den))
+            if d is None:
+                d = emit(den)
+            append((_T_POLE, None, d, None, e))
+            n = by_id.get(id(num))
+            if n is None:
+                n = emit(num)
+            key = (_DIV, n, d)
+            s = numbers.get(key)
+            if s is not None:
+                # An equal quotient came first, so neither argument
+                # emitted anything and the pole check is the last line.
+                code.pop()
+            else:
+                s = numbers[key] = len(template)
+                template.append(0.0)
+                append((_T_DIV, s, n, d, e))
         else:
-            key = id(a)
-            v = memo.get(key)
-            if v is None:
-                v = memo[key] = _eval_node(a, p, memo)
-            vals.append(v)
-    if op == _MUL:
-        r = 1.0
-        for v in vals:
-            r *= v
-        return r
-    if op == _ADD:
-        try:
-            return math.fsum(vals)
-        except (ValueError, OverflowError):
-            raise DomainError("non-finite sum", e) from None
-    (a,) = vals
-    if op == _POW:
-        if e.exponent < 0 and abs(a) < _POLE_TOL:
-            raise PoleError("negative power of (near-)zero", e)
-        try:
-            return a**e.exponent
-        except OverflowError:
-            raise DomainError("power overflow", e) from None
-    if op == _NEG:
-        return -a
-    if op == "sin" or op == "cos":
-        try:
-            return math.sin(a) if op == "sin" else math.cos(a)
-        except ValueError:
-            raise DomainError(f"{op} of an infinite argument", e) from None
-    if op == "exp":
-        if a > 700.0:
-            raise DomainError("exp overflow", e)
-        return math.exp(a)
-    if op == "log":
-        if a <= 0.0:
-            raise DomainError("log of nonpositive argument", e)
-        return math.log(a)
-    raise ValueError(f"unknown node {op!r}")
+            args = []
+            for a in e.args:
+                s = by_id.get(id(a))
+                args.append(emit(a) if s is None else s)
+            args = tuple(args)
+            key = (op, args, e.exponent)
+            s = numbers.get(key)
+            if s is None:
+                s = numbers[key] = len(template)
+                template.append(0.0)
+                if op == _MUL:
+                    append((_T_MUL, s, _getter(args), None, e))
+                elif op == _ADD:
+                    append((_T_ADD, s, _getter(args), None, e))
+                elif op == _POW:
+                    append((_T_POW, s, args[0], e.exponent, e))
+                elif op == _NEG:
+                    append((_T_NEG, s, args[0], None, e))
+                elif op in _T_FUNC:
+                    append((_T_FUNC[op], s, args[0], None, e))
+                else:
+                    raise ValueError(f"unknown node {op!r}")
+        by_id[id(e)] = s
+        return s
+
+    outs = []
+    for e in exprs:
+        s = by_id.get(id(e))
+        outs.append(emit(e) if s is None else s)
+    # emit reaches itself through its closure; without this the work
+    # tables stay alive until a full garbage collection.
+    del emit
+    return Tape(template, code, outs)
 
 
-def gradient(e: Expr, dim: int) -> tuple[Expr, ...]:
-    return tuple(differentiate(e, i) for i in range(dim))
+def _getter(slots: tuple[int, ...]):
+    """Reads the registers ``slots`` as a tuple (``itemgetter`` alone
+    gives a bare value for one slot and refuses none)."""
+    if len(slots) > 1:
+        return itemgetter(*slots)
+    return lambda r: tuple(r[k] for k in slots)
+
+
+def _run(tape: Tape, p: Sequence[float]) -> tuple[float, ...]:
+    """The values of a tape's entries at a point: one pass over its
+    code, bit for bit ``evaluate`` on each entry, raising the first
+    error a loop of ``evaluate`` over the entries would raise."""
+    r = tape.template[:]
+    for op, d, a, b, e in tape.code:
+        if op == _T_MUL:
+            # Left to right from 1.0 in doubles, as ``r *= v`` would.
+            r[d] = math.prod(a(r), start=1.0)
+        elif op == _T_ADD:
+            try:
+                r[d] = math.fsum(a(r))
+            except (ValueError, OverflowError):
+                raise DomainError("non-finite sum", e) from None
+        elif op == _T_NEG:
+            r[d] = -r[a]
+        elif op == _T_COORD:
+            r[d] = float(p[a])
+        elif op == _T_POLE:
+            if abs(r[a]) < _POLE_TOL:
+                raise PoleError("division by (near-)zero", e)
+        elif op == _T_DIV:
+            r[d] = r[a] / r[b]
+        elif op == _T_POW:
+            x = r[a]
+            if b < 0 and abs(x) < _POLE_TOL:
+                raise PoleError("negative power of (near-)zero", e)
+            try:
+                r[d] = x**b
+            except OverflowError:
+                raise DomainError("power overflow", e) from None
+        elif op == _T_SIN or op == _T_COS:
+            try:
+                r[d] = math.sin(r[a]) if op == _T_SIN else math.cos(r[a])
+            except ValueError:
+                raise DomainError(f"{e.op} of an infinite argument", e) from None
+        elif op == _T_EXP:
+            x = r[a]
+            if x > 700.0:
+                raise DomainError("exp overflow", e)
+            r[d] = math.exp(x)
+        elif op == _T_LOG:
+            x = r[a]
+            if x <= 0.0:
+                raise DomainError("log of nonpositive argument", e)
+            r[d] = math.log(x)
+        else:  # _T_CONST: a constant float() overflows on
+            r[d] = float(a)
+    return tape.out(r)
 
 
 def substitute(e: Expr, mapping: Mapping[int, Expr]) -> Expr:
@@ -875,6 +983,7 @@ def expr_equal(
     side fails to evaluate (poles) are resampled; a NaN or inf value on
     either side means the expressions are not equal."""
     rng = np.random.default_rng(seed)
+    tape = compile_tape((a, b))
     checked = 0
     attempts = 0
     while checked < n_points:
@@ -883,8 +992,7 @@ def expr_equal(
             raise EvalError("could not find enough pole-free sample points", a)
         p = _sample_point(chart, rng)
         try:
-            va = evaluate(a, p)
-            vb = evaluate(b, p)
+            va, vb = evaluate(tape, p)
         except EvalError:
             continue
         if not (math.isfinite(va) and math.isfinite(vb)):

@@ -19,7 +19,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .algebroid import (
     IdealBundle,
@@ -60,6 +59,24 @@ __all__ = [
     "FlowRegionError",
     "StepSizeWarning",
 ]
+
+
+class _LazyExpm:
+    """``scipy.linalg.expm``, imported on the first call: scipy.linalg
+    takes about half of the package's import time, and only the flows
+    here need it."""
+
+    fn = None
+
+    def __call__(self, a):
+        if self.fn is None:
+            from scipy.linalg import expm as fn
+
+            self.fn = fn
+        return self.fn(a)
+
+
+expm = _LazyExpm()
 
 
 class StepSizeWarning(UserWarning):

@@ -315,26 +315,41 @@ def _connection_residual(form, plan: SamplePlan, n_points: int = 30) -> float:
 
 class _SectionData:
     """Values and first and second partials of a section's
-    coefficients, and its anchor image with first partials."""
+    coefficients, and its anchor image with first partials, as one
+    point map evaluated once per point."""
 
     def __init__(self, A: LieAlgebroid, alpha: Section):
         self.n = n = A.chart.dim
-        self.val = PointMap.exact(alpha.components)
-        self.jac = PointMap.exact(
-            [[differentiate(c, j) for j in range(n)] for c in alpha.components]
+        self.r = len(alpha.components)
+        dirs = range(n)
+        jac = [differentiate(c, j) for c in alpha.components for j in dirs]
+        rho = A.rho_of(alpha)
+        # In the order at() returns them, the Hessian and the anchor
+        # partials direction-major: the first evaluation error is that
+        # of evaluating the five arrays in turn, each by direction.
+        self.map = PointMap.exact(
+            [
+                *alpha.components,
+                *jac,
+                *(differentiate(x, i) for i in dirs for x in jac),
+                *rho,
+                *(differentiate(x, j) for j in dirs for x in rho),
+            ]
         )
-        self.rho = PointMap.exact(A.rho_of(alpha))
 
     def at(self, p):
         """(val, jac, hess, rho, drho) at p; the last index of jac, hess
         and drho is the differentiation direction."""
-        dirs = range(self.n)
+        n, r = self.n, self.r
+        v = self.map.value(p)
+        j, h, d = r, r + r * n, r + r * n + n * r * n
+        # Copies, so each array owns its C-ordered buffer as before.
         return (
-            self.val.value(p),
-            self.jac.value(p),
-            np.stack([self.jac.partial(i, p) for i in dirs], axis=-1),
-            self.rho.value(p),
-            np.stack([self.rho.partial(j, p) for j in dirs], axis=-1),
+            v[:j].copy(),
+            v[j:h].reshape(r, n).copy(),
+            v[h:d].reshape(n, r, n).transpose(1, 2, 0).copy(),
+            v[d : d + n].copy(),
+            v[d + n :].reshape(n, n).T.copy(),
         )
 
 

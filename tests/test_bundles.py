@@ -338,16 +338,20 @@ def test_point_map_sup_passes_pole_errors_through():
 
 def test_only_point_map_exact_evaluates_outside_expr():
     """Every Expr array reaches numbers through ``PointMap.exact``: no
-    module of the package but ``expr`` calls ``evaluate`` elsewhere, so
-    a batched evaluator has one place to plug into."""
+    module of the package but ``expr`` calls ``compile_tape`` or
+    ``evaluate`` except ``PointMap.exact``, which compiles its entries
+    and runs the tape through ``evaluate``, so the tape is the one
+    evaluation path."""
     import ast
     from pathlib import Path
 
     import algebroids
 
+    names = ("compile_tape", "evaluate")
+
     class Scan(ast.NodeVisitor):
         def __init__(self, path):
-            self.path, self.scope, self.allowed, self.stray = path, [], 0, []
+            self.path, self.scope, self.allowed, self.stray = path, [], set(), []
 
         def _nested(self, node):
             self.scope.append(node.name)
@@ -358,24 +362,25 @@ def test_only_point_map_exact_evaluates_outside_expr():
 
         def visit_ImportFrom(self, node):
             for alias in node.names:
-                if alias.name == "evaluate" and alias.asname not in (None, "evaluate"):
-                    self.stray.append(f"{self.path.name}:{node.lineno} imports evaluate as {alias.asname}")
+                if alias.name in names and alias.asname not in (None, alias.name):
+                    self.stray.append(f"{self.path.name}:{node.lineno} imports {alias.name} as {alias.asname}")
 
         def visit_Call(self, node):
             f = node.func
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
-            if name == "evaluate":
+            where = f"{self.path.name}:{node.lineno} in {'.'.join(self.scope)}"
+            if name in names:
                 if self.path.name == "bundles.py" and self.scope[:2] == ["PointMap", "exact"]:
-                    self.allowed += 1
+                    self.allowed.add(name)
                 else:
-                    self.stray.append(f"{self.path.name}:{node.lineno} in {'.'.join(self.scope)}")
+                    self.stray.append(where)
             self.generic_visit(node)
 
-    allowed, stray = 0, []
+    allowed, stray = set(), []
     for path in sorted(Path(algebroids.__file__).parent.glob("*.py")):
         if path.name != "expr.py":
             scan = Scan(path)
             scan.visit(ast.parse(path.read_text(), str(path)))
-            allowed, stray = allowed + scan.allowed, stray + scan.stray
+            allowed, stray = allowed | scan.allowed, stray + scan.stray
     assert stray == []
-    assert allowed >= 1
+    assert allowed == set(names)

@@ -1,14 +1,17 @@
 """Tests for the expression core: grammar, differentiation, evaluation,
 folding, and the finite-difference cross-check."""
 
+import gc
 import math
 import struct
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from algebroids import expr
+from algebroids.bundles import PointMap
 from algebroids.expr import (
     Chart,
     CoordinateRangeError,
@@ -224,6 +227,98 @@ def test_evaluate_matches_tree_walk():
                 kind = want[0] if isinstance(want, tuple) else "nan" if want == "nan" else "value"
                 seen[kind] += 1
     assert min(seen.values()) >= 10, seen
+
+
+def _clone(e, memo=None):
+    """A structurally equal copy of ``e`` that shares no node with it."""
+    memo = {} if memo is None else memo
+    c = memo.get(id(e))
+    if c is None:
+        args = tuple(_clone(a, memo) for a in e.args)
+        c = memo[id(e)] = expr.Expr(e.op, args, e.value, e.index, e.exponent)
+    return c
+
+
+def _entries_outcome(entries, p):
+    """The tree walk of each entry in order: every value as its bit
+    pattern, or the first error by class and subtree text."""
+    out = []
+    for e in entries:
+        v = _outcome(_tree_walk, e, p)
+        if isinstance(v, tuple):
+            return v
+        out.append(v)
+    return out
+
+
+def _point_map_outcome(rows, p):
+    try:
+        vals = PointMap.exact(rows).value(p)
+    except expr.EvalError as err:
+        return type(err).__name__, to_str(err.subtree)
+    return ["nan" if math.isnan(v) else struct.pack("<d", v) for v in vals.flat]
+
+
+def test_point_map_exact_matches_tree_walk_across_entries():
+    # One tape per map: entries share subtrees by identity and by
+    # structure only, constants of equal value but of another type
+    # stay apart (1/2 and 0.5, 0 and -0.0), and a quotient's pole is
+    # found before its numerator's domain error.  Values bit for bit,
+    # and the first error in row-major order by class and subtree.
+    rng = np.random.default_rng(77)
+    x1, x2 = coord(0), coord(1)
+    gap = add(x1, neg(x2))
+    float_half = expr.Expr("const", value=0.5)
+    float_zero = expr.Expr("const", value=-0.0)
+    special = [
+        mul(const(Fraction(1, 2)), x1),
+        mul(float_half, x1),
+        log(mul(float_half, gap)),
+        const(0),
+        float_zero,
+        mul(float_zero, x2),
+        div(log(gap), mul(const(3), gap)),
+        div(log(_clone(gap)), mul(const(3), _clone(gap))),
+    ]
+    grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    seen = {"value": 0, "PoleError": 0, "DomainError": 0}
+    for _ in range(150):
+        dag = _random_dag(rng, CH2, steps=10)
+        pool = dag + [_clone(e) for e in dag] + special
+        flat = [pool[int(k)] for k in rng.permutation(len(pool))[:12]]
+        rows = [flat[:6], flat[6:]]
+        for _ in range(4):
+            p = rng.choice(grid, size=2) if rng.uniform() < 0.5 else rng.uniform(-1, 1, size=2)
+            want = _entries_outcome(flat, p)
+            assert _point_map_outcome(rows, p) == want, [to_str(e) for e in flat]
+            seen["value" if isinstance(want, list) else want[0]] += 1
+    for p in ([0.5, 0.5], [-1.0, -1.0]):
+        entries = [special[0], special[3], special[4], special[6]]
+        want = _entries_outcome(entries, p)
+        assert want == ("PoleError", "log(x1 - x2)/(3*(x1 - x2))")
+        assert _point_map_outcome([entries], p) == want
+    assert seen["value"] >= 50 and seen["PoleError"] >= 20 and seen["DomainError"] >= 20, seen
+
+
+def test_evaluate_runs_a_compiled_tape():
+    # A tape of many entries gives, in entry order, each entry's own value.
+    entries = [parse("x1*x2 + sin(x1*x2)", CH2), parse("x1*x2", CH2), parse("1/2", CH2), parse("x2", CH2)]
+    p = [0.3, -1.7]
+    assert evaluate(expr.compile_tape(entries), p) == tuple(evaluate(e, p) for e in entries)
+
+
+def test_compile_tape_frees_its_work_tables_on_return():
+    # A reference cycle would keep the value-numbering tables, as large
+    # as the tape, until a full collection (+2.2 MB peak RSS in a
+    # lie-functor run on so3).
+    entries = [parse("x1*x2 + sin(x1*x2)", CH2), parse("1/(x1 + x2)", CH2)]
+    gc.collect()
+    gc.disable()
+    try:
+        expr.compile_tape(entries)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_evaluate_shared_subtrees_once():

@@ -369,6 +369,18 @@ def test_console_entry_point():
     assert json.loads(out.stdout)["pass"] is True
 
 
+def test_importing_the_cli_does_not_load_scipy():
+    # Only the groupoid flows need scipy.linalg, which is about half of
+    # every CLI process's import time; it loads on the first expm call.
+    snippet = (
+        "import sys, algebroids.cli;"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_operation_coverage():
     # Every module operation is reachable from at least one subcommand.
     operations = {
