@@ -559,10 +559,11 @@ def evaluate(e: Expr | Tape, p: Sequence[float]) -> float | tuple[float, ...]:
 
     Raises PoleError for division by a near-zero denominator and
     DomainError for log of a nonpositive argument and for a result the
-    float arithmetic cannot represent (exp or power overflow, an
-    overflowing or inf - inf sum, sin/cos of inf), each reporting the
-    offending subtree.  NaN produced by plain float arithmetic (such as
-    inf * 0) is returned as is; the residual checkers fail on it.
+    float arithmetic cannot represent (a constant beyond the float
+    range, exp or power overflow, an overflowing or inf - inf sum,
+    sin/cos of inf), each reporting the offending subtree.  NaN
+    produced by plain float arithmetic (such as inf * 0) is returned as
+    is; the residual checkers fail on it.
     """
     if isinstance(e, Tape):
         return _run(e, p)
@@ -632,7 +633,7 @@ def compile_tape(exprs: Sequence[Expr]) -> Tape:
                     template.append(float(v))
                 except OverflowError:  # raised in evaluation order instead
                     template.append(0.0)
-                    append((_T_CONST, s, v, None, e))
+                    append((_T_CONST, s, None, None, e))
         elif op == _COORD:
             key = (_COORD, e.index)
             s = numbers.get(key)
@@ -749,8 +750,8 @@ def _run(tape: Tape, p: Sequence[float]) -> tuple[float, ...]:
             if x <= 0.0:
                 raise DomainError("log of nonpositive argument", e)
             r[d] = math.log(x)
-        else:  # _T_CONST: a constant float() overflows on
-            r[d] = float(a)
+        else:  # _T_CONST: a constant whose float() overflows
+            raise DomainError("constant beyond the float range", e)
     return tape.out(r)
 
 

@@ -79,6 +79,30 @@ class _LazyExpm:
 expm = _LazyExpm()
 
 
+class _Flows:
+    """The constant flows exp(s U_mu) of the algebra basis, each
+    computed once, on first use, and keyed by (mu, s): the steps are
+    nonzero floats, which compare equal only when bit for bit equal."""
+
+    def __init__(self, group: MatrixGroup):
+        self._basis = group.basis
+        self._table: dict[tuple[int, float], np.ndarray] = {}
+
+    def __call__(self, mu: int, s: float) -> np.ndarray:
+        key = (mu, float(s))
+        f = self._table.get(key)
+        if f is None:
+            f = self._table[key] = expm(s * self._basis[mu])
+        return f
+
+
+def _exact_key(*arrays) -> tuple[bytes, ...]:
+    """Dictionary key of float arrays by their exact bytes: two keys are
+    equal only when every entry is bit for bit equal, so a memo on them
+    never returns a value computed at another point."""
+    return tuple(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
 class StepSizeWarning(UserWarning):
     """Halving the finite-difference step moved the result by more than
     an order of magnitude: the step is in a noise-dominated regime."""
@@ -465,13 +489,13 @@ def connection_from_splitting(
 
     # The splitting depends on the point only: evaluate it once per
     # distinct point, not once per tangent vector.
-    l_at: dict[bytes, np.ndarray] = {}
+    l_at: dict[tuple[bytes, ...], np.ndarray] = {}
 
     def evaluator(g, x, T):
         xi, _w = T
         v = gpd.group.coords(np.linalg.solve(g, xi))
         x = np.asarray(x, dtype=float)
-        key = x.tobytes()
+        key = _exact_key(x)
         lx = l_at.get(key)
         if lx is None:
             lx = l_at[key] = l_val(x)
@@ -552,11 +576,11 @@ def _w_basis_tangent(gpd: ActionGroupoid, g, mu: int):
     return (np.zeros((gpd.group.N, gpd.group.N)), w)
 
 
-def _move(gpd: ActionGroupoid, g, x, mu: int, s: float):
+def _move(gpd: ActionGroupoid, g, x, mu: int, s: float, flows: _Flows):
     """Arrow (g, x) moved by s along the mu-th stock vector field."""
     d = gpd.group.dim
     if mu < d:
-        return g @ expm(s * gpd.group.basis[mu]), np.asarray(x, dtype=float)
+        return g @ flows(mu, s), np.asarray(x, dtype=float)
     y = np.asarray(x, dtype=float).copy()
     y[mu - d] += s
     return g, y
@@ -576,26 +600,40 @@ def d_nabla_s(
 ) -> MultForm:
     """Covariant exterior derivative (no horizontal projection) of a
     degree-1 form with respect to the source-pullback of a fiber
-    connection, by central differences along the stock vector fields."""
+    connection, by central differences along the stock vector fields.
+
+    The m x m table of values on the stock fields depends on the arrow
+    only, so it is memoized by the arrow's exact bytes.  The memo holds
+    one Bianchi stencil (an arrow and its 2m moves) and is emptied when
+    full.  This relies on omega being a pure function of its arguments.
+    """
     if omega.degree != 1:
         raise ValueError("only degree-1 forms are differentiated here")
     d, n = gpd.group.dim, gpd.chart.dim
     m = d + n
+    flows = _Flows(gpd.group)
+    memo: dict[tuple[bytes, ...], np.ndarray] = {}
 
     def matrix(g, x):
         x = np.asarray(x, dtype=float)
+        key = _exact_key(g, x)
+        out = memo.get(key)
+        if out is not None:
+            return out
         vals = [omega(g, x, _w_basis_tangent(gpd, g, nu)) for nu in range(m)]
+        moved = [
+            (_move(gpd, g, x, mu, step, flows), _move(gpd, g, x, mu, -step, flows))
+            for mu in range(m)
+        ]
         out = np.zeros((m, m, gpd.k))
         for mu in range(m):
             for nu in range(mu + 1, m):
-                gm, xm = _move(gpd, g, x, mu, step)
-                gm2, xm2 = _move(gpd, g, x, mu, -step)
+                (gm, xm), (gm2, xm2) = moved[mu]
                 dmu = (
                     omega(gm, xm, _w_basis_tangent(gpd, gm, nu))
                     - omega(gm2, xm2, _w_basis_tangent(gpd, gm2, nu))
                 ) / (2 * step)
-                gn, xn = _move(gpd, g, x, nu, step)
-                gn2, xn2 = _move(gpd, g, x, nu, -step)
+                (gn, xn), (gn2, xn2) = moved[nu]
                 dnu = (
                     omega(gn, xn, _w_basis_tangent(gpd, gn, mu))
                     - omega(gn2, xn2, _w_basis_tangent(gpd, gn2, mu))
@@ -614,6 +652,10 @@ def d_nabla_s(
                             val -= fc[c] * vals[c]
                 out[mu, nu] = val
                 out[nu, mu] = -val
+        out.flags.writeable = False
+        if len(memo) >= 2 * m + 1:
+            memo.clear()
+        memo[key] = out
         return out
 
     def evaluator(g, x, T1, T2):
@@ -689,6 +731,7 @@ def covariant_exterior_D(
         raise ValueError("degree must be 1 or 2")
 
     m = gpd.group.dim + gpd.chart.dim
+    flows = _Flows(gpd.group)
 
     def evaluator(g, x, T1, T2, T3):
         x = np.asarray(x, dtype=float)
@@ -705,7 +748,7 @@ def covariant_exterior_D(
                     if coef == 0.0:
                         continue
                     total += coef * _d2_component(
-                        gpd, omega, conn, g, x, mu, nu, lam, step
+                        gpd, omega, conn, g, x, mu, nu, lam, step, flows
                     )
         return total
 
@@ -723,7 +766,7 @@ def _perm3():
     ]
 
 
-def _d2_component(gpd, omega, conn, g, x, mu, nu, lam, step):
+def _d2_component(gpd, omega, conn, g, x, mu, nu, lam, step, flows):
     """One component of the covariant differential of a 2-form on the
     stock fields (coordinate-like, with group-group brackets)."""
     d = gpd.group.dim
@@ -738,8 +781,8 @@ def _d2_component(gpd, omega, conn, g, x, mu, nu, lam, step):
         [(mu, (nu, lam)), (nu, (mu, lam)), (lam, (mu, nu))]
     ):
         sgn = (-1.0) ** t
-        gp, xp = _move(gpd, g, x, a, step)
-        gm, xm = _move(gpd, g, x, a, -step)
+        gp, xp = _move(gpd, g, x, a, step, flows)
+        gm, xm = _move(gpd, g, x, a, -step, flows)
         dval = (omega_on(gp, xp, *rest) - omega_on(gm, xm, *rest)) / (2 * step)
         if a >= d:
             dval += conn.gamma_value(a - d, x) @ omega_on(g, x, *rest)
@@ -865,6 +908,7 @@ def differentiate_to_im(
 
     # Column a of P: the a-th adapted frame element in the group basis.
     frame = [PointMap.exact([P[b][a] for b in range(d)]) for a in range(d)]
+    flows = _Flows(gpd.group)
 
     def l_const(v: np.ndarray, x) -> np.ndarray:
         """Symbol on the constant section with coordinates v, at x."""
@@ -876,22 +920,30 @@ def differentiate_to_im(
         (n x k) array of flow derivatives (the finite-difference stencil
         in the flow parameter)."""
         x = np.asarray(x, dtype=float)
-        Umat = gpd.group.basis[b]
 
         def F(t: np.ndarray) -> np.ndarray:
             eps = t[0]
-            ge = expm(eps * Umat)
-            gi = expm(-eps * Umat)
+            ge = flows(b, eps)
+            gi = flows(b, -eps)
             y = gpd.act(gi, x)
             if not gpd.chart.contains(y, pad=region_pad):
                 raise FlowRegionError(
                     "left-invariant flow left the padded sampling region"
                 )
             J = gpd.act_jac_x(gi, x)  # columns: d(exp(-eps u).x)/dx_i
+            # Push each value over y through the arrow (ge, y): adjoint
+            # action on its algebra vector, coefficients over ge.y.  The
+            # adjoint takes inv(ge), not gi: the two need not agree to
+            # the last bit.
+            Fy = gpd.kframe(y)
+            ge_inv = np.linalg.inv(ge)
+            Fz = gpd.kframe(gpd.act(ge, y))
             out = np.zeros((n, k))
             for i in range(n):
                 val = alpha(ge, y, (np.zeros((N, N)), J[:, i]))
-                out[i] = _twist_by(gpd, ge, y, val)
+                V = gpd.group.to_matrix(Fy @ val)
+                w = gpd.group.coords(ge @ V @ ge_inv)
+                out[i] = np.linalg.lstsq(Fz, w, rcond=None)[0]
             return out
 
         return fd_partial(F, 0, [0.0], max(step, 1e-3))
@@ -904,7 +956,7 @@ def differentiate_to_im(
     cache: dict = {}
 
     def L_const_cached(b, x):
-        key = (b, tuple(np.round(np.asarray(x, dtype=float), 12)))
+        key = (b, _exact_key(x))
         if key not in cache:
             cache[key] = L_const(b, x)
         return cache[key]
@@ -920,14 +972,6 @@ def differentiate_to_im(
         return out
 
     return NumericIMOneForm(A, ideal, sym_fn, op_fn_cached, fd_step=5e-4)
-
-
-def _twist_by(gpd: ActionGroupoid, g, y, coeffs_at_y: np.ndarray) -> np.ndarray:
-    """Push coefficients over y through the arrow (g, y): adjoint on the
-    underlying algebra vector, re-coefficiented over g.y."""
-    w = gpd.kframe(y) @ np.asarray(coeffs_at_y)
-    w_fwd = gpd.group.ad_action(g, w)
-    return gpd.kcoords(gpd.act(g, y), w_fwd)
 
 
 def numeric_extract_coupling(

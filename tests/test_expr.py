@@ -113,6 +113,15 @@ def test_evaluate_examples():
             evaluate(parse(text, CH2), [1.0, 1.0])
 
 
+def test_constant_beyond_the_float_range_is_a_domain_error():
+    # float() of 10^400 overflows: evaluation must raise a DomainError
+    # naming the constant, not a bare OverflowError.
+    big = const(Fraction(10**400))
+    with pytest.raises(DomainError, match="beyond the float range") as ei:
+        evaluate(mul(big, coord(0)), [1.0])
+    assert ei.value.subtree is big
+
+
 def _tree_walk(e, p):
     """Reference evaluator: the plain recursive walk of the whole tree,
     which re-evaluates every shared subtree where it occurs."""

@@ -368,3 +368,311 @@ def test_differentiate_to_im_so3(radial_model):
                     ),
                 )
     assert worst < 1e-6
+
+
+# The stencils as they were written before each was built once: every
+# table, move, flow and twist is rebuilt on every call, and flows call
+# scipy's expm directly.  The groupoid module must agree with them bit
+# for bit, memo hits and memo clears included.
+
+
+def _ref_move(gpd, g, x, mu, s):
+    from scipy.linalg import expm
+
+    d = gpd.group.dim
+    if mu < d:
+        return g @ expm(s * gpd.group.basis[mu]), np.asarray(x, dtype=float)
+    y = np.asarray(x, dtype=float).copy()
+    y[mu - d] += s
+    return g, y
+
+
+def _ref_matrix(gpd, omega, conn, step, g, x):
+    from algebroids.groupoid import _w_basis_tangent
+
+    d, n = gpd.group.dim, gpd.chart.dim
+    m = d + n
+    x = np.asarray(x, dtype=float)
+    vals = [omega(g, x, _w_basis_tangent(gpd, g, nu)) for nu in range(m)]
+    out = np.zeros((m, m, gpd.k))
+    for mu in range(m):
+        for nu in range(mu + 1, m):
+            gm, xm = _ref_move(gpd, g, x, mu, step)
+            gm2, xm2 = _ref_move(gpd, g, x, mu, -step)
+            dmu = (
+                omega(gm, xm, _w_basis_tangent(gpd, gm, nu))
+                - omega(gm2, xm2, _w_basis_tangent(gpd, gm2, nu))
+            ) / (2 * step)
+            gn, xn = _ref_move(gpd, g, x, nu, step)
+            gn2, xn2 = _ref_move(gpd, g, x, nu, -step)
+            dnu = (
+                omega(gn, xn, _w_basis_tangent(gpd, gn, mu))
+                - omega(gn2, xn2, _w_basis_tangent(gpd, gn2, mu))
+            ) / (2 * step)
+            val = dmu - dnu
+            if mu >= d:
+                val += conn.gamma_value(mu - d, x) @ vals[nu]
+            if nu >= d:
+                val -= conn.gamma_value(nu - d, x) @ vals[mu]
+            if mu < d and nu < d:
+                fc = gpd.group.structure[mu, nu]
+                for c in range(d):
+                    if fc[c] != 0.0:
+                        val -= fc[c] * vals[c]
+            out[mu, nu] = val
+            out[nu, mu] = -val
+    return out
+
+
+def _ref_d_nabla_s(gpd, omega, conn, step=1e-5):
+    from algebroids.groupoid import _coords_in_w_basis
+
+    def evaluator(g, x, T1, T2):
+        M = _ref_matrix(gpd, omega, conn, step, g, x)
+        c1 = _coords_in_w_basis(gpd, g, T1)
+        c2 = _coords_in_w_basis(gpd, g, T2)
+        return np.einsum("m,n,mnk->k", c1, c2, M)
+
+    return evaluator
+
+
+def _ref_curvature(gpd, omega, conn, alpha, step=1e-5):
+    """Degree-1 covariant exterior derivative of omega, projected by the
+    connection form alpha."""
+    from algebroids.groupoid import horizontal_projection
+
+    h = horizontal_projection(gpd, alpha)
+    dnabla = _ref_d_nabla_s(gpd, omega, conn, step)
+    return lambda g, x, T1, T2: dnabla(g, x, h(g, x, T1), h(g, x, T2))
+
+
+def _ref_d2_component(gpd, omega, conn, g, x, mu, nu, lam, step):
+    from algebroids.groupoid import _w_basis_tangent
+
+    d = gpd.group.dim
+
+    def omega_on(gg, xx, a, b):
+        return omega(gg, xx, _w_basis_tangent(gpd, gg, a), _w_basis_tangent(gpd, gg, b))
+
+    total = np.zeros(gpd.k)
+    for t, (a, rest) in enumerate([(mu, (nu, lam)), (nu, (mu, lam)), (lam, (mu, nu))]):
+        sgn = (-1.0) ** t
+        gp, xp = _ref_move(gpd, g, x, a, step)
+        gm, xm = _ref_move(gpd, g, x, a, -step)
+        dval = (omega_on(gp, xp, *rest) - omega_on(gm, xm, *rest)) / (2 * step)
+        if a >= d:
+            dval += conn.gamma_value(a - d, x) @ omega_on(g, x, *rest)
+        total += sgn * dval
+    pairs = [((mu, nu), lam, 1.0), ((mu, lam), nu, -1.0), ((nu, lam), mu, 1.0)]
+    for (a, b), other, sgn in pairs:
+        if a < d and b < d:
+            fc = gpd.group.structure[a, b]
+            for c in range(d):
+                if fc[c] != 0.0:
+                    total -= sgn * fc[c] * omega_on(g, x, c, other)
+    return total
+
+
+def _ref_bianchi(gpd, Omega, conn, alpha, step):
+    """Degree-2 covariant exterior derivative of Omega."""
+    from algebroids.groupoid import _coords_in_w_basis, _perm3, horizontal_projection
+
+    h = horizontal_projection(gpd, alpha)
+    m = gpd.group.dim + gpd.chart.dim
+
+    def evaluator(g, x, T1, T2, T3):
+        x = np.asarray(x, dtype=float)
+        cs = [_coords_in_w_basis(gpd, g, h(g, x, T)) for T in (T1, T2, T3)]
+        total = np.zeros(gpd.k)
+        for mu in range(m):
+            for nu in range(mu + 1, m):
+                for lam in range(nu + 1, m):
+                    coef = 0.0
+                    for (i, j, kk), sgn in _perm3():
+                        coef += sgn * cs[i][mu] * cs[j][nu] * cs[kk][lam]
+                    if coef == 0.0:
+                        continue
+                    total += coef * _ref_d2_component(
+                        gpd, Omega, conn, g, x, mu, nu, lam, step
+                    )
+        return total
+
+    return evaluator
+
+
+def _ref_L_const(gpd, alpha, b, x, step=1e-5, region_pad=1.0):
+    from scipy.linalg import expm
+
+    from algebroids.imforms import fd_partial
+
+    n, k, N = gpd.chart.dim, gpd.k, gpd.group.N
+    x = np.asarray(x, dtype=float)
+    Umat = gpd.group.basis[b]
+
+    def F(t):
+        eps = t[0]
+        ge = expm(eps * Umat)
+        gi = expm(-eps * Umat)
+        y = gpd.act(gi, x)
+        J = gpd.act_jac_x(gi, x)
+        out = np.zeros((n, k))
+        for i in range(n):
+            val = alpha(ge, y, (np.zeros((N, N)), J[:, i]))
+            w = gpd.kframe(y) @ np.asarray(val)
+            out[i] = gpd.kcoords(gpd.act(ge, y), gpd.group.ad_action(ge, w))
+        return out
+
+    return fd_partial(F, 0, [0.0], max(step, 1e-3))
+
+
+def _ref_op_value(gpd, alpha, a, i, x):
+    from algebroids.bundles import PointMap
+
+    _, _, P = gpd.action_algebroid()
+    d, k = gpd.group.dim, gpd.k
+    I = np.eye(gpd.group.N)
+    x = np.asarray(x, dtype=float)
+    col = PointMap.exact([P[b][a] for b in range(d)])
+    out = np.zeros(k)
+    Pa, dPa = col.value(x), col.partial(i, x)
+    for b in range(d):
+        if Pa[b] != 0.0:
+            out += Pa[b] * _ref_L_const(gpd, alpha, b, x)[i]
+        if dPa[b] != 0.0:
+            v = np.eye(d)[b]
+            w = -gpd.action_field(v, x)
+            out += dPa[b] * alpha(I, x, (gpd.group.to_matrix(v), w))
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _stencil_cases(gpd, n_distinct, seed):
+    """Arrows with tangents: n_distinct random arrows, the first one
+    twice in a row (a memo hit), one more at the first arrow's point
+    under another group element (a memo keyed by the point alone would
+    answer it from the first), then the first one twice again (once
+    more arrows than the memo holds have passed, a recomputation, then
+    a hit)."""
+    rng = np.random.default_rng(seed)
+    arrows = [gpd.sample_arrow(rng) for _ in range(n_distinct)]
+    arrows.insert(1, arrows[0])
+    arrows.append((gpd.group.random_element(rng), arrows[0][1]))
+    arrows += arrows[:2]
+    return [
+        (g, x, [gpd.sample_tangent(g, rng) for _ in range(3)]) for g, x in arrows
+    ]
+
+
+def _tilted(gpd, alpha):
+    """alpha plus a term that depends on the group element."""
+    return MultForm(
+        gpd, 1, lambda g, x, T: alpha(g, x, T) + g[0, 1] * np.asarray(T[1])[0]
+    )
+
+
+@pytest.mark.parametrize("model", ["so2", "so3"])
+def test_d_nabla_s_and_curvature_match_the_unshared_stencil(model):
+    gpd = so2_groupoid() if model == "so2" else so3_radial_groupoid()
+    m = gpd.group.dim + gpd.chart.dim
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    conn = gpd.induced_connection()
+    # More distinct arrows than the memo holds (2m + 1), so it is emptied.
+    cases = _stencil_cases(gpd, 2 * m + 2, seed=8)
+    for form in (alpha, _tilted(gpd, alpha)):
+        new = d_nabla_s(gpd, form, conn)
+        ref = _ref_d_nabla_s(gpd, form, conn)
+        for g, x, (T1, T2, _) in cases:
+            assert _same_bits(new(g, x, T1, T2), ref(g, x, T1, T2))
+
+    # One table costs m + 2m(m - 1) form values; a hit costs none.
+    calls = []
+    counted = MultForm(gpd, 1, lambda g, x, T: calls.append(1) or alpha(g, x, T))
+    new = d_nabla_s(gpd, counted, conn)
+    per_table = m + 2 * m * (m - 1)
+    seen = []
+    for g, x, (T1, T2, _) in cases:
+        before = len(calls)
+        new(g, x, T1, T2)
+        seen.append((len(calls) - before) // per_table)
+    assert seen == [1, 0] + [1] * (2 * m + 2) + [1, 0]
+    Om = covariant_exterior_D(gpd, alpha, conn)
+    Om_ref = _ref_curvature(gpd, alpha, conn, alpha)
+    for g, x, (T1, T2, _) in cases:
+        assert _same_bits(Om(g, x, T1, T2), Om_ref(g, x, T1, T2))
+
+
+@pytest.mark.parametrize("model", ["so2", "so3"])
+def test_bianchi_matches_the_unshared_stencil(model):
+    # so2 acting trivially on the plane, so that m = 3 and one triple of
+    # stock fields contributes.  One evaluation on so3 visits 2m + 1 =
+    # 13 arrows, filling the curvature's memo; the next one empties it.
+    gpd = so2_on_plane_trivial() if model == "so2" else so3_radial_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    conn = gpd.induced_connection()
+    Om = covariant_exterior_D(gpd, _tilted(gpd, alpha), conn, alpha=alpha)
+    DOm = covariant_exterior_D(gpd, Om, conn, alpha=alpha, step=2e-4)
+    Om_ref = _ref_curvature(gpd, _tilted(gpd, alpha), conn, alpha)
+    DOm_ref = _ref_bianchi(gpd, Om_ref, conn, alpha, step=2e-4)
+    for g, x, Ts in _stencil_cases(gpd, 4, seed=9):
+        assert _same_bits(DOm(g, x, *Ts), DOm_ref(g, x, *Ts))
+
+
+@pytest.mark.parametrize("model", ["so2", "so3"])
+def test_operator_values_match_the_unshared_flow_stencil(model):
+    gpd = so2_groupoid() if model == "so2" else so3_radial_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    # A form that does not vanish on chart tangents, so that the values
+    # pushed through the flow are not all zero.
+    form = _tilted(gpd, alpha)
+    nform = differentiate_to_im(gpd, form)
+    points = list(SamplePlan(seed=10, samples=20).points(gpd.chart, 5))
+    points.insert(1, points[0])  # a cached flow derivative
+    points.append(np.nextafter(points[0], np.inf))
+    d, n = gpd.group.dim, gpd.chart.dim
+    for p in points:
+        for a in range(d):
+            for i in range(n):
+                assert _same_bits(nform.op_value(a, (i,), p), _ref_op_value(gpd, form, a, i, p))
+
+
+def test_flow_derivatives_are_cached_by_exact_point():
+    # Points one ulp apart get a flow derivative each; the same point
+    # twice gets one.
+    gpd = so3_radial_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    nform = differentiate_to_im(gpd, alpha)
+    calls = []
+    jac_x = gpd.act_jac_x
+    gpd.act_jac_x = lambda g, x: calls.append(1) or jac_x(g, x)
+    p = np.array([0.7, 0.1, -0.2])
+    nform.op_value(0, (0,), p)
+    once = len(calls)
+    assert once > 0
+    nform.op_value(0, (0,), p.copy())
+    assert len(calls) == once
+    nform.op_value(0, (0,), np.nextafter(p, np.inf))
+    assert len(calls) == 2 * once
+
+
+def test_groupoid_verify_exponentiates_each_flow_once(monkeypatch):
+    # Each stencil's flows exp(+-h U) are computed once per form, not
+    # once per move: the sampled group elements account for most calls.
+    import contextlib
+    import io
+    from pathlib import Path
+
+    from algebroids import groupoid
+    from algebroids.cli import run
+
+    calls = []
+    expm = groupoid.expm
+    monkeypatch.setattr(groupoid, "expm", lambda a: calls.append(1) or expm(a))
+    model = Path(__file__).resolve().parent.parent / "models" / "so3_radial_groupoid.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(["groupoid-verify", "--model", str(model), "--samples", "4", "--json"])
+    assert code == 0
+    assert 0 < len(calls) < 1000

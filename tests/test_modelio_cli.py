@@ -223,10 +223,11 @@ def test_bad_example_parameters_are_model_errors(tmp_path, capsys, name, params,
     assert err.startswith("model error:") and message in err
 
 
-def _so3_radial_with_anchor(tmp_path, expr):
-    """The so3_radial model with its anchor entry [0][0] replaced."""
+def _so3_radial_with_anchor(tmp_path, expr, entry=(0, 0)):
+    """The so3_radial model with one anchor entry replaced."""
     doc = json.loads((MODELS / "so3_radial.json").read_text())
-    doc["algebroid"]["anchor"][0][0] = expr
+    i, j = entry
+    doc["algebroid"]["anchor"][i][j] = expr
     p = tmp_path / "model.json"
     p.write_text(json.dumps(doc))
     return str(p)
@@ -270,6 +271,15 @@ def test_nan_residual_fails_its_check(tmp_path):
 )
 def test_non_finite_evaluation_exits_3(tmp_path, capsys, expr):
     model = _so3_radial_with_anchor(tmp_path, expr)
+    code, _ = invoke(["verify-algebroid", "--model", model, "--samples", "40"])
+    assert code == 3
+    assert "evaluation error" in capsys.readouterr().err
+
+
+def test_constant_beyond_the_float_range_exits_3(tmp_path, capsys):
+    # The difference folds to one 10^400 constant, whose float()
+    # overflows: an evaluation error (exit 3), not a traceback (exit 1).
+    model = _so3_radial_with_anchor(tmp_path, "x1*10^400 - x1*10^400", entry=(2, 2))
     code, _ = invoke(["verify-algebroid", "--model", model, "--samples", "40"])
     assert code == 3
     assert "evaluation error" in capsys.readouterr().err
