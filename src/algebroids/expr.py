@@ -201,10 +201,15 @@ class Expr:
             return True
         if not isinstance(other, Expr):
             return NotImplemented
+        # A constant's type is part of it: 0.5 and 1/2 are two keys of
+        # the fold and derivative caches.  Other nodes' values are None.
         return (
             self._hash == other._hash
             and self.op == other.op
-            and self.value == other.value
+            and (
+                self.value is other.value
+                or (type(self.value) is type(other.value) and self.value == other.value)
+            )
             and self.index == other.index
             and self.exponent == other.exponent
             and self.args == other.args

@@ -87,12 +87,22 @@ class _Flows:
     def __init__(self, group: MatrixGroup):
         self._basis = group.basis
         self._table: dict[tuple[int, float], np.ndarray] = {}
+        self._inverses: dict[tuple[int, float], np.ndarray] = {}
 
     def __call__(self, mu: int, s: float) -> np.ndarray:
         key = (mu, float(s))
         f = self._table.get(key)
         if f is None:
             f = self._table[key] = expm(s * self._basis[mu])
+        return f
+
+    def inverse(self, mu: int, s: float) -> np.ndarray:
+        """inv(exp(s U_mu)), computed once: the matrix inverse of the
+        flow, which need not agree with exp(-s U_mu) to the last bit."""
+        key = (mu, float(s))
+        f = self._inverses.get(key)
+        if f is None:
+            f = self._inverses[key] = np.linalg.inv(self(mu, s))
         return f
 
 
@@ -133,6 +143,9 @@ class MatrixGroup:
         if self.dim and np.linalg.matrix_rank(flat, tol=1e-12) < self.dim:
             raise ValueError("Lie algebra basis is linearly dependent")
         self._flat = flat
+        # The basis as rows of a (dim, N^2) array: the operand
+        # np.tensordot(v, np.stack(basis), axes=1) hands to np.dot.
+        self._rows = np.stack(self.basis).reshape(self.dim, self.N**2)
         self._pinv = np.linalg.pinv(flat) if self.dim else np.zeros((0, self.N**2))
         # Structure constants from commutators; require closure.
         self.structure = np.zeros((self.dim, self.dim, self.dim))
@@ -151,7 +164,8 @@ class MatrixGroup:
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
         if self.dim == 0:
             return np.zeros((self.N, self.N))
-        return np.tensordot(np.asarray(v, dtype=float), np.stack(self.basis), axes=1)
+        v = np.asarray(v, dtype=float).reshape(1, self.dim)
+        return np.dot(v, self._rows).reshape(self.N, self.N)
 
     def coords(self, V: np.ndarray) -> np.ndarray:
         return self._pinv @ np.asarray(V, dtype=float).ravel()
@@ -441,6 +455,9 @@ class MultForm:
         return worst.value
 
 
+_SPLITTING_MEMO_ENTRIES = 64
+
+
 def connection_from_splitting(
     gpd: ActionGroupoid,
     splitting: Sequence[Sequence[Expr]] | None = None,
@@ -488,7 +505,9 @@ def connection_from_splitting(
         )
 
     # The splitting depends on the point only: evaluate it once per
-    # distinct point, not once per tangent vector.
+    # distinct point, not once per tangent vector.  Its hits come from
+    # tangents at one point, so a small memo, emptied when full, keeps
+    # them without growing with every point ever seen.
     l_at: dict[tuple[bytes, ...], np.ndarray] = {}
 
     def evaluator(g, x, T):
@@ -498,6 +517,8 @@ def connection_from_splitting(
         key = _exact_key(x)
         lx = l_at.get(key)
         if lx is None:
+            if len(l_at) >= _SPLITTING_MEMO_ENTRIES:
+                l_at.clear()
             lx = l_at[key] = l_val(x)
         return lx @ v
 
@@ -936,7 +957,7 @@ def differentiate_to_im(
             # adjoint takes inv(ge), not gi: the two need not agree to
             # the last bit.
             Fy = gpd.kframe(y)
-            ge_inv = np.linalg.inv(ge)
+            ge_inv = flows.inverse(b, eps)
             Fz = gpd.kframe(gpd.act(ge, y))
             out = np.zeros((n, k))
             for i in range(n):
@@ -951,24 +972,27 @@ def differentiate_to_im(
     def sym_fn(a: int, x: np.ndarray) -> np.ndarray:
         return l_const(frame[a].value(x), x)
 
-    # Cache the flow derivatives per (b, point) since the operator
-    # accessor sweeps the direction index at a fixed point.
+    # The operator on every (a, i) at x reads the same constant-section
+    # quantities: each is computed once per (b, exact x), the flow
+    # derivative L_const(b, x) and the symbol l_const(e_b, x) alike.
+    # Unbounded: a bound would recompute flow derivatives.
     cache: dict = {}
 
-    def L_const_cached(b, x):
-        key = (b, _exact_key(x))
-        if key not in cache:
-            cache[key] = L_const(b, x)
-        return cache[key]
+    def cached(flow: bool, b: int, x) -> np.ndarray:
+        key = (flow, b, _exact_key(x))
+        out = cache.get(key)
+        if out is None:
+            out = cache[key] = L_const(b, x) if flow else l_const(np.eye(d)[b], x)
+        return out
 
     def op_fn_cached(a: int, i: int, x: np.ndarray) -> np.ndarray:
         out = np.zeros(k)
         Pa, dPa = frame[a].value(x), frame[a].partial(i, x)
         for b in range(d):
             if Pa[b] != 0.0:
-                out += Pa[b] * L_const_cached(b, x)[i]
+                out += Pa[b] * cached(True, b, x)[i]
             if dPa[b] != 0.0:
-                out += dPa[b] * l_const(np.eye(d)[b], x)
+                out += dPa[b] * cached(False, b, x)
         return out
 
     return NumericIMOneForm(A, ideal, sym_fn, op_fn_cached, fd_step=5e-4)

@@ -268,13 +268,42 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], j: int, p, h: float) -> n
     return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
 
 
+# One point of a 3-dimensional chart fills 16 entries of a map's memo
+# (its value, 3 partials and their 12 stencil values), so the bound
+# holds the last few points a checker reads.
+SAMPLED_MEMO_ENTRIES = 64
+
+
 def sampled_map(fn: Callable[[np.ndarray], np.ndarray], h: float) -> PointMap:
     """Point map of a point evaluator; partials by ``fd_partial`` with
-    step h."""
-    return PointMap(
-        lambda p: np.asarray(fn(np.asarray(p, dtype=float))),
-        lambda j, p: fd_partial(fn, j, p, h),
-    )
+    step h.
+
+    Values and partials are memoized by ``(j or None, exact bytes of
+    p)``, and the stencil reads its shifted values through the same
+    memo, so a pure evaluator runs once per distinct point while the
+    memo holds it.  The memo keeps at most ``SAMPLED_MEMO_ENTRIES``
+    arrays and is emptied when full.  The arrays it returns are
+    read-only, the values copies of the evaluator's; an evaluator's
+    exception propagates and nothing is stored for it.
+    """
+    memo: dict[tuple, np.ndarray] = {}
+
+    def at(j, p) -> np.ndarray:
+        p = np.asarray(p, dtype=float)
+        key = (j, p.tobytes())
+        out = memo.get(key)
+        if out is None:
+            out = np.array(fn(p)) if j is None else fd_partial(value, j, p, h)
+            out.flags.writeable = False
+            if len(memo) >= SAMPLED_MEMO_ENTRIES:
+                memo.clear()
+            memo[key] = out
+        return out
+
+    def value(p) -> np.ndarray:
+        return at(None, p)
+
+    return PointMap(value, at)
 
 
 class NumericIMOneForm(_IMFormBase):

@@ -365,6 +365,19 @@ def test_fold_constants():
     assert fold(div(const(1), const(2))).value.denominator == 2
 
 
+def test_constants_of_different_types_are_different_exprs():
+    # 0.5 and 1/2 are one number but two constants; were they one key,
+    # the fold and derivative caches would return whichever came first.
+    x = coord(7)
+    assert const(0.5) != const(Fraction(1, 2))
+    assert mul(const(0.5), x) != mul(const(Fraction(1, 2)), x)
+    assert const(Fraction(1, 2)) == const(Fraction(2, 4))
+    assert to_str(fold(mul(const(0.5), x))) == "0.5*x8"
+    assert to_str(fold(mul(const(Fraction(1, 2)), x))) == "(1/2)*x8"
+    assert type(differentiate(mul(const(0.5), x), 7).value) is float
+    assert type(differentiate(mul(const(Fraction(1, 2)), x), 7).value) is Fraction
+
+
 def test_roundtrip_print_parse():
     rng = np.random.default_rng(5)
     for _ in range(300):

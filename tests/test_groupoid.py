@@ -82,6 +82,26 @@ def test_matrix_group_structure():
     assert np.max(np.abs(G.coords(G.to_matrix(v)) - v)) < 1e-12
 
 
+def test_to_matrix_matches_tensordot_of_the_stacked_basis(monkeypatch):
+    # The basis is stacked once, in __init__: bit for bit the tensordot
+    # over np.stack(basis) that each call used to build.
+    gl2 = [np.eye(4)[i].reshape(2, 2) for i in range(4)]
+    groups = [so2_groupoid().group, MatrixGroup(3, so3_basis()), MatrixGroup(2, gl2)]
+    rng = np.random.default_rng(12)
+    cases = []
+    for G in groups:
+        for scale in (1e-8, 1.0, 1e6):
+            cases += [(G, scale * rng.standard_normal(G.dim)) for _ in range(300)]
+    want = [np.tensordot(v, np.stack(G.basis), axes=1) for G, v in cases]
+    stacks = []
+    stack = np.stack
+    monkeypatch.setattr(np, "stack", lambda *a, **k: stacks.append(1) or stack(*a, **k))
+    for (G, v), w in zip(cases, want):
+        assert _same_bits(G.to_matrix(v), w)
+        assert _same_bits(G.to_matrix(list(v)), w)
+    assert stacks == []
+
+
 def test_matrix_group_rejects_nonclosed_basis():
     # Raising and lowering operators bracket to a diagonal outside
     # their span.
@@ -654,6 +674,10 @@ def test_flow_derivatives_are_cached_by_exact_point():
     assert once > 0
     nform.op_value(0, (0,), p.copy())
     assert len(calls) == once
+    # Another direction reads another sampled map, whose memo is empty,
+    # but the same flow derivatives.
+    nform.op_value(0, (1,), p)
+    assert len(calls) == once
     nform.op_value(0, (0,), np.nextafter(p, np.inf))
     assert len(calls) == 2 * once
 
@@ -676,3 +700,72 @@ def test_groupoid_verify_exponentiates_each_flow_once(monkeypatch):
         code = run(["groupoid-verify", "--model", str(model), "--samples", "4", "--json"])
     assert code == 0
     assert 0 < len(calls) < 1000
+
+
+def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
+    # lie-functor on so3 at seed 42 and 4 samples: the sampled maps run
+    # the symbol evaluator 3,318 times and the operator evaluator 4,830
+    # times without a memo, at 342 and 2,106 distinct (entry, point).
+    # The flow steps (one act_jac_x each) are not moved by the memo.
+    import contextlib
+    import io
+    from pathlib import Path
+
+    from algebroids import groupoid
+    from algebroids.cli import run
+
+    counts = {"sym": 0, "op": 0, "flow": 0}
+    numeric = groupoid.NumericIMOneForm
+
+    def counted(A, ideal, sym_fn, op_fn, fd_step):
+        def sym(a, x):
+            counts["sym"] += 1
+            return sym_fn(a, x)
+
+        def op(a, i, x):
+            counts["op"] += 1
+            return op_fn(a, i, x)
+
+        return numeric(A, ideal, sym, op, fd_step=fd_step)
+
+    jac_x = ActionGroupoid.act_jac_x
+
+    def flow_step(self, g, x):
+        counts["flow"] += 1
+        return jac_x(self, g, x)
+
+    monkeypatch.setattr(groupoid, "NumericIMOneForm", counted)
+    monkeypatch.setattr(ActionGroupoid, "act_jac_x", flow_step)
+    model = Path(__file__).resolve().parent.parent / "models" / "so3_radial_groupoid.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(["lie-functor", "--model", str(model), "--samples", "4", "--json"])
+    assert code == 0
+    assert 0 < counts["sym"] <= 400
+    assert 0 < counts["op"] <= 2200
+    assert 0 < counts["flow"] <= 2808
+
+
+def test_splitting_memo_is_bounded_and_exact():
+    # The connection form evaluates the splitting once per point while
+    # its memo holds the point; the memo never exceeds its bound, and
+    # every value is that of the splitting evaluated afresh.
+    from algebroids.bundles import PointMap
+    from algebroids.groupoid import _SPLITTING_MEMO_ENTRIES
+
+    gpd = so3_radial_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    closure = alpha._eval.__closure__
+    names = alpha._eval.__code__.co_freevars
+    memo = closure[names.index("l_at")].cell_contents
+    l_val = PointMap.exact(gpd.splitting).value
+    rng = np.random.default_rng(13)
+    arrows = [gpd.sample_arrow(rng) for _ in range(3 * _SPLITTING_MEMO_ENTRIES)]
+    arrows += arrows[:5]
+    sizes = []
+    for g, x in arrows:
+        for _ in range(2):
+            T = gpd.sample_tangent(g, rng)
+            want = l_val(x) @ gpd.group.coords(np.linalg.solve(g, T[0]))
+            assert _same_bits(alpha(g, x, T), want)
+            sizes.append(len(memo))
+    assert max(sizes) == _SPLITTING_MEMO_ENTRIES

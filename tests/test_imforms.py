@@ -20,11 +20,13 @@ from algebroids.bundles import (
     CoeffForm,
     FiberBracket,
     LinearConnection,
+    PointMap,
     Section,
 )
 from algebroids.expr import (
     Chart,
     ONE,
+    PoleError,
     ZERO,
     add,
     const,
@@ -42,6 +44,7 @@ from algebroids.imforms import (
     IMOneForm,
     NumericCouplingData,
     NumericIMOneForm,
+    SAMPLED_MEMO_ENTRIES,
     _center_residual_of_u,
     build_semidirect,
     center_basis,
@@ -54,7 +57,9 @@ from algebroids.imforms import (
     curvature_im,
     d_im,
     extract_coupling,
+    fd_partial,
     kernel_flat_two_form,
+    sampled_map,
 )
 from algebroids.modelio import load_model
 from algebroids.rankone import extract_rank_one
@@ -670,3 +675,96 @@ def test_structure_equations_agree_across_backends(radial_model, radial_form):
         with pytest.raises(TypeError):
             check_structure_equations(sampled, variant="S1'S3'", plan=plan.fork("kf"))
     assert outcomes == [True, False]
+
+
+def _ref_sampled_map(fn, h):
+    """The sampled map without a memo: every read runs the evaluator."""
+    return PointMap(
+        lambda p: np.asarray(fn(np.asarray(p, dtype=float))),
+        lambda j, p: fd_partial(fn, j, p, h),
+    )
+
+
+def _noisy(calls):
+    """A point evaluator whose every bit depends on every bit of the
+    point (a 1-ulp move of a coordinate moves sin(1e9 x) by about
+    1e-7), with a pole where x1 > 0.9."""
+
+    def fn(p):
+        calls.append(p.tobytes())
+        if p[0] > 0.9:
+            raise PoleError("pole of the test evaluator", ONE)
+        return np.array([np.sin(1e9 * p[0]) * p[1], np.cos(3e8 * (p[0] - p[1])), p[0] * p[1]])
+
+    return fn
+
+
+def _read(m, op, p):
+    try:
+        return m.value(p) if op is None else m.partial(op, p)
+    except PoleError as err:
+        return str(err)
+
+
+def _same_read(a, b):
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_sampled_map_matches_the_unmemoized_map_bit_for_bit():
+    # Repeated points, points 1 ulp apart, more distinct points than the
+    # memo holds (so it is emptied and earlier points come back), and
+    # points whose stencil reaches the pole.
+    h = 5e-4
+    m = sampled_map(_noisy([]), h)
+    ref = _ref_sampled_map(_noisy([]), h)
+    rng = np.random.default_rng(8)
+    base = [rng.uniform(-0.8, 0.8, size=2) for _ in range(SAMPLED_MEMO_ENTRIES)]
+    base.append(np.array([0.9 - 1.5 * h, 0.2]))  # the stencil at +2h hits the pole
+    points = []
+    for p in base:
+        points += [p, p.copy(), np.nextafter(p, np.inf), np.nextafter(p, -np.inf)]
+    points += base[:8]
+    reads = [(op, p) for p in points for op in (None, 0, 1, None)]
+    seen = {"values": 0, "errors": 0}
+    for op, p in reads:
+        got, want = _read(m, op, p), _read(ref, op, p)
+        assert _same_read(got, want), (op, p)
+        seen["errors" if isinstance(want, str) else "values"] += 1
+    assert seen["errors"] > 0 and seen["values"] > 0
+
+
+def test_sampled_map_evaluates_each_point_once_and_stores_no_error():
+    h = 5e-4
+    calls = []
+    m = sampled_map(_noisy(calls), h)
+    p = np.array([0.3, -0.2])
+    v = m.value(p)
+    assert len(calls) == 1
+    assert m.value(p.copy()) is v and len(calls) == 1
+    m.partial(0, p)
+    assert len(calls) == 5  # the four shifted points
+    m.partial(0, p)
+    q = p.copy()
+    q[0] += h
+    m.value(q)  # a stencil point, read through the same memo
+    assert len(calls) == 5
+    m.value(np.nextafter(p, np.inf))
+    assert len(calls) == 6
+    # Read-only, so a caller cannot corrupt the memo.
+    for out in (m.value(p), m.partial(0, p)):
+        with pytest.raises(ValueError):
+            out[0] = 1.0
+    # An error is raised again on every read, never stored.
+    bad = np.array([0.95, 0.0])
+    for _ in range(2):
+        with pytest.raises(PoleError):
+            m.value(bad)
+    assert calls.count(bad.tobytes()) == 2
+    # The memo is bounded: after it is emptied, p is evaluated again.
+    for i in range(SAMPLED_MEMO_ENTRIES):
+        m.value(np.array([0.01 * i, 0.5]))
+    before = len(calls)
+    m.value(p)
+    assert len(calls) == before + 1

@@ -1,17 +1,19 @@
 """Compare the CLI reports of the working tree with those of a revision.
 
-    python3 tools/report_diff.py REV
+    python3 tools/report_diff.py REV [--samples N]
 
 Exports REV with ``git archive`` into a temporary directory, then runs
 the benchmark's 35 jobs on both trees, each in a fresh process at seed
-42 and 200 samples with ``--json``: the 22 symbolic-cli and 6
-groupoid-cli jobs of ``perfbench/workloads.py`` and one ``example`` job
-per family, two processes at a time. Every job whose stdout bytes or
+42 and N samples (default 200, the CLI's stock count) with ``--json``:
+the 22 symbolic-cli and 6 groupoid-cli jobs of ``perfbench/workloads.py``
+and one ``example`` job per family, two processes at a time. Every job whose stdout bytes or
 exit code differ between the trees is listed. Exit code 0 if none
 differs, 1 otherwise.
 
 A change that claims byte-identical reports runs this against its
-parent, e.g. ``python3 tools/report_diff.py HEAD~1``.
+parent, e.g. ``python3 tools/report_diff.py HEAD~1``, and again at the
+sample counts the benchmark's workloads use (60, 4 and 10), where
+bounded memos fill and empty at other points.
 """
 
 from __future__ import annotations
@@ -31,14 +33,13 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from workloads import EXAMPLE_FAMILIES, STOCK_SEED, WORKLOADS, Job  # noqa: E402
 
-SAMPLES = 200
 WORKERS = 2  # processes at a time; the reports do not depend on it
 
 
-def jobs() -> list[Job]:
-    out = WORKLOADS["symbolic-cli"].make_jobs(STOCK_SEED, SAMPLES)
-    out += WORKLOADS["groupoid-cli"].make_jobs(STOCK_SEED, SAMPLES)
-    return out + [Job("example", None, (f,), STOCK_SEED, SAMPLES) for f in EXAMPLE_FAMILIES]
+def jobs(samples: int) -> list[Job]:
+    out = WORKLOADS["symbolic-cli"].make_jobs(STOCK_SEED, samples)
+    out += WORKLOADS["groupoid-cli"].make_jobs(STOCK_SEED, samples)
+    return out + [Job("example", None, (f,), STOCK_SEED, samples) for f in EXAMPLE_FAMILIES]
 
 
 def export(rev: str, dest: Path) -> None:
@@ -61,8 +62,9 @@ def run_job(tree: Path, job: Job) -> tuple[int, bytes]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="git revision to compare with, e.g. HEAD~1")
+    ap.add_argument("--samples", type=int, default=200, help="--samples of every job (default 200)")
     args = ap.parse_args(argv)
-    todo = jobs()
+    todo = jobs(args.samples)
     with tempfile.TemporaryDirectory() as tmp:
         other = Path(tmp)
         export(args.rev, other)
