@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,6 +34,7 @@ __all__ = [
     "Section",
     "CoeffForm",
     "PointMap",
+    "exact_memo",
     "LinearConnection",
     "FiberBracket",
     "covariant_derivative",
@@ -266,6 +267,43 @@ class PointMap:
             return out if len(shape) == 1 else out.reshape(shape)
 
         return cls(lambda p: at(None, p), at, entries)
+
+
+# Arguments that a point memo keys by value; any other is a point.
+_BY_VALUE = (int, np.integer, type(None))
+
+
+def exact_memo(
+    fn: Callable[..., np.ndarray], bound: int | None = None
+) -> Callable[..., np.ndarray]:
+    """``fn(*args)`` memoized by the exact point.
+
+    An int or None argument is keyed by its value, any other by the
+    exact bytes of it as a float array, which ``fn`` receives: two
+    points share a result only when bit for bit equal, so a hit never
+    returns a value computed at another point.  On a miss ``fn`` runs
+    first; then the memo is emptied if it holds ``bound`` results (None:
+    never), and a read-only copy of the result is stored and returned.
+    An exception of ``fn`` propagates and nothing is stored for it.
+    ``fn`` must be a pure function of its arguments.
+    """
+    memo: dict[tuple, np.ndarray] = {}
+
+    def call(*args) -> np.ndarray:
+        key = tuple(
+            [a if isinstance(a, _BY_VALUE) else np.asarray(a, dtype=float).tobytes() for a in args]
+        )
+        out = memo.get(key)
+        if out is None:
+            args = [a if isinstance(a, _BY_VALUE) else np.asarray(a, dtype=float) for a in args]
+            out = np.array(fn(*args))
+            out.flags.writeable = False
+            if bound is not None and len(memo) >= bound:
+                memo.clear()
+            memo[key] = out
+        return out
+
+    return call
 
 
 def zero_form(bundle: Bundle, degree: int) -> CoeffForm:

@@ -39,7 +39,7 @@ from .expr import (
     neg,
     substitute,
 )
-from .bundles import PointMap
+from .bundles import PointMap, exact_memo
 from .imforms import NumericCouplingData, NumericIMOneForm, fd_partial, quotient_algebroid
 from .sampling import Report, Residual, SamplePlan
 
@@ -79,38 +79,10 @@ class _LazyExpm:
 expm = _LazyExpm()
 
 
-class _Flows:
+def _flow_memo(group: MatrixGroup) -> Callable[[int, float], np.ndarray]:
     """The constant flows exp(s U_mu) of the algebra basis, each
-    computed once, on first use, and keyed by (mu, s): the steps are
-    nonzero floats, which compare equal only when bit for bit equal."""
-
-    def __init__(self, group: MatrixGroup):
-        self._basis = group.basis
-        self._table: dict[tuple[int, float], np.ndarray] = {}
-        self._inverses: dict[tuple[int, float], np.ndarray] = {}
-
-    def __call__(self, mu: int, s: float) -> np.ndarray:
-        key = (mu, float(s))
-        f = self._table.get(key)
-        if f is None:
-            f = self._table[key] = expm(s * self._basis[mu])
-        return f
-
-    def inverse(self, mu: int, s: float) -> np.ndarray:
-        """inv(exp(s U_mu)), computed once: the matrix inverse of the
-        flow, which need not agree with exp(-s U_mu) to the last bit."""
-        key = (mu, float(s))
-        f = self._inverses.get(key)
-        if f is None:
-            f = self._inverses[key] = np.linalg.inv(self(mu, s))
-        return f
-
-
-def _exact_key(*arrays) -> tuple[bytes, ...]:
-    """Dictionary key of float arrays by their exact bytes: two keys are
-    equal only when every entry is bit for bit equal, so a memo on them
-    never returns a value computed at another point."""
-    return tuple(np.asarray(a, dtype=float).tobytes() for a in arrays)
+    computed once per (mu, exact s)."""
+    return exact_memo(lambda mu, s: expm(s * group.basis[mu]))
 
 
 class StepSizeWarning(UserWarning):
@@ -139,14 +111,16 @@ class MatrixGroup:
         self.N = int(ambient)
         self.basis = [np.asarray(X, dtype=float).reshape(self.N, self.N) for X in basis]
         self.dim = len(self.basis)
+        if not self.dim:
+            raise ValueError("Lie algebra basis is empty")
         flat = np.stack([X.ravel() for X in self.basis], axis=1)
-        if self.dim and np.linalg.matrix_rank(flat, tol=1e-12) < self.dim:
+        if np.linalg.matrix_rank(flat, tol=1e-12) < self.dim:
             raise ValueError("Lie algebra basis is linearly dependent")
         self._flat = flat
         # The basis as rows of a (dim, N^2) array: the operand
         # np.tensordot(v, np.stack(basis), axes=1) hands to np.dot.
         self._rows = np.stack(self.basis).reshape(self.dim, self.N**2)
-        self._pinv = np.linalg.pinv(flat) if self.dim else np.zeros((0, self.N**2))
+        self._pinv = np.linalg.pinv(flat)
         # Structure constants from commutators; require closure.
         self.structure = np.zeros((self.dim, self.dim, self.dim))
         worst = Residual()
@@ -162,8 +136,6 @@ class MatrixGroup:
             )
 
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((self.N, self.N))
         v = np.asarray(v, dtype=float).reshape(1, self.dim)
         return np.dot(v, self._rows).reshape(self.N, self.N)
 
@@ -506,21 +478,14 @@ def connection_from_splitting(
 
     # The splitting depends on the point only: evaluate it once per
     # distinct point, not once per tangent vector.  Its hits come from
-    # tangents at one point, so a small memo, emptied when full, keeps
-    # them without growing with every point ever seen.
-    l_at: dict[tuple[bytes, ...], np.ndarray] = {}
+    # tangents at one point, so a small memo keeps them without growing
+    # with every point ever seen.
+    l_at = exact_memo(l_val, _SPLITTING_MEMO_ENTRIES)
 
     def evaluator(g, x, T):
         xi, _w = T
         v = gpd.group.coords(np.linalg.solve(g, xi))
-        x = np.asarray(x, dtype=float)
-        key = _exact_key(x)
-        lx = l_at.get(key)
-        if lx is None:
-            if len(l_at) >= _SPLITTING_MEMO_ENTRIES:
-                l_at.clear()
-            lx = l_at[key] = l_val(x)
-        return lx @ v
+        return l_at(x) @ v
 
     return MultForm(gpd, 1, evaluator)
 
@@ -597,11 +562,11 @@ def _w_basis_tangent(gpd: ActionGroupoid, g, mu: int):
     return (np.zeros((gpd.group.N, gpd.group.N)), w)
 
 
-def _move(gpd: ActionGroupoid, g, x, mu: int, s: float, flows: _Flows):
+def _move(gpd: ActionGroupoid, g, x, mu: int, s: float, flow: Callable):
     """Arrow (g, x) moved by s along the mu-th stock vector field."""
     d = gpd.group.dim
     if mu < d:
-        return g @ flows(mu, s), np.asarray(x, dtype=float)
+        return g @ flow(mu, s), np.asarray(x, dtype=float)
     y = np.asarray(x, dtype=float).copy()
     y[mu - d] += s
     return g, y
@@ -624,26 +589,20 @@ def d_nabla_s(
     connection, by central differences along the stock vector fields.
 
     The m x m table of values on the stock fields depends on the arrow
-    only, so it is memoized by the arrow's exact bytes.  The memo holds
-    one Bianchi stencil (an arrow and its 2m moves) and is emptied when
-    full.  This relies on omega being a pure function of its arguments.
+    only, so it is memoized by the exact arrow, at most one Bianchi
+    stencil (an arrow and its 2m moves).  This relies on omega being a
+    pure function of its arguments.
     """
     if omega.degree != 1:
         raise ValueError("only degree-1 forms are differentiated here")
     d, n = gpd.group.dim, gpd.chart.dim
     m = d + n
-    flows = _Flows(gpd.group)
-    memo: dict[tuple[bytes, ...], np.ndarray] = {}
+    flow = _flow_memo(gpd.group)
 
-    def matrix(g, x):
-        x = np.asarray(x, dtype=float)
-        key = _exact_key(g, x)
-        out = memo.get(key)
-        if out is not None:
-            return out
+    def table(g, x):
         vals = [omega(g, x, _w_basis_tangent(gpd, g, nu)) for nu in range(m)]
         moved = [
-            (_move(gpd, g, x, mu, step, flows), _move(gpd, g, x, mu, -step, flows))
+            (_move(gpd, g, x, mu, step, flow), _move(gpd, g, x, mu, -step, flow))
             for mu in range(m)
         ]
         out = np.zeros((m, m, gpd.k))
@@ -673,11 +632,9 @@ def d_nabla_s(
                             val -= fc[c] * vals[c]
                 out[mu, nu] = val
                 out[nu, mu] = -val
-        out.flags.writeable = False
-        if len(memo) >= 2 * m + 1:
-            memo.clear()
-        memo[key] = out
         return out
+
+    matrix = exact_memo(table, 2 * m + 1)
 
     def evaluator(g, x, T1, T2):
         M = matrix(g, x)
@@ -752,7 +709,7 @@ def covariant_exterior_D(
         raise ValueError("degree must be 1 or 2")
 
     m = gpd.group.dim + gpd.chart.dim
-    flows = _Flows(gpd.group)
+    flow = _flow_memo(gpd.group)
 
     def evaluator(g, x, T1, T2, T3):
         x = np.asarray(x, dtype=float)
@@ -769,7 +726,7 @@ def covariant_exterior_D(
                     if coef == 0.0:
                         continue
                     total += coef * _d2_component(
-                        gpd, omega, conn, g, x, mu, nu, lam, step, flows
+                        gpd, omega, conn, g, x, mu, nu, lam, step, flow
                     )
         return total
 
@@ -787,7 +744,7 @@ def _perm3():
     ]
 
 
-def _d2_component(gpd, omega, conn, g, x, mu, nu, lam, step, flows):
+def _d2_component(gpd, omega, conn, g, x, mu, nu, lam, step, flow):
     """One component of the covariant differential of a 2-form on the
     stock fields (coordinate-like, with group-group brackets)."""
     d = gpd.group.dim
@@ -802,8 +759,8 @@ def _d2_component(gpd, omega, conn, g, x, mu, nu, lam, step, flows):
         [(mu, (nu, lam)), (nu, (mu, lam)), (lam, (mu, nu))]
     ):
         sgn = (-1.0) ** t
-        gp, xp = _move(gpd, g, x, a, step, flows)
-        gm, xm = _move(gpd, g, x, a, -step, flows)
+        gp, xp = _move(gpd, g, x, a, step, flow)
+        gm, xm = _move(gpd, g, x, a, -step, flow)
         dval = (omega_on(gp, xp, *rest) - omega_on(gm, xm, *rest)) / (2 * step)
         if a >= d:
             dval += conn.gamma_value(a - d, x) @ omega_on(g, x, *rest)
@@ -929,7 +886,8 @@ def differentiate_to_im(
 
     # Column a of P: the a-th adapted frame element in the group basis.
     frame = [PointMap.exact([P[b][a] for b in range(d)]) for a in range(d)]
-    flows = _Flows(gpd.group)
+    flow = _flow_memo(gpd.group)
+    flow_inv = exact_memo(lambda b, s: np.linalg.inv(flow(b, s)))
 
     def l_const(v: np.ndarray, x) -> np.ndarray:
         """Symbol on the constant section with coordinates v, at x."""
@@ -940,12 +898,11 @@ def differentiate_to_im(
         """Operator value on the b-th constant basis section: an
         (n x k) array of flow derivatives (the finite-difference stencil
         in the flow parameter)."""
-        x = np.asarray(x, dtype=float)
 
         def F(t: np.ndarray) -> np.ndarray:
             eps = t[0]
-            ge = flows(b, eps)
-            gi = flows(b, -eps)
+            ge = flow(b, eps)
+            gi = flow(b, -eps)
             y = gpd.act(gi, x)
             if not gpd.chart.contains(y, pad=region_pad):
                 raise FlowRegionError(
@@ -957,7 +914,7 @@ def differentiate_to_im(
             # adjoint takes inv(ge), not gi: the two need not agree to
             # the last bit.
             Fy = gpd.kframe(y)
-            ge_inv = flows.inverse(b, eps)
+            ge_inv = flow_inv(b, eps)
             Fz = gpd.kframe(gpd.act(ge, y))
             out = np.zeros((n, k))
             for i in range(n):
@@ -969,33 +926,29 @@ def differentiate_to_im(
 
         return fd_partial(F, 0, [0.0], max(step, 1e-3))
 
+    # The symbol and the operator on every (a, i) at x read the same
+    # quantities: each is computed once per (a or b, exact x), the frame
+    # column P_a(x), the flow derivative L_const(b, x) and the symbol
+    # l_const(e_b, x) alike.  Unbounded: a bound would recompute flow
+    # derivatives.
+    P_at = exact_memo(lambda a, x: frame[a].value(x))
+    L_at = exact_memo(L_const)
+    l_basis = exact_memo(lambda b, x: l_const(np.eye(d)[b], x))
+
     def sym_fn(a: int, x: np.ndarray) -> np.ndarray:
-        return l_const(frame[a].value(x), x)
+        return l_const(P_at(a, x), x)
 
-    # The operator on every (a, i) at x reads the same constant-section
-    # quantities: each is computed once per (b, exact x), the flow
-    # derivative L_const(b, x) and the symbol l_const(e_b, x) alike.
-    # Unbounded: a bound would recompute flow derivatives.
-    cache: dict = {}
-
-    def cached(flow: bool, b: int, x) -> np.ndarray:
-        key = (flow, b, _exact_key(x))
-        out = cache.get(key)
-        if out is None:
-            out = cache[key] = L_const(b, x) if flow else l_const(np.eye(d)[b], x)
-        return out
-
-    def op_fn_cached(a: int, i: int, x: np.ndarray) -> np.ndarray:
+    def op_fn(a: int, i: int, x: np.ndarray) -> np.ndarray:
         out = np.zeros(k)
-        Pa, dPa = frame[a].value(x), frame[a].partial(i, x)
+        Pa, dPa = P_at(a, x), frame[a].partial(i, x)
         for b in range(d):
             if Pa[b] != 0.0:
-                out += Pa[b] * cached(True, b, x)[i]
+                out += Pa[b] * L_at(b, x)[i]
             if dPa[b] != 0.0:
-                out += dPa[b] * cached(False, b, x)
+                out += dPa[b] * l_basis(b, x)
         return out
 
-    return NumericIMOneForm(A, ideal, sym_fn, op_fn_cached, fd_step=5e-4)
+    return NumericIMOneForm(A, ideal, sym_fn, op_fn, fd_step=5e-4)
 
 
 def numeric_extract_coupling(

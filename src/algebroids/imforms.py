@@ -42,6 +42,7 @@ from .bundles import (
     LinearConnection,
     PointMap,
     Section,
+    exact_memo,
     exterior_covariant_derivative,
     sort_with_sign,
     wedge_scalar_one_form,
@@ -278,31 +279,16 @@ def sampled_map(fn: Callable[[np.ndarray], np.ndarray], h: float) -> PointMap:
     """Point map of a point evaluator; partials by ``fd_partial`` with
     step h.
 
-    Values and partials are memoized by ``(j or None, exact bytes of
-    p)``, and the stencil reads its shifted values through the same
-    memo, so a pure evaluator runs once per distinct point while the
-    memo holds it.  The memo keeps at most ``SAMPLED_MEMO_ENTRIES``
-    arrays and is emptied when full.  The arrays it returns are
-    read-only, the values copies of the evaluator's; an evaluator's
-    exception propagates and nothing is stored for it.
+    Values and partials share one ``exact_memo`` keyed by ``(j or None,
+    p)`` and bounded at ``SAMPLED_MEMO_ENTRIES``, and the stencil reads
+    its shifted values through it, so a pure evaluator runs once per
+    distinct point while the memo holds it.
     """
-    memo: dict[tuple, np.ndarray] = {}
-
-    def at(j, p) -> np.ndarray:
-        p = np.asarray(p, dtype=float)
-        key = (j, p.tobytes())
-        out = memo.get(key)
-        if out is None:
-            out = np.array(fn(p)) if j is None else fd_partial(value, j, p, h)
-            out.flags.writeable = False
-            if len(memo) >= SAMPLED_MEMO_ENTRIES:
-                memo.clear()
-            memo[key] = out
-        return out
-
-    def value(p) -> np.ndarray:
-        return at(None, p)
-
+    at = exact_memo(
+        lambda j, p: fn(p) if j is None else fd_partial(value, j, p, h),
+        SAMPLED_MEMO_ENTRIES,
+    )
+    value = functools.partial(at, None)
     return PointMap(value, at)
 
 

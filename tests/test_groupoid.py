@@ -110,6 +110,11 @@ def test_matrix_group_rejects_nonclosed_basis():
         MatrixGroup(2, bad)
 
 
+def test_matrix_group_rejects_empty_basis():
+    with pytest.raises(ValueError, match="Lie algebra basis is empty"):
+        MatrixGroup(2, [])
+
+
 def test_groupoid_invariants():
     for gpd in (so2_groupoid(), so3_radial_groupoid()):
         assert gpd.verify(SamplePlan(seed=1, samples=80)).passed
@@ -734,8 +739,33 @@ def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
         counts["flow"] += 1
         return jac_x(self, g, x)
 
+    # Runs of the frame-column maps P_a, recorded by (map, exact x).
+    columns, frame_runs = set(), []
+    algebroid = ActionGroupoid.action_algebroid
+
+    def action_algebroid(self):
+        out = algebroid(self)
+        P = out[2]
+        columns.update(tuple(id(row[a]) for row in P) for a in range(len(P)))
+        return out
+
+    class CountedFrame(groupoid.PointMap):
+        @classmethod
+        def exact(cls, entries):
+            pm = super().exact(entries)
+            if tuple(map(id, entries)) not in columns:
+                return pm
+
+            def value(x):
+                frame_runs.append((id(pm), np.asarray(x, dtype=float).tobytes()))
+                return pm.value(x)
+
+            return groupoid.PointMap(value, pm.partial, pm.exprs)
+
     monkeypatch.setattr(groupoid, "NumericIMOneForm", counted)
     monkeypatch.setattr(ActionGroupoid, "act_jac_x", flow_step)
+    monkeypatch.setattr(ActionGroupoid, "action_algebroid", action_algebroid)
+    monkeypatch.setattr(groupoid, "PointMap", CountedFrame)
     model = Path(__file__).resolve().parent.parent / "models" / "so3_radial_groupoid.json"
     with contextlib.redirect_stdout(io.StringIO()):
         code = run(["lie-functor", "--model", str(model), "--samples", "4", "--json"])
@@ -743,29 +773,48 @@ def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
     assert 0 < counts["sym"] <= 400
     assert 0 < counts["op"] <= 2200
     assert 0 < counts["flow"] <= 2808
+    # At most one run of a frame column per distinct (a, x): 732 here,
+    # against 2,520 runs when the operator reads P_a(x) per direction.
+    assert 0 < len(frame_runs) == len(set(frame_runs))
 
 
-def test_splitting_memo_is_bounded_and_exact():
+def test_splitting_memo_is_bounded_and_exact(monkeypatch):
     # The connection form evaluates the splitting once per point while
-    # its memo holds the point; the memo never exceeds its bound, and
-    # every value is that of the splitting evaluated afresh.
+    # its memo holds the point; the memo fills to its bound and never
+    # exceeds it, and every value is that of the splitting evaluated
+    # afresh.
+    from algebroids import groupoid
     from algebroids.bundles import PointMap
-    from algebroids.groupoid import _SPLITTING_MEMO_ENTRIES
+    from algebroids.groupoid import _SPLITTING_MEMO_ENTRIES as bound
+
+    runs = []
+
+    class CountedSplitting(PointMap):
+        @classmethod
+        def exact(cls, entries):
+            value = PointMap.exact(entries).value
+            return PointMap(lambda p: runs.append(1) or value(p))
 
     gpd = so3_radial_groupoid()
+    monkeypatch.setattr(groupoid, "PointMap", CountedSplitting)
     alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
-    closure = alpha._eval.__closure__
-    names = alpha._eval.__code__.co_freevars
-    memo = closure[names.index("l_at")].cell_contents
     l_val = PointMap.exact(gpd.splitting).value
     rng = np.random.default_rng(13)
-    arrows = [gpd.sample_arrow(rng) for _ in range(3 * _SPLITTING_MEMO_ENTRIES)]
-    arrows += arrows[:5]
-    sizes = []
-    for g, x in arrows:
-        for _ in range(2):
-            T = gpd.sample_tangent(g, rng)
-            want = l_val(x) @ gpd.group.coords(np.linalg.solve(g, T[0]))
-            assert _same_bits(alpha(g, x, T), want)
-            sizes.append(len(memo))
-    assert max(sizes) == _SPLITTING_MEMO_ENTRIES
+    arrows = [gpd.sample_arrow(rng) for _ in range(3 * bound)]
+
+    def runs_of(g, x):
+        T = gpd.sample_tangent(g, rng)
+        want = l_val(x) @ gpd.group.coords(np.linalg.solve(g, T[0]))
+        before = len(runs)
+        assert _same_bits(alpha(g, x, T), want)
+        return len(runs) - before
+
+    first = arrows[:bound]
+    assert [runs_of(g, x) for g, x in first for _ in range(2)] == [1, 0] * bound
+    # The memo holds `bound` points ...
+    assert [runs_of(g, x) for g, x in first] == [0] * bound
+    # ... and no more: the next point empties it.
+    assert runs_of(*arrows[bound]) == 1
+    assert [runs_of(g, x) for g, x in first] == [1] * bound
+    rest = arrows[bound + 1 :]
+    assert [runs_of(g, x) for g, x in rest for _ in range(2)] == [1, 0] * len(rest)
