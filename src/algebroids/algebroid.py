@@ -427,13 +427,14 @@ def check_A_invariant(
         diffs.append(D)
     # Condition 2: curvature contracted with the anchor vanishes.
     diff_map = PointMap.exact(diffs)
-    R = {ij: PointMap.exact(mat) for ij, mat in curvature_tensor(conn).items()}
+    R = curvature_tensor(conn)
+    R_map = PointMap.exact(list(R.values()))
     worst2 = Residual()
     pts = plan.points(A.chart, min(plan.samples, 60))
     for p in pts:
         worst1.update(diff_map.value(p))
         rho_p = A.anchor_value(p)
-        Rp = {ij: m.value(p) for ij, m in R.items()}
+        Rp = dict(zip(R, R_map.value(p)))
         for b in range(A.rank):
             for j in range(n):
                 M = np.zeros((rV, rV))

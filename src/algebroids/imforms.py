@@ -368,71 +368,65 @@ class _SectionData:
         )
 
 
-def _op_of_section(form, sd_vals, idx, p) -> np.ndarray:
-    """L(alpha) component at idx (strictly increasing), via the
-    extension rule, from cached section data."""
-    val, jac = sd_vals[0], sd_vals[1]
-    r = form.algebroid.rank
-    out = np.zeros(form.value_rank)
-    for a in range(r):
-        if val[a] != 0.0:
-            out += val[a] * form.op_value(a, idx, p)
-        for t in range(len(idx)):
-            if jac[a][idx[t]] != 0.0:
-                out += ((-1.0) ** t) * jac[a][idx[t]] * form.sym_value(
-                    a, idx[:t] + idx[t + 1 :], p
-                )
-    return out
-
-
-def _op_of_section_d(form, sd_vals, j, idx, p) -> np.ndarray:
-    """d/dx_j of the above."""
+def _on_section(form, reads, sd_vals):
+    """L, dL, sym and dsym of the form on one section at one point, from
+    the section data sd_vals and the form's reads at the point: L(idx)
+    and sym(idx) at strictly increasing idx, dL(j, idx) and dsym(j, idx)
+    their partials along x_j.  Each is computed once per argument, the
+    operator via the extension rule."""
+    sym_at, dsym_at, op_at, dop_at = reads
     val, jac, hess = sd_vals[0], sd_vals[1], sd_vals[2]
-    r = form.algebroid.rank
-    out = np.zeros(form.value_rank)
-    for a in range(r):
-        out += jac[a][j] * form.op_value(a, idx, p)
-        if val[a] != 0.0:
-            out += val[a] * form.op_dvalue(j, a, idx, p)
-        for t in range(len(idx)):
-            rest = idx[:t] + idx[t + 1 :]
-            sgn = (-1.0) ** t
-            out += sgn * hess[a][j][idx[t]] * form.sym_value(a, rest, p)
-            if jac[a][idx[t]] != 0.0:
-                out += sgn * jac[a][idx[t]] * form.sym_dvalue(j, a, rest, p)
-    return out
+    r, rV = form.algebroid.rank, form.value_rank
+
+    @functools.cache
+    def L(idx):
+        out = np.zeros(rV)
+        for a in range(r):
+            if val[a] != 0.0:
+                out += val[a] * op_at(a, idx)
+            for t in range(len(idx)):
+                if jac[a][idx[t]] != 0.0:
+                    out += ((-1.0) ** t) * jac[a][idx[t]] * sym_at(a, idx[:t] + idx[t + 1 :])
+        return out
+
+    @functools.cache
+    def dL(j, idx):
+        out = np.zeros(rV)
+        for a in range(r):
+            out += jac[a][j] * op_at(a, idx)
+            if val[a] != 0.0:
+                out += val[a] * dop_at(j, a, idx)
+            for t in range(len(idx)):
+                rest = idx[:t] + idx[t + 1 :]
+                sgn = (-1.0) ** t
+                out += sgn * hess[a][j][idx[t]] * sym_at(a, rest)
+                if jac[a][idx[t]] != 0.0:
+                    out += sgn * jac[a][idx[t]] * dsym_at(j, a, rest)
+        return out
+
+    @functools.cache
+    def sym(idx):
+        out = np.zeros(rV)
+        for a in range(r):
+            if val[a] != 0.0:
+                out += val[a] * sym_at(a, idx)
+        return out
+
+    @functools.cache
+    def dsym(j, idx):
+        out = np.zeros(rV)
+        for a in range(r):
+            out += jac[a][j] * sym_at(a, idx)
+            if val[a] != 0.0:
+                out += val[a] * dsym_at(j, a, idx)
+        return out
+
+    return L, dL, sym, dsym
 
 
-def _sym_of_section(form, sd_vals, idx, p) -> np.ndarray:
-    val = sd_vals[0]
-    out = np.zeros(form.value_rank)
-    for a in range(form.algebroid.rank):
-        if val[a] != 0.0:
-            out += val[a] * form.sym_value(a, idx, p)
-    return out
-
-
-def _sym_of_section_d(form, sd_vals, j, idx, p) -> np.ndarray:
-    val, jac = sd_vals[0], sd_vals[1]
-    out = np.zeros(form.value_rank)
-    for a in range(form.algebroid.rank):
-        out += jac[a][j] * form.sym_value(a, idx, p)
-        if val[a] != 0.0:
-            out += val[a] * form.sym_dvalue(j, a, idx, p)
-    return out
-
-
-def _signed_lookup(fn, idx) -> np.ndarray:
-    sign, key = sort_with_sign(idx)
-    if sign == 0:
-        return None
-    v = fn(key)
-    return v if sign == 1 else -v
-
-
-def _lie_of(form, rep_mats, sd_vals, value_fn, dvalue_fn, idx, p) -> np.ndarray:
-    """Lie derivative along the section (with cached data sd_vals) of a
-    V-valued form given by lookup callables, at index tuple idx."""
+def _lie_of(form, rep_mats, sd_vals, value_fn, dvalue_fn, idx) -> np.ndarray:
+    """Lie derivative along the section (with data sd_vals) of a V-valued
+    form given by a section term and its partials, at index tuple idx."""
     val, jac, hess, rho, drho = sd_vals
     n = form.algebroid.chart.dim
     # Coefficient part: directional derivative along the anchor plus the
@@ -468,6 +462,10 @@ def check_im_form(
     """Verify the compatibility identities of a degree-1 or degree-2
     form pair against a representation, on random polynomial sections at
     sampled points.  Also reports the connection predicate.
+
+    At each point the three sections share one read of each form entry
+    they need, and each section term is computed once per index tuple
+    (and direction).
     """
     if rep.bundle != form.value_bundle:
         raise ValueError("representation must act on the form's value bundle")
@@ -479,7 +477,8 @@ def check_im_form(
     draws, pts = plan.split_budget(per_draw=20)
     draws = max(2, min(draws, 10))
 
-    rep_maps = [PointMap.exact(M) for M in rep.coeffs]
+    rep_map = PointMap.exact(rep.coeffs)
+    accessors = (form.sym_value, form.sym_dvalue, form.op_value, form.op_dvalue)
     worst = {1: Residual(), 2: Residual(), 3: Residual()}
     for _ in range(draws):
         alpha = A.random_section(plan.rng)
@@ -488,64 +487,37 @@ def check_im_form(
         sda, sdb = _SectionData(A, alpha), _SectionData(A, beta)
         sdg = _SectionData(A, gamma)
         for p in plan.points(A.chart, pts):
-            va, vb_, vg = sda.at(p), sdb.at(p), sdg.at(p)
-            rep_mats = [m.value(p) for m in rep_maps]
+            va, vb, vg = sda.at(p), sdb.at(p), sdg.at(p)
+            lie = functools.partial(_lie_of, form, rep_map.value(p))
+            reads = [functools.cache(functools.partial(f, p=p)) for f in accessors]
+            La, dLa, Sa, dSa = _on_section(form, reads, va)
+            Lb, dLb, Sb, dSb = _on_section(form, reads, vb)
+            Lg, _, Sg, _ = _on_section(form, reads, vg)
+            rho_a, rho_b = va[3], vb[3]
 
             if k == 2:
                 # identity 1: i_{rho(a)} sym(b) + i_{rho(b)} sym(a) = 0
                 res = np.zeros(form.value_rank)
                 for i in range(n):
-                    if va[3][i] != 0.0:
-                        res += va[3][i] * _sym_of_section(form, vb_, (i,), p)
-                    if vb_[3][i] != 0.0:
-                        res += vb_[3][i] * _sym_of_section(form, va, (i,), p)
+                    if rho_a[i] != 0.0:
+                        res += rho_a[i] * Sb((i,))
+                    if rho_b[i] != 0.0:
+                        res += rho_b[i] * Sa((i,))
                 worst[1].update(res)
 
             # identity 2: L([a,b]) = Lie_a L(b) - Lie_b L(a)
             for idx in itertools.combinations(range(n), k):
-                lhs = _op_of_section(form, vg, idx, p)
-                lie_ab = _lie_of(
-                    form,
-                    rep_mats,
-                    va,
-                    lambda key: _op_of_section(form, vb_, key, p),
-                    lambda j, key: _op_of_section_d(form, vb_, j, key, p),
-                    idx,
-                    p,
-                )
-                lie_ba = _lie_of(
-                    form,
-                    rep_mats,
-                    vb_,
-                    lambda key: _op_of_section(form, va, key, p),
-                    lambda j, key: _op_of_section_d(form, va, j, key, p),
-                    idx,
-                    p,
-                )
-                worst[2].update(lhs - lie_ab + lie_ba)
+                worst[2].update(Lg(idx) - lie(va, Lb, dLb, idx) + lie(vb, La, dLa, idx))
 
             # identity 3: sym([a,b]) = Lie_a sym(b) - i_{rho(b)} L(a)
             for idx in itertools.combinations(range(n), k - 1):
-                lhs = _sym_of_section(form, vg, idx, p)
-                lie_s = _lie_of(
-                    form,
-                    rep_mats,
-                    va,
-                    lambda key: _sym_of_section(form, vb_, key, p),
-                    lambda j, key: _sym_of_section_d(form, vb_, j, key, p),
-                    idx,
-                    p,
-                )
+                lhs = Sg(idx) - lie(va, Sb, dSb, idx)
                 contr = np.zeros(form.value_rank)
                 for i in range(n):
-                    if vb_[3][i] == 0.0:
-                        continue
-                    v = _signed_lookup(
-                        lambda key: _op_of_section(form, va, key, p), (i,) + idx
-                    )
-                    if v is not None:
-                        contr += vb_[3][i] * v
-                worst[3].update(lhs - lie_s + contr)
+                    sign, key = sort_with_sign((i,) + idx)
+                    if rho_b[i] != 0.0 and sign != 0:
+                        contr += rho_b[i] * (La(key) if sign == 1 else -La(key))
+                worst[3].update(lhs + contr)
 
     if k == 2:
         report.add("im_identity_1", worst[1].value, tol)
@@ -650,11 +622,12 @@ class CouplingData:
         worst = Residual()
         for p in plan.points(B.chart, n_points):
             rho = B.anchor_value(p)
+            uvals = np.array([[self.u(a, i, p) for i in range(n)] for a in range(rB)])
             for a in range(rB):
                 for b in range(rB):
                     v = np.zeros(self.k)
                     for i in range(n):
-                        v += rho[i, b] * self.u(a, i, p) + rho[i, a] * self.u(b, i, p)
+                        v += rho[i, b] * uvals[a, i] + rho[i, a] * uvals[b, i]
                     worst.update(v)
         return worst.value
 
@@ -1126,11 +1099,12 @@ def classify_flatness(
     leaf_res = Residual()
     for p in pts:
         rho = B.anchor_value(p)
+        uvals = np.array([[cd.u(a, i, p) for i in range(n)] for a in range(rB)])
         for a in range(rB):
             for i in range(n):
-                totally.update(cd.u(a, i, p))
+                totally.update(uvals[a, i])
             for b in range(rB):
-                leaf_res.update(sum(rho[i, b] * cd.u(a, i, p) for i in range(n)))
+                leaf_res.update(sum(rho[i, b] * uvals[a, i] for i in range(n)))
 
     report.add("kernel_flat_curvature", curv, tol)
     report.add("leafwise_anchored_U", leaf_res.value, tol)
