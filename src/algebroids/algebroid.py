@@ -184,9 +184,16 @@ def bracket(A: LieAlgebroid, alpha: Section, beta: Section) -> Section:
 
 class IdealBundle:
     """Bundle of ideals: the span of the first k frame elements of an
-    adapted frame.  The defining clauses (anchor vanishes on the span,
-    the span is bracket-invariant) are verified on construction at
-    sampled points."""
+    adapted frame.
+
+    With ``verify`` (the default), construction checks the two defining
+    clauses at sampled points, as ``check_axioms``'s ``ideal_anchor``
+    (the anchor vanishes on the span, at ``min(tol, 1e-10)``) and
+    ``ideal_bracket`` (the span is bracket-invariant, at ``tol``), and
+    raises ``ValueError`` if one fails.  It checks neither the Jacobi
+    identity nor the anchor morphism, but draws the sections and points
+    that ``check_axioms`` draws before its ideal points, so it leaves
+    ``plan``'s random stream where ``check_axioms`` would."""
 
     __slots__ = ("parent", "k", "fiber")
 
@@ -204,12 +211,8 @@ class IdealBundle:
         self.k = k
         self.fiber = parent.fiber_bracket(k)
         if verify:
-            rep = check_axioms(parent, self, plan or SamplePlan(seed=42, samples=60))
-            bad = [
-                c
-                for c in rep.checks
-                if c.name.startswith("ideal_") and not c.passed
-            ]
+            rep = _ideal_report(parent, k, plan or SamplePlan(seed=42, samples=60), tol)
+            bad = [c for c in rep.checks if not c.passed]
             if bad:
                 raise ValueError(
                     "not a bundle of ideals: "
@@ -299,6 +302,45 @@ class ARepresentation:
         return worst.value
 
 
+def _axiom_budget(plan: SamplePlan) -> tuple[int, int]:
+    """``check_axioms``'s (section triples, points per triple)."""
+    draws, pts = plan.split_budget(per_draw=25)
+    return max(2, min(draws, 10)), pts
+
+
+def _axiom_draws(A: LieAlgebroid, plan: SamplePlan):
+    """``check_axioms``'s draws from the plan, in order: per draw, a
+    random section triple and then its points."""
+    draws, pts = _axiom_budget(plan)
+    for _ in range(draws):
+        triple = tuple(A.random_section(plan.rng) for _ in range(3))
+        yield triple, plan.points(A.chart, pts)
+
+
+def _add_ideal_checks(rep: Report, A: LieAlgebroid, k: int, plan: SamplePlan, tol: float) -> None:
+    """The ``ideal_anchor`` and ``ideal_bracket`` checks of the span of
+    the first k frame elements, at points drawn after the axiom draws."""
+    pts_list = plan.points(A.chart, max(20, _axiom_budget(plan)[1]))
+    ideal_anchor = PointMap.exact([row[:k] for row in A.anchor])
+    ideal_bracket = PointMap.exact(
+        [[row[a][k:] for a in range(k)] for row in A.structure]
+    )
+    rep.add("ideal_anchor", ideal_anchor.sup(pts_list), 1e-10 if tol > 1e-10 else tol)
+    rep.add("ideal_bracket", ideal_bracket.sup(pts_list), tol)
+
+
+def _ideal_report(A: LieAlgebroid, k: int, plan: SamplePlan, tol: float) -> Report:
+    """The ``ideal_*`` checks of ``check_axioms(A, ideal, plan, tol)``
+    for an ideal of rank k, bit for bit: the axiom draws are taken from
+    the plan, so its random stream moves as there, but no bracket is
+    built."""
+    rep = Report(command="check-axioms", seed=plan.seed, samples=plan.samples)
+    for _ in _axiom_draws(A, plan):
+        pass
+    _add_ideal_checks(rep, A, k, plan, tol)
+    return rep
+
+
 def check_axioms(
     A: LieAlgebroid,
     ideal: IdealBundle | None = None,
@@ -314,15 +356,10 @@ def check_axioms(
     """
     plan = plan or SamplePlan()
     rep = Report(command="check-axioms", seed=plan.seed, samples=plan.samples)
-    draws, pts = plan.split_budget(per_draw=25)
-    draws = max(2, min(draws, 10))
 
     jac_worst = Residual()
     anch_worst = Residual()
-    for _ in range(draws):
-        al = A.random_section(plan.rng)
-        be = A.random_section(plan.rng)
-        ga = A.random_section(plan.rng)
+    for (al, be, ga), points in _axiom_draws(A, plan):
         jacobiator = (
             bracket(A, bracket(A, al, be), ga)
             + bracket(A, bracket(A, be, ga), al)
@@ -335,21 +372,13 @@ def check_axioms(
                 vf_bracket(A.rho_of(al), A.rho_of(be), A.chart.dim),
             )
         ])
-        points = plan.points(A.chart, pts)
         jac_worst.update(PointMap.exact(jacobiator.components).sup(points))
         anch_worst.update(anchor_defect.sup(points))
     rep.add("jacobi", jac_worst.value, tol)
     rep.add("anchor_morphism", anch_worst.value, tol)
 
     if ideal is not None:
-        k = ideal.k
-        pts_list = plan.points(A.chart, max(20, pts))
-        ideal_anchor = PointMap.exact([row[:k] for row in A.anchor])
-        ideal_bracket = PointMap.exact(
-            [[row[a][k:] for a in range(k)] for row in A.structure]
-        )
-        rep.add("ideal_anchor", ideal_anchor.sup(pts_list), 1e-10 if tol > 1e-10 else tol)
-        rep.add("ideal_bracket", ideal_bracket.sup(pts_list), tol)
+        _add_ideal_checks(rep, A, ideal.k, plan, tol)
     return rep
 
 
