@@ -39,6 +39,7 @@ from .bundles import (
     Bundle,
     CoeffForm,
     FiberBracket,
+    Jet,
     LinearConnection,
     PointMap,
     Section,
@@ -329,40 +330,30 @@ def _connection_residual(form, plan: SamplePlan, n_points: int = 30) -> float:
 
 
 class _SectionData:
-    """Values and first and second partials of a section's
-    coefficients, and its anchor image with first partials, as one
-    point map evaluated once per point."""
+    """The 2-jet of a section's coefficients (``bundles.Jet``), and its
+    anchor image with first partials, as one point map evaluated once
+    per point."""
 
     def __init__(self, A: LieAlgebroid, alpha: Section):
         self.n = n = A.chart.dim
-        self.r = len(alpha.components)
-        dirs = range(n)
-        jac = [differentiate(c, j) for c in alpha.components for j in dirs]
+        self.jet = Jet(alpha.components, n)
         rho = A.rho_of(alpha)
-        # In the order at() returns them, the Hessian and the anchor
-        # partials direction-major: the first evaluation error is that
-        # of evaluating the five arrays in turn, each by direction.
+        # The jet, then the anchor partials direction-major: the first
+        # evaluation error is that of evaluating the five arrays in turn,
+        # each by direction.
         self.map = PointMap.exact(
-            [
-                *alpha.components,
-                *jac,
-                *(differentiate(x, i) for i in dirs for x in jac),
-                *rho,
-                *(differentiate(x, j) for j in dirs for x in rho),
-            ]
+            [*self.jet.entries, *rho, *(differentiate(x, j) for j in range(n) for x in rho)]
         )
 
     def at(self, p):
         """(val, jac, hess, rho, drho) at p; the last index of jac, hess
         and drho is the differentiation direction."""
-        n, r = self.n, self.r
+        n = self.n
         v = self.map.value(p)
-        j, h, d = r, r + r * n, r + r * n + n * r * n
+        d = len(self.jet.entries)
         # Copies, so each array owns its C-ordered buffer as before.
         return (
-            v[:j].copy(),
-            v[j:h].reshape(r, n).copy(),
-            v[h:d].reshape(n, r, n).transpose(1, 2, 0).copy(),
+            *(x.copy() for x in self.jet.split(v)),
             v[d : d + n].copy(),
             v[d + n :].reshape(n, n).T.copy(),
         )

@@ -149,6 +149,8 @@ def test_check_axioms_perturbed_fails():
     rep = check_axioms(bad, plan=SamplePlan(seed=5, samples=120))
     jac = next(c for c in rep.checks if c.name == "jacobi")
     assert jac.max_residual > 1e-3
+    # rho([e1, e2]) moves by x1 rho(e3); [rho(e1), rho(e2)] does not.
+    assert [c.name for c in rep.checks if not c.passed] == ["jacobi", "anchor_morphism"]
 
 
 def test_ideal_rejects_non_ideal():

@@ -1,13 +1,21 @@
-"""Ideal construction checks only its defining clauses, on the random
-stream of ``check_axioms``."""
+"""The algebroid axioms read from jets, and ideal construction that
+checks only its defining clauses, on the random stream of
+``check_axioms``."""
 
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from algebroids import algebroid
-from algebroids.algebroid import IdealBundle, LieAlgebroid, check_axioms
-from algebroids.bundles import Bundle
+from algebroids.algebroid import IdealBundle, LieAlgebroid, bracket, check_axioms, vf_bracket
+from algebroids.bundles import Bundle, PointMap
 from algebroids.expr import ONE, ZERO, Chart, add, const, coord, fold, mul, neg
+from algebroids.factory import so3_constants
+from algebroids.modelio import load_model
 from algebroids.sampling import SamplePlan
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 CH2 = Chart(2)
 
@@ -57,3 +65,78 @@ def test_ideal_construction_checks_are_those_of_check_axioms(seed, samples):
     verified = SamplePlan(seed, samples)
     IdealBundle(A, 1, plan=verified, tol=1e-4)
     assert verified.rng.bit_generator.state == axioms.rng.bit_generator.state
+
+
+# The Jacobiator and anchor-morphism defect as check_axioms built them
+# before it read jets: nested symbolic brackets, evaluated per point.
+def symbolic_defects(A, triple, points):
+    al, be, ga = triple
+    jacobiator = (
+        bracket(A, bracket(A, al, be), ga)
+        + bracket(A, bracket(A, be, ga), al)
+        + bracket(A, bracket(A, ga, al), be)
+    )
+    anchor_defect = PointMap.exact([
+        fold(add(x, neg(y)))
+        for x, y in zip(
+            A.rho_of(bracket(A, al, be)),
+            vf_bracket(A.rho_of(al), A.rho_of(be), A.chart.dim),
+        )
+    ])
+    jac_map = PointMap.exact(jacobiator.components)
+    return (
+        np.array([jac_map.value(p) for p in points]),
+        np.array([anchor_defect.value(p) for p in points]),
+    )
+
+
+def perturbed_so3():
+    """The rotation action algebroid with [e1, e2] = (1 + x1) e3, which
+    breaks Jacobi (as in test_check_axioms_perturbed_fails)."""
+    x = [coord(i) for i in range(3)]
+    anchor = [
+        [ZERO, neg(x[2]), x[1]],
+        [x[2], ZERO, neg(x[0])],
+        [neg(x[1]), x[0], ZERO],
+    ]
+    eps = so3_constants()
+    struct = [
+        [[const(float(eps[a, b, c])) for c in range(3)] for b in range(3)]
+        for a in range(3)
+    ]
+    pert = fold(add(ONE, coord(0)))
+    struct[0][1][2] = pert
+    struct[1][0][2] = fold(neg(pert))
+    return LieAlgebroid(Bundle(Chart(3), 3, "A"), anchor, struct)
+
+
+ALGEBROIDS = {
+    **{
+        m: lambda m=m: load_model(str(MODELS / f"{m}.json")).algebroid()
+        for m in ("so3_radial", "product_so3", "principal_flat", "bad_structure")
+    },
+    "perturbed_so3": perturbed_so3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALGEBROIDS))
+def test_jets_agree_with_the_symbolic_brackets(name):
+    A = ALGEBROIDS[name]()
+    defects = algebroid._axiom_defects(A)
+    for triple, points in algebroid._axiom_draws(A, SamplePlan(seed=9, samples=50)):
+        for jet, sym in zip(defects(triple, points), symbolic_defects(A, triple, points)):
+            assert jet.shape == sym.shape
+            scale = np.maximum(1.0, np.abs(sym).max(axis=1, keepdims=True))
+            assert np.all(np.abs(jet - sym) <= 1e-12 * scale)
+
+
+def test_axiom_checks_build_no_bracket(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a checker built a symbolic bracket")
+
+    model = load_model(str(MODELS / "so3_radial.json"))
+    A = model.algebroid()
+    monkeypatch.setattr(algebroid, "bracket", refuse)
+    monkeypatch.setattr(algebroid, "vf_bracket", refuse)
+    ideal = IdealBundle(A, model.ideal(verify=False).k, plan=SamplePlan(seed=2, samples=60))
+    assert check_axioms(A, ideal, SamplePlan(seed=2, samples=60)).passed

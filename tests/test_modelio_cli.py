@@ -167,6 +167,7 @@ def test_verify_algebroid_broken_structure():
     doc = json.loads(out)
     jac = next(c for c in doc["checks"] if c["name"] == "jacobi")
     assert jac["max_residual"] > 1e-3
+    assert [c["name"] for c in doc["checks"] if not c["pass"]] == ["jacobi", "anchor_morphism"]
     # The declared span is not an ideal either.
     code, out = invoke(
         ["verify-ideal", "--model", str(MODELS / "bad_structure.json"), "--json", "--samples", "80"]
@@ -251,12 +252,29 @@ def test_nan_residual_fails_its_check(tmp_path):
     # Infinity, which strict parsers reject.
     doc = json.loads(out, parse_constant=_reject_constant)
     Draft202012Validator(REPORT_SCHEMA).validate(doc)
-    check = next(c for c in doc["checks"] if c["name"] == "ideal_anchor")
-    assert check["max_residual"] is None and check["non_finite"] is True
-    assert not check["pass"]
+    for name in ("jacobi", "anchor_morphism", "ideal_anchor"):
+        check = next(c for c in doc["checks"] if c["name"] == name)
+        assert check["max_residual"] is None and check["non_finite"] is True
+        assert not check["pass"]
     assert doc["pass"] is False
     finite = next(c for c in doc["checks"] if c["name"] == "ideal_bracket")
     assert "non_finite" not in finite
+
+
+def test_infinite_anchor_fails_the_axioms(tmp_path):
+    import warnings
+
+    # The anchor entry is +-inf away from x1 = 0. The axioms, read from
+    # jets, meet inf - inf or inf * 0 as a NaN entry: a non-finite
+    # failure (exit 1), not an evaluation error, and no numpy warning.
+    model = _so3_radial_with_anchor(tmp_path, "exp(700)*exp(700)*x1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = invoke(["verify-algebroid", "--model", model, "--json", "--samples", "40"])
+    assert code == 1
+    doc = json.loads(out, parse_constant=_reject_constant)
+    for check in doc["checks"]:
+        assert check["max_residual"] is None and check["non_finite"] is True
 
 
 @pytest.mark.parametrize(

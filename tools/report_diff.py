@@ -1,6 +1,6 @@
 """Compare the CLI reports of the working tree with those of a revision.
 
-    python3 tools/report_diff.py REV [--samples N]
+    python3 tools/report_diff.py REV [--samples N] [--explain]
 
 Exports REV with ``git archive`` into a temporary directory, then runs
 the benchmark's 35 jobs on both trees, each in a fresh process at seed
@@ -10,16 +10,25 @@ and one ``example`` job per family, two processes at a time. Every job whose std
 exit code differ between the trees is listed. Exit code 0 if none
 differs, 1 otherwise.
 
+With ``--explain``, each listed job is followed by how its report
+moved: every check's ``max_residual`` as old -> new, every other field
+that changed, and one ``VERDICT CHANGED`` line per changed check
+verdict, overall verdict, verdict field or exit code. The exit code
+does not depend on it.
+
 A change that claims byte-identical reports runs this against its
 parent, e.g. ``python3 tools/report_diff.py HEAD~1``, and again at the
 sample counts the benchmark's workloads use (60, 4 and 10), where
-bounded memos fill and empty at other points.
+bounded memos fill and empty at other points. A change that moves
+residual bits on purpose runs it with ``--explain`` to show that only
+residuals moved.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import json
 import os
 import subprocess
 import sys
@@ -34,6 +43,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import EXAMPLE_FAMILIES, STOCK_SEED, WORKLOADS, Job  # noqa: E402
 
 WORKERS = 2  # processes at a time; the reports do not depend on it
+# Report fields other than the checks that state a verdict.
+VERDICT_FIELDS = ("pass", "flatness", "connection_predicate")
 
 
 def jobs(samples: int) -> list[Job]:
@@ -59,28 +70,98 @@ def run_job(tree: Path, job: Job) -> tuple[int, bytes]:
     return proc.returncode, proc.stdout
 
 
+def _residual(check: dict) -> str:
+    r = check.get("max_residual")
+    return "non-finite" if r is None else repr(r)
+
+
+def _fields(doc: dict, prefix: str = "") -> dict:
+    """The report's fields other than its checks, nested dicts flattened
+    to dotted names."""
+    out = {}
+    for key, value in doc.items():
+        if key == "checks" and not prefix:
+            continue
+        if isinstance(value, dict):
+            out.update(_fields(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def explain(old: tuple[int, bytes], new: tuple[int, bytes]) -> list[str]:
+    """How one job's (exit code, stdout) moved from old to new, as
+    indented lines: each check's max_residual as old -> new, each other
+    changed field, and a ``VERDICT CHANGED`` line for each changed
+    verdict or exit code."""
+    lines = []
+    if old[0] != new[0]:
+        lines.append(f"  VERDICT CHANGED: exit code {old[0]} -> {new[0]}")
+    try:
+        before, after = json.loads(old[1]), json.loads(new[1])
+    except ValueError:
+        return lines + ["  (stdout is not a JSON report on both sides)"]
+    checks_before = {c["name"]: c for c in before.get("checks", [])}
+    checks_after = {c["name"]: c for c in after.get("checks", [])}
+    for name in [*checks_before, *(n for n in checks_after if n not in checks_before)]:
+        a, b = checks_before.get(name), checks_after.get(name)
+        if a is None or b is None:
+            side = "new" if a is None else "old"
+            lines.append(f"  VERDICT CHANGED: check {name} only in the {side} report")
+            continue
+        moved = "" if _residual(a) == _residual(b) else f" -> {_residual(b)}"
+        lines.append(f"  {name}: {_residual(a)}{moved}")
+        if a.get("tolerance") != b.get("tolerance"):
+            lines.append(f"  {name} tolerance: {a.get('tolerance')!r} -> {b.get('tolerance')!r}")
+        if a.get("pass") != b.get("pass"):
+            lines.append(f"  VERDICT CHANGED: {name} pass {a.get('pass')} -> {b.get('pass')}")
+    fields_before, fields_after = _fields(before), _fields(after)
+    for key in [*fields_before, *(k for k in fields_after if k not in fields_before)]:
+        a, b = fields_before.get(key), fields_after.get(key)
+        if a != b:
+            verdict = key in VERDICT_FIELDS
+            lead = "VERDICT CHANGED: " if verdict else ""
+            lines.append(f"  {lead}{key}: {a!r} -> {b!r}")
+    return lines
+
+
+def diff_trees(
+    theirs: Path, ours: Path, todo: list[Job], rev: str, explained: bool = False
+) -> tuple[list[str], int]:
+    """Run the jobs on both trees; the lines to print and the number of
+    jobs whose stdout or exit code differ."""
+    with ThreadPoolExecutor(WORKERS) as pool:
+        new = list(pool.map(lambda j: run_job(ours, j), todo))
+        old = list(pool.map(lambda j: run_job(theirs, j), todo))
+    lines, differ = [], 0
+    for job, a, b in zip(todo, old, new):
+        if a != b:
+            differ += 1
+            what = "exit code" if a[0] != b[0] else "stdout"
+            lines.append(f"DIFFERS ({what}: {rev} exit {a[0]}, working tree exit {b[0]}): {job.label}")
+            if explained:
+                lines += explain(a, b)
+    codes = sorted({c for c, _ in new})
+    tally = ", ".join(f"exit {c}: {sum(1 for k, _ in new if k == c)}" for c in codes)
+    lines.append(f"working tree: {tally}")
+    lines.append(f"{len(todo) - differ} of {len(todo)} jobs identical to {rev} in --json stdout and exit code")
+    return lines, differ
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="git revision to compare with, e.g. HEAD~1")
     ap.add_argument("--samples", type=int, default=200, help="--samples of every job (default 200)")
+    ap.add_argument(
+        "--explain", action="store_true",
+        help="after each differing job, list its residuals old -> new and mark changed verdicts",
+    )
     args = ap.parse_args(argv)
-    todo = jobs(args.samples)
     with tempfile.TemporaryDirectory() as tmp:
         other = Path(tmp)
         export(args.rev, other)
-        with ThreadPoolExecutor(WORKERS) as pool:
-            ours = list(pool.map(lambda j: run_job(ROOT, j), todo))
-            theirs = list(pool.map(lambda j: run_job(other, j), todo))
-    differ = 0
-    for job, (code_a, out_a), (code_b, out_b) in zip(todo, theirs, ours):
-        if (code_a, out_a) != (code_b, out_b):
-            differ += 1
-            what = "exit code" if code_a != code_b else "stdout"
-            print(f"DIFFERS ({what}: {args.rev} exit {code_a}, working tree exit {code_b}): {job.label}")
-    codes = sorted({c for c, _ in ours})
-    tally = ", ".join(f"exit {c}: {sum(1 for k, _ in ours if k == c)}" for c in codes)
-    print(f"working tree: {tally}")
-    print(f"{len(todo) - differ} of {len(todo)} jobs identical to {args.rev} in --json stdout and exit code")
+        lines, differ = diff_trees(other, ROOT, jobs(args.samples), args.rev, args.explain)
+    print("\n".join(lines))
     return 1 if differ else 0
 
 
