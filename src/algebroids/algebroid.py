@@ -350,23 +350,23 @@ def _axiom_defects(A: LieAlgebroid):
     (points, n)).
 
     Both are read from 2-jets: the sections' values, gradients and
-    Hessians, and the anchor's and structure functions' values and
-    gradients, each run as one tape per point.  No bracket is built.
+    Hessians, as one tape per point, and the values and partials of
+    ``A.anchor_map`` and ``A.structure_map``, whose tapes the algebroid
+    compiles once.  No bracket is built.
     """
     n, r = A.chart.dim, A.rank
-    nr = n * r
-    coeffs = Jet(
-        [*(x for row in A.anchor for x in row), *(x for M in A.structure for v in M for x in v)],
-        n,
-        order=1,
-    )
-    coeff_map = PointMap.exact(coeffs.entries)
+    dirs = range(n)
+
+    def one_jet(pm, points):
+        """Values and partials of a point map at the points; the last
+        index of the partials is the direction."""
+        val = np.array([pm.value(p) for p in points])
+        jac = np.array([[pm.partial(j, p) for j in dirs] for p in points])
+        return val, np.moveaxis(jac, 1, -1)
 
     def defects(triple, points):
-        P = len(points)
-        val, jac, _ = coeffs.split(np.array([coeff_map.value(p) for p in points]))
-        R, dR = val[:, :nr].reshape(P, n, r), jac[:, :nr].reshape(P, n, r, n)
-        C, dC = val[:, nr:].reshape(P, r, r, r), jac[:, nr:].reshape(P, r, r, r, n)
+        R, dR = one_jet(A.anchor_map, points)
+        C, dC = one_jet(A.structure_map, points)
         sections = Jet([x for s in triple for x in s.components], n)
         section_map = PointMap.exact(sections.entries)
         sv, sj, sh = sections.split(np.array([section_map.value(p) for p in points]))

@@ -271,37 +271,35 @@ class PointMap:
 
 
 class Jet:
-    """The values and partials up to ``order`` (1 or 2) of m functions
-    on an n-dimensional chart, as the Expr entries of one point map.
+    """The values and first and second partials of m functions on an
+    n-dimensional chart, as the Expr entries of one point map.
 
     ``entries`` lists the m values, then the first partials function by
-    function (d_j f_a at m + a*n + j), then, at order 2, the second
-    partials direction-major (d_i d_j f_a at m + m*n + (i*m + a)*n + j).
+    function (d_j f_a at m + a*n + j), then the second partials
+    direction-major (d_i d_j f_a at m + m*n + (i*m + a)*n + j).
     ``split`` reads the values of a map built on these entries, and
     possibly more after them, back into arrays.
     """
 
     __slots__ = ("m", "n", "entries")
 
-    def __init__(self, funcs: Sequence[Expr], n: int, order: int = 2):
+    def __init__(self, funcs: Sequence[Expr], n: int):
         dirs = range(n)
         jac = [differentiate(f, j) for f in funcs for j in dirs]
-        hess = [differentiate(x, i) for i in dirs for x in jac] if order == 2 else []
+        hess = [differentiate(x, i) for i in dirs for x in jac]
         self.m, self.n = len(funcs), n
         self.entries = [*funcs, *jac, *hess]
 
     def split(self, v: np.ndarray):
         """(val, jac, hess) from values ``v`` of shape (..., entries):
         ``val[..., a]`` is f_a, ``jac[..., a, j]`` is d_j f_a and
-        ``hess[..., a, j, i]`` is d_i d_j f_a (None at order 1).  The
-        arrays are views of ``v``; entries past the jet's are ignored."""
+        ``hess[..., a, j, i]`` is d_i d_j f_a.  The arrays are views of
+        ``v``; entries past the jet's are ignored."""
         m, n = self.m, self.n
         lead = v.shape[:-1]
         h, end = m + m * n, len(self.entries)
         jac = v[..., m:h].reshape(lead + (m, n))
-        hess = None
-        if end > h:
-            hess = np.moveaxis(v[..., h:end].reshape(lead + (n, m, n)), -3, -1)
+        hess = np.moveaxis(v[..., h:end].reshape(lead + (n, m, n)), -3, -1)
         return v[..., :m], jac, hess
 
 
