@@ -1,4 +1,4 @@
-"""tools/report_diff.py --explain: how a job's report moved."""
+"""tools/report_diff.py: how a differing job's report moved."""
 
 import importlib.util
 import json
@@ -100,7 +100,7 @@ def test_explain_on_a_perturbed_tree(tmp_path):
         Job("verify-algebroid", "product_so3", (), 42, 4),
         Job("verify-algebroid", "bad_structure", (), 42, 4),
     ]
-    lines, differ = report_diff.diff_trees(base, moved, todo, "base", explained=True)
+    lines, differ = report_diff.diff_trees(base, moved, todo, "base")
     text = "\n".join(lines)
     assert differ == 2
     first, second = text.split("DIFFERS")[1:]

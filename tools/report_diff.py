@@ -1,27 +1,24 @@
 """Compare the CLI reports of the working tree with those of a revision.
 
-    python3 tools/report_diff.py REV [--samples N] [--explain]
+    python3 tools/report_diff.py REV [--samples N]
 
 Exports REV with ``git archive`` into a temporary directory, then runs
 the benchmark's 35 jobs on both trees, each in a fresh process at seed
 42 and N samples (default 200, the CLI's stock count) with ``--json``:
 the 22 symbolic-cli and 6 groupoid-cli jobs of ``perfbench/workloads.py``
 and one ``example`` job per family, two processes at a time. Every job whose stdout bytes or
-exit code differ between the trees is listed. Exit code 0 if none
-differs, 1 otherwise.
-
-With ``--explain``, each listed job is followed by how its report
-moved: every check's ``max_residual`` as old -> new, every other field
-that changed, and one ``VERDICT CHANGED`` line per changed check
-verdict, overall verdict, verdict field or exit code. The exit code
-does not depend on it.
+exit code differ between the trees is listed, followed by how its
+report moved: every check's ``max_residual`` as old -> new, every other
+field that changed, and one ``VERDICT CHANGED`` line per changed check
+verdict, overall verdict, verdict field or exit code. Exit code 0 if
+no job differs, 1 otherwise.
 
 A change that claims byte-identical reports runs this against its
 parent, e.g. ``python3 tools/report_diff.py HEAD~1``, and again at the
 sample counts the benchmark's workloads use (60, 4 and 10), where
 bounded memos fill and empty at other points. A change that moves
-residual bits on purpose runs it with ``--explain`` to show that only
-residuals moved.
+residual bits on purpose shows by the listing that only residuals
+moved.
 """
 
 from __future__ import annotations
@@ -125,11 +122,10 @@ def explain(old: tuple[int, bytes], new: tuple[int, bytes]) -> list[str]:
     return lines
 
 
-def diff_trees(
-    theirs: Path, ours: Path, todo: list[Job], rev: str, explained: bool = False
-) -> tuple[list[str], int]:
-    """Run the jobs on both trees; the lines to print and the number of
-    jobs whose stdout or exit code differ."""
+def diff_trees(theirs: Path, ours: Path, todo: list[Job], rev: str) -> tuple[list[str], int]:
+    """Run the jobs on both trees; the lines to print (each differing
+    job with its ``explain`` lines) and the number of jobs whose stdout
+    or exit code differ."""
     with ThreadPoolExecutor(WORKERS) as pool:
         new = list(pool.map(lambda j: run_job(ours, j), todo))
         old = list(pool.map(lambda j: run_job(theirs, j), todo))
@@ -139,8 +135,7 @@ def diff_trees(
             differ += 1
             what = "exit code" if a[0] != b[0] else "stdout"
             lines.append(f"DIFFERS ({what}: {rev} exit {a[0]}, working tree exit {b[0]}): {job.label}")
-            if explained:
-                lines += explain(a, b)
+            lines += explain(a, b)
     codes = sorted({c for c, _ in new})
     tally = ", ".join(f"exit {c}: {sum(1 for k, _ in new if k == c)}" for c in codes)
     lines.append(f"working tree: {tally}")
@@ -152,15 +147,11 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("rev", help="git revision to compare with, e.g. HEAD~1")
     ap.add_argument("--samples", type=int, default=200, help="--samples of every job (default 200)")
-    ap.add_argument(
-        "--explain", action="store_true",
-        help="after each differing job, list its residuals old -> new and mark changed verdicts",
-    )
     args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         other = Path(tmp)
         export(args.rev, other)
-        lines, differ = diff_trees(other, ROOT, jobs(args.samples), args.rev, args.explain)
+        lines, differ = diff_trees(other, ROOT, jobs(args.samples), args.rev)
     print("\n".join(lines))
     return 1 if differ else 0
 
