@@ -37,7 +37,7 @@ from .expr import (
     mul,
     neg,
 )
-from .sampling import Report, Residual, SamplePlan, random_polynomial
+from .sampling import Report, Residual, SamplePlan, polynomial, polynomial_draws, random_polynomial
 
 __all__ = [
     "LieAlgebroid",
@@ -310,12 +310,18 @@ def _axiom_budget(plan: SamplePlan) -> tuple[int, int]:
 
 
 def _axiom_draws(A: LieAlgebroid, plan: SamplePlan):
-    """``check_axioms``'s draws from the plan, in order: per draw, a
-    random section triple and then its points."""
+    """``check_axioms``'s draws from the plan, in order: per draw, the
+    terms of a random section triple (``polynomial_draws``, as
+    ``random_section`` draws them) and then its points."""
     draws, pts = _axiom_budget(plan)
     for _ in range(draws):
-        triple = tuple(A.random_section(plan.rng) for _ in range(3))
+        triple = [[polynomial_draws(A.chart.dim, plan.rng) for _ in range(A.rank)] for _ in range(3)]
         yield triple, plan.points(A.chart, pts)
+
+
+def _sections(A: LieAlgebroid, triple) -> tuple[Section, ...]:
+    """The sections of a triple of ``_axiom_draws``."""
+    return tuple(A.section([polynomial(t) for t in s]) for s in triple)
 
 
 def _add_ideal_checks(rep: Report, A: LieAlgebroid, k: int, plan: SamplePlan, tol: float) -> None:
@@ -334,7 +340,7 @@ def _ideal_report(A: LieAlgebroid, k: int, plan: SamplePlan, tol: float) -> Repo
     """The ``ideal_*`` checks of ``check_axioms(A, ideal, plan, tol)``
     for an ideal of rank k, bit for bit: the axiom draws are taken from
     the plan, so its random stream moves as there, but no bracket is
-    built."""
+    built, nor any random section."""
     rep = Report(command="check-axioms", seed=plan.seed, samples=plan.samples)
     for _ in _axiom_draws(A, plan):
         pass
@@ -440,7 +446,7 @@ def check_axioms(
     anch_worst = Residual()
     defects = _axiom_defects(A)
     for triple, points in _axiom_draws(A, plan):
-        jacobiator, anchor_defect = defects(triple, points)
+        jacobiator, anchor_defect = defects(_sections(A, triple), points)
         jac_worst.update(jacobiator)
         anch_worst.update(anchor_defect)
     rep.add("jacobi", jac_worst.value, tol)

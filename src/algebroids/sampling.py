@@ -14,9 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Chart, Expr, add, const, coord, mul, _sample_point
+from .expr import Chart, Expr, add, const, coord, fold, mul, _sample_point
 
-__all__ = ["SamplePlan", "Residual", "Check", "Report", "random_polynomial"]
+__all__ = [
+    "SamplePlan",
+    "Residual",
+    "Check",
+    "Report",
+    "polynomial",
+    "polynomial_draws",
+    "random_polynomial",
+]
 
 
 class SamplePlan:
@@ -62,26 +70,32 @@ class SamplePlan:
         return draws, pts
 
 
+def polynomial_draws(dim: int, rng: np.random.Generator, degree: int = 2) -> list[tuple[float, tuple[int, ...]]]:
+    """The random numbers of ``random_polynomial``, drawn in its order,
+    as (coefficient, monomial) terms: a monomial is the tuple of its
+    coordinate indices, () for the constant."""
+    terms = [(float(rng.uniform(-1, 1)), ())]
+    terms += [(float(rng.uniform(-1, 1)), (i,)) for i in range(dim)]
+    if degree >= 2:
+        for i in range(dim):
+            for j in range(i, dim):
+                if rng.uniform() < 0.5:
+                    terms.append((float(rng.uniform(-1, 1)), (i, j)))
+    return terms
+
+
+def polynomial(terms: list[tuple[float, tuple[int, ...]]]) -> Expr:
+    """The folded sum of the (coefficient, monomial) terms."""
+    return fold(add(*(mul(const(c), *map(coord, m)) for c, m in terms)))
+
+
 def random_polynomial(chart: Chart, rng: np.random.Generator, degree: int = 2) -> Expr:
     """Random polynomial of degree <= 2 with coefficients in [-1, 1].
 
     The shape (constant + linear + a few quadratics) is the stock
     random section used by the property checkers.
     """
-    terms = [const(float(rng.uniform(-1, 1)))]
-    for i in range(chart.dim):
-        terms.append(mul(const(float(rng.uniform(-1, 1))), coord(i)))
-    if degree >= 2:
-        for i in range(chart.dim):
-            for j in range(i, chart.dim):
-                if rng.uniform() < 0.5:
-                    terms.append(
-                        mul(const(float(rng.uniform(-1, 1))), coord(i), coord(j))
-                    )
-    e = add(*terms)
-    from .expr import fold
-
-    return fold(e)
+    return polynomial(polynomial_draws(chart.dim, rng, degree))
 
 
 class Residual:

@@ -123,7 +123,8 @@ ALGEBROIDS = {
 def test_jets_agree_with_the_symbolic_brackets(name):
     A = ALGEBROIDS[name]()
     defects = algebroid._axiom_defects(A)
-    for triple, points in algebroid._axiom_draws(A, SamplePlan(seed=9, samples=50)):
+    for draws, points in algebroid._axiom_draws(A, SamplePlan(seed=9, samples=50)):
+        triple = algebroid._sections(A, draws)
         for jet, sym in zip(defects(triple, points), symbolic_defects(A, triple, points)):
             assert jet.shape == sym.shape
             scale = np.maximum(1.0, np.abs(sym).max(axis=1, keepdims=True))

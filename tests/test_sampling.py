@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from algebroids.sampling import Report, Residual
+from algebroids.expr import Chart
+from algebroids.sampling import Report, Residual, polynomial, polynomial_draws, random_polynomial
 
 
 def test_residual_starts_at_zero_and_keeps_largest_magnitude():
@@ -53,3 +54,11 @@ def test_report_json_writes_non_finite_numbers_as_null():
     }
     assert doc["curvature_max_value"] is None
     assert doc["residuals"] == {"S1": None, "S2": 0.5}
+
+
+def test_random_polynomial_is_its_draws():
+    # The draws alone move the stream as the polynomial does, and give it back.
+    a, b = np.random.default_rng(4), np.random.default_rng(4)
+    for _ in range(5):
+        assert random_polynomial(Chart(3), a) == polynomial(polynomial_draws(3, b))
+    assert a.bit_generator.state == b.bit_generator.state
