@@ -55,7 +55,7 @@ print(
 
 print()
 print("differentiating to the infinitesimal side and re-checking there:")
-nform = differentiate_to_im(gpd, alpha, plan.fork("d"))
+nform = differentiate_to_im(gpd, alpha)
 A, ideal, _ = gpd.action_algebroid()
 rep = canonical_representation(A, ideal)
 out = check_im_form(nform, rep, plan.fork("im"), tol=1e-6)

@@ -304,7 +304,7 @@ def _cmd_lie_functor(args, plan, tol):
     gpd = model.groupoid()
     tol = tol or 1e-6
     alpha = connection_from_splitting(gpd, plan=plan.fork("conn"))
-    nform = differentiate_to_im(gpd, alpha, plan.fork("diff"))
+    nform = differentiate_to_im(gpd, alpha)
     A, ideal, P = gpd.action_algebroid()
     arep = canonical_representation(A, ideal)
     rep = check_im_form(nform, arep, plan.fork("im"), tol=tol)

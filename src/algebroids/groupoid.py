@@ -866,7 +866,6 @@ def check_groupoid_properties(
 def differentiate_to_im(
     gpd: ActionGroupoid,
     alpha: MultForm,
-    plan: SamplePlan | None = None,
     step: float = 1e-5,
     region_pad: float = 1.0,
 ) -> NumericIMOneForm:
@@ -878,7 +877,6 @@ def differentiate_to_im(
     (g, x) -> (g exp(t v), exp(-t v).x) of constant sections, extended
     to the adapted frame by the symbol rule.
     """
-    plan = plan or SamplePlan()
     A, ideal, P = gpd.action_algebroid()
     d, n, k = gpd.group.dim, gpd.chart.dim, gpd.k
     N = gpd.group.N

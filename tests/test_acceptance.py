@@ -466,7 +466,7 @@ def test_criterion_09_lie_functor():
     for name, gpd in (("so2", _so2_gpd()), ("so3", _so3_gpd())):
         p = plan(f"c9-{name}")
         alpha = connection_from_splitting(gpd, plan=p.fork("conn"))
-        nform = differentiate_to_im(gpd, alpha, p.fork("diff"))
+        nform = differentiate_to_im(gpd, alpha)
         A, ideal, _ = gpd.action_algebroid()
         rep = canonical_representation(A, ideal)
         out = check_im_form(nform, rep, p.fork("im"), tol=1e-6)

@@ -332,7 +332,7 @@ def test_differentiate_to_im_so2_product():
     gpd = so2_groupoid()
     plan = SamplePlan(seed=42, samples=40)
     alpha = connection_from_splitting(gpd, plan=plan.fork("c"))
-    nform = differentiate_to_im(gpd, alpha, plan.fork("d"))
+    nform = differentiate_to_im(gpd, alpha)
     # Product shape: symbol is the identity, operator values vanish.
     for p in plan.points(gpd.chart, 10):
         assert abs(nform.sym_value(0, (), p)[0] - 1.0) < 1e-9
@@ -347,7 +347,7 @@ def test_differentiate_to_im_so3(radial_model):
     gpd = so3_radial_groupoid()
     plan = SamplePlan(seed=42, samples=50)
     alpha = connection_from_splitting(gpd, plan=plan.fork("c"))
-    nform = differentiate_to_im(gpd, alpha, plan.fork("d"))
+    nform = differentiate_to_im(gpd, alpha)
     A, ideal, P = gpd.action_algebroid()
 
     # Recovered symbol equals the supplied splitting on the adapted frame.
