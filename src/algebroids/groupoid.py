@@ -663,7 +663,6 @@ def covariant_exterior_D(
     conn: LinearConnection,
     alpha: MultForm | None = None,
     step: float = 1e-5,
-    check_step: bool = True,
 ) -> MultForm:
     """Exterior covariant derivative: the covariant differential
     evaluated on horizontal projections (with respect to the connection
@@ -681,7 +680,7 @@ def covariant_exterior_D(
     if omega.degree == 1:
         dnabla = d_nabla_s(gpd, omega, conn, step=step)
         dnabla_half = d_nabla_s(gpd, omega, conn, step=step / 2)
-        checked = [not check_step]
+        checked = [False]
 
         def evaluator(g, x, T1, T2):
             hT1, hT2 = h(g, x, T1), h(g, x, T2)
