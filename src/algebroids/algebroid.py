@@ -319,11 +319,6 @@ def _axiom_draws(A: LieAlgebroid, plan: SamplePlan):
         yield triple, plan.points(A.chart, pts)
 
 
-def _sections(A: LieAlgebroid, triple) -> tuple[Section, ...]:
-    """The sections of a triple of ``_axiom_draws``."""
-    return tuple(A.section([polynomial(t) for t in s]) for s in triple)
-
-
 def _add_ideal_checks(rep: Report, A: LieAlgebroid, k: int, plan: SamplePlan, tol: float) -> None:
     """The ``ideal_anchor`` and ``ideal_bracket`` checks of the span of
     the first k frame elements, at points drawn after the axiom draws."""
@@ -348,77 +343,82 @@ def _ideal_report(A: LieAlgebroid, k: int, plan: SamplePlan, tol: float) -> Repo
     return rep
 
 
-def _axiom_defects(A: LieAlgebroid):
-    """The function of a section triple (alpha, beta, gamma) and a list
-    of points that gives, at each point, the Jacobiator
-    [[a,b],g] + [[b,g],a] + [[g,a],b] (an array of shape (points, r))
-    and the anchor-morphism defect rho([a,b]) - [rho(a), rho(b)] (shape
-    (points, n)).
+class _Jets:
+    """Sections' 2-jets at a list of points, and the anchor images and
+    brackets read from them (forward jet propagation), so that no check
+    builds a bracket.
 
-    Both are read from 2-jets: the sections' values, gradients and
-    Hessians, as one tape per point, and the values and partials of
-    ``A.anchor_map`` and ``A.structure_map``, whose tapes the algebroid
-    compiles once.  No bracket is built.
+    ``sections[s]`` is the s-th section's (values, gradients, Hessians),
+    from one tape run per point, each array with the points first and,
+    in a gradient, the direction last.  ``rho``, ``drho``, ``bracket``
+    and ``gradient`` read jets with the values and partials of
+    ``A.anchor_map`` and ``A.structure_map``, compiled once per
+    algebroid.  Callers run them under ``np.errstate(invalid="ignore",
+    over="ignore")``: an inf in the jets gives a NaN entry, which fails
+    its check.
     """
-    n, r = A.chart.dim, A.rank
-    dirs = range(n)
 
-    def one_jet(pm, points):
-        """Values and partials of a point map at the points; the last
-        index of the partials is the direction."""
-        val = np.array([pm.value(p) for p in points])
-        jac = np.array([[pm.partial(j, p) for j in dirs] for p in points])
-        return val, np.moveaxis(jac, 1, -1)
+    def __init__(self, A: LieAlgebroid, sections: Sequence[Section], points):
+        n, r = A.chart.dim, A.rank
 
-    def defects(triple, points):
-        R, dR = one_jet(A.anchor_map, points)
-        C, dC = one_jet(A.structure_map, points)
-        sections = Jet([x for s in triple for x in s.components], n)
-        section_map = PointMap.exact(sections.entries)
-        sv, sj, sh = sections.split(np.array([section_map.value(p) for p in points]))
-        al, be, ga = (
-            (sv[:, s], sj[:, s], sh[:, s])
-            for s in (slice(0, r), slice(r, 2 * r), slice(2 * r, 3 * r))
+        def one_jet(pm):
+            val = np.array([pm.value(p) for p in points])
+            jac = np.array([[pm.partial(j, p) for j in range(n)] for p in points])
+            return val, np.moveaxis(jac, 1, -1)
+
+        self.R, self.dR = one_jet(A.anchor_map)
+        self.C, self.dC = one_jet(A.structure_map)
+        jet = Jet([x for s in sections for x in s.components], n)
+        jet_map = PointMap.exact(jet.entries)
+        v = jet.split(np.array([jet_map.value(p) for p in points]))
+        self.sections = [tuple(x[:, s * r : (s + 1) * r] for x in v) for s in range(len(sections))]
+
+    def rho(self, x):
+        """The anchor image rho(x)^i, at [p, i]."""
+        return np.einsum("pia,pa->pi", self.R, x[0])
+
+    def drho(self, x):
+        """d_j rho(x)^i, at [p, i, j], from the 1-jet of x."""
+        return np.einsum("piaj,pa->pij", self.dR, x[0]) + np.einsum("pia,paj->pij", self.R, x[1])
+
+    def bracket(self, x, y):
+        """[x, y]^k, at [p, k], from the 1-jets of x and y."""
+        return (
+            np.einsum("pa,pb,pabk->pk", x[0], y[0], self.C)
+            + np.einsum("pi,pki->pk", self.rho(x), y[1])
+            - np.einsum("pi,pki->pk", self.rho(y), x[1])
         )
 
-        def rho(x):
-            """The anchor image rho(x)^i."""
-            return np.einsum("pia,pa->pi", R, x[0])
+    def gradient(self, x, y):
+        """d_j [x, y]^k, at [p, k, j], from the 2-jets of x and y."""
+        C, dC = self.C, self.dC
+        return (
+            np.einsum("paj,pb,pabk->pkj", x[1], y[0], C)
+            + np.einsum("pa,pbj,pabk->pkj", x[0], y[1], C)
+            + np.einsum("pa,pb,pabkj->pkj", x[0], y[0], dC)
+            + np.einsum("pij,pki->pkj", self.drho(x), y[1])
+            + np.einsum("pi,pkij->pkj", self.rho(x), y[2])
+            - np.einsum("pij,pki->pkj", self.drho(y), x[1])
+            - np.einsum("pi,pkij->pkj", self.rho(y), x[2])
+        )
 
-        def drho(x):
-            """d_j rho(x)^i, at [p, i, j]."""
-            return np.einsum("piaj,pa->pij", dR, x[0]) + np.einsum("pia,paj->pij", R, x[1])
 
-        def value(x, y):
-            """[x, y]^k from the 1-jets of x and y."""
-            return (
-                np.einsum("pa,pb,pabk->pk", x[0], y[0], C)
-                + np.einsum("pi,pki->pk", rho(x), y[1])
-                - np.einsum("pi,pki->pk", rho(y), x[1])
-            )
-
-        def gradient(x, y):
-            """d_j [x, y]^k, at [p, k, j], from the 2-jets of x and y."""
-            return (
-                np.einsum("paj,pb,pabk->pkj", x[1], y[0], C)
-                + np.einsum("pa,pbj,pabk->pkj", x[0], y[1], C)
-                + np.einsum("pa,pb,pabkj->pkj", x[0], y[0], dC)
-                + np.einsum("pij,pki->pkj", drho(x), y[1])
-                + np.einsum("pi,pkij->pkj", rho(x), y[2])
-                - np.einsum("pij,pki->pkj", drho(y), x[1])
-                - np.einsum("pi,pkij->pkj", rho(y), x[2])
-            )
-
-        # An inf in the jets gives a NaN entry, which fails its check.
-        with np.errstate(invalid="ignore", over="ignore"):
-            jacobiator = sum(
-                value((value(x, y), gradient(x, y)), z)
-                for x, y, z in ((al, be, ga), (be, ga, al), (ga, al, be))
-            )
-            vf = np.einsum("pij,pj->pi", drho(be), rho(al)) - np.einsum("pij,pj->pi", drho(al), rho(be))
-            return jacobiator, np.einsum("pik,pk->pi", R, value(al, be)) - vf
-
-    return defects
+def _axiom_defects(A: LieAlgebroid, triple: Sequence[Section], points):
+    """At each point, the Jacobiator [[a,b],g] + [[b,g],a] + [[g,a],b]
+    of the section triple (a, b, g) (an array of shape (points, r)) and
+    the anchor-morphism defect rho([a,b]) - [rho(a), rho(b)] (shape
+    (points, n)), read from ``_Jets``."""
+    jets = _Jets(A, triple, points)
+    al, be, ga = jets.sections
+    with np.errstate(invalid="ignore", over="ignore"):
+        jacobiator = sum(
+            jets.bracket((jets.bracket(x, y), jets.gradient(x, y)), z)
+            for x, y, z in ((al, be, ga), (be, ga, al), (ga, al, be))
+        )
+        vf = np.einsum("pij,pj->pi", jets.drho(be), jets.rho(al)) - np.einsum(
+            "pij,pj->pi", jets.drho(al), jets.rho(be)
+        )
+        return jacobiator, np.einsum("pik,pk->pi", jets.R, jets.bracket(al, be)) - vf
 
 
 def check_axioms(
@@ -444,9 +444,9 @@ def check_axioms(
 
     jac_worst = Residual()
     anch_worst = Residual()
-    defects = _axiom_defects(A)
-    for triple, points in _axiom_draws(A, plan):
-        jacobiator, anchor_defect = defects(_sections(A, triple), points)
+    for draws, points in _axiom_draws(A, plan):
+        triple = [A.section([polynomial(t) for t in s]) for s in draws]
+        jacobiator, anchor_defect = _axiom_defects(A, triple, points)
         jac_worst.update(jacobiator)
         anch_worst.update(anchor_defect)
     rep.add("jacobi", jac_worst.value, tol)

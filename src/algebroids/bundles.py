@@ -277,8 +277,8 @@ class Jet:
     ``entries`` lists the m values, then the first partials function by
     function (d_j f_a at m + a*n + j), then the second partials
     direction-major (d_i d_j f_a at m + m*n + (i*m + a)*n + j).
-    ``split`` reads the values of a map built on these entries, and
-    possibly more after them, back into arrays.
+    ``split`` reads the values of a map built on these entries back
+    into arrays.
     """
 
     __slots__ = ("m", "n", "entries")
@@ -294,12 +294,12 @@ class Jet:
         """(val, jac, hess) from values ``v`` of shape (..., entries):
         ``val[..., a]`` is f_a, ``jac[..., a, j]`` is d_j f_a and
         ``hess[..., a, j, i]`` is d_i d_j f_a.  The arrays are views of
-        ``v``; entries past the jet's are ignored."""
+        ``v``."""
         m, n = self.m, self.n
         lead = v.shape[:-1]
-        h, end = m + m * n, len(self.entries)
+        h = m + m * n
         jac = v[..., m:h].reshape(lead + (m, n))
-        hess = np.moveaxis(v[..., h:end].reshape(lead + (n, m, n)), -3, -1)
+        hess = np.moveaxis(v[..., h:].reshape(lead + (n, m, n)), -3, -1)
         return v[..., :m], jac, hess
 
 

@@ -32,6 +32,7 @@ from .algebroid import (
     ConstructionRefused,
     IdealBundle,
     LieAlgebroid,
+    _Jets,
     bracket,
     canonical_representation,
 )
@@ -39,7 +40,6 @@ from .bundles import (
     Bundle,
     CoeffForm,
     FiberBracket,
-    Jet,
     LinearConnection,
     PointMap,
     Section,
@@ -329,44 +329,14 @@ def _connection_residual(form, plan: SamplePlan, n_points: int = 30) -> float:
     return worst.value
 
 
-class _SectionData:
-    """The 2-jet of a section's coefficients (``bundles.Jet``), and its
-    anchor image with first partials, as one point map evaluated once
-    per point."""
-
-    def __init__(self, A: LieAlgebroid, alpha: Section):
-        self.n = n = A.chart.dim
-        self.jet = Jet(alpha.components, n)
-        rho = A.rho_of(alpha)
-        # The jet, then the anchor partials direction-major: the first
-        # evaluation error is that of evaluating the five arrays in turn,
-        # each by direction.
-        self.map = PointMap.exact(
-            [*self.jet.entries, *rho, *(differentiate(x, j) for j in range(n) for x in rho)]
-        )
-
-    def at(self, p):
-        """(val, jac, hess, rho, drho) at p; the last index of jac, hess
-        and drho is the differentiation direction."""
-        n = self.n
-        v = self.map.value(p)
-        d = len(self.jet.entries)
-        # Copies, so each array owns its C-ordered buffer as before.
-        return (
-            *(x.copy() for x in self.jet.split(v)),
-            v[d : d + n].copy(),
-            v[d + n :].reshape(n, n).T.copy(),
-        )
-
-
-def _on_section(form, reads, sd_vals):
+def _on_section(form, reads, val, jac, hess=None):
     """L, dL, sym and dsym of the form on one section at one point, from
-    the section data sd_vals and the form's reads at the point: L(idx)
-    and sym(idx) at strictly increasing idx, dL(j, idx) and dsym(j, idx)
+    the section's values, gradients (last index the direction) and
+    Hessians there, and the form's reads at the point: L(idx) and
+    sym(idx) at strictly increasing idx, dL(j, idx) and dsym(j, idx)
     their partials along x_j.  Each is computed once per argument, the
-    operator via the extension rule."""
+    operator via the extension rule; dL alone reads the Hessians."""
     sym_at, dsym_at, op_at, dop_at = reads
-    val, jac, hess = sd_vals[0], sd_vals[1], sd_vals[2]
     r, rV = form.algebroid.rank, form.value_rank
 
     @functools.cache
@@ -415,10 +385,12 @@ def _on_section(form, reads, sd_vals):
     return L, dL, sym, dsym
 
 
-def _lie_of(form, rep_mats, sd_vals, value_fn, dvalue_fn, idx) -> np.ndarray:
-    """Lie derivative along the section (with data sd_vals) of a V-valued
-    form given by a section term and its partials, at index tuple idx."""
-    val, jac, hess, rho, drho = sd_vals
+def _lie_of(form, rep_mats, section, value_fn, dvalue_fn, idx) -> np.ndarray:
+    """Lie derivative along a section, given at one point by its values,
+    anchor image and the image's partials (drho[i][j] = d_j rho^i), of a
+    V-valued form given by a section term and its partials, at index
+    tuple idx."""
+    val, rho, drho = section
     n = form.algebroid.chart.dim
     # Coefficient part: directional derivative along the anchor plus the
     # representation matrices.
@@ -454,9 +426,11 @@ def check_im_form(
     form pair against a representation, on random polynomial sections at
     sampled points.  Also reports the connection predicate.
 
-    At each point the three sections share one read of each form entry
-    they need, and each section term is computed once per index tuple
-    (and direction).
+    The sections' 2-jets, their anchor images and [a, b] with its
+    gradient come from the axiom checks' jets (``algebroid._Jets``), so
+    no bracket is built.  At each point the three sections share one
+    read of each form entry they need, and each section term is computed
+    once per index tuple (and direction).
     """
     if rep.bundle != form.value_bundle:
         raise ValueError("representation must act on the form's value bundle")
@@ -474,41 +448,47 @@ def check_im_form(
     for _ in range(draws):
         alpha = A.random_section(plan.rng)
         beta = A.random_section(plan.rng)
-        gamma = bracket(A, alpha, beta)
-        sda, sdb = _SectionData(A, alpha), _SectionData(A, beta)
-        sdg = _SectionData(A, gamma)
-        for p in plan.points(A.chart, pts):
-            va, vb, vg = sda.at(p), sdb.at(p), sdg.at(p)
-            lie = functools.partial(_lie_of, form, rep_map.value(p))
-            reads = [functools.cache(functools.partial(f, p=p)) for f in accessors]
-            La, dLa, Sa, dSa = _on_section(form, reads, va)
-            Lb, dLb, Sb, dSb = _on_section(form, reads, vb)
-            Lg, _, Sg, _ = _on_section(form, reads, vg)
-            rho_a, rho_b = va[3], vb[3]
+        points = plan.points(A.chart, pts)
+        # An inf in the jets or the form gives a NaN residual, which fails.
+        with np.errstate(invalid="ignore", over="ignore"):
+            jets = _Jets(A, (alpha, beta), points)
+            a, b = jets.sections
+            lie_a = (a[0], jets.rho(a), jets.drho(a))
+            lie_b = (b[0], jets.rho(b), jets.drho(b))
+            g = (jets.bracket(a, b), jets.gradient(a, b))
+            for q, p in enumerate(points):
+                va, vb = [x[q] for x in lie_a], [x[q] for x in lie_b]
+                lie = functools.partial(_lie_of, form, rep_map.value(p))
+                reads = [functools.cache(functools.partial(f, p=p)) for f in accessors]
+                La, dLa, Sa, dSa = _on_section(form, reads, *(x[q] for x in a))
+                Lb, dLb, Sb, dSb = _on_section(form, reads, *(x[q] for x in b))
+                # [a, b] is read by L and sym only, which need no Hessian.
+                Lg, _, Sg, _ = _on_section(form, reads, *(x[q] for x in g))
+                rho_a, rho_b = va[1], vb[1]
 
-            if k == 2:
-                # identity 1: i_{rho(a)} sym(b) + i_{rho(b)} sym(a) = 0
-                res = np.zeros(form.value_rank)
-                for i in range(n):
-                    if rho_a[i] != 0.0:
-                        res += rho_a[i] * Sb((i,))
-                    if rho_b[i] != 0.0:
-                        res += rho_b[i] * Sa((i,))
-                worst[1].update(res)
+                if k == 2:
+                    # identity 1: i_{rho(a)} sym(b) + i_{rho(b)} sym(a) = 0
+                    res = np.zeros(form.value_rank)
+                    for i in range(n):
+                        if rho_a[i] != 0.0:
+                            res += rho_a[i] * Sb((i,))
+                        if rho_b[i] != 0.0:
+                            res += rho_b[i] * Sa((i,))
+                    worst[1].update(res)
 
-            # identity 2: L([a,b]) = Lie_a L(b) - Lie_b L(a)
-            for idx in itertools.combinations(range(n), k):
-                worst[2].update(Lg(idx) - lie(va, Lb, dLb, idx) + lie(vb, La, dLa, idx))
+                # identity 2: L([a,b]) = Lie_a L(b) - Lie_b L(a)
+                for idx in itertools.combinations(range(n), k):
+                    worst[2].update(Lg(idx) - lie(va, Lb, dLb, idx) + lie(vb, La, dLa, idx))
 
-            # identity 3: sym([a,b]) = Lie_a sym(b) - i_{rho(b)} L(a)
-            for idx in itertools.combinations(range(n), k - 1):
-                lhs = Sg(idx) - lie(va, Sb, dSb, idx)
-                contr = np.zeros(form.value_rank)
-                for i in range(n):
-                    sign, key = sort_with_sign((i,) + idx)
-                    if rho_b[i] != 0.0 and sign != 0:
-                        contr += rho_b[i] * (La(key) if sign == 1 else -La(key))
-                worst[3].update(lhs + contr)
+                # identity 3: sym([a,b]) = Lie_a sym(b) - i_{rho(b)} L(a)
+                for idx in itertools.combinations(range(n), k - 1):
+                    lhs = Sg(idx) - lie(va, Sb, dSb, idx)
+                    contr = np.zeros(form.value_rank)
+                    for i in range(n):
+                        sign, key = sort_with_sign((i,) + idx)
+                        if rho_b[i] != 0.0 and sign != 0:
+                            contr += rho_b[i] * (La(key) if sign == 1 else -La(key))
+                    worst[3].update(lhs + contr)
 
     if k == 2:
         report.add("im_identity_1", worst[1].value, tol)

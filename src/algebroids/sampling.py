@@ -17,13 +17,7 @@ import numpy as np
 from .expr import Chart, Expr, add, const, coord, fold, mul, _sample_point
 
 __all__ = [
-    "SamplePlan",
-    "Residual",
-    "Check",
-    "Report",
-    "polynomial",
-    "polynomial_draws",
-    "random_polynomial",
+    "SamplePlan", "Residual", "Check", "Report", "polynomial", "polynomial_draws", "random_polynomial"
 ]
 
 

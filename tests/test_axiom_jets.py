@@ -1,19 +1,26 @@
-"""The algebroid axioms read from jets, and ideal construction that
-checks only its defining clauses, on the random stream of
-``check_axioms``."""
+"""The algebroid axioms and the IM identities read from jets, and ideal
+construction that checks only its defining clauses, on the random
+stream of ``check_axioms``."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from algebroids import algebroid
-from algebroids.algebroid import IdealBundle, LieAlgebroid, bracket, check_axioms, vf_bracket
+from algebroids import algebroid, imforms
+from algebroids.algebroid import (
+    IdealBundle,
+    LieAlgebroid,
+    bracket,
+    canonical_representation,
+    check_axioms,
+    vf_bracket,
+)
 from algebroids.bundles import Bundle, PointMap
-from algebroids.expr import ONE, ZERO, Chart, add, const, coord, fold, mul, neg
+from algebroids.expr import ONE, ZERO, Chart, add, const, coord, differentiate, fold, mul, neg
 from algebroids.factory import so3_constants
 from algebroids.modelio import load_model
-from algebroids.sampling import SamplePlan
+from algebroids.sampling import SamplePlan, polynomial
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -119,16 +126,49 @@ ALGEBROIDS = {
 }
 
 
+# The anchor images and [a, b] as check_im_form read them before it
+# read jets: symbolic rho_of, bracket and differentiate, evaluated per
+# point. rho(x) and [a, b] are at [p, i], their partials at [p, i, j].
+def symbolic_jets(A, alpha, beta, points):
+    n = A.chart.dim
+
+    def with_partials(exprs):
+        values = PointMap.exact(exprs)
+        partials = PointMap.exact([[differentiate(x, j) for j in range(n)] for x in exprs])
+        return (
+            np.array([values.value(p) for p in points]),
+            np.array([partials.value(p) for p in points]),
+        )
+
+    return (
+        *with_partials(A.rho_of(alpha)),
+        *with_partials(A.rho_of(beta)),
+        *with_partials(bracket(A, alpha, beta).components),
+    )
+
+
+def assert_close(jet, sym):
+    """Equal shapes and entries within 1e-12 of max(1, |value|) per point."""
+    assert jet.shape == sym.shape
+    flat = sym.reshape(len(sym), -1)
+    scale = np.maximum(1.0, np.abs(flat).max(axis=1, keepdims=True))
+    assert np.all(np.abs(jet.reshape(flat.shape) - flat) <= 1e-12 * scale)
+
+
 @pytest.mark.parametrize("name", sorted(ALGEBROIDS))
 def test_jets_agree_with_the_symbolic_brackets(name):
     A = ALGEBROIDS[name]()
-    defects = algebroid._axiom_defects(A)
     for draws, points in algebroid._axiom_draws(A, SamplePlan(seed=9, samples=50)):
-        triple = algebroid._sections(A, draws)
-        for jet, sym in zip(defects(triple, points), symbolic_defects(A, triple, points)):
-            assert jet.shape == sym.shape
-            scale = np.maximum(1.0, np.abs(sym).max(axis=1, keepdims=True))
-            assert np.all(np.abs(jet - sym) <= 1e-12 * scale)
+        triple = [A.section([polynomial(t) for t in s]) for s in draws]
+        jets = algebroid._axiom_defects(A, triple, points)
+        for jet, sym in zip(jets, symbolic_defects(A, triple, points)):
+            assert_close(jet, sym)
+        # What check_im_form reads of a pair.
+        calc = algebroid._Jets(A, triple[:2], points)
+        a, b = calc.sections
+        read = (calc.rho(a), calc.drho(a), calc.rho(b), calc.drho(b), calc.bracket(a, b), calc.gradient(a, b))
+        for jet, sym in zip(read, symbolic_jets(A, *triple[:2], points), strict=True):
+            assert_close(jet, sym)
 
 
 def test_axiom_checks_build_no_bracket(monkeypatch):
@@ -141,3 +181,11 @@ def test_axiom_checks_build_no_bracket(monkeypatch):
     monkeypatch.setattr(algebroid, "vf_bracket", refuse)
     ideal = IdealBundle(A, model.ideal(verify=False).k, plan=SamplePlan(seed=2, samples=60))
     assert check_axioms(A, ideal, SamplePlan(seed=2, samples=60)).passed
+
+    # Nor does check_im_form.
+    model = load_model(str(MODELS / "product_so3.json"))
+    A, form = model.algebroid(), model.im_form()
+    rep = canonical_representation(A, model.ideal(verify=False))
+    monkeypatch.setattr(imforms, "bracket", refuse)
+    report = imforms.check_im_form(form, rep, SamplePlan(seed=2, samples=60))
+    assert report.passed and [c.name for c in report.checks] == ["im_identity_2", "im_identity_3"]

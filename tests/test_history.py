@@ -16,6 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 JOBS = [
     ["verify-algebroid", "--model", "models/so3_radial.json"],
     ["verify-ideal", "--model", "models/product_so3.json"],
+    ["verify-im", "--model", "models/product_so3.json"],
     ["example", "product"],
     ["example", "action"],
     ["example", "rank_one"],

@@ -224,9 +224,9 @@ def test_bad_example_parameters_are_model_errors(tmp_path, capsys, name, params,
     assert err.startswith("model error:") and message in err
 
 
-def _so3_radial_with_anchor(tmp_path, expr, entry=(0, 0)):
-    """The so3_radial model with one anchor entry replaced."""
-    doc = json.loads((MODELS / "so3_radial.json").read_text())
+def _model_with_anchor(tmp_path, expr, entry=(0, 0), model="so3_radial"):
+    """A shipped model (so3_radial by default) with one anchor entry replaced."""
+    doc = json.loads((MODELS / f"{model}.json").read_text())
     i, j = entry
     doc["algebroid"]["anchor"][i][j] = expr
     p = tmp_path / "model.json"
@@ -245,7 +245,7 @@ def test_nan_residual_fails_its_check(tmp_path):
 
     # exp(700)^2 overflows to inf and inf * 0 is NaN at every point: the
     # NaN must fail the check, not be dropped as max(0.0, nan) drops it.
-    model = _so3_radial_with_anchor(tmp_path, "exp(700)*exp(700)*x1*(x2 - x2)")
+    model = _model_with_anchor(tmp_path, "exp(700)*exp(700)*x1*(x2 - x2)")
     code, out = invoke(["verify-ideal", "--model", model, "--json", "--samples", "40"])
     assert code == 1
     # Strict JSON: the residual is null and flagged, not the bare token
@@ -267,12 +267,31 @@ def test_infinite_anchor_fails_the_axioms(tmp_path):
     # The anchor entry is +-inf away from x1 = 0. The axioms, read from
     # jets, meet inf - inf or inf * 0 as a NaN entry: a non-finite
     # failure (exit 1), not an evaluation error, and no numpy warning.
-    model = _so3_radial_with_anchor(tmp_path, "exp(700)*exp(700)*x1")
+    model = _model_with_anchor(tmp_path, "exp(700)*exp(700)*x1")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out = invoke(["verify-algebroid", "--model", model, "--json", "--samples", "40"])
     assert code == 1
     doc = json.loads(out, parse_constant=_reject_constant)
+    for check in doc["checks"]:
+        assert check["max_residual"] is None and check["non_finite"] is True
+
+
+def test_infinite_anchor_fails_the_im_identities(tmp_path):
+    import warnings
+
+    # The same, for the IM identities: [a, b] and rho(a) are read from
+    # jets, so product_so3 with an anchor entry +-inf away from x1 = 0
+    # fails im_identity_2 and im_identity_3 as non-finite (exit 1), where
+    # the expanded bracket raised inf - inf (exit 3), and numpy warns of
+    # nothing.
+    model = _model_with_anchor(tmp_path, "exp(700)*exp(700)*x1", (0, 3), "product_so3")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = invoke(["verify-im", "--model", model, "--json", "--samples", "40"])
+    assert code == 1
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert [c["name"] for c in doc["checks"]] == ["im_identity_2", "im_identity_3"]
     for check in doc["checks"]:
         assert check["max_residual"] is None and check["non_finite"] is True
 
@@ -288,7 +307,7 @@ def test_infinite_anchor_fails_the_axioms(tmp_path):
     ids=["inf_minus_inf_sum", "sin_of_inf", "cos_of_inf", "power_overflow"],
 )
 def test_non_finite_evaluation_exits_3(tmp_path, capsys, expr):
-    model = _so3_radial_with_anchor(tmp_path, expr)
+    model = _model_with_anchor(tmp_path, expr)
     code, _ = invoke(["verify-algebroid", "--model", model, "--samples", "40"])
     assert code == 3
     assert "evaluation error" in capsys.readouterr().err
@@ -297,7 +316,7 @@ def test_non_finite_evaluation_exits_3(tmp_path, capsys, expr):
 def test_constant_beyond_the_float_range_exits_3(tmp_path, capsys):
     # The difference folds to one 10^400 constant, whose float()
     # overflows: an evaluation error (exit 3), not a traceback (exit 1).
-    model = _so3_radial_with_anchor(tmp_path, "x1*10^400 - x1*10^400", entry=(2, 2))
+    model = _model_with_anchor(tmp_path, "x1*10^400 - x1*10^400", entry=(2, 2))
     code, _ = invoke(["verify-algebroid", "--model", model, "--samples", "40"])
     assert code == 3
     assert "evaluation error" in capsys.readouterr().err
