@@ -329,7 +329,7 @@ def _connection_residual(form, plan: SamplePlan, n_points: int = 30) -> float:
     return worst.value
 
 
-def _on_section(form, reads, val, jac, hess=None):
+def _on_section(form, reads, val, jac, hess):
     """L, dL, sym and dsym of the form on one section at one point, from
     the section's values, gradients (last index the direction) and
     Hessians there, and the form's reads at the point: L(idx) and
@@ -463,7 +463,7 @@ def check_im_form(
                 La, dLa, Sa, dSa = _on_section(form, reads, *(x[q] for x in a))
                 Lb, dLb, Sb, dSb = _on_section(form, reads, *(x[q] for x in b))
                 # [a, b] is read by L and sym only, which need no Hessian.
-                Lg, _, Sg, _ = _on_section(form, reads, *(x[q] for x in g))
+                Lg, _, Sg, _ = _on_section(form, reads, *(x[q] for x in g), None)
                 rho_a, rho_b = va[1], vb[1]
 
                 if k == 2:
