@@ -61,22 +61,48 @@ __all__ = [
 ]
 
 
-class _LazyExpm:
-    """``scipy.linalg.expm``, imported on the first call: scipy.linalg
-    takes about half of the package's import time, and only the flows
-    here need it."""
+class _PadeExpm:
+    """Matrix exponential by Higham's scaling and squaring with the
+    [13/13] Pade approximant alone (SIAM J. Matrix Anal. Appl. 26,
+    2005): scale A by 2^-s until ||A||_1 <= theta_13, take the
+    approximant R = (V - U)^-1 (V + U) as I + 2 (V - U)^-1 U, so that
+    exp(0) is exactly I, and square R s times.
 
-    fn = None
+    Complex input stays complex.  An instance rather than a function, so
+    that ``expm`` is one binding and a tracer that times it as a leaf
+    wraps it once."""
+
+    b = (
+        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0,
+        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+        960960.0, 16380.0, 182.0, 1.0,
+    )
+    theta = 5.371920351148152
 
     def __call__(self, a):
-        if self.fn is None:
-            from scipy.linalg import expm as fn
+        a = np.asarray(a)
+        a = a.astype(np.result_type(a, np.float64), copy=False)
+        norm = float(np.abs(a).sum(axis=0).max())
+        s = math.ceil(math.log2(norm / self.theta)) if self.theta < norm < math.inf else 0
+        if s:
+            a = a * 2.0**-s
+        b = self.b
+        eye = np.eye(a.shape[0], dtype=a.dtype)
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+        r = eye + 2.0 * np.linalg.solve(v - u, u)
+        for _ in range(s):
+            r = r @ r
+        return r
 
-            self.fn = fn
-        return self.fn(a)
 
-
-expm = _LazyExpm()
+expm = _PadeExpm()
 
 
 def _flow_memo(group: MatrixGroup) -> Callable[[int, float], np.ndarray]:

@@ -28,6 +28,7 @@ from algebroids.groupoid import (
     d_nabla_s,
     delta_of_function,
     differentiate_to_im,
+    expm,
     numeric_extract_coupling,
     simplicial_delta,
 )
@@ -100,6 +101,57 @@ def test_to_matrix_matches_tensordot_of_the_stacked_basis(monkeypatch):
         assert _same_bits(G.to_matrix(v), w)
         assert _same_bits(G.to_matrix(list(v)), w)
     assert stacks == []
+
+
+def _hat(k):
+    return np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+
+
+def test_expm_matches_closed_form_rotations():
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    rng = np.random.default_rng(5)
+    for t in np.geomspace(1e-8, 3.0, 60):
+        rot = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        assert np.max(np.abs(expm(t * J) - rot)) <= 1e-15 * (1 + t)
+        k = rng.standard_normal(3)
+        K = _hat(k / np.linalg.norm(k))
+        # Rodrigues' formula.
+        rod = np.eye(3) + np.sin(t) * K + (1 - np.cos(t)) * (K @ K)
+        E = expm(t * K)
+        assert np.max(np.abs(E - rod)) <= 1e-15 * (1 + t)
+        assert np.max(np.abs(E @ E.T - np.eye(3))) <= 4e-15
+
+
+def test_expm_matches_scipy_on_general_matrices():
+    from scipy.linalg import expm as scipy_expm
+
+    rng = np.random.default_rng(6)
+    for norm in (1e-6, 0.1, 1.0, 3.0, 10.0):
+        for _ in range(50):
+            A = rng.standard_normal((3, 3))
+            A *= norm / np.linalg.norm(A, 1)
+            want = scipy_expm(A)
+            err = np.linalg.norm(expm(A) - want, 1) / np.linalg.norm(want, 1)
+            assert err <= 1e-11, (norm, err)
+
+
+def test_expm_of_zero_is_the_identity():
+    for n in (1, 2, 3):
+        assert _same_bits(expm(np.zeros((n, n))), np.eye(n))
+
+
+def test_expm_keeps_complex_input_complex():
+    # A complex step through a flow reads Im exp(i h U) / h.  With
+    # J^2 = -I, exp(i t J) = cosh(t) I + i sinh(t) J.
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for t in (1e-20, 1e-3, 0.5, 2.0):
+        E = expm(1j * t * J)
+        assert E.dtype == np.complex128
+        want = np.cosh(t) * np.eye(2) + 1j * np.sinh(t) * J
+        assert np.max(np.abs(E - want)) <= 1e-15 * np.cosh(t)
+    h = 1e-20
+    U = _hat([0.3, -0.2, 0.5])
+    assert np.max(np.abs(expm(1j * h * U).imag / h - U)) <= 1e-15
 
 
 def test_matrix_group_rejects_nonclosed_basis():
@@ -397,12 +449,12 @@ def test_differentiate_to_im_so3(radial_model):
 
 # The stencils as they were written before each was built once: every
 # table, move, flow and twist is rebuilt on every call, and flows call
-# scipy's expm directly.  The groupoid module must agree with them bit
-# for bit, memo hits and memo clears included.
+# groupoid.expm directly, bypassing the flow memo.  The groupoid module
+# must agree with them bit for bit, memo hits and memo clears included.
 
 
 def _ref_move(gpd, g, x, mu, s):
-    from scipy.linalg import expm
+    from algebroids.groupoid import expm
 
     d = gpd.group.dim
     if mu < d:
@@ -526,7 +578,7 @@ def _ref_bianchi(gpd, Omega, conn, alpha, step):
 
 
 def _ref_L_const(gpd, alpha, b, x, step=1e-5, region_pad=1.0):
-    from scipy.linalg import expm
+    from algebroids.groupoid import expm
 
     from algebroids.imforms import fd_partial
 

@@ -417,15 +417,22 @@ def test_console_entry_point():
 
 
 def test_importing_the_cli_does_not_load_scipy():
-    # Only the groupoid flows need scipy.linalg, which is about half of
-    # every CLI process's import time; it loads on the first expm call.
+    # scipy.linalg alone costs more import time than the whole package,
+    # and the groupoid flows exponentiate in numpy: neither importing
+    # the CLI nor running groupoid-verify, which exponentiates every
+    # flow, may load any scipy module.
     snippet = (
         "import sys, algebroids.cli;"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'));"
+        f"code = algebroids.cli.run(['groupoid-verify', '--model', {str(MODELS / 'so2_groupoid.json')!r},"
+        " '--json', '--samples', '4']);"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     out = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "[]"
+    lines = out.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
 
 
 def test_operation_coverage():
