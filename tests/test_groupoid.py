@@ -454,8 +454,6 @@ def test_differentiate_to_im_so3(radial_model):
 
 
 def _ref_move(gpd, g, x, mu, s):
-    from algebroids.groupoid import expm
-
     d = gpd.group.dim
     if mu < d:
         return g @ expm(s * gpd.group.basis[mu]), np.asarray(x, dtype=float)
@@ -578,8 +576,6 @@ def _ref_bianchi(gpd, Omega, conn, alpha, step):
 
 
 def _ref_L_const(gpd, alpha, b, x, step=1e-5, region_pad=1.0):
-    from algebroids.groupoid import expm
-
     from algebroids.imforms import fd_partial
 
     n, k, N = gpd.chart.dim, gpd.k, gpd.group.N
