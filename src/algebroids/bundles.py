@@ -26,6 +26,7 @@ from .expr import (
     fold,
     mul,
     neg,
+    _is_complex_point,
 )
 from .sampling import Residual, SamplePlan
 
@@ -254,7 +255,7 @@ class PointMap:
         another on the first ``partial(j, ·)``; each run of a tape
         evaluates every distinct subtree of its entries once, with the
         values and the first error of ``evaluate`` over the entries in
-        row-major order."""
+        row-major order.  At a complex point the values are complex."""
         grid = np.array(entries, dtype=object)
         flat, shape = list(grid.flat), grid.shape
         tapes: dict = {}  # None: the values; j: the partials along j
@@ -264,7 +265,7 @@ class PointMap:
             if tape is None:
                 exprs = flat if j is None else [differentiate(x, j) for x in flat]
                 tape = tapes[j] = compile_tape(exprs)
-            out = np.array(evaluate(tape, p), dtype=float)
+            out = np.array(evaluate(tape, p), dtype=complex if _is_complex_point(p) else float)
             return out if len(shape) == 1 else out.reshape(shape)
 
         return cls(lambda p: at(None, p), at, entries)
@@ -305,6 +306,27 @@ class Jet:
 
 # Arguments that a point memo keys by value; any other is a point.
 _BY_VALUE = (int, np.integer, type(None))
+_FLOAT = np.dtype(float)
+
+
+# Private, as is expr._is_complex_point, though groupoid uses it too:
+# perfbench's tracer times every public function, and this one runs on
+# nearly every point.
+def _as_point(a) -> np.ndarray:
+    """``a`` as a float array, or as a complex one if it is complex (the
+    point of a complex step, which the tapes evaluate in complex
+    arithmetic)."""
+    a = np.asarray(a)
+    if a.dtype is _FLOAT:
+        return a
+    return a.astype(complex if a.dtype.kind == "c" else float)
+
+
+def _point_key(a):
+    """The memo key of a point: the bytes of ``_as_point(a)``, tagged
+    when complex."""
+    a = _as_point(a)
+    return a.tobytes() if a.dtype is _FLOAT else (complex, a.tobytes())
 
 
 def exact_memo(
@@ -312,24 +334,23 @@ def exact_memo(
 ) -> Callable[..., np.ndarray]:
     """``fn(*args)`` memoized by the exact point.
 
-    An int or None argument is keyed by its value, any other by the
-    exact bytes of it as a float array, which ``fn`` receives: two
-    points share a result only when bit for bit equal, so a hit never
-    returns a value computed at another point.  On a miss ``fn`` runs
-    first; then the memo is emptied if it holds ``bound`` results (None:
-    never), and a read-only copy of the result is stored and returned.
-    An exception of ``fn`` propagates and nothing is stored for it.
-    ``fn`` must be a pure function of its arguments.
+    An int or None argument is keyed by its value, any other by its
+    dtype and the exact bytes of it as ``_as_point`` gives it to ``fn``:
+    two points share a result only when bit for bit equal and both real
+    or both complex, so a hit never returns a value computed at another
+    point.  On a miss ``fn`` runs first; then the memo is emptied if it
+    holds ``bound`` results (None: never), and a read-only copy of the
+    result is stored and returned.  An exception of ``fn`` propagates
+    and nothing is stored for it.  ``fn`` must be a pure function of its
+    arguments.
     """
     memo: dict[tuple, np.ndarray] = {}
 
     def call(*args) -> np.ndarray:
-        key = tuple(
-            [a if isinstance(a, _BY_VALUE) else np.asarray(a, dtype=float).tobytes() for a in args]
-        )
+        key = tuple([a if isinstance(a, _BY_VALUE) else _point_key(a) for a in args])
         out = memo.get(key)
         if out is None:
-            args = [a if isinstance(a, _BY_VALUE) else np.asarray(a, dtype=float) for a in args]
+            args = [a if isinstance(a, _BY_VALUE) else _as_point(a) for a in args]
             out = np.array(fn(*args))
             out.flags.writeable = False
             if bound is not None and len(memo) >= bound:

@@ -41,6 +41,7 @@ from .imforms import (
 )
 from .groupoid import (
     EquivarianceError,
+    FlowRegionError,
     check_groupoid_properties,
     connection_from_splitting,
     covariant_exterior_D,
@@ -436,7 +437,7 @@ def run(argv=None) -> int:
     plan = SamplePlan(seed=args.seed, samples=args.samples)
     try:
         rep = _DISPATCH[args.command](args, plan, args.tol)
-    except (ModelError, SamplingError) as e:
+    except (ModelError, SamplingError, FlowRegionError) as e:
         print(f"model error: {e}", file=sys.stderr)
         return 3
     except (ConstructionRefused, EquivarianceError) as e:

@@ -12,6 +12,7 @@ and 0-indexed internally.
 
 from __future__ import annotations
 
+import cmath
 import math
 import re
 from fractions import Fraction
@@ -138,12 +139,14 @@ class Chart:
         self.excluded_origin = bool(excluded_origin)
 
     def contains(self, p: Sequence[float], pad: float = 0.0) -> bool:
+        """Whether p lies in the box widened by pad and outside the
+        excluded ball; a complex point is read by its real parts."""
         if len(p) != self.dim:
             return False
         for v, (lo, hi) in zip(p, self.bounds):
-            if v < lo - pad or v > hi + pad:
+            if v.real < lo - pad or v.real > hi + pad:
                 return False
-        if self.excluded_origin and float(np.linalg.norm(p)) < 0.1:
+        if self.excluded_origin and float(np.linalg.norm(np.real(p))) < 0.1:
             return False
         return True
 
@@ -545,7 +548,8 @@ def _diff(e: Expr, i: int) -> Expr:
 
 
 def evaluate(e: Expr | Tape, p: Sequence[float]) -> float | tuple[float, ...]:
-    """Evaluate at a point (sequence of chart.dim floats).
+    """Evaluate at a point (sequence of chart.dim floats, or a complex
+    numpy array, at which the values are complex).
 
     ``e`` is an Expr, whose float value is returned, or a ``Tape`` from
     ``compile_tape``, whose entries' values are returned as a tuple.
@@ -569,6 +573,12 @@ def evaluate(e: Expr | Tape, p: Sequence[float]) -> float | tuple[float, ...]:
     sin/cos of inf), each reporting the offending subtree.  NaN
     produced by plain float arithmetic (such as inf * 0) is returned as
     is; the residual checkers fail on it.
+
+    At a complex point the same tape runs in complex arithmetic with
+    ``cmath``: a sum is ``math.fsum`` of the real parts and of the
+    imaginary parts, a pole is a denominator of small modulus, and the
+    exp and log guards read the real part.  At ``p + 0j`` the values
+    are those at ``p`` to within a few ulps.
     """
     if isinstance(e, Tape):
         return _run(e, p)
@@ -709,10 +719,51 @@ def _getter(slots: tuple[int, ...]):
     return lambda r: tuple(r[k] for k in slots)
 
 
+def _complex_fsum(vals) -> complex:
+    """Compensated complex sum: ``math.fsum`` of the real parts and of
+    the imaginary parts."""
+    return complex(math.fsum([v.real for v in vals]), math.fsum([v.imag for v in vals]))
+
+
+def _on_finite_real_part(f):
+    """``f`` from cmath, raising ValueError at an infinite real part as
+    its math counterpart does at inf (cmath returns NaN when the
+    imaginary part is NaN, as inf * 0 leaves it in a complex product)."""
+
+    def g(z: complex) -> complex:
+        if math.isinf(z.real):
+            raise ValueError("math domain error")
+        return f(z)
+
+    return g
+
+
+# The function tables of _run: coordinate conversion, sum, sin, cos,
+# exp, log.
+_REAL_OPS = (float, math.fsum, math.sin, math.cos, math.exp, math.log)
+_COMPLEX_OPS = (
+    complex,
+    _complex_fsum,
+    _on_finite_real_part(cmath.sin),
+    _on_finite_real_part(cmath.cos),
+    cmath.exp,
+    cmath.log,
+)
+
+
+def _is_complex_point(p) -> bool:
+    """Whether ``p`` is a complex numpy array, which tapes evaluate in
+    complex arithmetic; any other point is real."""
+    return isinstance(p, np.ndarray) and p.dtype.kind == "c"
+
+
 def _run(tape: Tape, p: Sequence[float]) -> tuple[float, ...]:
     """The values of a tape's entries at a point: one pass over its
     code, bit for bit ``evaluate`` on each entry, raising the first
     error a loop of ``evaluate`` over the entries would raise."""
+    num, fsum, f_sin, f_cos, f_exp, f_log = (
+        _COMPLEX_OPS if _is_complex_point(p) else _REAL_OPS
+    )
     r = tape.template[:]
     for op, d, a, b, e in tape.code:
         if op == _T_MUL:
@@ -720,13 +771,13 @@ def _run(tape: Tape, p: Sequence[float]) -> tuple[float, ...]:
             r[d] = math.prod(a(r), start=1.0)
         elif op == _T_ADD:
             try:
-                r[d] = math.fsum(a(r))
+                r[d] = fsum(a(r))
             except (ValueError, OverflowError):
                 raise DomainError("non-finite sum", e) from None
         elif op == _T_NEG:
             r[d] = -r[a]
         elif op == _T_COORD:
-            r[d] = float(p[a])
+            r[d] = num(p[a])
         elif op == _T_POLE:
             if abs(r[a]) < _POLE_TOL:
                 raise PoleError("division by (near-)zero", e)
@@ -742,19 +793,19 @@ def _run(tape: Tape, p: Sequence[float]) -> tuple[float, ...]:
                 raise DomainError("power overflow", e) from None
         elif op == _T_SIN or op == _T_COS:
             try:
-                r[d] = math.sin(r[a]) if op == _T_SIN else math.cos(r[a])
+                r[d] = f_sin(r[a]) if op == _T_SIN else f_cos(r[a])
             except ValueError:
                 raise DomainError(f"{e.op} of an infinite argument", e) from None
         elif op == _T_EXP:
             x = r[a]
-            if x > 700.0:
+            if x.real > 700.0:
                 raise DomainError("exp overflow", e)
-            r[d] = math.exp(x)
+            r[d] = f_exp(x)
         elif op == _T_LOG:
             x = r[a]
-            if x <= 0.0:
+            if x.real <= 0.0:
                 raise DomainError("log of nonpositive argument", e)
-            r[d] = math.log(x)
+            r[d] = f_log(x)
         else:  # _T_CONST: a constant whose float() overflows
             raise DomainError("constant beyond the float range", e)
     return tape.out(r)

@@ -39,8 +39,8 @@ from .expr import (
     neg,
     substitute,
 )
-from .bundles import PointMap, exact_memo
-from .imforms import NumericCouplingData, NumericIMOneForm, fd_partial, quotient_algebroid
+from .bundles import PointMap, _as_point, exact_memo
+from .imforms import NumericCouplingData, NumericIMOneForm, quotient_algebroid
 from .sampling import Report, Residual, SamplePlan
 
 __all__ = [
@@ -161,12 +161,13 @@ class MatrixGroup:
                 f"basis does not close under commutators (residual {worst.value:.2e})"
             )
 
+    # Both keep complex input complex, for the complex step.
     def to_matrix(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float).reshape(1, self.dim)
+        v = _as_point(v).reshape(1, self.dim)
         return np.dot(v, self._rows).reshape(self.N, self.N)
 
     def coords(self, V: np.ndarray) -> np.ndarray:
-        return self._pinv @ np.asarray(V, dtype=float).ravel()
+        return self._pinv @ _as_point(V).ravel()
 
     def exp(self, v: np.ndarray) -> np.ndarray:
         return expm(self.to_matrix(v))
@@ -244,9 +245,9 @@ class ActionGroupoid:
         self._frame = PointMap.exact(self.ideal_frame)
         self._alg = None
 
-    # Numeric evaluation helpers.
+    # Numeric evaluation helpers; a complex arrow gives complex values.
     def _combined(self, g: np.ndarray, x) -> np.ndarray:
-        return np.concatenate([np.asarray(g, dtype=float).ravel(), np.asarray(x, dtype=float)])
+        return np.concatenate([_as_point(g).ravel(), _as_point(x)])
 
     def act(self, g: np.ndarray, x) -> np.ndarray:
         return self._action.value(self._combined(g, x))
@@ -888,10 +889,15 @@ def check_groupoid_properties(
     return report
 
 
+# The complex step h of the flow derivatives: Im F(ih) / h equals F'(0)
+# up to h^2 F'''(0) / 6, far below the last bit of F'(0), and has no
+# difference of nearby values to cancel digits.
+_COMPLEX_STEP = 1e-20
+
+
 def differentiate_to_im(
     gpd: ActionGroupoid,
     alpha: MultForm,
-    step: float = 1e-5,
     region_pad: float = 1.0,
 ) -> NumericIMOneForm:
     """Differentiate a multiplicative connection form to a numerically
@@ -900,7 +906,11 @@ def differentiate_to_im(
     The symbol contracts the form at units against algebroid elements;
     the operator differentiates along the explicit left-invariant flow
     (g, x) -> (g exp(t v), exp(-t v).x) of constant sections, extended
-    to the adapted frame by the symbol rule.
+    to the adapted frame by the symbol rule.  The flow derivative is a
+    complex step (Squire and Trapp, SIAM Review 40, 1998): one
+    evaluation of the pushed-forward form at t = ih, so ``alpha`` must
+    accept complex arrows and keep their values complex, as
+    ``connection_from_splitting`` does.
     """
     A, ideal, P = gpd.action_algebroid()
     d, n, k = gpd.group.dim, gpd.chart.dim, gpd.k
@@ -919,11 +929,10 @@ def differentiate_to_im(
 
     def L_const(b: int, x) -> np.ndarray:
         """Operator value on the b-th constant basis section: an
-        (n x k) array of flow derivatives (the finite-difference stencil
-        in the flow parameter)."""
+        (n x k) array of flow derivatives, Im F(ih) / h for the flow's
+        push-forward F of the form at x."""
 
-        def F(t: np.ndarray) -> np.ndarray:
-            eps = t[0]
+        def F(eps: complex) -> np.ndarray:
             ge = flow(b, eps)
             gi = flow(b, -eps)
             y = gpd.act(gi, x)
@@ -939,7 +948,7 @@ def differentiate_to_im(
             Fy = gpd.kframe(y)
             ge_inv = flow_inv(b, eps)
             Fz = gpd.kframe(gpd.act(ge, y))
-            out = np.zeros((n, k))
+            out = np.zeros((n, k), dtype=complex)
             for i in range(n):
                 val = alpha(ge, y, (np.zeros((N, N)), J[:, i]))
                 V = gpd.group.to_matrix(Fy @ val)
@@ -947,7 +956,7 @@ def differentiate_to_im(
                 out[i] = np.linalg.lstsq(Fz, w, rcond=None)[0]
             return out
 
-        return fd_partial(F, 0, [0.0], max(step, 1e-3))
+        return F(1j * _COMPLEX_STEP).imag / _COMPLEX_STEP
 
     # The symbol and the operator on every (a, i) at x read the same
     # quantities: each is computed once per (a or b, exact x), the frame

@@ -13,6 +13,7 @@ from algebroids.bundles import (
     connection_is_flat,
     covariant_derivative,
     curvature_tensor,
+    exact_memo,
     exterior_covariant_derivative,
     fiber_bracket_wedge,
     section_form,
@@ -334,6 +335,31 @@ def test_point_map_sup_passes_pole_errors_through():
         m.sup([np.array([0.5, 0.5]), at_pole])
     assert str(reduced.value) == str(direct.value)
     assert reduced.value.subtree is direct.value.subtree
+
+
+def test_exact_memo_keys_a_point_by_its_dtype():
+    # p and p + 0j have equal values but are two points: the complex one
+    # gets its own entry, and the function receives it complex.
+    seen = []
+    memo = exact_memo(lambda b, p: seen.append(p.dtype) or p * b)
+    p = np.array([0.5, -0.25])
+    assert memo(2, p).dtype == float
+    assert memo(2, p + 0j).dtype == complex
+    assert memo(2, list(p)).dtype == float
+    assert memo(2, p + 0j).dtype == complex
+    assert seen == [np.dtype(float), np.dtype(complex)]
+
+
+def test_point_map_exact_is_complex_at_a_complex_point():
+    ch = Chart(2)
+    pm = PointMap.exact([parse("x1*x2", ch), parse("2", ch)])
+    p = np.array([0.5, 3.0])
+    assert pm.value(p).dtype == float
+    # The complex step along x1: Im value(p + ih e_1) / h = d/dx1.
+    v = pm.value(p + np.array([1e-20j, 0.0]))
+    assert v.dtype == complex and v.real.tolist() == [1.5, 2.0]
+    assert (v.imag / 1e-20).tolist() == pytest.approx([3.0, 0.0], rel=1e-15)
+    assert pm.partial(0, p + 0j).tolist() == [3.0, 0.0]
 
 
 def test_only_point_map_exact_evaluates_outside_expr():

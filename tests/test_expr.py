@@ -316,6 +316,49 @@ def test_evaluate_runs_a_compiled_tape():
     assert evaluate(expr.compile_tape(entries), p) == tuple(evaluate(e, p) for e in entries)
 
 
+def test_tape_runs_at_a_complex_point():
+    # At p + 0j a tape runs in complex arithmetic: each value is the
+    # value at p to within 4 ulps, with a zero imaginary part, and each
+    # error of the real run is raised as the same type.
+    entries = [
+        parse(text, CH2)
+        for text in (
+            "x1*x2 + 3*x1 - x2/7",
+            "x1/(x2 + 2)",
+            "sin(2*x1 - x2)",
+            "cos(x1*x2 + 1)",
+            "exp(3*x1 - x2)",
+            "log(x1*x1 + x2 + 1.5)",
+            "(x1 + 2)^5",
+            "(x2 - 3)^-3",
+        )
+    ]
+    tape = expr.compile_tape(entries)
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        p = rng.uniform(-1, 1, size=2)
+        for v, z in zip(evaluate(tape, p), evaluate(tape, p + 0j)):
+            assert type(z) is complex and z.imag == 0.0
+            assert abs(z.real - v) <= 4 * np.spacing(abs(v))
+    for text, p in (
+        ("x1/(x1 - x2)", [0.5, 0.5]),
+        ("(x1 - x2)^-2", [0.5, 0.5]),
+        ("log(x1 - x2)", [-1.0, 1.0]),
+        ("exp(800*x1)", [1.0, 1.0]),
+        ("(10*x1)^400", [1.0, 1.0]),
+        ("exp(700)*exp(700)*x1 - exp(700)*exp(700)*x2", [1.0, 1.0]),
+        ("sin(exp(700)*exp(700)*x1)", [1.0, 1.0]),
+        ("cos(exp(700)*exp(700)*x1)", [1.0, 1.0]),
+        ("x1*10^400", [1.0, 1.0]),
+    ):
+        e = parse(text, CH2)
+        with pytest.raises(expr.EvalError) as real:
+            evaluate(e, np.array(p))
+        assert type(real.value) in (PoleError, DomainError)
+        with pytest.raises(type(real.value)):
+            evaluate(e, np.array(p) + 0j)
+
+
 def test_compile_tape_frees_its_work_tables_on_return():
     # A reference cycle would keep the value-numbering tables, as large
     # as the tape, until a full collection (+2.2 MB peak RSS in a

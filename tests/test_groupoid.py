@@ -355,17 +355,21 @@ def test_step_size_warning():
 
 
 def test_flow_region_guard():
-    # With a razor-thin padding the rotation flow leaves the allowed
-    # region immediately.
+    # With a razor-thin padding, a point at the edge of the chart: the
+    # complex step moves the flow's arrows off x by an imaginary part
+    # only, so the operator value is taken there, but its partial along
+    # an outward direction steps x out of the padded region.
     from algebroids.groupoid import FlowRegionError
 
     gpd = so3_radial_groupoid()
     plan = SamplePlan(seed=42, samples=20)
     alpha = connection_from_splitting(gpd, plan=plan)
     nform = differentiate_to_im(gpd, alpha, region_pad=1e-6)
-    with pytest.raises(FlowRegionError):
-        # A point at the edge: the rotation flow exits immediately.
-        nform.op_value(0, (0,), np.array([0.41, 0.7999, 0.7999]))
+    edge = np.array([0.41, 0.7999, 0.7999])
+    assert np.isfinite(nform.op_value(0, (0,), edge)).all()
+    for j in (1, 2):
+        with pytest.raises(FlowRegionError):
+            nform.op_dvalue(j, 0, (0,), edge)
 
 
 def test_action_algebroid_conventions():
@@ -575,30 +579,38 @@ def _ref_bianchi(gpd, Omega, conn, alpha, step):
     return evaluator
 
 
-def _ref_L_const(gpd, alpha, b, x, step=1e-5, region_pad=1.0):
+def _pushed_form(gpd, alpha, b, x, eps):
+    """The form on the chart directions at x, pushed along the b-th
+    constant flow by eps (real or complex), without the memos."""
+    n, k, N = gpd.chart.dim, gpd.k, gpd.group.N
+    Umat = gpd.group.basis[b]
+    ge = expm(eps * Umat)
+    gi = expm(-eps * Umat)
+    y = gpd.act(gi, x)
+    J = gpd.act_jac_x(gi, x)
+    out = np.zeros((n, k), dtype=np.result_type(eps, float))
+    for i in range(n):
+        val = alpha(ge, y, (np.zeros((N, N)), J[:, i]))
+        w = gpd.group.ad_action(ge, gpd.kframe(y) @ np.asarray(val))
+        out[i] = np.linalg.lstsq(gpd.kframe(gpd.act(ge, y)), w, rcond=None)[0]
+    return out
+
+
+def _ref_L_const(gpd, alpha, b, x):
+    """The flow derivative by the complex step Im F(ih) / h, h = 1e-20."""
+    x = np.asarray(x, dtype=float)
+    return _pushed_form(gpd, alpha, b, x, 1e-20j).imag / 1e-20
+
+
+def _stencil_L_const(gpd, alpha, b, x):
+    """The flow derivative by the four-point stencil at step 1e-3."""
     from algebroids.imforms import fd_partial
 
-    n, k, N = gpd.chart.dim, gpd.k, gpd.group.N
     x = np.asarray(x, dtype=float)
-    Umat = gpd.group.basis[b]
-
-    def F(t):
-        eps = t[0]
-        ge = expm(eps * Umat)
-        gi = expm(-eps * Umat)
-        y = gpd.act(gi, x)
-        J = gpd.act_jac_x(gi, x)
-        out = np.zeros((n, k))
-        for i in range(n):
-            val = alpha(ge, y, (np.zeros((N, N)), J[:, i]))
-            w = gpd.kframe(y) @ np.asarray(val)
-            out[i] = gpd.kcoords(gpd.act(ge, y), gpd.group.ad_action(ge, w))
-        return out
-
-    return fd_partial(F, 0, [0.0], max(step, 1e-3))
+    return fd_partial(lambda t: _pushed_form(gpd, alpha, b, x, t[0]), 0, [0.0], 1e-3)
 
 
-def _ref_op_value(gpd, alpha, a, i, x):
+def _ref_op_value(gpd, alpha, a, i, x, L_const=_ref_L_const):
     from algebroids.bundles import PointMap
 
     _, _, P = gpd.action_algebroid()
@@ -610,7 +622,7 @@ def _ref_op_value(gpd, alpha, a, i, x):
     Pa, dPa = col.value(x), col.partial(i, x)
     for b in range(d):
         if Pa[b] != 0.0:
-            out += Pa[b] * _ref_L_const(gpd, alpha, b, x)[i]
+            out += Pa[b] * L_const(gpd, alpha, b, x)[i]
         if dPa[b] != 0.0:
             v = np.eye(d)[b]
             w = -gpd.action_field(v, x)
@@ -710,6 +722,56 @@ def test_operator_values_match_the_unshared_flow_stencil(model):
         for a in range(d):
             for i in range(n):
                 assert _same_bits(nform.op_value(a, (i,), p), _ref_op_value(gpd, form, a, i, p))
+
+
+@pytest.mark.parametrize("model", ["so2", "so3"])
+def test_complex_step_matches_the_flow_stencil(model, monkeypatch):
+    # On a form whose operator values do not vanish, the complex step
+    # agrees with the four-point stencil it replaced, to the stencil's
+    # truncation error; and a step 1e10 times smaller moves no value by
+    # more than rounding.
+    from algebroids import groupoid
+
+    gpd = so2_groupoid() if model == "so2" else so3_radial_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    form = _tilted(gpd, alpha)
+    nform = differentiate_to_im(gpd, form)
+    monkeypatch.setattr(groupoid, "_COMPLEX_STEP", 1e-30)
+    tiny = differentiate_to_im(gpd, form)
+    points = SamplePlan(seed=10, samples=20).points(gpd.chart, 4)
+    d, n = gpd.group.dim, gpd.chart.dim
+    scale = 0.0
+    for p in points:
+        for a in range(d):
+            for i in range(n):
+                got = nform.op_value(a, (i,), p)
+                want = _ref_op_value(gpd, form, a, i, p, L_const=_stencil_L_const)
+                assert np.abs(got - want).max() <= 1e-9
+                assert np.abs(tiny.op_value(a, (i,), p) - got).max() <= 1e-14 * np.abs(got).max()
+                scale = max(scale, np.abs(got).max())
+    assert scale > 0.5
+
+
+def test_differentiate_to_im_keeps_the_imaginary_part():
+    # A complex value cast to float would zero every flow derivative
+    # silently; numpy's ComplexWarning marks each such cast, and none
+    # happens on the way to the operator values and their partials.
+    import warnings
+
+    gpd = so3_radial_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    p = np.array([0.7, 0.1, -0.2])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", np.exceptions.ComplexWarning)
+        nform = differentiate_to_im(gpd, _tilted(gpd, alpha))
+        values = [nform.op_value(a, (i,), p) for a in range(3) for i in range(3)]
+        assert np.abs(values).max() > 0.5
+        for a in range(3):
+            nform.op_dvalue(1, a, (0,), p)
+        # A form that drops the imaginary part is caught.
+        real_only = MultForm(gpd, 1, lambda g, x, T: np.asarray(alpha(g, x, T), dtype=float))
+        with pytest.raises(np.exceptions.ComplexWarning):
+            differentiate_to_im(gpd, real_only).op_value(0, (0,), p)
 
 
 def test_flow_derivatives_are_cached_by_exact_point():

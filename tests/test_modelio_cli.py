@@ -204,6 +204,22 @@ def test_chart_without_sample_points_is_a_model_error(tmp_path, capsys):
     assert err.startswith("model error:") and "excluded ball" in err
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_flow_leaving_the_chart_is_a_model_error(tmp_path, capsys, seed):
+    # A chart that is mostly excluded ball: the stencil of the sampled
+    # operator steps from a sample point into the ball, where the flow
+    # guard refuses it.  That is a property of the model, not a failed
+    # check.
+    doc = json.loads((MODELS / "so3_radial_groupoid.json").read_text())
+    doc["chart"]["bounds"] = [[0, 0.11]] * 3
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    code, out = invoke(["lie-functor", "--model", str(p), "--samples", "4", "--seed", str(seed)])
+    assert code == 3 and out == ""
+    err = capsys.readouterr().err
+    assert err.startswith("model error:") and "left the padded sampling region" in err
+
+
 @pytest.mark.parametrize(
     "name, params, message",
     [
