@@ -445,8 +445,8 @@ def test_criterion_08_groupoid_side():
         worst = 0.0
         for _ in range(8):
             g, x = gpd.sample_arrow(rng)
-            T1 = gpd.sample_tangent(g, rng)
-            T2 = gpd.sample_tangent(g, rng)
+            T1 = gpd.sample_tangent(rng)
+            T2 = gpd.sample_tangent(rng)
             Omv = covariant_exterior_D(gpd, alpha, conn, step=step)(g, x, T1, T2)
             c = gpd.fiber_structure(x)
             br = np.einsum("a,b,abc->c", alpha(g, x, T1), alpha(g, x, T2), c)
