@@ -126,6 +126,18 @@ def sort_with_sign(idx: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(idx)
 
 
+def _alternating(entries: np.ndarray, n: int, q: int) -> np.ndarray:
+    """The antisymmetric array, with q axes of length n before the last,
+    that holds ``entries[..., c, :]`` at the c-th increasing q-tuple of
+    range(n) (in ``itertools.combinations`` order)."""
+    out = np.zeros(entries.shape[:-2] + (n,) * q + entries.shape[-1:], dtype=entries.dtype)
+    for c, idx in enumerate(itertools.combinations(range(n), q)):
+        for perm in itertools.permutations(idx):
+            value = entries[..., c, :]
+            out[(..., *perm, slice(None))] = value if sort_with_sign(perm)[0] == 1 else -value
+    return out
+
+
 class CoeffForm:
     """Bundle-valued differential form of degree k.
 

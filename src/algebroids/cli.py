@@ -11,6 +11,7 @@ Exit codes: 0 all checks passed, 1 at least one check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -94,7 +95,10 @@ def _tolerance(text: str) -> float:
     return v
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse_args
+    call fills a new namespace."""
     p = argparse.ArgumentParser(
         prog="algebroids",
         description="Verification checks for algebroid connection data.",

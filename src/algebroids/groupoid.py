@@ -40,7 +40,7 @@ from .expr import (
     neg,
     substitute,
 )
-from .bundles import PointMap, _as_point, exact_memo
+from .bundles import PointMap, _alternating, _as_point, exact_memo
 from .imforms import NumericCouplingData, NumericIMOneForm, quotient_algebroid
 from .sampling import Report, Residual, SamplePlan
 
@@ -587,17 +587,6 @@ def _move(gpd: ActionGroupoid, g, x, mu: int, s: float, flow: Callable):
     return g, y
 
 
-def _alternating(values: dict, m: int, k: int, q: int) -> np.ndarray:
-    """The antisymmetric (m,) * q + (k,) array that holds values[idx]
-    at each increasing q-tuple idx of range(m)."""
-    out = np.zeros((m,) * q + (k,))
-    for perm in itertools.permutations(range(q)):
-        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
-        for idx, val in values.items():
-            out[tuple(idx[i] for i in perm)] = -val if odd else val
-    return out
-
-
 def d_nabla_s(
     gpd: ActionGroupoid,
     omega: MultForm,
@@ -631,12 +620,12 @@ def d_nabla_s(
 
     def table(g, x):
         at = {idx: on_stock(g, x, idx) for idx in itertools.combinations(range(m), p)}
-        W = _alternating(at, m, k, p)
+        W = _alternating(np.array(list(at.values())), m, p)
         moved = [
             (_move(gpd, g, x, mu, step, flow), _move(gpd, g, x, mu, -step, flow))
             for mu in range(m)
         ]
-        out = {}
+        out = []
         for idx in itertools.combinations(range(m), p + 1):
             val = np.zeros(k)
             for t, a in enumerate(idx):
@@ -652,8 +641,8 @@ def d_nabla_s(
                     rest = idx[:s] + idx[s + 1 : t] + idx[t + 1 :]
                     br = np.tensordot(structure[a, b], W[:d], axes=1)[rest]
                     val += -br if (s + t) % 2 else br
-            out[idx] = val
-        return _alternating(out, m, k, p + 1)
+            out.append(val)
+        return _alternating(np.array(out), m, p + 1)
 
     matrix = exact_memo(table, 2 * m + 1)
 
@@ -686,7 +675,7 @@ def covariant_exterior_D(
     """Exterior covariant derivative of a form of degree 1 or 2: the
     covariant differential ``d_nabla_s`` evaluated on horizontal
     projections (with respect to the connection form alpha, defaulting
-    to omega itself for degree 1).
+    to omega itself for degree 1; a degree-2 form needs alpha).
 
     For degree 1, on the first evaluation the result is recomputed at
     half the step; if the two values disagree by more than an order of
@@ -694,6 +683,8 @@ def covariant_exterior_D(
     """
     import warnings
 
+    if alpha is None and omega.degree == 2:
+        raise ValueError("a form of degree 2 needs its connection form alpha")
     alpha = alpha if alpha is not None else omega
     h = horizontal_projection(gpd, alpha)
     dnabla = d_nabla_s(gpd, omega, conn, step=step)

@@ -17,6 +17,14 @@ sampled data from the groupoid side (``NumericIMOneForm``,
 partials by the one finite-difference stencil ``fd_partial``.  Both
 run through the same checkers; ``exact`` tells them apart where a
 check needs the Exprs themselves.
+
+A checker reads each entry and partial it needs once per point and
+stacks the reads of a draw into arrays with the point axis first
+(``_stack``; a form's entries as antisymmetric arrays,
+``_form_reads``).  Every identity is then a tensor contraction over
+these arrays, reduced by one ``Residual.update`` per draw, under
+``np.errstate(invalid="ignore", over="ignore")``: a non-finite read
+gives a non-finite residual, which fails.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ from .bundles import (
     LinearConnection,
     PointMap,
     Section,
+    _alternating,
+    curvature_tensor,
     exact_memo,
     exterior_covariant_derivative,
     sort_with_sign,
@@ -94,6 +104,12 @@ class CenterDegeneracyError(Exception):
 
 def _value_bundle(value) -> Bundle:
     return value.bundle if isinstance(value, IdealBundle) else value
+
+
+def _on_anchor(B: LieAlgebroid, b: int, entries: Sequence[Expr]) -> Expr:
+    """sum_i rho^i(e_b) entries[i], folded: a chart-indexed entry on the
+    anchor image of the b-th frame element."""
+    return fold(add(*(mul(B.anchor[i][b], x) for i, x in enumerate(entries))))
 
 
 class _IMFormBase:
@@ -320,99 +336,90 @@ class NumericIMOneForm(_IMFormBase):
         )
 
 
+def _stack(points, *reads) -> list[np.ndarray]:
+    """For each ``(read, *dims)`` of ``reads``, ``read(*idx, p)`` at each
+    point and each index tuple of the ranges ``dims``, as one array: the
+    point axis first, then one axis per range, then the axes of a read.
+    All reads at a point run together, as the identities meet them, so a
+    sampled map's memo still holds the point's stencil for a later read
+    of it."""
+    rows = [[[read(*idx, p) for idx in np.ndindex(*dims)] for read, *dims in reads] for p in points]
+    out = []
+    for s, (_, *dims) in enumerate(reads):
+        a = np.array([row[s] for row in rows])
+        out.append(a.reshape(len(points), *dims, *a.shape[2:]))
+    return out
+
+
 def _connection_residual(form, plan: SamplePlan, n_points: int = 30) -> float:
     """Sampled version of the symbol-restricts-to-identity predicate."""
-    worst = Residual()
-    for p in plan.points(form.algebroid.chart, n_points):
-        for a in range(form.ideal.k):
-            worst.update(form.sym_value(a, (), p) - np.eye(form.value_rank)[a])
-    return worst.value
+    k = form.ideal.k
+    points = plan.points(form.algebroid.chart, n_points)
+    (S,) = _stack(points, (lambda a, p: form.sym_value(a, (), p), k))
+    return Residual().update(S - np.eye(form.value_rank)[:k]).value
 
 
-def _on_section(form, reads, val, jac, hess):
-    """L, dL, sym and dsym of the form on one section at one point, from
-    the section's values, gradients (last index the direction) and
-    Hessians there, and the form's reads at the point: L(idx) and
-    sym(idx) at strictly increasing idx, dL(j, idx) and dsym(j, idx)
-    their partials along x_j.  Each is computed once per argument, the
-    operator via the extension rule; dL alone reads the Hessians."""
-    sym_at, dsym_at, op_at, dop_at = reads
-    r, rV = form.algebroid.rank, form.value_rank
+def _form_reads(form, points):
+    """The form's symbol S, operator O and their partials dS, dO at the
+    points, each entry read once per point by the accessors and stacked
+    as an antisymmetric array: S[p, a, i...] and O[p, a, i...] on the
+    a-th frame element, dS[p, j, a, i...] and dO[p, j, a, i...] along
+    x_j, the value index last."""
+    r, n, k = form.algebroid.rank, form.algebroid.chart.dim, form.degree
+    sym_keys, op_keys = (list(itertools.combinations(range(n), q)) for q in (k - 1, k))
+    S, dS, O, dO = _stack(
+        points,
+        (lambda a, c, p: form.sym_value(a, sym_keys[c], p), r, len(sym_keys)),
+        (lambda j, a, c, p: form.sym_dvalue(j, a, sym_keys[c], p), n, r, len(sym_keys)),
+        (lambda a, c, p: form.op_value(a, op_keys[c], p), r, len(op_keys)),
+        (lambda j, a, c, p: form.op_dvalue(j, a, op_keys[c], p), n, r, len(op_keys)),
+    )
+    return [_alternating(x, n, q) for x, q in ((S, k - 1), (dS, k - 1), (O, k), (dO, k))]
 
-    @functools.cache
-    def L(idx):
-        out = np.zeros(rV)
-        for a in range(r):
-            if val[a] != 0.0:
-                out += val[a] * op_at(a, idx)
-            for t in range(len(idx)):
-                if jac[a][idx[t]] != 0.0:
-                    out += ((-1.0) ** t) * jac[a][idx[t]] * sym_at(a, idx[:t] + idx[t + 1 :])
-        return out
 
-    @functools.cache
-    def dL(j, idx):
-        out = np.zeros(rV)
-        for a in range(r):
-            out += jac[a][j] * op_at(a, idx)
-            if val[a] != 0.0:
-                out += val[a] * dop_at(j, a, idx)
-            for t in range(len(idx)):
-                rest = idx[:t] + idx[t + 1 :]
-                sgn = (-1.0) ** t
-                out += sgn * hess[a][j][idx[t]] * sym_at(a, rest)
-                if jac[a][idx[t]] != 0.0:
-                    out += sgn * jac[a][idx[t]] * dsym_at(j, a, rest)
-        return out
+def _alt(T: np.ndarray, axis: int) -> np.ndarray:
+    """sum_t (-1)^t T with the index axis ``axis`` moved t places to the
+    right, among the index axes after it (all axes but the last): the
+    antisymmetrization of a slot contracted into an alternating array."""
+    out = T
+    for t in range(1, T.ndim - axis - 1):
+        out = out + (-1) ** t * np.moveaxis(T, axis, axis + t)
+    return out
 
-    @functools.cache
-    def sym(idx):
-        out = np.zeros(rV)
-        for a in range(r):
-            if val[a] != 0.0:
-                out += val[a] * sym_at(a, idx)
-        return out
 
-    @functools.cache
-    def dsym(j, idx):
-        out = np.zeros(rV)
-        for a in range(r):
-            out += jac[a][j] * sym_at(a, idx)
-            if val[a] != 0.0:
-                out += val[a] * dsym_at(j, a, idx)
-        return out
-
+def _on_section(reads, val, jac, hess):
+    """L, dL, sym and dsym of the form on one section at each point, from
+    the section's values val[p, a], gradients jac[p, a, j] and Hessians
+    hess[p, a, j, i] and the form's stacked reads (``_form_reads``); the
+    operator by the extension rule L(f e_a) = f L(e_a) + df ^ sym(e_a).
+    dL[p, j, ...] and dsym[p, j, ...] are partials along x_j; without
+    the Hessians, dL and dsym are None."""
+    S, dS, O, dO = reads
+    L = np.einsum("pa,pa...->p...", val, O) + _alt(np.einsum("pai,pa...->pi...", jac, S), 1)
+    sym = np.einsum("pa,pa...->p...", val, S)
+    if hess is None:
+        return L, None, sym, None
+    dL = (
+        np.einsum("paj,pa...->pj...", jac, O)
+        + np.einsum("pa,pja...->pj...", val, dO)
+        + _alt(
+            np.einsum("paji,pa...->pji...", hess, S) + np.einsum("pai,pja...->pji...", jac, dS), 2
+        )
+    )
+    dsym = np.einsum("paj,pa...->pj...", jac, S) + np.einsum("pa,pja...->pj...", val, dS)
     return L, dL, sym, dsym
 
 
-def _lie_of(form, rep_mats, section, value_fn, dvalue_fn, idx) -> np.ndarray:
-    """Lie derivative along a section, given at one point by its values,
-    anchor image and the image's partials (drho[i][j] = d_j rho^i), of a
-    V-valued form given by a section term and its partials, at index
-    tuple idx."""
-    val, rho, drho = section
-    n = form.algebroid.chart.dim
-    # Coefficient part: directional derivative along the anchor plus the
-    # representation matrices.
-    out = np.zeros(form.value_rank)
-    for j in range(n):
-        if rho[j] != 0.0:
-            out += rho[j] * dvalue_fn(j, idx)
-    gamma_here = value_fn(idx)
-    for b in range(form.algebroid.rank):
-        if val[b] != 0.0:
-            out += val[b] * (rep_mats[b] @ gamma_here)
-    # Argument part: commutators with the coordinate fields.
-    for t in range(len(idx)):
-        for m in range(n):
-            coef = drho[m][idx[t]]
-            if coef == 0.0:
-                continue
-            swapped = idx[:t] + (m,) + idx[t + 1 :]
-            sign, key = sort_with_sign(swapped)
-            if sign == 0:
-                continue
-            out += coef * sign * value_fn(key)
+def _lie(M, val, rho, drho, T, dT):
+    """Lie derivative along a section, given at each point by its values
+    val[p, b], anchor image rho[p, j] and the image's partials drho[p, m,
+    i] = d_i rho^m, of a V-valued form T[p, i..., v] with partials
+    dT[p, j, i..., v]: the directional derivative along the anchor, the
+    representation matrices M[p, b] on the values, and the commutators
+    with the coordinate fields on the arguments."""
+    out = np.einsum("pj,pj...->p...", rho, dT) + np.einsum("pb,pbvw,p...w->p...v", val, M, T)
+    if T.ndim > 2:
+        out = out + _alt(np.einsum("pmi,pm...->pi...", drho, T), 1)
     return out
 
 
@@ -428,72 +435,49 @@ def check_im_form(
 
     The sections' 2-jets, their anchor images and [a, b] with its
     gradient come from the axiom checks' jets (``algebroid._Jets``), so
-    no bracket is built.  At each point the three sections share one
-    read of each form entry they need, and each section term is computed
-    once per index tuple (and direction).
+    no bracket is built.  Each form entry is read once per point
+    (``_form_reads``); L, sym, their partials, the Lie derivatives and
+    the identities are then contractions over the draw's points.
     """
     if rep.bundle != form.value_bundle:
         raise ValueError("representation must act on the form's value bundle")
     plan = plan or SamplePlan()
     A = form.algebroid
-    n = A.chart.dim
     k = form.degree
     report = Report(command="check-im", seed=plan.seed, samples=plan.samples)
     draws, pts = plan.split_budget(per_draw=20)
     draws = max(2, min(draws, 10))
 
     rep_map = PointMap.exact(rep.coeffs)
-    accessors = (form.sym_value, form.sym_dvalue, form.op_value, form.op_dvalue)
     worst = {1: Residual(), 2: Residual(), 3: Residual()}
-    for _ in range(draws):
-        alpha = A.random_section(plan.rng)
-        beta = A.random_section(plan.rng)
-        points = plan.points(A.chart, pts)
-        # An inf in the jets or the form gives a NaN residual, which fails.
-        with np.errstate(invalid="ignore", over="ignore"):
+    # An inf in the jets or the form gives a NaN residual, which fails.
+    with np.errstate(invalid="ignore", over="ignore"):
+        for _ in range(draws):
+            alpha = A.random_section(plan.rng)
+            beta = A.random_section(plan.rng)
+            points = plan.points(A.chart, pts)
             jets = _Jets(A, (alpha, beta), points)
             a, b = jets.sections
-            lie_a = (a[0], jets.rho(a), jets.drho(a))
-            lie_b = (b[0], jets.rho(b), jets.drho(b))
-            g = (jets.bracket(a, b), jets.gradient(a, b))
-            for q, p in enumerate(points):
-                va, vb = [x[q] for x in lie_a], [x[q] for x in lie_b]
-                lie = functools.partial(_lie_of, form, rep_map.value(p))
-                reads = [functools.cache(functools.partial(f, p=p)) for f in accessors]
-                La, dLa, Sa, dSa = _on_section(form, reads, *(x[q] for x in a))
-                Lb, dLb, Sb, dSb = _on_section(form, reads, *(x[q] for x in b))
-                # [a, b] is read by L and sym only, which need no Hessian.
-                Lg, _, Sg, _ = _on_section(form, reads, *(x[q] for x in g), None)
-                rho_a, rho_b = va[1], vb[1]
+            reads = _form_reads(form, points)
+            M = np.array([rep_map.value(p) for p in points])
+            rho_a, rho_b = jets.rho(a), jets.rho(b)
+            lie_a = functools.partial(_lie, M, a[0], rho_a, jets.drho(a))
+            lie_b = functools.partial(_lie, M, b[0], rho_b, jets.drho(b))
+            La, dLa, Sa, dSa = _on_section(reads, *a)
+            Lb, dLb, Sb, dSb = _on_section(reads, *b)
+            # [a, b] is read by L and sym only, which need no Hessian.
+            Lg, _, Sg, _ = _on_section(reads, jets.bracket(a, b), jets.gradient(a, b), None)
 
-                if k == 2:
-                    # identity 1: i_{rho(a)} sym(b) + i_{rho(b)} sym(a) = 0
-                    res = np.zeros(form.value_rank)
-                    for i in range(n):
-                        if rho_a[i] != 0.0:
-                            res += rho_a[i] * Sb((i,))
-                        if rho_b[i] != 0.0:
-                            res += rho_b[i] * Sa((i,))
-                    worst[1].update(res)
+            if k == 2:
+                # identity 1: i_{rho(a)} sym(b) + i_{rho(b)} sym(a) = 0
+                worst[1].update(np.einsum("pi,piv->pv", rho_a, Sb) + np.einsum("pi,piv->pv", rho_b, Sa))
+            # identity 2: L([a,b]) = Lie_a L(b) - Lie_b L(a)
+            worst[2].update(Lg - lie_a(Lb, dLb) + lie_b(La, dLa))
+            # identity 3: sym([a,b]) = Lie_a sym(b) - i_{rho(b)} L(a)
+            worst[3].update(Sg - lie_a(Sb, dSb) + np.einsum("pi,pi...->p...", rho_b, La))
 
-                # identity 2: L([a,b]) = Lie_a L(b) - Lie_b L(a)
-                for idx in itertools.combinations(range(n), k):
-                    worst[2].update(Lg(idx) - lie(va, Lb, dLb, idx) + lie(vb, La, dLa, idx))
-
-                # identity 3: sym([a,b]) = Lie_a sym(b) - i_{rho(b)} L(a)
-                for idx in itertools.combinations(range(n), k - 1):
-                    lhs = Sg(idx) - lie(va, Sb, dSb, idx)
-                    contr = np.zeros(form.value_rank)
-                    for i in range(n):
-                        sign, key = sort_with_sign((i,) + idx)
-                        if rho_b[i] != 0.0 and sign != 0:
-                            contr += rho_b[i] * (La(key) if sign == 1 else -La(key))
-                    worst[3].update(lhs + contr)
-
-    if k == 2:
-        report.add("im_identity_1", worst[1].value, tol)
-    report.add("im_identity_2", worst[2].value, tol)
-    report.add("im_identity_3", worst[3].value, tol)
+    for i in (1, 2, 3) if k == 2 else (2, 3):
+        report.add(f"im_identity_{i}", worst[i].value, tol)
 
     if k == 1 and form.exact:
         report.extra["connection_predicate"] = form.is_connection()
@@ -588,43 +572,24 @@ class CouplingData:
         )
 
     def skew_residual(self, plan: SamplePlan, n_points: int = 30) -> float:
+        """The largest entry of U(a, rho(b)) + U(b, rho(a)) at sampled
+        points."""
         B = self.base
-        n, rB = B.chart.dim, B.rank
-        worst = Residual()
-        for p in plan.points(B.chart, n_points):
-            rho = B.anchor_value(p)
-            uvals = np.array([[self.u(a, i, p) for i in range(n)] for a in range(rB)])
-            for a in range(rB):
-                for b in range(rB):
-                    v = np.zeros(self.k)
-                    for i in range(n):
-                        v += rho[i, b] * uvals[a, i] + rho[i, a] * uvals[b, i]
-                    worst.update(v)
-        return worst.value
+        pts = plan.points(B.chart, n_points)
+        with np.errstate(invalid="ignore", over="ignore"):
+            rho, U = _stack(pts, (B.anchor_value,), (self.u, B.rank, B.chart.dim))
+            W = _anchored(rho, U)
+            return Residual().update(W + W.swapaxes(1, 2)).value
 
     def base_rep_on_fiber(self) -> ARepresentation:
         """The base acting on the fiber bundle through the connection
         along the anchor (the representation used for the kernel-flat
         2-form checks; genuinely flat on the center)."""
-        B = self.base
-        n, kk = B.chart.dim, self.k
-        coeffs = []
-        for b in range(B.rank):
-            M = [
-                [
-                    fold(
-                        add(
-                            *(
-                                mul(B.anchor[i][b], self.nablaL.christoffel[i][d][c])
-                                for i in range(n)
-                            )
-                        )
-                    )
-                    for c in range(kk)
-                ]
-                for d in range(kk)
-            ]
-            coeffs.append(M)
+        B, G, kk = self.base, self.nablaL.christoffel, self.k
+        coeffs = [
+            [[_on_anchor(B, b, [g[d][c] for g in G]) for c in range(kk)] for d in range(kk)]
+            for b in range(B.rank)
+        ]
         return ARepresentation(B, self.fiber.bundle, coeffs)
 
     def semidirect(self) -> LieAlgebroid:
@@ -700,21 +665,12 @@ def extract_coupling(
     nablaL = LinearConnection(ideal.bundle, gam)
 
     # U(e~_a, d_i) = -L(e~_a)_i, expanded through the extension rule.
-    U = []
-    for a in range(rB):
-        row = []
-        for i in range(n):
-            vec = []
-            for c in range(k):
-                terms = [neg(form.frame_values[k + a].component((i,))[c])]
-                for cc in range(k):
-                    terms.append(
-                        mul(form.l[cc][k + a], form.frame_values[cc].component((i,))[c])
-                    )
-                terms.append(differentiate(form.l[c][k + a], i))
-                vec.append(fold(add(*terms)))
-            row.append(vec)
-        U.append(row)
+    def u_entry(a, i, c):
+        L = [f.component((i,))[c] for f in form.frame_values]
+        terms = [mul(form.l[cc][k + a], L[cc]) for cc in range(k)]
+        return fold(add(neg(L[k + a]), *terms, differentiate(form.l[c][k + a], i)))
+
+    U = [[[u_entry(a, i, c) for c in range(k)] for i in range(n)] for a in range(rB)]
 
     return CouplingData(B, ideal.fiber, nablaL, U, plan=plan.fork("skew"))
 
@@ -765,10 +721,7 @@ def build_semidirect(cd) -> LieAlgebroid:
                 structure[c][d][e] = fiber.c[c][d][e]
     for a in range(rB):
         for c in range(k):
-            vec = [
-                fold(add(*(mul(B.anchor[i][a], Gam[i][e][c]) for i in range(n))))
-                for e in range(k)
-            ]
+            vec = [_on_anchor(B, a, [g[e][c] for g in Gam]) for e in range(k)]
             for e in range(k):
                 structure[k + a][c][e] = vec[e]
                 structure[c][k + a][e] = fold(neg(vec[e]))
@@ -782,10 +735,7 @@ def build_semidirect(cd) -> LieAlgebroid:
             for cc in range(rB):
                 structure[k + a][k + b][k + cc] = B.structure[a][b][cc]
                 structure[k + b][k + a][k + cc] = fold(neg(B.structure[a][b][cc]))
-            vec = [
-                fold(add(*(mul(B.anchor[i][b], cd.U[a][i][e]) for i in range(n))))
-                for e in range(k)
-            ]
+            vec = [_on_anchor(B, b, [u[e] for u in cd.U[a]]) for e in range(k)]
             for e in range(k):
                 structure[k + a][k + b][e] = vec[e]
                 structure[k + b][k + a][e] = fold(neg(vec[e]))
@@ -815,24 +765,14 @@ def coupling_to_im(
         [ONE if c == a else ZERO for a in range(k)] + [ZERO] * rB
         for c in range(k)
     ]
-    frame_values = []
     Gam = cd.nablaL.christoffel
-    for c in range(k):
-        frame_values.append(
-            CoeffForm(
-                ideal.bundle,
-                1,
-                {(i,): [Gam[i][e][c] for e in range(k)] for i in range(n)},
-            )
-        )
-    for a in range(rB):
-        frame_values.append(
-            CoeffForm(
-                ideal.bundle,
-                1,
-                {(i,): [fold(neg(x)) for x in cd.U[a][i]] for i in range(n)},
-            )
-        )
+    frame_values = [
+        CoeffForm(ideal.bundle, 1, {(i,): [Gam[i][e][c] for e in range(k)] for i in range(n)})
+        for c in range(k)
+    ] + [
+        CoeffForm(ideal.bundle, 1, {(i,): [fold(neg(x)) for x in cd.U[a][i]] for i in range(n)})
+        for a in range(rB)
+    ]
     return IMOneForm(A, ideal, l, frame_values)
 
 
@@ -851,92 +791,72 @@ def check_structure_equations(
     requires a flat fiber connection, center-valued mixed tensor, and
     that the pair (covariant differential of U, U) passes the degree-2
     compatibility identities on the base.
+
+    Gamma, U, the fiber and base brackets, the anchor and their partials
+    are read once per point and stacked (``_stack``); each equation is
+    then one contraction over the points.
     """
     if variant not in ("S1S3", "S1'S3'"):
         raise ValueError("variant must be 'S1S3' or \"S1'S3'\"")
     plan = plan or SamplePlan()
     B, fiber = cd.base, cd.fiber
-    chart = fiber.bundle.chart
-    n, k = chart.dim, cd.k
+    n = fiber.bundle.chart.dim
     rB = B.rank if B is not None else 0
     report = Report(command="check-structure", seed=plan.seed, samples=plan.samples)
-    pts = plan.points(chart, max(10, min(plan.samples, 40)))
+    pts = plan.points(fiber.bundle.chart, max(10, min(plan.samples, 40)))
 
-
+    # Read point by point: Gamma_i[e, c] at [p, i, e, c], d_j Gamma_i at
+    # [p, j, i], [e_a, e_b]^f at [p, a, b, f] and its partials; on a
+    # base also rho^i(e_a) at [p, i, a], U(e_a, d_i) at [p, a, i], the
+    # base bracket, and the partials d_j at [p, j].
+    reads = [(cd.gamma, n), (cd.dgamma, n, n), (fiber.c_map.value,), (fiber.c_map.partial, n)]
+    if rB:
+        reads += [
+            (B.anchor_value,),
+            (B.anchor_map.partial, n),
+            (B.structure_map.value,),
+            (cd.u, rB, n),
+            (cd.du, n, rB, n),
+        ]
     s1, s2, s3 = Residual(), Residual(), Residual()
-    for p in pts:
-        Gams = [cd.gamma(i, p) for i in range(n)]
-        dGams = [[cd.dgamma(j, i, p) for i in range(n)] for j in range(n)]
-        cvals = fiber.c_map.value(p)
-        if rB:
-            rho = B.anchor_value(p)
-            drho = np.array([B.anchor_map.partial(j, p) for j in range(n)])
-            cB = B.structure_map.value(p)
-            uvals = np.array([[cd.u(a, i, p) for i in range(n)] for a in range(rB)])
-            duvals = np.array(
-                [[[cd.du(j, a, i, p) for i in range(n)] for a in range(rB)] for j in range(n)]
-            )
+    # A non-finite read gives a non-finite residual, which fails.
+    with np.errstate(invalid="ignore", over="ignore"):
+        G, dG, C, dC, *based = _stack(pts, *reads)
+        R = _curvature(G, dG)
 
         # (S1): the fiber connection preserves the fiberwise bracket.
-        for i in range(n):
-            dc = fiber.c_map.partial(i, p)
-            for a in range(k):
-                for b in range(k):
-                    lhs = dc[a, b] + Gams[i] @ cvals[a, b]
-                    rhs = np.einsum("f,fe->e", Gams[i][:, a], cvals[:, b, :]) + np.einsum(
-                        "f,fe->e", Gams[i][:, b], cvals[a, :, :]
-                    )
-                    s1.update(lhs - rhs)
+        s1.update(
+            dC
+            + np.einsum("pief,pabf->piabe", G, C)
+            - np.einsum("pifa,pfbe->piabe", G, C)
+            - np.einsum("pifb,pafe->piabe", G, C)
+        )
+        if rB:
+            rho, drho, cB, U, dU = based
 
-        # (S2): curvature along anchored directions equals the adjoint
-        # action of the mixed tensor.
-        for a in range(rB):
-            for j in range(n):
-                for c in range(k):
-                    t1 = np.zeros(k)
-                    for i in range(n):
-                        if rho[i, a] == 0.0:
-                            continue
-                        t1 += rho[i, a] * (dGams[i][j][:, c] + Gams[i] @ Gams[j][:, c])
-                    inner2 = sum(rho[i, a] * Gams[i][:, c] for i in range(n))
-                    dinner2 = np.zeros(k)
-                    for i in range(n):
-                        dinner2 += drho[j, i, a] * Gams[i][:, c] + rho[i, a] * dGams[j][i][:, c]
-                    t2 = dinner2 + Gams[j] @ inner2
-                    t3 = -sum(drho[j, i, a] * Gams[i][:, c] for i in range(n))
-                    uaj = uvals[a, j]
-                    t4 = np.einsum("f,fe->e", uaj, cvals[:, c, :])
-                    s2.update(t1 - t2 - t3 - t4)
+            # (S2): curvature along anchored directions equals the
+            # adjoint action of the mixed tensor.
+            s2.update(
+                np.einsum("pia,pijec->pajce", rho, R) - np.einsum("pajf,pfce->pajce", U, C)
+            )
 
-        # (S3): the mixed cocycle equation on base frame pairs.
-        for a in range(rB):
-            for b in range(rB):
-                for j in range(n):
-                    t1 = np.zeros(k)
-                    for i in range(n):
-                        if rho[i, a] != 0.0:
-                            t1 += rho[i, a] * (duvals[i][b][j] + Gams[i] @ uvals[b, j])
-                    t2 = np.zeros(k)
-                    for i in range(n):
-                        if rho[i, b] != 0.0:
-                            t2 += rho[i, b] * (duvals[i][a][j] + Gams[i] @ uvals[a, j])
-                    W = sum(rho[i, b] * uvals[a, i] for i in range(n))
-                    dW = np.zeros(k)
-                    for i in range(n):
-                        dW += drho[j, i, b] * uvals[a, i] + rho[i, b] * duvals[j][a][i]
-                    t3 = dW + Gams[j] @ W
-                    t4 = -sum(drho[j, i, b] * uvals[a, i] for i in range(n))
-                    t5 = +sum(drho[j, i, a] * uvals[b, i] for i in range(n))
-                    rhs = sum(cB[a, b, cc] * uvals[cc, j] for cc in range(rB))
-                    s3.update(t1 - t2 + t3 + t4 + t5 - rhs)
+            # (S3): the mixed cocycle equation on base frame pairs.
+            T = np.einsum("pia,pibje->pabje", rho, dU + np.einsum("pief,pbjf->pibje", G, U))
+            W = _anchored(rho, U)
+            s3.update(
+                T
+                - T.swapaxes(1, 2)
+                + np.einsum("pib,pjaie->pabje", rho, dU)
+                + np.einsum("pjef,pabf->pabje", G, W)
+                + np.einsum("pjia,pbie->pabje", drho, U)
+                - np.einsum("pabc,pcje->pabje", cB, U)
+            )
 
-    report.add("S1", s1.value, tol)
-    report.add("S2", s2.value, tol)
-    report.add("S3", s3.value, tol)
+    for name, res in (("S1", s1), ("S2", s2), ("S3", s3)):
+        report.add(name, res.value, tol)
 
     if variant == "S1'S3'":
-        flat_res = _curvature_residual(cd, pts)
-        report.add("kernel_flat_curvature", flat_res, tol)
+        report.add("kernel_flat_curvature", Residual().update(R).value, tol)
         center_res = _center_residual_of_u(cd, pts, svd_tol)
         report.add("U_center_valued", center_res, center_tol)
         if not cd.exact:
@@ -947,29 +867,31 @@ def check_structure_equations(
     return report
 
 
-def _curvature_residual(cd, pts) -> float:
-    n = cd.base.chart.dim
-    worst = Residual()
-    for p in pts:
-        Gams = [cd.gamma(i, p) for i in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                R = (
-                    cd.dgamma(i, j, p)
-                    - cd.dgamma(j, i, p)
-                    + Gams[i] @ Gams[j]
-                    - Gams[j] @ Gams[i]
-                )
-                worst.update(R)
-    return worst.value
+def _anchored(rho: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """U(e_a, rho(e_b)) at [p, a, b], from the stacked rho[p, i, b] and
+    U[p, a, i]."""
+    return np.einsum("pib,paie->pabe", rho, U)
+
+
+def _curvature(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    """The curvature d_i Gamma_j - d_j Gamma_i + [Gamma_i, Gamma_j] of
+    the fiber connection at [p, i, j], from the stacked Gamma[p, i] and
+    dG[p, j, i] = d_j Gamma_i."""
+    X = dG + np.einsum("piec,pjcf->pijef", G, G)
+    return X - X.swapaxes(1, 2)
 
 
 def center_basis(fiber: FiberBracket, p, svd_tol: float = 1e-9) -> np.ndarray:
     """Orthonormal basis (columns) of the fiberwise center at a point:
-    the joint kernel of the stacked adjoint matrices."""
+    the joint kernel of the stacked adjoint matrices.  Where an adjoint
+    entry is not finite the center is unknown, and the basis is k
+    columns of NaN, so a residual read through it fails (the SVD of such
+    a matrix need not return)."""
     k = fiber.bundle.rank
     ad = fiber.ad_value(p)
     stacked = ad.reshape(k * k, k)
+    if not np.isfinite(stacked).all():
+        return np.full((k, k), np.nan)
     if np.allclose(stacked, 0.0):
         return np.eye(k)
     u, s, vt = np.linalg.svd(stacked)
@@ -978,23 +900,17 @@ def center_basis(fiber: FiberBracket, p, svd_tol: float = 1e-9) -> np.ndarray:
 
 
 def _center_residual_of_u(cd, pts, svd_tol: float) -> float:
-    worst = Residual()
-    rank_seen = None
-    n, rB = cd.base.chart.dim, cd.base.rank
-    for p in pts:
-        Z = center_basis(cd.fiber, p, svd_tol)
-        if rank_seen is None:
-            rank_seen = Z.shape[1]
-        elif Z.shape[1] != rank_seen:
+    Z = [center_basis(cd.fiber, p, svd_tol) for p in pts]
+    # Where the center is unknown (NaN) it has no rank to compare.
+    ranks = [z.shape[1] for z in Z if not np.isnan(z).any()]
+    for rank in ranks:
+        if rank != ranks[0]:
             raise CenterDegeneracyError(
-                f"center rank jumps across samples ({rank_seen} vs {Z.shape[1]})"
+                f"center rank jumps across samples ({ranks[0]} vs {rank})"
             )
-        proj = Z @ Z.T
-        for a in range(rB):
-            for i in range(n):
-                v = cd.u(a, i, p)
-                worst.update(v - proj @ v)
-    return worst.value
+    proj = np.array([z @ z.T for z in Z])
+    (U,) = _stack(pts, (cd.u, cd.base.rank, cd.base.chart.dim))
+    return Residual().update(U - np.einsum("pef,paif->paie", proj, U)).value
 
 
 def kernel_flat_two_form(cd: CouplingData) -> IMTwoForm:
@@ -1027,20 +943,9 @@ def curvature_im(
     k, rB, n = cd.k, cd.base.rank, cd.base.chart.dim
     ideal = IdealBundle(A, k, verify=False)
     kb = ideal.bundle
-    from .bundles import curvature_tensor
-
     R = curvature_tensor(cd.nablaL)
-    symbols = []
-    frames = []
-    for c in range(k):
-        symbols.append(zero_form(kb, 1))
-        frames.append(
-            CoeffForm(
-                kb,
-                2,
-                {ij: [R[ij][e][c] for e in range(k)] for ij in R},
-            )
-        )
+    symbols = [zero_form(kb, 1) for _ in range(k)]
+    frames = [CoeffForm(kb, 2, {ij: [R[ij][e][c] for e in range(k)] for ij in R}) for c in range(k)]
     for a in range(rB):
         symbols.append(
             CoeffForm(kb, 1, {(i,): [fold(neg(x)) for x in cd.U[a][i]] for i in range(n)})
@@ -1065,17 +970,12 @@ def classify_flatness(
     pts = plan.points(B.chart, max(10, min(plan.samples, 50)))
     report = Report(command="classify", seed=plan.seed, samples=plan.samples)
 
-    curv = _curvature_residual(cd, pts)
-    totally = Residual().update(curv)
-    leaf_res = Residual()
-    for p in pts:
-        rho = B.anchor_value(p)
-        uvals = np.array([[cd.u(a, i, p) for i in range(n)] for a in range(rB)])
-        for a in range(rB):
-            for i in range(n):
-                totally.update(uvals[a, i])
-            for b in range(rB):
-                leaf_res.update(sum(rho[i, b] * uvals[a, i] for i in range(n)))
+    with np.errstate(invalid="ignore", over="ignore"):
+        G, dG = _stack(pts, (cd.gamma, n), (cd.dgamma, n, n))
+        curv = Residual().update(_curvature(G, dG)).value
+        rho, U = _stack(pts, (B.anchor_value,), (cd.u, rB, n))
+        leaf_res = Residual().update(_anchored(rho, U))
+        totally = Residual().update(curv).update(U)
 
     report.add("kernel_flat_curvature", curv, tol)
     report.add("leafwise_anchored_U", leaf_res.value, tol)
@@ -1118,12 +1018,10 @@ def d_im(
         raise ConstructionRefused("connection is not invariant", inv)
     if conn.bundle != form.value_bundle:
         raise ValueError("connection must live on the form's value bundle")
-    symbols = []
-    frames = []
-    for a in range(form.algebroid.rank):
-        dsym = exterior_covariant_derivative(conn, form.symbols[a])
-        symbols.append(form.frame_values[a] - dsym)
-        frames.append(exterior_covariant_derivative(conn, form.frame_values[a]))
+    symbols = [
+        f - exterior_covariant_derivative(conn, s) for s, f in zip(form.symbols, form.frame_values)
+    ]
+    frames = [exterior_covariant_derivative(conn, f) for f in form.frame_values]
     value = form.ideal if form.ideal is not None else form.value_bundle
     return IMTwoForm(form.algebroid, value, symbols, frames)
 

@@ -477,10 +477,6 @@ def load_model(path: str) -> ModelFile:
     return model
 
 
-def serialize_expr(e: Expr) -> str:
-    return to_str(e)
-
-
 def algebroid_to_json(A: LieAlgebroid) -> dict:
     n, r = A.chart.dim, A.rank
     structure = {}

@@ -277,6 +277,19 @@ def test_antisymmetry_residual_needs_degree_two():
         alpha.antisymmetry_residual(SamplePlan(seed=4, samples=20))
 
 
+def test_a_two_form_needs_its_connection_form():
+    # A 2-form is no connection form: its projection needs alpha, so a
+    # 2-form without one is refused when built, not at every evaluation.
+    gpd = so2_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    conn = gpd.induced_connection()
+    Om = covariant_exterior_D(gpd, alpha, conn)
+    with pytest.raises(ValueError, match="degree 2"):
+        covariant_exterior_D(gpd, Om, conn)
+    DOm = covariant_exterior_D(gpd, Om, conn, alpha=alpha)
+    assert DOm.degree == 3
+
+
 def test_groupoid_properties_so3():
     gpd = so3_radial_groupoid()
     plan = SamplePlan(seed=42, samples=60)

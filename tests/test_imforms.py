@@ -2,6 +2,8 @@
 semidirect rebuilds, curvature, flatness classes, the covariant
 differential and the cochain map."""
 
+import functools
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +13,7 @@ from algebroids.algebroid import (
     ConstructionRefused,
     IdealBundle,
     LieAlgebroid,
+    _Jets,
     canonical_representation,
     check_axioms,
     tangent_algebroid,
@@ -22,6 +25,7 @@ from algebroids.bundles import (
     LinearConnection,
     PointMap,
     Section,
+    sort_with_sign,
 )
 from algebroids.expr import (
     Chart,
@@ -42,6 +46,7 @@ from algebroids.imforms import (
     CenterDegeneracyError,
     CouplingData,
     IMOneForm,
+    IMTwoForm,
     NumericCouplingData,
     NumericIMOneForm,
     SAMPLED_MEMO_ENTRIES,
@@ -63,7 +68,7 @@ from algebroids.imforms import (
 )
 from algebroids.modelio import load_model
 from algebroids.rankone import extract_rank_one
-from algebroids.sampling import SamplePlan
+from algebroids.sampling import Residual, SamplePlan
 
 CH2 = Chart(2)
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -794,3 +799,246 @@ def test_sampled_map_evaluates_each_point_once_and_stores_no_error():
     before = len(calls)
     m.value(p)
     assert len(calls) == before + 1
+
+
+# -- the checkers against their loop forms ---------------------------------
+#
+# The IM identities and the structure equations as loops over index
+# tuples, one small vector at a time, read at the checkers' own draws and
+# points: the unshared reference for the per-draw contractions.
+
+
+def _ref_on_section(form, reads, val, jac, hess):
+    """L, dL, sym and dsym of the form on one section at one point."""
+    sym_at, dsym_at, op_at, dop_at = reads
+    r, rV = form.algebroid.rank, form.value_rank
+
+    @functools.cache
+    def L(idx):
+        out = np.zeros(rV)
+        for a in range(r):
+            out += val[a] * op_at(a, idx)
+            for t in range(len(idx)):
+                out += ((-1.0) ** t) * jac[a][idx[t]] * sym_at(a, idx[:t] + idx[t + 1 :])
+        return out
+
+    @functools.cache
+    def dL(j, idx):
+        out = np.zeros(rV)
+        for a in range(r):
+            out += jac[a][j] * op_at(a, idx) + val[a] * dop_at(j, a, idx)
+            for t in range(len(idx)):
+                rest = idx[:t] + idx[t + 1 :]
+                sgn = (-1.0) ** t
+                out += sgn * hess[a][j][idx[t]] * sym_at(a, rest)
+                out += sgn * jac[a][idx[t]] * dsym_at(j, a, rest)
+        return out
+
+    @functools.cache
+    def sym(idx):
+        return sum(val[a] * sym_at(a, idx) for a in range(r))
+
+    @functools.cache
+    def dsym(j, idx):
+        return sum(jac[a][j] * sym_at(a, idx) + val[a] * dsym_at(j, a, idx) for a in range(r))
+
+    return L, dL, sym, dsym
+
+
+def _ref_lie(form, rep_mats, section, value_fn, dvalue_fn, idx):
+    """Lie derivative along a section (values, anchor image, its
+    partials drho[i][j] = d_j rho^i) of a V-valued form at idx."""
+    val, rho, drho = section
+    n = form.algebroid.chart.dim
+    out = np.zeros(form.value_rank)
+    for j in range(n):
+        out += rho[j] * dvalue_fn(j, idx)
+    for b in range(form.algebroid.rank):
+        out += val[b] * (rep_mats[b] @ value_fn(idx))
+    for t in range(len(idx)):
+        for m in range(n):
+            sign, key = sort_with_sign(idx[:t] + (m,) + idx[t + 1 :])
+            if sign != 0:
+                out += drho[m][idx[t]] * sign * value_fn(key)
+    return out
+
+
+def _ref_im_residuals(form, rep, plan):
+    """check_im_form's residuals, at its draws and points."""
+    A = form.algebroid
+    n, k = A.chart.dim, form.degree
+    draws, pts = plan.split_budget(per_draw=20)
+    rep_map = PointMap.exact(rep.coeffs)
+    accessors = (form.sym_value, form.sym_dvalue, form.op_value, form.op_dvalue)
+    worst = {1: Residual(), 2: Residual(), 3: Residual()}
+    for _ in range(max(2, min(draws, 10))):
+        alpha = A.random_section(plan.rng)
+        beta = A.random_section(plan.rng)
+        points = plan.points(A.chart, pts)
+        jets = _Jets(A, (alpha, beta), points)
+        a, b = jets.sections
+        lie_a = (a[0], jets.rho(a), jets.drho(a))
+        lie_b = (b[0], jets.rho(b), jets.drho(b))
+        g = (jets.bracket(a, b), jets.gradient(a, b))
+        for q, p in enumerate(points):
+            va, vb = [x[q] for x in lie_a], [x[q] for x in lie_b]
+            lie = functools.partial(_ref_lie, form, rep_map.value(p))
+            reads = [functools.cache(functools.partial(f, p=p)) for f in accessors]
+            La, dLa, Sa, dSa = _ref_on_section(form, reads, *(x[q] for x in a))
+            Lb, dLb, Sb, dSb = _ref_on_section(form, reads, *(x[q] for x in b))
+            Lg, _, Sg, _ = _ref_on_section(form, reads, *(x[q] for x in g), None)
+            rho_a, rho_b = va[1], vb[1]
+            if k == 2:
+                worst[1].update(sum(rho_a[i] * Sb((i,)) + rho_b[i] * Sa((i,)) for i in range(n)))
+            for idx in itertools.combinations(range(n), k):
+                worst[2].update(Lg(idx) - lie(va, Lb, dLb, idx) + lie(vb, La, dLa, idx))
+            for idx in itertools.combinations(range(n), k - 1):
+                res = Sg(idx) - lie(va, Sb, dSb, idx)
+                for i in range(n):
+                    sign, key = sort_with_sign((i,) + idx)
+                    if sign != 0:
+                        res = res + rho_b[i] * sign * La(key)
+                worst[3].update(res)
+    return {f"im_identity_{i}": w.value for i, w in worst.items() if k == 2 or i > 1}
+
+
+def _ref_curvature_residual(cd, pts):
+    n = cd.base.chart.dim
+    worst = Residual()
+    for p in pts:
+        G = [cd.gamma(i, p) for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                worst.update(cd.dgamma(i, j, p) - cd.dgamma(j, i, p) + G[i] @ G[j] - G[j] @ G[i])
+    return worst.value
+
+
+def _ref_structure_residuals(cd, pts):
+    """S1-S3 of check_structure_equations, at its points."""
+    B, fiber = cd.base, cd.fiber
+    n, k = fiber.bundle.chart.dim, cd.k
+    rB = B.rank if B is not None else 0
+    s1, s2, s3 = Residual(), Residual(), Residual()
+    for p in pts:
+        G = [cd.gamma(i, p) for i in range(n)]
+        dG = [[cd.dgamma(j, i, p) for i in range(n)] for j in range(n)]  # d_j Gamma_i
+        c = fiber.c_map.value(p)
+        for i in range(n):
+            dc = fiber.c_map.partial(i, p)
+            for a in range(k):
+                for b in range(k):
+                    s1.update(
+                        dc[a, b] + G[i] @ c[a, b] - G[i][:, a] @ c[:, b, :] - G[i][:, b] @ c[a, :, :]
+                    )
+        if not rB:
+            continue
+        rho = B.anchor_value(p)
+        drho = [B.anchor_map.partial(j, p) for j in range(n)]
+        cB = B.structure_map.value(p)
+        U = [[cd.u(a, i, p) for i in range(n)] for a in range(rB)]
+        dU = [[[cd.du(j, a, i, p) for i in range(n)] for a in range(rB)] for j in range(n)]
+        for a in range(rB):
+            for j in range(n):
+                for e in range(k):
+                    res = -(U[a][j] @ c[:, e, :])
+                    for i in range(n):
+                        R = dG[i][j] - dG[j][i] + G[i] @ G[j] - G[j] @ G[i]
+                        res = res + rho[i, a] * R[:, e]
+                    s2.update(res)
+        for a in range(rB):
+            for b in range(rB):
+                for j in range(n):
+                    res = -sum(cB[a, b, e] * U[e][j] for e in range(rB))
+                    W = sum(rho[i, b] * U[a][i] for i in range(n))
+                    res = res + G[j] @ W
+                    for i in range(n):
+                        res = res + rho[i, a] * (dU[i][b][j] + G[i] @ U[b][j])
+                        res = res - rho[i, b] * (dU[i][a][j] + G[i] @ U[a][j])
+                        res = res + rho[i, b] * dU[j][a][i] + drho[j][i, a] * U[b][i]
+                    s3.update(res)
+    return {"S1": s1.value, "S2": s2.value, "S3": s3.value}
+
+
+def _assert_matches_reference(report, want):
+    """Each reported residual equals its loop form's, to 1e-12 relative
+    or, near zero, 1e-15 absolute."""
+    got = {c.name: c.max_residual for c in report.checks}
+    for name, w in want.items():
+        g = got[name]
+        assert abs(g - w) <= 1e-12 * abs(w) or abs(g - w) <= 1e-15, (name, g, w)
+
+
+def _im_cases():
+    for name in ("product_so3", "principal_flat"):
+        m = load_model(str(MODELS / f"{name}.json"))
+        yield name, m.im_form(), canonical_representation(m.algebroid(), m.ideal(verify=False))
+    cd = load_model(str(MODELS / "principal_flat.json")).coupling()
+    curv = curvature_im(cd, SamplePlan(seed=42, samples=60).fork("curv"), check=False)
+    yield "curvature", curv, canonical_representation(curv.algebroid, curv.ideal)
+    # The same forms bent off their identities, so that every term of the
+    # contractions reaches the residuals.
+    m = load_model(str(MODELS / "product_so3.json"))
+    form, k = m.im_form(), m.ideal(verify=False).k
+    x1, x2 = coord(0), coord(1)
+    frames = list(form.frame_values)
+    frames[k] = frames[k] + CoeffForm(form.value_bundle, 1, {(0,): [fold(mul(x1, x2))] * k})
+    l = [list(row) for row in form.l]
+    l[0][k] = fold(add(l[0][k], x2))
+    bent = IMOneForm(form.algebroid, form.ideal, l, frames)
+    yield "bent", bent, canonical_representation(bent.algebroid, bent.ideal)
+    symbols, frames = list(curv.symbols), list(curv.frame_values)
+    vb = curv.value_bundle
+    symbols[-1] = symbols[-1] + CoeffForm(vb, 1, {(1,): [fold(mul(x1, x1))]})
+    frames[-1] = frames[-1] + CoeffForm(vb, 2, {(0, 1): [x2]})
+    bent = IMTwoForm(curv.algebroid, curv.ideal, symbols, frames)
+    yield "bent_curvature", bent, canonical_representation(bent.algebroid, bent.ideal)
+
+
+@pytest.mark.parametrize(
+    "case", ["product_so3", "principal_flat", "curvature", "bent", "bent_curvature"]
+)
+def test_im_identities_match_their_loop_forms(case):
+    _, form, rep = next(c for c in _im_cases() if c[0] == case)
+    out = check_im_form(form, rep, SamplePlan(seed=42, samples=60))
+    want = _ref_im_residuals(form, rep, SamplePlan(seed=42, samples=60))
+    assert [c.name for c in out.checks] == list(want)
+    _assert_matches_reference(out, want)
+    assert out.passed == (not case.startswith("bent"))
+
+
+@pytest.mark.parametrize("model", ["product_so3", "principal_flat", "bad_u"])
+def test_structure_equations_match_their_loop_forms(model):
+    cd = load_model(str(MODELS / f"{model}.json")).coupling()
+    variant = "S1'S3'" if model == "principal_flat" else "S1S3"
+    out = check_structure_equations(cd, variant=variant, plan=SamplePlan(seed=42, samples=200))
+    pts = SamplePlan(seed=42, samples=200).points(cd.base.chart, 40)
+    want = _ref_structure_residuals(cd, pts)
+    if variant == "S1'S3'":
+        want["kernel_flat_curvature"] = _ref_curvature_residual(cd, pts)
+    _assert_matches_reference(out, want)
+    assert out.passed == (model != "bad_u")
+    if model == "bad_u":
+        assert next(c for c in out.checks if c.name == "S3").max_residual == pytest.approx(1.0)
+    _, flat = classify_flatness(cd, SamplePlan(seed=42, samples=200))
+    pts = SamplePlan(seed=42, samples=200).points(cd.base.chart, 50)
+    _assert_matches_reference(flat, {"kernel_flat_curvature": _ref_curvature_residual(cd, pts)})
+
+
+def test_sampled_structure_equations_match_their_loop_forms():
+    # The so3 groupoid's coupling, read from its sampled maps, as in
+    # lie-functor at seed 42 and 60 samples; S2 and S3 carry the
+    # stencil error, of order 1e-10 and 1e-8.
+    from algebroids.groupoid import (
+        connection_from_splitting,
+        differentiate_to_im,
+        numeric_extract_coupling,
+    )
+
+    gpd = load_model(str(MODELS / "so3_radial_groupoid.json")).groupoid()
+    plan = SamplePlan(seed=42, samples=60)
+    nform = differentiate_to_im(gpd, connection_from_splitting(gpd, plan=plan.fork("conn")))
+    ncd = numeric_extract_coupling(gpd, nform)
+    out = check_structure_equations(ncd, plan=plan.fork("se"), tol=1e-6)
+    want = _ref_structure_residuals(ncd, plan.fork("se").points(ncd.base.chart, 40))
+    _assert_matches_reference(out, want)
+    assert 1e-10 < want["S2"] < 1e-9 and 1e-9 < want["S3"] < 1e-7

@@ -312,6 +312,98 @@ def test_infinite_anchor_fails_the_im_identities(tmp_path):
         assert check["max_residual"] is None and check["non_finite"] is True
 
 
+def _model_with_coupling_entry(tmp_path, model, section, key, expr):
+    """A shipped model with one entry of a coupling section replaced:
+    ``key`` leads from ``doc["coupling"][section]`` to the entry."""
+    doc = json.loads((MODELS / f"{model}.json").read_text())
+    entry = doc["coupling"][section]
+    for step in key[:-1]:
+        entry = entry[step]
+    entry[key[-1]] = expr
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def test_infinite_christoffel_fails_the_structure_equations(tmp_path):
+    import warnings
+
+    # principal_flat with its Christoffel entry Gamma_1 +-inf away from
+    # x1 = 0. Gamma_1 and its partials are +-inf or NaN: S1-S3 contract them
+    # with the fiber bracket and the mixed tensor, so each is non-finite
+    # (exit 1), and numpy warns of nothing.
+    model = _model_with_coupling_entry(
+        tmp_path, "principal_flat", "nablaL", (0, 0, 0), "exp(700)*exp(700)*x1"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = invoke(["check-structure", "--model", model, "--json", "--samples", "40"])
+    assert code == 1
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert [c["name"] for c in doc["checks"]] == ["S1", "S2", "S3"]
+    for check in doc["checks"]:
+        assert check["max_residual"] is None and check["non_finite"] is True
+
+
+def test_infinite_christoffel_leaves_no_flatness_class(tmp_path):
+    import warnings
+
+    # The same model: the curvature of its connection is non-finite, so
+    # it is not kernel flat; U is untouched and not leafwise flat either.
+    model = _model_with_coupling_entry(
+        tmp_path, "principal_flat", "nablaL", (0, 0, 0), "exp(700)*exp(700)*x1"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, out = invoke(["classify", "--model", model, "--json", "--samples", "40"])
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["residuals"]["kernel_flat_curvature"] is None
+    assert doc["residuals"]["totally_flat_U"] is None
+    assert doc["flatness"] == []
+
+
+def test_infinite_fiber_bracket_fails_the_kernel_flat_variant(tmp_path):
+    # product_so3 with the fiber bracket [e1, e2]^3 +-inf away from x1 =
+    # 0: S1 is non-finite, and so is U_center_valued, since the center of
+    # the fiber is unknown where its bracket is not finite. The SVD of
+    # the non-finite adjoint matrices never returned; a fresh process
+    # with a timeout sees a hang as a failure.
+    model = _model_with_coupling_entry(
+        tmp_path, "product_so3", "fiber", ("structure", "1,2", 2), "exp(700)*exp(700)*x1"
+    )
+    out = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "algebroids.cli",
+         "check-structure", "--kernel-flat", "--model", model, "--json", "--samples", "40"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert (out.returncode, out.stderr) == (1, "")
+    checks = {c["name"]: c for c in json.loads(out.stdout, parse_constant=_reject_constant)["checks"]}
+    for name in ("S1", "U_center_valued"):
+        assert checks[name]["max_residual"] is None and checks[name]["non_finite"] is True
+
+
+def test_runs_in_one_process_share_no_parsed_state():
+    # The parser is built once per process: a run with --kernel-flat and
+    # --tol must leave nothing behind for the next run without them.
+    from algebroids import cli
+
+    assert cli._parser() is cli._parser()
+    model = str(MODELS / "principal_flat.json")
+    argvs = [
+        ["check-structure", "--model", model, "--kernel-flat", "--tol", "1e-3", "--json", "--samples", "40"],
+        ["check-structure", "--model", model, "--json", "--samples", "40"],
+    ]
+    in_process = [invoke(argv) for argv in argvs]
+    assert in_process[0][1] != in_process[1][1]
+    for argv, (code, out) in zip(argvs, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "algebroids.cli", *argv], capture_output=True, text=True
+        )
+        assert (fresh.returncode, fresh.stdout) == (code, out), fresh.stderr
+
+
 @pytest.mark.parametrize(
     "expr",
     [
