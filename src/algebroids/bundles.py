@@ -9,6 +9,7 @@ formulas route through a signed lookup, so antisymmetry is structural.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -126,10 +127,18 @@ def sort_with_sign(idx: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(idx)
 
 
-def _alternating(entries: np.ndarray, n: int, q: int) -> np.ndarray:
-    """The antisymmetric array, with q axes of length n before the last,
-    that holds ``entries[..., c, :]`` at the c-th increasing q-tuple of
-    range(n) (in ``itertools.combinations`` order)."""
+def alternating_array(entries: np.ndarray, n: int, q: int) -> np.ndarray:
+    """The antisymmetric array, with q axes of length n before the value
+    axis, from ``entries[..., c, v]``: the value at the c-th increasing
+    q-tuple of range(n) (in ``itertools.combinations`` order).  Where
+    there is no such tuple (q > n), ``entries`` still needs its tuple
+    axis, of length 0, and its value axis; a tuple axis of another
+    length is refused."""
+    if entries.ndim < 2 or entries.shape[-2] != math.comb(n, q):
+        raise ValueError(
+            f"entries of shape {entries.shape} do not hold one value per "
+            f"increasing {q}-tuple of {n} indices"
+        )
     out = np.zeros(entries.shape[:-2] + (n,) * q + entries.shape[-1:], dtype=entries.dtype)
     for c, idx in enumerate(itertools.combinations(range(n), q)):
         for perm in itertools.permutations(idx):

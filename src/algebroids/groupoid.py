@@ -40,7 +40,7 @@ from .expr import (
     neg,
     substitute,
 )
-from .bundles import PointMap, _alternating, _as_point, exact_memo
+from .bundles import PointMap, _as_point, alternating_array, exact_memo
 from .imforms import NumericCouplingData, NumericIMOneForm, quotient_algebroid
 from .sampling import Report, Residual, SamplePlan
 
@@ -620,7 +620,7 @@ def d_nabla_s(
 
     def table(g, x):
         at = {idx: on_stock(g, x, idx) for idx in itertools.combinations(range(m), p)}
-        W = _alternating(np.array(list(at.values())), m, p)
+        W = alternating_array(np.reshape(list(at.values()), (len(at), k)), m, p)
         moved = [
             (_move(gpd, g, x, mu, step, flow), _move(gpd, g, x, mu, -step, flow))
             for mu in range(m)
@@ -642,7 +642,7 @@ def d_nabla_s(
                     br = np.tensordot(structure[a, b], W[:d], axes=1)[rest]
                     val += -br if (s + t) % 2 else br
             out.append(val)
-        return _alternating(np.array(out), m, p + 1)
+        return alternating_array(np.reshape(out, (len(out), k)), m, p + 1)
 
     matrix = exact_memo(table, 2 * m + 1)
 

@@ -51,8 +51,7 @@ from .bundles import (
     LinearConnection,
     PointMap,
     Section,
-    _alternating,
-    curvature_tensor,
+    alternating_array,
     exact_memo,
     exterior_covariant_derivative,
     sort_with_sign,
@@ -104,12 +103,6 @@ class CenterDegeneracyError(Exception):
 
 def _value_bundle(value) -> Bundle:
     return value.bundle if isinstance(value, IdealBundle) else value
-
-
-def _on_anchor(B: LieAlgebroid, b: int, entries: Sequence[Expr]) -> Expr:
-    """sum_i rho^i(e_b) entries[i], folded: a chart-indexed entry on the
-    anchor image of the b-th frame element."""
-    return fold(add(*(mul(B.anchor[i][b], x) for i, x in enumerate(entries))))
 
 
 class _IMFormBase:
@@ -367,14 +360,19 @@ def _form_reads(form, points):
     x_j, the value index last."""
     r, n, k = form.algebroid.rank, form.algebroid.chart.dim, form.degree
     sym_keys, op_keys = (list(itertools.combinations(range(n), q)) for q in (k - 1, k))
-    S, dS, O, dO = _stack(
+    stacks = _stack(
         points,
         (lambda a, c, p: form.sym_value(a, sym_keys[c], p), r, len(sym_keys)),
         (lambda j, a, c, p: form.sym_dvalue(j, a, sym_keys[c], p), n, r, len(sym_keys)),
         (lambda a, c, p: form.op_value(a, op_keys[c], p), r, len(op_keys)),
         (lambda j, a, c, p: form.op_dvalue(j, a, op_keys[c], p), n, r, len(op_keys)),
     )
-    return [_alternating(x, n, q) for x, q in ((S, k - 1), (dS, k - 1), (O, k), (dO, k))]
+    # A degree above the chart's dimension has no index tuples, so
+    # nothing is read there; its empty stack still needs the value axis.
+    return [
+        alternating_array(x if keys else np.zeros(x.shape + (form.value_rank,)), n, q)
+        for x, keys, q in zip(stacks, (sym_keys, sym_keys, op_keys, op_keys), (k - 1, k - 1, k, k))
+    ]
 
 
 def _alt(T: np.ndarray, axis: int) -> np.ndarray:
@@ -585,11 +583,25 @@ class CouplingData:
         """The base acting on the fiber bundle through the connection
         along the anchor (the representation used for the kernel-flat
         2-form checks; genuinely flat on the center)."""
-        B, G, kk = self.base, self.nablaL.christoffel, self.k
-        coeffs = [
-            [[_on_anchor(B, b, [g[d][c] for g in G]) for c in range(kk)] for d in range(kk)]
-            for b in range(B.rank)
-        ]
+        B = self.base
+        n, kk = B.chart.dim, self.k
+        coeffs = []
+        for b in range(B.rank):
+            M = [
+                [
+                    fold(
+                        add(
+                            *(
+                                mul(B.anchor[i][b], self.nablaL.christoffel[i][d][c])
+                                for i in range(n)
+                            )
+                        )
+                    )
+                    for c in range(kk)
+                ]
+                for d in range(kk)
+            ]
+            coeffs.append(M)
         return ARepresentation(B, self.fiber.bundle, coeffs)
 
     def semidirect(self) -> LieAlgebroid:
@@ -665,12 +677,21 @@ def extract_coupling(
     nablaL = LinearConnection(ideal.bundle, gam)
 
     # U(e~_a, d_i) = -L(e~_a)_i, expanded through the extension rule.
-    def u_entry(a, i, c):
-        L = [f.component((i,))[c] for f in form.frame_values]
-        terms = [mul(form.l[cc][k + a], L[cc]) for cc in range(k)]
-        return fold(add(neg(L[k + a]), *terms, differentiate(form.l[c][k + a], i)))
-
-    U = [[[u_entry(a, i, c) for c in range(k)] for i in range(n)] for a in range(rB)]
+    U = []
+    for a in range(rB):
+        row = []
+        for i in range(n):
+            vec = []
+            for c in range(k):
+                terms = [neg(form.frame_values[k + a].component((i,))[c])]
+                for cc in range(k):
+                    terms.append(
+                        mul(form.l[cc][k + a], form.frame_values[cc].component((i,))[c])
+                    )
+                terms.append(differentiate(form.l[c][k + a], i))
+                vec.append(fold(add(*terms)))
+            row.append(vec)
+        U.append(row)
 
     return CouplingData(B, ideal.fiber, nablaL, U, plan=plan.fork("skew"))
 
@@ -721,7 +742,10 @@ def build_semidirect(cd) -> LieAlgebroid:
                 structure[c][d][e] = fiber.c[c][d][e]
     for a in range(rB):
         for c in range(k):
-            vec = [_on_anchor(B, a, [g[e][c] for g in Gam]) for e in range(k)]
+            vec = [
+                fold(add(*(mul(B.anchor[i][a], Gam[i][e][c]) for i in range(n))))
+                for e in range(k)
+            ]
             for e in range(k):
                 structure[k + a][c][e] = vec[e]
                 structure[c][k + a][e] = fold(neg(vec[e]))
@@ -735,7 +759,10 @@ def build_semidirect(cd) -> LieAlgebroid:
             for cc in range(rB):
                 structure[k + a][k + b][k + cc] = B.structure[a][b][cc]
                 structure[k + b][k + a][k + cc] = fold(neg(B.structure[a][b][cc]))
-            vec = [_on_anchor(B, b, [u[e] for u in cd.U[a]]) for e in range(k)]
+            vec = [
+                fold(add(*(mul(B.anchor[i][b], cd.U[a][i][e]) for i in range(n))))
+                for e in range(k)
+            ]
             for e in range(k):
                 structure[k + a][k + b][e] = vec[e]
                 structure[k + b][k + a][e] = fold(neg(vec[e]))
@@ -765,14 +792,24 @@ def coupling_to_im(
         [ONE if c == a else ZERO for a in range(k)] + [ZERO] * rB
         for c in range(k)
     ]
+    frame_values = []
     Gam = cd.nablaL.christoffel
-    frame_values = [
-        CoeffForm(ideal.bundle, 1, {(i,): [Gam[i][e][c] for e in range(k)] for i in range(n)})
-        for c in range(k)
-    ] + [
-        CoeffForm(ideal.bundle, 1, {(i,): [fold(neg(x)) for x in cd.U[a][i]] for i in range(n)})
-        for a in range(rB)
-    ]
+    for c in range(k):
+        frame_values.append(
+            CoeffForm(
+                ideal.bundle,
+                1,
+                {(i,): [Gam[i][e][c] for e in range(k)] for i in range(n)},
+            )
+        )
+    for a in range(rB):
+        frame_values.append(
+            CoeffForm(
+                ideal.bundle,
+                1,
+                {(i,): [fold(neg(x)) for x in cd.U[a][i]] for i in range(n)},
+            )
+        )
     return IMOneForm(A, ideal, l, frame_values)
 
 
@@ -943,9 +980,20 @@ def curvature_im(
     k, rB, n = cd.k, cd.base.rank, cd.base.chart.dim
     ideal = IdealBundle(A, k, verify=False)
     kb = ideal.bundle
+    from .bundles import curvature_tensor
+
     R = curvature_tensor(cd.nablaL)
-    symbols = [zero_form(kb, 1) for _ in range(k)]
-    frames = [CoeffForm(kb, 2, {ij: [R[ij][e][c] for e in range(k)] for ij in R}) for c in range(k)]
+    symbols = []
+    frames = []
+    for c in range(k):
+        symbols.append(zero_form(kb, 1))
+        frames.append(
+            CoeffForm(
+                kb,
+                2,
+                {ij: [R[ij][e][c] for e in range(k)] for ij in R},
+            )
+        )
     for a in range(rB):
         symbols.append(
             CoeffForm(kb, 1, {(i,): [fold(neg(x)) for x in cd.U[a][i]] for i in range(n)})
@@ -1018,10 +1066,12 @@ def d_im(
         raise ConstructionRefused("connection is not invariant", inv)
     if conn.bundle != form.value_bundle:
         raise ValueError("connection must live on the form's value bundle")
-    symbols = [
-        f - exterior_covariant_derivative(conn, s) for s, f in zip(form.symbols, form.frame_values)
-    ]
-    frames = [exterior_covariant_derivative(conn, f) for f in form.frame_values]
+    symbols = []
+    frames = []
+    for a in range(form.algebroid.rank):
+        dsym = exterior_covariant_derivative(conn, form.symbols[a])
+        symbols.append(form.frame_values[a] - dsym)
+        frames.append(exterior_covariant_derivative(conn, form.frame_values[a]))
     value = form.ideal if form.ideal is not None else form.value_bundle
     return IMTwoForm(form.algebroid, value, symbols, frames)
 

@@ -10,6 +10,7 @@ from algebroids.bundles import (
     LinearConnection,
     PointMap,
     Section,
+    alternating_array,
     connection_is_flat,
     covariant_derivative,
     curvature_tensor,
@@ -47,6 +48,20 @@ def test_sort_with_sign():
     assert sort_with_sign((1, 0)) == (-1, (0, 1))
     assert sort_with_sign((2, 0, 1)) == (1, (0, 1, 2))
     assert sort_with_sign((1, 1)) == (0, (1, 1))
+
+
+def test_alternating_array():
+    W = alternating_array(np.array([[1.0, 2.0]]), 2, 2)
+    assert W.shape == (2, 2, 2)
+    assert W[0, 1].tolist() == [1.0, 2.0] and W[1, 0].tolist() == [-1.0, -2.0]
+    assert not W[0, 0].any() and not W[1, 1].any()
+    # No pair of one index: an empty tuple axis and the value axis give
+    # a zero array; a stack that lost its value axis is refused.
+    assert not alternating_array(np.zeros((5, 1, 0, 3)), 1, 2).any()
+    assert alternating_array(np.zeros((5, 1, 0, 3)), 1, 2).shape == (5, 1, 1, 1, 3)
+    for entries, n in ((np.zeros((5, 1, 0)), 1), (np.zeros((3, 2)), 2)):
+        with pytest.raises(ValueError, match="increasing 2-tuple"):
+            alternating_array(entries, n, 2)
 
 
 def test_covariant_derivative_trivial():

@@ -1098,3 +1098,17 @@ def test_splitting_memo_is_bounded_and_exact(monkeypatch):
     assert [runs_of(g, x) for g, x in first] == [1] * bound
     rest = arrows[bound + 1 :]
     assert [runs_of(g, x) for g, x in rest for _ in range(2)] == [1, 0] * len(rest)
+
+
+def test_a_three_form_on_two_stock_fields_is_the_fiber_zero():
+    # so2 on the line has m = 2 stock fields and no triple of them, so
+    # the covariant derivative of a 2-form is zero, of the fiber's length.
+    gpd = so2_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    conn = gpd.induced_connection()
+    Om = covariant_exterior_D(gpd, alpha, conn)
+    DOm = covariant_exterior_D(gpd, Om, conn, alpha=alpha, step=2e-4)
+    rng = np.random.default_rng(3)
+    g, x = gpd.sample_arrow(rng)
+    out = DOm(g, x, *(gpd.sample_tangent(rng) for _ in range(3)))
+    assert out.shape == (gpd.k,) and not out.any()

@@ -1042,3 +1042,27 @@ def test_sampled_structure_equations_match_their_loop_forms():
     want = _ref_structure_residuals(ncd, plan.fork("se").points(ncd.base.chart, 40))
     _assert_matches_reference(out, want)
     assert 1e-10 < want["S2"] < 1e-9 and 1e-9 < want["S3"] < 1e-7
+
+
+def test_im_identities_of_a_two_form_on_a_line_match_their_loop_forms():
+    # On a 1-dimensional chart a 2-form has no pair of indices: the
+    # operator reads nothing, while the symbol, a 1-form, still reaches
+    # identities 1 and 3.  CoeffForm refuses a 2-form on a line, so the
+    # form binds its point maps directly, as a sampled form does.
+    plan = SamplePlan(seed=42, samples=60)
+    m = make_example(ExampleSpec("product", {"dim": 1}), plan)
+    A, ideal = m.algebroid, m.ideal
+    x1 = coord(0)
+    form = IMTwoForm.__new__(IMTwoForm)
+    sym_maps = [
+        {(0,): PointMap.exact([fold(mul(x1, const(a + 1)))] * ideal.bundle.rank)}
+        for a in range(A.rank)
+    ]
+    form._bind(A, ideal, sym_maps, [{} for _ in range(A.rank)])
+    rep = canonical_representation(A, ideal)
+    out = check_im_form(form, rep, SamplePlan(seed=42, samples=60))
+    want = _ref_im_residuals(form, rep, SamplePlan(seed=42, samples=60))
+    assert [c.name for c in out.checks] == list(want)
+    _assert_matches_reference(out, want)
+    assert want["im_identity_2"] == 0.0
+    assert want["im_identity_1"] > 1e-3 and want["im_identity_3"] > 1e-3
