@@ -292,6 +292,35 @@ class PointMap:
         return cls(lambda p: at(None, p), at, entries)
 
 
+def _stack(points, *reads) -> list[np.ndarray]:
+    """For each ``(read, *dims)`` of ``reads``, ``read(*idx, p)`` at each
+    point and each index tuple of the ranges ``dims``, as one array: the
+    point axis first, then one axis per range, then the axes of a read.
+    All reads at a point run together, as the identities meet them, so a
+    sampled map's memo still holds the point's stencil for a later read
+    of it."""
+    rows = [[[read(*idx, p) for idx in np.ndindex(*dims)] for read, *dims in reads] for p in points]
+    out = []
+    for s, (_, *dims) in enumerate(reads):
+        a = np.array([row[s] for row in rows])
+        out.append(a.reshape(len(points), *dims, *a.shape[2:]))
+    return out
+
+
+def _anchored(rho: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """U(e_a, rho(e_b)) at [p, a, b], from the stacked rho[p, i, b] and
+    U[p, a, i]."""
+    return np.einsum("pib,paie->pabe", rho, U)
+
+
+def _curvature(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
+    """The curvature d_i Gamma_j - d_j Gamma_i + [Gamma_i, Gamma_j] of
+    a linear connection at [p, i, j], from the stacked Gamma[p, i] and
+    dG[p, j, i] = d_j Gamma_i."""
+    X = dG + np.einsum("piec,pjcf->pijef", G, G)
+    return X - X.swapaxes(1, 2)
+
+
 class Jet:
     """The values and first and second partials of m functions on an
     n-dimensional chart, as the Expr entries of one point map.

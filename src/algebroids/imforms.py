@@ -51,6 +51,9 @@ from .bundles import (
     LinearConnection,
     PointMap,
     Section,
+    _anchored,
+    _curvature,
+    _stack,
     alternating_array,
     exact_memo,
     exterior_covariant_derivative,
@@ -327,21 +330,6 @@ class NumericIMOneForm(_IMFormBase):
                 for a in range(r)
             ],
         )
-
-
-def _stack(points, *reads) -> list[np.ndarray]:
-    """For each ``(read, *dims)`` of ``reads``, ``read(*idx, p)`` at each
-    point and each index tuple of the ranges ``dims``, as one array: the
-    point axis first, then one axis per range, then the axes of a read.
-    All reads at a point run together, as the identities meet them, so a
-    sampled map's memo still holds the point's stencil for a later read
-    of it."""
-    rows = [[[read(*idx, p) for idx in np.ndindex(*dims)] for read, *dims in reads] for p in points]
-    out = []
-    for s, (_, *dims) in enumerate(reads):
-        a = np.array([row[s] for row in rows])
-        out.append(a.reshape(len(points), *dims, *a.shape[2:]))
-    return out
 
 
 def _connection_residual(form, plan: SamplePlan, n_points: int = 30) -> float:
@@ -829,19 +817,44 @@ def check_structure_equations(
     that the pair (covariant differential of U, U) passes the degree-2
     compatibility identities on the base.
 
-    Gamma, U, the fiber and base brackets, the anchor and their partials
-    are read once per point and stacked (``_stack``); each equation is
-    then one contraction over the points.
+    Each equation is one contraction over the points
+    (``_structure_defects``).
     """
     if variant not in ("S1S3", "S1'S3'"):
         raise ValueError("variant must be 'S1S3' or \"S1'S3'\"")
     plan = plan or SamplePlan()
+    report = Report(command="check-structure", seed=plan.seed, samples=plan.samples)
+    pts = plan.points(cd.fiber.bundle.chart, max(10, min(plan.samples, 40)))
+
+    defects = _structure_defects(cd, pts)
+    for name in ("S1", "S2", "S3"):
+        report.add(name, Residual().update(defects.get(name, ())).value, tol)
+
+    if variant == "S1'S3'":
+        report.add("kernel_flat_curvature", Residual().update(defects["curvature"]).value, tol)
+        center_res = _center_residual_of_u(cd, pts, svd_tol)
+        report.add("U_center_valued", center_res, center_tol)
+        if not cd.exact:
+            raise TypeError("the kernel-flat variant needs symbolic coupling data")
+        pair = kernel_flat_two_form(cd)
+        rep2 = check_im_form(pair, cd.base_rep_on_fiber(), plan.fork("kfpair"), tol=tol)
+        report.merge(rep2, prefix="U_pair_")
+    return report
+
+
+def _structure_defects(cd, pts) -> dict[str, np.ndarray]:
+    """The fiber curvature of a coupling and the defects of its
+    structure equations at the points, as arrays with the point axis
+    first: "curvature" at [p, i, j], "S1" at [p, i, a, b], and on a base
+    "S2" at [p, a, j] and "S3" at [p, a, b, j], each with the fiber
+    axes last.  Gamma, the fiber bracket, on a base rho, the base
+    bracket and U, and their partials are read once per point
+    (``_stack``).  A rank-one coupling with an abelian fiber gives the
+    trivialized equations of ``rankone``: S2 is rho^T d theta and S3 is
+    minus the trivialized mixed equation."""
     B, fiber = cd.base, cd.fiber
     n = fiber.bundle.chart.dim
     rB = B.rank if B is not None else 0
-    report = Report(command="check-structure", seed=plan.seed, samples=plan.samples)
-    pts = plan.points(fiber.bundle.chart, max(10, min(plan.samples, 40)))
-
     # Read point by point: Gamma_i[e, c] at [p, i, e, c], d_j Gamma_i at
     # [p, j, i], [e_a, e_b]^f at [p, a, b, f] and its partials; on a
     # base also rho^i(e_a) at [p, i, a], U(e_a, d_i) at [p, a, i], the
@@ -855,14 +868,14 @@ def check_structure_equations(
             (cd.u, rB, n),
             (cd.du, n, rB, n),
         ]
-    s1, s2, s3 = Residual(), Residual(), Residual()
-    # A non-finite read gives a non-finite residual, which fails.
+    # A non-finite read gives a non-finite defect, which fails.
     with np.errstate(invalid="ignore", over="ignore"):
         G, dG, C, dC, *based = _stack(pts, *reads)
         R = _curvature(G, dG)
+        out = {"curvature": R}
 
         # (S1): the fiber connection preserves the fiberwise bracket.
-        s1.update(
+        out["S1"] = (
             dC
             + np.einsum("pief,pabf->piabe", G, C)
             - np.einsum("pifa,pfbe->piabe", G, C)
@@ -873,49 +886,19 @@ def check_structure_equations(
 
             # (S2): curvature along anchored directions equals the
             # adjoint action of the mixed tensor.
-            s2.update(
-                np.einsum("pia,pijec->pajce", rho, R) - np.einsum("pajf,pfce->pajce", U, C)
-            )
+            out["S2"] = np.einsum("pia,pijec->pajce", rho, R) - np.einsum("pajf,pfce->pajce", U, C)
 
             # (S3): the mixed cocycle equation on base frame pairs.
             T = np.einsum("pia,pibje->pabje", rho, dU + np.einsum("pief,pbjf->pibje", G, U))
-            W = _anchored(rho, U)
-            s3.update(
+            out["S3"] = (
                 T
                 - T.swapaxes(1, 2)
                 + np.einsum("pib,pjaie->pabje", rho, dU)
-                + np.einsum("pjef,pabf->pabje", G, W)
+                + np.einsum("pjef,pabf->pabje", G, _anchored(rho, U))
                 + np.einsum("pjia,pbie->pabje", drho, U)
                 - np.einsum("pabc,pcje->pabje", cB, U)
             )
-
-    for name, res in (("S1", s1), ("S2", s2), ("S3", s3)):
-        report.add(name, res.value, tol)
-
-    if variant == "S1'S3'":
-        report.add("kernel_flat_curvature", Residual().update(R).value, tol)
-        center_res = _center_residual_of_u(cd, pts, svd_tol)
-        report.add("U_center_valued", center_res, center_tol)
-        if not cd.exact:
-            raise TypeError("the kernel-flat variant needs symbolic coupling data")
-        pair = kernel_flat_two_form(cd)
-        rep2 = check_im_form(pair, cd.base_rep_on_fiber(), plan.fork("kfpair"), tol=tol)
-        report.merge(rep2, prefix="U_pair_")
-    return report
-
-
-def _anchored(rho: np.ndarray, U: np.ndarray) -> np.ndarray:
-    """U(e_a, rho(e_b)) at [p, a, b], from the stacked rho[p, i, b] and
-    U[p, a, i]."""
-    return np.einsum("pib,paie->pabe", rho, U)
-
-
-def _curvature(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
-    """The curvature d_i Gamma_j - d_j Gamma_i + [Gamma_i, Gamma_j] of
-    the fiber connection at [p, i, j], from the stacked Gamma[p, i] and
-    dG[p, j, i] = d_j Gamma_i."""
-    X = dG + np.einsum("piec,pjcf->pijef", G, G)
-    return X - X.swapaxes(1, 2)
+    return out
 
 
 def center_basis(fiber: FiberBracket, p, svd_tol: float = 1e-9) -> np.ndarray:

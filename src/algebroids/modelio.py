@@ -344,7 +344,10 @@ class ModelFile:
                 ]
             )
         verify_skew = sec.get("verify_skew", True)
-        cd = CouplingData(B, fiber, nablaL, U, verify_skew=verify_skew)
+        try:
+            cd = CouplingData(B, fiber, nablaL, U, verify_skew=verify_skew)
+        except ValueError as e:
+            raise ModelError(f"/coupling/U: {e}") from e
         self._cache["coupling"] = cd
         return cd
 

@@ -6,6 +6,11 @@ flatness characterizations.
 All cohomological statements are witness-verified: the caller supplies
 trivializations, primitives or base 2-forms, and the checkers confirm
 the identities at sampled points; existence is never decided.
+
+The trivialized structure equations are the k = 1 case of the coupling
+equations: they are read off ``imforms``' structure-equation
+contractions for the coupling with an abelian rank-1 fiber, connection
+form theta and mixed tensor U1.
 """
 
 from __future__ import annotations
@@ -16,9 +21,9 @@ from typing import Sequence
 import numpy as np
 
 from .algebroid import LieAlgebroid
-from .bundles import PointMap
+from .bundles import Bundle, FiberBracket, LinearConnection, PointMap, _stack
 from .expr import Expr, ZERO, add, differentiate, div, fold, mul, neg
-from .imforms import CouplingData
+from .imforms import CouplingData, _structure_defects
 from .sampling import Report, Residual, SamplePlan
 
 __all__ = [
@@ -106,42 +111,14 @@ def extract_rank_one(cd: CouplingData) -> RankOneData:
     return RankOneData(B, tuple(theta), tuple(V), tuple(tuple(r) for r in lam), U1)
 
 
-def _lie_derivative_one_form(X: Sequence[Expr], om: Sequence[Expr], n: int) -> list[Expr]:
-    """Classical Lie derivative of a scalar 1-form along a vector field."""
-    out = []
-    for j in range(n):
-        terms = []
-        for i in range(n):
-            terms.append(mul(X[i], differentiate(om[j], i)))
-            terms.append(mul(om[i], differentiate(X[i], j)))
-        out.append(fold(add(*terms)))
-    return out
-
-
-def _d_map(om: Sequence[Expr], n: int) -> PointMap:
-    """Exterior derivative of a scalar 1-form as an antisymmetric n x n
-    matrix map: the increasing pairs are evaluated, the lower triangle
-    is their negation."""
-    rows, cols = np.triu_indices(n, 1)
-    upper = PointMap.exact([
-        fold(add(differentiate(om[j], i), neg(differentiate(om[i], j))))
-        for i, j in zip(rows.tolist(), cols.tolist())
-    ])
-
-    def value(p) -> np.ndarray:
-        v = upper.value(p)
-        m = np.zeros((n, n))
-        m[rows, cols] = v
-        m[cols, rows] = -v
-        return m
-
-    return PointMap(value)
-
-
-def _anchored_sup(B: LieAlgebroid, d: PointMap, pts) -> float:
-    """Residual of a scalar 2-form map contracted with the anchor
-    columns (closedness along anchored directions)."""
-    return PointMap(lambda p: B.anchor_value(p).T @ d.value(p)).sup(pts)
+def _coupling(B: LieAlgebroid, theta: Sequence[Expr], U1) -> CouplingData:
+    """The rank-one coupling that trivialized data describes: an abelian
+    rank-1 fiber with Gamma_i = [[theta_i]] and U(e_a, d_i) = [U1[a][i]].
+    Its structure equations are the trivialized ones; U1 need not be
+    anchor-skew."""
+    fiber = FiberBracket.abelian(Bundle(B.chart, 1, "k"))
+    nabla = LinearConnection(fiber.bundle, [[[t]] for t in theta])
+    return CouplingData(B, fiber, nabla, [[[u] for u in row] for row in U1], verify_skew=False)
 
 
 def check_rank_one(
@@ -159,74 +136,32 @@ def check_rank_one(
     """
     plan = plan or SamplePlan()
     B = data.base
-    n, rB = B.chart.dim, B.rank
     report = Report(command="check-rank-one", seed=plan.seed, samples=plan.samples)
     pts = plan.points(B.chart, max(12, min(plan.samples, 40)))
 
-    # Trivialized curvature condition: the connection form is closed
-    # along anchored directions.
-    report.add("S2_trivialized", _anchored_sup(B, _d_map(data.theta, n), pts), tol)
+    # The trivialized equations are S2 and S3 of the rank-one coupling:
+    # the connection form closed along anchored directions, and the
+    # mixed equation on base frame pairs.
+    defects = _structure_defects(_coupling(B, data.theta, data.U1), pts)
+    report.add("S2_trivialized", Residual().update(defects["S2"]).value, tol)
+    report.add("S3_trivialized", Residual().update(defects["S3"]).value, tol)
 
-    # Trivialized mixed equation on base frame pairs; Lie derivatives
-    # of the tensor rows are formed symbolically once per pair.
-    s3 = Residual()
-    theta_map = PointMap.exact(data.theta)
-    U_map = PointMap.exact(data.U1)
-    dU_maps = [_d_map(data.U1[a], n) for a in range(rB)]
-    rho_cols = [B.rho_of(B.frame_section(a)) for a in range(rB)]
-    lie_map = PointMap.exact([
-        [_lie_derivative_one_form(rho_cols[a], list(data.U1[b]), n) for b in range(rB)]
-        for a in range(rB)
-    ])
-    for p in pts:
-        rho = B.anchor_value(p)
-        th = theta_map.value(p)
-        Uv = U_map.value(p)
-        cB = B.structure_map.value(p)
-        dUm = [m.value(p) for m in dU_maps]
-        lieU = lie_map.value(p)
-        for a in range(rB):
-            rho_a = rho[:, a]
-            for b in range(rB):
-                rho_b = rho[:, b]
-                lhs = sum(cB[a, b, c] * Uv[c] for c in range(rB))
-                lie = lieU[a, b]
-                i_b_dU = rho_b @ dUm[a]
-                term_theta = float(th @ rho_a) * Uv[b]
-                wedge = np.outer(th, Uv[a]) - np.outer(Uv[a], th)
-                i_b_wedge = rho_b @ wedge
-                rhs = lie - i_b_dU + term_theta - i_b_wedge
-                s3.update(lhs - rhs)
-    report.add("S3_trivialized", s3.value, tol)
-
-    # Tangentiality of the cochain representatives on the anchor kernel.
-    tang = Residual()
-    ranks = []
-    kernels = []
-    for p in pts:
-        rho = B.anchor_value(p)
-        u, s, vt = np.linalg.svd(rho)
-        rank = int(np.sum(s > svd_tol))
-        ranks.append(rank)
-        kernels.append(vt[rank:].T)
+    # Tangentiality of the cochain representatives on the anchor kernel,
+    # read where the anchor has its modal rank.
+    (rho,) = _stack(pts, (B.anchor_value,))
+    _, s, vt = np.linalg.svd(rho)
+    ranks = np.sum(s > svd_tol, axis=1)
     modal = int(np.bincount(ranks).argmax())
-    discarded = 0
-    lam_map = PointMap.exact(data.lam)
-    V_map = PointMap.exact(data.V)
-    for p, rank, ker in zip(pts, ranks, kernels):
-        if rank != modal:
-            discarded += 1
-            continue
-        if ker.shape[1] == 0:
-            continue
-        lamv = lam_map.value(p)
-        Vv = V_map.value(p)
-        for col in ker.T:
-            tang.update(col @ lamv)
-            tang.update(col @ Vv)
+    keep = ranks == modal
+    tang = Residual()
+    if modal < B.rank:
+        kept = [p for p, k in zip(pts, keep) if k]
+        lam, V = _stack(kept, (PointMap.exact(data.lam).value,), (PointMap.exact(data.V).value,))
+        K = vt[keep, modal:]  # the kernel's orthonormal rows at [p, k, a]
+        tang.update(np.einsum("pka,pab->pkb", K, lam)).update(np.einsum("pka,pa->pk", K, V))
     report.add("tangential_representatives", tang.value, tol)
     report.extra["anchor_rank"] = modal
-    report.extra["discarded_rank_jump_points"] = discarded
+    report.extra["discarded_rank_jump_points"] = int(np.sum(~keep))
     return report
 
 
@@ -323,7 +258,11 @@ def verify_witness(
         if theta_w is None:
             raise ValueError(f"witness kind {kind!r} needs a 'theta' 1-form")
         theta_w = [fold(t) for t in theta_w]
-        dth = _d_map(theta_w, n)
+        # d theta is the curvature of the rank-one coupling with
+        # connection form theta and no mixed tensor, and rho^T d theta
+        # its S2.
+        zero = [[ZERO] * n for _ in range(rB)]
+        defects = _structure_defects(_coupling(B, theta_w, zero), pts)
         V_match = [
             fold(
                 add(
@@ -336,9 +275,9 @@ def verify_witness(
         if kind == "leafwise_flat":
             # Invariance only requires closedness along anchored
             # directions.
-            report.add("theta_invariant", _anchored_sup(B, dth, pts), tol)
+            report.add("theta_invariant", Residual().update(defects["S2"]).value, tol)
         else:
-            report.add("theta_closed", dth.sup(pts), tol)
+            report.add("theta_closed", Residual().update(defects["curvature"]).value, tol)
         report.add("V_matches_pullback", PointMap.exact(V_match).sup(pts), tol)
 
     if kind in ("totally_flat", "leafwise_flat"):
@@ -350,24 +289,8 @@ def verify_witness(
         if U1w is None:
             raise ValueError("kernel_flat needs a 'U1' witness matrix")
         U1w = [[fold(x) for x in row] for row in U1w]
-        cand = RankOneData(
-            B,
-            tuple(theta_w),
-            tuple(
-                fold(add(*(mul(theta_w[i], B.anchor[i][a]) for i in range(n))))
-                for a in range(rB)
-            ),
-            tuple(
-                tuple(
-                    fold(add(*(mul(U1w[a][i], B.anchor[i][b]) for i in range(n))))
-                    if a != b
-                    else ZERO
-                    for b in range(rB)
-                )
-                for a in range(rB)
-            ),
-            U1w,
-        )
+        # The pair's rank-one data: theta, U1 and their anchor pullbacks.
+        cand = extract_rank_one(_coupling(B, theta_w, U1w))
         sub = check_rank_one(cand, plan.fork("pair"), tol=tol)
         report.merge(sub, prefix="pair_")
         lam_match = [

@@ -2,6 +2,8 @@
 derivatives, invariant connections, basic curvature and the
 connection-based construction of connection forms."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from algebroids.bundles import (
     Bundle,
     CoeffForm,
     LinearConnection,
+    PointMap,
     Section,
     curvature_tensor,
 )
@@ -44,9 +47,11 @@ from algebroids.expr import (
     neg,
 )
 from algebroids.factory import so3_constants
-from algebroids.sampling import SamplePlan, random_polynomial
+from algebroids.modelio import load_model
+from algebroids.sampling import Residual, SamplePlan, random_polynomial
 
 CH2 = Chart(2)
+MODELS = Path(__file__).resolve().parent.parent / "models"
 CH3 = Chart(3)
 
 
@@ -280,6 +285,78 @@ def test_check_A_invariant_product(product_model):
     rep = cd.base_rep_on_fiber()
     conn = cd.nablaL
     assert check_A_invariant(conn, rep, SamplePlan(seed=4, samples=30)).passed
+
+
+# check_A_invariant as it was written before its conditions became
+# contractions of stacked reads: coeffs - rho Gamma formed symbolically,
+# the curvature from curvature_tensor, and a loop per point, frame element
+# and direction. It stays here as an unshared reference.
+def _ref_invariance_residuals(conn, rep, pts):
+    A = rep.algebroid
+    n, rV = A.chart.dim, rep.bundle.rank
+    diffs = []
+    for b in range(A.rank):
+        D = [[ZERO] * rV for _ in range(rV)]
+        for d in range(rV):
+            for c in range(rV):
+                terms = [rep.coeffs[b][d][c]]
+                for i in range(n):
+                    terms.append(neg(mul(A.anchor[i][b], conn.christoffel[i][d][c])))
+                D[d][c] = fold(add(*terms))
+        diffs.append(D)
+    diff_map = PointMap.exact(diffs)
+    R = curvature_tensor(conn)
+    R_map = PointMap.exact(list(R.values()))
+    worst1, worst2 = Residual(), Residual()
+    for p in pts:
+        worst1.update(diff_map.value(p))
+        rho_p = A.anchor_value(p)
+        Rp = dict(zip(R, R_map.value(p)))
+        for b in range(A.rank):
+            for j in range(n):
+                M = np.zeros((rV, rV))
+                for i in range(n):
+                    if i < j:
+                        M += rho_p[i, b] * Rp[(i, j)]
+                    elif i > j:
+                        M -= rho_p[i, b] * Rp[(j, i)]
+                worst2.update(M)
+    return {
+        "invariance_anchor_compatibility": worst1.value,
+        "invariance_curvature_contraction": worst2.value,
+    }
+
+
+def _invariance_case(name):
+    if name != "bent":
+        cd = load_model(str(MODELS / f"{name}.json")).coupling()
+        return cd.nablaL, cd.base_rep_on_fiber()
+    # A rank-2 bundle over the so3 action: a connection with non-commuting
+    # Christoffel matrices and a representation that is not the
+    # connection along the anchor, so every term reaches both residuals.
+    A = so3_action_algebroid()
+    V = Bundle(CH3, 2, "V")
+    rng = np.random.default_rng(7)
+    gammas = [[[random_polynomial(CH3, rng) for _ in range(2)] for _ in range(2)] for _ in range(3)]
+    coeffs = [[[random_polynomial(CH3, rng) for _ in range(2)] for _ in range(2)] for _ in range(3)]
+    return LinearConnection(V, gammas), ARepresentation(A, V, coeffs)
+
+
+@pytest.mark.parametrize("case", ["principal_flat", "bad_u", "rank_one", "product_so3", "bent"])
+@pytest.mark.parametrize("samples", [4, 200])
+def test_invariance_matches_its_loop_form(case, samples):
+    conn, rep = _invariance_case(case)
+    out = check_A_invariant(conn, rep, SamplePlan(seed=42, samples=samples))
+    pts = SamplePlan(seed=42, samples=samples).points(rep.algebroid.chart, min(samples, 60))
+    want = _ref_invariance_residuals(conn, rep, pts)
+    got = {c.name: c.max_residual for c in out.checks}
+    assert list(got) == list(want)
+    for name, w in want.items():
+        assert abs(got[name] - w) <= 1e-12 * abs(w) or abs(got[name] - w) <= 1e-15, (name, got[name], w)
+    if case == "bent":
+        assert min(want.values()) > 1e-2
+    else:
+        assert out.passed
 
 
 def test_basic_curvature_action_flat():

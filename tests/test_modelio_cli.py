@@ -355,11 +355,91 @@ def test_infinite_christoffel_leaves_no_flatness_class(tmp_path):
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, out = invoke(["classify", "--model", model, "--json", "--samples", "40"])
+        code, out = invoke(["classify", "--model", model, "--json", "--samples", "40"])
+    assert code == 1
     doc = json.loads(out, parse_constant=_reject_constant)
     assert doc["residuals"]["kernel_flat_curvature"] is None
     assert doc["residuals"]["totally_flat_U"] is None
     assert doc["flatness"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coupling"],
+        ["coupling", "--roundtrip"],
+        ["check-structure"],
+        ["check-structure", "--kernel-flat"],
+        ["build-semidirect"],
+        ["curvature"],
+        ["classify"],
+        ["rank-one"],
+        ["rank-one", "--witness", "principal_type"],
+    ],
+)
+def test_a_mixed_tensor_that_is_not_anchor_skew_is_a_model_error(tmp_path, capsys, argv):
+    # rank_one with U(e1, d1) = 1: on the identity anchor U(e1, rho(e1))
+    # + U(e1, rho(e1)) = 2, so the coupling is refused as it loads.
+    model = _model_with_coupling_entry(tmp_path, "rank_one", "U", (0, 0, 0), "1")
+    code, out = invoke(argv + ["--model", model, "--json", "--samples", "4"])
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    assert err.startswith("model error:") and "anchor-skew" in err
+
+
+def _line_coupling(tmp_path):
+    """A coupling on a 1-dimensional chart: base rank 1 anchored by 1,
+    an abelian rank-1 fiber, a zero connection and a zero mixed tensor."""
+    doc = {
+        "schema_version": 1,
+        "chart": {"dim": 1, "bounds": [[-1.0, 1.0]], "excluded_origin": False},
+        "coupling": {
+            "base": {"rank": 1, "anchor": [["1"]], "structure": {}},
+            "fiber": {"rank": 1, "structure": {}},
+            "nablaL": [[["0"]]],
+            "U": [[["0"]]],
+        },
+    }
+    p = tmp_path / "line.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("argv", [["curvature"], ["check-structure", "--kernel-flat"]])
+def test_a_two_form_subcommand_on_a_line_is_a_model_error(tmp_path, capsys, argv):
+    # A 2-form on a 1-dimensional chart has no component to check, so the
+    # two subcommands that build one refuse the chart and name its
+    # dimension.
+    code, out = invoke(argv + ["--model", _line_coupling(tmp_path), "--json", "--samples", "4"])
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    assert err.startswith("model error:") and "dimension 1" in err
+
+
+@pytest.mark.parametrize("argv", [["check-structure"], ["classify"], ["coupling", "--roundtrip"]])
+def test_the_other_coupling_subcommands_run_on_a_line(tmp_path, argv):
+    code, _ = invoke(argv + ["--model", _line_coupling(tmp_path), "--json", "--samples", "4"])
+    assert code == 0
+
+
+def test_infinite_connection_form_fails_the_rank_one_equations(tmp_path):
+    import warnings
+
+    # rank_one with theta_1 +-inf away from x1 = 0: its trivialized S2 and
+    # S3 are those of the rank-one coupling, so both are non-finite (exit
+    # 1), and numpy warns of nothing; the anchor is finite, so
+    # tangentiality still passes.
+    model = _model_with_coupling_entry(
+        tmp_path, "rank_one", "nablaL", (0, 0, 0), "exp(700)*exp(700)*x1"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = invoke(["rank-one", "--model", model, "--json", "--samples", "40"])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out, parse_constant=_reject_constant)["checks"]}
+    for name in ("S2_trivialized", "S3_trivialized"):
+        assert checks[name]["max_residual"] is None and checks[name]["non_finite"] is True
+    assert checks["tangential_representatives"]["pass"]
 
 
 def test_infinite_fiber_bracket_fails_the_kernel_flat_variant(tmp_path):

@@ -1,11 +1,13 @@
 """Tests for the rank-one trivialized checkers, gauge transformations
 and witness verification."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from algebroids.algebroid import LieAlgebroid, tangent_algebroid
-from algebroids.bundles import Bundle, FiberBracket, LinearConnection
+from algebroids.bundles import Bundle, FiberBracket, LinearConnection, PointMap
 from algebroids.expr import (
     Chart,
     ONE,
@@ -20,7 +22,7 @@ from algebroids.expr import (
     neg,
     parse,
 )
-from algebroids.factory import ExampleSpec, make_example
+from algebroids.factory import ExampleSpec, make_example, so3_constants
 from algebroids.imforms import CouplingData, check_structure_equations
 from algebroids.rankone import (
     RankOneData,
@@ -29,9 +31,11 @@ from algebroids.rankone import (
     gauge_transform,
     verify_witness,
 )
-from algebroids.sampling import SamplePlan
+from algebroids.modelio import load_model
+from algebroids.sampling import Residual, SamplePlan
 
 CH2 = Chart(2)
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def coupling_from(theta, U1, dim=2, verify_skew=True):
@@ -210,3 +214,192 @@ def test_trivialized_vs_intrinsic_agreement():
         assert v1 == v2
         agree += 1
     assert agree == 6
+
+
+# The trivialized structure equations as check_rank_one wrote them
+# before they became the k = 1 case of the coupling contractions: Lie
+# and exterior derivatives formed symbolically, then a loop per point
+# and base frame pair. They stay here as an unshared reference.
+def _ref_lie_derivative_one_form(X, om, n):
+    out = []
+    for j in range(n):
+        terms = []
+        for i in range(n):
+            terms.append(mul(X[i], differentiate(om[j], i)))
+            terms.append(mul(om[i], differentiate(X[i], j)))
+        out.append(fold(add(*terms)))
+    return out
+
+
+def _ref_d_map(om, n):
+    """d of a scalar 1-form as an antisymmetric n x n matrix map."""
+    rows, cols = np.triu_indices(n, 1)
+    upper = PointMap.exact([
+        fold(add(differentiate(om[j], i), neg(differentiate(om[i], j))))
+        for i, j in zip(rows.tolist(), cols.tolist())
+    ])
+
+    def value(p):
+        v = upper.value(p)
+        m = np.zeros((n, n))
+        m[rows, cols] = v
+        m[cols, rows] = -v
+        return m
+
+    return PointMap(value)
+
+
+def _ref_anchored_sup(B, d, pts):
+    return PointMap(lambda p: B.anchor_value(p).T @ d.value(p)).sup(pts)
+
+
+def _ref_rank_one_residuals(data, pts):
+    B = data.base
+    n, rB = B.chart.dim, B.rank
+    s3 = Residual()
+    theta_map = PointMap.exact(data.theta)
+    U_map = PointMap.exact(data.U1)
+    dU_maps = [_ref_d_map(data.U1[a], n) for a in range(rB)]
+    rho_cols = [B.rho_of(B.frame_section(a)) for a in range(rB)]
+    lie_map = PointMap.exact([
+        [_ref_lie_derivative_one_form(rho_cols[a], list(data.U1[b]), n) for b in range(rB)]
+        for a in range(rB)
+    ])
+    for p in pts:
+        rho = B.anchor_value(p)
+        th = theta_map.value(p)
+        Uv = U_map.value(p)
+        cB = B.structure_map.value(p)
+        dUm = [m.value(p) for m in dU_maps]
+        lieU = lie_map.value(p)
+        for a in range(rB):
+            for b in range(rB):
+                lhs = sum(cB[a, b, c] * Uv[c] for c in range(rB))
+                wedge = np.outer(th, Uv[a]) - np.outer(Uv[a], th)
+                rhs = (
+                    lieU[a, b]
+                    - rho[:, b] @ dUm[a]
+                    + float(th @ rho[:, a]) * Uv[b]
+                    - rho[:, b] @ wedge
+                )
+                s3.update(lhs - rhs)
+    return {
+        "S2_trivialized": _ref_anchored_sup(B, _ref_d_map(data.theta, n), pts),
+        "S3_trivialized": s3.value,
+    }
+
+
+def _assert_matches_reference(report, want):
+    """Each reported residual equals its loop form's, to 1e-12 relative
+    or, near zero, 1e-15 absolute."""
+    got = {c.name: c.max_residual for c in report.checks}
+    for name, w in want.items():
+        g = got[name]
+        assert abs(g - w) <= 1e-12 * abs(w) or abs(g - w) <= 1e-15, (name, g, w)
+
+
+def _affine_base():
+    """Translations and dilations of the plane: rho(e1) = d1,
+    rho(e2) = x1 d1 + x2 d2, [e1, e2] = e1."""
+    x1, x2 = coord(0), coord(1)
+    anchor = [[ONE, x1], [ZERO, x2]]
+    struct = [[[ZERO, ZERO], [ONE, ZERO]], [[const(-1), ZERO], [ZERO, ZERO]]]
+    return LieAlgebroid(Bundle(CH2, 2, "B"), anchor, struct)
+
+
+def _rank_one_case(name):
+    if name != "bent":
+        return extract_rank_one(load_model(str(MODELS / f"{name}.json")).coupling())
+    # Every term of S2 and S3 reaches the residuals: a non-closed theta,
+    # a mixed tensor that is neither constant nor anchor-skew, and a base
+    # with a bracket and a non-constant anchor.
+    x1, x2 = coord(0), coord(1)
+    theta = (fold(mul(x1, x2)), parse("x1^2 - x2", CH2))
+    U1 = ((x2, parse("1 + x1*x2", CH2)), (const(-1), parse("x1^2", CH2)))
+    zero = ((ZERO, ZERO), (ZERO, ZERO))
+    return RankOneData(_affine_base(), theta, (ZERO, ZERO), zero, U1)
+
+
+@pytest.mark.parametrize("case", ["principal_flat", "bad_u", "rank_one", "bent"])
+@pytest.mark.parametrize("samples", [4, 200])
+def test_trivialized_structure_equations_match_their_loop_forms(case, samples):
+    data = _rank_one_case(case)
+    out = check_rank_one(data, SamplePlan(seed=42, samples=samples))
+    pts = SamplePlan(seed=42, samples=samples).points(data.base.chart, max(12, min(samples, 40)))
+    want = _ref_rank_one_residuals(data, pts)
+    _assert_matches_reference(out, want)
+    got = {c.name: c.max_residual for c in out.checks if c.name in want}
+    if case == "bent":
+        assert min(want.values()) > 1e-2
+    elif case == "bad_u":
+        assert got == {"S2_trivialized": 0.0, "S3_trivialized": 1.0} and not out.passed
+    else:
+        assert got == {"S2_trivialized": 0.0, "S3_trivialized": 0.0}
+
+
+@pytest.mark.parametrize("kind, name", [("totally_flat", "theta_closed"), ("leafwise_flat", "theta_invariant")])
+def test_witness_closedness_matches_its_loop_form(kind, name):
+    data = _rank_one_case("bent")
+    theta = [parse("x1*x2", CH2), parse("sin(x1) + x1^2*x2", CH2)]
+    plan = SamplePlan(seed=42, samples=200)
+    out = verify_witness(kind, data, {"theta": theta}, plan)
+    pts = SamplePlan(seed=42, samples=200).points(data.base.chart, 40)
+    d = _ref_d_map(theta, 2)
+    want = d.sup(pts) if name == "theta_closed" else _ref_anchored_sup(data.base, d, pts)
+    assert want > 1e-2
+    _assert_matches_reference(out, {name: want})
+
+
+def _ref_tangentiality(data, pts, svd_tol=1e-9):
+    """check_rank_one's tangentiality as a loop per point and kernel
+    column: (residual, modal anchor rank, discarded points)."""
+    B = data.base
+    tang, ranks, kernels = Residual(), [], []
+    for p in pts:
+        _, s, vt = np.linalg.svd(B.anchor_value(p))
+        rank = int(np.sum(s > svd_tol))
+        ranks.append(rank)
+        kernels.append(vt[rank:].T)
+    modal = int(np.bincount(ranks).argmax())
+    lam_map, V_map = PointMap.exact(data.lam), PointMap.exact(data.V)
+    for p, rank, ker in zip(pts, ranks, kernels):
+        if rank == modal:
+            for col in ker.T:
+                tang.update(col @ lam_map.value(p))
+                tang.update(col @ V_map.value(p))
+    return tang.value, modal, ranks.count(modal)
+
+
+def _rotation_data():
+    """Rank-one data over the rotation action on 3-space, whose anchor
+    has rank 2 away from the axis, with cochains that are not tangential
+    to its kernel."""
+    x = [coord(i) for i in range(3)]
+    anchor = [
+        [ZERO, neg(x[2]), x[1]],
+        [x[2], ZERO, neg(x[0])],
+        [neg(x[1]), x[0], ZERO],
+    ]
+    eps = so3_constants()
+    struct = [[[const(float(eps[a, b, c])) for c in range(3)] for b in range(3)] for a in range(3)]
+    B = LieAlgebroid(Bundle(Chart(3), 3, "so3xR3"), anchor, struct)
+    lam = ((ZERO, x[0], mul(x[1], x[2])), (ZERO, ZERO, ONE), (ZERO, ZERO, ZERO))
+    zero = ((ZERO,) * 3,) * 3
+    return RankOneData(B, (ZERO,) * 3, (x[1], ONE, mul(x[0], x[0])), lam, zero)
+
+
+@pytest.mark.parametrize("svd_tol", [1e-9, 0.5])
+def test_tangentiality_matches_its_loop_form(svd_tol):
+    # At svd_tol 0.5 the anchor's second singular value, |x|, falls below
+    # the threshold near the axis, so the rank jumps there and those
+    # points are discarded.
+    data = _rotation_data()
+    plan = SamplePlan(seed=42, samples=200)
+    out = check_rank_one(data, plan, svd_tol=svd_tol)
+    pts = SamplePlan(seed=42, samples=200).points(data.base.chart, 40)
+    want, modal, kept = _ref_tangentiality(data, pts, svd_tol)
+    got = next(c.max_residual for c in out.checks if c.name == "tangential_representatives")
+    assert abs(got - want) <= 1e-12 * abs(want) and want > 1e-2
+    assert out.extra["anchor_rank"] == modal == 2
+    assert out.extra["discarded_rank_jump_points"] == len(pts) - kept
+    assert (out.extra["discarded_rank_jump_points"] > 0) == (svd_tol == 0.5)
