@@ -24,8 +24,8 @@ from .bundles import (
     PointMap,
     Section,
     _curvature,
+    _gamma_reads,
     _stack,
-    covariant_derivative,
 )
 from .expr import (
     Expr,
@@ -281,26 +281,42 @@ class ARepresentation:
 
     def flatness_residual(self, plan: SamplePlan, n_pairs: int = 6) -> float:
         """Max residual of nabla_[a,b] = [nabla_a, nabla_b] on random
-        polynomial sections."""
+        polynomial sections a, b and s, read from the jets of a and b,
+        the values and partials of s, and the stacked coefficient
+        matrices M[p, b] and their partials dM[p, j, b]."""
         A = self.algebroid
+        n = A.chart.dim
+        coeffs = PointMap.exact(self.coeffs)
         worst = Residual()
         for _ in range(n_pairs):
             al = A.random_section(plan.rng)
             be = A.random_section(plan.rng)
-            s = Section(
-                self.bundle,
-                [random_polynomial(A.chart, plan.rng) for _ in range(self.bundle.rank)],
-            )
-            lhs = self.apply(bracket(A, al, be), s.components)
-            rhs1 = self.apply(al, self.apply(be, s.components))
-            rhs2 = self.apply(be, self.apply(al, s.components))
-            terms = PointMap.exact(list(zip(lhs, rhs1, rhs2)))
+            s = PointMap.exact([random_polynomial(A.chart, plan.rng) for _ in range(self.bundle.rank)])
+            pts = plan.points(A.chart, 8)
+            jets = _Jets(A, [al, be], pts)
+            s0, ds, M, dM = _stack(pts, (s.value,), (s.partial, n), (coeffs.value,), (coeffs.partial, n))
 
-            def defect(p):
-                v = terms.value(p)
-                return v[:, 0] - v[:, 1] + v[:, 2]
+            def nabla(x0, rx, v0, dv):
+                """nabla_x v at [p, d], from x, rho(x), v and dv[p, i] = d_i v."""
+                return np.einsum("pi,pid->pd", rx, dv) + np.einsum("pb,pbdc,pc->pd", x0, M, v0)
 
-            worst.update(PointMap(defect).sup(plan.points(A.chart, 8)))
+            def twice(x, y):
+                """nabla_x nabla_y s at [p, d], less rho(x)^i rho(y)^j d_i d_j s,
+                which is symmetric in x and y and so cancels from the
+                identity."""
+                ry = jets.rho(y)
+                d_ys = (
+                    np.einsum("pji,pjd->pid", jets.drho(y), ds)
+                    + np.einsum("pbi,pbdc,pc->pid", y[1], M, s0)
+                    + np.einsum("pb,pibdc,pc->pid", y[0], dM, s0)
+                    + np.einsum("pb,pbdc,pic->pid", y[0], M, ds)
+                )
+                return nabla(x[0], jets.rho(x), nabla(y[0], ry, s0, ds), d_ys)
+
+            with np.errstate(invalid="ignore", over="ignore"):
+                ab = jets.bracket(*jets.sections)
+                lhs = nabla(ab, np.einsum("pik,pk->pi", jets.R, ab), s0, ds)
+                worst.update(lhs - twice(*jets.sections) + twice(*jets.sections[::-1]))
         return worst.value
 
 
@@ -323,13 +339,11 @@ def _axiom_draws(A: LieAlgebroid, plan: SamplePlan):
 def _add_ideal_checks(rep: Report, A: LieAlgebroid, k: int, plan: SamplePlan, tol: float) -> None:
     """The ``ideal_anchor`` and ``ideal_bracket`` checks of the span of
     the first k frame elements, at points drawn after the axiom draws."""
-    pts_list = plan.points(A.chart, max(20, _axiom_budget(plan)[1]))
-    ideal_anchor = PointMap.exact([row[:k] for row in A.anchor])
-    ideal_bracket = PointMap.exact(
-        [[row[a][k:] for a in range(k)] for row in A.structure]
-    )
-    rep.add("ideal_anchor", ideal_anchor.sup(pts_list), 1e-10 if tol > 1e-10 else tol)
-    rep.add("ideal_bracket", ideal_bracket.sup(pts_list), tol)
+    pts = plan.points(A.chart, max(20, _axiom_budget(plan)[1]))
+    rho, C = _stack(pts, (A.anchor_value,), (A.structure_map.value,))
+    # rho(e_a) for a in the ideal, and [e_b, e_a] off the ideal.
+    rep.add("ideal_anchor", Residual().update(rho[:, :, :k]).value, 1e-10 if tol > 1e-10 else tol)
+    rep.add("ideal_bracket", Residual().update(C[:, :, :k, k:]).value, tol)
 
 
 def _ideal_report(A: LieAlgebroid, k: int, plan: SamplePlan, tol: float) -> Report:
@@ -361,17 +375,17 @@ class _Jets:
 
     def __init__(self, A: LieAlgebroid, sections: Sequence[Section], points):
         n, r = A.chart.dim, A.rank
-
-        def one_jet(pm):
-            val = np.array([pm.value(p) for p in points])
-            jac = np.array([[pm.partial(j, p) for j in range(n)] for p in points])
-            return val, np.moveaxis(jac, 1, -1)
-
-        self.R, self.dR = one_jet(A.anchor_map)
-        self.C, self.dC = one_jet(A.structure_map)
         jet = Jet([x for s in sections for x in s.components], n)
-        jet_map = PointMap.exact(jet.entries)
-        v = jet.split(np.array([jet_map.value(p) for p in points]))
+        v, self.R, dR, self.C, dC = _stack(
+            points,
+            (PointMap.exact(jet.entries).value,),
+            (A.anchor_value,),
+            (A.anchor_map.partial, n),
+            (A.structure_map.value,),
+            (A.structure_map.partial, n),
+        )
+        self.dR, self.dC = np.moveaxis(dR, 1, -1), np.moveaxis(dC, 1, -1)
+        v = jet.split(v)
         self.sections = [tuple(x[:, s * r : (s + 1) * r] for x in v) for s in range(len(sections))]
 
     def rho(self, x):
@@ -521,11 +535,7 @@ def check_A_invariant(
     # A non-finite read gives a non-finite residual, which fails.
     with np.errstate(invalid="ignore", over="ignore"):
         M, rho, G, dG = _stack(
-            pts,
-            (PointMap.exact(rep.coeffs).value,),
-            (A.anchor_value,),
-            (conn.gamma_value, n),
-            (lambda j, i, p: conn.gamma_maps[i].partial(j, p), n, n),
+            pts, (PointMap.exact(rep.coeffs).value,), (A.anchor_value,), *_gamma_reads(conn)
         )
         # Condition 1: coefficient matrices match sum_i rho^i_b Gamma_i.
         compat = M - np.einsum("pib,pidc->pbdc", rho, G)
@@ -538,9 +548,14 @@ def check_A_invariant(
 
 class BasicCurvature:
     """The five-term tensor measuring the failure of a linear connection
-    on an algebroid to have multiplicative-type horizontal behavior.
+    on an algebroid to have multiplicative-type horizontal behavior:
 
-    Callable as (alpha, beta, X, point) -> fiber vector.
+        K(a, b; X) = nabla_X [a, b] - [nabla_X a, b] - [a, nabla_X b]
+                     - nabla_{Y(b, X)} a + nabla_{Y(a, X)} b,
+
+    with Y(a, X) = rho(nabla_X a) + [rho(a), X] the induced derivative
+    on vector fields.  It is a tensor, so its values on frame sections
+    and coordinate directions determine it.
     """
 
     def __init__(self, A: LieAlgebroid, conn: LinearConnection):
@@ -549,50 +564,40 @@ class BasicCurvature:
         self.A = A
         self.conn = conn
 
-    def bar_nabla_vf(self, alpha: Section, X: Sequence[Expr]) -> list[Expr]:
-        """Induced derivative on vector fields:
-        rho(nabla_X alpha) + [rho(alpha), X]."""
+    def _frame_values(self, pts) -> np.ndarray:
+        """K(e_a, e_b; d_i)^c at [p, a, b, i, c], from the stacked rho,
+        C, Gamma and their partials.  The third and fifth terms are the
+        second and fourth with a and b exchanged and negated, as the
+        bracket is antisymmetric.  Callers run it under
+        ``np.errstate(invalid="ignore", over="ignore")``."""
         A = self.A
-        na = covariant_derivative(self.conn, X, alpha)
-        first = A.rho_of(na)
-        second = vf_bracket(A.rho_of(alpha), X, A.chart.dim)
-        return [fold(add(x, y)) for x, y in zip(first, second)]
-
-    def section_expr(
-        self, alpha: Section, beta: Section, X: Sequence[Expr]
-    ) -> Section:
-        A, conn = self.A, self.conn
-        t1 = covariant_derivative(conn, X, bracket(A, alpha, beta))
-        t2 = bracket(A, covariant_derivative(conn, X, alpha), beta)
-        t3 = bracket(A, alpha, covariant_derivative(conn, X, beta))
-        t4 = covariant_derivative(conn, self.bar_nabla_vf(beta, X), alpha)
-        t5 = covariant_derivative(conn, self.bar_nabla_vf(alpha, X), beta)
-        comps = [
-            fold(add(a, neg(b), neg(c), neg(d), e))
-            for a, b, c, d, e in zip(
-                t1.components, t2.components, t3.components, t4.components, t5.components
-            )
-        ]
-        return Section(A.bundle, comps)
-
-    def __call__(self, alpha: Section, beta: Section, X: Sequence[Expr], p) -> np.ndarray:
-        return self.section_expr(alpha, beta, X).value(p)
+        n = A.chart.dim
+        R, dR, C, dC, G, dG = _stack(
+            pts,
+            (A.anchor_value,),
+            (A.anchor_map.partial, n),
+            (A.structure_map.value,),
+            (A.structure_map.partial, n),
+            *_gamma_reads(self.conn),
+        )
+        # Y(e_b, d_i)^j, at [p, b, i, j].
+        Y = np.einsum("pjd,pidb->pbij", R, G) - np.einsum("pijb->pbij", dR)
+        # nabla_i [e_a, e_b]; then [nabla_i e_a, e_b] + nabla_{Y(b, d_i)} e_a.
+        first = np.einsum("piabc->pabic", dC) + np.einsum("picd,pabd->pabic", G, C)
+        W = (
+            np.einsum("pida,pdbc->pabic", G, C)
+            - np.einsum("pjb,pjica->pabic", R, dG)
+            + np.einsum("pbij,pjca->pabic", Y, G)
+        )
+        return first - W + W.swapaxes(1, 2)
 
     def cartan_residual(self, plan: SamplePlan, n_points: int = 24) -> float:
         """Max residual over frame pairs and coordinate directions (the
         tensor property makes frame evaluation sufficient)."""
-        A = self.A
-        n = A.chart.dim
-        worst = Residual()
-        pts = plan.points(A.chart, n_points)
-        for a in range(A.rank):
-            for b in range(a + 1, A.rank):
-                for i in range(n):
-                    X = [ZERO] * n
-                    X[i] = ONE
-                    s = self.section_expr(A.frame_section(a), A.frame_section(b), X)
-                    worst.update(PointMap.exact(s.components).sup(pts))
-        return worst.value
+        pts = plan.points(self.A.chart, n_points)
+        a, b = np.triu_indices(self.A.rank, 1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            return Residual().update(self._frame_values(pts)[:, a, b]).value
 
 
 def basic_curvature(A: LieAlgebroid, conn: LinearConnection) -> BasicCurvature:
@@ -632,39 +637,22 @@ def cartan_build_connection(
 
     report = Report(command="cartan-build", seed=plan.seed, samples=plan.samples)
 
-    def embed(vec_k: Sequence[Expr]) -> Section:
-        return Section(A.bundle, list(vec_k) + [ZERO] * (r - k))
-
-    def apply_l(sec: Section) -> list[Expr]:
-        return [
-            fold(add(*(mul(l[c][a], sec.components[a]) for a in range(r))))
-            for c in range(k)
-        ]
-
-    # Parallelism of l: [e_a, l(e_b)] - l(nabla_{rho(e_b)} e_a + [e_a, e_b]).
-    worst_par = Residual()
     pts = plan.points(A.chart, 20)
-    for a in range(r):
-        ea = A.frame_section(a)
-        for b in range(r):
-            eb = A.frame_section(b)
-            lhs = bracket(A, ea, embed(apply_l(eb)))
-            inner = covariant_derivative(conn, A.rho_of(eb), ea) + bracket(A, ea, eb)
-            rhs = embed(apply_l(inner))
-            worst_par.update(PointMap.exact((lhs - rhs).components).sup(pts))
-    report.add("parallel_splitting", worst_par.value, tol)
-
-    # l kills the basic curvature.
-    bc = basic_curvature(A, conn)
-    worst_bc = Residual()
-    for a in range(r):
-        for b in range(a + 1, r):
-            for i in range(n):
-                X = [ZERO] * n
-                X[i] = ONE
-                s = bc.section_expr(A.frame_section(a), A.frame_section(b), X)
-                worst_bc.update(PointMap.exact(apply_l(s)).sup(pts))
-    report.add("splitting_kills_basic_curvature", worst_bc.value, tol)
+    l_map = PointMap.exact(l)
+    L, dL, R, C, G = _stack(
+        pts, (l_map.value,), (l_map.partial, n), (A.anchor_value,), (A.structure_map.value,), (conn.gamma_value, n)
+    )
+    a, b = np.triu_indices(r, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        # Parallelism of l: [e_a, l(e_b)] - l(nabla_{rho(e_b)} e_a + [e_a, e_b])
+        # at [p, a, b, c], l(e_b) having no component past the ideal.
+        inner = np.einsum("pjb,pjda->pabd", R, G) + C
+        parallel = np.einsum("padc,pdb->pabc", C[:, :, :k], L)
+        parallel[..., :k] += np.einsum("pja,pjcb->pabc", R, dL) - np.einsum("pcd,pabd->pabc", L, inner)
+        # l kills the basic curvature.
+        killed = np.einsum("pcd,ptid->ptic", L, basic_curvature(A, conn)._frame_values(pts)[:, a, b])
+    report.add("parallel_splitting", Residual().update(parallel).value, tol)
+    report.add("splitting_kills_basic_curvature", Residual().update(killed).value, tol)
 
     if not report.passed:
         raise ConstructionRefused(

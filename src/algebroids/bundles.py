@@ -247,9 +247,8 @@ class PointMap:
     ``exprs``; ``PointMap.exact`` is the one place outside ``expr`` that
     evaluates Exprs.  Sampled ones (``imforms.sampled_map``) carry only
     a point callable, differentiated by the finite-difference stencil,
-    and ``exprs`` is None.  A map built from a plain point callable with
-    no ``partial`` serves numeric combinations of other maps' values
-    that are only reduced by ``sup``.
+    and ``exprs`` is None.  Checks read maps at their points with
+    ``_stack`` and reduce the contracted defects with ``Residual``.
     """
 
     __slots__ = ("value", "partial", "exprs")
@@ -258,16 +257,6 @@ class PointMap:
         self.value = value
         self.partial = partial
         self.exprs = exprs
-
-    def sup(self, points) -> float:
-        """The ``Residual`` value of ``value(p)`` over the points: the
-        largest absolute entry, ``inf`` if any entry is NaN or inf, 0.0
-        for no points.  Points are visited in order, so the first
-        evaluation error is that of a loop over them."""
-        worst = Residual()
-        for p in points:
-            worst.update(self.value(p))
-        return worst.value
 
     @classmethod
     def exact(cls, entries) -> "PointMap":
@@ -299,7 +288,7 @@ def _stack(points, *reads) -> list[np.ndarray]:
     All reads at a point run together, as the identities meet them, so a
     sampled map's memo still holds the point's stencil for a later read
     of it."""
-    rows = [[[read(*idx, p) for idx in np.ndindex(*dims)] for read, *dims in reads] for p in points]
+    rows = [[[read(*idx, p) for idx in itertools.product(*map(range, dims))] for read, *dims in reads] for p in points]
     out = []
     for s, (_, *dims) in enumerate(reads):
         a = np.array([row[s] for row in rows])
@@ -313,12 +302,29 @@ def _anchored(rho: np.ndarray, U: np.ndarray) -> np.ndarray:
     return np.einsum("pib,paie->pabe", rho, U)
 
 
+def _gamma_reads(conn: "LinearConnection"):
+    """The ``_stack`` reads of a connection's Gamma[p, i] and of its
+    partials dG[p, j, i] = d_j Gamma_i."""
+    n = conn.bundle.chart.dim
+    return (conn.gamma_value, n), (lambda j, i, p: conn.gamma_maps[i].partial(j, p), n, n)
+
+
 def _curvature(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
     """The curvature d_i Gamma_j - d_j Gamma_i + [Gamma_i, Gamma_j] of
     a linear connection at [p, i, j], from the stacked Gamma[p, i] and
     dG[p, j, i] = d_j Gamma_i."""
     X = dG + np.einsum("piec,pjcf->pijef", G, G)
     return X - X.swapaxes(1, 2)
+
+
+def _d_nabla(G: np.ndarray, Om: np.ndarray, dOm: np.ndarray) -> np.ndarray:
+    """The covariant exterior derivative of a bundle-valued 2-form on
+    the increasing triples (i, j, k) of chart directions, at [p, t]: the
+    cyclic sum of d_i Omega_jk + Gamma_i Omega_jk, from the stacked
+    Gamma[p, i], Omega[p, i, j] and dOm[p, l, i, j] = d_l Omega_ij."""
+    T = dOm + np.einsum("piec,pjkc->pijke", G, Om)
+    i, j, k = np.array(list(itertools.combinations(range(G.shape[1]), 3)), dtype=int).reshape(-1, 3).T
+    return T[:, i, j, k] + T[:, j, k, i] + T[:, k, i, j]
 
 
 class Jet:
@@ -565,8 +571,10 @@ def connection_is_flat(
     """Sampled flatness predicate: curvature entries vanish on 64 chart
     points within ``tol``.  Returns (flat, max residual)."""
     plan = plan or SamplePlan(seed=42, samples=64)
-    R = PointMap.exact(list(curvature_tensor(conn).values()))
-    worst = R.sup(plan.points(conn.bundle.chart, 64))
+    G, dG = _stack(plan.points(conn.bundle.chart, 64), *_gamma_reads(conn))
+    i, j = np.triu_indices(conn.bundle.chart.dim, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        worst = Residual().update(_curvature(G, dG)[:, i, j]).value
     return worst < tol, worst
 
 

@@ -32,7 +32,11 @@ from .bundles import (
     LinearConnection,
     PointMap,
     Section,
-    curvature_tensor,
+    _curvature,
+    _d_nabla,
+    _gamma_reads,
+    _stack,
+    connection_is_flat,
 )
 from .expr import (
     Chart,
@@ -266,37 +270,29 @@ def _transitive_algebroid(
     return LieAlgebroid(Bundle(chart, r, "transitive"), anchor, structure)
 
 
+def _two_form_map(Omega, k: int) -> PointMap:
+    """The exact map of a fiber-valued 2-form given as Omega[i][j] on
+    all pairs i != j, with values at [i, j, e]."""
+    n = len(Omega)
+    return PointMap.exact([[Omega[i][j] if i != j else [ZERO] * k for j in range(n)] for i in range(n)])
+
+
 def _require_curvature_is_ad(fiber, nabla, Omega, plan, tol: float = 1e-8):
-    n = fiber.bundle.chart.dim
-    R = {ij: PointMap.exact(M) for ij, M in curvature_tensor(nabla).items()}
-    Om = {ij: PointMap.exact(Omega[ij[0]][ij[1]]) for ij in R}
-
-    def ad_defect(p) -> np.ndarray:
-        cvals = fiber.c_map.value(p)
-        return np.array([
-            R[ij].value(p) - np.einsum("f,fce->ce", Om[ij].value(p), cvals).T
-            for ij in R
-        ])
-
-    worst_ad = PointMap(ad_defect).sup(plan.points(fiber.bundle.chart, 25))
-    worst_closed = 0.0
-    OmForm = CoeffForm(
-        fiber.bundle,
-        2,
-        {
-            (i, j): list(Omega[i][j])
-            for i in range(n)
-            for j in range(i + 1, n)
-        },
-    )
-    # Covariant closedness: sum of signed covariant derivatives of the
-    # antisymmetric components over ordered triples.
-    if n >= 3:
-        from .bundles import exterior_covariant_derivative
-
-        dOm = exterior_covariant_derivative(nabla, OmForm)
-        dOm_map = PointMap.exact(list(dOm.comps.values()))
-        worst_closed = dOm_map.sup(plan.points(fiber.bundle.chart, 25))
+    """Refuse a twist 2-form unless the curvature of the connection is
+    its adjoint and it is covariantly closed (with three or more
+    directions), at sampled points."""
+    chart = fiber.bundle.chart
+    n, k = chart.dim, fiber.bundle.rank
+    Om_map = _two_form_map(Omega, k)
+    i, j = np.triu_indices(n, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        G, dG, Om, C = _stack(plan.points(chart, 25), *_gamma_reads(nabla), (Om_map.value,), (fiber.c_map.value,))
+        ad = _curvature(G, dG) - np.einsum("pijf,pfce->pijec", Om, C)
+        worst_ad = Residual().update(ad[:, i, j]).value
+        worst_closed = 0.0
+        if n >= 3:
+            G, Om, dOm = _stack(plan.points(chart, 25), (nabla.gamma_value, n), (Om_map.value,), (Om_map.partial, n))
+            worst_closed = Residual().update(_d_nabla(G, Om, dOm)).value
     if worst_ad > tol or worst_closed > tol:
         rep = Report(command="transitive-build", seed=plan.seed, samples=plan.samples)
         rep.add("curvature_equals_ad_of_twist", worst_ad, tol)
@@ -494,23 +490,24 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
     # Preconditions: flat connection, center-valued and covariantly
     # closed 2-form.
     rep = Report(command="principal-type-flat", seed=plan.seed, samples=plan.samples)
-    from .bundles import connection_is_flat, exterior_covariant_derivative
-
     flat, res = connection_is_flat(nablaL, plan.fork("flat"))
     rep.add("fiber_connection_flat", res, 1e-10)
     OmForm = CoeffForm(fiber.bundle, 2, Om)
-    Om_map = PointMap.exact(list(OmForm.comps.values()))
-
-    def off_center(p) -> np.ndarray:
-        Z = center_basis(fiber, p)
-        proj = Z @ Z.T
-        return np.array([v - proj @ v for v in Om_map.value(p)])
-
-    rep.add("twist_center_valued", PointMap(off_center).sup(plan.points(chart, 25)), 1e-9)
-    if dim >= 3:
-        dOm = exterior_covariant_derivative(nablaL, OmForm)
-        dOm_map = PointMap.exact(list(dOm.comps.values()))
-        rep.add("twist_covariantly_closed", dOm_map.sup(plan.points(chart, 25)), 1e-9)
+    Om_map = _two_form_map([[OmForm.component((i, j)) for j in range(dim)] for i in range(dim)], k)
+    i, j = np.triu_indices(dim, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        pts = plan.points(chart, 25)
+        (Om_pts,) = _stack(pts, (Om_map.value,))
+        # The part of each Omega_ij off the center, through the orthogonal
+        # projection onto it.
+        proj = np.array([z @ z.T for z in (center_basis(fiber, p) for p in pts)])
+        off = Om_pts - np.einsum("pef,pijf->pije", proj, Om_pts)
+        rep.add("twist_center_valued", Residual().update(off[:, i, j]).value, 1e-9)
+        if dim >= 3:
+            G, Om_pts, dOm = _stack(
+                plan.points(chart, 25), (nablaL.gamma_value, dim), (Om_map.value,), (Om_map.partial, dim)
+            )
+            rep.add("twist_covariantly_closed", Residual().update(_d_nabla(G, Om_pts, dOm)).value, 1e-9)
     if not rep.passed:
         raise ConstructionRefused("kernel-flat construction preconditions failed", rep)
 
@@ -574,23 +571,17 @@ def transitive_im_connection(
         raise ValueError("tau must be an r x n Expr matrix")
 
     # rho o tau = Id and transitivity at samples.
-    worst = Residual()
-    rank_bad = 0.0
-    tau_map = PointMap.exact(tau)
-    for p in plan.points(A.chart, 25):
-        rho = A.anchor_value(p)
-        tv = tau_map.value(p)
-        worst.update(rho @ tv - np.eye(n))
-        s = np.linalg.svd(rho, compute_uv=False)
-        if len(s) < n or s[n - 1] < 1e-9:
-            rank_bad = max(rank_bad, 1.0)
-    if worst.value > tol:
+    rho, tv = _stack(plan.points(A.chart, 25), (A.anchor_value,), (PointMap.exact(tau).value,))
+    with np.errstate(invalid="ignore", over="ignore"):
+        worst = Residual().update(rho @ tv - np.eye(n)).value
+    if worst > tol:
         rep = Report(command="transitive-im", seed=plan.seed, samples=plan.samples)
-        rep.add("anchor_splitting", worst.value, tol)
+        rep.add("anchor_splitting", worst, tol)
         raise ConstructionRefused("tau is not a splitting of the anchor", rep)
-    if rank_bad > 0:
+    # A finite residual leaves the anchor finite, so its SVD returns.
+    if np.any(np.linalg.svd(rho, compute_uv=False)[:, n - 1] < 1e-9):
         rep = Report(command="transitive-im", seed=plan.seed, samples=plan.samples)
-        rep.add("anchor_full_rank", rank_bad, 0.5)
+        rep.add("anchor_full_rank", 1.0, 0.5)
         raise ConstructionRefused("anchor is rank deficient at samples", rep)
 
     ideal = IdealBundle(A, k, plan=plan.fork("ideal"))

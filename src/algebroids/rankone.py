@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .algebroid import LieAlgebroid
-from .bundles import Bundle, FiberBracket, LinearConnection, PointMap, _stack
+from .bundles import Bundle, FiberBracket, LinearConnection, PointMap, _d_nabla, _stack
 from .expr import Expr, ZERO, add, differentiate, div, fold, mul, neg
 from .imforms import CouplingData, _structure_defects
 from .sampling import Report, Residual, SamplePlan
@@ -132,7 +132,10 @@ def check_rank_one(
     computed anchor kernel.
 
     Sample points where the anchor rank jumps (relative to the modal
-    rank) are discarded and counted in the report.
+    rank) are discarded and counted in the report.  A point where the
+    anchor is not finite has no rank: the modal rank is that of the
+    finite points (None if there are none), and tangentiality fails as
+    not measured.
     """
     plan = plan or SamplePlan()
     B = data.base
@@ -149,13 +152,17 @@ def check_rank_one(
     # Tangentiality of the cochain representatives on the anchor kernel,
     # read where the anchor has its modal rank.
     (rho,) = _stack(pts, (B.anchor_value,))
-    _, s, vt = np.linalg.svd(rho)
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    # The SVD of a matrix that is not finite need not return.
+    _, s, vt = np.linalg.svd(rho[finite])
     ranks = np.sum(s > svd_tol, axis=1)
-    modal = int(np.bincount(ranks).argmax())
+    modal = int(np.bincount(ranks).argmax()) if ranks.size else None
     keep = ranks == modal
     tang = Residual()
-    if modal < B.rank:
-        kept = [p for p, k in zip(pts, keep) if k]
+    if not finite.all():
+        tang.update(np.inf)
+    if modal is not None and modal < B.rank:
+        kept = np.array(pts)[finite][keep]
         lam, V = _stack(kept, (PointMap.exact(data.lam).value,), (PointMap.exact(data.V).value,))
         K = vt[keep, modal:]  # the kernel's orthonormal rows at [p, k, a]
         tang.update(np.einsum("pka,pab->pkb", K, lam)).update(np.einsum("pka,pa->pk", K, V))
@@ -182,28 +189,6 @@ def gauge_transform(data: RankOneData, h: Expr) -> RankOneData:
     U1 = [[fold(div(x, h)) for x in row] for row in data.U1]
     return RankOneData(B, tuple(theta), tuple(V),
                        tuple(tuple(r) for r in lam), tuple(tuple(r) for r in U1))
-
-
-def _dB_cochain1(B: LieAlgebroid, Z: Sequence[Expr], V: Sequence[Expr]):
-    """Coefficient differential of a degree-1 base cochain, twisted by
-    the degree-1 cocycle V of the fiber representation:
-    (dZ)(a,b) = rho(a)Z_b + V_a Z_b - rho(b)Z_a - V_b Z_a - Z([a,b])."""
-    rB, n = B.rank, B.chart.dim
-    out = [[ZERO] * rB for _ in range(rB)]
-    for a in range(rB):
-        for b in range(a + 1, rB):
-            rho_a = [B.anchor[i][a] for i in range(n)]
-            rho_b = [B.anchor[i][b] for i in range(n)]
-            t = add(
-                *(mul(rho_a[i], differentiate(Z[b], i)) for i in range(n)),
-                mul(V[a], Z[b]),
-                *(neg(mul(rho_b[i], differentiate(Z[a], i))) for i in range(n)),
-                neg(mul(V[b], Z[a])),
-                *(neg(mul(B.structure[a][b][c], Z[c])) for c in range(rB)),
-            )
-            out[a][b] = fold(t)
-            out[b][a] = fold(neg(out[a][b]))
-    return out
 
 
 def verify_witness(
@@ -238,23 +223,27 @@ def verify_witness(
     if h is not None:
         data = gauge_transform(data, h)
     Z = witnesses.get("Z")
-    lam_shift = data.lam
-    if Z is not None:
-        if len(Z) != rB:
-            raise ValueError("Z must have one entry per base frame element")
-        dZ = _dB_cochain1(B, [fold(z) for z in Z], data.V)
-        lam_shift = [
-            [fold(add(data.lam[a][b], dZ[a][b])) for b in range(rB)]
-            for a in range(rB)
-        ]
+    if Z is not None and len(Z) != rB:
+        raise ValueError("Z must have one entry per base frame element")
+    # A non-finite read gives a non-finite residual, which fails.
+    with np.errstate(invalid="ignore", over="ignore"):
+        rho, V, lam = _stack(
+            pts, (B.anchor_value,), (PointMap.exact(data.V).value,), (PointMap.exact(data.lam).value,)
+        )
+        if Z is not None:
+            Z_map = PointMap.exact([fold(z) for z in Z])
+            Zv, dZ, C = _stack(pts, (Z_map.value,), (Z_map.partial, n), (B.structure_map.value,))
+            # The 2-cochain shifted by d_B Z, twisted by the 1-cocycle V:
+            # (d_B Z)(a, b) = rho(a) Z_b + V_a Z_b - (a <-> b) - Z([a, b]).
+            X = np.einsum("pia,pib->pab", rho, dZ) + np.einsum("pa,pb->pab", V, Zv)
+            lam = lam + X - X.swapaxes(1, 2) - np.einsum("pabc,pc->pab", C, Zv)
 
-    if kind == "product":
-        report.add("V_vanishes_after_gauge", PointMap.exact(data.V).sup(pts), tol)
-        report.add("lambda_vanishes_after_shift", PointMap.exact(lam_shift).sup(pts), tol)
-        return report
+        if kind == "product":
+            report.add("V_vanishes_after_gauge", Residual().update(V).value, tol)
+            report.add("lambda_vanishes_after_shift", Residual().update(lam).value, tol)
+            return report
 
-    theta_w = witnesses.get("theta")
-    if kind in ("totally_flat", "kernel_flat", "principal_type", "leafwise_flat"):
+        theta_w = witnesses.get("theta")
         if theta_w is None:
             raise ValueError(f"witness kind {kind!r} needs a 'theta' 1-form")
         theta_w = [fold(t) for t in theta_w]
@@ -263,96 +252,49 @@ def verify_witness(
         # its S2.
         zero = [[ZERO] * n for _ in range(rB)]
         defects = _structure_defects(_coupling(B, theta_w, zero), pts)
-        V_match = [
-            fold(
-                add(
-                    data.V[a],
-                    *(neg(mul(theta_w[i], B.anchor[i][a])) for i in range(n)),
-                )
-            )
-            for a in range(rB)
-        ]
         if kind == "leafwise_flat":
             # Invariance only requires closedness along anchored
             # directions.
             report.add("theta_invariant", Residual().update(defects["S2"]).value, tol)
         else:
             report.add("theta_closed", Residual().update(defects["curvature"]).value, tol)
-        report.add("V_matches_pullback", PointMap.exact(V_match).sup(pts), tol)
+        (theta,) = _stack(pts, (PointMap.exact(theta_w).value,))
+        report.add("V_matches_pullback", Residual().update(V - np.einsum("pi,pia->pa", theta, rho)).value, tol)
 
-    if kind in ("totally_flat", "leafwise_flat"):
-        report.add("lambda_exact", PointMap.exact(lam_shift).sup(pts), tol)
-        return report
+        if kind in ("totally_flat", "leafwise_flat"):
+            report.add("lambda_exact", Residual().update(lam).value, tol)
+            return report
 
-    if kind == "kernel_flat":
-        U1w = witnesses.get("U1")
-        if U1w is None:
-            raise ValueError("kernel_flat needs a 'U1' witness matrix")
-        U1w = [[fold(x) for x in row] for row in U1w]
-        # The pair's rank-one data: theta, U1 and their anchor pullbacks.
-        cand = extract_rank_one(_coupling(B, theta_w, U1w))
-        sub = check_rank_one(cand, plan.fork("pair"), tol=tol)
-        report.merge(sub, prefix="pair_")
-        lam_match = [
-            fold(
-                add(
-                    lam_shift[a][b],
-                    *(neg(mul(U1w[a][i], B.anchor[i][b])) for i in range(n)),
-                )
-            )
-            for a in range(rB)
-            for b in range(rB)
-            if a != b
-        ]
-        report.add("lambda_matches_pair_image", PointMap.exact(lam_match).sup(pts), tol)
-        return report
+        if kind == "kernel_flat":
+            U1w = witnesses.get("U1")
+            if U1w is None:
+                raise ValueError("kernel_flat needs a 'U1' witness matrix")
+            U1w = [[fold(x) for x in row] for row in U1w]
+            # The pair's rank-one data: theta, U1 and their anchor pullbacks.
+            cand = extract_rank_one(_coupling(B, theta_w, U1w))
+            sub = check_rank_one(cand, plan.fork("pair"), tol=tol)
+            report.merge(sub, prefix="pair_")
+            (U1,) = _stack(pts, (PointMap.exact(U1w).value,))
+            match = lam - np.einsum("pai,pib->pab", U1, rho)
+            off = ~np.eye(rB, dtype=bool)
+            report.add("lambda_matches_pair_image", Residual().update(match[:, off]).value, tol)
+            return report
 
-    if kind == "principal_type":
         Om = witnesses.get("Omega")
         if Om is None:
             raise ValueError("principal_type needs an 'Omega' 2-form witness")
-        OmM = [[ZERO] * n for _ in range(n)]
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        given = [fold(x) for x in Om]
-        if len(given) != len(pairs):
+        if len(Om) != len(pairs):
             raise ValueError("Omega must list one entry per increasing pair")
-        for (i, j), x in zip(pairs, given):
-            OmM[i][j] = x
-            OmM[j][i] = fold(neg(x))
-        # Covariant closedness: d Omega + theta ^ Omega = 0.
-        closed = [
-            fold(
-                add(
-                    differentiate(OmM[j][kk], i),
-                    neg(differentiate(OmM[i][kk], j)),
-                    differentiate(OmM[i][j], kk),
-                    mul(theta_w[i], OmM[j][kk]),
-                    neg(mul(theta_w[j], OmM[i][kk])),
-                    mul(theta_w[kk], OmM[i][j]),
-                )
-            )
-            for i in range(n)
-            for j in range(i + 1, n)
-            for kk in range(j + 1, n)
-        ]
-        report.add("Omega_covariantly_closed", PointMap.exact(closed).sup(pts), tol)
-        lam_match = [
-            fold(
-                add(
-                    lam_shift[a][b],
-                    *(
-                        neg(
-                            mul(B.anchor[i][a], OmM[i][j], B.anchor[j][b])
-                        )
-                        for i in range(n)
-                        for j in range(n)
-                    ),
-                )
-            )
-            for a in range(rB)
-            for b in range(rB)
-        ]
-        report.add("lambda_matches_pullback", PointMap.exact(lam_match).sup(pts), tol)
+        OmM = [[[ZERO] for _ in range(n)] for _ in range(n)]
+        for (i, j), x in zip(pairs, map(fold, Om)):
+            OmM[i][j], OmM[j][i] = [x], [fold(neg(x))]
+        Om_map = PointMap.exact(OmM)
+        Omega, dOmega = _stack(pts, (Om_map.value,), (Om_map.partial, n))
+        # Covariant closedness: d Omega + theta ^ Omega = 0, the covariant
+        # exterior derivative of the connection Gamma_i = [[theta_i]].
+        closed = _d_nabla(theta[:, :, None, None], Omega, dOmega)
+        report.add("Omega_covariantly_closed", Residual().update(closed).value, tol)
+        pullback = np.einsum("pia,pij,pjb->pab", rho, Omega[..., 0], rho)
+        report.add("lambda_matches_pullback", Residual().update(lam - pullback).value, tol)
         return report
-
-    raise AssertionError("unreachable")

@@ -30,6 +30,7 @@ from algebroids.bundles import (
     LinearConnection,
     PointMap,
     Section,
+    covariant_derivative,
     curvature_tensor,
 )
 from algebroids.expr import (
@@ -416,6 +417,218 @@ def test_cartan_build_refuses_nonequivariant(radial_model):
     rep = ei.value.report
     par = next(c for c in rep.checks if c.name == "parallel_splitting")
     assert par.max_residual > 1e-3
+
+
+def _assert_close(got, want):
+    """Equal to 1e-12 relative or, near zero, 1e-15 absolute.  Where the
+    reference is rounding noise (below 1e-13), the residual must be too:
+    the two sum their terms in different orders."""
+    if want < 1e-13:
+        assert got < 1e-13, (got, want)
+    else:
+        assert abs(got - want) <= 1e-12 * abs(want) or abs(got - want) <= 1e-15, (got, want)
+
+
+# ARepresentation.flatness_residual as it was written before it read
+# jets: nabla_[a,b] s - nabla_a nabla_b s + nabla_b nabla_a s built with
+# the nested apply and the expanded bracket, evaluated point by point.
+# It stays here as an unshared reference, drawing as the checker draws.
+def _ref_flatness_residual(rep, plan, n_pairs=6):
+    A = rep.algebroid
+    worst = Residual()
+    for _ in range(n_pairs):
+        al = A.random_section(plan.rng)
+        be = A.random_section(plan.rng)
+        s = [random_polynomial(A.chart, plan.rng) for _ in range(rep.bundle.rank)]
+        lhs = rep.apply(bracket(A, al, be), s)
+        rhs1 = rep.apply(al, rep.apply(be, s))
+        rhs2 = rep.apply(be, rep.apply(al, s))
+        terms = PointMap.exact(list(zip(lhs, rhs1, rhs2)))
+        for p in plan.points(A.chart, 8):
+            v = terms.value(p)
+            worst.update(v[:, 0] - v[:, 1] + v[:, 2])
+    return worst.value
+
+
+def _flatness_case(name):
+    if name == "bent":
+        # Random coefficient matrices on a rank-2 bundle over the so3
+        # action: every term of the identity reaches the residual.
+        return _invariance_case("bent")[1]
+    model = load_model(str(MODELS / f"{name.removesuffix('_perturbed')}.json"))
+    A, ideal = model.algebroid(), model.ideal(verify=False)
+    rep = canonical_representation(A, ideal)
+    if name.endswith("_perturbed"):
+        x2 = coord(1)
+        coeffs = [[[fold(add(x, x2)) for x in row] for row in M] for M in rep.coeffs]
+        rep = ARepresentation(A, rep.bundle, coeffs)
+    return rep
+
+
+@pytest.mark.parametrize("case", ["so3_radial", "product_so3", "principal_flat", "so3_radial_perturbed", "bent"])
+@pytest.mark.parametrize("seed", [42, 7])
+def test_flatness_residual_matches_its_nested_form(case, seed):
+    rep = _flatness_case(case)
+    got = rep.flatness_residual(SamplePlan(seed=seed, samples=200).fork("rep"))
+    want = _ref_flatness_residual(rep, SamplePlan(seed=seed, samples=200).fork("rep"))
+    _assert_close(got, want)
+    assert want > 1e-2 if case in ("so3_radial_perturbed", "bent") else want < 1e-13
+
+
+# The basic curvature as it was written before it became one contraction
+# of stacked reads: the five terms built as Sections with the symbolic
+# covariant derivative, bracket and vector-field bracket. They stay here
+# as unshared references.
+def _ref_bar_nabla_vf(A, conn, alpha, X):
+    first = A.rho_of(covariant_derivative(conn, X, alpha))
+    second = vf_bracket(A.rho_of(alpha), X, A.chart.dim)
+    return [fold(add(x, y)) for x, y in zip(first, second)]
+
+
+def _ref_section_expr(A, conn, alpha, beta, X):
+    t1 = covariant_derivative(conn, X, bracket(A, alpha, beta))
+    t2 = bracket(A, covariant_derivative(conn, X, alpha), beta)
+    t3 = bracket(A, alpha, covariant_derivative(conn, X, beta))
+    t4 = covariant_derivative(conn, _ref_bar_nabla_vf(A, conn, beta, X), alpha)
+    t5 = covariant_derivative(conn, _ref_bar_nabla_vf(A, conn, alpha, X), beta)
+    comps = [
+        fold(add(a, neg(b), neg(c), neg(d), e))
+        for a, b, c, d, e in zip(
+            t1.components, t2.components, t3.components, t4.components, t5.components
+        )
+    ]
+    return Section(A.bundle, comps)
+
+
+def _ref_frame_sections(A, conn):
+    """The basic curvature on frame pairs a < b and coordinate fields."""
+    n = A.chart.dim
+    out = []
+    for a in range(A.rank):
+        for b in range(a + 1, A.rank):
+            for i in range(n):
+                X = [ONE if j == i else ZERO for j in range(n)]
+                out.append(_ref_section_expr(A, conn, A.frame_section(a), A.frame_section(b), X))
+    return out
+
+
+def _ref_sup(entries, pts):
+    m = PointMap.exact(entries)
+    worst = Residual()
+    for p in pts:
+        worst.update(m.value(p))
+    return worst.value
+
+
+def _bent_connection(A, seed):
+    rng = np.random.default_rng(seed)
+    r = A.rank
+    return LinearConnection(
+        A.bundle,
+        [[[random_polynomial(A.chart, rng) for _ in range(r)] for _ in range(r)] for _ in range(A.chart.dim)],
+    )
+
+
+def _basic_curvature_case(name, radial_model):
+    if name == "so3_action":
+        A = so3_action_algebroid()
+        return A, LinearConnection.trivial(A.bundle)
+    if name == "tangent":
+        A = tangent_algebroid(CH2)
+        return A, LinearConnection.trivial(A.bundle)
+    if name == "radial":
+        return radial_model.algebroid, radial_model.connection
+    # A connection with random polynomial Christoffel matrices on the
+    # adapted so3 frame, whose anchor and bracket vary: every term of the
+    # five reaches the residual.
+    return radial_model.algebroid, _bent_connection(radial_model.algebroid, 5)
+
+
+@pytest.mark.parametrize("case", ["so3_action", "tangent", "radial", "bent"])
+def test_basic_curvature_matches_its_section_form(case, radial_model):
+    A, conn = _basic_curvature_case(case, radial_model)
+    got = basic_curvature(A, conn).cartan_residual(SamplePlan(seed=6, samples=30), n_points=10)
+    pts = SamplePlan(seed=6, samples=30).points(A.chart, 10)
+    want = Residual()
+    for s in _ref_frame_sections(A, conn):
+        want.update(_ref_sup(s.components, pts))
+    _assert_close(got, want.value)
+    assert want.value > 1e-2 if case == "bent" else want.value < 1e-13
+
+
+# cartan_build_connection's preconditions as they were written before
+# they became contractions: the parallel-splitting build, and l applied to
+# the section form of the basic curvature. They stay here as unshared
+# references.
+def _ref_cartan_preconditions(A, k, l, conn, pts):
+    r = A.rank
+
+    def embed(vec_k):
+        return Section(A.bundle, list(vec_k) + [ZERO] * (r - k))
+
+    def apply_l(sec):
+        return [fold(add(*(mul(l[c][a], sec.components[a]) for a in range(r)))) for c in range(k)]
+
+    par = Residual()
+    for a in range(r):
+        ea = A.frame_section(a)
+        for b in range(r):
+            eb = A.frame_section(b)
+            lhs = bracket(A, ea, embed(apply_l(eb)))
+            inner = covariant_derivative(conn, A.rho_of(eb), ea) + bracket(A, ea, eb)
+            rhs = embed(apply_l(inner))
+            par.update(_ref_sup((lhs - rhs).components, pts))
+    killed = Residual()
+    for s in _ref_frame_sections(A, conn):
+        killed.update(_ref_sup(apply_l(s), pts))
+    return {"parallel_splitting": par.value, "splitting_kills_basic_curvature": killed.value}
+
+
+@pytest.mark.parametrize("splitting", ["radial", "fixed_axis", "bent"])
+@pytest.mark.parametrize("connection", ["transported", "bent"])
+def test_cartan_preconditions_match_their_section_forms(radial_model, splitting, connection):
+    m = radial_model
+    A, x = m.algebroid, [coord(i) for i in range(3)]
+    l = {
+        "radial": m.splitting,
+        "fixed_axis": [[ONE, ZERO, ZERO]],
+        "bent": [[ONE, fold(mul(x[0], x[2])), fold(add(x[1], mul(x[0], x[1])))]],
+    }[splitting]
+    conn = m.connection if connection == "transported" else _bent_connection(A, 5)
+    pts = SamplePlan(seed=3, samples=40).points(A.chart, 20)
+    want = _ref_cartan_preconditions(A, 1, l, conn, pts)
+    if splitting == "radial" and connection == "transported":
+        cartan_build_connection(A, m.ideal, l, conn, SamplePlan(seed=3, samples=40))
+        assert max(want.values()) < 1e-13
+        return
+    with pytest.raises(ConstructionRefused) as ei:
+        cartan_build_connection(A, m.ideal, l, conn, SamplePlan(seed=3, samples=40))
+    got = {c.name: c.max_residual for c in ei.value.report.checks}
+    assert list(got) == list(want)
+    for name, w in want.items():
+        _assert_close(got[name], w)
+    if connection == "bent":
+        assert min(want.values()) > 1e-2
+
+
+def test_cartan_preconditions_on_a_non_abelian_ideal_match_their_section_forms(product_model):
+    # The so3 ideal of the product brackets into itself, so the ideal
+    # components of both defects meet the bracket term as well as l's
+    # partials; a random splitting and connection make every term count.
+    m = product_model
+    A, k = m.algebroid, m.ideal.k
+    rng = np.random.default_rng(9)
+    l = [[(ONE if c == a else ZERO) if a < k else random_polynomial(A.chart, rng) for a in range(A.rank)] for c in range(k)]
+    conn = _bent_connection(A, 11)
+    pts = SamplePlan(seed=3, samples=40).points(A.chart, 20)
+    want = _ref_cartan_preconditions(A, k, l, conn, pts)
+    with pytest.raises(ConstructionRefused) as ei:
+        cartan_build_connection(A, m.ideal, l, conn, SamplePlan(seed=3, samples=40))
+    got = {c.name: c.max_residual for c in ei.value.report.checks}
+    assert list(got) == list(want)
+    for name, w in want.items():
+        _assert_close(got[name], w)
+        assert w > 1e-2
 
 
 def test_change_frame_inverse_roundtrip():

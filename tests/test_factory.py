@@ -9,7 +9,17 @@ from algebroids.algebroid import (
     canonical_representation,
     check_axioms,
 )
-from algebroids.expr import Chart, ZERO, ONE, coord, evaluate
+from algebroids import factory
+from algebroids.bundles import (
+    Bundle,
+    CoeffForm,
+    FiberBracket,
+    LinearConnection,
+    PointMap,
+    curvature_tensor,
+    exterior_covariant_derivative,
+)
+from algebroids.expr import Chart, ZERO, ONE, coord, evaluate, fold, neg, parse
 from algebroids.factory import (
     ExampleSpec,
     ExampleModel,
@@ -19,13 +29,14 @@ from algebroids.factory import (
     transitive_im_connection,
 )
 from algebroids.imforms import (
+    center_basis,
     check_im_form,
     check_structure_equations,
     classify_flatness,
     coupling_to_im,
     extract_coupling,
 )
-from algebroids.sampling import SamplePlan
+from algebroids.sampling import Residual, SamplePlan, random_polynomial
 
 PLAN = SamplePlan(seed=42, samples=60)
 
@@ -168,3 +179,132 @@ def test_rank_one_skew_guard():
 def test_factory_rejects_unknown_params():
     with pytest.raises(ValueError):
         make_example(ExampleSpec("product", {"bogus": 1}), PLAN)
+
+
+def _assert_close(got, want):
+    """Equal to 1e-12 relative or, near zero, 1e-15 absolute.  Where the
+    reference is rounding noise (below 1e-13), the residual must be too:
+    the two sum their terms in different orders."""
+    if want < 1e-13:
+        assert got < 1e-13, (got, want)
+    else:
+        assert abs(got - want) <= 1e-12 * abs(want) or abs(got - want) <= 1e-15, (got, want)
+
+
+def _ref_sup(m, pts, f=lambda v, p: v):
+    worst = Residual()
+    for p in pts:
+        worst.update(f(m.value(p), p))
+    return worst.value
+
+
+def _two_form_comps(Omega, n):
+    return {(i, j): list(Omega[i][j]) for i in range(n) for j in range(i + 1, n)}
+
+
+# The twist preconditions as they were written before they became
+# contractions of stacked reads: the curvature from curvature_tensor less
+# the adjoint of the twist point by point (ad_defect), the symbolic
+# covariant exterior derivative of the twist, and its part off the
+# center through center_basis point by point (off_center). They stay
+# here as unshared references, reading the points the checks read.
+def _ref_twist_residuals(fiber, nabla, Omega, plan):
+    chart = fiber.bundle.chart
+    n = chart.dim
+    R = {ij: PointMap.exact(M) for ij, M in curvature_tensor(nabla).items()}
+    Om = {ij: PointMap.exact(Omega[ij[0]][ij[1]]) for ij in R}
+    ad = Residual()
+    for p in plan.points(chart, 25):
+        cvals = fiber.c_map.value(p)
+        for ij in R:
+            ad.update(R[ij].value(p) - np.einsum("f,fce->ce", Om[ij].value(p), cvals).T)
+    closed = 0.0
+    if n >= 3:
+        dOm = exterior_covariant_derivative(nabla, CoeffForm(fiber.bundle, 2, _two_form_comps(Omega, n)))
+        closed = _ref_sup(PointMap.exact(list(dOm.comps.values())), plan.points(chart, 25))
+    return {"curvature_equals_ad_of_twist": ad.value, "twist_covariantly_closed": closed}
+
+
+def _random_twist(chart, k, rng):
+    n = chart.dim
+    Omega = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            Omega[i][j] = [random_polynomial(chart, rng) for _ in range(k)]
+            Omega[j][i] = [fold(neg(x)) for x in Omega[i][j]]
+    return Omega
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_twist_preconditions_match_their_reference(dim):
+    # The so3 fiber with a random connection and a random twist: the
+    # Christoffel matrices do not commute, so every term of the curvature,
+    # of its adjoint defect and of the covariant exterior derivative
+    # reaches the residuals.
+    chart = Chart(dim)
+    fiber = FiberBracket.from_constants(Bundle(chart, 3, "k"), so3_constants())
+    rng = np.random.default_rng(13)
+    nabla = LinearConnection(
+        fiber.bundle, [[[random_polynomial(chart, rng) for _ in range(3)] for _ in range(3)] for _ in range(dim)]
+    )
+    Omega = _random_twist(chart, 3, rng)
+    with pytest.raises(ConstructionRefused) as ei:
+        factory._require_curvature_is_ad(fiber, nabla, Omega, SamplePlan(seed=42, samples=60))
+    want = _ref_twist_residuals(fiber, nabla, Omega, SamplePlan(seed=42, samples=60))
+    got = {c.name: c.max_residual for c in ei.value.report.checks}
+    assert list(got) == list(want)
+    for name, w in want.items():
+        _assert_close(got[name], w)
+    assert want["curvature_equals_ad_of_twist"] > 1e-2
+    assert (want["twist_covariantly_closed"] > 1e-2) == (dim == 3)
+
+
+def test_twist_of_its_own_connection_passes_its_reference():
+    # d + ad(theta) with its own curvature as the twist, on a 3-dimensional
+    # chart: both residuals are rounding noise and the twist is accepted.
+    chart = Chart(3)
+    fiber = FiberBracket.from_constants(Bundle(chart, 3, "k"), so3_constants())
+    rng = np.random.default_rng(17)
+    theta = [[random_polynomial(chart, rng) for _ in range(3)] for _ in range(3)]
+    nabla = factory._ad_connection(fiber, theta)
+    Omega = factory._curvature_of_theta(fiber, theta)
+    factory._require_curvature_is_ad(fiber, nabla, Omega, SamplePlan(seed=42, samples=60))
+    want = _ref_twist_residuals(fiber, nabla, Omega, SamplePlan(seed=42, samples=60))
+    assert max(want.values()) < 1e-8
+
+
+def test_kernel_flat_preconditions_match_their_reference():
+    # so3 plus a center, with a scalar connection form that is not closed
+    # and a twist that is neither central nor closed: all three
+    # preconditions fail, each with every term reaching its residual.
+    theta = ["x1*x2 + x3", "x1 - x3^2", "x2*x3 + 0.5*x1"]
+    omega = [["x2", "1", "x1*x3", "x3"], ["x3", "0", "x1", "x1*x2"], ["0", "x2^2", "1", "x1 + x2"]]
+    plan = SamplePlan(seed=42, samples=60)
+    with pytest.raises(ConstructionRefused) as ei:
+        make_example(
+            ExampleSpec("principal_type_flat", {"dim": 3, "fiber": "so3_center", "theta": theta, "omega": omega}),
+            plan,
+        )
+    chart = Chart(3)
+    fiber = factory._fiber_from_name(chart, "so3_center")
+    th = [parse(t, chart) for t in theta]
+    nablaL = LinearConnection(fiber.bundle, [[[t if a == b else ZERO for b in range(4)] for a in range(4)] for t in th])
+    Om = _two_form_comps(factory._parse_two_form(omega, chart, 4), 3)
+    plan = SamplePlan(seed=42, samples=60)
+    flat = _ref_sup(PointMap.exact(list(curvature_tensor(nablaL).values())), plan.fork("flat").points(chart, 64))
+    Om_map = PointMap.exact(list(CoeffForm(fiber.bundle, 2, Om).comps.values()))
+
+    def off_center(v, p):
+        Z = center_basis(fiber, p)
+        proj = Z @ Z.T
+        return np.array([x - proj @ x for x in v])
+
+    off = _ref_sup(Om_map, plan.points(chart, 25), off_center)
+    dOm = exterior_covariant_derivative(nablaL, CoeffForm(fiber.bundle, 2, Om))
+    closed = _ref_sup(PointMap.exact(list(dOm.comps.values())), plan.points(chart, 25))
+    want = {"fiber_connection_flat": flat, "twist_center_valued": off, "twist_covariantly_closed": closed}
+    got = {c.name: c.max_residual for c in ei.value.report.checks}
+    assert list(got) == list(want)
+    for name, w in want.items():
+        _assert_close(got[name], w)
+        assert w > 1e-2

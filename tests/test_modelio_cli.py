@@ -464,6 +464,85 @@ def test_infinite_fiber_bracket_fails_the_kernel_flat_variant(tmp_path):
         assert checks[name]["max_residual"] is None and checks[name]["non_finite"] is True
 
 
+@pytest.mark.parametrize(
+    "entry, rank",
+    [
+        # +-inf away from x1 = 0, so at every sample point.
+        ("exp(700)*exp(700)*x1", None),
+        # inf where x1 > 0.507, and at least 1 elsewhere.
+        ("1 + exp(700*x1)*exp(700*x1)", 2),
+    ],
+)
+def test_a_non_finite_anchor_has_no_rank(tmp_path, entry, rank):
+    import warnings
+
+    # rank_one with a base anchor entry that is not finite: the anchor
+    # has no rank there, so the modal rank is that of the points where it
+    # is finite, or null, and tangentiality, not measured there, fails as
+    # non-finite.
+    doc = json.loads((MODELS / "rank_one.json").read_text())
+    doc["coupling"]["base"]["anchor"][1][1] = entry
+    doc["coupling"]["verify_skew"] = False
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = invoke(["rank-one", "--model", str(p), "--json", "--samples", "40"])
+    assert code == 1
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["anchor_rank"] == rank
+    tang = next(c for c in doc["checks"] if c["name"] == "tangential_representatives")
+    assert tang["max_residual"] is None and tang["non_finite"] is True
+
+
+def test_a_non_finite_witness_cochain_fails(tmp_path):
+    import warnings
+
+    # rank_one's principal-type witness with Z_1 +-inf away from x1 = 0:
+    # the shifted 2-cochain is not finite there, so lambda_matches_pullback
+    # fails as non-finite (exit 1), with no numpy warning.
+    doc = json.loads((MODELS / "rank_one.json").read_text())
+    doc["rank_one_witness"]["Z"][0] = "exp(700)*exp(700)*x1"
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = invoke(["rank-one", "--witness", "principal_type", "--model", str(p), "--json", "--samples", "40"])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out, parse_constant=_reject_constant)["checks"]}
+    assert checks["lambda_matches_pullback"]["non_finite"] is True
+    assert all(c["pass"] for name, c in checks.items() if name != "lambda_matches_pullback")
+
+
+@pytest.mark.parametrize(
+    "name, params, failing",
+    [
+        ("principal_type_flat", {"omega": [["exp(700)*exp(700)*x1"]]}, "twist_center_valued"),
+        (
+            "principal_type",
+            {"theta": [["exp(700)*exp(700)*x2", "0", "0"], ["0", "0", "0"]]},
+            "curvature_equals_ad_of_twist",
+        ),
+    ],
+)
+def test_a_non_finite_twist_is_refused_without_a_warning(tmp_path, name, params, failing):
+    import warnings
+
+    # An example whose twist 2-form or connection form is +-inf away from
+    # x1 = 0 fails its precondition as non-finite, and the refusal is the
+    # report (exit 1), with no numpy warning on the way.
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps({"schema_version": 1, "chart": {"dim": 2}, "example": {"name": name, "params": params}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = invoke(["example", name, "--model", str(p), "--json", "--samples", "10"])
+    assert code == 1
+    doc = json.loads(out, parse_constant=_reject_constant)
+    assert doc["refused"] and doc["pass"] is False
+    check = next(c for c in doc["checks"] if c["name"] == failing)
+    assert check["max_residual"] is None and check["non_finite"] is True
+
+
 def test_runs_in_one_process_share_no_parsed_state():
     # The parser is built once per process: a run with --kernel-flat and
     # --tol must leave nothing behind for the next run without them.

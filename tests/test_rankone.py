@@ -32,7 +32,7 @@ from algebroids.rankone import (
     verify_witness,
 )
 from algebroids.modelio import load_model
-from algebroids.sampling import Residual, SamplePlan
+from algebroids.sampling import Residual, SamplePlan, random_polynomial
 
 CH2 = Chart(2)
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -232,7 +232,8 @@ def _ref_lie_derivative_one_form(X, om, n):
 
 
 def _ref_d_map(om, n):
-    """d of a scalar 1-form as an antisymmetric n x n matrix map."""
+    """d of a scalar 1-form as a point function with antisymmetric n x n
+    values."""
     rows, cols = np.triu_indices(n, 1)
     upper = PointMap.exact([
         fold(add(differentiate(om[j], i), neg(differentiate(om[i], j))))
@@ -246,11 +247,18 @@ def _ref_d_map(om, n):
         m[cols, rows] = -v
         return m
 
-    return PointMap(value)
+    return value
+
+
+def _ref_sup(values, pts):
+    worst = Residual()
+    for p in pts:
+        worst.update(values(p))
+    return worst.value
 
 
 def _ref_anchored_sup(B, d, pts):
-    return PointMap(lambda p: B.anchor_value(p).T @ d.value(p)).sup(pts)
+    return _ref_sup(lambda p: B.anchor_value(p).T @ d(p), pts)
 
 
 def _ref_rank_one_residuals(data, pts):
@@ -270,7 +278,7 @@ def _ref_rank_one_residuals(data, pts):
         th = theta_map.value(p)
         Uv = U_map.value(p)
         cB = B.structure_map.value(p)
-        dUm = [m.value(p) for m in dU_maps]
+        dUm = [m(p) for m in dU_maps]
         lieU = lie_map.value(p)
         for a in range(rB):
             for b in range(rB):
@@ -345,7 +353,7 @@ def test_witness_closedness_matches_its_loop_form(kind, name):
     out = verify_witness(kind, data, {"theta": theta}, plan)
     pts = SamplePlan(seed=42, samples=200).points(data.base.chart, 40)
     d = _ref_d_map(theta, 2)
-    want = d.sup(pts) if name == "theta_closed" else _ref_anchored_sup(data.base, d, pts)
+    want = _ref_sup(d, pts) if name == "theta_closed" else _ref_anchored_sup(data.base, d, pts)
     assert want > 1e-2
     _assert_matches_reference(out, {name: want})
 
@@ -403,3 +411,119 @@ def test_tangentiality_matches_its_loop_form(svd_tol):
     assert out.extra["anchor_rank"] == modal == 2
     assert out.extra["discarded_rank_jump_points"] == len(pts) - kept
     assert (out.extra["discarded_rank_jump_points"] > 0) == (svd_tol == 0.5)
+
+
+# verify_witness's residuals as they were written before they became
+# contractions of stacked reads: d_B Z by _dB_cochain1, and each identity
+# built as Exprs and evaluated point by point. theta's closedness, read
+# from the structure-equation kernel, is checked above. They stay here as
+# unshared references.
+def _ref_dB_cochain1(B, Z, V):
+    """(dZ)(a,b) = rho(a)Z_b + V_a Z_b - rho(b)Z_a - V_b Z_a - Z([a,b])."""
+    rB, n = B.rank, B.chart.dim
+    out = [[ZERO] * rB for _ in range(rB)]
+    for a in range(rB):
+        for b in range(a + 1, rB):
+            rho_a = [B.anchor[i][a] for i in range(n)]
+            rho_b = [B.anchor[i][b] for i in range(n)]
+            t = add(
+                *(mul(rho_a[i], differentiate(Z[b], i)) for i in range(n)),
+                mul(V[a], Z[b]),
+                *(neg(mul(rho_b[i], differentiate(Z[a], i))) for i in range(n)),
+                neg(mul(V[b], Z[a])),
+                *(neg(mul(B.structure[a][b][c], Z[c])) for c in range(rB)),
+            )
+            out[a][b] = fold(t)
+            out[b][a] = fold(neg(out[a][b]))
+    return out
+
+
+def _ref_witness_residuals(kind, data, w, pts):
+    B = data.base
+    n, rB = B.chart.dim, B.rank
+
+    def sup(entries):
+        m = PointMap.exact(entries)
+        return _ref_sup(m.value, pts)
+
+    if "h" in w:
+        data = gauge_transform(data, w["h"])
+    lam = data.lam
+    if "Z" in w:
+        dZ = _ref_dB_cochain1(B, [fold(z) for z in w["Z"]], data.V)
+        lam = [[fold(add(data.lam[a][b], dZ[a][b])) for b in range(rB)] for a in range(rB)]
+    if kind == "product":
+        return {"V_vanishes_after_gauge": sup(data.V), "lambda_vanishes_after_shift": sup(lam)}
+    theta = [fold(t) for t in w["theta"]]
+    V_match = [fold(add(data.V[a], *(neg(mul(theta[i], B.anchor[i][a])) for i in range(n)))) for a in range(rB)]
+    out = {"V_matches_pullback": sup(V_match)}
+    if kind in ("totally_flat", "leafwise_flat"):
+        out["lambda_exact"] = sup(lam)
+    elif kind == "kernel_flat":
+        U1 = w["U1"]
+        out["lambda_matches_pair_image"] = sup([
+            fold(add(lam[a][b], *(neg(mul(U1[a][i], B.anchor[i][b])) for i in range(n))))
+            for a in range(rB)
+            for b in range(rB)
+            if a != b
+        ])
+    else:
+        Om = [[ZERO] * n for _ in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for (i, j), x in zip(pairs, w["Omega"]):
+            Om[i][j], Om[j][i] = fold(x), fold(neg(x))
+        out["Omega_covariantly_closed"] = sup([
+            fold(add(
+                differentiate(Om[j][k], i),
+                neg(differentiate(Om[i][k], j)),
+                differentiate(Om[i][j], k),
+                mul(theta[i], Om[j][k]),
+                neg(mul(theta[j], Om[i][k])),
+                mul(theta[k], Om[i][j]),
+            ))
+            for i, j in pairs
+            for k in range(j + 1, n)
+        ])
+        out["lambda_matches_pullback"] = sup([
+            fold(add(lam[a][b], *(
+                neg(mul(B.anchor[i][a], Om[i][j], B.anchor[j][b])) for i in range(n) for j in range(n)
+            )))
+            for a in range(rB)
+            for b in range(rB)
+        ])
+    return out
+
+
+def _bent_witnesses(gauge):
+    """Random rank-one data over the rotation action on 3-space (an anchor
+    and cochains that vary, a bracket), with random witnesses, none of
+    which holds: every term reaches its residual."""
+    B = _rotation_data().base
+    ch = B.chart
+    rng = np.random.default_rng(31)
+
+    def poly():
+        return random_polynomial(ch, rng)
+
+    lam = [[poly() if a < b else ZERO for b in range(3)] for a in range(3)]
+    data = RankOneData(B, [poly() for _ in range(3)], [poly() for _ in range(3)], lam, [[poly() for _ in range(3)] for _ in range(3)])
+    w = {
+        "Z": [poly() for _ in range(3)],
+        "theta": [poly() for _ in range(3)],
+        "U1": [[poly() for _ in range(3)] for _ in range(3)],
+        "Omega": [poly() for _ in range(3)],
+    }
+    if gauge:
+        w["h"] = parse("2 + x1*x2 - x3", ch)
+    return data, w
+
+
+@pytest.mark.parametrize("kind", ["product", "totally_flat", "leafwise_flat", "kernel_flat", "principal_type"])
+@pytest.mark.parametrize("gauge", [False, True])
+def test_witness_residuals_match_their_expr_forms(kind, gauge):
+    data, w = _bent_witnesses(gauge)
+    out = verify_witness(kind, data, w, SamplePlan(seed=42, samples=200))
+    pts = SamplePlan(seed=42, samples=200).points(data.base.chart, 40)
+    want = _ref_witness_residuals(kind, data, w, pts)
+    _assert_matches_reference(out, want)
+    assert min(want.values()) > 1e-2
