@@ -199,24 +199,25 @@ def _cmd_coupling(args, plan, tol):
             form.algebroid, form.ideal, form, plan.fork("ext"), check=False
         )
         B, n = cd.base, cd.base.chart.dim
-        pts = plan.points(B.chart, 30)
-        # Gamma, U and the base bracket of each coupling at the points.
-        (G, U, cB), (G2, U2, cB2) = (
-            _stack(pts, (c.gamma, n), (c.u, B.rank, n), (c.base.structure_map.value,))
-            for c in (cd, cd2)
-        )
-        rep.add("roundtrip_fiber_connection", Residual().update(G - G2).value, tol)
-        rep.add("roundtrip_mixed_tensor", Residual().update(U - U2).value, tol)
-        rep.add("roundtrip_base_structure", Residual().update(cB - cB2).value, tol)
-        # Reverse direction: the rebuilt form agrees with the form the
-        # second coupling generates.
-        form2 = coupling_to_im(cd2, plan=plan.fork("c2i2"), check=False)
-        pts = plan.points(B.chart, 15)
-        F, F2 = (
-            _stack(pts, (lambda a, i, p: f.op_value(a, (i,), p), form.algebroid.rank, n))[0]
-            for f in (form, form2)
-        )
-        rep.add("roundtrip_connection_form", Residual().update(F - F2).value, tol)
+        with np.errstate(invalid="ignore", over="ignore"):
+            pts = plan.points(B.chart, 30)
+            # Gamma, U and the base bracket of each coupling at the points.
+            (G, U, cB), (G2, U2, cB2) = (
+                _stack(pts, (c.gamma, n), (c.u, B.rank, n), (c.base.structure_map.value,))
+                for c in (cd, cd2)
+            )
+            rep.add("roundtrip_fiber_connection", Residual().update(G - G2).value, tol)
+            rep.add("roundtrip_mixed_tensor", Residual().update(U - U2).value, tol)
+            rep.add("roundtrip_base_structure", Residual().update(cB - cB2).value, tol)
+            # Reverse direction: the rebuilt form agrees with the form the
+            # second coupling generates.
+            form2 = coupling_to_im(cd2, plan=plan.fork("c2i2"), check=False)
+            pts = plan.points(B.chart, 15)
+            F, F2 = (
+                _stack(pts, (lambda a, i, p: f.op_value(a, (i,), p), form.algebroid.rank, n))[0]
+                for f in (form, form2)
+            )
+            rep.add("roundtrip_connection_form", Residual().update(F - F2).value, tol)
     return rep
 
 

@@ -5,7 +5,11 @@ kernel-flat variants, and generic rank-one couplings.
 
 Every constructor validates its defining conditions at sampled points
 and returns an ExampleModel bundling the algebroid, ideal, coupling
-and/or connection form the family provides.
+and/or connection form the family provides.  Every family but the
+action builds coupling data and takes its semidirect: the transitive
+algebroid is the semidirect of the tangent coupling with connection
+d + ad(theta) and the twist Omega as mixed tensor, as the principal-type
+model is.
 """
 
 from __future__ import annotations
@@ -130,18 +134,26 @@ class ExampleModel:
 
 
 def _fiber_from_name(chart: Chart, name, rank: int | None = None) -> FiberBracket:
+    """The fiber algebra of a name; a given ``rank`` must be a positive
+    int, and a named algebra's own rank."""
+    if rank is not None and (isinstance(rank, bool) or not isinstance(rank, int) or rank < 1):
+        raise ValueError(f"fiber_rank must be a positive integer, not {rank!r}")
     if isinstance(name, FiberBracket):
-        return name
-    if name == "so3":
-        return FiberBracket.from_constants(Bundle(chart, 3, "k"), so3_constants())
-    if name == "abelian":
-        return FiberBracket.abelian(Bundle(chart, rank or 1, "k"))
-    if name == "so3_center":
+        fiber = name
+    elif name == "so3":
+        fiber = FiberBracket.from_constants(Bundle(chart, 3, "k"), so3_constants())
+    elif name == "abelian":
+        fiber = FiberBracket.abelian(Bundle(chart, rank or 1, "k"))
+    elif name == "so3_center":
         # so(3) + a one dimensional center.
         c = np.zeros((4, 4, 4))
         c[:3, :3, :3] = so3_constants()
-        return FiberBracket.from_constants(Bundle(chart, 4, "k"), c)
-    raise ValueError(f"unknown fiber algebra {name!r}")
+        fiber = FiberBracket.from_constants(Bundle(chart, 4, "k"), c)
+    else:
+        raise ValueError(f"unknown fiber algebra {name!r}")
+    if rank is not None and fiber.bundle.rank != rank:
+        raise ValueError(f"fiber {name!r} has rank {fiber.bundle.rank}, not fiber_rank {rank}")
+    return fiber
 
 
 def _parse_matrix(rows, chart: Chart):
@@ -186,6 +198,22 @@ def make_example(spec: ExampleSpec, plan: SamplePlan | None = None) -> ExampleMo
     return builder(dict(spec.params), plan)
 
 
+def _coupled_model(
+    name: str,
+    base: LieAlgebroid,
+    fiber: FiberBracket,
+    nablaL: LinearConnection,
+    U,
+    plan: SamplePlan,
+    verify_skew: bool = True,
+) -> ExampleModel:
+    """The model of coupling data: its semidirect algebroid and bundle
+    of ideals, with the coupling and its connection form."""
+    cd = CouplingData(base, fiber, nablaL, U, verify_skew=verify_skew, plan=plan.fork("skew"))
+    form = coupling_to_im(cd, plan=plan.fork("im"), check=False)
+    return ExampleModel(name, form.algebroid, form.ideal, coupling=cd, im_form=form)
+
+
 def _build_product(params: dict, plan: SamplePlan) -> ExampleModel:
     """Product of the tangent algebroid with a fixed Lie algebra: the
     canonical coupling has a flat trivial fiber connection and no mixed
@@ -195,18 +223,12 @@ def _build_product(params: dict, plan: SamplePlan) -> ExampleModel:
     if params:
         raise ValueError(f"unknown product parameters: {sorted(params)}")
     chart = Chart(dim)
-    B = tangent_algebroid(chart)
     fiber = _fiber_from_name(chart, algebra)
-    nablaL = LinearConnection.trivial(fiber.bundle)
     k = fiber.bundle.rank
-    U = [[[ZERO] * k for _ in range(dim)] for _ in range(B.rank)]
-    cd = CouplingData(B, fiber, nablaL, U, plan=plan.fork("skew"))
-    form = coupling_to_im(cd, plan=plan.fork("im"), check=False)
-    A = form.algebroid
-    return ExampleModel(
-        "product", A, form.ideal, coupling=cd, im_form=form,
-        connection=LinearConnection.trivial(A.bundle),
-    )
+    U = [[[ZERO] * k for _ in range(dim)] for _ in range(dim)]
+    m = _coupled_model("product", tangent_algebroid(chart), fiber, LinearConnection.trivial(fiber.bundle), U, plan)
+    m.connection = LinearConnection.trivial(m.algebroid.bundle)
+    return m
 
 
 def _build_lie_algebra_bundle(params: dict, plan: SamplePlan) -> ExampleModel:
@@ -225,49 +247,8 @@ def _build_lie_algebra_bundle(params: dict, plan: SamplePlan) -> ExampleModel:
     zero_anchor = [[ZERO] * base_rank for _ in range(dim)]
     zero_struct = [[[ZERO] * base_rank for _ in range(base_rank)] for _ in range(base_rank)]
     B = LieAlgebroid(Bb, zero_anchor, zero_struct)
-    nablaL = LinearConnection.trivial(fiber.bundle)
     U = [[[ZERO] * fiber.bundle.rank for _ in range(dim)] for _ in range(base_rank)]
-    cd = CouplingData(B, fiber, nablaL, U, plan=plan.fork("skew"))
-    form = coupling_to_im(cd, plan=plan.fork("im"), check=False)
-    return ExampleModel("lie_algebra_bundle", form.algebroid, form.ideal,
-                        coupling=cd, im_form=form)
-
-
-def _transitive_algebroid(
-    chart: Chart,
-    fiber: FiberBracket,
-    nabla: LinearConnection,
-    Omega: Sequence[Sequence[Sequence[Expr]]],
-    plan: SamplePlan,
-    tol: float = 1e-8,
-) -> LieAlgebroid:
-    """Transitive algebroid on fiber + tangent directions with bracket
-    twisted by a fiber-valued 2-form; requires the connection curvature
-    to equal the adjoint of the 2-form and the 2-form to be covariantly
-    closed (verified at samples)."""
-    n, k = chart.dim, fiber.bundle.rank
-    _require_curvature_is_ad(fiber, nabla, Omega, plan, tol)
-    r = k + n
-    anchor = [
-        [ZERO] * k + [ONE if i == a else ZERO for a in range(n)] for i in range(n)
-    ]
-    structure = [[[ZERO] * r for _ in range(r)] for _ in range(r)]
-    for c in range(k):
-        for d in range(k):
-            for e in range(k):
-                structure[c][d][e] = fiber.c[c][d][e]
-    for i in range(n):
-        for c in range(k):
-            vec = [nabla.christoffel[i][e][c] for e in range(k)]
-            for e in range(k):
-                structure[k + i][c][e] = vec[e]
-                structure[c][k + i][e] = fold(neg(vec[e]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for e in range(k):
-                structure[k + i][k + j][e] = Omega[i][j][e]
-                structure[k + j][k + i][e] = fold(neg(Omega[i][j][e]))
-    return LieAlgebroid(Bundle(chart, r, "transitive"), anchor, structure)
+    return _coupled_model("lie_algebra_bundle", B, fiber, LinearConnection.trivial(fiber.bundle), U, plan)
 
 
 def _two_form_map(Omega, k: int) -> PointMap:
@@ -344,22 +325,31 @@ def _curvature_of_theta(fiber: FiberBracket, theta) -> list:
     return Om
 
 
-def _build_transitive(params: dict, plan: SamplePlan) -> ExampleModel:
-    """Transitive algebroid with isotropy the given fiber algebra, built
-    from a connection 1-form; the anchor splitting tau lifting the
-    coordinate fields is returned alongside."""
+def _tangent_twist(Omega, k: int) -> list:
+    """The mixed tensor U[a][i] = Omega(d_a, d_i) over the tangent
+    base."""
+    return [[Omega[a][i] or [ZERO] * k for i in range(len(Omega))] for a in range(len(Omega))]
+
+
+def _twisted_tangent_model(
+    name: str, params: dict, plan: SamplePlan, fiber_name: str, fiber_rank, theta0: Expr, tag: str
+) -> ExampleModel:
+    """The semidirect of the tangent coupling with connection
+    d + ad(theta) and mixed tensor the twist Omega (the curvature of
+    theta unless omega is given): a transitive algebroid.  The default
+    theta is theta0 E_1 dx1; the twist preconditions draw from the
+    fork ``tag``."""
     dim = int(params.pop("dim", 2))
-    fiber_name = params.pop("fiber", "abelian")
-    fiber_rank = int(params.pop("fiber_rank", 1))
     chart = Chart(dim)
-    fiber = _fiber_from_name(chart, fiber_name, rank=fiber_rank)
+    fiber = _fiber_from_name(chart, params.pop("fiber", fiber_name), rank=fiber_rank)
     k = fiber.bundle.rank
     theta = params.pop("theta", None)
     omega = params.pop("omega", None)
     if params:
-        raise ValueError(f"unknown transitive parameters: {sorted(params)}")
+        raise ValueError(f"unknown {name} parameters: {sorted(params)}")
     if theta is None:
         theta = [[ZERO] * k for _ in range(dim)]
+        theta[0][0] = theta0
     else:
         theta = _parse_matrix(theta, chart)
     nabla = _ad_connection(fiber, theta)
@@ -367,12 +357,21 @@ def _build_transitive(params: dict, plan: SamplePlan) -> ExampleModel:
         Om = _curvature_of_theta(fiber, theta)
     else:
         Om = _parse_two_form(omega, chart, k)
-    A = _transitive_algebroid(chart, fiber, nabla, Om, plan.fork("trans"))
-    ideal = IdealBundle(A, k, plan=plan.fork("ideal"))
-    tau = [[ZERO] * dim for _ in range(k)] + [
+    _require_curvature_is_ad(fiber, nabla, Om, plan.fork(tag))
+    return _coupled_model(name, tangent_algebroid(chart), fiber, nabla, _tangent_twist(Om, k), plan)
+
+
+def _build_transitive(params: dict, plan: SamplePlan) -> ExampleModel:
+    """Transitive algebroid with isotropy the given fiber algebra, built
+    from a connection 1-form (zero by default); the anchor splitting
+    tau lifting the coordinate fields is returned alongside."""
+    fiber_rank = params.pop("fiber_rank", None)
+    m = _twisted_tangent_model("transitive", params, plan, "abelian", fiber_rank, ZERO, "trans")
+    dim, k = m.algebroid.chart.dim, m.ideal.k
+    m.tau = [[ZERO] * dim for _ in range(k)] + [
         [ONE if i == a else ZERO for i in range(dim)] for a in range(dim)
     ]
-    return ExampleModel("transitive", A, ideal, tau=tau)
+    return m
 
 
 def so3_radial_action(plan: SamplePlan | None = None) -> ExampleModel:
@@ -428,34 +427,9 @@ def _build_action(params: dict, plan: SamplePlan) -> ExampleModel:
 
 def _build_principal_type(params: dict, plan: SamplePlan) -> ExampleModel:
     """Fiber-product model: tangent base, rotation-algebra fiber with
-    connection d + ad(theta), mixed tensor the curvature contracted
-    with the anchor."""
-    dim = int(params.pop("dim", 2))
-    chart = Chart(dim)
-    fiber = _fiber_from_name(chart, params.pop("fiber", "so3"))
-    k = fiber.bundle.rank
-    theta = params.pop("theta", None)
-    if theta is None:
-        theta = [[ZERO] * k for _ in range(dim)]
-        theta[0][0] = coord(1)  # theta = x2 E_1 dx1
-    else:
-        theta = _parse_matrix(theta, chart)
-    omega = params.pop("omega", None)
-    if params:
-        raise ValueError(f"unknown principal_type parameters: {sorted(params)}")
-    nabla = _ad_connection(fiber, theta)
-    if omega is None:
-        Om = _curvature_of_theta(fiber, theta)
-    else:
-        Om = _parse_two_form(omega, chart, k)
-    # Precondition: connection curvature equals the adjoint of Omega.
-    _require_curvature_is_ad(fiber, nabla, Om, plan.fork("ad"))
-    B = tangent_algebroid(chart)
-    U = [[list(Om[a][i]) if Om[a][i] is not None else [ZERO] * k for i in range(dim)] for a in range(dim)]
-    cd = CouplingData(B, fiber, nabla, U, plan=plan.fork("skew"))
-    form = coupling_to_im(cd, plan=plan.fork("im"), check=False)
-    return ExampleModel("principal_type", form.algebroid, form.ideal,
-                        coupling=cd, im_form=form)
+    connection d + ad(theta) (theta = x2 E_1 dx1 by default), mixed
+    tensor the curvature contracted with the anchor."""
+    return _twisted_tangent_model("principal_type", params, plan, "so3", None, coord(1), "ad")
 
 
 def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
@@ -464,7 +438,7 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
     dim = int(params.pop("dim", 2))
     chart = Chart(dim)
     fiber_name = params.pop("fiber", "abelian")
-    fiber_rank = int(params.pop("fiber_rank", 1))
+    fiber_rank = params.pop("fiber_rank", None)
     fiber = _fiber_from_name(chart, fiber_name, rank=fiber_rank)
     k = fiber.bundle.rank
     theta_scalar = params.pop("theta", None)
@@ -481,19 +455,18 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
         ]
     nablaL = LinearConnection(fiber.bundle, gam)
     if omega is None:
-        vec = [ZERO] * k
-        vec[k - 1] = ONE  # last fiber direction is central for the stock fibers
-        Om = {(0, 1): vec}
-    else:
-        full = _parse_two_form(omega, chart, k)
-        Om = {(i, j): full[i][j] for i in range(dim) for j in range(i + 1, dim)}
+        # dx1 ^ dx2 times the last fiber direction, central for the
+        # stock fibers.
+        omega = [[ONE if (t, e) == (0, k - 1) else ZERO for e in range(k)] for t in range(dim * (dim - 1) // 2)]
+    Om = _parse_two_form(omega, chart, k)
+    if dim < 2:
+        raise ValueError("form degree out of range for chart")
     # Preconditions: flat connection, center-valued and covariantly
     # closed 2-form.
     rep = Report(command="principal-type-flat", seed=plan.seed, samples=plan.samples)
     flat, res = connection_is_flat(nablaL, plan.fork("flat"))
     rep.add("fiber_connection_flat", res, 1e-10)
-    OmForm = CoeffForm(fiber.bundle, 2, Om)
-    Om_map = _two_form_map([[OmForm.component((i, j)) for j in range(dim)] for i in range(dim)], k)
+    Om_map = _two_form_map(Om, k)
     i, j = np.triu_indices(dim, 1)
     with np.errstate(invalid="ignore", over="ignore"):
         pts = plan.points(chart, 25)
@@ -510,16 +483,7 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
             rep.add("twist_covariantly_closed", Residual().update(_d_nabla(G, Om_pts, dOm)).value, 1e-9)
     if not rep.passed:
         raise ConstructionRefused("kernel-flat construction preconditions failed", rep)
-
-    B = tangent_algebroid(chart)
-    U = [
-        [list(OmForm.component((a, i))) for i in range(dim)]
-        for a in range(dim)
-    ]
-    cd = CouplingData(B, fiber, nablaL, U, plan=plan.fork("skew"))
-    form = coupling_to_im(cd, plan=plan.fork("im"), check=False)
-    return ExampleModel("principal_type_flat", form.algebroid, form.ideal,
-                        coupling=cd, im_form=form)
+    return _coupled_model("principal_type_flat", tangent_algebroid(chart), fiber, nablaL, _tangent_twist(Om, k), plan)
 
 
 def _build_rank_one(params: dict, plan: SamplePlan) -> ExampleModel:
@@ -533,7 +497,6 @@ def _build_rank_one(params: dict, plan: SamplePlan) -> ExampleModel:
     verify_skew = bool(params.pop("verify_skew", True))
     if params:
         raise ValueError(f"unknown rank_one parameters: {sorted(params)}")
-    B = tangent_algebroid(chart)
     if U1 is None:
         U1 = [[ZERO] * dim for _ in range(dim)]
     else:
@@ -541,10 +504,7 @@ def _build_rank_one(params: dict, plan: SamplePlan) -> ExampleModel:
     fiber = _fiber_from_name(chart, "abelian", rank=1)
     nablaL = LinearConnection(fiber.bundle, [[[theta[i]]] for i in range(dim)])
     U = [[[U1[a][i]] for i in range(dim)] for a in range(dim)]
-    cd = CouplingData(B, fiber, nablaL, U, verify_skew=verify_skew, plan=plan.fork("skew"))
-    form = coupling_to_im(cd, plan=plan.fork("im"), check=False)
-    return ExampleModel("rank_one", form.algebroid, form.ideal,
-                        coupling=cd, im_form=form)
+    return _coupled_model("rank_one", tangent_algebroid(chart), fiber, nablaL, U, plan, verify_skew)
 
 
 def transitive_im_connection(

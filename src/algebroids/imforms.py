@@ -569,28 +569,15 @@ class CouplingData:
 
     def base_rep_on_fiber(self) -> ARepresentation:
         """The base acting on the fiber bundle through the connection
-        along the anchor (the representation used for the kernel-flat
-        2-form checks; genuinely flat on the center)."""
-        B = self.base
-        n, kk = B.chart.dim, self.k
-        coeffs = []
-        for b in range(B.rank):
-            M = [
-                [
-                    fold(
-                        add(
-                            *(
-                                mul(B.anchor[i][b], self.nablaL.christoffel[i][d][c])
-                                for i in range(n)
-                            )
-                        )
-                    )
-                    for c in range(kk)
-                ]
-                for d in range(kk)
-            ]
-            coeffs.append(M)
-        return ARepresentation(B, self.fiber.bundle, coeffs)
+        along the anchor, read off the semidirect's bracket of a base
+        element with a fiber element (the representation used for the
+        kernel-flat 2-form checks; genuinely flat on the center)."""
+        S, k = self.semidirect().structure, self.k
+        coeffs = [
+            [[S[k + b][c][d] for c in range(k)] for d in range(k)]
+            for b in range(self.base.rank)
+        ]
+        return ARepresentation(self.base, self.fiber.bundle, coeffs)
 
     def semidirect(self) -> LieAlgebroid:
         if self._semidirect is None:

@@ -6,6 +6,7 @@ import pytest
 
 from algebroids.algebroid import (
     ConstructionRefused,
+    LieAlgebroid,
     canonical_representation,
     check_axioms,
 )
@@ -179,6 +180,70 @@ def test_rank_one_skew_guard():
 def test_factory_rejects_unknown_params():
     with pytest.raises(ValueError):
         make_example(ExampleSpec("product", {"bogus": 1}), PLAN)
+
+
+# The transitive algebroid as it was built before it became the tangent
+# coupling's semidirect: the fiber bracket, the Christoffel symbols on
+# (base, fiber) pairs and the twist on base pairs, each written into the
+# structure tensor by hand. It stays here as an unshared reference.
+def _ref_transitive_algebroid(fiber, nabla, Omega):
+    chart = fiber.bundle.chart
+    n, k = chart.dim, fiber.bundle.rank
+    r = k + n
+    anchor = [[ZERO] * k + [ONE if i == a else ZERO for a in range(n)] for i in range(n)]
+    structure = [[[ZERO] * r for _ in range(r)] for _ in range(r)]
+    for c in range(k):
+        for d in range(k):
+            for e in range(k):
+                structure[c][d][e] = fiber.c[c][d][e]
+    for i in range(n):
+        for c in range(k):
+            vec = [nabla.christoffel[i][e][c] for e in range(k)]
+            for e in range(k):
+                structure[k + i][c][e] = vec[e]
+                structure[c][k + i][e] = fold(neg(vec[e]))
+    for i in range(n):
+        for j in range(i + 1, n):
+            for e in range(k):
+                structure[k + i][k + j][e] = Omega[i][j][e]
+                structure[k + j][k + i][e] = fold(neg(Omega[i][j][e]))
+    return LieAlgebroid(Bundle(chart, r, "transitive"), anchor, structure)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        {},
+        {"fiber": "so3", "theta": [["x2", "0", "0"], ["0", "0", "0"]]},
+        {"fiber": "so3", "theta": [["x2", "x1", "0"], ["0", "0", "x1*x2"]]},
+        {"fiber_rank": 2, "omega": [["1", "x1*x2"]]},
+        {"dim": 3, "omega": [["x3"], ["0"], ["-x1"]]},
+    ],
+)
+def test_transitive_algebroid_matches_its_hand_built_tensor(params):
+    m = make_example(ExampleSpec("transitive", dict(params)), PLAN)
+    dim = params.get("dim", 2)
+    chart = Chart(dim)
+    fiber = factory._fiber_from_name(chart, params.get("fiber", "abelian"), rank=params.get("fiber_rank"))
+    k = fiber.bundle.rank
+    theta = [[ZERO] * k for _ in range(dim)]
+    if "theta" in params:
+        theta = factory._parse_matrix(params["theta"], chart)
+    nabla = factory._ad_connection(fiber, theta)
+    if "omega" in params:
+        Omega = factory._parse_two_form(params["omega"], chart, k)
+    else:
+        Omega = factory._curvature_of_theta(fiber, theta)
+    ref = _ref_transitive_algebroid(fiber, nabla, Omega)
+    assert m.algebroid.anchor == ref.anchor
+    assert m.algebroid.structure == ref.structure
+    assert m.ideal.k == k and m.coupling.k == k
+    if params:
+        # Each case puts a term into the connection block or the twist
+        # block of the tensor.
+        blocks = [ref.structure[k + i][c] for i in range(dim) for c in range(k)]
+        blocks += [ref.structure[k + i][k + j] for i in range(dim) for j in range(dim)]
+        assert any(x != ZERO for vec in blocks for x in vec)
 
 
 def _assert_close(got, want):

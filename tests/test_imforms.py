@@ -353,6 +353,52 @@ def test_build_semidirect_invalid_fails_jacobi():
     assert jac.max_residual > 1e-3
 
 
+# The base-on-fiber representation as it was built before it was read
+# off the semidirect: the Christoffel symbols contracted with the anchor
+# by its own fold loop. It stays here as an unshared reference.
+def _ref_base_rep_coeffs(cd):
+    B, Gam = cd.base, cd.nablaL.christoffel
+    n, k = B.chart.dim, cd.k
+    return tuple(
+        tuple(
+            tuple(fold(add(*(mul(B.anchor[i][b], Gam[i][d][c]) for i in range(n)))) for c in range(k))
+            for d in range(k)
+        )
+        for b in range(B.rank)
+    )
+
+
+@pytest.mark.parametrize(
+    "source,params",
+    [
+        ("bad_u", None),
+        ("principal_flat", None),
+        ("product_so3", None),
+        ("rank_one", None),
+        ("product", {}),
+        ("lie_algebra_bundle", {}),
+        ("transitive", {}),
+        ("transitive", {"fiber": "so3", "theta": [["x2", "x1", "0"], ["0", "0", "x1*x2"]]}),
+        ("principal_type", {}),
+        ("principal_type_flat", {"fiber": "so3_center", "theta": ["x1", "x2"]}),
+        ("rank_one", {"theta": ["x2", "x1"]}),
+    ],
+)
+def test_base_rep_on_fiber_matches_its_fold_loop(source, params):
+    if params is None:
+        cd = load_model(str(MODELS / f"{source}.json")).coupling()
+    else:
+        cd = make_example(ExampleSpec(source, dict(params)), SamplePlan(seed=42, samples=30)).coupling
+    rep = cd.base_rep_on_fiber()
+    want = _ref_base_rep_coeffs(cd)
+    assert rep.algebroid is cd.base and rep.bundle == cd.fiber.bundle
+    assert rep.coeffs == want
+    if source == "principal_type":
+        # d + ad(theta) on so3: Gamma is not symmetric in its fiber slots,
+        # so a read with the two swapped would differ.
+        assert any(M[d][c] != M[c][d] for M in want for c in range(cd.k) for d in range(cd.k))
+
+
 # -- curvature -------------------------------------------------------------
 
 def test_curvature_product_zero(product_model):

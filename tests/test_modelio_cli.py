@@ -363,6 +363,65 @@ def test_infinite_christoffel_leaves_no_flatness_class(tmp_path):
     assert doc["flatness"] == []
 
 
+def test_infinite_christoffel_fails_the_roundtrip_without_a_warning(tmp_path):
+    import warnings
+
+    # The same model through coupling --roundtrip: the rebuilt connection
+    # and connection form differ from the originals by inf - inf, so both
+    # roundtrip checks are non-finite (exit 1), and numpy warns of nothing.
+    model = _model_with_coupling_entry(
+        tmp_path, "principal_flat", "nablaL", (0, 0, 0), "exp(700)*exp(700)*x1"
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = invoke(["coupling", "--roundtrip", "--model", model, "--json", "--samples", "40"])
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out, parse_constant=_reject_constant)["checks"]}
+    for name in ("roundtrip_fiber_connection", "roundtrip_connection_form"):
+        assert checks[name]["max_residual"] is None and checks[name]["non_finite"] is True
+
+
+@pytest.mark.parametrize(
+    "name,params,message",
+    [
+        ("transitive", {"fiber": "so3", "fiber_rank": 5}, "has rank 3, not fiber_rank 5"),
+        ("transitive", {"fiber": "so3_center", "fiber_rank": 1}, "has rank 4, not fiber_rank 1"),
+        ("transitive", {"fiber_rank": 0}, "positive integer, not 0"),
+        ("transitive", {"fiber_rank": 2.7}, "positive integer, not 2.7"),
+        ("transitive", {"fiber_rank": True}, "positive integer, not True"),
+        ("principal_type_flat", {"fiber": "so3_center", "fiber_rank": 3}, "has rank 4, not fiber_rank 3"),
+        ("principal_type_flat", {"fiber_rank": -1}, "positive integer, not -1"),
+    ],
+)
+def test_a_fiber_rank_the_fiber_cannot_have_is_a_model_error(tmp_path, capsys, name, params, message):
+    # A fiber_rank that is not a positive int, or that is not the rank of
+    # the named fiber algebra, is refused rather than rounded or ignored.
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps({"schema_version": 1, "chart": {"dim": 2}, "example": {"name": name, "params": params}}))
+    code, out = invoke(["example", name, "--model", str(p), "--json", "--samples", "10"])
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    assert err.startswith("model error:") and message in err
+
+
+@pytest.mark.parametrize(
+    "name,params,rank",
+    [
+        ("transitive", {"fiber_rank": 2}, 4),
+        ("transitive", {"fiber": "so3", "fiber_rank": 3}, 5),
+        ("principal_type_flat", {"fiber": "so3_center", "fiber_rank": 4}, 6),
+    ],
+)
+def test_a_fiber_rank_the_fiber_has_is_kept(tmp_path, name, params, rank):
+    from algebroids.factory import ExampleSpec, make_example
+
+    assert make_example(ExampleSpec(name, dict(params))).algebroid.rank == rank
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps({"schema_version": 1, "chart": {"dim": 2}, "example": {"name": name, "params": params}}))
+    code, _ = invoke(["example", name, "--model", str(p), "--json", "--samples", "10"])
+    assert code == 0
+
+
 @pytest.mark.parametrize(
     "argv",
     [
