@@ -12,10 +12,8 @@ from .bundles import (
     CoeffForm,
     LinearConnection,
     FiberBracket,
-    covariant_derivative,
     exterior_covariant_derivative,
     curvature_tensor,
-    fiber_bracket_wedge,
 )
 from .algebroid import (
     LieAlgebroid,
@@ -24,7 +22,6 @@ from .algebroid import (
     bracket,
     check_axioms,
     canonical_representation,
-    lie_derivative_form,
     check_A_invariant,
     basic_curvature,
     cartan_build_connection,

@@ -1,8 +1,7 @@
 """Lie algebroids over a chart: anchor + structure functions, the
 Leibniz-expanded bracket, axiom checkers, bundles of ideals, canonical
-representations, invariant connections, Lie derivatives of coefficient
-forms, basic curvature, and the connection-based construction of
-ideal-valued connection forms.
+representations, invariant connections, basic curvature, and the
+connection-based construction of ideal-valued connection forms.
 
 Frame convention: a bundle of ideals is always the span of the first k
 frame elements (an adapted frame); users change frames with
@@ -45,10 +44,8 @@ __all__ = [
     "IdealBundle",
     "ARepresentation",
     "bracket",
-    "vf_bracket",
     "check_axioms",
     "canonical_representation",
-    "lie_derivative_form",
     "check_A_invariant",
     "basic_curvature",
     "cartan_build_connection",
@@ -138,18 +135,6 @@ class LieAlgebroid:
             for a in range(k)
         ]
         return FiberBracket(sub, struct)
-
-
-def vf_bracket(V: Sequence[Expr], W: Sequence[Expr], dim: int) -> list[Expr]:
-    """Commutator of vector fields given as Expr tuples."""
-    out = []
-    for i in range(dim):
-        terms = []
-        for j in range(dim):
-            terms.append(mul(V[j], differentiate(W[i], j)))
-            terms.append(neg(mul(W[j], differentiate(V[i], j))))
-        out.append(fold(add(*terms)))
-    return out
 
 
 def directional(X: Sequence[Expr], f: Expr) -> Expr:
@@ -485,35 +470,6 @@ def canonical_representation(A: LieAlgebroid, ideal: IdealBundle) -> ARepresenta
     ]
     # coeffs[b][c][a] = component c of [e_b, e_a] for a, c in the ideal.
     return ARepresentation(A, ideal.bundle, coeffs)
-
-
-def lie_derivative_form(
-    alpha: Section, rep: ARepresentation, gamma: CoeffForm
-) -> CoeffForm:
-    """Lie derivative of a V-valued form along a section, using the
-    representation for the coefficient part and the commutator with
-    coordinate fields for the argument part."""
-    if gamma.bundle != rep.bundle:
-        raise ValueError("form not valued in the representation bundle")
-    A = rep.algebroid
-    n = A.chart.dim
-    ra = A.rho_of(alpha)
-    rV = rep.bundle.rank
-    out: dict[tuple[int, ...], list[Expr]] = {}
-    import itertools
-
-    for J in itertools.combinations(range(n), gamma.degree):
-        vec = list(rep.apply(alpha, gamma.component(J)))
-        for t in range(len(J)):
-            for m in range(n):
-                dcoef = differentiate(ra[m], J[t])
-                if dcoef == ZERO:
-                    continue
-                swapped = gamma.component(J[:t] + (m,) + J[t + 1 :])
-                for d in range(rV):
-                    vec[d] = add(vec[d], mul(dcoef, swapped[d]))
-        out[J] = [fold(v) for v in vec]
-    return CoeffForm(rep.bundle, gamma.degree, out)
 
 
 def check_A_invariant(

@@ -1,6 +1,6 @@
 """Trivialized vector bundles over a chart: sections, vector-valued
 differential forms, linear connections, covariant exterior calculus,
-curvature, and the graded fiberwise bracket.
+curvature, and the fiberwise Lie bracket.
 
 Forms store components only on strictly increasing index tuples; all
 formulas route through a signed lookup, so antisymmetry is structural.
@@ -40,15 +40,11 @@ __all__ = [
     "exact_memo",
     "LinearConnection",
     "FiberBracket",
-    "covariant_derivative",
     "exterior_covariant_derivative",
     "curvature_tensor",
     "connection_is_flat",
-    "fiber_bracket_wedge",
     "sort_with_sign",
     "zero_form",
-    "section_form",
-    "wedge_scalar_one_form",
 ]
 
 
@@ -421,29 +417,6 @@ def zero_form(bundle: Bundle, degree: int) -> CoeffForm:
     return CoeffForm(bundle, degree, {})
 
 
-def section_form(s: Section) -> CoeffForm:
-    """A section viewed as a bundle-valued 0-form."""
-    return CoeffForm(s.bundle, 0, {(): s.components})
-
-
-def wedge_scalar_one_form(omega: Sequence[Expr], form: CoeffForm) -> CoeffForm:
-    """Wedge a scalar 1-form (n Exprs) with a bundle-valued k-form."""
-    bundle = form.bundle
-    n = bundle.chart.dim
-    k = form.degree
-    out: dict[tuple[int, ...], list[Expr]] = {}
-    for idx in itertools.combinations(range(n), k + 1):
-        vec = [ZERO] * bundle.rank
-        for t in range(k + 1):
-            rest = idx[:t] + idx[t + 1 :]
-            comp = form.component(rest)
-            sgn = const((-1) ** t)
-            for c in range(bundle.rank):
-                vec[c] = add(vec[c], mul(sgn, omega[idx[t]], comp[c]))
-        out[idx] = [fold(v) for v in vec]
-    return CoeffForm(bundle, k + 1, out)
-
-
 class LinearConnection:
     """Linear connection on a trivialized bundle.
 
@@ -489,22 +462,6 @@ class LinearConnection:
         """Full covariant derivative of a coefficient vector along d_i."""
         gam = self.apply_matrix(i, vec)
         return [fold(add(differentiate(v, i), g)) for v, g in zip(vec, gam)]
-
-
-def covariant_derivative(
-    conn: LinearConnection, X: Sequence[Expr], s: Section
-) -> Section:
-    """nabla_X s with X a vector field given as n Exprs."""
-    if s.bundle != conn.bundle:
-        raise ValueError("bundle mismatch between connection and section")
-    n = conn.bundle.chart.dim
-    r = conn.bundle.rank
-    out = [ZERO] * r
-    for i in range(n):
-        di = conn.directional(i, s.components)
-        for b in range(r):
-            out[b] = add(out[b], mul(X[i], di[b]))
-    return Section(conn.bundle, [fold(v) for v in out])
 
 
 def exterior_covariant_derivative(
@@ -646,52 +603,6 @@ class FiberBracket:
         ]
         return cls(bundle, struct)
 
-    def pair_sections(self, u: Sequence[Expr], v: Sequence[Expr]) -> list[Expr]:
-        """Pointwise bracket of two coefficient vectors."""
-        r = self.bundle.rank
-        out = [ZERO] * r
-        for a in range(r):
-            if u[a] == ZERO:
-                continue
-            for b in range(r):
-                if v[b] == ZERO:
-                    continue
-                for k in range(r):
-                    out[k] = add(out[k], mul(u[a], v[b], self.c[a][b][k]))
-        return [fold(x) for x in out]
-
     def ad_value(self, p) -> np.ndarray:
         """Stacked adjoint matrices at a point: ad[a][k][b] = c_{ab}^k."""
         return self.c_map.value(p).transpose(0, 2, 1)
-
-
-def fiber_bracket_wedge(
-    br: FiberBracket, beta: CoeffForm, gamma: CoeffForm
-) -> CoeffForm:
-    """Graded fiberwise bracket [beta, gamma] of bundle-valued forms.
-
-    Implements the signed sum over all permutations of the k+l
-    arguments; for k = l = 1 this gives
-    [beta,gamma](X,Y) = [beta(X),gamma(Y)] - [beta(Y),gamma(X)].
-    """
-    if beta.bundle != br.bundle or gamma.bundle != br.bundle:
-        raise ValueError("forms must be valued in the bracket's bundle")
-    k, l = beta.degree, gamma.degree
-    n = br.bundle.chart.dim
-    r = br.bundle.rank
-    if k + l > n:
-        raise ValueError(
-            f"bracket of forms would have degree {k + l} > chart dimension {n}"
-        )
-    out: dict[tuple[int, ...], list[Expr]] = {}
-    for idx in itertools.combinations(range(n), k + l):
-        vec = [ZERO] * r
-        for perm in itertools.permutations(range(k + l)):
-            sign, _ = sort_with_sign(perm)
-            bcomp = beta.component(tuple(idx[perm[t]] for t in range(k)))
-            gcomp = gamma.component(tuple(idx[perm[k + t]] for t in range(l)))
-            term = br.pair_sections(bcomp, gcomp)
-            for c in range(r):
-                vec[c] = add(vec[c], term[c] if sign == 1 else neg(term[c]))
-        out[idx] = [fold(v) for v in vec]
-    return CoeffForm(br.bundle, k + l, out)

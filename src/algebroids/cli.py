@@ -1,6 +1,8 @@
 """Command-line verification surface.
 
-Every checker in the library is reachable from a subcommand; reports
+Every checker in the library but ``check_A_invariant`` is reachable
+from a subcommand; that one is the precondition of the library's
+covariant differential ``d_im``, which no subcommand runs.  Reports
 are deterministic for a fixed (model, seed, samples) triple and are
 emitted either as a human table or as a single JSON document.
 
@@ -26,7 +28,7 @@ from .algebroid import (
     check_axioms,
 )
 from .bundles import PointMap, _anchored, _stack
-from .expr import EvalError, SamplingError
+from .expr import EvalError, ParseError, SamplingError
 from .factory import ExampleSpec, make_example, transitive_im_connection
 from .imforms import (
     CenterDegeneracyError,
@@ -54,7 +56,7 @@ from .modelio import ModelError, load_model
 from .rankone import check_rank_one, extract_rank_one, verify_witness
 from .sampling import Report, Residual, SamplePlan
 
-__all__ = ["run", "main", "OPERATION_COVERAGE", "SUBCOMMANDS"]
+__all__ = ["run", "main", "SUBCOMMANDS"]
 
 SUBCOMMANDS = (
     "verify-algebroid",
@@ -70,24 +72,6 @@ SUBCOMMANDS = (
     "lie-functor",
     "example",
 )
-
-# Which spec-level operations each subcommand exercises (directly or as
-# a required internal step).  The coverage test walks this table.
-OPERATION_COVERAGE = {
-    "verify-algebroid": ["parse", "differentiate", "evaluate", "bracket", "check_axioms", "load_model", "run"],
-    "verify-ideal": ["check_axioms", "canonical_representation"],
-    "verify-im": ["check_im_form", "lie_derivative_form"],
-    "coupling": ["extract_coupling", "coupling_to_im"],
-    "check-structure": ["check_structure_equations", "covariant_derivative", "exterior_covariant_derivative", "fiber_bracket_wedge"],
-    "build-semidirect": ["build_semidirect"],
-    "curvature": ["curvature_im", "curvature_tensor", "d_im", "chain_map"],
-    "classify": ["classify_flatness"],
-    "rank-one": ["extract_rank_one", "check_rank_one", "verify_witness"],
-    "groupoid-verify": ["connection_from_splitting", "simplicial_delta", "covariant_exterior_D", "check_groupoid_properties"],
-    "lie-functor": ["differentiate_to_im"],
-    "example": ["make_example", "transitive_im_connection", "cartan_build_connection", "basic_curvature", "check_A_invariant"],
-}
-
 
 def _tolerance(text: str) -> float:
     v = float(text)
@@ -357,7 +341,7 @@ def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float = 1e-8) ->
     """Family-appropriate checker suite over a factory output."""
     try:
         model = make_example(spec, plan.fork("build"))
-    except ValueError as e:
+    except (ValueError, ParseError) as e:
         raise ModelError(f"example {spec.name!r}: {e}") from e
     rep = Report(command=f"example:{spec.name}", seed=plan.seed, samples=plan.samples)
     ax = check_axioms(model.algebroid, model.ideal, plan.fork("axioms"), tol=tol)

@@ -332,13 +332,13 @@ def _tangent_twist(Omega, k: int) -> list:
 
 
 def _twisted_tangent_model(
-    name: str, params: dict, plan: SamplePlan, fiber_name: str, fiber_rank, theta0: Expr, tag: str
+    name: str, params: dict, plan: SamplePlan, fiber_name: str, fiber_rank, theta0: int | None, tag: str
 ) -> ExampleModel:
     """The semidirect of the tangent coupling with connection
     d + ad(theta) and mixed tensor the twist Omega (the curvature of
     theta unless omega is given): a transitive algebroid.  The default
-    theta is theta0 E_1 dx1; the twist preconditions draw from the
-    fork ``tag``."""
+    theta is x_{theta0 + 1} E_1 dx1, or zero if theta0 is None; the
+    twist preconditions draw from the fork ``tag``."""
     dim = int(params.pop("dim", 2))
     chart = Chart(dim)
     fiber = _fiber_from_name(chart, params.pop("fiber", fiber_name), rank=fiber_rank)
@@ -349,7 +349,13 @@ def _twisted_tangent_model(
         raise ValueError(f"unknown {name} parameters: {sorted(params)}")
     if theta is None:
         theta = [[ZERO] * k for _ in range(dim)]
-        theta[0][0] = theta0
+        if theta0 is not None:
+            if theta0 >= dim:
+                raise ValueError(
+                    f"the default theta = x{theta0 + 1} E_1 dx1 needs a chart of dimension at least "
+                    f"{theta0 + 1}, not dimension {dim}; give theta"
+                )
+            theta[0][0] = coord(theta0)
     else:
         theta = _parse_matrix(theta, chart)
     nabla = _ad_connection(fiber, theta)
@@ -366,7 +372,7 @@ def _build_transitive(params: dict, plan: SamplePlan) -> ExampleModel:
     from a connection 1-form (zero by default); the anchor splitting
     tau lifting the coordinate fields is returned alongside."""
     fiber_rank = params.pop("fiber_rank", None)
-    m = _twisted_tangent_model("transitive", params, plan, "abelian", fiber_rank, ZERO, "trans")
+    m = _twisted_tangent_model("transitive", params, plan, "abelian", fiber_rank, None, "trans")
     dim, k = m.algebroid.chart.dim, m.ideal.k
     m.tau = [[ZERO] * dim for _ in range(k)] + [
         [ONE if i == a else ZERO for i in range(dim)] for a in range(dim)
@@ -429,7 +435,7 @@ def _build_principal_type(params: dict, plan: SamplePlan) -> ExampleModel:
     """Fiber-product model: tangent base, rotation-algebra fiber with
     connection d + ad(theta) (theta = x2 E_1 dx1 by default), mixed
     tensor the curvature contracted with the anchor."""
-    return _twisted_tangent_model("principal_type", params, plan, "so3", None, coord(1), "ad")
+    return _twisted_tangent_model("principal_type", params, plan, "so3", None, 1, "ad")
 
 
 def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:

@@ -58,7 +58,6 @@ from .bundles import (
     exact_memo,
     exterior_covariant_derivative,
     sort_with_sign,
-    wedge_scalar_one_form,
     zero_form,
 )
 from .expr import (
@@ -192,19 +191,6 @@ class _IMFormBase:
             if ca == ZERO:
                 continue
             out = out + self.symbols[a].scale(ca)
-        return out
-
-    def L_of(self, alpha: Section) -> CoeffForm:
-        """The operator applied to a section, via the extension rule."""
-        n = self.algebroid.chart.dim
-        out = zero_form(self.value_bundle, self.degree)
-        for a in range(self.algebroid.rank):
-            ca = alpha.components[a]
-            if ca != ZERO:
-                out = out + self.frame_values[a].scale(ca)
-            dca = [differentiate(ca, i) for i in range(n)]
-            if any(d != ZERO for d in dca):
-                out = out + wedge_scalar_one_form(dca, self.symbols[a])
         return out
 
 
@@ -1062,9 +1048,6 @@ class CochainEvaluator:
         for s in sections[1:]:
             out = out.contract(A.rho_of(s))
         return list(out.component(()))
-
-    def value(self, p, *sections: Section) -> np.ndarray:
-        return PointMap.exact(self(*sections)).value(p)
 
 
 def chain_map(form) -> CochainEvaluator:

@@ -1,6 +1,6 @@
-"""Tests for the algebroid core: bracket, axioms, representations, Lie
-derivatives, invariant connections, basic curvature and the
-connection-based construction of connection forms."""
+"""Tests for the algebroid core: bracket, axioms, representations,
+invariant connections, basic curvature and the connection-based
+construction of connection forms."""
 
 from pathlib import Path
 
@@ -19,18 +19,14 @@ from algebroids.algebroid import (
     change_frame,
     check_A_invariant,
     check_axioms,
-    lie_derivative_form,
     symbolic_inverse,
     tangent_algebroid,
-    vf_bracket,
 )
 from algebroids.bundles import (
     Bundle,
-    CoeffForm,
     LinearConnection,
     PointMap,
     Section,
-    covariant_derivative,
     curvature_tensor,
 )
 from algebroids.expr import (
@@ -201,59 +197,6 @@ def test_canonical_representation_full_ideal_is_adjoint():
         for d in range(3):
             for c in range(3):
                 assert rep.coeffs[b][d][c] == fold(const(float(eps[b, c, d])))
-
-
-def test_lie_derivative_zero_cases():
-    TM = tangent_algebroid(CH2)
-    V = Bundle(CH2, 1, "V")
-    rep = ARepresentation.zero(TM, V)
-    rng = np.random.default_rng(4)
-    gamma = CoeffForm(V, 1, {(0,): [random_polynomial(CH2, rng)]})
-    # rep zero and vanishing anchor image: zero Lie derivative.
-    alpha = Section(TM.bundle, [ZERO, ZERO])
-    out = lie_derivative_form(alpha, rep, gamma)
-    assert out.is_structurally_zero()
-
-
-def test_lie_derivative_cartan_oracle():
-    # On the tangent algebroid with the trivial representation the Lie
-    # derivative of a scalar 1-form must match i_X d + d i_X, computed
-    # here directly from raw expressions.
-    TM = tangent_algebroid(CH2)
-    V = Bundle(CH2, 1, "V")
-    rep = ARepresentation.zero(TM, V)
-    rng = np.random.default_rng(9)
-    plan = SamplePlan(seed=13, samples=40)
-    for _ in range(5):
-        alpha = TM.random_section(rng)
-        om = [random_polynomial(CH2, rng), random_polynomial(CH2, rng)]
-        gamma = CoeffForm(V, 1, {(0,): [om[0]], (1,): [om[1]]})
-        got = lie_derivative_form(alpha, rep, gamma)
-        X = alpha.components
-        # Cartan formula: (i_X dom + d(i_X om))_j
-        dom = fold(add(differentiate(om[1], 0), neg(differentiate(om[0], 1))))
-        iXdom = [fold(neg(mul(X[1], dom))), fold(mul(X[0], dom))]
-        iXom = fold(add(mul(X[0], om[0]), mul(X[1], om[1])))
-        diXom = [differentiate(iXom, 0), differentiate(iXom, 1)]
-        for p in plan.points(CH2, 8):
-            for j in range(2):
-                want = evaluate(iXdom[j], p) + evaluate(diXom[j], p)
-                assert abs(got.value((j,), p)[0] - want) < 1e-10
-
-
-def test_lie_derivative_degree_zero_is_rep():
-    TM = tangent_algebroid(CH2)
-    V = Bundle(CH2, 2, "V")
-    rep = ARepresentation.zero(TM, V)
-    rng = np.random.default_rng(14)
-    alpha = TM.random_section(rng)
-    s = [random_polynomial(CH2, rng) for _ in range(2)]
-    gamma = CoeffForm(V, 0, {(): s})
-    got = lie_derivative_form(alpha, rep, gamma)
-    want = rep.apply(alpha, s)
-    plan = SamplePlan(seed=3, samples=20)
-    for p in plan.points(CH2, 8):
-        assert np.max(np.abs(got.value((), p) - np.array([evaluate(w, p) for w in want]))) < 1e-12
 
 
 def test_check_A_invariant_zero_anchor():
@@ -478,19 +421,43 @@ def test_flatness_residual_matches_its_nested_form(case, seed):
 # The basic curvature as it was written before it became one contraction
 # of stacked reads: the five terms built as Sections with the symbolic
 # covariant derivative, bracket and vector-field bracket. They stay here
-# as unshared references.
+# as unshared references, with the two symbolic operators they read.
+def _ref_covariant_derivative(conn, X, s):
+    """nabla_X s with X a vector field given as n Exprs."""
+    n = conn.bundle.chart.dim
+    r = conn.bundle.rank
+    out = [ZERO] * r
+    for i in range(n):
+        di = conn.directional(i, s.components)
+        for b in range(r):
+            out[b] = add(out[b], mul(X[i], di[b]))
+    return Section(conn.bundle, [fold(v) for v in out])
+
+
+def _ref_vf_bracket(V, W, dim):
+    """Commutator of vector fields given as Expr tuples."""
+    out = []
+    for i in range(dim):
+        terms = []
+        for j in range(dim):
+            terms.append(mul(V[j], differentiate(W[i], j)))
+            terms.append(neg(mul(W[j], differentiate(V[i], j))))
+        out.append(fold(add(*terms)))
+    return out
+
+
 def _ref_bar_nabla_vf(A, conn, alpha, X):
-    first = A.rho_of(covariant_derivative(conn, X, alpha))
-    second = vf_bracket(A.rho_of(alpha), X, A.chart.dim)
+    first = A.rho_of(_ref_covariant_derivative(conn, X, alpha))
+    second = _ref_vf_bracket(A.rho_of(alpha), X, A.chart.dim)
     return [fold(add(x, y)) for x, y in zip(first, second)]
 
 
 def _ref_section_expr(A, conn, alpha, beta, X):
-    t1 = covariant_derivative(conn, X, bracket(A, alpha, beta))
-    t2 = bracket(A, covariant_derivative(conn, X, alpha), beta)
-    t3 = bracket(A, alpha, covariant_derivative(conn, X, beta))
-    t4 = covariant_derivative(conn, _ref_bar_nabla_vf(A, conn, beta, X), alpha)
-    t5 = covariant_derivative(conn, _ref_bar_nabla_vf(A, conn, alpha, X), beta)
+    t1 = _ref_covariant_derivative(conn, X, bracket(A, alpha, beta))
+    t2 = bracket(A, _ref_covariant_derivative(conn, X, alpha), beta)
+    t3 = bracket(A, alpha, _ref_covariant_derivative(conn, X, beta))
+    t4 = _ref_covariant_derivative(conn, _ref_bar_nabla_vf(A, conn, beta, X), alpha)
+    t5 = _ref_covariant_derivative(conn, _ref_bar_nabla_vf(A, conn, alpha, X), beta)
     comps = [
         fold(add(a, neg(b), neg(c), neg(d), e))
         for a, b, c, d, e in zip(
@@ -575,7 +542,7 @@ def _ref_cartan_preconditions(A, k, l, conn, pts):
         for b in range(r):
             eb = A.frame_section(b)
             lhs = bracket(A, ea, embed(apply_l(eb)))
-            inner = covariant_derivative(conn, A.rho_of(eb), ea) + bracket(A, ea, eb)
+            inner = _ref_covariant_derivative(conn, A.rho_of(eb), ea) + bracket(A, ea, eb)
             rhs = embed(apply_l(inner))
             par.update(_ref_sup((lhs - rhs).components, pts))
     killed = Residual()
@@ -646,13 +613,3 @@ def test_change_frame_inverse_roundtrip():
         Pm = np.array([[evaluate(e, p) for e in row] for row in P])
         Pi = np.array([[evaluate(e, p) for e in row] for row in Pinv])
         assert np.max(np.abs(Pm @ Pi - np.eye(3))) < 1e-12
-
-
-def test_vf_bracket_antisymmetry():
-    rng = np.random.default_rng(2)
-    V = [random_polynomial(CH2, rng) for _ in range(2)]
-    W = [random_polynomial(CH2, rng) for _ in range(2)]
-    a = vf_bracket(V, W, 2)
-    b = vf_bracket(W, V, 2)
-    for x, y in zip(a, b):
-        assert expr_equal(x, fold(neg(y)), CH2)

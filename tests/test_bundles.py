@@ -13,12 +13,9 @@ from algebroids.bundles import (
     _stack,
     alternating_array,
     connection_is_flat,
-    covariant_derivative,
     curvature_tensor,
     exact_memo,
     exterior_covariant_derivative,
-    fiber_bracket_wedge,
-    section_form,
     sort_with_sign,
     zero_form,
 )
@@ -37,12 +34,6 @@ from algebroids.imforms import sampled_map
 from algebroids.sampling import Residual, SamplePlan, random_polynomial
 
 CH2 = Chart(2)
-
-SO3 = np.zeros((3, 3, 3))
-for a, b, c in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-    SO3[a, b, c] = 1.0
-    SO3[b, a, c] = -1.0
-
 
 def test_sort_with_sign():
     assert sort_with_sign((0, 1)) == (1, (0, 1))
@@ -63,33 +54,6 @@ def test_alternating_array():
     for entries, n in ((np.zeros((5, 1, 0)), 1), (np.zeros((3, 2)), 2)):
         with pytest.raises(ValueError, match="increasing 2-tuple"):
             alternating_array(entries, n, 2)
-
-
-def test_covariant_derivative_trivial():
-    V = Bundle(CH2, 2)
-    conn = LinearConnection.trivial(V)
-    s = Section(V, [coord(0), ZERO])
-    X = [const(1), ZERO]  # d_1
-    out = covariant_derivative(conn, X, s)
-    assert out.components[0] == const(1)
-    assert out.components[1] == ZERO
-
-
-def test_covariant_derivative_rank_one():
-    V = Bundle(CH2, 1)
-    conn = LinearConnection(V, [[[coord(1)]], [[ZERO]]])
-    s = Section(V, [const(1)])
-    out = covariant_derivative(conn, [const(1), ZERO], s)
-    assert out.components[0] == coord(1)
-
-
-def test_covariant_derivative_zero_field():
-    V = Bundle(CH2, 3)
-    conn = LinearConnection.trivial(V)
-    rng = np.random.default_rng(0)
-    s = Section(V, [random_polynomial(CH2, rng) for _ in range(3)])
-    out = covariant_derivative(conn, [ZERO, ZERO], s)
-    assert all(c == ZERO for c in out.components)
 
 
 def test_exterior_derivative_rank_one_de_rham():
@@ -120,7 +84,7 @@ def test_d_nabla_squared_equals_curvature():
     for _ in range(8):
         s = Section(V, [random_polynomial(CH2, rng)])
         dds = exterior_covariant_derivative(
-            conn, exterior_covariant_derivative(conn, section_form(s))
+            conn, exterior_covariant_derivative(conn, CoeffForm(V, 0, {(): s.components}))
         )
         for p in plan.points(CH2, 12):
             lhs = dds.value((0, 1), p)
@@ -143,7 +107,7 @@ def test_d_nabla_squared_higher_rank():
     for _ in range(6):
         s = Section(V, [random_polynomial(CH2, rng) for _ in range(2)])
         dds = exterior_covariant_derivative(
-            conn, exterior_covariant_derivative(conn, section_form(s))
+            conn, exterior_covariant_derivative(conn, CoeffForm(V, 0, {(): s.components}))
         )
         for p in plan.points(CH2, 10):
             lhs = dds.value((0, 1), p)
@@ -214,86 +178,6 @@ def test_fiber_bracket_antisymmetry_validation():
     ]
     with pytest.raises(ValueError):
         FiberBracket(V, bad)
-
-
-def test_fiber_wedge_abelian():
-    V = Bundle(CH2, 2)
-    br = FiberBracket.abelian(V)
-    rng = np.random.default_rng(1)
-    beta = CoeffForm(V, 1, {(0,): [random_polynomial(CH2, rng) for _ in range(2)]})
-    gamma = CoeffForm(V, 1, {(1,): [random_polynomial(CH2, rng) for _ in range(2)]})
-    out = fiber_bracket_wedge(br, beta, gamma)
-    assert out.is_structurally_zero()
-
-
-def test_fiber_wedge_so3_alpha_alpha():
-    # [alpha, alpha](X, Y) = 2 [alpha(X), alpha(Y)]; oracle is the
-    # closed-form right-hand side evaluated with numpy cross products.
-    ch3 = Chart(3)
-    V = Bundle(ch3, 3)
-    br = FiberBracket.from_constants(V, SO3)
-    rng = np.random.default_rng(7)
-    comps = {
-        (i,): [random_polynomial(ch3, rng) for _ in range(3)] for i in range(3)
-    }
-    alpha = CoeffForm(V, 1, comps)
-    out = fiber_bracket_wedge(br, alpha, alpha)
-    plan = SamplePlan(seed=3, samples=50)
-    for p in plan.points(ch3, 25):
-        for i in range(3):
-            for j in range(i + 1, 3):
-                ai = alpha.value((i,), p)
-                aj = alpha.value((j,), p)
-                expected = 2.0 * np.cross(ai, aj)
-                got = out.value((i, j), p)
-                assert np.max(np.abs(got - expected)) < 1e-10
-
-
-def test_fiber_wedge_degree_zero():
-    ch3 = Chart(3)
-    V = Bundle(ch3, 3)
-    br = FiberBracket.from_constants(V, SO3)
-    rng = np.random.default_rng(9)
-    xi = CoeffForm(V, 0, {(): [random_polynomial(ch3, rng) for _ in range(3)]})
-    gamma = CoeffForm(
-        ch3 and V, 1, {(0,): [random_polynomial(ch3, rng) for _ in range(3)]}
-    )
-    out = fiber_bracket_wedge(br, xi, gamma)
-    plan = SamplePlan(seed=5, samples=30)
-    for p in plan.points(ch3, 15):
-        expected = np.cross(xi.value((), p), gamma.value((0,), p))
-        assert np.max(np.abs(out.value((0,), p) - expected)) < 1e-10
-
-
-def test_fiber_wedge_graded_antisymmetry():
-    ch3 = Chart(3)
-    V = Bundle(ch3, 3)
-    br = FiberBracket.from_constants(V, SO3)
-    rng = np.random.default_rng(17)
-    plan = SamplePlan(seed=6, samples=40)
-    for k, l in [(1, 1), (1, 2), (0, 1), (0, 2)]:
-        beta = _random_form(V, k, rng)
-        gamma = _random_form(V, l, rng)
-        lhs = fiber_bracket_wedge(br, beta, gamma)
-        rhs = fiber_bracket_wedge(br, gamma, beta)
-        sign = -((-1.0) ** (k * l))
-        import itertools
-
-        for p in plan.points(ch3, 8):
-            for idx in itertools.combinations(range(3), k + l):
-                assert np.max(
-                    np.abs(lhs.value(idx, p) - sign * rhs.value(idx, p))
-                ) < 1e-10
-
-
-def _random_form(V, degree, rng):
-    import itertools
-
-    comps = {
-        idx: [random_polynomial(V.chart, rng) for _ in range(V.rank)]
-        for idx in itertools.combinations(range(V.chart.dim), degree)
-    }
-    return CoeffForm(V, degree, comps)
 
 
 def test_point_map_exact_partials_match_stencil():

@@ -72,6 +72,8 @@ def test_product_rank_and_flatness(product_model):
         ("principal_type", {"dim": 2}),
         ("principal_type_flat", {"dim": 2}),
         ("rank_one", {"dim": 2, "U1": [["0", "1"], ["-1", "0"]]}),
+        # On a line, where the default theta cannot be read, a given one is.
+        ("principal_type", {"dim": 1, "theta": [["x1", "0", "0"]]}),
     ],
 )
 def test_families_pass_suites(name, params):

@@ -35,6 +35,7 @@ from algebroids.expr import (
     add,
     const,
     coord,
+    differentiate,
     evaluate,
     fold,
     mul,
@@ -51,6 +52,8 @@ from algebroids.imforms import (
     NumericIMOneForm,
     SAMPLED_MEMO_ENTRIES,
     _center_residual_of_u,
+    _form_reads,
+    _on_section,
     build_semidirect,
     center_basis,
     chain_map,
@@ -235,6 +238,8 @@ def test_coupling_to_im_degenerate():
 
 def test_coupling_to_im_66_display():
     # Mixed-tensor route: i_X L(alpha, xi) = nabla_X xi + Omega(X, rho(alpha)).
+    # L on a section is read as check_im_form reads it: the section's jets
+    # and the form's stacked reads, by the extension rule.
     plan = SamplePlan(seed=11, samples=40)
     m = make_example(ExampleSpec("principal_type", {"dim": 2}), plan)
     cd = m.coupling
@@ -244,28 +249,19 @@ def test_coupling_to_im_66_display():
     A = form.algebroid
     for _ in range(3):
         sec = A.random_section(rng)
-        Lsec = form.L_of(sec)
-        for p in plan.points(CH2, 6):
+        points = plan.points(CH2, 6)
+        ((val, jac, _),) = _Jets(A, (sec,), points).sections
+        L = _on_section(_form_reads(form, points), val, jac, None)[0]
+        for q, p in enumerate(points):
+            xi = sec.value(p)[:k]
+            al = sec.value(p)[k:]
             for i in range(2):
-                xi = sec.value(p)[:k]
-                al = sec.value(p)[k:]
                 # nabla_{d_i} xi part + derivative of the fiber part.
-                dxi = np.array(
-                    [
-                        evaluate(
-                            __import__("algebroids.expr", fromlist=["differentiate"]).differentiate(
-                                sec.components[c], i
-                            ),
-                            p,
-                        )
-                        for c in range(k)
-                    ]
-                )
+                dxi = np.array([evaluate(differentiate(sec.components[c], i), p) for c in range(k)])
                 want = dxi + cd.gamma(i, p) @ xi
                 for a in range(cd.base.rank):
                     want -= al[a] * cd.u(a, i, p)
-                got = Lsec.value((i,), p)
-                assert np.max(np.abs(got - want)) < 1e-10
+                assert np.max(np.abs(L[q, i] - want)) < 1e-10
 
 
 # -- structure equations ---------------------------------------------------
