@@ -18,7 +18,6 @@ from .bundles import (
     Bundle,
     CoeffForm,
     FiberBracket,
-    Jet,
     LinearConnection,
     PointMap,
     Section,
@@ -37,7 +36,7 @@ from .expr import (
     mul,
     neg,
 )
-from .sampling import Report, Residual, SamplePlan, polynomial, polynomial_draws, random_polynomial
+from .sampling import Report, Residual, SamplePlan, polynomial_draws, polynomial_jets, random_polynomial
 
 __all__ = [
     "LieAlgebroid",
@@ -266,20 +265,21 @@ class ARepresentation:
 
     def flatness_residual(self, plan: SamplePlan, n_pairs: int = 6) -> float:
         """Max residual of nabla_[a,b] = [nabla_a, nabla_b] on random
-        polynomial sections a, b and s, read from the jets of a and b,
-        the values and partials of s, and the stacked coefficient
-        matrices M[p, b] and their partials dM[p, j, b]."""
+        polynomial sections a, b and s, drawn as terms and read as
+        closed-form jets (a and b through ``_Jets``), and the stacked
+        coefficient matrices M[p, b] and their partials dM[p, j, b]."""
         A = self.algebroid
         n = A.chart.dim
         coeffs = PointMap.exact(self.coeffs)
         worst = Residual()
         for _ in range(n_pairs):
-            al = A.random_section(plan.rng)
-            be = A.random_section(plan.rng)
-            s = PointMap.exact([random_polynomial(A.chart, plan.rng) for _ in range(self.bundle.rank)])
+            al, be = ([polynomial_draws(n, plan.rng) for _ in range(A.rank)] for _ in range(2))
+            s = [polynomial_draws(n, plan.rng) for _ in range(self.bundle.rank)]
             pts = plan.points(A.chart, 8)
             jets = _Jets(A, [al, be], pts)
-            s0, ds, M, dM = _stack(pts, (s.value,), (s.partial, n), (coeffs.value,), (coeffs.partial, n))
+            s0, ds, _ = polynomial_jets(s, pts)
+            ds = ds.swapaxes(1, 2)
+            M, dM = _stack(pts, (coeffs.value,), (coeffs.partial, n))
 
             def nabla(x0, rx, v0, dv):
                 """nabla_x v at [p, d], from x, rho(x), v and dv[p, i] = d_i v."""
@@ -312,9 +312,9 @@ def _axiom_budget(plan: SamplePlan) -> tuple[int, int]:
 
 
 def _axiom_draws(A: LieAlgebroid, plan: SamplePlan):
-    """``check_axioms``'s draws from the plan, in order: per draw, the
-    terms of a random section triple (``polynomial_draws``, as
-    ``random_section`` draws them) and then its points."""
+    """``check_axioms``'s draws from the plan, in order: per draw, a
+    random section triple as terms (``polynomial_draws``, as
+    ``random_section`` draws them; ``_Jets`` reads them) and its points."""
     draws, pts = _axiom_budget(plan)
     for _ in range(draws):
         triple = [[polynomial_draws(A.chart.dim, plan.rng) for _ in range(A.rank)] for _ in range(3)]
@@ -344,34 +344,32 @@ def _ideal_report(A: LieAlgebroid, k: int, plan: SamplePlan, tol: float) -> Repo
 
 
 class _Jets:
-    """Sections' 2-jets at a list of points, and the anchor images and
-    brackets read from them (forward jet propagation), so that no check
-    builds a bracket.
+    """Random sections' 2-jets at a list of points, and the anchor images
+    and brackets read from them (forward jet propagation), so that no
+    check builds a section or a bracket.
 
-    ``sections[s]`` is the s-th section's (values, gradients, Hessians),
-    from one tape run per point, each array with the points first and,
-    in a gradient, the direction last.  ``rho``, ``drho``, ``bracket``
-    and ``gradient`` read jets with the values and partials of
-    ``A.anchor_map`` and ``A.structure_map``, compiled once per
-    algebroid.  Callers run them under ``np.errstate(invalid="ignore",
+    ``sections[s]`` is the (values, gradients, Hessians) of ``draws[s]``,
+    a section's term lists, in closed form (``polynomial_jets``), each
+    array with the points first and, in a gradient, the direction last.
+    ``rho``, ``drho``, ``bracket`` and ``gradient`` read jets with the
+    values and partials of ``A.anchor_map`` and ``A.structure_map``,
+    compiled once per algebroid.  Callers run them under ``np.errstate(invalid="ignore",
     over="ignore")``: an inf in the jets gives a NaN entry, which fails
     its check.
     """
 
-    def __init__(self, A: LieAlgebroid, sections: Sequence[Section], points):
+    def __init__(self, A: LieAlgebroid, draws, points):
         n, r = A.chart.dim, A.rank
-        jet = Jet([x for s in sections for x in s.components], n)
-        v, self.R, dR, self.C, dC = _stack(
+        v = polynomial_jets([t for s in draws for t in s], points)
+        self.R, dR, self.C, dC = _stack(
             points,
-            (PointMap.exact(jet.entries).value,),
             (A.anchor_value,),
             (A.anchor_map.partial, n),
             (A.structure_map.value,),
             (A.structure_map.partial, n),
         )
         self.dR, self.dC = np.moveaxis(dR, 1, -1), np.moveaxis(dC, 1, -1)
-        v = jet.split(v)
-        self.sections = [tuple(x[:, s * r : (s + 1) * r] for x in v) for s in range(len(sections))]
+        self.sections = [tuple(x[:, s * r : (s + 1) * r] for x in v) for s in range(len(draws))]
 
     def rho(self, x):
         """The anchor image rho(x)^i, at [p, i]."""
@@ -403,11 +401,11 @@ class _Jets:
         )
 
 
-def _axiom_defects(A: LieAlgebroid, triple: Sequence[Section], points):
+def _axiom_defects(A: LieAlgebroid, triple, points):
     """At each point, the Jacobiator [[a,b],g] + [[b,g],a] + [[g,a],b]
-    of the section triple (a, b, g) (an array of shape (points, r)) and
-    the anchor-morphism defect rho([a,b]) - [rho(a), rho(b)] (shape
-    (points, n)), read from ``_Jets``."""
+    of the section triple (a, b, g) of term lists (an array of shape
+    (points, r)) and the anchor-morphism defect rho([a,b]) - [rho(a),
+    rho(b)] (shape (points, n)), read from ``_Jets``."""
     jets = _Jets(A, triple, points)
     al, be, ga = jets.sections
     with np.errstate(invalid="ignore", over="ignore"):
@@ -432,7 +430,7 @@ def check_axioms(
     Checks (a) ``jacobi``, the Jacobi identity, and (b)
     ``anchor_morphism``, rho([a,b]) = [rho(a), rho(b)], on random
     polynomial section triples, each at its own points, both read from
-    2-jets (``_axiom_defects``), so no symbolic bracket is built; and,
+    closed-form 2-jets (``_axiom_defects``), so no Expr is built; and,
     when an ideal is supplied, (c) ``ideal_anchor``, the anchor vanishing
     on the ideal span (at ``min(tol, 1e-10)``), and ``ideal_bracket``,
     bracket-invariance of the span, at points drawn after the triples.
@@ -445,8 +443,7 @@ def check_axioms(
     jac_worst = Residual()
     anch_worst = Residual()
     for draws, points in _axiom_draws(A, plan):
-        triple = [A.section([polynomial(t) for t in s]) for s in draws]
-        jacobiator, anchor_defect = _axiom_defects(A, triple, points)
+        jacobiator, anchor_defect = _axiom_defects(A, draws, points)
         jac_worst.update(jacobiator)
         anch_worst.update(anchor_defect)
     rep.add("jacobi", jac_worst.value, tol)

@@ -36,7 +36,6 @@ __all__ = [
     "Section",
     "CoeffForm",
     "PointMap",
-    "Jet",
     "exact_memo",
     "LinearConnection",
     "FiberBracket",
@@ -321,39 +320,6 @@ def _d_nabla(G: np.ndarray, Om: np.ndarray, dOm: np.ndarray) -> np.ndarray:
     T = dOm + np.einsum("piec,pjkc->pijke", G, Om)
     i, j, k = np.array(list(itertools.combinations(range(G.shape[1]), 3)), dtype=int).reshape(-1, 3).T
     return T[:, i, j, k] + T[:, j, k, i] + T[:, k, i, j]
-
-
-class Jet:
-    """The values and first and second partials of m functions on an
-    n-dimensional chart, as the Expr entries of one point map.
-
-    ``entries`` lists the m values, then the first partials function by
-    function (d_j f_a at m + a*n + j), then the second partials
-    direction-major (d_i d_j f_a at m + m*n + (i*m + a)*n + j).
-    ``split`` reads the values of a map built on these entries back
-    into arrays.
-    """
-
-    __slots__ = ("m", "n", "entries")
-
-    def __init__(self, funcs: Sequence[Expr], n: int):
-        dirs = range(n)
-        jac = [differentiate(f, j) for f in funcs for j in dirs]
-        hess = [differentiate(x, i) for i in dirs for x in jac]
-        self.m, self.n = len(funcs), n
-        self.entries = [*funcs, *jac, *hess]
-
-    def split(self, v: np.ndarray):
-        """(val, jac, hess) from values ``v`` of shape (..., entries):
-        ``val[..., a]`` is f_a, ``jac[..., a, j]`` is d_j f_a and
-        ``hess[..., a, j, i]`` is d_i d_j f_a.  The arrays are views of
-        ``v``."""
-        m, n = self.m, self.n
-        lead = v.shape[:-1]
-        h = m + m * n
-        jac = v[..., m:h].reshape(lead + (m, n))
-        hess = np.moveaxis(v[..., h:].reshape(lead + (n, m, n)), -3, -1)
-        return v[..., :m], jac, hess
 
 
 # Arguments that a point memo keys by value; any other is a point.

@@ -156,13 +156,21 @@ def _fiber_from_name(chart: Chart, name, rank: int | None = None) -> FiberBracke
     return fiber
 
 
-def _parse_matrix(rows, chart: Chart):
-    out = []
-    for row in rows:
-        out.append(
-            [x if isinstance(x, Expr) else parse(str(x), chart) for x in row]
+def _parse_array(v, chart: Chart, shape: tuple[int, ...], what: str) -> list:
+    """``v``, a list of ``shape[0]`` entries or of ``shape[0]`` rows of
+    ``shape[1]`` entries, each an Expr or its text, with every entry
+    parsed.  Another shape is refused, before any entry is read, with a
+    ValueError that names ``what`` and the shape it must have."""
+
+    def fits(x, shape):
+        return not shape or (
+            isinstance(x, (list, tuple)) and len(x) == shape[0] and all(fits(y, shape[1:]) for y in x)
         )
-    return out
+
+    if not fits(v, shape):
+        raise ValueError(f"{what} must be {' rows of '.join(map(str, shape))} entries, got {v!r}")
+    entry = lambda x: x if isinstance(x, Expr) else parse(str(x), chart)
+    return [entry(x) for x in v] if len(shape) == 1 else [[entry(x) for x in row] for row in v]
 
 
 def _parse_two_form(rows, chart: Chart, k: int) -> list:
@@ -171,12 +179,7 @@ def _parse_two_form(rows, chart: Chart, k: int) -> list:
     Omega[i][j] on all pairs i != j (None on the diagonal)."""
     n = chart.dim
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    given = _parse_matrix(rows, chart)
-    if len(given) != len(pairs) or any(len(vec) != k for vec in given):
-        raise ValueError(
-            f"omega must list one fiber vector of {k} entries per increasing "
-            f"pair ({len(pairs)} rows), got {[len(vec) for vec in given]}"
-        )
+    given = _parse_array(rows, chart, (len(pairs), k), "omega, one fiber vector per increasing pair,")
     Om = [[None] * n for _ in range(n)]
     for (i, j), vec in zip(pairs, given):
         Om[i][j] = vec
@@ -357,7 +360,7 @@ def _twisted_tangent_model(
                 )
             theta[0][0] = coord(theta0)
     else:
-        theta = _parse_matrix(theta, chart)
+        theta = _parse_array(theta, chart, (dim, k), "theta")
     nabla = _ad_connection(fiber, theta)
     if omega is None:
         Om = _curvature_of_theta(fiber, theta)
@@ -447,18 +450,15 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
     fiber_rank = params.pop("fiber_rank", None)
     fiber = _fiber_from_name(chart, fiber_name, rank=fiber_rank)
     k = fiber.bundle.rank
-    theta_scalar = params.pop("theta", None)
+    theta = params.pop("theta", ["0"] * dim)
     omega = params.pop("omega", None)
     if params:
         raise ValueError(f"unknown principal_type_flat parameters: {sorted(params)}")
-    if theta_scalar is None:
-        gam = [[[ZERO] * k for _ in range(k)] for _ in range(dim)]
-    else:
-        th = [x if isinstance(x, Expr) else parse(str(x), chart) for x in theta_scalar]
-        gam = [
-            [[th[i] if a == b else ZERO for b in range(k)] for a in range(k)]
-            for i in range(dim)
-        ]
+    theta = _parse_array(theta, chart, (dim,), "theta")
+    gam = [
+        [[theta[i] if a == b else ZERO for b in range(k)] for a in range(k)]
+        for i in range(dim)
+    ]
     nablaL = LinearConnection(fiber.bundle, gam)
     if omega is None:
         # dx1 ^ dx2 times the last fiber direction, central for the
@@ -498,7 +498,7 @@ def _build_rank_one(params: dict, plan: SamplePlan) -> ExampleModel:
     dim = int(params.pop("dim", 2))
     chart = Chart(dim)
     theta = params.pop("theta", ["0"] * dim)
-    theta = [x if isinstance(x, Expr) else parse(str(x), chart) for x in theta]
+    theta = _parse_array(theta, chart, (dim,), "theta")
     U1 = params.pop("U1", None)
     verify_skew = bool(params.pop("verify_skew", True))
     if params:
@@ -506,7 +506,7 @@ def _build_rank_one(params: dict, plan: SamplePlan) -> ExampleModel:
     if U1 is None:
         U1 = [[ZERO] * dim for _ in range(dim)]
     else:
-        U1 = _parse_matrix(U1, chart)
+        U1 = _parse_array(U1, chart, (dim, dim), "U1")
     fiber = _fiber_from_name(chart, "abelian", rank=1)
     nablaL = LinearConnection(fiber.bundle, [[[theta[i]]] for i in range(dim)])
     U = [[[U1[a][i]] for i in range(dim)] for a in range(dim)]

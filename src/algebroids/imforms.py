@@ -71,7 +71,7 @@ from .expr import (
     mul,
     neg,
 )
-from .sampling import Report, Residual, SamplePlan
+from .sampling import Report, Residual, SamplePlan, polynomial_draws
 
 __all__ = [
     "IMOneForm",
@@ -405,9 +405,10 @@ def check_im_form(
     form pair against a representation, on random polynomial sections at
     sampled points.  Also reports the connection predicate.
 
-    The sections' 2-jets, their anchor images and [a, b] with its
-    gradient come from the axiom checks' jets (``algebroid._Jets``), so
-    no bracket is built.  Each form entry is read once per point
+    The sections are drawn as terms (``polynomial_draws``, as
+    ``random_section`` draws them); their closed-form 2-jets, anchor
+    images and [a, b] with its gradient come from ``algebroid._Jets``,
+    so no Expr is built.  Each form entry is read once per point
     (``_form_reads``); L, sym, their partials, the Lie derivatives and
     the identities are then contractions over the draw's points.
     """
@@ -425,8 +426,7 @@ def check_im_form(
     # An inf in the jets or the form gives a NaN residual, which fails.
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(draws):
-            alpha = A.random_section(plan.rng)
-            beta = A.random_section(plan.rng)
+            alpha, beta = ([polynomial_draws(A.chart.dim, plan.rng) for _ in range(A.rank)] for _ in range(2))
             points = plan.points(A.chart, pts)
             jets = _Jets(A, (alpha, beta), points)
             a, b = jets.sections

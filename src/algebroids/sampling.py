@@ -17,7 +17,7 @@ import numpy as np
 from .expr import Chart, Expr, add, const, coord, fold, mul, _sample_point
 
 __all__ = [
-    "SamplePlan", "Residual", "Check", "Report", "polynomial", "polynomial_draws", "random_polynomial"
+    "SamplePlan", "Residual", "Check", "Report", "polynomial", "polynomial_draws", "polynomial_jets", "random_polynomial"
 ]
 
 
@@ -54,9 +54,6 @@ class SamplePlan:
     def point(self, chart: Chart) -> np.ndarray:
         return _sample_point(chart, self.rng)
 
-    def vectors(self, dim: int, n: int) -> list[np.ndarray]:
-        return [self.rng.uniform(-1.0, 1.0, size=dim) for _ in range(n)]
-
     def split_budget(self, per_draw: int = 20) -> tuple[int, int]:
         """Split the budget into (number of random draws, points per draw)."""
         draws = max(1, self.samples // per_draw)
@@ -64,18 +61,56 @@ class SamplePlan:
         return draws, pts
 
 
-def polynomial_draws(dim: int, rng: np.random.Generator, degree: int = 2) -> list[tuple[float, tuple[int, ...]]]:
+def polynomial_draws(dim: int, rng: np.random.Generator) -> list[tuple[float, tuple[int, ...]]]:
     """The random numbers of ``random_polynomial``, drawn in its order,
     as (coefficient, monomial) terms: a monomial is the tuple of its
     coordinate indices, () for the constant."""
     terms = [(float(rng.uniform(-1, 1)), ())]
     terms += [(float(rng.uniform(-1, 1)), (i,)) for i in range(dim)]
-    if degree >= 2:
-        for i in range(dim):
-            for j in range(i, dim):
-                if rng.uniform() < 0.5:
-                    terms.append((float(rng.uniform(-1, 1)), (i, j)))
+    for i in range(dim):
+        for j in range(i, dim):
+            if rng.uniform() < 0.5:
+                terms.append((float(rng.uniform(-1, 1)), (i, j)))
     return terms
+
+
+def polynomial_jets(polys, points):
+    """The 2-jets at ``points`` of ``polys``, one ``polynomial_draws``
+    term list each: ``val[p, a]`` f_a, ``jac[p, a, j]`` d_j f_a and
+    ``hess[p, a, j, i]`` d_i d_j f_a, views of one array.  Bit for bit
+    the tapes of ``polynomial(terms)`` and its symbolic partials: a
+    term's product is c * x_i * x_j, left to right; a value or first
+    partial is the ``math.fsum`` of its terms at the point; a second
+    partial is c, or c + c on the diagonal (the degree is at most 2)."""
+    x = np.array(points, dtype=float)
+    (p, n), m = x.shape, len(polys)
+    v = np.zeros((p, m + m * n + m * n * n))
+    val, jac = v[:, :m], v[:, m : m + m * n].reshape(p, m, n)
+    hess = np.moveaxis(v[:, m + m * n :].reshape(p, n, m, n), -3, -1)
+
+    def product(c, mono):
+        """c times the coordinates of ``mono`` at each point, left to right."""
+        out = np.full(p, c)
+        for i in mono:
+            out = out * x[:, i]
+        return out
+
+    def fsums(terms):
+        """The ``math.fsum`` of the terms at each point."""
+        return [math.fsum(t) for t in np.reshape(terms, (len(terms), p)).T.tolist()]
+
+    for a, terms in enumerate(polys):
+        f, df = [], [[] for _ in range(n)]  # the terms of f_a and of each d_j f_a
+        for c, mono in terms:
+            f.append(product(c, mono))
+            for t, i in enumerate(mono):
+                rest = mono[:t] + mono[t + 1 :]
+                df[i].append(product(c, rest))
+                for j in rest:
+                    hess[:, a, i, j] += c
+        val[:, a] = fsums(f)
+        jac[:, a] = np.transpose([fsums(d) for d in df])
+    return val, jac, hess
 
 
 def polynomial(terms: list[tuple[float, tuple[int, ...]]]) -> Expr:
@@ -83,13 +118,13 @@ def polynomial(terms: list[tuple[float, tuple[int, ...]]]) -> Expr:
     return fold(add(*(mul(const(c), *map(coord, m)) for c, m in terms)))
 
 
-def random_polynomial(chart: Chart, rng: np.random.Generator, degree: int = 2) -> Expr:
+def random_polynomial(chart: Chart, rng: np.random.Generator) -> Expr:
     """Random polynomial of degree <= 2 with coefficients in [-1, 1].
 
     The shape (constant + linear + a few quadratics) is the stock
-    random section used by the property checkers.
+    random section, whose terms the property checkers draw.
     """
-    return polynomial(polynomial_draws(chart.dim, rng, degree))
+    return polynomial(polynomial_draws(chart.dim, rng))
 
 
 class Residual:

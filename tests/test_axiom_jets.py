@@ -1,4 +1,5 @@
-"""The algebroid axioms and the IM identities read from jets, and ideal
+"""The algebroid axioms and the IM identities read from jets, random
+sections' closed-form jets against their symbolic partials, and ideal
 construction that checks only its defining clauses, on the random
 stream of ``check_axioms``."""
 
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from algebroids import algebroid, imforms
+from algebroids import algebroid, bundles, expr, imforms
 from algebroids.algebroid import (
     IdealBundle,
     LieAlgebroid,
@@ -19,7 +20,7 @@ from algebroids.bundles import Bundle, PointMap
 from algebroids.expr import ONE, ZERO, Chart, add, const, coord, differentiate, fold, mul, neg
 from algebroids.factory import so3_constants
 from algebroids.modelio import load_model
-from algebroids.sampling import SamplePlan, polynomial
+from algebroids.sampling import SamplePlan, polynomial, polynomial_draws, polynomial_jets, random_polynomial
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -171,11 +172,11 @@ def test_jets_agree_with_the_symbolic_brackets(name):
     A = ALGEBROIDS[name]()
     for draws, points in algebroid._axiom_draws(A, SamplePlan(seed=9, samples=50)):
         triple = [A.section([polynomial(t) for t in s]) for s in draws]
-        jets = algebroid._axiom_defects(A, triple, points)
+        jets = algebroid._axiom_defects(A, draws, points)
         for jet, sym in zip(jets, symbolic_defects(A, triple, points)):
             assert_close(jet, sym)
         # What check_im_form reads of a pair.
-        calc = algebroid._Jets(A, triple[:2], points)
+        calc = algebroid._Jets(A, draws[:2], points)
         a, b = calc.sections
         read = (calc.rho(a), calc.drho(a), calc.rho(b), calc.drho(b), calc.bracket(a, b), calc.gradient(a, b))
         for jet, sym in zip(read, symbolic_jets(A, *triple[:2], points), strict=True):
@@ -199,3 +200,76 @@ def test_axiom_checks_build_no_bracket(monkeypatch):
     monkeypatch.setattr(imforms, "bracket", refuse)
     report = imforms.check_im_form(form, rep, SamplePlan(seed=2, samples=60))
     assert report.passed and [c.name for c in report.checks] == ["im_identity_2", "im_identity_3"]
+
+
+def test_polynomial_jets_are_the_tapes_of_the_symbolic_partials():
+    # Each drawn section's value, gradient and Hessian, bit for bit (signed
+    # zeros included) as the tapes of polynomial(terms) and its symbolic
+    # first and second partials give them.
+    diagonal = 0
+    for seed in range(24):
+        rng = np.random.default_rng(seed)
+        n, m = 1 + seed % 4, 1 + seed % 9
+        polys = [polynomial_draws(n, rng) for _ in range(m)]
+        ref = np.random.default_rng(seed)
+        for _ in range(m):
+            random_polynomial(Chart(n), ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        diagonal += sum(len(mono) == 2 and mono[0] == mono[1] for t in polys for _, mono in t)
+
+        points = [rng.uniform(-2, 2, size=n) for _ in range(7)]
+        points[0][0] = 0.0
+        points[-1][-1] = -0.0
+        f = [polynomial(t) for t in polys]
+        df = [[differentiate(x, j) for j in range(n)] for x in f]
+        ddf = [[[differentiate(y, i) for i in range(n)] for y in row] for row in df]
+        want = [PointMap.exact(e) for e in (f, df, ddf)]
+        got = polynomial_jets(polys, points)
+        for g, w in zip(got, want, strict=True):
+            assert g.tobytes() == np.array([w.value(p) for p in points]).tobytes()
+    assert diagonal > 20
+
+
+def _compiles(monkeypatch, run):
+    """The number of tapes compiled while ``run()`` runs."""
+    count = 0
+    compile_tape = expr.compile_tape
+
+    def counted(exprs):
+        nonlocal count
+        count += 1
+        return compile_tape(exprs)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(expr, "compile_tape", counted)
+        mp.setattr(bundles, "compile_tape", counted)
+        run()
+    return count
+
+
+def _axioms(samples):
+    model = load_model(str(MODELS / "so3_radial.json"))
+    A = model.algebroid()
+    return lambda: check_axioms(A, model.ideal(verify=False), SamplePlan(seed=3, samples=samples))
+
+
+def _flatness(pairs):
+    model = load_model(str(MODELS / "so3_radial.json"))
+    rep = canonical_representation(model.algebroid(), model.ideal(verify=False))
+    return lambda: rep.flatness_residual(SamplePlan(seed=3), n_pairs=pairs)
+
+
+def _im(samples):
+    model = load_model(str(MODELS / "product_so3.json"))
+    rep = canonical_representation(model.algebroid(), model.ideal(verify=False))
+    form = model.im_form()
+    return lambda: imforms.check_im_form(form, rep, SamplePlan(seed=3, samples=samples))
+
+
+# check_axioms and check_im_form draw 2 section sets at 50 samples and 10
+# at 250, flatness_residual one per pair: a tape compiled per draw would
+# show as a count that grows with them.
+@pytest.mark.parametrize("check, few, many", [(_axioms, 50, 250), (_flatness, 2, 6), (_im, 50, 250)])
+def test_sampled_checks_compile_no_tape_per_draw(monkeypatch, check, few, many):
+    count = _compiles(monkeypatch, check(few))
+    assert count > 0 and _compiles(monkeypatch, check(many)) == count

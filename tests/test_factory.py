@@ -230,7 +230,7 @@ def test_transitive_algebroid_matches_its_hand_built_tensor(params):
     k = fiber.bundle.rank
     theta = [[ZERO] * k for _ in range(dim)]
     if "theta" in params:
-        theta = factory._parse_matrix(params["theta"], chart)
+        theta = factory._parse_array(params["theta"], chart, (dim, k), "theta")
     nabla = factory._ad_connection(fiber, theta)
     if "omega" in params:
         Omega = factory._parse_two_form(params["omega"], chart, k)

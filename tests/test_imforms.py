@@ -71,7 +71,7 @@ from algebroids.imforms import (
 )
 from algebroids.modelio import load_model
 from algebroids.rankone import extract_rank_one
-from algebroids.sampling import Residual, SamplePlan
+from algebroids.sampling import Residual, SamplePlan, polynomial, polynomial_draws
 
 CH2 = Chart(2)
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -248,9 +248,10 @@ def test_coupling_to_im_66_display():
     rng = plan.fork("sec").rng
     A = form.algebroid
     for _ in range(3):
-        sec = A.random_section(rng)
+        terms = [polynomial_draws(A.chart.dim, rng) for _ in range(A.rank)]
+        sec = A.section([polynomial(t) for t in terms])
         points = plan.points(CH2, 6)
-        ((val, jac, _),) = _Jets(A, (sec,), points).sections
+        ((val, jac, _),) = _Jets(A, (terms,), points).sections
         L = _on_section(_form_reads(form, points), val, jac, None)[0]
         for q, p in enumerate(points):
             xi = sec.value(p)[:k]
@@ -914,8 +915,7 @@ def _ref_im_residuals(form, rep, plan):
     accessors = (form.sym_value, form.sym_dvalue, form.op_value, form.op_dvalue)
     worst = {1: Residual(), 2: Residual(), 3: Residual()}
     for _ in range(max(2, min(draws, 10))):
-        alpha = A.random_section(plan.rng)
-        beta = A.random_section(plan.rng)
+        alpha, beta = ([polynomial_draws(n, plan.rng) for _ in range(A.rank)] for _ in range(2))
         points = plan.points(A.chart, pts)
         jets = _Jets(A, (alpha, beta), points)
         a, b = jets.sections

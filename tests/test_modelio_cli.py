@@ -235,6 +235,15 @@ def test_flow_leaving_the_chart_is_a_model_error(tmp_path, capsys, seed):
         # The default theta = x2 E_1 dx1 reads x2, which a line lacks; it
         # is refused before evaluation.
         ("principal_type", {"dim": 1}, "not dimension 1"),
+        # A theta of the wrong shape is refused before it is read: a
+        # fiber-valued theta is dim rows of k entries, a scalar one dim
+        # entries.
+        ("transitive", {"theta": 5}, "theta must be 2 rows of 1 entries"),
+        ("principal_type", {"theta": [["1"]]}, "theta must be 2 rows of 3 entries"),
+        ("principal_type_flat", {"theta": 5}, "theta must be 2 entries"),
+        ("principal_type_flat", {"dim": 3, "theta": ["1"]}, "theta must be 3 entries"),
+        ("rank_one", {"theta": 5}, "theta must be 2 entries"),
+        ("rank_one", {"U1": [["0", "0"]]}, "U1 must be 2 rows of 2 entries"),
     ],
 )
 def test_bad_example_parameters_are_model_errors(tmp_path, capsys, name, params, message):
