@@ -29,7 +29,7 @@ from .expr import (
     neg,
     _is_complex_point,
 )
-from .sampling import Residual, SamplePlan
+from .sampling import SamplePlan, sup
 
 __all__ = [
     "Bundle",
@@ -243,7 +243,8 @@ class PointMap:
     evaluates Exprs.  Sampled ones (``imforms.sampled_map``) carry only
     a point callable, differentiated by the finite-difference stencil,
     and ``exprs`` is None.  Checks read maps at their points with
-    ``_stack`` and reduce the contracted defects with ``Residual``.
+    ``_stack`` and hand the contracted defects to ``Report.add``, which
+    reduces them through ``sampling.sup``.
     """
 
     __slots__ = ("value", "partial", "exprs")
@@ -497,7 +498,7 @@ def connection_is_flat(
     G, dG = _stack(plan.points(conn.bundle.chart, 64), *_gamma_reads(conn))
     i, j = np.triu_indices(conn.bundle.chart.dim, 1)
     with np.errstate(invalid="ignore", over="ignore"):
-        worst = Residual().update(_curvature(G, dG)[:, i, j]).value
+        worst = sup(_curvature(G, dG)[:, i, j])
     return worst < tol, worst
 
 

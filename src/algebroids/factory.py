@@ -63,7 +63,7 @@ from .imforms import (
     center_basis,
     coupling_to_im,
 )
-from .sampling import Report, Residual, SamplePlan
+from .sampling import Report, SamplePlan, sup
 
 __all__ = [
     "ExampleSpec",
@@ -133,11 +133,19 @@ class ExampleModel:
     tau: list | None = None
 
 
+def _positive_int(v, what: str) -> int:
+    """``v`` if it is a positive int (a bool is not), else a ValueError
+    naming ``what``: a dimension or rank is never rounded."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ValueError(f"{what} must be a positive integer, not {v!r}")
+    return v
+
+
 def _fiber_from_name(chart: Chart, name, rank: int | None = None) -> FiberBracket:
     """The fiber algebra of a name; a given ``rank`` must be a positive
     int, and a named algebra's own rank."""
-    if rank is not None and (isinstance(rank, bool) or not isinstance(rank, int) or rank < 1):
-        raise ValueError(f"fiber_rank must be a positive integer, not {rank!r}")
+    if rank is not None:
+        _positive_int(rank, "fiber_rank")
     if isinstance(name, FiberBracket):
         fiber = name
     elif name == "so3":
@@ -221,7 +229,7 @@ def _build_product(params: dict, plan: SamplePlan) -> ExampleModel:
     """Product of the tangent algebroid with a fixed Lie algebra: the
     canonical coupling has a flat trivial fiber connection and no mixed
     tensor."""
-    dim = int(params.pop("dim", 2))
+    dim = _positive_int(params.pop("dim", 2), "dim")
     algebra = params.pop("algebra", "so3")
     if params:
         raise ValueError(f"unknown product parameters: {sorted(params)}")
@@ -238,9 +246,9 @@ def _build_lie_algebra_bundle(params: dict, plan: SamplePlan) -> ExampleModel:
     """Bundle of Lie algebras (vanishing anchor) whose fiberwise bracket
     is a direct product of the ideal and a complement; the direct
     product splitting is the witness making the ideal partially split."""
-    dim = int(params.pop("dim", 2))
+    dim = _positive_int(params.pop("dim", 2), "dim")
     fiber_name = params.pop("fiber", "so3")
-    base_rank = int(params.pop("base_rank", 1))
+    base_rank = _positive_int(params.pop("base_rank", 1), "base_rank")
     if params:
         raise ValueError(f"unknown lie_algebra_bundle parameters: {sorted(params)}")
     chart = Chart(dim)
@@ -272,11 +280,11 @@ def _require_curvature_is_ad(fiber, nabla, Omega, plan, tol: float = 1e-8):
     with np.errstate(invalid="ignore", over="ignore"):
         G, dG, Om, C = _stack(plan.points(chart, 25), *_gamma_reads(nabla), (Om_map.value,), (fiber.c_map.value,))
         ad = _curvature(G, dG) - np.einsum("pijf,pfce->pijec", Om, C)
-        worst_ad = Residual().update(ad[:, i, j]).value
+        worst_ad = sup(ad[:, i, j])
         worst_closed = 0.0
         if n >= 3:
             G, Om, dOm = _stack(plan.points(chart, 25), (nabla.gamma_value, n), (Om_map.value,), (Om_map.partial, n))
-            worst_closed = Residual().update(_d_nabla(G, Om, dOm)).value
+            worst_closed = sup(_d_nabla(G, Om, dOm))
     if worst_ad > tol or worst_closed > tol:
         rep = Report(command="transitive-build", seed=plan.seed, samples=plan.samples)
         rep.add("curvature_equals_ad_of_twist", worst_ad, tol)
@@ -342,7 +350,7 @@ def _twisted_tangent_model(
     theta unless omega is given): a transitive algebroid.  The default
     theta is x_{theta0 + 1} E_1 dx1, or zero if theta0 is None; the
     twist preconditions draw from the fork ``tag``."""
-    dim = int(params.pop("dim", 2))
+    dim = _positive_int(params.pop("dim", 2), "dim")
     chart = Chart(dim)
     fiber = _fiber_from_name(chart, params.pop("fiber", fiber_name), rank=fiber_rank)
     k = fiber.bundle.rank
@@ -444,7 +452,7 @@ def _build_principal_type(params: dict, plan: SamplePlan) -> ExampleModel:
 def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
     """Kernel-flat variant: flat fiber connection and a center-valued,
     covariantly closed 2-form feeding the mixed tensor."""
-    dim = int(params.pop("dim", 2))
+    dim = _positive_int(params.pop("dim", 2), "dim")
     chart = Chart(dim)
     fiber_name = params.pop("fiber", "abelian")
     fiber_rank = params.pop("fiber_rank", None)
@@ -481,12 +489,12 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
         # projection onto it.
         proj = np.array([z @ z.T for z in (center_basis(fiber, p) for p in pts)])
         off = Om_pts - np.einsum("pef,pijf->pije", proj, Om_pts)
-        rep.add("twist_center_valued", Residual().update(off[:, i, j]).value, 1e-9)
+        rep.add("twist_center_valued", off[:, i, j], 1e-9)
         if dim >= 3:
             G, Om_pts, dOm = _stack(
                 plan.points(chart, 25), (nablaL.gamma_value, dim), (Om_map.value,), (Om_map.partial, dim)
             )
-            rep.add("twist_covariantly_closed", Residual().update(_d_nabla(G, Om_pts, dOm)).value, 1e-9)
+            rep.add("twist_covariantly_closed", _d_nabla(G, Om_pts, dOm), 1e-9)
     if not rep.passed:
         raise ConstructionRefused("kernel-flat construction preconditions failed", rep)
     return _coupled_model("principal_type_flat", tangent_algebroid(chart), fiber, nablaL, _tangent_twist(Om, k), plan)
@@ -495,12 +503,14 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
 def _build_rank_one(params: dict, plan: SamplePlan) -> ExampleModel:
     """Generic rank-one coupling from a scalar connection 1-form and a
     mixed-tensor matrix over the tangent base."""
-    dim = int(params.pop("dim", 2))
+    dim = _positive_int(params.pop("dim", 2), "dim")
     chart = Chart(dim)
     theta = params.pop("theta", ["0"] * dim)
     theta = _parse_array(theta, chart, (dim,), "theta")
     U1 = params.pop("U1", None)
-    verify_skew = bool(params.pop("verify_skew", True))
+    verify_skew = params.pop("verify_skew", True)
+    if not isinstance(verify_skew, bool):
+        raise ValueError(f"verify_skew must be true or false, not {verify_skew!r}")
     if params:
         raise ValueError(f"unknown rank_one parameters: {sorted(params)}")
     if U1 is None:
@@ -539,7 +549,7 @@ def transitive_im_connection(
     # rho o tau = Id and transitivity at samples.
     rho, tv = _stack(plan.points(A.chart, 25), (A.anchor_value,), (PointMap.exact(tau).value,))
     with np.errstate(invalid="ignore", over="ignore"):
-        worst = Residual().update(rho @ tv - np.eye(n)).value
+        worst = sup(rho @ tv - np.eye(n))
     if worst > tol:
         rep = Report(command="transitive-im", seed=plan.seed, samples=plan.samples)
         rep.add("anchor_splitting", worst, tol)

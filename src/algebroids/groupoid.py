@@ -42,7 +42,7 @@ from .expr import (
 )
 from .bundles import PointMap, _as_point, alternating_array, exact_memo
 from .imforms import NumericCouplingData, NumericIMOneForm, quotient_algebroid
-from .sampling import Report, Residual, SamplePlan
+from .sampling import Report, SamplePlan, sup
 
 __all__ = [
     "MatrixGroup",
@@ -150,16 +150,17 @@ class MatrixGroup:
         self._pinv = np.linalg.pinv(flat)
         # Structure constants from commutators; require closure.
         self.structure = np.zeros((self.dim, self.dim, self.dim))
-        worst = Residual()
+        defects = []
         for a in range(self.dim):
             for b in range(self.dim):
                 comm = self.basis[a] @ self.basis[b] - self.basis[b] @ self.basis[a]
                 coef = self._pinv @ comm.ravel()
-                worst.update(self._flat @ coef - comm.ravel())
+                defects.append(self._flat @ coef - comm.ravel())
                 self.structure[a, b] = coef
-        if worst.value > tol:
+        worst = sup(*defects)
+        if worst > tol:
             raise ValueError(
-                f"basis does not close under commutators (residual {worst.value:.2e})"
+                f"basis does not close under commutators (residual {worst:.2e})"
             )
 
     # Both keep complex input complex, for the complex step.
@@ -311,13 +312,13 @@ class ActionGroupoid:
         report = Report(command="groupoid-structure", seed=plan.seed, samples=plan.samples)
         rng = plan.rng
         I = np.eye(self.group.N)
-        id_res, comp_res, ad_res, frame_res = (Residual() for _ in range(4))
+        id_res, comp_res, ad_res, frame_res = [], [], [], []
         n_pairs = min(plan.samples, 100)
         for _ in range(n_pairs):
             g1, x = self.sample_arrow(rng)
             g2, _ = self.sample_arrow(rng)
-            id_res.update(self.act(I, x) - np.asarray(x))
-            comp_res.update(self.act(g1, self.act(g2, x)) - self.act(g1 @ g2, x))
+            id_res.append(self.act(I, x) - np.asarray(x))
+            comp_res.append(self.act(g1, self.act(g2, x)) - self.act(g1 @ g2, x))
             # Conjugation maps the fiber over x onto the fiber over g1.x:
             # compare orthonormalized spans.
             F = self.kframe(x)
@@ -332,14 +333,13 @@ class ActionGroupoid:
             )
             Q1, _ = np.linalg.qr(Fg)
             Q2, _ = np.linalg.qr(Fy)
-            ad_res.update(Q1 @ Q1.T - Q2 @ Q2.T)
+            ad_res.append(Q1 @ Q1.T - Q2 @ Q2.T)
             # Ideal sections must sit in the kernel of the action.
-            for j in range(self.k):
-                frame_res.update(self.action_field(F[:, j], x))
-        report.add("action_identity", id_res.value, 1e-12)
-        report.add("action_composition", comp_res.value, 1e-8)
-        report.add("ideal_conjugation_invariance", ad_res.value, 1e-7)
-        report.add("ideal_in_action_kernel", frame_res.value, 1e-8)
+            frame_res.append([self.action_field(F[:, j], x) for j in range(self.k)])
+        report.add("action_identity", np.array(id_res), 1e-12)
+        report.add("action_composition", np.array(comp_res), 1e-8)
+        report.add("ideal_conjugation_invariance", np.array(ad_res), 1e-7)
+        report.add("ideal_in_action_kernel", np.array(frame_res), 1e-8)
         return report
 
     def action_algebroid(self) -> tuple[LieAlgebroid, IdealBundle]:
@@ -449,13 +449,13 @@ class MultForm:
     def antisymmetry_residual(self, plan: SamplePlan, n_samples: int = 20) -> float:
         if self.degree != 2:
             raise ValueError(f"antisymmetry is measured on degree 2 forms, not degree {self.degree}")
-        worst = Residual()
+        defects = []
         for _ in range(n_samples):
             g, x = self.gpd.sample_arrow(plan.rng)
             T1 = self.gpd.sample_tangent(plan.rng)
             T2 = self.gpd.sample_tangent(plan.rng)
-            worst.update(self(g, x, T1, T2) + self(g, x, T2, T1))
-        return worst.value
+            defects.append(self(g, x, T1, T2) + self(g, x, T2, T1))
+        return sup(np.array(defects))
 
 
 _SPLITTING_MEMO_ENTRIES = 64
@@ -482,8 +482,7 @@ def connection_from_splitting(
     l_val = PointMap.exact(l).value
 
     report = Report(command="connection-from-splitting", seed=plan.seed, samples=plan.samples)
-    eq_res = Residual()
-    id_res = Residual()
+    eq_res, id_res = [], []
     for _ in range(min(plan.samples, 60)):
         g, x = gpd.sample_arrow(plan.rng)
         v = plan.rng.uniform(-1, 1, size=d)
@@ -494,11 +493,11 @@ def connection_from_splitting(
             gpd.group.ad_action(g, gpd.kframe(x) @ (l_val(x) @ v))
         )
         lhs_m = gpd.group.to_matrix(lhs)
-        eq_res.update(lhs_m - rhs)
+        eq_res.append(lhs_m - rhs)
         F = gpd.kframe(x)
-        id_res.update(l_val(x) @ F - np.eye(k))
-    report.add("splitting_equivariance", eq_res.value, tol)
-    report.add("splitting_identity_on_ideal", id_res.value, 1e-9)
+        id_res.append(l_val(x) @ F - np.eye(k))
+    report.add("splitting_equivariance", np.array(eq_res), tol)
+    report.add("splitting_identity_on_ideal", np.array(id_res), 1e-9)
     if not report.passed:
         raise EquivarianceError(
             "splitting rejected: "
@@ -703,8 +702,8 @@ def covariant_exterior_D(
         if not checked[0]:
             checked[0] = True
             val_half = dnabla_half(g, x, h(g, x, T1), h(g, x, T2))
-            drift = Residual().update(val - val_half).value
-            scale = Residual().update(val).update(val_half).value
+            drift = sup(val - val_half)
+            scale = sup(val, val_half)
             # Honest second-order differences agree to several
             # digits; disagreement beyond a tenth of the magnitude
             # means the step is noise-dominated.
@@ -746,58 +745,55 @@ def check_groupoid_properties(
 
     # (multiplicativity of alpha) delta alpha = 0 on composable pairs.
     d_alpha = simplicial_delta(gpd, alpha)
-    worst = Residual()
+    defects = []
     for _ in range(n_pairs):
         g1, x = gpd.sample_arrow(rng)
         g2, _ = gpd.sample_arrow(rng)
-        worst.update(d_alpha(g1, g2, x, pair_tangent()))
-    report.add("delta_alpha", worst.value, delta_tol)
+        defects.append(d_alpha(g1, g2, x, pair_tangent()))
+    report.add("delta_alpha", np.array(defects), delta_tol)
 
     # Scale of the curvature over the sample, for relative residuals.
-    scale = Residual()
     samples = []
     for _ in range(n_points):
         g, x = gpd.sample_arrow(rng)
         T1 = gpd.sample_tangent(rng)
         T2 = gpd.sample_tangent(rng)
-        v = Omega(g, x, T1, T2)
-        scale.update(v)
-        samples.append((g, x, T1, T2, v))
-    denom = 1.0 + scale.value
+        samples.append((g, x, T1, T2, Omega(g, x, T1, T2)))
+    denom = 1.0 + sup(np.array([s[-1] for s in samples]))
 
-    def relative(res: Residual) -> float:
+    def relative(defects: list) -> float:
         # A non-finite curvature scale must fail the check, not divide
         # the residual down to zero.
-        return res.value / denom if math.isfinite(denom) else math.inf
+        return sup(np.array(defects)) / denom if math.isfinite(denom) else math.inf
 
     # (a) delta Omega = 0.
     d_Omega = simplicial_delta(gpd, Omega)
-    worst = Residual()
+    defects = []
     for _ in range(min(n_pairs, 40)):
         g1, x = gpd.sample_arrow(rng)
         g2, _ = gpd.sample_arrow(rng)
-        worst.update(d_Omega(g1, g2, x, pair_tangent(), pair_tangent()))
-    report.add("delta_Omega", relative(worst), tol)
+        defects.append(d_Omega(g1, g2, x, pair_tangent(), pair_tangent()))
+    report.add("delta_Omega", relative(defects), tol)
 
     # (b) structure equation Omega = d^nabla alpha + [alpha, alpha]-half.
     dn_alpha = d_nabla_s(gpd, alpha, conn, step=step)
-    worst = Residual()
+    defects = []
     for g, x, T1, T2, v in samples:
         c = gpd.fiber_structure(x)
         a1 = alpha(g, x, T1)
         a2 = alpha(g, x, T2)
         half_bracket = np.einsum("a,b,abc->c", a1, a2, c)
-        worst.update(v - dn_alpha(g, x, T1, T2) - half_bracket)
-    report.add("structure_equation", relative(worst), tol)
+        defects.append(v - dn_alpha(g, x, T1, T2) - half_bracket)
+    report.add("structure_equation", relative(defects), tol)
 
     # (c) Bianchi: D Omega = 0.
     DOmega = covariant_exterior_D(gpd, Omega, conn, alpha=alpha, step=max(step, 2e-4))
-    worst = Residual()
+    defects = []
     for _ in range(min(n_points, 12)):
         g, x = gpd.sample_arrow(rng)
         Ts = [gpd.sample_tangent(rng) for _ in range(3)]
-        worst.update(DOmega(g, x, *Ts))
-    report.add("bianchi", relative(worst), tol)
+        defects.append(DOmega(g, x, *Ts))
+    report.add("bianchi", relative(defects), tol)
     return report
 
 

@@ -22,9 +22,10 @@ A checker reads each entry and partial it needs once per point and
 stacks the reads of a draw into arrays with the point axis first
 (``_stack``; a form's entries as antisymmetric arrays,
 ``_form_reads``).  Every identity is then a tensor contraction over
-these arrays, reduced by one ``Residual.update`` per draw, under
-``np.errstate(invalid="ignore", over="ignore")``: a non-finite read
-gives a non-finite residual, which fails.
+these arrays, under ``np.errstate(invalid="ignore", over="ignore")``,
+and the check hands the defect arrays to ``Report.add``, which reduces
+them through ``sampling.sup``: a non-finite read gives a non-finite
+residual, which fails.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .expr import (
     mul,
     neg,
 )
-from .sampling import Report, Residual, SamplePlan, polynomial_draws
+from .sampling import Report, SamplePlan, polynomial_draws, sup
 
 __all__ = [
     "IMOneForm",
@@ -323,7 +324,7 @@ def _connection_residual(form, plan: SamplePlan, n_points: int = 30) -> float:
     k = form.ideal.k
     points = plan.points(form.algebroid.chart, n_points)
     (S,) = _stack(points, (lambda a, p: form.sym_value(a, (), p), k))
-    return Residual().update(S - np.eye(form.value_rank)[:k]).value
+    return sup(S - np.eye(form.value_rank)[:k])
 
 
 def _form_reads(form, points):
@@ -422,7 +423,7 @@ def check_im_form(
     draws = max(2, min(draws, 10))
 
     rep_map = PointMap.exact(rep.coeffs)
-    worst = {1: Residual(), 2: Residual(), 3: Residual()}
+    defects = {1: [], 2: [], 3: []}
     # An inf in the jets or the form gives a NaN residual, which fails.
     with np.errstate(invalid="ignore", over="ignore"):
         for _ in range(draws):
@@ -442,14 +443,14 @@ def check_im_form(
 
             if k == 2:
                 # identity 1: i_{rho(a)} sym(b) + i_{rho(b)} sym(a) = 0
-                worst[1].update(np.einsum("pi,piv->pv", rho_a, Sb) + np.einsum("pi,piv->pv", rho_b, Sa))
+                defects[1].append(np.einsum("pi,piv->pv", rho_a, Sb) + np.einsum("pi,piv->pv", rho_b, Sa))
             # identity 2: L([a,b]) = Lie_a L(b) - Lie_b L(a)
-            worst[2].update(Lg - lie_a(Lb, dLb) + lie_b(La, dLa))
+            defects[2].append(Lg - lie_a(Lb, dLb) + lie_b(La, dLa))
             # identity 3: sym([a,b]) = Lie_a sym(b) - i_{rho(b)} L(a)
-            worst[3].update(Sg - lie_a(Sb, dSb) + np.einsum("pi,pi...->p...", rho_b, La))
+            defects[3].append(Sg - lie_a(Sb, dSb) + np.einsum("pi,pi...->p...", rho_b, La))
 
     for i in (1, 2, 3) if k == 2 else (2, 3):
-        report.add(f"im_identity_{i}", worst[i].value, tol)
+        report.add(f"im_identity_{i}", np.array(defects[i]), tol)
 
     if k == 1 and form.exact:
         report.extra["connection_predicate"] = form.is_connection()
@@ -551,7 +552,7 @@ class CouplingData:
         with np.errstate(invalid="ignore", over="ignore"):
             rho, U = _stack(pts, (B.anchor_value,), (self.u, B.rank, B.chart.dim))
             W = _anchored(rho, U)
-            return Residual().update(W + W.swapaxes(1, 2)).value
+            return sup(W + W.swapaxes(1, 2))
 
     def base_rep_on_fiber(self) -> ARepresentation:
         """The base acting on the fiber bundle through the connection
@@ -801,10 +802,10 @@ def check_structure_equations(
 
     defects = _structure_defects(cd, pts)
     for name in ("S1", "S2", "S3"):
-        report.add(name, Residual().update(defects.get(name, ())).value, tol)
+        report.add(name, defects.get(name, ()), tol)
 
     if variant == "S1'S3'":
-        report.add("kernel_flat_curvature", Residual().update(defects["curvature"]).value, tol)
+        report.add("kernel_flat_curvature", defects["curvature"], tol)
         center_res = _center_residual_of_u(cd, pts, svd_tol)
         report.add("U_center_valued", center_res, center_tol)
         if not cd.exact:
@@ -903,7 +904,7 @@ def _center_residual_of_u(cd, pts, svd_tol: float) -> float:
             )
     proj = np.array([z @ z.T for z in Z])
     (U,) = _stack(pts, (cd.u, cd.base.rank, cd.base.chart.dim))
-    return Residual().update(U - np.einsum("pef,paif->paie", proj, U)).value
+    return sup(U - np.einsum("pef,paif->paie", proj, U))
 
 
 def kernel_flat_two_form(cd: CouplingData) -> IMTwoForm:
@@ -976,21 +977,20 @@ def classify_flatness(
 
     with np.errstate(invalid="ignore", over="ignore"):
         G, dG = _stack(pts, (cd.gamma, n), (cd.dgamma, n, n))
-        curv = Residual().update(_curvature(G, dG)).value
+        curv = _curvature(G, dG)
         rho, U = _stack(pts, (B.anchor_value,), (cd.u, rB, n))
-        leaf_res = Residual().update(_anchored(rho, U))
-        totally = Residual().update(curv).update(U)
+        anchored = _anchored(rho, U)
 
-    report.add("kernel_flat_curvature", curv, tol)
-    report.add("leafwise_anchored_U", leaf_res.value, tol)
-    report.add("totally_flat_U", totally.value, tol)
+    kernel = report.add("kernel_flat_curvature", curv, tol)
+    leafwise = report.add("leafwise_anchored_U", anchored, tol)
+    totally = report.add("totally_flat_U", sup(curv, U), tol)
 
     classes = set()
-    if curv < tol:
+    if kernel.passed:
         classes.add("kernel")
-    if leaf_res.value < tol:
+    if leafwise.passed:
         classes.add("leafwise")
-    if totally.value < tol:
+    if totally.passed:
         classes.add("totally")
         classes |= {"leafwise", "kernel"}
     report.extra["flatness"] = [c for c in FLATNESS_ORDER if c in classes]

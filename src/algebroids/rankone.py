@@ -24,7 +24,7 @@ from .algebroid import LieAlgebroid
 from .bundles import Bundle, FiberBracket, LinearConnection, PointMap, _d_nabla, _stack
 from .expr import Expr, ZERO, add, differentiate, div, fold, mul, neg
 from .imforms import CouplingData, _structure_defects
-from .sampling import Report, Residual, SamplePlan
+from .sampling import Report, SamplePlan, sup
 
 __all__ = [
     "RankOneData",
@@ -146,8 +146,8 @@ def check_rank_one(
     # the connection form closed along anchored directions, and the
     # mixed equation on base frame pairs.
     defects = _structure_defects(_coupling(B, data.theta, data.U1), pts)
-    report.add("S2_trivialized", Residual().update(defects["S2"]).value, tol)
-    report.add("S3_trivialized", Residual().update(defects["S3"]).value, tol)
+    report.add("S2_trivialized", defects["S2"], tol)
+    report.add("S3_trivialized", defects["S3"], tol)
 
     # Tangentiality of the cochain representatives on the anchor kernel,
     # read where the anchor has its modal rank.
@@ -158,15 +158,13 @@ def check_rank_one(
     ranks = np.sum(s > svd_tol, axis=1)
     modal = int(np.bincount(ranks).argmax()) if ranks.size else None
     keep = ranks == modal
-    tang = Residual()
-    if not finite.all():
-        tang.update(np.inf)
+    tang = [] if finite.all() else [np.inf]
     if modal is not None and modal < B.rank:
         kept = np.array(pts)[finite][keep]
         lam, V = _stack(kept, (PointMap.exact(data.lam).value,), (PointMap.exact(data.V).value,))
         K = vt[keep, modal:]  # the kernel's orthonormal rows at [p, k, a]
-        tang.update(np.einsum("pka,pab->pkb", K, lam)).update(np.einsum("pka,pa->pk", K, V))
-    report.add("tangential_representatives", tang.value, tol)
+        tang += [np.einsum("pka,pab->pkb", K, lam), np.einsum("pka,pa->pk", K, V)]
+    report.add("tangential_representatives", sup(*tang), tol)
     report.extra["anchor_rank"] = modal
     report.extra["discarded_rank_jump_points"] = int(np.sum(~keep))
     return report
@@ -239,8 +237,8 @@ def verify_witness(
             lam = lam + X - X.swapaxes(1, 2) - np.einsum("pabc,pc->pab", C, Zv)
 
         if kind == "product":
-            report.add("V_vanishes_after_gauge", Residual().update(V).value, tol)
-            report.add("lambda_vanishes_after_shift", Residual().update(lam).value, tol)
+            report.add("V_vanishes_after_gauge", V, tol)
+            report.add("lambda_vanishes_after_shift", lam, tol)
             return report
 
         theta_w = witnesses.get("theta")
@@ -255,14 +253,14 @@ def verify_witness(
         if kind == "leafwise_flat":
             # Invariance only requires closedness along anchored
             # directions.
-            report.add("theta_invariant", Residual().update(defects["S2"]).value, tol)
+            report.add("theta_invariant", defects["S2"], tol)
         else:
-            report.add("theta_closed", Residual().update(defects["curvature"]).value, tol)
+            report.add("theta_closed", defects["curvature"], tol)
         (theta,) = _stack(pts, (PointMap.exact(theta_w).value,))
-        report.add("V_matches_pullback", Residual().update(V - np.einsum("pi,pia->pa", theta, rho)).value, tol)
+        report.add("V_matches_pullback", V - np.einsum("pi,pia->pa", theta, rho), tol)
 
         if kind in ("totally_flat", "leafwise_flat"):
-            report.add("lambda_exact", Residual().update(lam).value, tol)
+            report.add("lambda_exact", lam, tol)
             return report
 
         if kind == "kernel_flat":
@@ -277,7 +275,7 @@ def verify_witness(
             (U1,) = _stack(pts, (PointMap.exact(U1w).value,))
             match = lam - np.einsum("pai,pib->pab", U1, rho)
             off = ~np.eye(rB, dtype=bool)
-            report.add("lambda_matches_pair_image", Residual().update(match[:, off]).value, tol)
+            report.add("lambda_matches_pair_image", match[:, off], tol)
             return report
 
         Om = witnesses.get("Omega")
@@ -294,7 +292,7 @@ def verify_witness(
         # Covariant closedness: d Omega + theta ^ Omega = 0, the covariant
         # exterior derivative of the connection Gamma_i = [[theta_i]].
         closed = _d_nabla(theta[:, :, None, None], Omega, dOmega)
-        report.add("Omega_covariantly_closed", Residual().update(closed).value, tol)
+        report.add("Omega_covariantly_closed", closed, tol)
         pullback = np.einsum("pia,pij,pjb->pab", rho, Omega[..., 0], rho)
-        report.add("lambda_matches_pullback", Residual().update(lam - pullback).value, tol)
+        report.add("lambda_matches_pullback", lam - pullback, tol)
         return report

@@ -2,7 +2,9 @@
 
 Every checker in the package draws its random points, sections and
 fiber vectors from a SamplePlan so that a (model, seed, samples)
-triple determines the verdict byte-for-byte.
+triple determines the verdict byte-for-byte.  A check hands its defect
+arrays to ``Report.add``, which reduces them to one residual through
+``sup``.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .expr import Chart, Expr, add, const, coord, fold, mul, _sample_point
 
 __all__ = [
-    "SamplePlan", "Residual", "Check", "Report", "polynomial", "polynomial_draws", "polynomial_jets", "random_polynomial"
+    "SamplePlan", "sup", "Check", "Report", "polynomial", "polynomial_draws", "polynomial_jets", "random_polynomial"
 ]
 
 
@@ -127,34 +129,14 @@ def random_polynomial(chart: Chart, rng: np.random.Generator) -> Expr:
     return polynomial(polynomial_draws(chart.dim, rng))
 
 
-class Residual:
-    """Running reduction of sampled values to one residual.
-
-    ``value`` is the largest absolute value seen (0.0 before any), or
-    ``inf`` once any value is NaN or +-inf, so a check that met a value
-    it could not measure fails instead of dropping it.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0.0
-
-    def update(self, values) -> "Residual":
-        """Fold in a scalar or an array of any shape; an empty array
-        contributes nothing."""
-        if isinstance(values, (float, int)):
-            v = abs(values)
-        else:
-            a = np.abs(np.asarray(values, dtype=float))
-            if a.size == 0:
-                return self
-            v = float(a.max())
-        if not math.isfinite(v):
-            v = math.inf
-        if v > self.value:
-            self.value = float(v)
-        return self
+def sup(*defects) -> float:
+    """The residual of sampled defects: the largest absolute entry over
+    scalars and arrays of any shape (0.0 for none, or only empty
+    arrays), or ``inf`` once any entry is NaN or +-inf, so a check that
+    met a value it could not measure fails instead of dropping it."""
+    peaks = [np.abs(np.asarray(d, dtype=float)).max(initial=0.0) for d in defects]
+    v = float(np.max(peaks, initial=0.0))  # np.max keeps a NaN peak; the builtin max drops it
+    return v if math.isfinite(v) else math.inf
 
 
 def _finite_or_none(v):
@@ -209,8 +191,10 @@ class Report:
     checks: list[Check] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
 
-    def add(self, name: str, max_residual: float, tolerance: float) -> Check:
-        c = Check(name, float(max_residual), float(tolerance))
+    def add(self, name: str, max_residual, tolerance: float) -> Check:
+        """Record the check ``name`` of the defects ``max_residual`` (a
+        scalar or an array of any shape), reduced by ``sup``."""
+        c = Check(name, sup(max_residual), float(tolerance))
         self.checks.append(c)
         return c
 

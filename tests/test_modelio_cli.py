@@ -244,6 +244,9 @@ def test_flow_leaving_the_chart_is_a_model_error(tmp_path, capsys, seed):
         ("principal_type_flat", {"dim": 3, "theta": ["1"]}, "theta must be 3 entries"),
         ("rank_one", {"theta": 5}, "theta must be 2 entries"),
         ("rank_one", {"U1": [["0", "0"]]}, "U1 must be 2 rows of 2 entries"),
+        # verify_skew is a JSON boolean, not any value with a truth value.
+        ("rank_one", {"verify_skew": "no"}, "verify_skew must be true or false, not 'no'"),
+        ("rank_one", {"verify_skew": 0}, "verify_skew must be true or false, not 0"),
     ],
 )
 def test_bad_example_parameters_are_model_errors(tmp_path, capsys, name, params, message):
@@ -407,11 +410,22 @@ def test_infinite_christoffel_fails_the_roundtrip_without_a_warning(tmp_path):
         ("transitive", {"fiber_rank": True}, "positive integer, not True"),
         ("principal_type_flat", {"fiber": "so3_center", "fiber_rank": 3}, "has rank 4, not fiber_rank 3"),
         ("principal_type_flat", {"fiber_rank": -1}, "positive integer, not -1"),
+        # The same holds for every dim and base_rank.
+        ("product", {"dim": 2.5}, "dim must be a positive integer, not 2.5"),
+        ("transitive", {"dim": "2"}, "dim must be a positive integer, not '2'"),
+        ("product", {"dim": True}, "dim must be a positive integer, not True"),
+        ("product", {"dim": 0}, "dim must be a positive integer, not 0"),
+        ("lie_algebra_bundle", {"base_rank": 1.5}, "base_rank must be a positive integer, not 1.5"),
+        ("lie_algebra_bundle", {"dim": 2.0}, "dim must be a positive integer, not 2.0"),
+        ("principal_type", {"dim": -2}, "dim must be a positive integer, not -2"),
+        ("principal_type_flat", {"dim": 3.5}, "dim must be a positive integer, not 3.5"),
+        ("rank_one", {"dim": "3"}, "dim must be a positive integer, not '3'"),
     ],
 )
 def test_a_fiber_rank_the_fiber_cannot_have_is_a_model_error(tmp_path, capsys, name, params, message):
-    # A fiber_rank that is not a positive int, or that is not the rank of
-    # the named fiber algebra, is refused rather than rounded or ignored.
+    # A fiber_rank, dim or base_rank that is not a positive int, or a
+    # fiber_rank that is not the rank of the named fiber algebra, is
+    # refused rather than rounded or ignored.
     p = tmp_path / "model.json"
     p.write_text(json.dumps({"schema_version": 1, "chart": {"dim": 2}, "example": {"name": name, "params": params}}))
     code, out = invoke(["example", name, "--model", str(p), "--json", "--samples", "10"])

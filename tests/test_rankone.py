@@ -32,7 +32,7 @@ from algebroids.rankone import (
     verify_witness,
 )
 from algebroids.modelio import load_model
-from algebroids.sampling import Residual, SamplePlan, random_polynomial
+from algebroids.sampling import SamplePlan, random_polynomial, sup
 
 CH2 = Chart(2)
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -251,10 +251,7 @@ def _ref_d_map(om, n):
 
 
 def _ref_sup(values, pts):
-    worst = Residual()
-    for p in pts:
-        worst.update(values(p))
-    return worst.value
+    return sup(*(values(p) for p in pts))
 
 
 def _ref_anchored_sup(B, d, pts):
@@ -264,7 +261,7 @@ def _ref_anchored_sup(B, d, pts):
 def _ref_rank_one_residuals(data, pts):
     B = data.base
     n, rB = B.chart.dim, B.rank
-    s3 = Residual()
+    s3 = []
     theta_map = PointMap.exact(data.theta)
     U_map = PointMap.exact(data.U1)
     dU_maps = [_ref_d_map(data.U1[a], n) for a in range(rB)]
@@ -290,10 +287,10 @@ def _ref_rank_one_residuals(data, pts):
                     + float(th @ rho[:, a]) * Uv[b]
                     - rho[:, b] @ wedge
                 )
-                s3.update(lhs - rhs)
+                s3.append(lhs - rhs)
     return {
         "S2_trivialized": _ref_anchored_sup(B, _ref_d_map(data.theta, n), pts),
-        "S3_trivialized": s3.value,
+        "S3_trivialized": sup(*s3),
     }
 
 
@@ -362,7 +359,7 @@ def _ref_tangentiality(data, pts, svd_tol=1e-9):
     """check_rank_one's tangentiality as a loop per point and kernel
     column: (residual, modal anchor rank, discarded points)."""
     B = data.base
-    tang, ranks, kernels = Residual(), [], []
+    tang, ranks, kernels = [], [], []
     for p in pts:
         _, s, vt = np.linalg.svd(B.anchor_value(p))
         rank = int(np.sum(s > svd_tol))
@@ -373,9 +370,9 @@ def _ref_tangentiality(data, pts, svd_tol=1e-9):
     for p, rank, ker in zip(pts, ranks, kernels):
         if rank == modal:
             for col in ker.T:
-                tang.update(col @ lam_map.value(p))
-                tang.update(col @ V_map.value(p))
-    return tang.value, modal, ranks.count(modal)
+                tang.append(col @ lam_map.value(p))
+                tang.append(col @ V_map.value(p))
+    return sup(*tang), modal, ranks.count(modal)
 
 
 def _rotation_data():
