@@ -279,7 +279,7 @@ class ARepresentation:
             jets = _Jets(A, [al, be], pts)
             s0, ds, _ = polynomial_jets(s, pts)
             ds = ds.swapaxes(1, 2)
-            M, dM = _stack(pts, (coeffs.value,), (coeffs.partial, n))
+            M, dM = _stack(pts, (coeffs.value,), (coeffs.partials,))
 
             def nabla(x0, rx, v0, dv):
                 """nabla_x v at [p, d], from x, rho(x), v and dv[p, i] = d_i v."""
@@ -359,14 +359,14 @@ class _Jets:
     """
 
     def __init__(self, A: LieAlgebroid, draws, points):
-        n, r = A.chart.dim, A.rank
+        r = A.rank
         v = polynomial_jets([t for s in draws for t in s], points)
         self.R, dR, self.C, dC = _stack(
             points,
             (A.anchor_value,),
-            (A.anchor_map.partial, n),
+            (A.anchor_map.partials,),
             (A.structure_map.value,),
-            (A.structure_map.partial, n),
+            (A.structure_map.partials,),
         )
         self.dR, self.dC = np.moveaxis(dR, 1, -1), np.moveaxis(dC, 1, -1)
         self.sections = [tuple(x[:, s * r : (s + 1) * r] for x in v) for s in range(len(draws))]
@@ -519,13 +519,12 @@ class BasicCurvature:
         bracket is antisymmetric.  Callers run it under
         ``np.errstate(invalid="ignore", over="ignore")``."""
         A = self.A
-        n = A.chart.dim
         R, dR, C, dC, G, dG = _stack(
             pts,
             (A.anchor_value,),
-            (A.anchor_map.partial, n),
+            (A.anchor_map.partials,),
             (A.structure_map.value,),
-            (A.structure_map.partial, n),
+            (A.structure_map.partials,),
             *_gamma_reads(self.conn),
         )
         # Y(e_b, d_i)^j, at [p, b, i, j].
@@ -588,7 +587,7 @@ def cartan_build_connection(
     pts = plan.points(A.chart, 20)
     l_map = PointMap.exact(l)
     L, dL, R, C, G = _stack(
-        pts, (l_map.value,), (l_map.partial, n), (A.anchor_value,), (A.structure_map.value,), (conn.gamma_value, n)
+        pts, (l_map.value,), (l_map.partials,), (A.anchor_value,), (A.structure_map.value,), (conn.gamma_map.value,)
     )
     a, b = np.triu_indices(r, 1)
     with np.errstate(invalid="ignore", over="ignore"):

@@ -235,8 +235,10 @@ class CoeffForm:
 
 class PointMap:
     """An array-valued map on the chart with first partials:
-    ``value(p)`` and ``partial(j, p)`` (the derivative along the j-th
-    coordinate) return arrays of one shape.
+    ``value(p)`` returns an array, ``partials(p)`` its derivatives along
+    every coordinate j at [j, ...] and ``partial(j, p)`` the one along
+    x_j.  A form, a coupling's Gamma or U, or a connection is one map,
+    and a check reads it whole.
 
     Exact maps (``PointMap.exact``) carry their entries as Exprs in
     ``exprs``; ``PointMap.exact`` is the one place outside ``expr`` that
@@ -247,34 +249,39 @@ class PointMap:
     reduces them through ``sampling.sup``.
     """
 
-    __slots__ = ("value", "partial", "exprs")
+    __slots__ = ("value", "partials", "partial", "exprs")
 
-    def __init__(self, value, partial=None, exprs=None):
+    def __init__(self, value, partials=None, partial=None, exprs=None):
         self.value = value
+        self.partials = partials
         self.partial = partial
         self.exprs = exprs
 
     @classmethod
     def exact(cls, entries) -> "PointMap":
-        """From a nested sequence of Exprs.  All entries compile into one
-        tape on first use, and their partials along direction j into
-        another on the first ``partial(j, ·)``; each run of a tape
+        """From a nested sequence (or object array) of Exprs.  All
+        entries compile into one tape on first use, and their partials
+        along every direction, at [j, entries] in row-major order, into
+        another on the first read of a partial; each run of a tape
         evaluates every distinct subtree of its entries once, with the
         values and the first error of ``evaluate`` over the entries in
         row-major order.  At a complex point the values are complex."""
         grid = np.array(entries, dtype=object)
         flat, shape = list(grid.flat), grid.shape
-        tapes: dict = {}  # None: the values; j: the partials along j
+        tapes: dict = {}  # None: the values; n: the partials along x_1..x_n
 
-        def at(j, p) -> np.ndarray:
-            tape = tapes.get(j)
+        def at(n, p) -> np.ndarray:
+            tape = tapes.get(n)
             if tape is None:
-                exprs = flat if j is None else [differentiate(x, j) for x in flat]
-                tape = tapes[j] = compile_tape(exprs)
+                exprs = flat if n is None else [differentiate(x, j) for j in range(n) for x in flat]
+                tape = tapes[n] = compile_tape(exprs)
             out = np.array(evaluate(tape, p), dtype=complex if _is_complex_point(p) else float)
-            return out if len(shape) == 1 else out.reshape(shape)
+            return out.reshape(shape if n is None else (n, *shape))
 
-        return cls(lambda p: at(None, p), at, entries)
+        def partials(p) -> np.ndarray:
+            return at(len(p), p)
+
+        return cls(lambda p: at(None, p), partials, lambda j, p: partials(p)[j], entries)
 
 
 def _stack(points, *reads) -> list[np.ndarray]:
@@ -301,8 +308,7 @@ def _anchored(rho: np.ndarray, U: np.ndarray) -> np.ndarray:
 def _gamma_reads(conn: "LinearConnection"):
     """The ``_stack`` reads of a connection's Gamma[p, i] and of its
     partials dG[p, j, i] = d_j Gamma_i."""
-    n = conn.bundle.chart.dim
-    return (conn.gamma_value, n), (lambda j, i, p: conn.gamma_maps[i].partial(j, p), n, n)
+    return (conn.gamma_map.value,), (conn.gamma_map.partials,)
 
 
 def _curvature(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
@@ -391,7 +397,7 @@ class LinearConnection:
     nabla_{d_i} e_a = sum_b (G_i)[b][a] e_b.
     """
 
-    __slots__ = ("bundle", "christoffel", "gamma_maps")
+    __slots__ = ("bundle", "christoffel", "gamma_map")
 
     def __init__(self, bundle: Bundle, christoffel: Sequence[Sequence[Sequence[Expr]]]):
         n, r = bundle.chart.dim, bundle.rank
@@ -404,7 +410,7 @@ class LinearConnection:
             mats.append(tuple(tuple(fold(x) for x in row) for row in G))
         self.bundle = bundle
         self.christoffel = tuple(mats)
-        self.gamma_maps = tuple(PointMap.exact(G) for G in self.christoffel)
+        self.gamma_map = PointMap.exact(self.christoffel)
 
     @classmethod
     def trivial(cls, bundle: Bundle) -> "LinearConnection":
@@ -413,7 +419,7 @@ class LinearConnection:
         return cls(bundle, [zero for _ in range(n)])
 
     def gamma_value(self, i: int, p) -> np.ndarray:
-        return self.gamma_maps[i].value(p)
+        return self.gamma_map.value(p)[i]
 
     def apply_matrix(self, i: int, vec: Sequence[Expr]) -> list[Expr]:
         """Frame action of nabla_{d_i} on a coefficient vector: the

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import math
 import sys
 import time
@@ -182,12 +181,12 @@ def _cmd_coupling(args, plan, tol):
         cd2 = extract_coupling(
             form.algebroid, form.ideal, form, plan.fork("ext"), check=False
         )
-        B, n = cd.base, cd.base.chart.dim
+        B = cd.base
         with np.errstate(invalid="ignore", over="ignore"):
             pts = plan.points(B.chart, 30)
             # Gamma, U and the base bracket of each coupling at the points.
             (G, U, cB), (G2, U2, cB2) = (
-                _stack(pts, (c.gamma, n), (c.u, B.rank, n), (c.base.structure_map.value,))
+                _stack(pts, (c.gamma_map.value,), (c.u_map.value,), (c.base.structure_map.value,))
                 for c in (cd, cd2)
             )
             rep.add("roundtrip_fiber_connection", G - G2, tol)
@@ -197,10 +196,7 @@ def _cmd_coupling(args, plan, tol):
             # second coupling generates.
             form2 = coupling_to_im(cd2, plan=plan.fork("c2i2"), check=False)
             pts = plan.points(B.chart, 15)
-            F, F2 = (
-                _stack(pts, (lambda a, i, p: f.op_value(a, (i,), p), form.algebroid.rank, n))[0]
-                for f in (form, form2)
-            )
+            (F,), (F2,) = (_stack(pts, (f.op_map.value,)) for f in (form, form2))
             rep.add("roundtrip_connection_form", F - F2, tol)
     return rep
 
@@ -234,13 +230,7 @@ def _cmd_curvature(args, plan, tol):
     arep = canonical_representation(curv.algebroid, curv.ideal)
     rep = check_im_form(curv, arep, plan, tol=tol)
     rep.command = "curvature"
-    n, r = cd.base.chart.dim, curv.algebroid.rank
-    pairs = list(itertools.combinations(range(n), 2))
-    O, S = _stack(
-        plan.points(cd.base.chart, 25),
-        (lambda a, t, p: curv.op_value(a, pairs[t], p), r, len(pairs)),
-        (lambda a, i, p: curv.sym_value(a, (i,), p), r, n),
-    )
+    O, S = _stack(plan.points(cd.base.chart, 25), (curv.op_map.value,), (curv.sym_map.value,))
     worst = sup(O, S)
     rep.extra["curvature_max_value"] = worst
     rep.extra["curvature_vanishes"] = bool(worst < 1e-9)
@@ -399,7 +389,7 @@ def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float = 1e-8) ->
                 (PointMap.exact(al.components).value,),
                 (PointMap.exact(be.components).value,),
                 (B.anchor_value,),
-                (cd.u, B.rank, B.chart.dim),
+                (cd.u_map.value,),
             )
             # The base cocycle U(alpha, rho(beta)).
             defects.append(got - np.einsum("pa,pb,pabe->pe", a, b, _anchored(rho, U)))

@@ -283,7 +283,7 @@ def _require_curvature_is_ad(fiber, nabla, Omega, plan, tol: float = 1e-8):
         worst_ad = sup(ad[:, i, j])
         worst_closed = 0.0
         if n >= 3:
-            G, Om, dOm = _stack(plan.points(chart, 25), (nabla.gamma_value, n), (Om_map.value,), (Om_map.partial, n))
+            G, Om, dOm = _stack(plan.points(chart, 25), (nabla.gamma_map.value,), (Om_map.value,), (Om_map.partials,))
             worst_closed = sup(_d_nabla(G, Om, dOm))
     if worst_ad > tol or worst_closed > tol:
         rep = Report(command="transitive-build", seed=plan.seed, samples=plan.samples)
@@ -492,7 +492,7 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
         rep.add("twist_center_valued", off[:, i, j], 1e-9)
         if dim >= 3:
             G, Om_pts, dOm = _stack(
-                plan.points(chart, 25), (nablaL.gamma_value, dim), (Om_map.value,), (Om_map.partial, dim)
+                plan.points(chart, 25), (nablaL.gamma_map.value,), (Om_map.value,), (Om_map.partials,)
             )
             rep.add("twist_covariantly_closed", _d_nabla(G, Om_pts, dOm), 1e-9)
     if not rep.passed:

@@ -624,7 +624,7 @@ def d_nabla_s(
             (_move(gpd, g, x, mu, step, flow), _move(gpd, g, x, mu, -step, flow))
             for mu in range(m)
         ]
-        out = []
+        out, G = [], None
         for idx in itertools.combinations(range(m), p + 1):
             val = np.zeros(k)
             for t, a in enumerate(idx):
@@ -632,7 +632,9 @@ def d_nabla_s(
                 (gp, xp), (gm, xm) = moved[a]
                 dval = (on_stock(gp, xp, rest) - on_stock(gm, xm, rest)) / (2 * step)
                 if a >= d:
-                    dval += conn.gamma_value(a - d, x) @ at[rest]
+                    # Gamma read whole at x, where it is first needed.
+                    G = conn.gamma_map.value(x) if G is None else G
+                    dval += G[a - d] @ at[rest]
                 val += -dval if t % 2 else dval
             for s, t in itertools.combinations(range(p + 1), 2):
                 a, b = idx[s], idx[t]
@@ -824,8 +826,9 @@ def differentiate_to_im(
     d, n, k = gpd.group.dim, gpd.chart.dim, gpd.k
     I = np.eye(gpd.group.N)
 
-    # Column a of P: the a-th adapted frame element in the group basis.
-    frame = [PointMap.exact([P[b][a] for b in range(d)]) for a in range(d)]
+    # Row a: column a of P, the a-th adapted frame element in the group
+    # basis.
+    frame = PointMap.exact([[P[b][a] for b in range(d)] for a in range(d)])
     flow = _flow_memo(gpd.group)
     flow_inv = exact_memo(lambda b, s: np.linalg.inv(flow(b, s)))
 
@@ -865,26 +868,26 @@ def differentiate_to_im(
 
         return F(1j * _COMPLEX_STEP).imag / _COMPLEX_STEP
 
-    # The symbol and the operator on every (a, i) at x read the same
-    # quantities: each is computed once per (a or b, exact x), the frame
-    # column P_a(x), the flow derivative L_const(b, x) and the symbol
-    # l_const(e_b, x) alike.  Unbounded: a bound would recompute flow
-    # derivatives.
-    P_at = exact_memo(lambda a, x: frame[a].value(x))
+    # The symbol and the operator at x read the same quantities: each is
+    # computed once per (exact x, or b and exact x), the frame P(x), the
+    # flow derivative L_const(b, x) and the symbol l_const(e_b, x) alike.
+    # Unbounded: a bound would recompute flow derivatives.
+    P_at = exact_memo(frame.value)
     L_at = exact_memo(L_const)
     l_basis = exact_memo(lambda b, x: l_const(np.eye(d)[b], x))
 
-    def sym_fn(a: int, x: np.ndarray) -> np.ndarray:
-        return l_const(P_at(a, x), x)
+    def sym_fn(x: np.ndarray) -> np.ndarray:
+        return np.array([l_const(Pa, x) for Pa in P_at(x)])
 
-    def op_fn(a: int, i: int, x: np.ndarray) -> np.ndarray:
-        out = np.zeros(k)
-        Pa, dPa = P_at(a, x), frame[a].partial(i, x)
-        for b in range(d):
-            if Pa[b] != 0.0:
-                out += Pa[b] * L_at(b, x)[i]
-            if dPa[b] != 0.0:
-                out += dPa[b] * l_basis(b, x)
+    def op_fn(x: np.ndarray) -> np.ndarray:
+        out = np.zeros((d, n, k))
+        P, dP = P_at(x), frame.partials(x)
+        for a, i in itertools.product(range(d), range(n)):
+            for b in range(d):
+                if P[a, b] != 0.0:
+                    out[a, i] += P[a, b] * L_at(b, x)[i]
+                if dP[i, a, b] != 0.0:
+                    out[a, i] += dP[i, a, b] * l_basis(b, x)
         return out
 
     return NumericIMOneForm(A, ideal, sym_fn, op_fn, fd_step=5e-4)
@@ -911,8 +914,9 @@ def numeric_extract_coupling(
         for c in range(k)
     ]
 
-    def gamma_fn(i, p):
-        return np.stack([form.op_value(c, (i,), p) for c in range(k)], axis=1)
+    def gamma_fn(p):
+        # Gamma_i[e, c] is the operator on the c-th ideal element.
+        return form.op_map.value(p)[:k].transpose(1, 2, 0)
 
     if k == r:
         # Full ideal: the quotient is rank zero and only the fiber
@@ -920,16 +924,18 @@ def numeric_extract_coupling(
         return NumericCouplingData(None, ideal.fiber, gamma_fn, None)
 
     B = quotient_algebroid(A, k, l_ad)
-    # Column k + a of the symbol: the splitting on the a-th complement
-    # frame element.
-    l_cols = [PointMap.exact([l_ad[c][k + a] for c in range(k)]) for a in range(r - k)]
+    # Row a: column k + a of the symbol, the splitting on the a-th
+    # complement frame element.
+    l_cols = PointMap.exact([[l_ad[c][k + a] for c in range(k)] for a in range(r - k)])
 
-    def u_fn(a, i, p):
-        vec = -form.op_value(k + a, (i,), p)
-        lval = l_cols[a].value(p)
-        for c in range(k):
-            if lval[c] != 0.0:
-                vec += lval[c] * form.op_value(c, (i,), p)
-        return vec + l_cols[a].partial(i, p)
+    def u_fn(p):
+        O, lval, dl = form.op_map.value(p), l_cols.value(p), l_cols.partials(p)
+        out = -O[k:]
+        for a, i in itertools.product(range(r - k), range(n)):
+            for c in range(k):
+                if lval[a, c] != 0.0:
+                    out[a, i] += lval[a, c] * O[c, i]
+            out[a, i] += dl[i, a]
+        return out
 
     return NumericCouplingData(B, ideal.fiber, gamma_fn, u_fn)

@@ -8,20 +8,21 @@ A degree-k form is stored by its frame values plus the extension rule
 which makes the symbol equation hold by construction; the checkers
 therefore only test the three compatibility identities.
 
-Checkers read forms and couplings only through value/derivative
-accessors (``sym_value``/``sym_dvalue``/``op_value``/``op_dvalue``,
-``gamma``/``dgamma``/``u``/``du``) backed by ``bundles.PointMap``s.
-Exact data fills the maps from its Exprs, with symbolic partials;
-sampled data from the groupoid side (``NumericIMOneForm``,
-``NumericCouplingData``) fills them from point evaluators, with
-partials by the one finite-difference stencil ``fd_partial``.  Both
-run through the same checkers; ``exact`` tells them apart where a
-check needs the Exprs themselves.
+Each object is one ``bundles.PointMap``, which checkers read whole: a
+form its symbol ``sym_map`` and its operator ``op_map``, a coupling
+its Gamma ``gamma_map`` and its mixed tensor ``u_map``.  Exact data
+fills the maps from its Exprs, with symbolic partials; sampled data
+from the groupoid side (``NumericIMOneForm``, ``NumericCouplingData``)
+fills them from point evaluators of whole arrays, with partials by the
+one finite-difference stencil ``fd_partial``.  Both run through the
+same checkers; ``exact`` tells them apart where a check needs the
+Exprs themselves.  The per-entry accessors (``sym_value``,
+``op_value``, ``gamma``, ``u`` and their partials) are slices of the
+maps, for callers that want one entry.
 
-A checker reads each entry and partial it needs once per point and
-stacks the reads of a draw into arrays with the point axis first
-(``_stack``; a form's entries as antisymmetric arrays,
-``_form_reads``).  Every identity is then a tensor contraction over
+A checker reads each map and its partials once per point and stacks
+the reads of a draw into arrays with the point axis first (``_stack``;
+a form's entries as antisymmetric arrays, ``_form_reads``).  Every identity is then a tensor contraction over
 these arrays, under ``np.errstate(invalid="ignore", over="ignore")``,
 and the check hands the defect arrays to ``Report.add``, which reduces
 them through ``sampling.sup``: a non-finite read gives a non-finite
@@ -111,11 +112,14 @@ def _value_bundle(value) -> Bundle:
 class _IMFormBase:
     """Shared storage and accessors for degree-1 and degree-2 forms.
 
-    The checkers read a form only through its accessors, which look up
-    one point map per frame element and strictly increasing index tuple
-    (signed, like ``CoeffForm.component``).  An exact form also keeps
-    its symbol and operator as CoeffForms in ``symbols`` and
-    ``frame_values``; a sampled form has only point maps.
+    The checkers read a form whole, through two point maps: the symbol
+    ``sym_map`` and the operator ``op_map``, each at [a, c, v] on the
+    a-th frame element and the c-th strictly increasing index tuple (in
+    ``itertools.combinations`` order) of degree k - 1 and k.  The
+    accessors slice one signed entry out of them, like
+    ``CoeffForm.component``.  An exact form also keeps its symbol and
+    operator as CoeffForms in ``symbols`` and ``frame_values``; a
+    sampled form has only point maps.
     """
 
     degree: int
@@ -139,19 +143,14 @@ class _IMFormBase:
                 raise ValueError("frame value degree/bundle mismatch")
         self.symbols = tuple(symbols)
         self.frame_values = tuple(frame_values)
-        self._bind(
-            algebroid,
-            value,
-            [_component_maps(s) for s in symbols],
-            [_component_maps(f) for f in frame_values],
-        )
+        self._bind(algebroid, value, _form_map(symbols), _form_map(frame_values))
 
-    def _bind(self, algebroid, value, sym_maps, op_maps) -> None:
+    def _bind(self, algebroid, value, sym_map, op_map) -> None:
         self.algebroid = algebroid
         self.ideal = value if isinstance(value, IdealBundle) else None
         self.value_bundle = _value_bundle(value)
-        self._sym_maps = sym_maps
-        self._op_maps = op_maps
+        self.sym_map = sym_map
+        self.op_map = op_map
 
     @property
     def exact(self) -> bool:
@@ -162,25 +161,25 @@ class _IMFormBase:
     def value_rank(self) -> int:
         return self.value_bundle.rank
 
-    # Value/derivative accessors used by the generic checkers.
+    # One entry of the maps and its partials along x_j.
     def sym_value(self, a: int, idx: tuple, p) -> np.ndarray:
-        return self._component(self._sym_maps[a], idx, p)
+        return self._component(self.sym_map, a, idx, p)
 
     def sym_dvalue(self, j: int, a: int, idx: tuple, p) -> np.ndarray:
-        return self._component(self._sym_maps[a], idx, p, j)
+        return self._component(self.sym_map, a, idx, p, j)
 
     def op_value(self, a: int, idx: tuple, p) -> np.ndarray:
-        return self._component(self._op_maps[a], idx, p)
+        return self._component(self.op_map, a, idx, p)
 
     def op_dvalue(self, j: int, a: int, idx: tuple, p) -> np.ndarray:
-        return self._component(self._op_maps[a], idx, p, j)
+        return self._component(self.op_map, a, idx, p, j)
 
-    def _component(self, maps, idx, p, j=None) -> np.ndarray:
+    def _component(self, m, a, idx, p, j=None) -> np.ndarray:
         sign, key = sort_with_sign(idx)
         if sign == 0:
             return np.zeros(self.value_rank)
-        m = maps[key]
-        v = m.value(p) if j is None else m.partial(j, p)
+        c = list(itertools.combinations(range(self.algebroid.chart.dim), len(key))).index(key)
+        v = (m.value(p) if j is None else m.partial(j, p))[a, c]
         return v if sign == 1 else -v
 
     # Symbolic evaluation on sections.
@@ -247,12 +246,16 @@ class IMTwoForm(_IMFormBase):
         return False
 
 
-def _component_maps(form: CoeffForm) -> dict[tuple, PointMap]:
-    n = form.bundle.chart.dim
-    return {
-        key: PointMap.exact(form.component(key))
-        for key in itertools.combinations(range(n), form.degree)
-    }
+def _form_map(forms: Sequence[CoeffForm]) -> PointMap:
+    """One point map of forms of one bundle and degree: the a-th form's
+    value on the c-th strictly increasing index tuple at [a, c, v]."""
+    bundle, q = forms[0].bundle, forms[0].degree
+    keys = list(itertools.combinations(range(bundle.chart.dim), q))
+    grid = np.empty((len(forms), len(keys), bundle.rank), dtype=object)
+    for a, form in enumerate(forms):
+        for c, key in enumerate(keys):
+            grid[a, c] = form.component(key)
+    return PointMap.exact(grid)
 
 
 def fd_partial(fn: Callable[[np.ndarray], np.ndarray], j: int, p, h: float) -> np.ndarray:
@@ -277,7 +280,7 @@ SAMPLED_MEMO_ENTRIES = 64
 
 def sampled_map(fn: Callable[[np.ndarray], np.ndarray], h: float) -> PointMap:
     """Point map of a point evaluator; partials by ``fd_partial`` with
-    step h.
+    step h, ``partials(p)`` looping over the directions j in order.
 
     Values and partials share one ``exact_memo`` keyed by ``(j or None,
     p)`` and bounded at ``SAMPLED_MEMO_ENTRIES``, and the stencil reads
@@ -289,13 +292,14 @@ def sampled_map(fn: Callable[[np.ndarray], np.ndarray], h: float) -> PointMap:
         SAMPLED_MEMO_ENTRIES,
     )
     value = functools.partial(at, None)
-    return PointMap(value, at)
+    return PointMap(value, lambda p: np.array([at(j, p) for j in range(len(p))]), at)
 
 
 class NumericIMOneForm(_IMFormBase):
-    """Sampled connection form from the groupoid side: the symbol and
-    the operator on each frame element and chart direction are point
-    evaluators, differentiated by the finite-difference stencil."""
+    """Sampled connection form from the groupoid side: the symbol at [a,
+    v] and the operator at [a, i, v], on each frame element a and chart
+    direction i, are point evaluators, differentiated by the
+    finite-difference stencil."""
 
     degree = 1
 
@@ -303,51 +307,32 @@ class NumericIMOneForm(_IMFormBase):
         self,
         algebroid: LieAlgebroid,
         ideal: IdealBundle,
-        sym_fn: Callable[[int, np.ndarray], np.ndarray],
-        op_fn: Callable[[int, int, np.ndarray], np.ndarray],
+        sym_fn: Callable[[np.ndarray], np.ndarray],
+        op_fn: Callable[[np.ndarray], np.ndarray],
         fd_step: float = 2e-3,
     ):
-        r, n = algebroid.rank, algebroid.chart.dim
-        self._bind(
-            algebroid,
-            ideal,
-            [{(): sampled_map(functools.partial(sym_fn, a), fd_step)} for a in range(r)],
-            [
-                {(i,): sampled_map(functools.partial(op_fn, a, i), fd_step) for i in range(n)}
-                for a in range(r)
-            ],
-        )
+        sym_map = sampled_map(lambda x: sym_fn(x)[:, None], fd_step)
+        self._bind(algebroid, ideal, sym_map, sampled_map(op_fn, fd_step))
 
 
 def _connection_residual(form, plan: SamplePlan, n_points: int = 30) -> float:
     """Sampled version of the symbol-restricts-to-identity predicate."""
     k = form.ideal.k
     points = plan.points(form.algebroid.chart, n_points)
-    (S,) = _stack(points, (lambda a, p: form.sym_value(a, (), p), k))
-    return sup(S - np.eye(form.value_rank)[:k])
+    (S,) = _stack(points, (form.sym_map.value,))
+    return sup(S[:, :k, 0] - np.eye(form.value_rank)[:k])
 
 
 def _form_reads(form, points):
     """The form's symbol S, operator O and their partials dS, dO at the
-    points, each entry read once per point by the accessors and stacked
-    as an antisymmetric array: S[p, a, i...] and O[p, a, i...] on the
-    a-th frame element, dS[p, j, a, i...] and dO[p, j, a, i...] along
-    x_j, the value index last."""
-    r, n, k = form.algebroid.rank, form.algebroid.chart.dim, form.degree
-    sym_keys, op_keys = (list(itertools.combinations(range(n), q)) for q in (k - 1, k))
-    stacks = _stack(
-        points,
-        (lambda a, c, p: form.sym_value(a, sym_keys[c], p), r, len(sym_keys)),
-        (lambda j, a, c, p: form.sym_dvalue(j, a, sym_keys[c], p), n, r, len(sym_keys)),
-        (lambda a, c, p: form.op_value(a, op_keys[c], p), r, len(op_keys)),
-        (lambda j, a, c, p: form.op_dvalue(j, a, op_keys[c], p), n, r, len(op_keys)),
-    )
-    # A degree above the chart's dimension has no index tuples, so
-    # nothing is read there; its empty stack still needs the value axis.
-    return [
-        alternating_array(x if keys else np.zeros(x.shape + (form.value_rank,)), n, q)
-        for x, keys, q in zip(stacks, (sym_keys, sym_keys, op_keys, op_keys), (k - 1, k - 1, k, k))
-    ]
+    points, each map read whole once per point and stacked as an
+    antisymmetric array: S[p, a, i...] and O[p, a, i...] on the a-th
+    frame element, dS[p, j, a, i...] and dO[p, j, a, i...] along x_j,
+    the value index last."""
+    n, k = form.algebroid.chart.dim, form.degree
+    sym, op = form.sym_map, form.op_map
+    stacks = _stack(points, (sym.value,), (sym.partials,), (op.value,), (op.partials,))
+    return [alternating_array(x, n, q) for x, q in zip(stacks, (k - 1, k - 1, k, k))]
 
 
 def _alt(T: np.ndarray, axis: int) -> np.ndarray:
@@ -467,8 +452,8 @@ class CouplingData:
 
     ``U[a][i]`` is the fiber coefficient vector of the tensor evaluated
     on the a-th base frame element and the i-th coordinate direction.
-    The checkers read the connection and the tensor only through point
-    maps, by ``gamma``/``dgamma``/``u``/``du``.
+    The checkers read the connection and the tensor whole, through the
+    point maps ``gamma_map`` at [i, e, c] and ``u_map`` at [a, i, e].
     """
 
     def __init__(
@@ -495,12 +480,7 @@ class CouplingData:
             for vec in row:
                 if len(vec) != kk:
                     raise ValueError("U entries must be fiber coefficient vectors")
-        self._bind(
-            base,
-            fiber,
-            nablaL.gamma_maps,
-            [[PointMap.exact(vec) for vec in row] for row in self.U],
-        )
+        self._bind(base, fiber, nablaL.gamma_map, PointMap.exact(self.U))
         if verify_skew:
             res = self.skew_residual(plan or SamplePlan(seed=42, samples=40))
             if res > 1e-9:
@@ -508,11 +488,11 @@ class CouplingData:
                     f"mixed tensor is not anchor-skew (residual {res:.2e})"
                 )
 
-    def _bind(self, base, fiber, gamma_maps, u_maps) -> None:
+    def _bind(self, base, fiber, gamma_map, u_map) -> None:
         self.base = base
         self.fiber = fiber
-        self._gamma_maps = gamma_maps
-        self._u_maps = u_maps
+        self.gamma_map = gamma_map
+        self.u_map = u_map
         self._semidirect = None
 
     @property
@@ -524,18 +504,18 @@ class CouplingData:
     def k(self) -> int:
         return self.fiber.bundle.rank
 
-    # Value/derivative accessors used by the generic checkers.
+    # One entry of the maps and its partials along x_j.
     def gamma(self, i: int, p) -> np.ndarray:
-        return self._gamma_maps[i].value(p)
+        return self.gamma_map.value(p)[i]
 
     def dgamma(self, j: int, i: int, p) -> np.ndarray:
-        return self._gamma_maps[i].partial(j, p)
+        return self.gamma_map.partial(j, p)[i]
 
     def u(self, a: int, i: int, p) -> np.ndarray:
-        return self._u_maps[a][i].value(p)
+        return self.u_map.value(p)[a, i]
 
     def du(self, j: int, a: int, i: int, p) -> np.ndarray:
-        return self._u_maps[a][i].partial(j, p)
+        return self.u_map.partial(j, p)[a, i]
 
     def u_form(self, a: int) -> CoeffForm:
         """U on the a-th base frame element, as a fiber-valued 1-form."""
@@ -550,7 +530,7 @@ class CouplingData:
         B = self.base
         pts = plan.points(B.chart, n_points)
         with np.errstate(invalid="ignore", over="ignore"):
-            rho, U = _stack(pts, (B.anchor_value,), (self.u, B.rank, B.chart.dim))
+            rho, U = _stack(pts, (B.anchor_value,), (self.u_map.value,))
             W = _anchored(rho, U)
             return sup(W + W.swapaxes(1, 2))
 
@@ -573,12 +553,12 @@ class CouplingData:
 
 
 class NumericCouplingData(CouplingData):
-    """Sampled coupling data: the fiber connection and the mixed tensor
-    are point evaluators (base and fiber stay symbolic), differentiated
-    by the finite-difference stencil.  A ``None`` base encodes the
-    degenerate full-ideal case (rank-zero quotient), for which only the
-    bracket-preservation equation carries content and ``u_fn`` is
-    unused."""
+    """Sampled coupling data: the fiber connection at [i, e, c] and the
+    mixed tensor at [a, i, e] are point evaluators (base and fiber stay
+    symbolic), differentiated by the finite-difference stencil.  A
+    ``None`` base encodes the degenerate full-ideal case (rank-zero
+    quotient), for which only the bracket-preservation equation carries
+    content and ``u_fn`` is never called."""
 
     nablaL = U = None
 
@@ -586,21 +566,11 @@ class NumericCouplingData(CouplingData):
         self,
         base: LieAlgebroid | None,
         fiber: FiberBracket,
-        gamma_fn: Callable[[int, np.ndarray], np.ndarray],
-        u_fn: Callable[[int, int, np.ndarray], np.ndarray] | None,
+        gamma_fn: Callable[[np.ndarray], np.ndarray],
+        u_fn: Callable[[np.ndarray], np.ndarray] | None,
         fd_step: float = 2e-3,
     ):
-        n = fiber.bundle.chart.dim
-        rB = base.rank if base is not None else 0
-        self._bind(
-            base,
-            fiber,
-            [sampled_map(functools.partial(gamma_fn, i), fd_step) for i in range(n)],
-            [
-                [sampled_map(functools.partial(u_fn, a, i), fd_step) for i in range(n)]
-                for a in range(rB)
-            ],
-        )
+        self._bind(base, fiber, sampled_map(gamma_fn, fd_step), sampled_map(u_fn, fd_step))
 
 
 def extract_coupling(
@@ -827,20 +797,19 @@ def _structure_defects(cd, pts) -> dict[str, np.ndarray]:
     trivialized equations of ``rankone``: S2 is rho^T d theta and S3 is
     minus the trivialized mixed equation."""
     B, fiber = cd.base, cd.fiber
-    n = fiber.bundle.chart.dim
     rB = B.rank if B is not None else 0
     # Read point by point: Gamma_i[e, c] at [p, i, e, c], d_j Gamma_i at
     # [p, j, i], [e_a, e_b]^f at [p, a, b, f] and its partials; on a
     # base also rho^i(e_a) at [p, i, a], U(e_a, d_i) at [p, a, i], the
     # base bracket, and the partials d_j at [p, j].
-    reads = [(cd.gamma, n), (cd.dgamma, n, n), (fiber.c_map.value,), (fiber.c_map.partial, n)]
+    reads = [(cd.gamma_map.value,), (cd.gamma_map.partials,), (fiber.c_map.value,), (fiber.c_map.partials,)]
     if rB:
         reads += [
             (B.anchor_value,),
-            (B.anchor_map.partial, n),
+            (B.anchor_map.partials,),
             (B.structure_map.value,),
-            (cd.u, rB, n),
-            (cd.du, n, rB, n),
+            (cd.u_map.value,),
+            (cd.u_map.partials,),
         ]
     # A non-finite read gives a non-finite defect, which fails.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -903,7 +872,7 @@ def _center_residual_of_u(cd, pts, svd_tol: float) -> float:
                 f"center rank jumps across samples ({ranks[0]} vs {rank})"
             )
     proj = np.array([z @ z.T for z in Z])
-    (U,) = _stack(pts, (cd.u, cd.base.rank, cd.base.chart.dim))
+    (U,) = _stack(pts, (cd.u_map.value,))
     return sup(U - np.einsum("pef,paif->paie", proj, U))
 
 
@@ -971,14 +940,13 @@ def classify_flatness(
     mixed tensor vanishes outright)."""
     plan = plan or SamplePlan()
     B = cd.base
-    n, rB = B.chart.dim, B.rank
     pts = plan.points(B.chart, max(10, min(plan.samples, 50)))
     report = Report(command="classify", seed=plan.seed, samples=plan.samples)
 
     with np.errstate(invalid="ignore", over="ignore"):
-        G, dG = _stack(pts, (cd.gamma, n), (cd.dgamma, n, n))
+        G, dG = _stack(pts, (cd.gamma_map.value,), (cd.gamma_map.partials,))
         curv = _curvature(G, dG)
-        rho, U = _stack(pts, (B.anchor_value,), (cd.u, rB, n))
+        rho, U = _stack(pts, (B.anchor_value,), (cd.u_map.value,))
         anchored = _anchored(rho, U)
 
     kernel = report.add("kernel_flat_curvature", curv, tol)

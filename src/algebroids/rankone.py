@@ -230,7 +230,7 @@ def verify_witness(
         )
         if Z is not None:
             Z_map = PointMap.exact([fold(z) for z in Z])
-            Zv, dZ, C = _stack(pts, (Z_map.value,), (Z_map.partial, n), (B.structure_map.value,))
+            Zv, dZ, C = _stack(pts, (Z_map.value,), (Z_map.partials,), (B.structure_map.value,))
             # The 2-cochain shifted by d_B Z, twisted by the 1-cocycle V:
             # (d_B Z)(a, b) = rho(a) Z_b + V_a Z_b - (a <-> b) - Z([a, b]).
             X = np.einsum("pia,pib->pab", rho, dZ) + np.einsum("pa,pb->pab", V, Zv)
@@ -288,7 +288,7 @@ def verify_witness(
         for (i, j), x in zip(pairs, map(fold, Om)):
             OmM[i][j], OmM[j][i] = [x], [fold(neg(x))]
         Om_map = PointMap.exact(OmM)
-        Omega, dOmega = _stack(pts, (Om_map.value,), (Om_map.partial, n))
+        Omega, dOmega = _stack(pts, (Om_map.value,), (Om_map.partials,))
         # Covariant closedness: d Omega + theta ^ Omega = 0, the covariant
         # exterior derivative of the connection Gamma_i = [[theta_i]].
         closed = _d_nabla(theta[:, :, None, None], Omega, dOmega)

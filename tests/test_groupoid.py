@@ -988,9 +988,13 @@ def test_groupoid_verify_exponentiates_each_flow_once(monkeypatch):
 
 
 def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
-    # lie-functor on so3 at seed 42 and 4 samples: the sampled maps run
-    # the symbol evaluator 3,318 times and the operator evaluator 4,830
-    # times without a memo, at 342 and 2,106 distinct (entry, point).
+    # lie-functor on so3 at seed 42 and 4 samples: the symbol and the
+    # operator are one sampled map each, whose evaluator gives every
+    # entry at a point.  The symbol runs 134 times, once per distinct
+    # point; the operator 258 times at 234 distinct points, the
+    # repeats where its bounded memo was emptied between the coupling's
+    # reads of one stencil.  Stored per entry, the maps ran the entry
+    # evaluators 342 and 2,178 times (3,318 and 4,830 without a memo).
     # The flow steps (one act_jac_x each) are not moved by the memo.
     import contextlib
     import io
@@ -1000,16 +1004,18 @@ def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
     from algebroids.cli import run
 
     counts = {"sym": 0, "op": 0, "flow": 0}
+    sym_points = set()
     numeric = groupoid.NumericIMOneForm
 
     def counted(A, ideal, sym_fn, op_fn, fd_step):
-        def sym(a, x):
+        def sym(x):
             counts["sym"] += 1
-            return sym_fn(a, x)
+            sym_points.add(x.tobytes())
+            return sym_fn(x)
 
-        def op(a, i, x):
+        def op(x):
             counts["op"] += 1
-            return op_fn(a, i, x)
+            return op_fn(x)
 
         return numeric(A, ideal, sym, op, fd_step=fd_step)
 
@@ -1019,28 +1025,30 @@ def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
         counts["flow"] += 1
         return jac_x(self, g, x)
 
-    # Runs of the frame-column maps P_a, recorded by (map, exact x).
-    columns, frame_runs = set(), []
+    # Runs of the frame map, whose row a is the column P_a, recorded by
+    # (map, exact x).
+    frames, frame_runs = [], []
     algebroid = ActionGroupoid.action_algebroid
 
     def action_algebroid(self):
         out = algebroid(self)
         P = out[2]
-        columns.update(tuple(id(row[a]) for row in P) for a in range(len(P)))
+        frames.append([[id(row[a]) for row in P] for a in range(len(P))])
         return out
 
     class CountedFrame(groupoid.PointMap):
         @classmethod
         def exact(cls, entries):
             pm = super().exact(entries)
-            if tuple(map(id, entries)) not in columns:
+            rows = entries if isinstance(entries[0], list) else []
+            if [[id(x) for x in row] for row in rows] not in frames:
                 return pm
 
             def value(x):
                 frame_runs.append((id(pm), np.asarray(x, dtype=float).tobytes()))
                 return pm.value(x)
 
-            return groupoid.PointMap(value, pm.partial, pm.exprs)
+            return groupoid.PointMap(value, pm.partials, pm.partial, pm.exprs)
 
     monkeypatch.setattr(groupoid, "NumericIMOneForm", counted)
     monkeypatch.setattr(ActionGroupoid, "act_jac_x", flow_step)
@@ -1051,10 +1059,11 @@ def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
         code = run(["lie-functor", "--model", str(model), "--samples", "4", "--json"])
     assert code == 0
     assert 0 < counts["sym"] <= 400
+    assert counts["sym"] == len(sym_points)
     assert 0 < counts["op"] <= 2200
     assert 0 < counts["flow"] <= 2808
-    # At most one run of a frame column per distinct (a, x): 732 here,
-    # against 2,520 runs when the operator reads P_a(x) per direction.
+    # At most one run of the frame per distinct x, against one per
+    # (frame element, direction) when the operator read P_a(x) per entry.
     assert 0 < len(frame_runs) == len(set(frame_runs))
 
 

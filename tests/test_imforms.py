@@ -138,29 +138,83 @@ def test_perturbed_form_fails_identity_3(product_model):
 
 
 def test_verify_im_reads_each_form_entry_once_per_point(monkeypatch):
-    # verify-im on product_so3 at seed 42 and 200 samples: 9,000 distinct
-    # (form, map, entry, direction, point) reads, which the three
-    # sections at a point share; read per section term they were 70,000.
+    # verify-im on product_so3 at seed 42 and 200 samples: each of the
+    # form's two maps (symbol and operator) is read whole, its values
+    # and its partials once per point, which the three sections at a
+    # point share; read per entry and section term they were 70,000.
     import contextlib
     import io
 
     from algebroids.cli import run
     from algebroids.imforms import _IMFormBase
 
-    component = _IMFormBase._component
+    bind = _IMFormBase._bind
     reads = []
 
-    def counted(self, maps, idx, p, j=None):
-        key = tuple(sorted(idx))
-        reads.append((id(self), id(maps), key, j, np.asarray(p, dtype=float).tobytes()))
-        return component(self, maps, idx, p, j)
+    def counted(self, m, kind):
+        read = getattr(m, kind)
 
-    monkeypatch.setattr(_IMFormBase, "_component", counted)
+        def spy(p):
+            reads.append((id(self), id(m), kind, np.asarray(p, dtype=float).tobytes()))
+            return read(p)
+
+        return spy
+
+    def spied(self, algebroid, value, sym_map, op_map):
+        sym_map, op_map = (
+            PointMap(counted(self, m, "value"), counted(self, m, "partials"), m.partial, m.exprs)
+            for m in (sym_map, op_map)
+        )
+        bind(self, algebroid, value, sym_map, op_map)
+
+    monkeypatch.setattr(_IMFormBase, "_bind", spied)
     with contextlib.redirect_stdout(io.StringIO()):
         code = run(["verify-im", "--model", str(MODELS / "product_so3.json"), "--json"])
     assert code == 0
     calls, distinct = len(reads), len(set(reads))
     assert 0 < calls == distinct
+
+
+def test_verify_im_runs_one_tape_per_form_map_and_point(monkeypatch):
+    # verify-im on product_so3 at seed 42 and 200 samples: the form is
+    # two point maps, so each point of a draw runs four tapes of the
+    # form, once each: the symbol's and the operator's values, and
+    # their partials along every direction.  Stored per (frame element,
+    # index tuple), with one partial tape per direction, the form ran
+    # dozens of tapes at each point.
+    import contextlib
+    import io
+    import sys
+
+    from algebroids import bundles
+    from algebroids.cli import run
+
+    compile_tape, evaluate = bundles.compile_tape, bundles.evaluate
+    form_tapes, runs = {}, []
+
+    def compiled(exprs):
+        tape = compile_tape(exprs)
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "_form_reads":
+            frame = frame.f_back
+        if frame is not None:
+            form_tapes[id(tape)] = tape
+        return tape
+
+    def evaluated(tape, p):
+        if id(tape) in form_tapes:
+            runs.append((id(tape), np.asarray(p).tobytes()))
+        return evaluate(tape, p)
+
+    monkeypatch.setattr(bundles, "compile_tape", compiled)
+    monkeypatch.setattr(bundles, "evaluate", evaluated)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = run(["verify-im", "--model", str(MODELS / "product_so3.json"), "--json"])
+    assert code == 0
+    points = {p for _, p in runs}
+    assert len(form_tapes) == 4
+    assert len(points) > 100
+    assert len(runs) == len(set(runs)) == 4 * len(points)
 
 
 # -- extract / rebuild -----------------------------------------------------
@@ -717,8 +771,8 @@ def test_im_form_checker_agrees_across_backends(radial_model, radial_form):
         sampled = NumericIMOneForm(
             A,
             ideal,
-            lambda a, x, f=form: f.sym_value(a, (), x),
-            lambda a, i, x, f=form: f.op_value(a, (i,), x),
+            lambda x, f=form: f.sym_map.value(x)[:, 0],
+            lambda x, f=form: f.op_map.value(x),
         )
         assert form.exact and not sampled.exact
         exact_rep = check_im_form(form, rep, SamplePlan(seed=3, samples=40), tol=1e-6)
@@ -736,7 +790,7 @@ def test_structure_equations_agree_across_backends(radial_model, radial_form):
     bad = load_model(str(MODELS / "bad_u.json")).coupling()
     outcomes = []
     for cd in (radial, bad):
-        sampled = NumericCouplingData(cd.base, cd.fiber, cd.gamma, cd.u)
+        sampled = NumericCouplingData(cd.base, cd.fiber, cd.gamma_map.value, cd.u_map.value)
         assert cd.exact and not sampled.exact
         plan = SamplePlan(seed=3, samples=40)
         exact_rep = check_structure_equations(cd, plan=plan.fork("se"), tol=1e-6)
@@ -755,7 +809,7 @@ def _ref_sampled_map(fn, h):
     """The sampled map without a memo: every read runs the evaluator."""
     return PointMap(
         lambda p: np.asarray(fn(np.asarray(p, dtype=float))),
-        lambda j, p: fd_partial(fn, j, p, h),
+        partial=lambda j, p: fd_partial(fn, j, p, h),
     )
 
 
@@ -1090,17 +1144,18 @@ def test_im_identities_of_a_two_form_on_a_line_match_their_loop_forms():
     # On a 1-dimensional chart a 2-form has no pair of indices: the
     # operator reads nothing, while the symbol, a 1-form, still reaches
     # identities 1 and 3.  CoeffForm refuses a 2-form on a line, so the
-    # form binds its point maps directly, as a sampled form does.
+    # form binds its point maps directly, as a sampled form does; the
+    # operator's has no index tuple, but its value axis.
     plan = SamplePlan(seed=42, samples=60)
     m = make_example(ExampleSpec("product", {"dim": 1}), plan)
     A, ideal = m.algebroid, m.ideal
     x1 = coord(0)
     form = IMTwoForm.__new__(IMTwoForm)
-    sym_maps = [
-        {(0,): PointMap.exact([fold(mul(x1, const(a + 1)))] * ideal.bundle.rank)}
-        for a in range(A.rank)
-    ]
-    form._bind(A, ideal, sym_maps, [{} for _ in range(A.rank)])
+    sym_map = PointMap.exact(
+        [[[fold(mul(x1, const(a + 1)))] * ideal.bundle.rank] for a in range(A.rank)]
+    )
+    op_map = PointMap.exact(np.empty((A.rank, 0, ideal.bundle.rank), dtype=object))
+    form._bind(A, ideal, sym_map, op_map)
     rep = canonical_representation(A, ideal)
     out = check_im_form(form, rep, SamplePlan(seed=42, samples=60))
     want = _ref_im_residuals(form, rep, SamplePlan(seed=42, samples=60))
