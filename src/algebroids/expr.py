@@ -578,7 +578,10 @@ def evaluate(e: Expr | Tape, p: Sequence[float]) -> float | tuple[float, ...]:
     ``cmath``: a sum is ``math.fsum`` of the real parts and of the
     imaginary parts, a pole is a denominator of small modulus, and the
     exp and log guards read the real part.  At ``p + 0j`` the values
-    are those at ``p`` to within a few ulps.
+    are those at ``p`` to within a few ulps.  Where an infinity meets
+    a zero, the complex run defers to the real one (``_run``): it
+    raises the real run's error, and a non-finite entry has the real
+    value with a NaN imaginary part.
     """
     if isinstance(e, Tape):
         return _run(e, p)
@@ -725,30 +728,10 @@ def _complex_fsum(vals) -> complex:
     return complex(math.fsum([v.real for v in vals]), math.fsum([v.imag for v in vals]))
 
 
-def _on_finite_real_part(f):
-    """``f`` from cmath, raising ValueError at an infinite real part as
-    its math counterpart does at inf (cmath returns NaN when the
-    imaginary part is NaN, as inf * 0 leaves it in a complex product)."""
-
-    def g(z: complex) -> complex:
-        if math.isinf(z.real):
-            raise ValueError("math domain error")
-        return f(z)
-
-    return g
-
-
-# The function tables of _run: coordinate conversion, sum, sin, cos,
+# The function tables of _exec: coordinate conversion, sum, sin, cos,
 # exp, log.
 _REAL_OPS = (float, math.fsum, math.sin, math.cos, math.exp, math.log)
-_COMPLEX_OPS = (
-    complex,
-    _complex_fsum,
-    _on_finite_real_part(cmath.sin),
-    _on_finite_real_part(cmath.cos),
-    cmath.exp,
-    cmath.log,
-)
+_COMPLEX_OPS = (complex, _complex_fsum, cmath.sin, cmath.cos, cmath.exp, cmath.log)
 
 
 def _is_complex_point(p) -> bool:
@@ -760,10 +743,32 @@ def _is_complex_point(p) -> bool:
 def _run(tape: Tape, p: Sequence[float]) -> tuple[float, ...]:
     """The values of a tape's entries at a point: one pass over its
     code, bit for bit ``evaluate`` on each entry, raising the first
-    error a loop of ``evaluate`` over the entries would raise."""
-    num, fsum, f_sin, f_cos, f_exp, f_log = (
-        _COMPLEX_OPS if _is_complex_point(p) else _REAL_OPS
-    )
+    error a loop of ``evaluate`` over the entries would raise.
+
+    Complex arithmetic turns inf * 0 into NaN parts, so a complex run
+    can miss an error of the real one, or lose a value it has.  Where it
+    raises or gives a non-finite entry, the tape also runs at the real
+    part of the point: that run's first error is raised, and a
+    non-finite entry takes that run's value as its real part and NaN as
+    its imaginary part, the derivative a complex step carries being lost
+    there."""
+    if not _is_complex_point(p):
+        return _exec(tape, p, _REAL_OPS)
+    try:
+        vals = _exec(tape, p, _COMPLEX_OPS)
+    except EvalError:
+        _exec(tape, p.real, _REAL_OPS)
+        raise
+    if cmath.isfinite(sum(vals)):
+        return vals
+    real = _exec(tape, p.real, _REAL_OPS)
+    return tuple(z if cmath.isfinite(z) else complex(x, math.nan) for z, x in zip(vals, real))
+
+
+def _exec(tape: Tape, p, ops) -> tuple:
+    """One pass over a tape's code at a point, with the function table
+    ``ops`` (``_REAL_OPS`` or ``_COMPLEX_OPS``)."""
+    num, fsum, f_sin, f_cos, f_exp, f_log = ops
     r = tape.template[:]
     for op, d, a, b, e in tape.code:
         if op == _T_MUL:

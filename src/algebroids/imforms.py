@@ -20,9 +20,10 @@ Exprs themselves.  The per-entry accessors (``sym_value``,
 ``op_value``, ``gamma``, ``u`` and their partials) are slices of the
 maps, for callers that want one entry.
 
-A checker reads each map and its partials once per point and stacks
-the reads of a draw into arrays with the point axis first (``_stack``;
-a form's entries as antisymmetric arrays, ``_form_reads``).  Every identity is then a tensor contraction over
+A checker reads each map and its partials once per point and
+stacks the reads of a draw into arrays with the point axis first
+(``_stack``; a form's entries as antisymmetric arrays,
+``_form_reads``).  Every identity is then a tensor contraction over
 these arrays, under ``np.errstate(invalid="ignore", over="ignore")``,
 and the check hands the defect arrays to ``Report.add``, which reduces
 them through ``sampling.sup``: a non-finite read gives a non-finite
@@ -394,7 +395,7 @@ def check_im_form(
     The sections are drawn as terms (``polynomial_draws``, as
     ``random_section`` draws them); their closed-form 2-jets, anchor
     images and [a, b] with its gradient come from ``algebroid._Jets``,
-    so no Expr is built.  Each form entry is read once per point
+    so no Expr is built.  Each form map is read whole once per point
     (``_form_reads``); L, sym, their partials, the Lie derivatives and
     the identities are then contractions over the draw's points.
     """

@@ -309,6 +309,49 @@ def test_point_map_exact_matches_tree_walk_across_entries():
     assert seen["value"] >= 50 and seen["PoleError"] >= 20 and seen["DomainError"] >= 20, seen
 
 
+def _complex_outcome(e, p):
+    """The outcome of ``evaluate``: the error by class and subtree text,
+    or the (real part of the) value."""
+    try:
+        return evaluate(e, p)
+    except expr.EvalError as err:
+        return type(err).__name__, to_str(err.subtree)
+
+
+def test_complex_run_raises_the_real_run_error():
+    # Complex arithmetic turns inf * 0 into NaN parts.  On the random
+    # DAGs of test_evaluate_matches_tree_walk, 15 evaluations that raise
+    # DomainError or PoleError at p returned NaN at p + 0j, and 35
+    # values lost their real part.  Each error at p + 0j is now the real
+    # run's, by class and subtree, and each real part is the real value
+    # up to rounding: equal where it is not finite.
+    rng = np.random.default_rng(2024)
+    grid = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    seen = {"error": 0, "finite": 0, "non-finite": 0}
+    for _ in range(400):
+        exprs = _random_dag(rng, CH2, steps=12)
+        for _ in range(4):
+            p = rng.choice(grid, size=2) if rng.uniform() < 0.5 else rng.uniform(-1, 1, size=2)
+            for e in exprs:
+                want, got = _complex_outcome(e, p), _complex_outcome(e, p + 0j)
+                if isinstance(want, tuple) or isinstance(got, tuple):
+                    assert got == want, to_str(e)
+                    seen["error"] += 1
+                elif math.isfinite(want):
+                    assert abs(got.real - want) <= 1e-9 * max(1.0, abs(want)), to_str(e)
+                    seen["finite"] += 1
+                else:
+                    assert struct.pack("<d", got.real) == struct.pack("<d", want) or (
+                        math.isnan(got.real) and math.isnan(want)
+                    ), to_str(e)
+                    seen["non-finite"] += 1
+    assert min(seen.values()) >= 30, seen
+    # inf^-1 is 0.0 at p; at p + 0j the complex run gave nan+nanj.  The
+    # value is the real run's; the derivative part is lost (NaN).
+    z = evaluate(parse("(exp(700*x1)*exp(700*x2))^-1", CH2), np.array([1.0, 1.0]) + 0j)
+    assert z.real == 0.0 and math.isnan(z.imag)
+
+
 def test_evaluate_runs_a_compiled_tape():
     # A tape of many entries gives, in entry order, each entry's own value.
     entries = [parse("x1*x2 + sin(x1*x2)", CH2), parse("x1*x2", CH2), parse("1/2", CH2), parse("x2", CH2)]
