@@ -235,10 +235,12 @@ class CoeffForm:
 
 class PointMap:
     """An array-valued map on the chart with first partials:
-    ``value(p)`` returns an array, ``partials(p)`` its derivatives along
-    every coordinate j at [j, ...] and ``partial(j, p)`` the one along
-    x_j.  A form, a coupling's Gamma or U, or a connection is one map,
-    and a check reads it whole.
+    ``value(p)`` returns an array and ``partials(p)`` its derivatives
+    along every coordinate j at [j, ...].  A form, a coupling's Gamma or
+    U, or a connection is one map, and a check reads it whole.
+    ``partial(j, p)`` is ``partials(p)[j]``: it evaluates every
+    direction and raises the first error of any, as does a read of one
+    entry.
 
     Exact maps (``PointMap.exact``) carry their entries as Exprs in
     ``exprs``; ``PointMap.exact`` is the one place outside ``expr`` that
@@ -249,13 +251,15 @@ class PointMap:
     reduces them through ``sampling.sup``.
     """
 
-    __slots__ = ("value", "partials", "partial", "exprs")
+    __slots__ = ("value", "partials", "exprs")
 
-    def __init__(self, value, partials=None, partial=None, exprs=None):
+    def __init__(self, value, partials=None, exprs=None):
         self.value = value
         self.partials = partials
-        self.partial = partial
         self.exprs = exprs
+
+    def partial(self, j: int, p) -> np.ndarray:
+        return self.partials(p)[j]
 
     @classmethod
     def exact(cls, entries) -> "PointMap":
@@ -278,10 +282,7 @@ class PointMap:
             out = np.array(evaluate(tape, p), dtype=complex if _is_complex_point(p) else float)
             return out.reshape(shape if n is None else (n, *shape))
 
-        def partials(p) -> np.ndarray:
-            return at(len(p), p)
-
-        return cls(lambda p: at(None, p), partials, lambda j, p: partials(p)[j], entries)
+        return cls(lambda p: at(None, p), lambda p: at(len(p), p), entries)
 
 
 def _stack(points, *reads) -> list[np.ndarray]:
@@ -363,9 +364,9 @@ def exact_memo(
     dtype and the exact bytes of it as ``_as_point`` gives it to ``fn``:
     two points share a result only when bit for bit equal and both real
     or both complex, so a hit never returns a value computed at another
-    point.  On a miss ``fn`` runs first; then the memo is emptied if it
-    holds ``bound`` results (None: never), and a read-only copy of the
-    result is stored and returned.  An exception of ``fn`` propagates
+    point.  On a miss ``fn`` runs first; then the oldest result is dropped
+    if the memo holds ``bound`` results (None: never), and a read-only
+    copy of the result is stored and returned.  An exception of ``fn`` propagates
     and nothing is stored for it.  ``fn`` must be a pure function of its
     arguments.
     """
@@ -379,7 +380,7 @@ def exact_memo(
             out = np.array(fn(*args))
             out.flags.writeable = False
             if bound is not None and len(memo) >= bound:
-                memo.clear()
+                del memo[next(iter(memo))]
             memo[key] = out
         return out
 

@@ -60,7 +60,6 @@ from .bundles import (
     alternating_array,
     exact_memo,
     exterior_covariant_derivative,
-    sort_with_sign,
     zero_form,
 )
 from .expr import (
@@ -162,7 +161,8 @@ class _IMFormBase:
     def value_rank(self) -> int:
         return self.value_bundle.rank
 
-    # One entry of the maps and its partials along x_j.
+    # One signed entry of the maps and its partials along x_j, sliced
+    # from a whole read (which raises the first error of any entry).
     def sym_value(self, a: int, idx: tuple, p) -> np.ndarray:
         return self._component(self.sym_map, a, idx, p)
 
@@ -176,12 +176,8 @@ class _IMFormBase:
         return self._component(self.op_map, a, idx, p, j)
 
     def _component(self, m, a, idx, p, j=None) -> np.ndarray:
-        sign, key = sort_with_sign(idx)
-        if sign == 0:
-            return np.zeros(self.value_rank)
-        c = list(itertools.combinations(range(self.algebroid.chart.dim), len(key))).index(key)
-        v = (m.value(p) if j is None else m.partial(j, p))[a, c]
-        return v if sign == 1 else -v
+        v = m.value(p) if j is None else m.partial(j, p)
+        return alternating_array(v, self.algebroid.chart.dim, len(idx))[(a, *idx)]
 
     # Symbolic evaluation on sections.
     def sym_of(self, alpha: Section) -> CoeffForm:
@@ -273,27 +269,27 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], j: int, p, h: float) -> n
     return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
 
 
-# One point of a 3-dimensional chart fills 16 entries of a map's memo
-# (its value, 3 partials and their 12 stencil values), so the bound
+# One point of a 3-dimensional chart fills 14 entries of a map's memo
+# (its value, its partials and their 12 stencil values), so the bound
 # holds the last few points a checker reads.
 SAMPLED_MEMO_ENTRIES = 64
 
 
 def sampled_map(fn: Callable[[np.ndarray], np.ndarray], h: float) -> PointMap:
     """Point map of a point evaluator; partials by ``fd_partial`` with
-    step h, ``partials(p)`` looping over the directions j in order.
+    step h, looping over the directions j in order.
 
-    Values and partials share one ``exact_memo`` keyed by ``(j or None,
+    Values and partials share one ``exact_memo`` keyed by ``(None or n,
     p)`` and bounded at ``SAMPLED_MEMO_ENTRIES``, and the stencil reads
     its shifted values through it, so a pure evaluator runs once per
     distinct point while the memo holds it.
     """
-    at = exact_memo(
-        lambda j, p: fn(p) if j is None else fd_partial(value, j, p, h),
+    at = exact_memo(  # None: the value; n: the partials along x_1..x_n
+        lambda n, p: fn(p) if n is None else [fd_partial(value, j, p, h) for j in range(n)],
         SAMPLED_MEMO_ENTRIES,
     )
     value = functools.partial(at, None)
-    return PointMap(value, lambda p: np.array([at(j, p) for j in range(len(p))]), at)
+    return PointMap(value, lambda p: at(len(p), p))
 
 
 class NumericIMOneForm(_IMFormBase):
@@ -505,7 +501,8 @@ class CouplingData:
     def k(self) -> int:
         return self.fiber.bundle.rank
 
-    # One entry of the maps and its partials along x_j.
+    # One entry of the maps and its partials along x_j, sliced from a
+    # whole read (which raises the first error of any entry).
     def gamma(self, i: int, p) -> np.ndarray:
         return self.gamma_map.value(p)[i]
 

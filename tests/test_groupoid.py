@@ -724,7 +724,8 @@ def test_d_nabla_s_and_curvature_match_the_unshared_stencil(model):
     m = gpd.group.dim + gpd.chart.dim
     alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
     conn = gpd.induced_connection()
-    # More distinct arrows than the memo holds (2m + 1), so it is emptied.
+    # More distinct arrows than the memo holds (2m + 1), so the first
+    # is dropped.
     cases = _stencil_cases(gpd, 2 * m + 2, seed=8)
     for form in (alpha, _tilted(gpd, alpha)):
         new = d_nabla_s(gpd, form, conn)
@@ -753,7 +754,7 @@ def test_d_nabla_s_and_curvature_match_the_unshared_stencil(model):
 def test_bianchi_matches_the_unshared_stencil(model):
     # so2 acting trivially on the plane, so that m = 3 and one triple of
     # stock fields contributes.  One evaluation on so3 visits 2m + 1 =
-    # 13 arrows, filling the curvature's memo; the next one empties it.
+    # 13 arrows, filling the curvature's memo; the next one drops them.
     gpd = so2_on_plane_trivial() if model == "so2" else so3_radial_groupoid()
     m = gpd.group.dim + gpd.chart.dim
     alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
@@ -990,11 +991,11 @@ def test_groupoid_verify_exponentiates_each_flow_once(monkeypatch):
 def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
     # lie-functor on so3 at seed 42 and 4 samples: the symbol and the
     # operator are one sampled map each, whose evaluator gives every
-    # entry at a point.  The symbol runs 134 times, once per distinct
-    # point; the operator 258 times at 234 distinct points, the
-    # repeats where its bounded memo was emptied between the coupling's
-    # reads of one stencil.  Stored per entry, the maps ran the entry
-    # evaluators 342 and 2,178 times (3,318 and 4,830 without a memo).
+    # entry at a point, and each runs once per distinct point: 134 and
+    # 234 times.  Stored per entry, the maps ran the entry evaluators
+    # 342 and 2,178 times (3,318 and 4,830 without a memo), under the
+    # bounds 400 and 2,200 runs of one entry; a run here evaluates the
+    # 3 entries of the symbol and the 9 of the operator.
     # The flow steps (one act_jac_x each) are not moved by the memo.
     import contextlib
     import io
@@ -1004,7 +1005,7 @@ def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
     from algebroids.cli import run
 
     counts = {"sym": 0, "op": 0, "flow": 0}
-    sym_points = set()
+    sym_points, op_points = set(), set()
     numeric = groupoid.NumericIMOneForm
 
     def counted(A, ideal, sym_fn, op_fn, fd_step):
@@ -1015,6 +1016,7 @@ def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
 
         def op(x):
             counts["op"] += 1
+            op_points.add(x.tobytes())
             return op_fn(x)
 
         return numeric(A, ideal, sym, op, fd_step=fd_step)
@@ -1048,7 +1050,7 @@ def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
                 frame_runs.append((id(pm), np.asarray(x, dtype=float).tobytes()))
                 return pm.value(x)
 
-            return groupoid.PointMap(value, pm.partials, pm.partial, pm.exprs)
+            return groupoid.PointMap(value, pm.partials, pm.exprs)
 
     monkeypatch.setattr(groupoid, "NumericIMOneForm", counted)
     monkeypatch.setattr(ActionGroupoid, "act_jac_x", flow_step)
@@ -1058,9 +1060,8 @@ def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
     with contextlib.redirect_stdout(io.StringIO()):
         code = run(["lie-functor", "--model", str(model), "--samples", "4", "--json"])
     assert code == 0
-    assert 0 < counts["sym"] <= 400
-    assert counts["sym"] == len(sym_points)
-    assert 0 < counts["op"] <= 2200
+    assert 0 < counts["sym"] == len(sym_points) <= 134
+    assert 0 < counts["op"] == len(op_points) <= 2200 // 9
     assert 0 < counts["flow"] <= 2808
     # At most one run of the frame per distinct x, against one per
     # (frame element, direction) when the operator read P_a(x) per entry.
@@ -1102,7 +1103,8 @@ def test_splitting_memo_is_bounded_and_exact(monkeypatch):
     assert [runs_of(g, x) for g, x in first for _ in range(2)] == [1, 0] * bound
     # The memo holds `bound` points ...
     assert [runs_of(g, x) for g, x in first] == [0] * bound
-    # ... and no more: the next point empties it.
+    # ... and no more: the next point drops the oldest, and each read
+    # of them again in order drops the one after it.
     assert runs_of(*arrows[bound]) == 1
     assert [runs_of(g, x) for g, x in first] == [1] * bound
     rest = arrows[bound + 1 :]

@@ -162,7 +162,7 @@ def test_verify_im_reads_each_form_entry_once_per_point(monkeypatch):
 
     def spied(self, algebroid, value, sym_map, op_map):
         sym_map, op_map = (
-            PointMap(counted(self, m, "value"), counted(self, m, "partials"), m.partial, m.exprs)
+            PointMap(counted(self, m, "value"), counted(self, m, "partials"), m.exprs)
             for m in (sym_map, op_map)
         )
         bind(self, algebroid, value, sym_map, op_map)
@@ -809,7 +809,7 @@ def _ref_sampled_map(fn, h):
     """The sampled map without a memo: every read runs the evaluator."""
     return PointMap(
         lambda p: np.asarray(fn(np.asarray(p, dtype=float))),
-        partial=lambda j, p: fd_partial(fn, j, p, h),
+        lambda p: np.array([fd_partial(fn, j, p, h) for j in range(len(p))]),
     )
 
 
@@ -842,7 +842,7 @@ def _same_read(a, b):
 
 def test_sampled_map_matches_the_unmemoized_map_bit_for_bit():
     # Repeated points, points 1 ulp apart, more distinct points than the
-    # memo holds (so it is emptied and earlier points come back), and
+    # memo holds (so earlier points are dropped and come back), and
     # points whose stencil reaches the pole.
     h = 5e-4
     m = sampled_map(_noisy([]), h)
@@ -871,17 +871,17 @@ def test_sampled_map_evaluates_each_point_once_and_stores_no_error():
     v = m.value(p)
     assert len(calls) == 1
     assert m.value(p.copy()) is v and len(calls) == 1
-    m.partial(0, p)
-    assert len(calls) == 5  # the four shifted points
+    m.partials(p)
+    assert len(calls) == 9  # the four shifted points along each of x1, x2
     m.partial(0, p)
     q = p.copy()
     q[0] += h
     m.value(q)  # a stencil point, read through the same memo
-    assert len(calls) == 5
+    assert len(calls) == 9
     m.value(np.nextafter(p, np.inf))
-    assert len(calls) == 6
+    assert len(calls) == 10
     # Read-only, so a caller cannot corrupt the memo.
-    for out in (m.value(p), m.partial(0, p)):
+    for out in (m.value(p), m.partials(p), m.partial(0, p)):
         with pytest.raises(ValueError):
             out[0] = 1.0
     # An error is raised again on every read, never stored.
@@ -890,11 +890,16 @@ def test_sampled_map_evaluates_each_point_once_and_stores_no_error():
         with pytest.raises(PoleError):
             m.value(bad)
     assert calls.count(bad.tobytes()) == 2
-    # The memo is bounded: after it is emptied, p is evaluated again.
+    # The memo is bounded: once as many other points have been read, p
+    # is dropped and evaluated again.
     for i in range(SAMPLED_MEMO_ENTRIES):
         m.value(np.array([0.01 * i, 0.5]))
     before = len(calls)
     m.value(p)
+    assert len(calls) == before + 1
+    # p dropped only the oldest point: the other points still hit.
+    for i in range(1, SAMPLED_MEMO_ENTRIES):
+        m.value(np.array([0.01 * i, 0.5]))
     assert len(calls) == before + 1
 
 
