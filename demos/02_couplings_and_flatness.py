@@ -51,4 +51,5 @@ print("== the curvature pair detects the twist ==")
 curv = curvature_im(m2.coupling, plan.fork("curv"), check=False)
 p = plan.fork("pt").point(m2.algebroid.chart)
 print("curvature symbol on the first base frame element at a sample point:")
-print(" ", curv.sym_value(m2.coupling.k, (0,), p), curv.sym_value(m2.coupling.k, (1,), p))
+S = curv.sym_map.value(p)[m2.coupling.k]  # the symbol's value along each d_i
+print(" ", S[0], S[1])

@@ -22,7 +22,6 @@ from .bundles import (
     PointMap,
     Section,
     _curvature,
-    _gamma_reads,
     _stack,
 )
 from .expr import (
@@ -119,9 +118,6 @@ class LieAlgebroid:
             fold(add(*(mul(self.anchor[i][a], alpha.components[a]) for a in range(r))))
             for i in range(n)
         ]
-
-    def anchor_value(self, p) -> np.ndarray:
-        return self.anchor_map.value(p)
 
     def fiber_bracket(self, k: int | None = None) -> FiberBracket:
         """Fiberwise bracket restricted to the first k frame elements
@@ -279,7 +275,7 @@ class ARepresentation:
             jets = _Jets(A, [al, be], pts)
             s0, ds, _ = polynomial_jets(s, pts)
             ds = ds.swapaxes(1, 2)
-            M, dM = _stack(pts, (coeffs.value,), (coeffs.partials,))
+            M, dM = _stack(pts, coeffs.value, coeffs.partials)
 
             def nabla(x0, rx, v0, dv):
                 """nabla_x v at [p, d], from x, rho(x), v and dv[p, i] = d_i v."""
@@ -325,7 +321,7 @@ def _add_ideal_checks(rep: Report, A: LieAlgebroid, k: int, plan: SamplePlan, to
     """The ``ideal_anchor`` and ``ideal_bracket`` checks of the span of
     the first k frame elements, at points drawn after the axiom draws."""
     pts = plan.points(A.chart, max(20, _axiom_budget(plan)[1]))
-    rho, C = _stack(pts, (A.anchor_value,), (A.structure_map.value,))
+    rho, C = _stack(pts, A.anchor_map.value, A.structure_map.value)
     # rho(e_a) for a in the ideal, and [e_b, e_a] off the ideal.
     rep.add("ideal_anchor", rho[:, :, :k], 1e-10 if tol > 1e-10 else tol)
     rep.add("ideal_bracket", C[:, :, :k, k:], tol)
@@ -363,10 +359,10 @@ class _Jets:
         v = polynomial_jets([t for s in draws for t in s], points)
         self.R, dR, self.C, dC = _stack(
             points,
-            (A.anchor_value,),
-            (A.anchor_map.partials,),
-            (A.structure_map.value,),
-            (A.structure_map.partials,),
+            A.anchor_map.value,
+            A.anchor_map.partials,
+            A.structure_map.value,
+            A.structure_map.partials,
         )
         self.dR, self.dC = np.moveaxis(dR, 1, -1), np.moveaxis(dC, 1, -1)
         self.sections = [tuple(x[:, s * r : (s + 1) * r] for x in v) for s in range(len(draws))]
@@ -483,7 +479,11 @@ def check_A_invariant(
     # A non-finite read gives a non-finite residual, which fails.
     with np.errstate(invalid="ignore", over="ignore"):
         M, rho, G, dG = _stack(
-            pts, (PointMap.exact(rep.coeffs).value,), (A.anchor_value,), *_gamma_reads(conn)
+            pts,
+            PointMap.exact(rep.coeffs).value,
+            A.anchor_map.value,
+            conn.gamma_map.value,
+            conn.gamma_map.partials,
         )
         # Condition 1: coefficient matrices match sum_i rho^i_b Gamma_i.
         compat = M - np.einsum("pib,pidc->pbdc", rho, G)
@@ -521,11 +521,12 @@ class BasicCurvature:
         A = self.A
         R, dR, C, dC, G, dG = _stack(
             pts,
-            (A.anchor_value,),
-            (A.anchor_map.partials,),
-            (A.structure_map.value,),
-            (A.structure_map.partials,),
-            *_gamma_reads(self.conn),
+            A.anchor_map.value,
+            A.anchor_map.partials,
+            A.structure_map.value,
+            A.structure_map.partials,
+            self.conn.gamma_map.value,
+            self.conn.gamma_map.partials,
         )
         # Y(e_b, d_i)^j, at [p, b, i, j].
         Y = np.einsum("pjd,pidb->pbij", R, G) - np.einsum("pijb->pbij", dR)
@@ -587,7 +588,7 @@ def cartan_build_connection(
     pts = plan.points(A.chart, 20)
     l_map = PointMap.exact(l)
     L, dL, R, C, G = _stack(
-        pts, (l_map.value,), (l_map.partials,), (A.anchor_value,), (A.structure_map.value,), (conn.gamma_map.value,)
+        pts, l_map.value, l_map.partials, A.anchor_map.value, A.structure_map.value, conn.gamma_map.value
     )
     a, b = np.triu_indices(r, 1)
     with np.errstate(invalid="ignore", over="ignore"):

@@ -79,9 +79,6 @@ class Section:
         self.bundle = bundle
         self.components = components
 
-    def value(self, p) -> np.ndarray:
-        return PointMap.exact(self.components).value(p)
-
     def __add__(self, other: "Section") -> "Section":
         if other.bundle != self.bundle:
             raise ValueError("bundle mismatch")
@@ -190,9 +187,6 @@ class CoeffForm:
             return vec
         return tuple(fold(neg(v)) for v in vec)
 
-    def value(self, idx: Sequence[int], p) -> np.ndarray:
-        return PointMap.exact(self.component(idx)).value(p)
-
     def is_structurally_zero(self) -> bool:
         return not self.comps
 
@@ -237,10 +231,9 @@ class PointMap:
     """An array-valued map on the chart with first partials:
     ``value(p)`` returns an array and ``partials(p)`` its derivatives
     along every coordinate j at [j, ...].  A form, a coupling's Gamma or
-    U, or a connection is one map, and a check reads it whole.
-    ``partial(j, p)`` is ``partials(p)[j]``: it evaluates every
-    direction and raises the first error of any, as does a read of one
-    entry.
+    U, or a connection is one map, and a check reads it whole: a read
+    of ``partials(p)`` evaluates every direction and raises the first
+    error of any entry.
 
     Exact maps (``PointMap.exact``) carry their entries as Exprs in
     ``exprs``; ``PointMap.exact`` is the one place outside ``expr`` that
@@ -257,9 +250,6 @@ class PointMap:
         self.value = value
         self.partials = partials
         self.exprs = exprs
-
-    def partial(self, j: int, p) -> np.ndarray:
-        return self.partials(p)[j]
 
     @classmethod
     def exact(cls, entries) -> "PointMap":
@@ -286,30 +276,18 @@ class PointMap:
 
 
 def _stack(points, *reads) -> list[np.ndarray]:
-    """For each ``(read, *dims)`` of ``reads``, ``read(*idx, p)`` at each
-    point and each index tuple of the ranges ``dims``, as one array: the
-    point axis first, then one axis per range, then the axes of a read.
-    All reads at a point run together, as the identities meet them, so a
-    sampled map's memo still holds the point's stencil for a later read
-    of it."""
-    rows = [[[read(*idx, p) for idx in itertools.product(*map(range, dims))] for read, *dims in reads] for p in points]
-    out = []
-    for s, (_, *dims) in enumerate(reads):
-        a = np.array([row[s] for row in rows])
-        out.append(a.reshape(len(points), *dims, *a.shape[2:]))
-    return out
+    """For each callable of ``reads``, ``read(p)`` at each point, as one
+    array: the point axis first, then the axes of a read.  All reads at
+    a point run together, as the identities meet them, so a sampled
+    map's memo still holds the point's stencil for a later read of it."""
+    rows = [[read(p) for read in reads] for p in points]
+    return [np.array([row[s] for row in rows]) for s in range(len(reads))]
 
 
 def _anchored(rho: np.ndarray, U: np.ndarray) -> np.ndarray:
     """U(e_a, rho(e_b)) at [p, a, b], from the stacked rho[p, i, b] and
     U[p, a, i]."""
     return np.einsum("pib,paie->pabe", rho, U)
-
-
-def _gamma_reads(conn: "LinearConnection"):
-    """The ``_stack`` reads of a connection's Gamma[p, i] and of its
-    partials dG[p, j, i] = d_j Gamma_i."""
-    return (conn.gamma_map.value,), (conn.gamma_map.partials,)
 
 
 def _curvature(G: np.ndarray, dG: np.ndarray) -> np.ndarray:
@@ -419,9 +397,6 @@ class LinearConnection:
         zero = [[ZERO] * r for _ in range(r)]
         return cls(bundle, [zero for _ in range(n)])
 
-    def gamma_value(self, i: int, p) -> np.ndarray:
-        return self.gamma_map.value(p)[i]
-
     def apply_matrix(self, i: int, vec: Sequence[Expr]) -> list[Expr]:
         """Frame action of nabla_{d_i} on a coefficient vector: the
         Gamma_i part only (no derivative)."""
@@ -502,7 +477,7 @@ def connection_is_flat(
     """Sampled flatness predicate: curvature entries vanish on 64 chart
     points within ``tol``.  Returns (flat, max residual)."""
     plan = plan or SamplePlan(seed=42, samples=64)
-    G, dG = _stack(plan.points(conn.bundle.chart, 64), *_gamma_reads(conn))
+    G, dG = _stack(plan.points(conn.bundle.chart, 64), conn.gamma_map.value, conn.gamma_map.partials)
     i, j = np.triu_indices(conn.bundle.chart.dim, 1)
     with np.errstate(invalid="ignore", over="ignore"):
         worst = sup(_curvature(G, dG)[:, i, j])
@@ -576,7 +551,3 @@ class FiberBracket:
             for a in range(r)
         ]
         return cls(bundle, struct)
-
-    def ad_value(self, p) -> np.ndarray:
-        """Stacked adjoint matrices at a point: ad[a][k][b] = c_{ab}^k."""
-        return self.c_map.value(p).transpose(0, 2, 1)

@@ -186,7 +186,7 @@ def _cmd_coupling(args, plan, tol):
             pts = plan.points(B.chart, 30)
             # Gamma, U and the base bracket of each coupling at the points.
             (G, U, cB), (G2, U2, cB2) = (
-                _stack(pts, (c.gamma_map.value,), (c.u_map.value,), (c.base.structure_map.value,))
+                _stack(pts, c.gamma_map.value, c.u_map.value, c.base.structure_map.value)
                 for c in (cd, cd2)
             )
             rep.add("roundtrip_fiber_connection", G - G2, tol)
@@ -196,7 +196,7 @@ def _cmd_coupling(args, plan, tol):
             # second coupling generates.
             form2 = coupling_to_im(cd2, plan=plan.fork("c2i2"), check=False)
             pts = plan.points(B.chart, 15)
-            (F,), (F2,) = (_stack(pts, (f.op_map.value,)) for f in (form, form2))
+            (F,), (F2,) = (_stack(pts, f.op_map.value) for f in (form, form2))
             rep.add("roundtrip_connection_form", F - F2, tol)
     return rep
 
@@ -230,7 +230,7 @@ def _cmd_curvature(args, plan, tol):
     arep = canonical_representation(curv.algebroid, curv.ideal)
     rep = check_im_form(curv, arep, plan, tol=tol)
     rep.command = "curvature"
-    O, S = _stack(plan.points(cd.base.chart, 25), (curv.op_map.value,), (curv.sym_map.value,))
+    O, S = _stack(plan.points(cd.base.chart, 25), curv.op_map.value, curv.sym_map.value)
     worst = sup(O, S)
     rep.extra["curvature_max_value"] = worst
     rep.extra["curvature_vanishes"] = bool(worst < 1e-9)
@@ -385,11 +385,11 @@ def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float = 1e-8) ->
             be = B.random_section(rng)
             got, a, b, rho, U = _stack(
                 plan.points(B.chart, 8),
-                (PointMap.exact(ev(al, be)).value,),
-                (PointMap.exact(al.components).value,),
-                (PointMap.exact(be.components).value,),
-                (B.anchor_value,),
-                (cd.u_map.value,),
+                PointMap.exact(ev(al, be)).value,
+                PointMap.exact(al.components).value,
+                PointMap.exact(be.components).value,
+                B.anchor_map.value,
+                cd.u_map.value,
             )
             # The base cocycle U(alpha, rho(beta)).
             defects.append(got - np.einsum("pa,pb,pabe->pe", a, b, _anchored(rho, U)))

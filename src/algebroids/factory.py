@@ -38,7 +38,6 @@ from .bundles import (
     Section,
     _curvature,
     _d_nabla,
-    _gamma_reads,
     _stack,
     connection_is_flat,
 )
@@ -278,12 +277,12 @@ def _require_curvature_is_ad(fiber, nabla, Omega, plan, tol: float = 1e-8):
     Om_map = _two_form_map(Omega, k)
     i, j = np.triu_indices(n, 1)
     with np.errstate(invalid="ignore", over="ignore"):
-        G, dG, Om, C = _stack(plan.points(chart, 25), *_gamma_reads(nabla), (Om_map.value,), (fiber.c_map.value,))
+        G, dG, Om, C = _stack(plan.points(chart, 25), nabla.gamma_map.value, nabla.gamma_map.partials, Om_map.value, fiber.c_map.value)
         ad = _curvature(G, dG) - np.einsum("pijf,pfce->pijec", Om, C)
         worst_ad = sup(ad[:, i, j])
         worst_closed = 0.0
         if n >= 3:
-            G, Om, dOm = _stack(plan.points(chart, 25), (nabla.gamma_map.value,), (Om_map.value,), (Om_map.partials,))
+            G, Om, dOm = _stack(plan.points(chart, 25), nabla.gamma_map.value, Om_map.value, Om_map.partials)
             worst_closed = sup(_d_nabla(G, Om, dOm))
     if worst_ad > tol or worst_closed > tol:
         rep = Report(command="transitive-build", seed=plan.seed, samples=plan.samples)
@@ -484,7 +483,7 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
     i, j = np.triu_indices(dim, 1)
     with np.errstate(invalid="ignore", over="ignore"):
         pts = plan.points(chart, 25)
-        (Om_pts,) = _stack(pts, (Om_map.value,))
+        (Om_pts,) = _stack(pts, Om_map.value)
         # The part of each Omega_ij off the center, through the orthogonal
         # projection onto it.
         proj = np.array([z @ z.T for z in (center_basis(fiber, p) for p in pts)])
@@ -492,7 +491,7 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
         rep.add("twist_center_valued", off[:, i, j], 1e-9)
         if dim >= 3:
             G, Om_pts, dOm = _stack(
-                plan.points(chart, 25), (nablaL.gamma_map.value,), (Om_map.value,), (Om_map.partials,)
+                plan.points(chart, 25), nablaL.gamma_map.value, Om_map.value, Om_map.partials
             )
             rep.add("twist_covariantly_closed", _d_nabla(G, Om_pts, dOm), 1e-9)
     if not rep.passed:
@@ -547,7 +546,7 @@ def transitive_im_connection(
         raise ValueError("tau must be an r x n Expr matrix")
 
     # rho o tau = Id and transitivity at samples.
-    rho, tv = _stack(plan.points(A.chart, 25), (A.anchor_value,), (PointMap.exact(tau).value,))
+    rho, tv = _stack(plan.points(A.chart, 25), A.anchor_map.value, PointMap.exact(tau).value)
     with np.errstate(invalid="ignore", over="ignore"):
         worst = sup(rho @ tv - np.eye(n))
     if worst > tol:

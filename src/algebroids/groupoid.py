@@ -230,6 +230,8 @@ class ActionGroupoid:
         self.complement = tuple(tuple(fold(x) for x in sec) for sec in complement)
         if len(self.complement) != d - self.k:
             raise ValueError("complement must complete the ideal frame to a full frame")
+        if any(len(sec) != d for sec in self.complement):
+            raise ValueError("complement sections must have one entry per basis element")
         self.splitting = None
         if splitting is not None:
             if len(splitting) != self.k or any(len(row) != d for row in splitting):

@@ -16,9 +16,8 @@ from the groupoid side (``NumericIMOneForm``, ``NumericCouplingData``)
 fills them from point evaluators of whole arrays, with partials by the
 one finite-difference stencil ``fd_partial``.  Both run through the
 same checkers; ``exact`` tells them apart where a check needs the
-Exprs themselves.  The per-entry accessors (``sym_value``,
-``op_value``, ``gamma``, ``u`` and their partials) are slices of the
-maps, for callers that want one entry.
+Exprs themselves.  A caller that wants one entry slices a whole read,
+``form.op_map.value(p)[a, c]`` or ``cd.u_map.partials(p)[j, a, i]``.
 
 A checker reads each map and its partials once per point and
 stacks the reads of a draw into arrays with the point axis first
@@ -110,14 +109,15 @@ def _value_bundle(value) -> Bundle:
 
 
 class _IMFormBase:
-    """Shared storage and accessors for degree-1 and degree-2 forms.
+    """Shared storage for degree-1 and degree-2 forms.
 
     The checkers read a form whole, through two point maps: the symbol
     ``sym_map`` and the operator ``op_map``, each at [a, c, v] on the
     a-th frame element and the c-th strictly increasing index tuple (in
-    ``itertools.combinations`` order) of degree k - 1 and k.  The
-    accessors slice one signed entry out of them, like
-    ``CoeffForm.component``.  An exact form also keeps its symbol and
+    ``itertools.combinations`` order) of degree k - 1 and k; one entry
+    is a slice of a whole read, and ``bundles.alternating_array`` gives
+    the signed entries on every index tuple, as ``CoeffForm.component``
+    does for the Exprs.  An exact form also keeps its symbol and
     operator as CoeffForms in ``symbols`` and ``frame_values``; a
     sampled form has only point maps.
     """
@@ -160,24 +160,6 @@ class _IMFormBase:
     @property
     def value_rank(self) -> int:
         return self.value_bundle.rank
-
-    # One signed entry of the maps and its partials along x_j, sliced
-    # from a whole read (which raises the first error of any entry).
-    def sym_value(self, a: int, idx: tuple, p) -> np.ndarray:
-        return self._component(self.sym_map, a, idx, p)
-
-    def sym_dvalue(self, j: int, a: int, idx: tuple, p) -> np.ndarray:
-        return self._component(self.sym_map, a, idx, p, j)
-
-    def op_value(self, a: int, idx: tuple, p) -> np.ndarray:
-        return self._component(self.op_map, a, idx, p)
-
-    def op_dvalue(self, j: int, a: int, idx: tuple, p) -> np.ndarray:
-        return self._component(self.op_map, a, idx, p, j)
-
-    def _component(self, m, a, idx, p, j=None) -> np.ndarray:
-        v = m.value(p) if j is None else m.partial(j, p)
-        return alternating_array(v, self.algebroid.chart.dim, len(idx))[(a, *idx)]
 
     # Symbolic evaluation on sections.
     def sym_of(self, alpha: Section) -> CoeffForm:
@@ -316,7 +298,7 @@ def _connection_residual(form, plan: SamplePlan, n_points: int = 30) -> float:
     """Sampled version of the symbol-restricts-to-identity predicate."""
     k = form.ideal.k
     points = plan.points(form.algebroid.chart, n_points)
-    (S,) = _stack(points, (form.sym_map.value,))
+    (S,) = _stack(points, form.sym_map.value)
     return sup(S[:, :k, 0] - np.eye(form.value_rank)[:k])
 
 
@@ -328,7 +310,7 @@ def _form_reads(form, points):
     the value index last."""
     n, k = form.algebroid.chart.dim, form.degree
     sym, op = form.sym_map, form.op_map
-    stacks = _stack(points, (sym.value,), (sym.partials,), (op.value,), (op.partials,))
+    stacks = _stack(points, sym.value, sym.partials, op.value, op.partials)
     return [alternating_array(x, n, q) for x, q in zip(stacks, (k - 1, k - 1, k, k))]
 
 
@@ -501,20 +483,6 @@ class CouplingData:
     def k(self) -> int:
         return self.fiber.bundle.rank
 
-    # One entry of the maps and its partials along x_j, sliced from a
-    # whole read (which raises the first error of any entry).
-    def gamma(self, i: int, p) -> np.ndarray:
-        return self.gamma_map.value(p)[i]
-
-    def dgamma(self, j: int, i: int, p) -> np.ndarray:
-        return self.gamma_map.partial(j, p)[i]
-
-    def u(self, a: int, i: int, p) -> np.ndarray:
-        return self.u_map.value(p)[a, i]
-
-    def du(self, j: int, a: int, i: int, p) -> np.ndarray:
-        return self.u_map.partial(j, p)[a, i]
-
     def u_form(self, a: int) -> CoeffForm:
         """U on the a-th base frame element, as a fiber-valued 1-form."""
         n = self.base.chart.dim
@@ -528,7 +496,7 @@ class CouplingData:
         B = self.base
         pts = plan.points(B.chart, n_points)
         with np.errstate(invalid="ignore", over="ignore"):
-            rho, U = _stack(pts, (B.anchor_value,), (self.u_map.value,))
+            rho, U = _stack(pts, B.anchor_map.value, self.u_map.value)
             W = _anchored(rho, U)
             return sup(W + W.swapaxes(1, 2))
 
@@ -800,14 +768,14 @@ def _structure_defects(cd, pts) -> dict[str, np.ndarray]:
     # [p, j, i], [e_a, e_b]^f at [p, a, b, f] and its partials; on a
     # base also rho^i(e_a) at [p, i, a], U(e_a, d_i) at [p, a, i], the
     # base bracket, and the partials d_j at [p, j].
-    reads = [(cd.gamma_map.value,), (cd.gamma_map.partials,), (fiber.c_map.value,), (fiber.c_map.partials,)]
+    reads = [cd.gamma_map.value, cd.gamma_map.partials, fiber.c_map.value, fiber.c_map.partials]
     if rB:
         reads += [
-            (B.anchor_value,),
-            (B.anchor_map.partials,),
-            (B.structure_map.value,),
-            (cd.u_map.value,),
-            (cd.u_map.partials,),
+            B.anchor_map.value,
+            B.anchor_map.partials,
+            B.structure_map.value,
+            cd.u_map.value,
+            cd.u_map.partials,
         ]
     # A non-finite read gives a non-finite defect, which fails.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -849,7 +817,7 @@ def center_basis(fiber: FiberBracket, p, svd_tol: float = 1e-9) -> np.ndarray:
     columns of NaN, so a residual read through it fails (the SVD of such
     a matrix need not return)."""
     k = fiber.bundle.rank
-    ad = fiber.ad_value(p)
+    ad = fiber.c_map.value(p).transpose(0, 2, 1)  # ad[a][k][b] = c_{ab}^k
     stacked = ad.reshape(k * k, k)
     if not np.isfinite(stacked).all():
         return np.full((k, k), np.nan)
@@ -870,7 +838,7 @@ def _center_residual_of_u(cd, pts, svd_tol: float) -> float:
                 f"center rank jumps across samples ({ranks[0]} vs {rank})"
             )
     proj = np.array([z @ z.T for z in Z])
-    (U,) = _stack(pts, (cd.u_map.value,))
+    (U,) = _stack(pts, cd.u_map.value)
     return sup(U - np.einsum("pef,paif->paie", proj, U))
 
 
@@ -942,9 +910,9 @@ def classify_flatness(
     report = Report(command="classify", seed=plan.seed, samples=plan.samples)
 
     with np.errstate(invalid="ignore", over="ignore"):
-        G, dG = _stack(pts, (cd.gamma_map.value,), (cd.gamma_map.partials,))
+        G, dG = _stack(pts, cd.gamma_map.value, cd.gamma_map.partials)
         curv = _curvature(G, dG)
-        rho, U = _stack(pts, (B.anchor_value,), (cd.u_map.value,))
+        rho, U = _stack(pts, B.anchor_map.value, cd.u_map.value)
         anchored = _anchored(rho, U)
 
     kernel = report.add("kernel_flat_curvature", curv, tol)

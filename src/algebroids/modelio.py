@@ -365,7 +365,10 @@ class ModelFile:
                     f"{N * N} entries for ambient {N}"
                 )
             basis.append(np.array(flat, dtype=float).reshape(N, N))
-        group = MatrixGroup(N, basis)
+        try:
+            group = MatrixGroup(N, basis)
+        except ValueError as e:
+            raise ModelError(f"/groupoid: {e}") from e
         combined = Chart(N * N + self.chart.dim)
         action = [
             self._parse_groupoid_expr(x, combined, f"/groupoid/action/{i}")
@@ -389,9 +392,12 @@ class ModelFile:
                 [self._parse(x, f"/groupoid/splitting/{c}") for x in row]
                 for c, row in enumerate(sec["splitting"])
             ]
-        gpd = ActionGroupoid(
-            group, self.chart, action, ideal_frame, complement, splitting
-        )
+        try:
+            gpd = ActionGroupoid(
+                group, self.chart, action, ideal_frame, complement, splitting
+            )
+        except ValueError as e:
+            raise ModelError(f"/groupoid: {e}") from e
         self._cache["groupoid"] = gpd
         return gpd
 
@@ -472,7 +478,7 @@ def load_model(path: str) -> ModelFile:
     # Eagerly validate every supplied section so load errors surface here.
     for section in ("algebroid", "ideal", "im_form", "coupling", "groupoid"):
         if model.has(section):
-            getattr(model, section if section != "ideal" else "ideal")()
+            getattr(model, section)()
     if model.has("example"):
         model.example_spec()
     if model.has("rank_one_witness"):

@@ -151,7 +151,7 @@ def check_rank_one(
 
     # Tangentiality of the cochain representatives on the anchor kernel,
     # read where the anchor has its modal rank.
-    (rho,) = _stack(pts, (B.anchor_value,))
+    (rho,) = _stack(pts, B.anchor_map.value)
     finite = np.isfinite(rho).all(axis=(1, 2))
     # The SVD of a matrix that is not finite need not return.
     _, s, vt = np.linalg.svd(rho[finite])
@@ -161,7 +161,7 @@ def check_rank_one(
     tang = [] if finite.all() else [np.inf]
     if modal is not None and modal < B.rank:
         kept = np.array(pts)[finite][keep]
-        lam, V = _stack(kept, (PointMap.exact(data.lam).value,), (PointMap.exact(data.V).value,))
+        lam, V = _stack(kept, PointMap.exact(data.lam).value, PointMap.exact(data.V).value)
         K = vt[keep, modal:]  # the kernel's orthonormal rows at [p, k, a]
         tang += [np.einsum("pka,pab->pkb", K, lam), np.einsum("pka,pa->pk", K, V)]
     report.add("tangential_representatives", sup(*tang), tol)
@@ -226,11 +226,11 @@ def verify_witness(
     # A non-finite read gives a non-finite residual, which fails.
     with np.errstate(invalid="ignore", over="ignore"):
         rho, V, lam = _stack(
-            pts, (B.anchor_value,), (PointMap.exact(data.V).value,), (PointMap.exact(data.lam).value,)
+            pts, B.anchor_map.value, PointMap.exact(data.V).value, PointMap.exact(data.lam).value
         )
         if Z is not None:
             Z_map = PointMap.exact([fold(z) for z in Z])
-            Zv, dZ, C = _stack(pts, (Z_map.value,), (Z_map.partials,), (B.structure_map.value,))
+            Zv, dZ, C = _stack(pts, Z_map.value, Z_map.partials, B.structure_map.value)
             # The 2-cochain shifted by d_B Z, twisted by the 1-cocycle V:
             # (d_B Z)(a, b) = rho(a) Z_b + V_a Z_b - (a <-> b) - Z([a, b]).
             X = np.einsum("pia,pib->pab", rho, dZ) + np.einsum("pa,pb->pab", V, Zv)
@@ -256,7 +256,7 @@ def verify_witness(
             report.add("theta_invariant", defects["S2"], tol)
         else:
             report.add("theta_closed", defects["curvature"], tol)
-        (theta,) = _stack(pts, (PointMap.exact(theta_w).value,))
+        (theta,) = _stack(pts, PointMap.exact(theta_w).value)
         report.add("V_matches_pullback", V - np.einsum("pi,pia->pa", theta, rho), tol)
 
         if kind in ("totally_flat", "leafwise_flat"):
@@ -272,7 +272,7 @@ def verify_witness(
             cand = extract_rank_one(_coupling(B, theta_w, U1w))
             sub = check_rank_one(cand, plan.fork("pair"), tol=tol)
             report.merge(sub, prefix="pair_")
-            (U1,) = _stack(pts, (PointMap.exact(U1w).value,))
+            (U1,) = _stack(pts, PointMap.exact(U1w).value)
             match = lam - np.einsum("pai,pib->pab", U1, rho)
             off = ~np.eye(rB, dtype=bool)
             report.add("lambda_matches_pair_image", match[:, off], tol)
@@ -288,7 +288,7 @@ def verify_witness(
         for (i, j), x in zip(pairs, map(fold, Om)):
             OmM[i][j], OmM[j][i] = [x], [fold(neg(x))]
         Om_map = PointMap.exact(OmM)
-        Omega, dOmega = _stack(pts, (Om_map.value,), (Om_map.partials,))
+        Omega, dOmega = _stack(pts, Om_map.value, Om_map.partials)
         # Covariant closedness: d Omega + theta ^ Omega = 0, the covariant
         # exterior derivative of the connection Gamma_i = [[theta_i]].
         closed = _d_nabla(theta[:, :, None, None], Omega, dOmega)

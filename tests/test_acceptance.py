@@ -176,9 +176,9 @@ def _coupling_distance(cd, cd2, p):
     n = cd.base.chart.dim
     for pt in p.points(cd.base.chart, 40):
         for i in range(n):
-            worst = max(worst, float(np.max(np.abs(cd.gamma(i, pt) - cd2.gamma(i, pt)))))
+            worst = max(worst, float(np.max(np.abs(cd.gamma_map.value(pt)[i] - cd2.gamma_map.value(pt)[i]))))
             for a in range(cd.base.rank):
-                worst = max(worst, float(np.max(np.abs(cd.u(a, i, pt) - cd2.u(a, i, pt)))))
+                worst = max(worst, float(np.max(np.abs(cd.u_map.value(pt)[a, i] - cd2.u_map.value(pt)[a, i]))))
         for a in range(cd.base.rank):
             for b in range(cd.base.rank):
                 for c in range(cd.base.rank):
@@ -200,11 +200,11 @@ def _form_distance(f1, f2, p):
             for i in range(n):
                 worst = max(
                     worst,
-                    float(np.max(np.abs(f1.op_value(a, (i,), pt) - f2.op_value(a, (i,), pt)))),
+                    float(np.max(np.abs(f1.op_map.value(pt)[a, i] - f2.op_map.value(pt)[a, i]))),
                 )
             worst = max(
                 worst,
-                float(np.max(np.abs(f1.sym_value(a, (), pt) - f2.sym_value(a, (), pt)))),
+                float(np.max(np.abs(f1.sym_map.value(pt)[a, 0] - f2.sym_map.value(pt)[a, 0]))),
             )
     return worst
 
@@ -241,9 +241,9 @@ def test_criterion_03_flatness_taxonomy(fixtures):
         worst = 0.0
         for pt in plan(f"c3p-{name}").points(cd.base.chart, 30):
             for a in range(curv.algebroid.rank):
-                worst = max(worst, float(np.max(np.abs(curv.op_value(a, (0, 1), pt)))))
+                worst = max(worst, float(np.max(np.abs(curv.op_map.value(pt)[a, 0]))))
                 for i in range(2):
-                    worst = max(worst, float(np.max(np.abs(curv.sym_value(a, (i,), pt)))))
+                    worst = max(worst, float(np.max(np.abs(curv.sym_map.value(pt)[a, i]))))
         classes, _ = classify_flatness(cd, plan(f"c3q-{name}"))
         ok = ok and (worst < 1e-9) == expect_zero == ("totally" in classes)
     report_line(3, "flatness taxonomy", ok,
@@ -265,11 +265,10 @@ def test_criterion_04_kernel_flat_pair(fixtures):
         proj = Z @ Z.T
         for a in range(B.rank):
             for i in range(B.chart.dim):
-                v = cd.u(a, i, pt)
+                v = cd.u_map.value(pt)[a, i]
                 worst_center = max(worst_center, float(np.max(np.abs(v - proj @ v))))
-            for idx in [(0, 1)]:
-                v = pair.op_value(a, idx, pt)
-                worst_center = max(worst_center, float(np.max(np.abs(v - proj @ v))))
+            v = pair.op_map.value(pt)[a, 0]  # on the pair (d_1, d_2)
+            worst_center = max(worst_center, float(np.max(np.abs(v - proj @ v))))
     ok = ok and worst_center < 1e-7
 
     # The cochain contraction reproduces the anchor pairing of the
@@ -287,7 +286,7 @@ def test_criterion_04_kernel_flat_pair(fixtures):
             for a in range(B.rank):
                 ca = evaluate(al.components[a], pt)
                 for i in range(B.chart.dim):
-                    lam += ca * rho_b[i] * cd.u(a, i, pt)
+                    lam += ca * rho_b[i] * cd.u_map.value(pt)[a, i]
             got = np.array([evaluate(x, pt) for x in vals])
             worst = max(worst, float(np.max(np.abs(got - lam))))
     ok = ok and worst < 1e-9
@@ -315,7 +314,7 @@ def test_criterion_05_transitive_uniqueness():
             for i in range(2):
                 worst = max(
                     worst,
-                    float(np.max(np.abs(form.op_value(a, (i,), pt) - form2.op_value(a, (i,), pt)))),
+                    float(np.max(np.abs(form.op_map.value(pt)[a, i] - form2.op_map.value(pt)[a, i]))),
                 )
     ok = ok and worst < 1e-9
     report_line(5, "transitive uniqueness", ok, f"agreement {worst:.2e}")

@@ -121,7 +121,7 @@ def test_transitive_family_and_uniqueness():
                     float(
                         np.max(
                             np.abs(
-                                form.op_value(a, (i,), p) - form2.op_value(a, (i,), p)
+                                form.op_map.value(p)[a, i] - form2.op_map.value(p)[a, i]
                             )
                         )
                     ),
@@ -129,7 +129,7 @@ def test_transitive_family_and_uniqueness():
     assert worst < 1e-9
     # The coupling contracts the twist with the anchor.
     for p in plan.points(m.algebroid.chart, 8):
-        assert abs(cd.u(0, 1, p)[0] - 1.0) < 1e-12
+        assert abs(cd.u_map.value(p)[0, 1, 0] - 1.0) < 1e-12
 
 
 def test_transitive_tm_trivial_isotropy():

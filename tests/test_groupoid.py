@@ -380,10 +380,10 @@ def test_flow_region_guard():
     alpha = connection_from_splitting(gpd, plan=plan)
     nform = differentiate_to_im(gpd, alpha, region_pad=1e-6)
     edge = np.array([0.41, 0.7999, 0.7999])
-    assert np.isfinite(nform.op_value(0, (0,), edge)).all()
+    assert np.isfinite(nform.op_map.value(edge)[0, 0]).all()
     for j in (1, 2):
         with pytest.raises(FlowRegionError):
-            nform.op_dvalue(j, 0, (0,), edge)
+            nform.op_map.partials(edge)[j, 0, 0]
 
 
 def test_action_algebroid_conventions():
@@ -405,8 +405,8 @@ def test_differentiate_to_im_so2_product():
     nform = differentiate_to_im(gpd, alpha)
     # Product shape: symbol is the identity, operator values vanish.
     for p in plan.points(gpd.chart, 10):
-        assert abs(nform.sym_value(0, (), p)[0] - 1.0) < 1e-9
-        assert abs(nform.op_value(0, (0,), p)[0]) < 1e-8
+        assert abs(nform.sym_map.value(p)[0, 0, 0] - 1.0) < 1e-9
+        assert abs(nform.op_map.value(p)[0, 0, 0]) < 1e-8
     A, ideal, _ = gpd.action_algebroid()
     rep = canonical_representation(A, ideal)
     out = check_im_form(nform, rep, SamplePlan(seed=5, samples=40), tol=1e-6)
@@ -428,7 +428,7 @@ def test_differentiate_to_im_so3(radial_model):
                 evaluate(gpd.splitting[0][b], p) * evaluate(P[b][a], p)
                 for b in range(3)
             )
-            worst = max(worst, abs(nform.sym_value(a, (), p)[0] - want))
+            worst = max(worst, abs(nform.sym_map.value(p)[a, 0, 0] - want))
     assert worst < 1e-6
 
     rep = canonical_representation(A, ideal)
@@ -456,8 +456,8 @@ def test_differentiate_to_im_so3(radial_model):
                     float(
                         np.max(
                             np.abs(
-                                nform.op_value(a, (i,), p)
-                                - sym_form.frame_values[a].value((i,), p)
+                                nform.op_map.value(p)[a, i]
+                                - sym_form.op_map.value(p)[a, i]
                             )
                         )
                     ),
@@ -527,7 +527,7 @@ def _ref_D(gpd, omega, conn, alpha=None, step=1e-5):
                 down = on(*_ref_move(gpd, g, x, a, -step), rest)
                 dval = (up - down) / (2 * step)
                 if a >= d:
-                    dval += conn.gamma_value(a - d, x) @ at[rest]
+                    dval += conn.gamma_map.value(x)[a - d] @ at[rest]
                 val += (-1) ** t * dval
             for s, t in itertools.combinations(range(p + 1), 2):
                 if idx[t] < d:
@@ -574,9 +574,9 @@ def _old_curvature(gpd, omega, conn, alpha, step=1e-5):
                 dnu = dnu / (2 * step)
                 val = dmu - dnu
                 if mu >= d:
-                    val += conn.gamma_value(mu - d, x) @ vals[nu]
+                    val += conn.gamma_map.value(x)[mu - d] @ vals[nu]
                 if nu >= d:
-                    val -= conn.gamma_value(nu - d, x) @ vals[mu]
+                    val -= conn.gamma_map.value(x)[nu - d] @ vals[mu]
                 if mu < d and nu < d:
                     fc = gpd.group.structure[mu, nu]
                     for c in range(d):
@@ -607,7 +607,7 @@ def _old_d2_component(gpd, omega, conn, g, x, mu, nu, lam, step):
         gm, xm = _ref_move(gpd, g, x, a, -step)
         dval = (omega_on(gp, xp, *rest) - omega_on(gm, xm, *rest)) / (2 * step)
         if a >= d:
-            dval += conn.gamma_value(a - d, x) @ omega_on(g, x, *rest)
+            dval += conn.gamma_map.value(x)[a - d] @ omega_on(g, x, *rest)
         total += sgn * dval
     pairs = [((mu, nu), lam, 1.0), ((mu, lam), nu, -1.0), ((nu, lam), mu, 1.0)]
     for (a, b), other, sgn in pairs:
@@ -678,7 +678,7 @@ def _ref_op_value(gpd, alpha, a, i, x, L_const=_ref_L_const):
     x = np.asarray(x, dtype=float)
     col = PointMap.exact([P[b][a] for b in range(d)])
     out = np.zeros(k)
-    Pa, dPa = col.value(x), col.partial(i, x)
+    Pa, dPa = col.value(x), col.partials(x)[i]
     for b in range(d):
         if Pa[b] != 0.0:
             out += Pa[b] * L_const(gpd, alpha, b, x)[i]
@@ -892,7 +892,7 @@ def test_operator_values_match_the_unshared_flow_stencil(model):
     for p in points:
         for a in range(d):
             for i in range(n):
-                assert _same_bits(nform.op_value(a, (i,), p), _ref_op_value(gpd, form, a, i, p))
+                assert _same_bits(nform.op_map.value(p)[a, i], _ref_op_value(gpd, form, a, i, p))
 
 
 @pytest.mark.parametrize("model", ["so2", "so3"])
@@ -915,10 +915,10 @@ def test_complex_step_matches_the_flow_stencil(model, monkeypatch):
     for p in points:
         for a in range(d):
             for i in range(n):
-                got = nform.op_value(a, (i,), p)
+                got = nform.op_map.value(p)[a, i]
                 want = _ref_op_value(gpd, form, a, i, p, L_const=_stencil_L_const)
                 assert np.abs(got - want).max() <= 1e-9
-                assert np.abs(tiny.op_value(a, (i,), p) - got).max() <= 1e-14 * np.abs(got).max()
+                assert np.abs(tiny.op_map.value(p)[a, i] - got).max() <= 1e-14 * np.abs(got).max()
                 scale = max(scale, np.abs(got).max())
     assert scale > 0.5
 
@@ -935,14 +935,14 @@ def test_differentiate_to_im_keeps_the_imaginary_part():
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         nform = differentiate_to_im(gpd, _tilted(gpd, alpha))
-        values = [nform.op_value(a, (i,), p) for a in range(3) for i in range(3)]
+        values = [nform.op_map.value(p)[a, i] for a in range(3) for i in range(3)]
         assert np.abs(values).max() > 0.5
         for a in range(3):
-            nform.op_dvalue(1, a, (0,), p)
+            nform.op_map.partials(p)[1, a, 0]
         # A form that drops the imaginary part is caught.
         real_only = MultForm(gpd, 1, lambda g, x, T: np.asarray(alpha(g, x, T), dtype=float))
         with pytest.raises(np.exceptions.ComplexWarning):
-            differentiate_to_im(gpd, real_only).op_value(0, (0,), p)
+            differentiate_to_im(gpd, real_only).op_map.value(p)[0, 0]
 
 
 def test_flow_derivatives_are_cached_by_exact_point():
@@ -955,16 +955,15 @@ def test_flow_derivatives_are_cached_by_exact_point():
     jac_x = gpd.act_jac_x
     gpd.act_jac_x = lambda g, x: calls.append(1) or jac_x(g, x)
     p = np.array([0.7, 0.1, -0.2])
-    nform.op_value(0, (0,), p)
+    nform.op_map.value(p)[0, 0]
     once = len(calls)
     assert once > 0
-    nform.op_value(0, (0,), p.copy())
+    nform.op_map.value(p.copy())[0, 0]
     assert len(calls) == once
-    # Another direction reads another sampled map, whose memo is empty,
-    # but the same flow derivatives.
-    nform.op_value(0, (1,), p)
+    # Another entry is a slice of the same read.
+    nform.op_map.value(p)[0, 1]
     assert len(calls) == once
-    nform.op_value(0, (0,), np.nextafter(p, np.inf))
+    nform.op_map.value(np.nextafter(p, np.inf))[0, 0]
     assert len(calls) == 2 * once
 
 

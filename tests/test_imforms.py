@@ -25,6 +25,7 @@ from algebroids.bundles import (
     LinearConnection,
     PointMap,
     Section,
+    alternating_array,
     sort_with_sign,
 )
 from algebroids.expr import (
@@ -248,13 +249,13 @@ def test_extract_principal_type_reproduces_data():
     for a, b, c in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         eps[a, b, c], eps[b, a, c] = 1, -1
     for p in plan.points(CH2, 10):
-        G1 = cd.gamma(0, p)
+        G1 = cd.gamma_map.value(p)[0]
         x2 = p[1]
         want = x2 * eps[0].T  # ad(E1)[e][c] = eps[0, c, e]
         assert np.max(np.abs(G1 - want)) < 1e-12
-        assert np.max(np.abs(cd.gamma(1, p))) < 1e-12
+        assert np.max(np.abs(cd.gamma_map.value(p)[1])) < 1e-12
         # U(a, i) = Omega(d_a, d_i) with Omega = curvature of theta.
-        U01 = cd.u(0, 1, p)
+        U01 = cd.u_map.value(p)[0, 1]
         assert np.max(np.abs(U01 - np.array([-1.0, 0, 0]))) < 1e-12
 
 
@@ -269,9 +270,9 @@ def test_roundtrip_exact(radial_model, radial_form):
     n = m.algebroid.chart.dim
     for p in plan.points(m.algebroid.chart, 20):
         for i in range(n):
-            assert np.max(np.abs(cd.gamma(i, p) - cd2.gamma(i, p))) < 1e-10
+            assert np.max(np.abs(cd.gamma_map.value(p)[i] - cd2.gamma_map.value(p)[i])) < 1e-10
             for a in range(cd.base.rank):
-                assert np.max(np.abs(cd.u(a, i, p) - cd2.u(a, i, p))) < 1e-10
+                assert np.max(np.abs(cd.u_map.value(p)[a, i] - cd2.u_map.value(p)[a, i])) < 1e-10
         for a in range(cd.base.rank):
             for b in range(cd.base.rank):
                 for c in range(cd.base.rank):
@@ -308,14 +309,14 @@ def test_coupling_to_im_66_display():
         ((val, jac, _),) = _Jets(A, (terms,), points).sections
         L = _on_section(_form_reads(form, points), val, jac, None)[0]
         for q, p in enumerate(points):
-            xi = sec.value(p)[:k]
-            al = sec.value(p)[k:]
+            v = PointMap.exact(sec.components).value(p)
+            xi, al = v[:k], v[k:]
             for i in range(2):
                 # nabla_{d_i} xi part + derivative of the fiber part.
                 dxi = np.array([evaluate(differentiate(sec.components[c], i), p) for c in range(k)])
-                want = dxi + cd.gamma(i, p) @ xi
+                want = dxi + cd.gamma_map.value(p)[i] @ xi
                 for a in range(cd.base.rank):
-                    want -= al[a] * cd.u(a, i, p)
+                    want -= al[a] * cd.u_map.value(p)[a, i]
                 assert np.max(np.abs(L[q, i] - want)) < 1e-10
 
 
@@ -469,11 +470,11 @@ def test_curvature_67_values(flat67_model):
         # Symbol on base frame elements is minus the mixed tensor.
         for a in range(cd.base.rank):
             for i in range(2):
-                got = curv.sym_value(k + a, (i,), p)
-                assert np.max(np.abs(got + cd.u(a, i, p))) < 1e-12
+                got = curv.sym_map.value(p)[k + a, i]
+                assert np.max(np.abs(got + cd.u_map.value(p)[a, i])) < 1e-12
         # Ideal frame elements carry the (vanishing) fiber curvature.
         for c in range(k):
-            assert np.max(np.abs(curv.op_value(c, (0, 1), p))) < 1e-12
+            assert np.max(np.abs(curv.op_map.value(p)[c, 0])) < 1e-12
     rep = canonical_representation(curv.algebroid, curv.ideal)
     assert check_im_form(curv, rep, plan.fork("im")).passed
 
@@ -508,7 +509,7 @@ def test_curvature_gauge_narrative():
         rhs = phi(bracket(A1, u, v))
         diff = lhs - rhs
         for p in plan.points(CH2, 8):
-            worst = max(worst, float(np.max(np.abs(diff.value(p)))))
+            worst = max(worst, float(np.max(np.abs(PointMap.exact(diff.components).value(p)))))
     assert worst < 1e-9
 
     c1, _ = classify_flatness(cd1, plan.fork("c1"))
@@ -552,9 +553,9 @@ def test_curvature_zero_iff_totally_flat(product_model, flat67_model):
         n = m.coupling.base.chart.dim
         for p in plan.points(m.coupling.base.chart, 10):
             for a in range(curv.algebroid.rank):
-                worst = max(worst, float(np.max(np.abs(curv.op_value(a, (0, 1), p)))))
+                worst = max(worst, float(np.max(np.abs(curv.op_map.value(p)[a, 0]))))
                 for i in range(n):
-                    worst = max(worst, float(np.max(np.abs(curv.sym_value(a, (i,), p)))))
+                    worst = max(worst, float(np.max(np.abs(curv.sym_map.value(p)[a, i]))))
         classes, _ = classify_flatness(m.coupling, plan.fork("cl"))
         assert (worst < 1e-9) == expect_zero
         assert ("totally" in classes) == expect_zero
@@ -617,9 +618,9 @@ def test_d_im_matches_curvature(flat67_model):
     plan = SamplePlan(seed=7, samples=30)
     for p in plan.points(CH2, 10):
         for a in range(form.algebroid.rank):
-            assert np.max(np.abs(dform.op_value(a, (0, 1), p) - curv.op_value(a, (0, 1), p))) < 1e-12
+            assert np.max(np.abs(dform.op_map.value(p)[a, 0] - curv.op_map.value(p)[a, 0])) < 1e-12
             for i in range(2):
-                assert np.max(np.abs(dform.sym_value(a, (i,), p) - curv.sym_value(a, (i,), p))) < 1e-12
+                assert np.max(np.abs(dform.sym_map.value(p)[a, i] - curv.sym_map.value(p)[a, i])) < 1e-12
 
 
 def test_d_im_zero_form(flat67_model):
@@ -671,9 +672,9 @@ def test_d_im_squares_to_zero_flat():
         dd_op = exterior_covariant_derivative(conn, dform.frame_values[a])
         sym2 = dform.frame_values[a] - exterior_covariant_derivative(conn, dform.symbols[a])
         for p in plan.points(ch, 10):
-            worst = max(worst, float(np.max(np.abs(dd_op.value((0, 1, 2), p)))))
+            worst = max(worst, float(np.max(np.abs(PointMap.exact(dd_op.component((0, 1, 2))).value(p)))))
             for idx in [(0, 1), (0, 2), (1, 2)]:
-                worst = max(worst, float(np.max(np.abs(sym2.value(idx, p)))))
+                worst = max(worst, float(np.max(np.abs(PointMap.exact(sym2.component(idx)).value(p)))))
     assert worst < 1e-8
 
 
@@ -709,7 +710,7 @@ def test_chain_map_kernel_flat_lambda(flat67_model):
             for a in range(B.rank):
                 ca = evaluate(al.components[a], p)
                 for i in range(2):
-                    lam += ca * rho_b[i] * cd.u(a, i, p)
+                    lam += ca * rho_b[i] * cd.u_map.value(p)[a, i]
             got = np.array([evaluate(x, p) for x in vals])
             assert np.max(np.abs(got - lam)) < 1e-9
 
@@ -829,7 +830,7 @@ def _noisy(calls):
 
 def _read(m, op, p):
     try:
-        return m.value(p) if op is None else m.partial(op, p)
+        return m.value(p) if op is None else m.partials(p)[op]
     except PoleError as err:
         return str(err)
 
@@ -873,7 +874,7 @@ def test_sampled_map_evaluates_each_point_once_and_stores_no_error():
     assert m.value(p.copy()) is v and len(calls) == 1
     m.partials(p)
     assert len(calls) == 9  # the four shifted points along each of x1, x2
-    m.partial(0, p)
+    m.partials(p)[0]
     q = p.copy()
     q[0] += h
     m.value(q)  # a stencil point, read through the same memo
@@ -881,7 +882,7 @@ def test_sampled_map_evaluates_each_point_once_and_stores_no_error():
     m.value(np.nextafter(p, np.inf))
     assert len(calls) == 10
     # Read-only, so a caller cannot corrupt the memo.
-    for out in (m.value(p), m.partials(p), m.partial(0, p)):
+    for out in (m.value(p), m.partials(p), m.partials(p)[0]):
         with pytest.raises(ValueError):
             out[0] = 1.0
     # An error is raised again on every read, never stored.
@@ -947,6 +948,23 @@ def _ref_on_section(form, reads, val, jac, hess):
     return L, dL, sym, dsym
 
 
+def _entry_reads(form, p):
+    """One signed entry of the symbol and the operator at p, and of
+    their partials along x_j: sym_at(a, idx), dsym_at(j, a, idx),
+    op_at(a, idx) and dop_at(j, a, idx), sliced from whole reads."""
+    n, k = form.algebroid.chart.dim, form.degree
+    S = alternating_array(form.sym_map.value(p), n, k - 1)
+    dS = alternating_array(form.sym_map.partials(p), n, k - 1)
+    O = alternating_array(form.op_map.value(p), n, k)
+    dO = alternating_array(form.op_map.partials(p), n, k)
+    return (
+        lambda a, idx: S[(a, *idx)],
+        lambda j, a, idx: dS[(j, a, *idx)],
+        lambda a, idx: O[(a, *idx)],
+        lambda j, a, idx: dO[(j, a, *idx)],
+    )
+
+
 def _ref_lie(form, rep_mats, section, value_fn, dvalue_fn, idx):
     """Lie derivative along a section (values, anchor image, its
     partials drho[i][j] = d_j rho^i) of a V-valued form at idx."""
@@ -971,7 +989,6 @@ def _ref_im_residuals(form, rep, plan):
     n, k = A.chart.dim, form.degree
     draws, pts = plan.split_budget(per_draw=20)
     rep_map = PointMap.exact(rep.coeffs)
-    accessors = (form.sym_value, form.sym_dvalue, form.op_value, form.op_dvalue)
     worst = {1: [], 2: [], 3: []}
     for _ in range(max(2, min(draws, 10))):
         alpha, beta = ([polynomial_draws(n, plan.rng) for _ in range(A.rank)] for _ in range(2))
@@ -984,7 +1001,7 @@ def _ref_im_residuals(form, rep, plan):
         for q, p in enumerate(points):
             va, vb = [x[q] for x in lie_a], [x[q] for x in lie_b]
             lie = functools.partial(_ref_lie, form, rep_map.value(p))
-            reads = [functools.cache(functools.partial(f, p=p)) for f in accessors]
+            reads = _entry_reads(form, p)
             La, dLa, Sa, dSa = _ref_on_section(form, reads, *(x[q] for x in a))
             Lb, dLb, Sb, dSb = _ref_on_section(form, reads, *(x[q] for x in b))
             Lg, _, Sg, _ = _ref_on_section(form, reads, *(x[q] for x in g), None)
@@ -1007,10 +1024,10 @@ def _ref_curvature_residual(cd, pts):
     n = cd.base.chart.dim
     worst = []
     for p in pts:
-        G = [cd.gamma(i, p) for i in range(n)]
+        G, dG = cd.gamma_map.value(p), cd.gamma_map.partials(p)  # d_j Gamma_i at dG[j, i]
         for i in range(n):
             for j in range(i + 1, n):
-                worst.append(cd.dgamma(i, j, p) - cd.dgamma(j, i, p) + G[i] @ G[j] - G[j] @ G[i])
+                worst.append(dG[i, j] - dG[j, i] + G[i] @ G[j] - G[j] @ G[i])
     return sup(*worst)
 
 
@@ -1021,11 +1038,11 @@ def _ref_structure_residuals(cd, pts):
     rB = B.rank if B is not None else 0
     s1, s2, s3 = [], [], []
     for p in pts:
-        G = [cd.gamma(i, p) for i in range(n)]
-        dG = [[cd.dgamma(j, i, p) for i in range(n)] for j in range(n)]  # d_j Gamma_i
+        G = cd.gamma_map.value(p)
+        dG = cd.gamma_map.partials(p)  # d_j Gamma_i at [j, i]
         c = fiber.c_map.value(p)
         for i in range(n):
-            dc = fiber.c_map.partial(i, p)
+            dc = fiber.c_map.partials(p)[i]
             for a in range(k):
                 for b in range(k):
                     s1.append(
@@ -1033,11 +1050,11 @@ def _ref_structure_residuals(cd, pts):
                     )
         if not rB:
             continue
-        rho = B.anchor_value(p)
-        drho = [B.anchor_map.partial(j, p) for j in range(n)]
+        rho = B.anchor_map.value(p)
+        drho = B.anchor_map.partials(p)
         cB = B.structure_map.value(p)
-        U = [[cd.u(a, i, p) for i in range(n)] for a in range(rB)]
-        dU = [[[cd.du(j, a, i, p) for i in range(n)] for a in range(rB)] for j in range(n)]
+        U = cd.u_map.value(p)
+        dU = cd.u_map.partials(p)
         for a in range(rB):
             for j in range(n):
                 for e in range(k):

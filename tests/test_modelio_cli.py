@@ -755,6 +755,33 @@ def test_groupoid_verify_cli():
         assert want in names
 
 
+@pytest.mark.parametrize("command", ["groupoid-verify", "lie-functor"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        pytest.param(lambda g: g["splitting"][0].pop(), "splitting must be a k x d", id="short_splitting_row"),
+        pytest.param(lambda g: g["splitting"].append(["0"] * 3), "splitting must be a k x d", id="extra_splitting_row"),
+        pytest.param(lambda g: g["ideal_frame"][0].pop(), "one entry per basis element", id="short_ideal_frame_row"),
+        pytest.param(lambda g: g["complement"].append(["1", "0", "0"]), "complete the ideal frame", id="extra_complement"),
+        pytest.param(lambda g: g["complement"][0].pop(), "one entry per basis element", id="short_complement_row"),
+        pytest.param(lambda g: g["complement"][0].append("0"), "one entry per basis element", id="long_complement_row"),
+        pytest.param(lambda g: g.update(basis=[g["basis"][0]] * 3), "linearly dependent", id="dependent_basis"),
+        # E1 and E2 of so(3): their commutator E3 leaves the span.
+        pytest.param(lambda g: g["basis"].pop(), "does not close", id="non_closed_basis"),
+    ],
+)
+def test_a_malformed_groupoid_section_is_a_model_error(tmp_path, capsys, command, edit, message):
+    doc = json.loads((MODELS / "so3_radial_groupoid.json").read_text())
+    edit(doc["groupoid"])
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    code, out = invoke([command, "--model", str(p), "--samples", "4", "--json"])
+    err = capsys.readouterr().err
+    assert code == 3 and out == ""
+    assert err.startswith("model error: /groupoid: ") and message in err
+    assert "Traceback" not in err
+
+
 def test_example_cli():
     code, out = invoke(["example", "product", "--json", "--samples", "60"])
     assert code == 0

@@ -255,7 +255,7 @@ def _ref_sup(values, pts):
 
 
 def _ref_anchored_sup(B, d, pts):
-    return _ref_sup(lambda p: B.anchor_value(p).T @ d(p), pts)
+    return _ref_sup(lambda p: B.anchor_map.value(p).T @ d(p), pts)
 
 
 def _ref_rank_one_residuals(data, pts):
@@ -271,7 +271,7 @@ def _ref_rank_one_residuals(data, pts):
         for a in range(rB)
     ])
     for p in pts:
-        rho = B.anchor_value(p)
+        rho = B.anchor_map.value(p)
         th = theta_map.value(p)
         Uv = U_map.value(p)
         cB = B.structure_map.value(p)
@@ -361,7 +361,7 @@ def _ref_tangentiality(data, pts, svd_tol=1e-9):
     B = data.base
     tang, ranks, kernels = [], [], []
     for p in pts:
-        _, s, vt = np.linalg.svd(B.anchor_value(p))
+        _, s, vt = np.linalg.svd(B.anchor_map.value(p))
         rank = int(np.sum(s > svd_tol))
         ranks.append(rank)
         kernels.append(vt[rank:].T)
