@@ -119,12 +119,10 @@ class LieAlgebroid:
             for i in range(n)
         ]
 
-    def fiber_bracket(self, k: int | None = None) -> FiberBracket:
-        """Fiberwise bracket restricted to the first k frame elements
-        (defaults to the full rank).  Only meaningful where the anchor
-        vanishes on that span."""
-        k = self.rank if k is None else k
-        sub = Bundle(self.chart, k, label=self.bundle.label + "|fiber")
+    def fiber_bracket(self, k: int) -> FiberBracket:
+        """Fiberwise bracket restricted to the first k frame elements.
+        Only meaningful where the anchor vanishes on that span."""
+        sub = Bundle(self.chart, k)
         struct = [
             [[self.structure[a][b][c] for c in range(k)] for b in range(k)]
             for a in range(k)
@@ -211,10 +209,12 @@ class ARepresentation:
 
     ``coeffs[b]`` is the r_V x r_V Expr matrix of nabla_{e_b} acting on
     the frame of V; the full derivative part along the anchor is added
-    when applying to sections.  Flatness is a sampled check.
+    when applying to sections.  The checks read the matrices whole,
+    through the point map ``coeffs_map`` at [b, d, c].  Flatness is a
+    sampled check.
     """
 
-    __slots__ = ("algebroid", "bundle", "coeffs")
+    __slots__ = ("algebroid", "bundle", "coeffs", "coeffs_map")
 
     def __init__(
         self,
@@ -233,6 +233,7 @@ class ARepresentation:
         self.algebroid = algebroid
         self.bundle = bundle
         self.coeffs = tuple(mats)
+        self.coeffs_map = PointMap.exact(self.coeffs)
 
     @classmethod
     def zero(cls, algebroid: LieAlgebroid, bundle: Bundle) -> "ARepresentation":
@@ -266,7 +267,6 @@ class ARepresentation:
         coefficient matrices M[p, b] and their partials dM[p, j, b]."""
         A = self.algebroid
         n = A.chart.dim
-        coeffs = PointMap.exact(self.coeffs)
         defects = []
         for _ in range(n_pairs):
             al, be = ([polynomial_draws(n, plan.rng) for _ in range(A.rank)] for _ in range(2))
@@ -275,7 +275,7 @@ class ARepresentation:
             jets = _Jets(A, [al, be], pts)
             s0, ds, _ = polynomial_jets(s, pts)
             ds = ds.swapaxes(1, 2)
-            M, dM = _stack(pts, coeffs.value, coeffs.partials)
+            M, dM = _stack(pts, self.coeffs_map.value, self.coeffs_map.partials)
 
             def nabla(x0, rx, v0, dv):
                 """nabla_x v at [p, d], from x, rho(x), v and dv[p, i] = d_i v."""
@@ -480,7 +480,7 @@ def check_A_invariant(
     with np.errstate(invalid="ignore", over="ignore"):
         M, rho, G, dG = _stack(
             pts,
-            PointMap.exact(rep.coeffs).value,
+            rep.coeffs_map.value,
             A.anchor_map.value,
             conn.gamma_map.value,
             conn.gamma_map.partials,
@@ -661,7 +661,6 @@ def change_frame(
     A: LieAlgebroid,
     P: Sequence[Sequence[Expr]],
     P_inv: Sequence[Sequence[Expr]] | None = None,
-    label: str = "",
 ) -> LieAlgebroid:
     """Rewrite the algebroid in the frame e'_a = sum_b P[b][a] e_b.
 
@@ -694,8 +693,7 @@ def change_frame(
                 fold(add(*(mul(P_inv[c][d], w.components[d]) for d in range(r))))
                 for c in range(r)
             ]
-    bundle = Bundle(A.chart, r, label=label or (A.bundle.label + "'"))
-    return LieAlgebroid(bundle, anchor, structure)
+    return LieAlgebroid(Bundle(A.chart, r), anchor, structure)
 
 
 def connection_change_frame(
@@ -738,7 +736,7 @@ def connection_change_frame(
 def tangent_algebroid(chart) -> LieAlgebroid:
     """The tangent algebroid: identity anchor, vanishing structure."""
     n = chart.dim
-    bundle = Bundle(chart, n, label="TM")
+    bundle = Bundle(chart, n)
     anchor = [[ONE if i == a else ZERO for a in range(n)] for i in range(n)]
     zero = [[([ZERO] * n) for _ in range(n)] for _ in range(n)]
     return LieAlgebroid(bundle, anchor, zero)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -24,6 +24,7 @@ from .expr import (
     compile_tape,
     differentiate,
     evaluate,
+    expr_equal,
     fold,
     mul,
     neg,
@@ -49,15 +50,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Bundle:
-    """Trivialized vector bundle of the given rank over a chart.
-
-    The label is cosmetic: bundles of equal rank over the same chart
-    are the same trivialized object and compare equal.
-    """
+    """Trivialized vector bundle of the given rank over a chart: bundles
+    of equal rank over the same chart are the same trivialized object
+    and compare equal."""
 
     chart: Chart
     rank: int
-    label: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.rank < 1:
@@ -472,16 +470,16 @@ def curvature_tensor(
 
 
 def connection_is_flat(
-    conn: LinearConnection, plan: SamplePlan | None = None, tol: float = 1e-10
+    conn: LinearConnection, plan: SamplePlan | None = None
 ) -> tuple[bool, float]:
     """Sampled flatness predicate: curvature entries vanish on 64 chart
-    points within ``tol``.  Returns (flat, max residual)."""
+    points within 1e-10.  Returns (flat, max residual)."""
     plan = plan or SamplePlan(seed=42, samples=64)
     G, dG = _stack(plan.points(conn.bundle.chart, 64), conn.gamma_map.value, conn.gamma_map.partials)
     i, j = np.triu_indices(conn.bundle.chart.dim, 1)
     with np.errstate(invalid="ignore", over="ignore"):
         worst = sup(_curvature(G, dG)[:, i, j])
-    return worst < tol, worst
+    return worst < 1e-10, worst
 
 
 class FiberBracket:
@@ -497,8 +495,6 @@ class FiberBracket:
     __slots__ = ("bundle", "c", "c_map")
 
     def __init__(self, bundle: Bundle, structure: Sequence[Sequence[Sequence[Expr]]]):
-        from .expr import expr_equal, neg as _neg
-
         r = bundle.rank
         if len(structure) != r or any(len(row) != r for row in structure):
             raise ValueError("structure tensor must be rank x rank")
@@ -522,7 +518,7 @@ class FiberBracket:
         for a in range(r):
             for b in range(a + 1, r):
                 c[a][b] = raw[a][b]
-                derived = tuple(fold(_neg(x)) for x in raw[a][b])
+                derived = tuple(fold(neg(x)) for x in raw[a][b])
                 for k in range(r):
                     if raw[b][a][k] != derived[k] and not expr_equal(
                         raw[b][a][k], derived[k], bundle.chart

@@ -22,6 +22,7 @@ import numpy as np
 
 from .algebroid import (
     ConstructionRefused,
+    IdealBundle,
     canonical_representation,
     cartan_build_connection,
     check_axioms,
@@ -147,7 +148,7 @@ def _cmd_verify_algebroid(args, plan, tol):
 def _cmd_verify_ideal(args, plan, tol):
     model = _require_model(args)
     A = model.algebroid()
-    ideal = model.ideal(verify=False)
+    ideal = model.ideal()
     rep = check_axioms(A, ideal, plan, tol=tol or 1e-8)
     rep.command = "verify-ideal"
     # The canonical representation drives the downstream checkers; its
@@ -162,7 +163,7 @@ def _cmd_verify_ideal(args, plan, tol):
 def _cmd_verify_im(args, plan, tol):
     model = _require_model(args)
     A = model.algebroid()
-    ideal = model.ideal(verify=False)
+    ideal = model.ideal()
     form = model.im_form()
     arep = canonical_representation(A, ideal)
     rep = check_im_form(form, arep, plan, tol=tol or 1e-8)
@@ -213,8 +214,6 @@ def _cmd_build_semidirect(args, plan, tol):
     model = _require_model(args)
     cd = model.coupling()
     A = build_semidirect(cd)
-    from .algebroid import IdealBundle
-
     ideal = IdealBundle(A, cd.k, verify=False)
     rep = check_axioms(A, ideal, plan, tol=tol or 1e-8)
     rep.command = "build-semidirect"
@@ -261,11 +260,10 @@ def _cmd_rank_one(args, plan, tol):
         raise ModelError(str(e)) from e
     tol = tol or 1e-8
     if args.witness:
-        witness = model.witness() if model.has("rank_one_witness") else {"kind": args.witness}
-        kind = args.witness
-        if witness.get("kind") not in (None, kind):
-            kind = witness["kind"]
-        witness.pop("kind", None)
+        # A copy: the model's witness is shared with its other readers.
+        witness = dict(model.witness()) if model.has("rank_one_witness") else {"kind": args.witness}
+        # A model's witness names its own kind, whatever --witness says.
+        kind = witness.pop("kind")
         try:
             rep = verify_witness(kind, data, witness, plan, tol=tol)
         except ValueError as e:
@@ -327,7 +325,7 @@ def _cmd_example(args, plan, tol):
     return rep
 
 
-def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float = 1e-8) -> Report:
+def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float) -> Report:
     """Family-appropriate checker suite over a factory output."""
     try:
         model = make_example(spec, plan.fork("build"))

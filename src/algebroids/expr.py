@@ -259,9 +259,7 @@ class Expr:
 def _wrap(v) -> Expr:
     if isinstance(v, Expr):
         return v
-    if isinstance(v, (int, Fraction)):
-        return const(v)
-    if isinstance(v, float):
+    if isinstance(v, (int, float, Fraction)):
         return const(v)
     raise TypeError(f"cannot coerce {type(v).__name__} to Expr")
 
@@ -850,13 +848,11 @@ def _render(e: Expr, ctx: int) -> str:
             s = repr(v)
         if (v < 0 or "/" in s) and ctx > _P_ADD:
             return f"({s})"
-        if v < 0 and ctx > _P_ADD:
-            return f"({s})"
         return s
     if op == _COORD:
         return f"x{e.index + 1}"
     if op == _ADD:
-        parts = [_render(e.args[0], _P_ADD + 0)]
+        parts = [_render(e.args[0], _P_ADD)]
         for t in e.args[1:]:
             if t.op == _NEG:
                 parts.append(" - " + _render(t.args[0], _P_MUL))
@@ -871,7 +867,7 @@ def _render(e: Expr, ctx: int) -> str:
         return f"({s})" if ctx > _P_MUL else s
     if op == _DIV:
         num = _render(e.args[0], _P_MUL + 1) if e.args[0].op in (_ADD, _DIV) else _render(e.args[0], _P_MUL)
-        den = _render(e.args[1], _P_POW) if e.args[1].op in (_ADD, _MUL, _DIV, _NEG) else _render(e.args[1], _P_POW)
+        den = _render(e.args[1], _P_POW)
         s = f"{num}/{den}"
         return f"({s})" if ctx > _P_MUL else s
     if op == _POW:
@@ -997,8 +993,6 @@ class _Parser:
         if kind == "num":
             return const(val)
         if kind == "op" and val == "-":
-            self.i -= 1
-            self.advance()
             return neg(self.parse_base())
         if kind == "op" and val == "(":
             node = self.parse_expr()
@@ -1037,20 +1031,19 @@ def expr_equal(
     b: Expr,
     chart: Chart,
     tol: float = 1e-10,
-    n_points: int = 32,
-    seed: int = 7,
 ) -> bool:
-    """Probabilistic expression equality: evaluate both sides on random
-    chart points and compare within ``tol``.  Points at which either
-    side fails to evaluate (poles) are resampled; a NaN or inf value on
-    either side means the expressions are not equal."""
-    rng = np.random.default_rng(seed)
+    """Probabilistic expression equality: evaluate both sides on 32
+    random chart points, drawn with seed 7, and compare within ``tol``.
+    Points at which either side fails to evaluate (poles) are resampled;
+    a NaN or inf value on either side means the expressions are not
+    equal."""
+    rng = np.random.default_rng(7)
     tape = compile_tape((a, b))
     checked = 0
     attempts = 0
-    while checked < n_points:
+    while checked < 32:
         attempts += 1
-        if attempts > 50 * n_points:
+        if attempts > 50 * 32:
             raise EvalError("could not find enough pole-free sample points", a)
         p = _sample_point(chart, rng)
         try:

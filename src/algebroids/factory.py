@@ -148,14 +148,14 @@ def _fiber_from_name(chart: Chart, name, rank: int | None = None) -> FiberBracke
     if isinstance(name, FiberBracket):
         fiber = name
     elif name == "so3":
-        fiber = FiberBracket.from_constants(Bundle(chart, 3, "k"), so3_constants())
+        fiber = FiberBracket.from_constants(Bundle(chart, 3), so3_constants())
     elif name == "abelian":
-        fiber = FiberBracket.abelian(Bundle(chart, rank or 1, "k"))
+        fiber = FiberBracket.abelian(Bundle(chart, rank or 1))
     elif name == "so3_center":
         # so(3) + a one dimensional center.
         c = np.zeros((4, 4, 4))
         c[:3, :3, :3] = so3_constants()
-        fiber = FiberBracket.from_constants(Bundle(chart, 4, "k"), c)
+        fiber = FiberBracket.from_constants(Bundle(chart, 4), c)
     else:
         raise ValueError(f"unknown fiber algebra {name!r}")
     if rank is not None and fiber.bundle.rank != rank:
@@ -253,7 +253,7 @@ def _build_lie_algebra_bundle(params: dict, plan: SamplePlan) -> ExampleModel:
     chart = Chart(dim)
     fiber = _fiber_from_name(chart, fiber_name)
     # Base: an abelian bundle of Lie algebras with zero anchor.
-    Bb = Bundle(chart, base_rank, "B")
+    Bb = Bundle(chart, base_rank)
     zero_anchor = [[ZERO] * base_rank for _ in range(dim)]
     zero_struct = [[[ZERO] * base_rank for _ in range(base_rank)] for _ in range(base_rank)]
     B = LieAlgebroid(Bb, zero_anchor, zero_struct)
@@ -398,7 +398,7 @@ def so3_radial_action(plan: SamplePlan | None = None) -> ExampleModel:
     chart = Chart(3, bounds=[(0.4, 1.2), (-0.8, 0.8), (-0.8, 0.8)], excluded_origin=True)
     x = [coord(i) for i in range(3)]
     eps = so3_constants()
-    bund = Bundle(chart, 3, "g*M")
+    bund = Bundle(chart, 3)
     # anchor columns: rho(E_a)(x) = x cross E_a.
     anchor = [
         [ZERO, neg(x[2]), x[1]],
@@ -419,7 +419,7 @@ def so3_radial_action(plan: SamplePlan | None = None) -> ExampleModel:
         [x[2], ZERO, ONE],
     ]
     P_inv = symbolic_inverse(P)
-    A = change_frame(A0, P, P_inv, label="g*M adapted")
+    A = change_frame(A0, P, P_inv)
     ideal = IdealBundle(A, 1, plan=plan.fork("ideal"))
 
     r2 = add(mul(x[0], x[0]), mul(x[1], x[1]), mul(x[2], x[2]))
@@ -526,15 +526,15 @@ def transitive_im_connection(
     A: LieAlgebroid,
     tau: Sequence[Sequence[Expr]],
     plan: SamplePlan | None = None,
-    tol: float = 1e-10,
 ) -> IMOneForm:
     """Connection form of a transitive algebroid induced by an anchor
     splitting tau (r x n Exprs, columns lifting the coordinate fields):
     the symbol is the projection along the splitting and the operator
     brackets with the lifted fields.
 
-    Requires rho o tau = Id and full anchor rank at samples; the
-    isotropy must be the span of the first r - n frame elements.
+    Requires rho o tau = Id (within 1e-10) and full anchor rank at
+    samples; the isotropy must be the span of the first r - n frame
+    elements.
     """
     plan = plan or SamplePlan()
     n, r = A.chart.dim, A.rank
@@ -549,9 +549,9 @@ def transitive_im_connection(
     rho, tv = _stack(plan.points(A.chart, 25), A.anchor_map.value, PointMap.exact(tau).value)
     with np.errstate(invalid="ignore", over="ignore"):
         worst = sup(rho @ tv - np.eye(n))
-    if worst > tol:
+    if worst > 1e-10:
         rep = Report(command="transitive-im", seed=plan.seed, samples=plan.samples)
-        rep.add("anchor_splitting", worst, tol)
+        rep.add("anchor_splitting", worst, 1e-10)
         raise ConstructionRefused("tau is not a splitting of the anchor", rep)
     # A finite residual leaves the anchor finite, so its SVD returns.
     if np.any(np.linalg.svd(rho, compute_uv=False)[:, n - 1] < 1e-9):

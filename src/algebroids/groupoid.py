@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from .expr import (
     mul,
     neg,
     substitute,
+    _sample_point,
 )
 from .bundles import PointMap, _as_point, alternating_array, exact_memo
 from .imforms import NumericCouplingData, NumericIMOneForm, quotient_algebroid
@@ -134,7 +136,7 @@ class MatrixGroup:
     Lie algebra; group elements are reached as products of exponentials.
     """
 
-    def __init__(self, ambient: int, basis: Sequence[np.ndarray], tol: float = 1e-10):
+    def __init__(self, ambient: int, basis: Sequence[np.ndarray]):
         self.N = int(ambient)
         self.basis = [np.asarray(X, dtype=float).reshape(self.N, self.N) for X in basis]
         self.dim = len(self.basis)
@@ -158,7 +160,7 @@ class MatrixGroup:
                 defects.append(self._flat @ coef - comm.ravel())
                 self.structure[a, b] = coef
         worst = sup(*defects)
-        if worst > tol:
+        if worst > 1e-10:
             raise ValueError(
                 f"basis does not close under commutators (residual {worst:.2e})"
             )
@@ -295,8 +297,6 @@ class ActionGroupoid:
         return self.kcoords(x, w_back)
 
     def sample_arrow(self, rng: np.random.Generator):
-        from .expr import _sample_point
-
         g = self.group.random_element(rng)
         x = _sample_point(self.chart, rng)
         return g, x
@@ -385,7 +385,7 @@ class ActionGroupoid:
             ]
             for a in range(d)
         ]
-        A0 = LieAlgebroid(Bundle(self.chart, d, "action"), anchor, struct)
+        A0 = LieAlgebroid(Bundle(self.chart, d), anchor, struct)
         P = [[ZERO] * d for _ in range(d)]
         for j, sec in enumerate(self.ideal_frame):
             for b in range(d):
@@ -393,7 +393,7 @@ class ActionGroupoid:
         for j, sec in enumerate(self.complement):
             for b in range(d):
                 P[b][self.k + j] = sec[b]
-        A = change_frame(A0, P, label="action adapted")
+        A = change_frame(A0, P)
         ideal = IdealBundle(A, self.k)
         self._alg = (A, ideal, P)
         return self._alg
@@ -405,7 +405,7 @@ class ActionGroupoid:
         if self.splitting is None:
             raise ValueError("groupoid carries no splitting")
         n, d, k = self.chart.dim, self.group.dim, self.k
-        kb = Bundle(self.chart, k, "k")
+        kb = Bundle(self.chart, k)
         mats = []
         for i in range(n):
             M = [
@@ -467,13 +467,13 @@ def connection_from_splitting(
     gpd: ActionGroupoid,
     splitting: Sequence[Sequence[Expr]] | None = None,
     plan: SamplePlan | None = None,
-    tol: float = 1e-7,
 ) -> MultForm:
     """Connection 1-form of an equivariant splitting: the splitting at
     the source point applied to the group part v of a tangent (v, w).
 
-    Refused when the splitting fails equivariance or does not restrict
-    to the identity on the ideal frame (sampled).
+    Refused when the splitting fails equivariance (within 1e-7) or does
+    not restrict to the identity on the ideal frame (within 1e-9),
+    sampled.
     """
     plan = plan or SamplePlan()
     l = splitting if splitting is not None else gpd.splitting
@@ -498,7 +498,7 @@ def connection_from_splitting(
         eq_res.append(lhs_m - rhs)
         F = gpd.kframe(x)
         id_res.append(l_val(x) @ F - np.eye(k))
-    report.add("splitting_equivariance", np.array(eq_res), tol)
+    report.add("splitting_equivariance", np.array(eq_res), 1e-7)
     report.add("splitting_identity_on_ideal", np.array(id_res), 1e-9)
     if not report.passed:
         raise EquivarianceError(
@@ -519,9 +519,9 @@ def connection_from_splitting(
     return MultForm(gpd, 1, evaluator)
 
 
-def delta_of_function(gpd: ActionGroupoid, f: Sequence[Expr]) -> Callable:
+def delta_of_function(gpd: ActionGroupoid, f: Sequence[Expr]) -> MultForm:
     """Degree-zero simplicial differential of a fiber-valued function on
-    the chart: an arrow function (g, x) -> coefficients over x."""
+    the chart: the degree-0 form (g, x) -> coefficients over x."""
     if len(f) != gpd.k:
         raise ValueError("function must have one coefficient per ideal frame section")
 
@@ -531,23 +531,15 @@ def delta_of_function(gpd: ActionGroupoid, f: Sequence[Expr]) -> Callable:
         y = gpd.act(g, x)
         return gpd.twist(g, x, fmap.value(y)) - fmap.value(np.asarray(x, dtype=float))
 
-    return F
+    return MultForm(gpd, 0, F)
 
 
-def simplicial_delta(gpd: ActionGroupoid, omega) -> Callable:
-    """Simplicial differential on composable pairs.
-
-    For a degree-0 arrow function F:  (g1, g2, x) -> twisted alternating
-    sum; for MultForms of degree 1 or 2 the evaluator takes the pair
-    plus that many tangent vectors (v1, v2, w) of the pair manifold,
-    with v1 and v2 the left-trivialized coordinates of MultForm.
-    """
-    if callable(omega) and not isinstance(omega, MultForm):
-        def delta0(g1, g2, x):
-            y = gpd.act(g2, x)
-            return gpd.twist(g2, x, omega(g1, y)) - omega(g1 @ g2, x) + omega(g2, x)
-
-        return delta0
+def simplicial_delta(gpd: ActionGroupoid, omega: MultForm) -> Callable:
+    """Simplicial differential on composable pairs of a MultForm of any
+    degree: the twisted alternating sum over the faces pr1, m and pr2.
+    The evaluator takes the pair (g1, g2, x) plus as many tangent
+    vectors (v1, v2, w) of the pair manifold as the form's degree, with
+    v1 and v2 the left-trivialized coordinates of MultForm."""
 
     def lift(g1, g2, x, T):
         """Tangents of the faces pr1, m, pr2 at (g1, g2.x), (g1 g2, x)
@@ -561,7 +553,8 @@ def simplicial_delta(gpd: ActionGroupoid, omega) -> Callable:
 
     def delta(g1, g2, x, *tangents):
         y = gpd.act(g2, x)
-        p1, m, p2 = zip(*(lift(g1, g2, x, T) for T in tangents))
+        faces = [lift(g1, g2, x, T) for T in tangents]
+        p1, m, p2 = ([face[s] for face in faces] for s in range(3))
         return (
             gpd.twist(g2, x, omega(g1, y, *p1)) - omega(g1 @ g2, x, *m) + omega(g2, x, *p2)
         )
@@ -684,8 +677,6 @@ def covariant_exterior_D(
     half the step; if the two values disagree by more than an order of
     magnitude of their size, a StepSizeWarning is emitted.
     """
-    import warnings
-
     if alpha is None and omega.degree == 2:
         raise ValueError("a form of degree 2 needs its connection form alpha")
     alpha = alpha if alpha is not None else omega
@@ -730,14 +721,13 @@ def check_groupoid_properties(
     conn: LinearConnection,
     plan: SamplePlan | None = None,
     tol: float = 1e-4,
-    delta_tol: float = 1e-7,
     n_pairs: int = 100,
     n_points: int = 25,
-    step: float = 1e-5,
 ) -> Report:
-    """Multiplicativity of the connection form and its curvature, the
-    structure equation, and the differential Bianchi identity, all by
-    sampled finite differences.  Residuals are relative to the sampled
+    """Multiplicativity of the connection form (within 1e-7) and of its
+    curvature, the structure equation, and the differential Bianchi
+    identity, all by sampled finite differences, the last two at steps
+    1e-5 and 2e-4.  Residuals but the first are relative to the sampled
     curvature scale."""
     plan = plan or SamplePlan()
     rng = plan.rng
@@ -754,7 +744,7 @@ def check_groupoid_properties(
         g1, x = gpd.sample_arrow(rng)
         g2, _ = gpd.sample_arrow(rng)
         defects.append(d_alpha(g1, g2, x, pair_tangent()))
-    report.add("delta_alpha", np.array(defects), delta_tol)
+    report.add("delta_alpha", np.array(defects), 1e-7)
 
     # Scale of the curvature over the sample, for relative residuals.
     samples = []
@@ -780,7 +770,7 @@ def check_groupoid_properties(
     report.add("delta_Omega", relative(defects), tol)
 
     # (b) structure equation Omega = d^nabla alpha + [alpha, alpha]-half.
-    dn_alpha = d_nabla_s(gpd, alpha, conn, step=step)
+    dn_alpha = d_nabla_s(gpd, alpha, conn)
     defects = []
     for g, x, T1, T2, v in samples:
         c = gpd.fiber_structure(x)
@@ -791,7 +781,7 @@ def check_groupoid_properties(
     report.add("structure_equation", relative(defects), tol)
 
     # (c) Bianchi: D Omega = 0.
-    DOmega = covariant_exterior_D(gpd, Omega, conn, alpha=alpha, step=max(step, 2e-4))
+    DOmega = covariant_exterior_D(gpd, Omega, conn, alpha=alpha, step=2e-4)
     defects = []
     for _ in range(min(n_points, 12)):
         g, x = gpd.sample_arrow(rng)

@@ -45,6 +45,7 @@ from .algebroid import (
     _Jets,
     bracket,
     canonical_representation,
+    check_A_invariant,
 )
 from .bundles import (
     Bundle,
@@ -57,6 +58,7 @@ from .bundles import (
     _curvature,
     _stack,
     alternating_array,
+    curvature_tensor,
     exact_memo,
     exterior_covariant_derivative,
     zero_form,
@@ -294,10 +296,10 @@ class NumericIMOneForm(_IMFormBase):
         self._bind(algebroid, ideal, sym_map, sampled_map(op_fn, fd_step))
 
 
-def _connection_residual(form, plan: SamplePlan, n_points: int = 30) -> float:
-    """Sampled version of the symbol-restricts-to-identity predicate."""
+def _connection_residual(form, plan: SamplePlan) -> float:
+    """The symbol-restricts-to-identity predicate, sampled at 30 points."""
     k = form.ideal.k
-    points = plan.points(form.algebroid.chart, n_points)
+    points = plan.points(form.algebroid.chart, 30)
     (S,) = _stack(points, form.sym_map.value)
     return sup(S[:, :k, 0] - np.eye(form.value_rank)[:k])
 
@@ -386,7 +388,6 @@ def check_im_form(
     draws, pts = plan.split_budget(per_draw=20)
     draws = max(2, min(draws, 10))
 
-    rep_map = PointMap.exact(rep.coeffs)
     defects = {1: [], 2: [], 3: []}
     # An inf in the jets or the form gives a NaN residual, which fails.
     with np.errstate(invalid="ignore", over="ignore"):
@@ -396,7 +397,7 @@ def check_im_form(
             jets = _Jets(A, (alpha, beta), points)
             a, b = jets.sections
             reads = _form_reads(form, points)
-            M = np.array([rep_map.value(p) for p in points])
+            (M,) = _stack(points, rep.coeffs_map.value)
             rho_a, rho_b = jets.rho(a), jets.rho(b)
             lie_a = functools.partial(_lie, M, a[0], rho_a, jets.drho(a))
             lie_b = functools.partial(_lie, M, b[0], rho_b, jets.drho(b))
@@ -490,11 +491,11 @@ class CouplingData:
             self.fiber.bundle, 1, {(i,): list(self.U[a][i]) for i in range(n)}
         )
 
-    def skew_residual(self, plan: SamplePlan, n_points: int = 30) -> float:
-        """The largest entry of U(a, rho(b)) + U(b, rho(a)) at sampled
+    def skew_residual(self, plan: SamplePlan) -> float:
+        """The largest entry of U(a, rho(b)) + U(b, rho(a)) at 30 sampled
         points."""
         B = self.base
-        pts = plan.points(B.chart, n_points)
+        pts = plan.points(B.chart, 30)
         with np.errstate(invalid="ignore", over="ignore"):
             rho, U = _stack(pts, B.anchor_map.value, self.u_map.value)
             W = _anchored(rho, U)
@@ -521,10 +522,10 @@ class CouplingData:
 class NumericCouplingData(CouplingData):
     """Sampled coupling data: the fiber connection at [i, e, c] and the
     mixed tensor at [a, i, e] are point evaluators (base and fiber stay
-    symbolic), differentiated by the finite-difference stencil.  A
-    ``None`` base encodes the degenerate full-ideal case (rank-zero
-    quotient), for which only the bracket-preservation equation carries
-    content and ``u_fn`` is never called."""
+    symbolic), differentiated by the finite-difference stencil with step
+    2e-3.  A ``None`` base encodes the degenerate full-ideal case
+    (rank-zero quotient), for which only the bracket-preservation
+    equation carries content and ``u_fn`` is never called."""
 
     nablaL = U = None
 
@@ -534,9 +535,8 @@ class NumericCouplingData(CouplingData):
         fiber: FiberBracket,
         gamma_fn: Callable[[np.ndarray], np.ndarray],
         u_fn: Callable[[np.ndarray], np.ndarray] | None,
-        fd_step: float = 2e-3,
     ):
-        self._bind(base, fiber, sampled_map(gamma_fn, fd_step), sampled_map(u_fn, fd_step))
+        self._bind(base, fiber, sampled_map(gamma_fn, 2e-3), sampled_map(u_fn, 2e-3))
 
 
 def extract_coupling(
@@ -620,7 +620,7 @@ def quotient_algebroid(
                 continue
             w = bracket(A, comp_secs[a], comp_secs[b])
             structure[a][b] = [w.components[k + c] for c in range(rB)]
-    return LieAlgebroid(Bundle(A.chart, rB, label="B"), anchor, structure)
+    return LieAlgebroid(Bundle(A.chart, rB), anchor, structure)
 
 
 def build_semidirect(cd) -> LieAlgebroid:
@@ -664,8 +664,7 @@ def build_semidirect(cd) -> LieAlgebroid:
             for e in range(k):
                 structure[k + a][k + b][e] = vec[e]
                 structure[k + b][k + a][e] = fold(neg(vec[e]))
-    bundle = Bundle(B.chart, r, label="semidirect")
-    return LieAlgebroid(bundle, anchor, structure)
+    return LieAlgebroid(Bundle(B.chart, r), anchor, structure)
 
 
 def coupling_to_im(
@@ -716,15 +715,14 @@ def check_structure_equations(
     variant: str = "S1S3",
     plan: SamplePlan | None = None,
     tol: float = 1e-8,
-    center_tol: float = 1e-7,
-    svd_tol: float = 1e-9,
 ) -> Report:
     """Residuals of the coupling structure equations at sampled points.
 
     variant="S1S3": bracket preservation, curvature vs fiber adjoint,
     and the mixed cocycle equation.  variant="S1'S3'" additionally
-    requires a flat fiber connection, center-valued mixed tensor, and
-    that the pair (covariant differential of U, U) passes the degree-2
+    requires a flat fiber connection, a center-valued mixed tensor
+    (within 1e-7, through the center of ``center_basis``), and that the
+    pair (covariant differential of U, U) passes the degree-2
     compatibility identities on the base.
 
     Each equation is one contraction over the points
@@ -742,8 +740,7 @@ def check_structure_equations(
 
     if variant == "S1'S3'":
         report.add("kernel_flat_curvature", defects["curvature"], tol)
-        center_res = _center_residual_of_u(cd, pts, svd_tol)
-        report.add("U_center_valued", center_res, center_tol)
+        report.add("U_center_valued", _center_residual_of_u(cd, pts), 1e-7)
         if not cd.exact:
             raise TypeError("the kernel-flat variant needs symbolic coupling data")
         pair = kernel_flat_two_form(cd)
@@ -810,12 +807,12 @@ def _structure_defects(cd, pts) -> dict[str, np.ndarray]:
     return out
 
 
-def center_basis(fiber: FiberBracket, p, svd_tol: float = 1e-9) -> np.ndarray:
+def center_basis(fiber: FiberBracket, p) -> np.ndarray:
     """Orthonormal basis (columns) of the fiberwise center at a point:
-    the joint kernel of the stacked adjoint matrices.  Where an adjoint
-    entry is not finite the center is unknown, and the basis is k
-    columns of NaN, so a residual read through it fails (the SVD of such
-    a matrix need not return)."""
+    the joint kernel (singular values at most 1e-9) of the stacked
+    adjoint matrices.  Where an adjoint entry is not finite the center
+    is unknown, and the basis is k columns of NaN, so a residual read
+    through it fails (the SVD of such a matrix need not return)."""
     k = fiber.bundle.rank
     ad = fiber.c_map.value(p).transpose(0, 2, 1)  # ad[a][k][b] = c_{ab}^k
     stacked = ad.reshape(k * k, k)
@@ -824,12 +821,12 @@ def center_basis(fiber: FiberBracket, p, svd_tol: float = 1e-9) -> np.ndarray:
     if np.allclose(stacked, 0.0):
         return np.eye(k)
     u, s, vt = np.linalg.svd(stacked)
-    null_mask = np.concatenate([s, np.zeros(max(0, k - len(s)))]) <= svd_tol
+    null_mask = np.concatenate([s, np.zeros(max(0, k - len(s)))]) <= 1e-9
     return vt.T[:, null_mask[:k]]
 
 
-def _center_residual_of_u(cd, pts, svd_tol: float) -> float:
-    Z = [center_basis(cd.fiber, p, svd_tol) for p in pts]
+def _center_residual_of_u(cd, pts) -> float:
+    Z = [center_basis(cd.fiber, p) for p in pts]
     # Where the center is unknown (NaN) it has no rank to compare.
     ranks = [z.shape[1] for z in Z if not np.isnan(z).any()]
     for rank in ranks:
@@ -872,8 +869,6 @@ def curvature_im(
     k, rB, n = cd.k, cd.base.rank, cd.base.chart.dim
     ideal = IdealBundle(A, k, verify=False)
     kb = ideal.bundle
-    from .bundles import curvature_tensor
-
     R = curvature_tensor(cd.nablaL)
     symbols = []
     frames = []
@@ -948,8 +943,6 @@ def d_im(
     connection, the result coincides exactly with curvature_im of that
     coupling, with no sign flip.
     """
-    from .algebroid import check_A_invariant
-
     plan = plan or SamplePlan()
     inv = check_A_invariant(conn, rep, plan.fork("inv"), tol=tol)
     if not inv.passed:

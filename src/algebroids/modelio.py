@@ -9,6 +9,7 @@ row-major nested arrays.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Any
@@ -187,14 +188,34 @@ REPORT_SCHEMA = {
 _VALIDATOR = Draft202012Validator(MODEL_SCHEMA)
 
 
+def _section(name: str):
+    """The accessor of the model section ``name``, built by the decorated
+    method: a model without the section is refused with a ModelError,
+    and the first call's build is returned by every later call."""
+
+    def accessor(build):
+        @functools.wraps(build)
+        def read(self):
+            self.require(name)
+            if name not in self._built:
+                self._built[name] = build(self, self.raw[name])
+            return self._built[name]
+
+        return read
+
+    return accessor
+
+
 @dataclass
 class ModelFile:
-    """Validated in-memory model; sections are built lazily."""
+    """Validated in-memory model.  Each section is built once, by the
+    first call of its accessor (``load_model`` calls them all), and that
+    build is shared with every later caller, who must not change it."""
 
     path: str
     raw: dict
     chart: Chart
-    _cache: dict = field(default_factory=dict)
+    _built: dict = field(default_factory=dict)
 
     def has(self, section: str) -> bool:
         return section in self.raw
@@ -215,7 +236,7 @@ class ModelFile:
         except ParseError as e:
             raise ModelError(f"at {where}: {e}") from e
 
-    def _load_algebroid_section(self, sec: dict, where: str, label: str) -> LieAlgebroid:
+    def _load_algebroid_section(self, sec: dict, where: str) -> LieAlgebroid:
         rank = sec["rank"]
         anchor_rows = sec["anchor"]
         if len(anchor_rows) != self.chart.dim:
@@ -234,34 +255,27 @@ class ModelFile:
         structure = _structure_tensor(
             sec.get("structure", {}), rank, rank, self, where + "/structure"
         )
-        return LieAlgebroid(Bundle(self.chart, rank, label), anchor, structure)
+        return LieAlgebroid(Bundle(self.chart, rank), anchor, structure)
 
-    def algebroid(self) -> LieAlgebroid:
-        self.require("algebroid")
-        if "algebroid" not in self._cache:
-            self._cache["algebroid"] = self._load_algebroid_section(
-                self.raw["algebroid"], "/algebroid", "A"
-            )
-        return self._cache["algebroid"]
+    @_section("algebroid")
+    def algebroid(self, sec: dict) -> LieAlgebroid:
+        return self._load_algebroid_section(sec, "/algebroid")
 
-    def ideal(self, verify: bool = False) -> IdealBundle:
-        self.require("ideal")
+    @_section("ideal")
+    def ideal(self, sec: dict) -> IdealBundle:
+        """The bundle of ideals, unverified: ``verify-ideal`` checks it."""
         A = self.algebroid()
-        k = self.raw["ideal"]["k"]
+        k = sec["k"]
         if k > A.rank:
             raise ModelError(
                 f"dimension mismatch between /ideal/k ({k}) and /algebroid/rank ({A.rank})"
             )
-        key = ("ideal", verify)
-        if key not in self._cache:
-            self._cache[key] = IdealBundle(A, k, verify=verify)
-        return self._cache[key]
+        return IdealBundle(A, k, verify=False)
 
-    def im_form(self) -> IMOneForm:
-        self.require("im_form")
+    @_section("im_form")
+    def im_form(self, sec: dict) -> IMOneForm:
         A = self.algebroid()
         ideal = self.ideal()
-        sec = self.raw["im_form"]
         rV, r, n = ideal.k, A.rank, self.chart.dim
         l_rows = sec["l"]
         if len(l_rows) != rV or any(len(row) != r for row in l_rows):
@@ -293,14 +307,11 @@ class ModelFile:
             frames.append(CoeffForm(ideal.bundle, 1, comps))
         return IMOneForm(A, ideal, l, frames)
 
-    def coupling(self) -> CouplingData:
-        self.require("coupling")
-        if "coupling" in self._cache:
-            return self._cache["coupling"]
-        sec = self.raw["coupling"]
-        B = self._load_algebroid_section(sec["base"], "/coupling/base", "B")
+    @_section("coupling")
+    def coupling(self, sec: dict) -> CouplingData:
+        B = self._load_algebroid_section(sec["base"], "/coupling/base")
         kk = sec["fiber"]["rank"]
-        fb = Bundle(self.chart, kk, "k")
+        fb = Bundle(self.chart, kk)
         fiber = FiberBracket(
             fb,
             _structure_tensor(
@@ -345,17 +356,12 @@ class ModelFile:
             )
         verify_skew = sec.get("verify_skew", True)
         try:
-            cd = CouplingData(B, fiber, nablaL, U, verify_skew=verify_skew)
+            return CouplingData(B, fiber, nablaL, U, verify_skew=verify_skew)
         except ValueError as e:
             raise ModelError(f"/coupling/U: {e}") from e
-        self._cache["coupling"] = cd
-        return cd
 
-    def groupoid(self) -> ActionGroupoid:
-        self.require("groupoid")
-        if "groupoid" in self._cache:
-            return self._cache["groupoid"]
-        sec = self.raw["groupoid"]
+    @_section("groupoid")
+    def groupoid(self, sec: dict) -> ActionGroupoid:
         N = sec["ambient"]
         basis = []
         for b, flat in enumerate(sec["basis"]):
@@ -393,24 +399,20 @@ class ModelFile:
                 for c, row in enumerate(sec["splitting"])
             ]
         try:
-            gpd = ActionGroupoid(
+            return ActionGroupoid(
                 group, self.chart, action, ideal_frame, complement, splitting
             )
         except ValueError as e:
             raise ModelError(f"/groupoid: {e}") from e
-        self._cache["groupoid"] = gpd
-        return gpd
 
-    def example_spec(self):
-        self.require("example")
+    @_section("example")
+    def example_spec(self, sec: dict):
         from .factory import ExampleSpec
 
-        sec = self.raw["example"]
         return ExampleSpec(sec["name"], sec.get("params", {}))
 
-    def witness(self) -> dict:
-        self.require("rank_one_witness")
-        sec = self.raw["rank_one_witness"]
+    @_section("rank_one_witness")
+    def witness(self, sec: dict) -> dict:
         out: dict[str, Any] = {"kind": sec["kind"]}
         if "h" in sec:
             out["h"] = self._parse(sec["h"], "/rank_one_witness/h")

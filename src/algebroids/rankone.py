@@ -116,7 +116,7 @@ def _coupling(B: LieAlgebroid, theta: Sequence[Expr], U1) -> CouplingData:
     rank-1 fiber with Gamma_i = [[theta_i]] and U(e_a, d_i) = [U1[a][i]].
     Its structure equations are the trivialized ones; U1 need not be
     anchor-skew."""
-    fiber = FiberBracket.abelian(Bundle(B.chart, 1, "k"))
+    fiber = FiberBracket.abelian(Bundle(B.chart, 1))
     nabla = LinearConnection(fiber.bundle, [[[t]] for t in theta])
     return CouplingData(B, fiber, nabla, [[[u] for u in row] for row in U1], verify_skew=False)
 

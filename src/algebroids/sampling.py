@@ -49,8 +49,7 @@ class SamplePlan:
         )
         return sub
 
-    def points(self, chart: Chart, n: int | None = None) -> list[np.ndarray]:
-        n = self.samples if n is None else n
+    def points(self, chart: Chart, n: int) -> list[np.ndarray]:
         return [_sample_point(chart, self.rng) for _ in range(n)]
 
     def point(self, chart: Chart) -> np.ndarray:

@@ -218,8 +218,8 @@ def test_criterion_03_flatness_taxonomy(fixtures):
     from algebroids.algebroid import LieAlgebroid
 
     ch = Chart(2)
-    B = LieAlgebroid(Bundle(ch, 1, "B"), [[ZERO], [ZERO]], [[[ZERO]]])
-    fiber = FiberBracket.abelian(Bundle(ch, 1, "k"))
+    B = LieAlgebroid(Bundle(ch, 1), [[ZERO], [ZERO]], [[[ZERO]]])
+    fiber = FiberBracket.abelian(Bundle(ch, 1))
     nablaL = LinearConnection(fiber.bundle, [[[coord(1)]], [[ZERO]]])
     cd_leaf = CouplingData(B, fiber, nablaL, [[[ZERO], [ZERO]]])
     c_leaf, _ = classify_flatness(cd_leaf, plan("c3c"))
@@ -365,7 +365,7 @@ def test_criterion_07_rank_one_equivalence():
         if trial in (1, 4, 7):  # three deliberately broken fixtures
             theta = [fold(add(theta[0], coord(1))), theta[1]]
         B = tangent_algebroid(ch)
-        fiber = FiberBracket.abelian(Bundle(ch, 1, "k"))
+        fiber = FiberBracket.abelian(Bundle(ch, 1))
         nablaL = LinearConnection(fiber.bundle, [[[t]] for t in theta])
         U = [[[U1[a][i]] for i in range(2)] for a in range(2)]
         cd = CouplingData(B, fiber, nablaL, U)
@@ -423,7 +423,7 @@ def test_criterion_08_groupoid_side():
         conn = gpd.induced_connection()
         Om = covariant_exterior_D(gpd, alpha, conn)
         rep = check_groupoid_properties(
-            gpd, alpha, Om, conn, p.fork("props"), tol=1e-4, delta_tol=1e-7,
+            gpd, alpha, Om, conn, p.fork("props"), tol=1e-4,
             n_pairs=100, n_points=25,
         )
         ok = ok and rep.passed

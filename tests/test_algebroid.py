@@ -65,7 +65,7 @@ def so3_action_algebroid():
         [[const(float(eps[a, b, c])) for c in range(3)] for b in range(3)]
         for a in range(3)
     ]
-    return LieAlgebroid(Bundle(CH3, 3, "so3xR3"), anchor, struct)
+    return LieAlgebroid(Bundle(CH3, 3), anchor, struct)
 
 
 def test_bracket_structure_constants():
@@ -165,7 +165,7 @@ def test_ideal_rejects_non_ideal():
 
 def test_canonical_representation_abelian_zero():
     n = 2
-    B = Bundle(CH2, 3, "A")
+    B = Bundle(CH2, 3)
     anchor = [[ZERO] * 3 for _ in range(n)]
     struct = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
     A = LieAlgebroid(B, anchor, struct)
@@ -190,7 +190,7 @@ def test_canonical_representation_full_ideal_is_adjoint():
         for a in range(3)
     ]
     anchor = [[ZERO] * 3 for _ in range(2)]
-    A = LieAlgebroid(Bundle(CH2, 3, "g"), anchor, struct)
+    A = LieAlgebroid(Bundle(CH2, 3), anchor, struct)
     ideal = IdealBundle(A, 3)
     rep = canonical_representation(A, ideal)
     for b in range(3):
@@ -200,11 +200,11 @@ def test_canonical_representation_full_ideal_is_adjoint():
 
 
 def test_check_A_invariant_zero_anchor():
-    B = Bundle(CH2, 2, "A")
+    B = Bundle(CH2, 2)
     anchor = [[ZERO] * 2 for _ in range(2)]
     struct = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
     A = LieAlgebroid(B, anchor, struct)
-    V = Bundle(CH2, 1, "V")
+    V = Bundle(CH2, 1)
     conn = LinearConnection.trivial(V)
     rep = ARepresentation.zero(A, V)
     assert check_A_invariant(conn, rep, SamplePlan(seed=1, samples=30)).passed
@@ -212,7 +212,7 @@ def test_check_A_invariant_zero_anchor():
 
 def test_check_A_invariant_needs_flatness():
     TM = tangent_algebroid(CH2)
-    V = Bundle(CH2, 1, "V")
+    V = Bundle(CH2, 1)
     conn = LinearConnection(V, [[[coord(1)]], [[ZERO]]])
     # The representation induced by the connection itself along the
     # identity anchor.
@@ -279,7 +279,7 @@ def _invariance_case(name):
     # Christoffel matrices and a representation that is not the
     # connection along the anchor, so every term reaches both residuals.
     A = so3_action_algebroid()
-    V = Bundle(CH3, 2, "V")
+    V = Bundle(CH3, 2)
     rng = np.random.default_rng(7)
     gammas = [[[random_polynomial(CH3, rng) for _ in range(2)] for _ in range(2)] for _ in range(3)]
     coeffs = [[[random_polynomial(CH3, rng) for _ in range(2)] for _ in range(2)] for _ in range(3)]
@@ -399,7 +399,7 @@ def _flatness_case(name):
         # action: every term of the identity reaches the residual.
         return _invariance_case("bent")[1]
     model = load_model(str(MODELS / f"{name.removesuffix('_perturbed')}.json"))
-    A, ideal = model.algebroid(), model.ideal(verify=False)
+    A, ideal = model.algebroid(), model.ideal()
     rep = canonical_representation(A, ideal)
     if name.endswith("_perturbed"):
         x2 = coord(1)

@@ -35,7 +35,7 @@ def near_ideal(defect, anchor_defect=ZERO):
     struct[1][0][2] = defect
     struct[0][1][2] = fold(neg(defect))
     anchor = [[anchor_defect, ZERO, ZERO], [ZERO, ZERO, ZERO]]
-    return LieAlgebroid(Bundle(CH2, 3, "A"), anchor, struct)
+    return LieAlgebroid(Bundle(CH2, 3), anchor, struct)
 
 
 def test_ideal_bundle_honours_tol():
@@ -126,7 +126,7 @@ def perturbed_so3():
     pert = fold(add(ONE, coord(0)))
     struct[0][1][2] = pert
     struct[1][0][2] = fold(neg(pert))
-    return LieAlgebroid(Bundle(Chart(3), 3, "A"), anchor, struct)
+    return LieAlgebroid(Bundle(Chart(3), 3), anchor, struct)
 
 
 ALGEBROIDS = {
@@ -190,13 +190,13 @@ def test_axiom_checks_build_no_bracket(monkeypatch):
     model = load_model(str(MODELS / "so3_radial.json"))
     A = model.algebroid()
     monkeypatch.setattr(algebroid, "bracket", refuse)
-    ideal = IdealBundle(A, model.ideal(verify=False).k, plan=SamplePlan(seed=2, samples=60))
+    ideal = IdealBundle(A, model.ideal().k, plan=SamplePlan(seed=2, samples=60))
     assert check_axioms(A, ideal, SamplePlan(seed=2, samples=60)).passed
 
     # Nor does check_im_form.
     model = load_model(str(MODELS / "product_so3.json"))
     A, form = model.algebroid(), model.im_form()
-    rep = canonical_representation(A, model.ideal(verify=False))
+    rep = canonical_representation(A, model.ideal())
     monkeypatch.setattr(imforms, "bracket", refuse)
     report = imforms.check_im_form(form, rep, SamplePlan(seed=2, samples=60))
     assert report.passed and [c.name for c in report.checks] == ["im_identity_2", "im_identity_3"]
@@ -250,18 +250,18 @@ def _compiles(monkeypatch, run):
 def _axioms(samples):
     model = load_model(str(MODELS / "so3_radial.json"))
     A = model.algebroid()
-    return lambda: check_axioms(A, model.ideal(verify=False), SamplePlan(seed=3, samples=samples))
+    return lambda: check_axioms(A, model.ideal(), SamplePlan(seed=3, samples=samples))
 
 
 def _flatness(pairs):
     model = load_model(str(MODELS / "so3_radial.json"))
-    rep = canonical_representation(model.algebroid(), model.ideal(verify=False))
+    rep = canonical_representation(model.algebroid(), model.ideal())
     return lambda: rep.flatness_residual(SamplePlan(seed=3), n_pairs=pairs)
 
 
 def _im(samples):
     model = load_model(str(MODELS / "product_so3.json"))
-    rep = canonical_representation(model.algebroid(), model.ideal(verify=False))
+    rep = canonical_representation(model.algebroid(), model.ideal())
     form = model.im_form()
     return lambda: imforms.check_im_form(form, rep, SamplePlan(seed=3, samples=samples))
 

@@ -209,7 +209,7 @@ def _ref_transitive_algebroid(fiber, nabla, Omega):
             for e in range(k):
                 structure[k + i][k + j][e] = Omega[i][j][e]
                 structure[k + j][k + i][e] = fold(neg(Omega[i][j][e]))
-    return LieAlgebroid(Bundle(chart, r, "transitive"), anchor, structure)
+    return LieAlgebroid(Bundle(chart, r), anchor, structure)
 
 
 @pytest.mark.parametrize(
@@ -306,7 +306,7 @@ def test_twist_preconditions_match_their_reference(dim):
     # of its adjoint defect and of the covariant exterior derivative
     # reaches the residuals.
     chart = Chart(dim)
-    fiber = FiberBracket.from_constants(Bundle(chart, 3, "k"), so3_constants())
+    fiber = FiberBracket.from_constants(Bundle(chart, 3), so3_constants())
     rng = np.random.default_rng(13)
     nabla = LinearConnection(
         fiber.bundle, [[[random_polynomial(chart, rng) for _ in range(3)] for _ in range(3)] for _ in range(dim)]
@@ -327,7 +327,7 @@ def test_twist_of_its_own_connection_passes_its_reference():
     # d + ad(theta) with its own curvature as the twist, on a 3-dimensional
     # chart: both residuals are rounding noise and the twist is accepted.
     chart = Chart(3)
-    fiber = FiberBracket.from_constants(Bundle(chart, 3, "k"), so3_constants())
+    fiber = FiberBracket.from_constants(Bundle(chart, 3), so3_constants())
     rng = np.random.default_rng(17)
     theta = [[random_polynomial(chart, rng) for _ in range(3)] for _ in range(3)]
     nabla = factory._ad_connection(fiber, theta)

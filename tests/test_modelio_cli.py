@@ -632,6 +632,61 @@ def test_a_non_finite_twist_is_refused_without_a_warning(tmp_path, name, params,
     assert check["max_residual"] is None and check["non_finite"] is True
 
 
+def test_a_subcommand_reads_the_sections_load_model_built(monkeypatch):
+    # load_model builds every section of the model; the subcommand then
+    # reads those builds and builds none of them again.
+    from algebroids import modelio
+
+    built = []
+
+    class CountedIMOneForm(modelio.IMOneForm):
+        def __init__(self, *args):
+            built.append("im_form")
+            super().__init__(*args)
+
+    parse = modelio.ModelFile._parse
+
+    def counted_parse(self, text, where):
+        if where.startswith("/rank_one_witness/"):
+            built.append("witness expression")
+        return parse(self, text, where)
+
+    monkeypatch.setattr(modelio, "IMOneForm", CountedIMOneForm)
+    monkeypatch.setattr(modelio.ModelFile, "_parse", counted_parse)
+    code, _ = invoke(["verify-im", "--model", str(MODELS / "product_so3.json"), "--json", "--samples", "20"])
+    assert code == 0
+    assert built == ["im_form"]
+    built.clear()
+    code, _ = invoke(
+        ["rank-one", "--model", str(MODELS / "rank_one.json"), "--witness", "kernel", "--json", "--samples", "20"]
+    )
+    assert code == 0
+    # The witness holds five expressions: Omega (1), Z (2) and theta (2).
+    assert built == ["witness expression"] * 5
+
+
+def test_the_rank_one_handler_leaves_the_model_witness_whole(monkeypatch):
+    # The handler takes the kind out of its own copy of the witness, not
+    # out of the model's, which every reader shares.
+    from algebroids import cli
+
+    loaded = []
+
+    def load(path):
+        loaded.append(load_model(path))
+        return loaded[-1]
+
+    monkeypatch.setattr(cli, "load_model", load)
+    code, _ = invoke(
+        ["rank-one", "--model", str(MODELS / "rank_one.json"), "--witness", "kernel", "--json", "--samples", "20"]
+    )
+    assert code == 0
+    (model,) = loaded
+    assert model.witness() is model.witness()
+    assert model.witness()["kind"] == "principal_type"
+    assert sorted(model.witness()) == ["Omega", "Z", "kind", "theta"]
+
+
 def test_runs_in_one_process_share_no_parsed_state():
     # The parser is built once per process: a run with --kernel-flat and
     # --tol must leave nothing behind for the next run without them.

@@ -41,7 +41,7 @@ MODELS = Path(__file__).resolve().parent.parent / "models"
 def coupling_from(theta, U1, dim=2, verify_skew=True):
     ch = Chart(dim)
     B = tangent_algebroid(ch)
-    fiber = FiberBracket.abelian(Bundle(ch, 1, "k"))
+    fiber = FiberBracket.abelian(Bundle(ch, 1))
     nablaL = LinearConnection(fiber.bundle, [[[t]] for t in theta])
     U = [[[U1[a][i]] for i in range(dim)] for a in range(dim)]
     return CouplingData(B, fiber, nablaL, U, verify_skew=verify_skew)
@@ -111,7 +111,7 @@ def test_tangentiality_zero_anchor():
     # Vanishing anchor: every fiber direction is in the kernel, so a
     # nonzero 2-cochain cannot be tangential.
     ch = Chart(2)
-    Bb = Bundle(ch, 2, "B")
+    Bb = Bundle(ch, 2)
     B = LieAlgebroid(Bb, [[ZERO, ZERO], [ZERO, ZERO]], [[[ZERO] * 2] * 2] * 2)
     lam = [[ZERO, ONE], [const(-1), ZERO]]
     data = RankOneData(B, (ZERO, ZERO), (ZERO, ZERO), lam, ((ZERO, ZERO), (ZERO, ZERO)))
@@ -309,7 +309,7 @@ def _affine_base():
     x1, x2 = coord(0), coord(1)
     anchor = [[ONE, x1], [ZERO, x2]]
     struct = [[[ZERO, ZERO], [ONE, ZERO]], [[const(-1), ZERO], [ZERO, ZERO]]]
-    return LieAlgebroid(Bundle(CH2, 2, "B"), anchor, struct)
+    return LieAlgebroid(Bundle(CH2, 2), anchor, struct)
 
 
 def _rank_one_case(name):
@@ -387,7 +387,7 @@ def _rotation_data():
     ]
     eps = so3_constants()
     struct = [[[const(float(eps[a, b, c])) for c in range(3)] for b in range(3)] for a in range(3)]
-    B = LieAlgebroid(Bundle(Chart(3), 3, "so3xR3"), anchor, struct)
+    B = LieAlgebroid(Bundle(Chart(3), 3), anchor, struct)
     lam = ((ZERO, x[0], mul(x[1], x[2])), (ZERO, ZERO, ONE), (ZERO, ZERO, ZERO))
     zero = ((ZERO,) * 3,) * 3
     return RankOneData(B, (ZERO,) * 3, (x[1], ONE, mul(x[0], x[0])), lam, zero)
