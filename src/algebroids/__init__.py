@@ -3,6 +3,14 @@ coordinate chart: symbolic expression trees, bundles and connections,
 algebroid axioms, ideal-valued connection forms with their coupling
 data and flatness classes, rank-one classification, numeric action
 groupoids, and a command-line verification surface.
+
+The package holds what its subcommands, demos and tools run.  Exprs are
+built when a model or example is loaded and by the constructions that
+return data; every check reads point maps and turns one identity into
+a sampled residual.  The symbolic references the tests compare it
+against, such as the covariant differential ``d_im`` on form pairs, the
+cochain contraction on Expr sections and random polynomial sections,
+live with the tests.
 """
 
 from .expr import Chart, Expr, parse, differentiate, evaluate
@@ -22,7 +30,6 @@ from .algebroid import (
     bracket,
     check_axioms,
     canonical_representation,
-    check_A_invariant,
     basic_curvature,
     cartan_build_connection,
     change_frame,
@@ -39,8 +46,6 @@ from .imforms import (
     build_semidirect,
     curvature_im,
     classify_flatness,
-    d_im,
-    chain_map,
 )
 from .rankone import RankOneData, extract_rank_one, check_rank_one, verify_witness
 from .factory import ExampleSpec, make_example, transitive_im_connection, so3_radial_action

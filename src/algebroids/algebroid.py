@@ -1,7 +1,7 @@
 """Lie algebroids over a chart: anchor + structure functions, the
 Leibniz-expanded bracket, axiom checkers, bundles of ideals, canonical
-representations, invariant connections, basic curvature, and the
-connection-based construction of ideal-valued connection forms.
+representations, basic curvature, and the connection-based
+construction of ideal-valued connection forms.
 
 Frame convention: a bundle of ideals is always the span of the first k
 frame elements (an adapted frame); users change frames with
@@ -21,7 +21,6 @@ from .bundles import (
     LinearConnection,
     PointMap,
     Section,
-    _curvature,
     _stack,
 )
 from .expr import (
@@ -35,7 +34,7 @@ from .expr import (
     mul,
     neg,
 )
-from .sampling import Report, SamplePlan, polynomial_draws, polynomial_jets, random_polynomial, sup
+from .sampling import Report, SamplePlan, polynomial_draws, polynomial_jets, sup
 
 __all__ = [
     "LieAlgebroid",
@@ -44,7 +43,6 @@ __all__ = [
     "bracket",
     "check_axioms",
     "canonical_representation",
-    "check_A_invariant",
     "basic_curvature",
     "cartan_build_connection",
     "ConstructionRefused",
@@ -101,15 +99,6 @@ class LieAlgebroid:
         comps = [ZERO] * self.rank
         comps[a] = ONE
         return Section(self.bundle, comps)
-
-    def section(self, components: Sequence[Expr]) -> Section:
-        return Section(self.bundle, components)
-
-    def random_section(self, rng: np.random.Generator) -> Section:
-        return Section(
-            self.bundle,
-            [random_polynomial(self.chart, rng) for _ in range(self.rank)],
-        )
 
     def rho_of(self, alpha: Section) -> list[Expr]:
         """Anchor image of a section, as a vector field (n Exprs)."""
@@ -208,8 +197,8 @@ class ARepresentation:
     """Algebroid representation on a trivialized bundle V.
 
     ``coeffs[b]`` is the r_V x r_V Expr matrix of nabla_{e_b} acting on
-    the frame of V; the full derivative part along the anchor is added
-    when applying to sections.  The checks read the matrices whole,
+    the frame of V; on a section the derivative along the anchor is
+    added to it.  The checks read the matrices whole,
     through the point map ``coeffs_map`` at [b, d, c].  Flatness is a
     sampled check.
     """
@@ -234,31 +223,6 @@ class ARepresentation:
         self.bundle = bundle
         self.coeffs = tuple(mats)
         self.coeffs_map = PointMap.exact(self.coeffs)
-
-    @classmethod
-    def zero(cls, algebroid: LieAlgebroid, bundle: Bundle) -> "ARepresentation":
-        rV = bundle.rank
-        z = [[ZERO] * rV for _ in range(rV)]
-        return cls(algebroid, bundle, [z for _ in range(algebroid.rank)])
-
-    def apply(self, alpha: Section, comps: Sequence[Expr]) -> list[Expr]:
-        """nabla_alpha of a V-coefficient vector."""
-        ra = self.algebroid.rho_of(alpha)
-        rV = self.bundle.rank
-        out = []
-        for d in range(rV):
-            terms = [directional(ra, comps[d])]
-            for b in range(self.algebroid.rank):
-                if alpha.components[b] == ZERO:
-                    continue
-                for c in range(rV):
-                    if comps[c] == ZERO or self.coeffs[b][d][c] == ZERO:
-                        continue
-                    terms.append(
-                        mul(alpha.components[b], self.coeffs[b][d][c], comps[c])
-                    )
-            out.append(fold(add(*terms)))
-        return out
 
     def flatness_residual(self, plan: SamplePlan, n_pairs: int = 6) -> float:
         """Max residual of nabla_[a,b] = [nabla_a, nabla_b] on random
@@ -309,8 +273,8 @@ def _axiom_budget(plan: SamplePlan) -> tuple[int, int]:
 
 def _axiom_draws(A: LieAlgebroid, plan: SamplePlan):
     """``check_axioms``'s draws from the plan, in order: per draw, a
-    random section triple as terms (``polynomial_draws``, as
-    ``random_section`` draws them; ``_Jets`` reads them) and its points."""
+    random section triple as terms (``polynomial_draws``, one term list
+    per component; ``_Jets`` reads them) and its points."""
     draws, pts = _axiom_budget(plan)
     for _ in range(draws):
         triple = [[polynomial_draws(A.chart.dim, plan.rng) for _ in range(A.rank)] for _ in range(3)]
@@ -460,40 +424,6 @@ def canonical_representation(A: LieAlgebroid, ideal: IdealBundle) -> ARepresenta
     return ARepresentation(A, ideal.bundle, coeffs)
 
 
-def check_A_invariant(
-    conn: LinearConnection,
-    rep: ARepresentation,
-    plan: SamplePlan | None = None,
-    tol: float = 1e-9,
-) -> Report:
-    """Invariance of a linear connection under an algebroid
-    representation: the representation agrees with the connection along
-    the anchor, and the curvature is killed by anchored directions."""
-    if conn.bundle != rep.bundle:
-        raise ValueError("connection and representation bundles differ")
-    plan = plan or SamplePlan()
-    A = rep.algebroid
-    n = A.chart.dim
-    report = Report(command="check-A-invariant", seed=plan.seed, samples=plan.samples)
-    pts = plan.points(A.chart, min(plan.samples, 60))
-    # A non-finite read gives a non-finite residual, which fails.
-    with np.errstate(invalid="ignore", over="ignore"):
-        M, rho, G, dG = _stack(
-            pts,
-            rep.coeffs_map.value,
-            A.anchor_map.value,
-            conn.gamma_map.value,
-            conn.gamma_map.partials,
-        )
-        # Condition 1: coefficient matrices match sum_i rho^i_b Gamma_i.
-        compat = M - np.einsum("pib,pidc->pbdc", rho, G)
-        # Condition 2: curvature contracted with the anchor vanishes.
-        contraction = np.einsum("pib,pijdc->pbjdc", rho, _curvature(G, dG))
-    report.add("invariance_anchor_compatibility", compat, tol)
-    report.add("invariance_curvature_contraction", contraction, tol)
-    return report
-
-
 class BasicCurvature:
     """The five-term tensor measuring the failure of a linear connection
     on an algebroid to have multiplicative-type horizontal behavior:
@@ -538,14 +468,6 @@ class BasicCurvature:
             + np.einsum("pbij,pjca->pabic", Y, G)
         )
         return first - W + W.swapaxes(1, 2)
-
-    def cartan_residual(self, plan: SamplePlan, n_points: int = 24) -> float:
-        """Max residual over frame pairs and coordinate directions (the
-        tensor property makes frame evaluation sufficient)."""
-        pts = plan.points(self.A.chart, n_points)
-        a, b = np.triu_indices(self.A.rank, 1)
-        with np.errstate(invalid="ignore", over="ignore"):
-            return sup(self._frame_values(pts)[:, a, b])
 
 
 def basic_curvature(A: LieAlgebroid, conn: LinearConnection) -> BasicCurvature:

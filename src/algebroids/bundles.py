@@ -77,28 +77,6 @@ class Section:
         self.bundle = bundle
         self.components = components
 
-    def __add__(self, other: "Section") -> "Section":
-        if other.bundle != self.bundle:
-            raise ValueError("bundle mismatch")
-        return Section(
-            self.bundle,
-            [a + b for a, b in zip(self.components, other.components)],
-        )
-
-    def __sub__(self, other: "Section") -> "Section":
-        if other.bundle != self.bundle:
-            raise ValueError("bundle mismatch")
-        return Section(
-            self.bundle,
-            [a - b for a, b in zip(self.components, other.components)],
-        )
-
-    def scale(self, f: Expr) -> "Section":
-        return Section(self.bundle, [fold(mul(f, c)) for c in self.components])
-
-    def __repr__(self):
-        return f"Section({[str(c.value) if c.op == 'const' else '...' for c in self.components]})"
-
 
 def sort_with_sign(idx: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     """Insertion-sort an index tuple; return (sign, sorted tuple).
@@ -185,44 +163,12 @@ class CoeffForm:
             return vec
         return tuple(fold(neg(v)) for v in vec)
 
-    def is_structurally_zero(self) -> bool:
-        return not self.comps
-
-    def __add__(self, other: "CoeffForm") -> "CoeffForm":
-        if other.bundle != self.bundle or other.degree != self.degree:
-            raise ValueError("form mismatch")
-        keys = set(self.comps) | set(other.comps)
-        out = {
-            k: [a + b for a, b in zip(self.component(k), other.component(k))]
-            for k in keys
-        }
-        return CoeffForm(self.bundle, self.degree, out)
-
-    def __sub__(self, other: "CoeffForm") -> "CoeffForm":
-        return self + other.scale(const(-1))
-
     def scale(self, f: Expr) -> "CoeffForm":
         return CoeffForm(
             self.bundle,
             self.degree,
             {k: [fold(mul(f, v)) for v in vec] for k, vec in self.comps.items()},
         )
-
-    def contract(self, X: Sequence[Expr]) -> "CoeffForm":
-        """Interior product i_X with a vector field (n Exprs): the first
-        slot is contracted."""
-        if self.degree == 0:
-            raise ValueError("cannot contract a 0-form")
-        n = self.bundle.chart.dim
-        out: dict[tuple[int, ...], list[Expr]] = {}
-        for rest in itertools.combinations(range(n), self.degree - 1):
-            vec = [ZERO] * self.bundle.rank
-            for i in range(n):
-                comp = self.component((i,) + rest)
-                for c in range(self.bundle.rank):
-                    vec[c] = add(vec[c], mul(X[i], comp[c]))
-            out[rest] = [fold(v) for v in vec]
-        return CoeffForm(self.bundle, self.degree - 1, out)
 
 
 class PointMap:

@@ -1,8 +1,9 @@
 """Command-line verification surface.
 
-Every checker in the library but ``check_A_invariant`` is reachable
-from a subcommand; that one is the precondition of the library's
-covariant differential ``d_im``, which no subcommand runs.  Reports
+Every checker in the library is reachable from a subcommand.  Once a
+model or example is loaded, every check reads point maps and builds no
+Expr; only constructions that return data (the kernel-flat and
+curvature pairs, the semidirect rebuild) still build Exprs.  Reports
 are deterministic for a fixed (model, seed, samples) triple and are
 emitted either as a human table or as a single JSON document.
 
@@ -27,14 +28,13 @@ from .algebroid import (
     cartan_build_connection,
     check_axioms,
 )
-from .bundles import PointMap, _anchored, _stack
+from .bundles import _anchored, _stack
 from .expr import EvalError, ParseError, SamplingError
 from .factory import ExampleSpec, make_example, transitive_im_connection
 from .imforms import (
     CenterDegeneracyError,
     FLATNESS_ORDER,
     build_semidirect,
-    chain_map,
     check_im_form,
     check_structure_equations,
     classify_flatness,
@@ -54,7 +54,7 @@ from .groupoid import (
 )
 from .modelio import ModelError, load_model
 from .rankone import check_rank_one, extract_rank_one, verify_witness
-from .sampling import Report, SamplePlan, sup
+from .sampling import Report, SamplePlan, polynomial_draws, polynomial_jets, sup
 
 __all__ = ["run", "main", "SUBCOMMANDS"]
 
@@ -372,25 +372,22 @@ def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float) -> Report
 
     if spec.name == "principal_type_flat":
         # Kernel-flat extras: the degree-2 pair maps onto the base
-        # cocycle through the cochain contraction.
+        # cocycle through the cochain contraction omega(alpha, beta) =
+        # sym(alpha)(rho(beta)), on random polynomial section pairs.
         pair = kernel_flat_two_form(cd)
-        ev = chain_map(pair)
         defects = []
         B = cd.base
         rng = plan.fork("chain").rng
         for _ in range(4):
-            al = B.random_section(rng)
-            be = B.random_section(rng)
-            got, a, b, rho, U = _stack(
-                plan.points(B.chart, 8),
-                PointMap.exact(ev(al, be)).value,
-                PointMap.exact(al.components).value,
-                PointMap.exact(be.components).value,
-                B.anchor_map.value,
-                cd.u_map.value,
-            )
+            draws = [polynomial_draws(B.chart.dim, rng) for _ in range(2 * B.rank)]
+            points = plan.points(B.chart, 8)
+            values = polynomial_jets(draws, points)[0]
+            a, b = values[:, : B.rank], values[:, B.rank :]
+            S, rho, U = _stack(points, pair.sym_map.value, B.anchor_map.value, cd.u_map.value)
+            sym_a = np.einsum("pa,paie->pie", a, S)
+            omega = np.einsum("pie,pi->pe", sym_a, np.einsum("pib,pb->pi", rho, b))
             # The base cocycle U(alpha, rho(beta)).
-            defects.append(got - np.einsum("pa,pb,pabe->pe", a, b, _anchored(rho, U)))
+            defects.append(omega - np.einsum("pa,pb,pabe->pe", a, b, _anchored(rho, U)))
         rep.add("chain_map_matches_base_cocycle", np.array(defects), 1e-9)
     return rep
 

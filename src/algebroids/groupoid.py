@@ -52,7 +52,6 @@ __all__ = [
     "MultForm",
     "connection_from_splitting",
     "simplicial_delta",
-    "delta_of_function",
     "covariant_exterior_D",
     "d_nabla_s",
     "check_groupoid_properties",
@@ -448,17 +447,6 @@ class MultForm:
             raise ValueError(f"form of degree {self.degree} needs {self.degree} tangents")
         return np.asarray(self._eval(g, x, *tangents))
 
-    def antisymmetry_residual(self, plan: SamplePlan, n_samples: int = 20) -> float:
-        if self.degree != 2:
-            raise ValueError(f"antisymmetry is measured on degree 2 forms, not degree {self.degree}")
-        defects = []
-        for _ in range(n_samples):
-            g, x = self.gpd.sample_arrow(plan.rng)
-            T1 = self.gpd.sample_tangent(plan.rng)
-            T2 = self.gpd.sample_tangent(plan.rng)
-            defects.append(self(g, x, T1, T2) + self(g, x, T2, T1))
-        return sup(np.array(defects))
-
 
 _SPLITTING_MEMO_ENTRIES = 64
 
@@ -517,21 +505,6 @@ def connection_from_splitting(
         return l_at(x) @ T[0]
 
     return MultForm(gpd, 1, evaluator)
-
-
-def delta_of_function(gpd: ActionGroupoid, f: Sequence[Expr]) -> MultForm:
-    """Degree-zero simplicial differential of a fiber-valued function on
-    the chart: the degree-0 form (g, x) -> coefficients over x."""
-    if len(f) != gpd.k:
-        raise ValueError("function must have one coefficient per ideal frame section")
-
-    fmap = PointMap.exact(f)
-
-    def F(g, x):
-        y = gpd.act(g, x)
-        return gpd.twist(g, x, fmap.value(y)) - fmap.value(np.asarray(x, dtype=float))
-
-    return MultForm(gpd, 0, F)
 
 
 def simplicial_delta(gpd: ActionGroupoid, omega: MultForm) -> Callable:

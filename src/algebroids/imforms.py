@@ -1,7 +1,6 @@
 """Ideal-valued connection 1-forms on Lie algebroids, their coupling
-data, structure equations, semidirect rebuilds, curvature 2-forms,
-flatness classes, the covariant differential on such forms, and the
-map to algebroid cochains.
+data, structure equations, semidirect rebuilds, curvature 2-forms and
+flatness classes.
 
 A degree-k form is stored by its frame values plus the extension rule
     L(f e_a) = f L(e_a) + df ^ sym(e_a),
@@ -45,7 +44,6 @@ from .algebroid import (
     _Jets,
     bracket,
     canonical_representation,
-    check_A_invariant,
 )
 from .bundles import (
     Bundle,
@@ -91,9 +89,6 @@ __all__ = [
     "build_semidirect",
     "curvature_im",
     "classify_flatness",
-    "d_im",
-    "chain_map",
-    "CochainEvaluator",
     "center_basis",
     "CenterDegeneracyError",
     "FLATNESS_ORDER",
@@ -163,17 +158,6 @@ class _IMFormBase:
     def value_rank(self) -> int:
         return self.value_bundle.rank
 
-    # Symbolic evaluation on sections.
-    def sym_of(self, alpha: Section) -> CoeffForm:
-        """The symbol applied to a section (tensorial)."""
-        out = zero_form(self.value_bundle, self.degree - 1)
-        for a in range(self.algebroid.rank):
-            ca = alpha.components[a]
-            if ca == ZERO:
-                continue
-            out = out + self.symbols[a].scale(ca)
-        return out
-
 
 class IMOneForm(_IMFormBase):
     """Vector-bundle-valued 1-form pair (L, l) on an algebroid, stored
@@ -209,22 +193,12 @@ class IMOneForm(_IMFormBase):
                     return False
         return True
 
-    def l_of(self, alpha: Section) -> list[Expr]:
-        rV, r = self.value_rank, self.algebroid.rank
-        return [
-            fold(add(*(mul(self.l[c][a], alpha.components[a]) for a in range(r))))
-            for c in range(rV)
-        ]
-
 
 class IMTwoForm(_IMFormBase):
     """Degree-2 analogue: the symbol maps frame elements to value-bundle
     valued 1-forms, the operator to 2-forms."""
 
     degree = 2
-
-    def is_connection(self) -> bool:
-        return False
 
 
 def _form_map(forms: Sequence[CoeffForm]) -> PointMap:
@@ -372,8 +346,8 @@ def check_im_form(
     form pair against a representation, on random polynomial sections at
     sampled points.  Also reports the connection predicate.
 
-    The sections are drawn as terms (``polynomial_draws``, as
-    ``random_section`` draws them); their closed-form 2-jets, anchor
+    The sections are drawn as terms (``polynomial_draws``, one term
+    list per component); their closed-form 2-jets, anchor
     images and [a, b] with its gradient come from ``algebroid._Jets``,
     so no Expr is built.  Each form map is read whole once per point
     (``_form_reads``); L, sym, their partials, the Lie derivatives and
@@ -925,78 +899,3 @@ def classify_flatness(
     report.extra["flatness"] = [c for c in FLATNESS_ORDER if c in classes]
     return classes, report
 
-
-def d_im(
-    conn: LinearConnection,
-    form: IMOneForm,
-    rep: ARepresentation,
-    plan: SamplePlan | None = None,
-    tol: float = 1e-9,
-) -> IMTwoForm:
-    """Covariant differential on degree-1 form pairs:
-    (L, l) -> (d_conn L, L - d_conn l).  The connection must be
-    invariant under the representation; the check is run and the
-    construction refused on failure.
-
-    Sign convention (pinned by the test suite): applied to the
-    connection form of a coupling with conn the coupling's own fiber
-    connection, the result coincides exactly with curvature_im of that
-    coupling, with no sign flip.
-    """
-    plan = plan or SamplePlan()
-    inv = check_A_invariant(conn, rep, plan.fork("inv"), tol=tol)
-    if not inv.passed:
-        raise ConstructionRefused("connection is not invariant", inv)
-    if conn.bundle != form.value_bundle:
-        raise ValueError("connection must live on the form's value bundle")
-    symbols = []
-    frames = []
-    for a in range(form.algebroid.rank):
-        dsym = exterior_covariant_derivative(conn, form.symbols[a])
-        symbols.append(form.frame_values[a] - dsym)
-        frames.append(exterior_covariant_derivative(conn, form.frame_values[a]))
-    value = form.ideal if form.ideal is not None else form.value_bundle
-    return IMTwoForm(form.algebroid, value, symbols, frames)
-
-
-class CochainEvaluator:
-    """Algebroid cochain obtained from a form pair by contracting the
-    symbol with anchors: omega(a_1, ..., a_k) = sym(a_1)(rho(a_2), ...)."""
-
-    def __init__(self, form):
-        self.form = form
-        self.degree = form.degree
-
-    def __call__(self, *sections: Section) -> list[Expr]:
-        if len(sections) != self.degree:
-            raise ValueError(f"expected {self.degree} sections")
-        A = self.form.algebroid
-        out = self.form.sym_of(sections[0])
-        for s in sections[1:]:
-            out = out.contract(A.rho_of(s))
-        return list(out.component(()))
-
-
-def chain_map(form) -> CochainEvaluator:
-    return CochainEvaluator(form)
-
-
-def cochain_differential(
-    rep: ARepresentation, omega: CochainEvaluator
-) -> Callable[..., list[Expr]]:
-    """Algebroid cochain differential of a degree-1 evaluator, using the
-    representation for the coefficient action (enough for the
-    intertwining cross-checks)."""
-    if omega.degree != 1:
-        raise ValueError("only degree-1 cochains are differentiated here")
-    A = rep.algebroid
-
-    def d_omega(alpha: Section, beta: Section) -> list[Expr]:
-        wa = omega(beta)
-        wb = omega(alpha)
-        t1 = rep.apply(alpha, wa)
-        t2 = rep.apply(beta, wb)
-        t3 = omega(bracket(A, alpha, beta))
-        return [fold(add(x, neg(y), neg(z))) for x, y, z in zip(t1, t2, t3)]
-
-    return d_omega

@@ -16,10 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expr import Chart, Expr, add, const, coord, fold, mul, _sample_point
+from .expr import Chart, _sample_point
 
 __all__ = [
-    "SamplePlan", "sup", "Check", "Report", "polynomial", "polynomial_draws", "polynomial_jets", "random_polynomial"
+    "SamplePlan", "sup", "Check", "Report", "polynomial_draws", "polynomial_jets"
 ]
 
 
@@ -63,9 +63,11 @@ class SamplePlan:
 
 
 def polynomial_draws(dim: int, rng: np.random.Generator) -> list[tuple[float, tuple[int, ...]]]:
-    """The random numbers of ``random_polynomial``, drawn in its order,
-    as (coefficient, monomial) terms: a monomial is the tuple of its
-    coordinate indices, () for the constant."""
+    """A random polynomial of degree <= 2 with coefficients in [-1, 1],
+    the component of the stock random section, as (coefficient,
+    monomial) terms: the constant, each linear term, and each quadratic
+    monomial with probability 1/2, drawn in that order.  A monomial is
+    the tuple of its coordinate indices, () for the constant."""
     terms = [(float(rng.uniform(-1, 1)), ())]
     terms += [(float(rng.uniform(-1, 1)), (i,)) for i in range(dim)]
     for i in range(dim):
@@ -79,8 +81,9 @@ def polynomial_jets(polys, points):
     """The 2-jets at ``points`` of ``polys``, one ``polynomial_draws``
     term list each: ``val[p, a]`` f_a, ``jac[p, a, j]`` d_j f_a and
     ``hess[p, a, j, i]`` d_i d_j f_a, views of one array.  Bit for bit
-    the tapes of ``polynomial(terms)`` and its symbolic partials: a
-    term's product is c * x_i * x_j, left to right; a value or first
+    the tapes of the folded Expr sum of the terms and of its symbolic
+    partials (the tests' ``reference.polynomial``): a term's product is
+    c * x_i * x_j, left to right; a value or first
     partial is the ``math.fsum`` of its terms at the point; a second
     partial is c, or c + c on the diagonal (the degree is at most 2)."""
     x = np.array(points, dtype=float)
@@ -112,20 +115,6 @@ def polynomial_jets(polys, points):
         val[:, a] = fsums(f)
         jac[:, a] = np.transpose([fsums(d) for d in df])
     return val, jac, hess
-
-
-def polynomial(terms: list[tuple[float, tuple[int, ...]]]) -> Expr:
-    """The folded sum of the (coefficient, monomial) terms."""
-    return fold(add(*(mul(const(c), *map(coord, m)) for c, m in terms)))
-
-
-def random_polynomial(chart: Chart, rng: np.random.Generator) -> Expr:
-    """Random polynomial of degree <= 2 with coefficients in [-1, 1].
-
-    The shape (constant + linear + a few quadratics) is the stock
-    random section, whose terms the property checkers draw.
-    """
-    return polynomial(polynomial_draws(chart.dim, rng))
 
 
 def sup(*defects) -> float:

@@ -1,0 +1,259 @@
+"""Symbolic references that the tests compare the library against.
+
+The library reads every object through point maps and turns each
+identity into a contraction over stacked reads.  The functions here
+build the same quantities as Exprs instead, one section or form at a
+time: random polynomial sections, the representation and the cochain
+contraction on sections, the covariant differential ``d_im`` on form
+pairs with its invariance precondition, and the sampled residuals that
+no subcommand reports.  No subcommand, demo or tool runs them.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Callable, Sequence
+
+import numpy as np
+
+from algebroids.algebroid import (
+    ARepresentation,
+    BasicCurvature,
+    ConstructionRefused,
+    LieAlgebroid,
+    bracket,
+    directional,
+)
+from algebroids.bundles import (
+    CoeffForm,
+    LinearConnection,
+    PointMap,
+    Section,
+    _curvature,
+    _stack,
+    exterior_covariant_derivative,
+    zero_form,
+)
+from algebroids.expr import ZERO, Chart, Expr, add, const, coord, fold, mul, neg
+from algebroids.groupoid import ActionGroupoid, MultForm
+from algebroids.imforms import IMOneForm, IMTwoForm
+from algebroids.sampling import Report, SamplePlan, polynomial_draws, sup
+
+# -- random sections -------------------------------------------------------
+
+
+def polynomial(terms: list[tuple[float, tuple[int, ...]]]) -> Expr:
+    """The folded sum of the (coefficient, monomial) terms of
+    ``polynomial_draws``."""
+    return fold(add(*(mul(const(c), *map(coord, m)) for c, m in terms)))
+
+
+def random_polynomial(chart: Chart, rng: np.random.Generator) -> Expr:
+    """Random polynomial of degree <= 2 with coefficients in [-1, 1]: the
+    stock random section's component, from the terms the checkers draw."""
+    return polynomial(polynomial_draws(chart.dim, rng))
+
+
+def random_section(A: LieAlgebroid, rng: np.random.Generator) -> Section:
+    return Section(A.bundle, [random_polynomial(A.chart, rng) for _ in range(A.rank)])
+
+
+# -- forms and representations on sections ---------------------------------
+
+
+def form_sum(f: CoeffForm, g: CoeffForm) -> CoeffForm:
+    if g.bundle != f.bundle or g.degree != f.degree:
+        raise ValueError("form mismatch")
+    keys = set(f.comps) | set(g.comps)
+    return CoeffForm(
+        f.bundle, f.degree, {k: [a + b for a, b in zip(f.component(k), g.component(k))] for k in keys}
+    )
+
+
+def form_difference(f: CoeffForm, g: CoeffForm) -> CoeffForm:
+    return form_sum(f, g.scale(const(-1)))
+
+
+def contract(form: CoeffForm, X: Sequence[Expr]) -> CoeffForm:
+    """Interior product i_X with a vector field (n Exprs): the first
+    slot is contracted."""
+    if form.degree == 0:
+        raise ValueError("cannot contract a 0-form")
+    n = form.bundle.chart.dim
+    out: dict[tuple[int, ...], list[Expr]] = {}
+    for rest in itertools.combinations(range(n), form.degree - 1):
+        vec = [ZERO] * form.bundle.rank
+        for i in range(n):
+            comp = form.component((i,) + rest)
+            for c in range(form.bundle.rank):
+                vec[c] = add(vec[c], mul(X[i], comp[c]))
+        out[rest] = [fold(v) for v in vec]
+    return CoeffForm(form.bundle, form.degree - 1, out)
+
+
+def sym_of(form, alpha: Section) -> CoeffForm:
+    """The symbol of an exact form pair applied to a section (tensorial)."""
+    out = zero_form(form.value_bundle, form.degree - 1)
+    for a in range(form.algebroid.rank):
+        ca = alpha.components[a]
+        if ca == ZERO:
+            continue
+        out = form_sum(out, form.symbols[a].scale(ca))
+    return out
+
+
+def l_of(form: IMOneForm, alpha: Section) -> list[Expr]:
+    """The symbol matrix of a degree-1 pair applied to a section."""
+    rV, r = form.value_rank, form.algebroid.rank
+    return [
+        fold(add(*(mul(form.l[c][a], alpha.components[a]) for a in range(r))))
+        for c in range(rV)
+    ]
+
+
+def apply(rep: ARepresentation, alpha: Section, comps: Sequence[Expr]) -> list[Expr]:
+    """nabla_alpha of a V-coefficient vector."""
+    ra = rep.algebroid.rho_of(alpha)
+    rV = rep.bundle.rank
+    out = []
+    for d in range(rV):
+        terms = [directional(ra, comps[d])]
+        for b in range(rep.algebroid.rank):
+            if alpha.components[b] == ZERO:
+                continue
+            for c in range(rV):
+                if comps[c] == ZERO or rep.coeffs[b][d][c] == ZERO:
+                    continue
+                terms.append(mul(alpha.components[b], rep.coeffs[b][d][c], comps[c]))
+        out.append(fold(add(*terms)))
+    return out
+
+
+# -- the covariant differential and the cochain map -------------------------
+
+
+def check_A_invariant(
+    conn: LinearConnection, rep: ARepresentation, plan: SamplePlan, tol: float = 1e-9
+) -> Report:
+    """Invariance of a linear connection under an algebroid
+    representation: the representation agrees with the connection along
+    the anchor, and the curvature is killed by anchored directions."""
+    if conn.bundle != rep.bundle:
+        raise ValueError("connection and representation bundles differ")
+    A = rep.algebroid
+    report = Report(command="check-A-invariant", seed=plan.seed, samples=plan.samples)
+    pts = plan.points(A.chart, min(plan.samples, 60))
+    # A non-finite read gives a non-finite residual, which fails.
+    with np.errstate(invalid="ignore", over="ignore"):
+        M, rho, G, dG = _stack(
+            pts,
+            rep.coeffs_map.value,
+            A.anchor_map.value,
+            conn.gamma_map.value,
+            conn.gamma_map.partials,
+        )
+        # Condition 1: coefficient matrices match sum_i rho^i_b Gamma_i.
+        compat = M - np.einsum("pib,pidc->pbdc", rho, G)
+        # Condition 2: curvature contracted with the anchor vanishes.
+        contraction = np.einsum("pib,pijdc->pbjdc", rho, _curvature(G, dG))
+    report.add("invariance_anchor_compatibility", compat, tol)
+    report.add("invariance_curvature_contraction", contraction, tol)
+    return report
+
+
+def d_im(
+    conn: LinearConnection, form: IMOneForm, rep: ARepresentation, plan: SamplePlan, tol: float = 1e-9
+) -> IMTwoForm:
+    """Covariant differential on degree-1 form pairs:
+    (L, l) -> (d_conn L, L - d_conn l).  The connection must be
+    invariant under the representation (``check_A_invariant``); the
+    construction is refused otherwise.
+
+    Sign convention: applied to the connection form of a coupling with
+    conn the coupling's own fiber connection, the result coincides
+    exactly with ``curvature_im`` of that coupling, with no sign flip.
+    """
+    inv = check_A_invariant(conn, rep, plan.fork("inv"), tol=tol)
+    if not inv.passed:
+        raise ConstructionRefused("connection is not invariant", inv)
+    if conn.bundle != form.value_bundle:
+        raise ValueError("connection must live on the form's value bundle")
+    symbols = []
+    frames = []
+    for a in range(form.algebroid.rank):
+        dsym = exterior_covariant_derivative(conn, form.symbols[a])
+        symbols.append(form_difference(form.frame_values[a], dsym))
+        frames.append(exterior_covariant_derivative(conn, form.frame_values[a]))
+    value = form.ideal if form.ideal is not None else form.value_bundle
+    return IMTwoForm(form.algebroid, value, symbols, frames)
+
+
+def chain_map(form) -> Callable[..., list[Expr]]:
+    """The algebroid cochain of an exact form pair, contracting the
+    symbol with anchors: omega(a_1, ..., a_k) = sym(a_1)(rho(a_2), ...)."""
+    A = form.algebroid
+
+    def omega(*sections: Section) -> list[Expr]:
+        if len(sections) != form.degree:
+            raise ValueError(f"expected {form.degree} sections")
+        out = sym_of(form, sections[0])
+        for s in sections[1:]:
+            out = contract(out, A.rho_of(s))
+        return list(out.component(()))
+
+    return omega
+
+
+def cochain_differential(rep: ARepresentation, omega: Callable[..., list[Expr]]) -> Callable[..., list[Expr]]:
+    """Algebroid cochain differential of a degree-1 cochain, using the
+    representation for the coefficient action."""
+    A = rep.algebroid
+
+    def d_omega(alpha: Section, beta: Section) -> list[Expr]:
+        t1 = apply(rep, alpha, omega(beta))
+        t2 = apply(rep, beta, omega(alpha))
+        t3 = omega(bracket(A, alpha, beta))
+        return [fold(add(x, neg(y), neg(z))) for x, y, z in zip(t1, t2, t3)]
+
+    return d_omega
+
+
+# -- sampled residuals no subcommand reports --------------------------------
+
+
+def cartan_residual(bc: BasicCurvature, plan: SamplePlan, n_points: int = 24) -> float:
+    """Max entry of the basic curvature over frame pairs and coordinate
+    directions (the tensor property makes frame evaluation sufficient)."""
+    pts = plan.points(bc.A.chart, n_points)
+    a, b = np.triu_indices(bc.A.rank, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return sup(bc._frame_values(pts)[:, a, b])
+
+
+def antisymmetry_residual(form: MultForm, plan: SamplePlan, n_samples: int = 20) -> float:
+    """Max of omega(T1, T2) + omega(T2, T1) for a degree-2 form at random
+    arrows and tangents."""
+    if form.degree != 2:
+        raise ValueError(f"antisymmetry is measured on degree 2 forms, not degree {form.degree}")
+    defects = []
+    for _ in range(n_samples):
+        g, x = form.gpd.sample_arrow(plan.rng)
+        T1 = form.gpd.sample_tangent(plan.rng)
+        T2 = form.gpd.sample_tangent(plan.rng)
+        defects.append(form(g, x, T1, T2) + form(g, x, T2, T1))
+    return sup(np.array(defects))
+
+
+def delta_of_function(gpd: ActionGroupoid, f: Sequence[Expr]) -> MultForm:
+    """Degree-zero simplicial differential of a fiber-valued function on
+    the chart: the degree-0 form (g, x) -> coefficients over x."""
+    if len(f) != gpd.k:
+        raise ValueError("function must have one coefficient per ideal frame section")
+
+    fmap = PointMap.exact(f)
+
+    def F(g, x):
+        y = gpd.act(g, x)
+        return gpd.twist(g, x, fmap.value(y)) - fmap.value(np.asarray(x, dtype=float))
+
+    return MultForm(gpd, 0, F)

@@ -37,7 +37,7 @@ from algebroids.expr import (
     sin,
     to_str,
 )
-from algebroids.sampling import random_polynomial
+from reference import random_polynomial
 
 CH2 = Chart(2)
 

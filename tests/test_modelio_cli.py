@@ -1,15 +1,21 @@
-"""Tests for model loading, the CLI contract, report determinism,
-operation coverage and the package's exports."""
+"""Tests for model loading, the CLI contract, report determinism, the
+reach of every library function and the package's exports."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import algebroids
+from algebroids import cli
+from algebroids.bundles import PointMap
 from algebroids.cli import SUBCOMMANDS, run
+from algebroids.factory import ExampleSpec
 from algebroids.modelio import ModelError, load_model
+from algebroids.sampling import SamplePlan
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -873,34 +879,14 @@ def test_importing_the_cli_does_not_load_scipy():
     assert lines[-1] == "0 []"
 
 
-# The library's operations, by the module that defines each.
-OPERATIONS = {
-    "expr": ("parse", "differentiate", "evaluate"),
-    "bundles": ("exterior_covariant_derivative", "curvature_tensor"),
-    "algebroid": (
-        "bracket", "check_axioms", "canonical_representation", "check_A_invariant",
-        "basic_curvature", "cartan_build_connection",
-    ),
-    "imforms": (
-        "check_im_form", "extract_coupling", "coupling_to_im", "check_structure_equations",
-        "build_semidirect", "curvature_im", "classify_flatness", "d_im", "chain_map",
-    ),
-    "rankone": ("extract_rank_one", "check_rank_one", "verify_witness"),
-    "factory": ("make_example", "transitive_im_connection"),
-    "groupoid": (
-        "connection_from_splitting", "simplicial_delta", "covariant_exterior_D",
-        "check_groupoid_properties", "differentiate_to_im",
-    ),
-    "modelio": ("load_model",),
-    "cli": ("run",),
-}
+SRC = Path(algebroids.__file__).resolve().parent
+MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
 # One run of each subcommand and option of the CI's "Symbolic
-# subcommands" step, verify-algebroid, the two groupoid subcommands on
-# so2, and the example families whose suites differ (action, transitive,
-# and principal_type_flat's chain map).
+# subcommands" step, every example family, verify-algebroid with a
+# tolerance, and the two groupoid subcommands on so2.
 TRACED_RUNS = [
-    ["verify-algebroid", "--model", "models/so3_radial.json"],
+    ["verify-algebroid", "--tol", "1e-8", "--model", "models/so3_radial.json"],
     ["verify-ideal", "--model", "models/so3_radial.json"],
     ["verify-im", "--model", "models/product_so3.json"],
     ["coupling", "--roundtrip", "--model", "models/principal_flat.json"],
@@ -913,47 +899,152 @@ TRACED_RUNS = [
     ["rank-one", "--witness", "principal_type", "--model", "models/principal_flat.json"],
     ["groupoid-verify", "--model", "models/so2_groupoid.json"],
     ["lie-functor", "--model", "models/so2_groupoid.json"],
-    ["example", "action"],
-    ["example", "transitive"],
-    ["example", "principal_type_flat"],
+    *(
+        ["example", family]
+        for family in (
+            "product", "lie_algebra_bundle", "transitive", "action",
+            "principal_type", "principal_type_flat", "rank_one",
+        )
+    ),
 ]
 
+# The functions and methods of src/algebroids that neither the traced
+# runs, nor the demos, nor the model generator call, by kind: the
+# console entry point, error paths, code that runs only at import, and
+# the Expr protocol (the operators and node builders a caller writes
+# Exprs with, and the hash and repr of the value types).  A function
+# only tests call belongs with them, in tests/reference.py.
+UNREACHED = {
+    "cli.main": "entry point",
+    "expr.Chart.__hash__": "Expr protocol",
+    "expr.Chart.__repr__": "Expr protocol",
+    "expr.EvalError.__init__": "error path",
+    "expr.Expr.__add__": "Expr protocol",
+    "expr.Expr.__neg__": "Expr protocol",
+    "expr.Expr.__radd__": "Expr protocol",
+    "expr.Expr.__repr__": "Expr protocol",
+    "expr.Expr.__rmul__": "Expr protocol",
+    "expr.Expr.__rsub__": "Expr protocol",
+    "expr.Expr.__rtruediv__": "Expr protocol",
+    "expr.Expr.__setattr__": "error path",
+    "expr.Expr.__sub__": "Expr protocol",
+    "expr.Expr.__truediv__": "Expr protocol",
+    "expr.ParseError.__init__": "error path",
+    # Structure entries that are not structurally antisymmetric are
+    # compared by value before they are refused or replaced.
+    "expr.expr_equal": "error path",
+    "expr.log": "Expr protocol",
+    "expr.sin": "Expr protocol",
+    "groupoid.EquivarianceError.__init__": "error path",
+    "modelio._section": "import time",
+    "modelio._section.<locals>.accessor": "import time",
+}
 
-def test_every_operation_but_the_covariant_differential_is_reached_from_a_subcommand(monkeypatch):
-    # The code objects the runs call, matched to the operations' by
-    # identity: not by name, which a helper of another module may share,
-    # nor by equality, which a copy of the code shares.
-    import importlib
+# CO_OPTIMIZED | CO_NEWLOCALS: a function's code, not a class body's.
+_FUNCTION_FLAGS = 0x1 | 0x2
 
-    ops = {
-        id(getattr(importlib.import_module(f"algebroids.{mod}"), name).__code__): name
-        for mod, names in OPERATIONS.items()
-        for name in names
-    }
+
+def _src_functions() -> dict:
+    """The qualified name of every function and method defined in
+    src/algebroids (nested ones included, lambdas and comprehensions
+    not), keyed by (file, first line, name) of its code."""
+    out = {}
+
+    def walk(code, prefix):
+        for c in code.co_consts:
+            if not hasattr(c, "co_code") or not c.co_name.isidentifier():
+                continue
+            if c.co_flags & _FUNCTION_FLAGS == _FUNCTION_FLAGS:
+                out[(c.co_filename, c.co_firstlineno, c.co_name)] = prefix + c.co_name
+                walk(c, f"{prefix}{c.co_name}.<locals>.")
+            else:
+                walk(c, f"{prefix}{c.co_name}.")
+
+    for path in SRC.glob("*.py"):
+        walk(compile(path.read_text(), str(path), "exec"), f"{path.stem}.")
+    return out
+
+
+def _print_unreached_functions() -> None:
+    """Run the TRACED_RUNS, the five demos and tools/generate_models.py
+    (writing to a temporary directory) in this process under a call
+    hook, and print the src/algebroids functions none of them called."""
+    import contextlib
+    import importlib.util
+    import io
+    import os
+    import runpy
+    import tempfile
+
+    root = MODELS.parent
+    os.chdir(root)
+    spec = importlib.util.spec_from_file_location("generate_models", root / "tools" / "generate_models.py")
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
     called = set()
 
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add(id(frame.f_code))
+    def hook(frame, event, arg):
+        called.add(frame.f_code)  # the global hook sees "call" events only
 
-    monkeypatch.chdir(MODELS.parent)
-    assert {argv[0] for argv in TRACED_RUNS} == set(SUBCOMMANDS)
-    for argv in TRACED_RUNS:
-        sys.setprofile(profile)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        generator.OUT, generator.SCHEMAS = Path(tmp) / "models", Path(tmp) / "schemas"
+        sys.settrace(hook)
         try:
-            code, _ = invoke(argv + ["--samples", "4", "--json"])
+            for argv in TRACED_RUNS:
+                if run(argv + ["--samples", "4", "--json"]) != 0:
+                    raise AssertionError(f"{argv} did not pass")
+            for demo in sorted((root / "demos").glob("*.py")):
+                runpy.run_path(str(demo), run_name="__main__")
+            generator.main()
         finally:
-            sys.setprofile(None)
-        assert code == 0, argv
-    # d_im, the covariant differential on form pairs, and its invariance
-    # precondition check_A_invariant are the paper's, kept for the library
-    # and covered by their identity tests (D of the connection form is the
-    # curvature, D^2 = 0 when flat, the chain map intertwines); no
-    # subcommand runs them.
-    assert set(ops.values()) - {ops[c] for c in called if c in ops} == {"d_im", "check_A_invariant"}
+            sys.settrace(None)
+    reached = {(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in called}
+    print(json.dumps(sorted(name for key, name in _src_functions().items() if key not in reached)))
 
 
-@pytest.mark.parametrize("module", sorted(set(OPERATIONS) | {"sampling"}))
+def test_every_src_function_is_reached_by_a_subcommand_demo_or_tool():
+    # A fresh interpreter: a cache filled by an earlier test would spare
+    # the traced runs some calls.
+    assert {argv[0] for argv in TRACED_RUNS} == set(SUBCOMMANDS)
+    assert set(UNREACHED.values()) == {"entry point", "error path", "import time", "Expr protocol"}
+    snippet = (
+        f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r});"
+        "import test_modelio_cli; test_modelio_cli._print_unreached_functions()"
+    )
+    out = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == sorted(UNREACHED)
+
+
+def test_the_chain_map_check_reads_the_pairs_symbol(monkeypatch):
+    # The kernel-flat pair's symbol is the mixed tensor U, which the
+    # check's reference reads from the coupling: the check must read the
+    # pair, or a symbol off by one part in 1e6 would pass.
+    def chain_map_check():
+        rep = cli.run_example_suite(ExampleSpec("principal_type_flat", {}), SamplePlan(seed=42, samples=4), 1e-8)
+        (check,) = [c for c in rep.checks if c.name == "chain_map_matches_base_cocycle"]
+        return check
+
+    assert chain_map_check().passed
+    pair_of = cli.kernel_flat_two_form
+
+    def bent_pair(cd):
+        pair = pair_of(cd)
+        sym = pair.sym_map
+
+        def value(p):
+            S = np.array(sym.value(p))
+            S[0, 1, 0] *= 1 + 1e-6  # U(e_1, d_2), which is 1 here
+            return S
+
+        pair.sym_map = PointMap(value, sym.partials)
+        return pair
+
+    monkeypatch.setattr(cli, "kernel_flat_two_form", bent_pair)
+    assert not chain_map_check().passed
+
+
+@pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_resolves(module):
     # A name left in __all__ after its definition was deleted does not
     # fail an import; it fails here.

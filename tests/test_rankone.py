@@ -32,7 +32,8 @@ from algebroids.rankone import (
     verify_witness,
 )
 from algebroids.modelio import load_model
-from algebroids.sampling import SamplePlan, random_polynomial, sup
+from algebroids.sampling import SamplePlan, sup
+from reference import random_polynomial
 
 CH2 = Chart(2)
 MODELS = Path(__file__).resolve().parent.parent / "models"

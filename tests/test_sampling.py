@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from algebroids.expr import Chart
-from algebroids.sampling import Report, polynomial, polynomial_draws, random_polynomial, sup
+from algebroids.sampling import Report, polynomial_draws, sup
+from reference import polynomial, random_polynomial
 
 
 def test_residual_starts_at_zero_and_keeps_largest_magnitude():
