@@ -48,7 +48,7 @@ print(rep.table())
 
 print()
 print("== the curvature pair detects the twist ==")
-curv = curvature_im(m2.coupling, plan.fork("curv"), check=False)
+curv = curvature_im(m2.coupling)
 p = plan.fork("pt").point(m2.algebroid.chart)
 print("curvature symbol on the first base frame element at a sample point:")
 S = curv.sym_map.value(p)[m2.coupling.k]  # the symbol's value along each d_i

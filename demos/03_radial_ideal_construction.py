@@ -31,7 +31,7 @@ print(check_im_form(form, rep, plan.fork("im")).table())
 
 print()
 print("its coupling:")
-cd = extract_coupling(m.algebroid, m.ideal, form, plan.fork("ext"), check=False)
+cd = extract_coupling(m.algebroid, m.ideal, form, plan.fork("ext"))
 classes, _ = classify_flatness(cd, plan.fork("cl"))
 print("flatness classes:", sorted(classes))
 

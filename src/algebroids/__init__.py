@@ -6,18 +6,17 @@ groupoids, and a command-line verification surface.
 
 The package holds what its subcommands, demos and tools run.  Exprs are
 built when a model or example is loaded and by the constructions that
-return data; every check reads point maps and turns one identity into
-a sampled residual.  The symbolic references the tests compare it
-against, such as the covariant differential ``d_im`` on form pairs, the
-cochain contraction on Expr sections and random polynomial sections,
-live with the tests.
+return data; a section or form is a nested list of them, in the layout
+its point map reads (``bundles``).  Every check reads point maps and
+turns one identity into a sampled residual.  The symbolic references
+the tests compare it against, such as the covariant differential
+``d_im`` on form pairs, the cochain contraction on Expr sections and
+random polynomial sections, live with the tests.
 """
 
 from .expr import Chart, Expr, parse, differentiate, evaluate
 from .bundles import (
     Bundle,
-    Section,
-    CoeffForm,
     LinearConnection,
     FiberBracket,
     exterior_covariant_derivative,

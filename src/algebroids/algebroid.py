@@ -16,11 +16,9 @@ import numpy as np
 
 from .bundles import (
     Bundle,
-    CoeffForm,
     FiberBracket,
     LinearConnection,
     PointMap,
-    Section,
     _stack,
 )
 from .expr import (
@@ -95,16 +93,12 @@ class LieAlgebroid:
     def rank(self):
         return self.bundle.rank
 
-    def frame_section(self, a: int) -> Section:
-        comps = [ZERO] * self.rank
-        comps[a] = ONE
-        return Section(self.bundle, comps)
-
-    def rho_of(self, alpha: Section) -> list[Expr]:
-        """Anchor image of a section, as a vector field (n Exprs)."""
+    def rho_of(self, alpha: Sequence[Expr]) -> list[Expr]:
+        """Anchor image of a section (its r components), as a vector
+        field (n Exprs)."""
         n, r = self.chart.dim, self.rank
         return [
-            fold(add(*(mul(self.anchor[i][a], alpha.components[a]) for a in range(r))))
+            fold(add(*(mul(self.anchor[i][a], alpha[a]) for a in range(r))))
             for i in range(n)
         ]
 
@@ -124,12 +118,10 @@ def directional(X: Sequence[Expr], f: Expr) -> Expr:
     return fold(add(*(mul(X[j], differentiate(f, j)) for j in range(len(X)))))
 
 
-def bracket(A: LieAlgebroid, alpha: Section, beta: Section) -> Section:
-    """Leibniz-expanded bracket:
+def bracket(A: LieAlgebroid, alpha: Sequence[Expr], beta: Sequence[Expr]) -> list[Expr]:
+    """Leibniz-expanded bracket of two sections, each its r components:
     [alpha, beta]^c = sum alpha^a beta^b c_ab^c
                       + rho(alpha)(beta^c) - rho(beta)(alpha^c)."""
-    if alpha.bundle != A.bundle or beta.bundle != A.bundle:
-        raise ValueError("sections do not live on this algebroid")
     r = A.rank
     ra = A.rho_of(alpha)
     rb = A.rho_of(beta)
@@ -137,18 +129,16 @@ def bracket(A: LieAlgebroid, alpha: Section, beta: Section) -> Section:
     for c in range(r):
         terms = []
         for a in range(r):
-            if alpha.components[a] == ZERO:
+            if alpha[a] == ZERO:
                 continue
             for b in range(r):
-                if beta.components[b] == ZERO or A.structure[a][b][c] == ZERO:
+                if beta[b] == ZERO or A.structure[a][b][c] == ZERO:
                     continue
-                terms.append(
-                    mul(alpha.components[a], beta.components[b], A.structure[a][b][c])
-                )
-        terms.append(directional(ra, beta.components[c]))
-        terms.append(neg(directional(rb, alpha.components[c])))
+                terms.append(mul(alpha[a], beta[b], A.structure[a][b][c]))
+        terms.append(directional(ra, beta[c]))
+        terms.append(neg(directional(rb, alpha[c])))
         out.append(fold(add(*terms)))
-    return Section(A.bundle, out)
+    return out
 
 
 class IdealBundle:
@@ -532,16 +522,14 @@ def cartan_build_connection(
         )
 
     # Frame values: L(e_a)_i = l(nabla_{d_i} e_a).
-    frame_values = []
-    for a in range(r):
-        comps = {}
-        for i in range(n):
-            col = [conn.christoffel[i][b][a] for b in range(r)]
-            comps[(i,)] = [
-                fold(add(*(mul(l[c][b], col[b]) for b in range(r))))
-                for c in range(k)
-            ]
-        frame_values.append(CoeffForm(ideal.bundle, 1, comps))
+    G = conn.christoffel
+    frame_values = [
+        [
+            [fold(add(*(mul(l[c][b], G[i][b][a]) for b in range(r)))) for c in range(k)]
+            for i in range(n)
+        ]
+        for a in range(r)
+    ]
     return IMOneForm(A, ideal, l, frame_values)
 
 
@@ -600,7 +588,7 @@ def change_frame(
         ]
         for i in range(n)
     ]
-    cols = [Section(A.bundle, [P[b][a] for b in range(r)]) for a in range(r)]
+    cols = [[P[b][a] for b in range(r)] for a in range(r)]
     structure = [[None] * r for _ in range(r)]
     for a in range(r):
         for b in range(r):
@@ -612,7 +600,7 @@ def change_frame(
                 continue
             w = bracket(A, cols[a], cols[b])
             structure[a][b] = [
-                fold(add(*(mul(P_inv[c][d], w.components[d]) for d in range(r))))
+                fold(add(*(mul(P_inv[c][d], w[d]) for d in range(r))))
                 for c in range(r)
             ]
     return LieAlgebroid(Bundle(A.chart, r), anchor, structure)

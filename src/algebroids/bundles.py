@@ -1,9 +1,14 @@
-"""Trivialized vector bundles over a chart: sections, vector-valued
-differential forms, linear connections, covariant exterior calculus,
-curvature, and the fiberwise Lie bracket.
+"""Trivialized vector bundles over a chart: point maps, linear
+connections, covariant exterior calculus, curvature, and the fiberwise
+Lie bracket.
 
-Forms store components only on strictly increasing index tuples; all
-formulas route through a signed lookup, so antisymmetry is structural.
+Sections and forms are plain nested lists of Exprs in the layout their
+point maps read.  A section is its r components.  A degree-q form
+valued in a rank-v bundle is a list of C(n, q) vectors of v Exprs, the
+c-th its value on the c-th strictly increasing q-tuple of chart
+directions in ``itertools.combinations`` order; the entries on other
+tuples follow by antisymmetry (``alternating_array``), so it is
+structural.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -34,8 +39,6 @@ from .sampling import SamplePlan, sup
 
 __all__ = [
     "Bundle",
-    "Section",
-    "CoeffForm",
     "PointMap",
     "exact_memo",
     "LinearConnection",
@@ -44,7 +47,6 @@ __all__ = [
     "curvature_tensor",
     "connection_is_flat",
     "sort_with_sign",
-    "zero_form",
 ]
 
 
@@ -60,22 +62,6 @@ class Bundle:
     def __post_init__(self):
         if self.rank < 1:
             raise ValueError("bundle rank must be >= 1")
-
-
-class Section:
-    """Section of a trivialized bundle: one Expr coefficient per frame
-    element e_1..e_r."""
-
-    __slots__ = ("bundle", "components")
-
-    def __init__(self, bundle: Bundle, components: Sequence[Expr]):
-        components = tuple(fold(c) for c in components)
-        if len(components) != bundle.rank:
-            raise ValueError(
-                f"section needs {bundle.rank} components, got {len(components)}"
-            )
-        self.bundle = bundle
-        self.components = components
 
 
 def sort_with_sign(idx: Sequence[int]) -> tuple[int, tuple[int, ...]]:
@@ -115,62 +101,6 @@ def alternating_array(entries: np.ndarray, n: int, q: int) -> np.ndarray:
     return out
 
 
-class CoeffForm:
-    """Bundle-valued differential form of degree k.
-
-    Components are stored per strictly increasing index tuple, each a
-    tuple of ``rank`` Exprs (the value in the standard frame).  Missing
-    tuples are zero.
-    """
-
-    __slots__ = ("bundle", "degree", "comps")
-
-    def __init__(
-        self,
-        bundle: Bundle,
-        degree: int,
-        comps: Mapping[tuple[int, ...], Sequence[Expr]],
-    ):
-        if degree < 0 or degree > bundle.chart.dim:
-            raise ValueError("form degree out of range for chart")
-        clean: dict[tuple[int, ...], tuple[Expr, ...]] = {}
-        for idx, vec in comps.items():
-            idx = tuple(idx)
-            if len(idx) != degree:
-                raise ValueError("index tuple length must equal degree")
-            if any(i < 0 or i >= bundle.chart.dim for i in idx):
-                raise ValueError("index out of chart range")
-            if list(idx) != sorted(set(idx)):
-                raise ValueError("indices must be strictly increasing")
-            vec = tuple(fold(v) for v in vec)
-            if len(vec) != bundle.rank:
-                raise ValueError("component vector length must equal rank")
-            if any(v != ZERO for v in vec):
-                clean[idx] = vec
-        self.bundle = bundle
-        self.degree = degree
-        self.comps = clean
-
-    def component(self, idx: Sequence[int]) -> tuple[Expr, ...]:
-        """Signed component for an arbitrary index tuple."""
-        sign, key = sort_with_sign(idx)
-        if sign == 0:
-            return (ZERO,) * self.bundle.rank
-        vec = self.comps.get(key)
-        if vec is None:
-            return (ZERO,) * self.bundle.rank
-        if sign == 1:
-            return vec
-        return tuple(fold(neg(v)) for v in vec)
-
-    def scale(self, f: Expr) -> "CoeffForm":
-        return CoeffForm(
-            self.bundle,
-            self.degree,
-            {k: [fold(mul(f, v)) for v in vec] for k, vec in self.comps.items()},
-        )
-
-
 class PointMap:
     """An array-valued map on the chart with first partials:
     ``value(p)`` returns an array and ``partials(p)`` its derivatives
@@ -180,8 +110,10 @@ class PointMap:
     error of any entry.
 
     Exact maps (``PointMap.exact``) carry their entries as Exprs in
-    ``exprs``; ``PointMap.exact`` is the one place outside ``expr`` that
-    evaluates Exprs.  Sampled ones (``imforms.sampled_map``) carry only
+    ``exprs``, the only copy an exact form pair keeps of them (an
+    [a, c, v] grid of the a-th frame element's form, see
+    ``imforms._IMFormBase``); ``PointMap.exact`` is the one place
+    outside ``expr`` that evaluates Exprs.  Sampled ones (``imforms.sampled_map``) carry only
     a point callable, differentiated by the finite-difference stencil,
     and ``exprs`` is None.  Checks read maps at their points with
     ``_stack`` and hand the contracted defects to ``Report.add``, which
@@ -309,10 +241,6 @@ def exact_memo(
     return call
 
 
-def zero_form(bundle: Bundle, degree: int) -> CoeffForm:
-    return CoeffForm(bundle, degree, {})
-
-
 class LinearConnection:
     """Linear connection on a trivialized bundle.
 
@@ -358,33 +286,29 @@ class LinearConnection:
 
 
 def exterior_covariant_derivative(
-    conn: LinearConnection, omega: CoeffForm
-) -> CoeffForm:
-    """Covariant exterior derivative for coordinate vector fields.
+    conn: LinearConnection, omega: Sequence[Sequence[Expr]], degree: int
+) -> list[list[Expr]]:
+    """Covariant exterior derivative for coordinate vector fields, of a
+    form of the given degree valued in the connection's bundle, in the
+    layout of forms (one vector per increasing index tuple); the result
+    is in that layout too, and empty where degree + 1 exceeds the
+    chart's dimension.
 
     On a chart the coordinate fields commute, so the alternating-sum
     formula reduces to signed covariant derivatives of the components.
-    For k = 0 this is the covariant differential.
+    For degree 0 this is the covariant differential.
     """
-    if omega.bundle != conn.bundle:
-        raise ValueError("bundle mismatch between connection and form")
-    k = omega.degree
-    n = conn.bundle.chart.dim
-    if k >= n:
-        raise ValueError("degree overflow: form degree must be < chart dimension")
-    r = conn.bundle.rank
-    out: dict[tuple[int, ...], list[Expr]] = {}
-    for idx in itertools.combinations(range(n), k + 1):
+    n, r = conn.bundle.chart.dim, conn.bundle.rank
+    at = dict(zip(itertools.combinations(range(n), degree), omega))
+    out = []
+    for idx in itertools.combinations(range(n), degree + 1):
         vec = [ZERO] * r
-        for t in range(k + 1):
-            rest = idx[:t] + idx[t + 1 :]
-            di = conn.directional(idx[t], omega.component(rest))
-            sgn = (-1) ** t
+        for t in range(degree + 1):
+            di = conn.directional(idx[t], at[idx[:t] + idx[t + 1 :]])
             for c in range(r):
-                term = di[c] if sgn == 1 else neg(di[c])
-                vec[c] = add(vec[c], term)
-        out[idx] = [fold(v) for v in vec]
-    return CoeffForm(conn.bundle, k + 1, out)
+                vec[c] = add(vec[c], di[c] if t % 2 == 0 else neg(di[c]))
+        out.append([fold(v) for v in vec])
+    return out
 
 
 def curvature_tensor(

@@ -41,7 +41,6 @@ from .imforms import (
     coupling_to_im,
     curvature_im,
     extract_coupling,
-    kernel_flat_two_form,
 )
 from .groupoid import (
     EquivarianceError,
@@ -178,10 +177,8 @@ def _cmd_coupling(args, plan, tol):
     rep = Report(command="coupling", seed=plan.seed, samples=plan.samples)
     rep.add("U_anchor_skew", cd.skew_residual(plan.fork("skew")), 1e-9)
     if args.roundtrip:
-        form = coupling_to_im(cd, plan=plan.fork("c2i"), check=False)
-        cd2 = extract_coupling(
-            form.algebroid, form.ideal, form, plan.fork("ext"), check=False
-        )
+        form = coupling_to_im(cd, plan=plan.fork("c2i"))
+        cd2 = extract_coupling(form.algebroid, form.ideal, form, plan.fork("ext"))
         B = cd.base
         with np.errstate(invalid="ignore", over="ignore"):
             pts = plan.points(B.chart, 30)
@@ -195,7 +192,7 @@ def _cmd_coupling(args, plan, tol):
             rep.add("roundtrip_base_structure", cB - cB2, tol)
             # Reverse direction: the rebuilt form agrees with the form the
             # second coupling generates.
-            form2 = coupling_to_im(cd2, plan=plan.fork("c2i2"), check=False)
+            form2 = coupling_to_im(cd2, plan=plan.fork("c2i2"))
             pts = plan.points(B.chart, 15)
             (F,), (F2,) = (_stack(pts, f.op_map.value) for f in (form, form2))
             rep.add("roundtrip_connection_form", F - F2, tol)
@@ -225,7 +222,7 @@ def _cmd_curvature(args, plan, tol):
     model = _require_model(args)
     cd = _two_form_coupling(model)
     tol = tol or 1e-8
-    curv = curvature_im(cd, plan.fork("curv"), check=False)
+    curv = curvature_im(cd)
     arep = canonical_representation(curv.algebroid, curv.ideal)
     rep = check_im_form(curv, arep, plan, tol=tol)
     rep.command = "curvature"
@@ -342,14 +339,14 @@ def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float) -> Report
             plan.fork("cartan"), tol=tol,
         )
         rep.merge(check_im_form(form, arep, plan.fork("im"), tol=tol), prefix="im_")
-        cd = extract_coupling(model.algebroid, model.ideal, form, plan.fork("ext"), check=False)
+        cd = extract_coupling(model.algebroid, model.ideal, form, plan.fork("ext"))
         rep.merge(check_structure_equations(cd, plan=plan.fork("se"), tol=tol), prefix="coupling_")
         return rep
 
     if spec.name == "transitive":
         form = transitive_im_connection(model.algebroid, model.tau, plan.fork("tau"))
         rep.merge(check_im_form(form, arep, plan.fork("im"), tol=tol), prefix="im_")
-        cd = extract_coupling(model.algebroid, model.ideal, form, plan.fork("ext"), check=False)
+        cd = extract_coupling(model.algebroid, model.ideal, form, plan.fork("ext"))
         rep.merge(check_structure_equations(cd, plan=plan.fork("se"), tol=tol), prefix="coupling_")
         return rep
 
@@ -374,7 +371,7 @@ def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float) -> Report
         # Kernel-flat extras: the degree-2 pair maps onto the base
         # cocycle through the cochain contraction omega(alpha, beta) =
         # sym(alpha)(rho(beta)), on random polynomial section pairs.
-        pair = kernel_flat_two_form(cd)
+        pair = cd.kernel_flat_pair()
         defects = []
         B = cd.base
         rng = plan.fork("chain").rng

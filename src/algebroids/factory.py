@@ -31,11 +31,9 @@ from .algebroid import (
 )
 from .bundles import (
     Bundle,
-    CoeffForm,
     FiberBracket,
     LinearConnection,
     PointMap,
-    Section,
     _curvature,
     _d_nabla,
     _stack,
@@ -220,7 +218,7 @@ def _coupled_model(
     """The model of coupling data: its semidirect algebroid and bundle
     of ideals, with the coupling and its connection form."""
     cd = CouplingData(base, fiber, nablaL, U, verify_skew=verify_skew, plan=plan.fork("skew"))
-    form = coupling_to_im(cd, plan=plan.fork("im"), check=False)
+    form = coupling_to_im(cd, plan=plan.fork("im"))
     return ExampleModel(name, form.algebroid, form.ideal, coupling=cd, im_form=form)
 
 
@@ -571,20 +569,13 @@ def transitive_im_connection(
             )
             row.append(fold(t))
         l.append(row)
-    tau_secs = [Section(A.bundle, [tau[b][i] for b in range(r)]) for i in range(n)]
+    tau_secs = [[tau[b][i] for b in range(r)] for i in range(n)]
     frame_values = []
     for a in range(r):
-        comps = {}
-        ea = A.frame_section(a)
+        ea = [ONE if b == a else ZERO for b in range(r)]
+        op = []
         for i in range(n):
             w = bracket(A, tau_secs[i], ea)
-            comps[(i,)] = [
-                fold(
-                    add(
-                        *(mul(l[c][b], w.components[b]) for b in range(r))
-                    )
-                )
-                for c in range(k)
-            ]
-        frame_values.append(CoeffForm(ideal.bundle, 1, comps))
+            op.append([fold(add(*(mul(l[c][b], w[b]) for b in range(r)))) for c in range(k)])
+        frame_values.append(op)
     return IMOneForm(A, ideal, l, frame_values)

@@ -31,27 +31,23 @@ residual, which fails.
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .algebroid import (
     ARepresentation,
-    ConstructionRefused,
     IdealBundle,
     LieAlgebroid,
     _Jets,
     bracket,
-    canonical_representation,
 )
 from .bundles import (
     Bundle,
-    CoeffForm,
     FiberBracket,
     LinearConnection,
     PointMap,
-    Section,
     _anchored,
     _curvature,
     _stack,
@@ -59,7 +55,6 @@ from .bundles import (
     curvature_tensor,
     exact_memo,
     exterior_covariant_derivative,
-    zero_form,
 )
 from .expr import (
     Expr,
@@ -113,34 +108,26 @@ class _IMFormBase:
     a-th frame element and the c-th strictly increasing index tuple (in
     ``itertools.combinations`` order) of degree k - 1 and k; one entry
     is a slice of a whole read, and ``bundles.alternating_array`` gives
-    the signed entries on every index tuple, as ``CoeffForm.component``
-    does for the Exprs.  An exact form also keeps its symbol and
-    operator as CoeffForms in ``symbols`` and ``frame_values``; a
-    sampled form has only point maps.
+    the signed entries on every index tuple.  An exact form is built
+    from the symbol and operator of each frame element, forms in the
+    layout of ``bundles``, and its maps hold them, folded, as their
+    ``exprs`` grids, its only copy of them; a sampled form has only
+    point evaluators.
     """
 
     degree: int
-    symbols = frame_values = None
 
-    def __init__(
-        self,
-        algebroid: LieAlgebroid,
-        value,
-        symbols: Sequence[CoeffForm],
-        frame_values: Sequence[CoeffForm],
-    ):
-        vb = _value_bundle(value)
-        if len(symbols) != algebroid.rank or len(frame_values) != algebroid.rank:
-            raise ValueError("one symbol and one frame value per frame element")
-        for s in symbols:
-            if s.bundle != vb or s.degree != self.degree - 1:
-                raise ValueError("symbol degree/bundle mismatch")
-        for f in frame_values:
-            if f.bundle != vb or f.degree != self.degree:
-                raise ValueError("frame value degree/bundle mismatch")
-        self.symbols = tuple(symbols)
-        self.frame_values = tuple(frame_values)
-        self._bind(algebroid, value, _form_map(symbols), _form_map(frame_values))
+    def __init__(self, algebroid: LieAlgebroid, value, symbols, frame_values):
+        r, n, v = algebroid.rank, algebroid.chart.dim, _value_bundle(value).rank
+        if self.degree > n:
+            raise ValueError("form degree out of range for chart")
+
+        def grid(forms, q):
+            # The explicit shape keeps the value axis of a range with no q-tuples.
+            entries = [[[fold(x) for x in vec] for vec in form] for form in forms]
+            return PointMap.exact(np.array(entries, dtype=object).reshape(r, math.comb(n, q), v))
+
+        self._bind(algebroid, value, grid(symbols, self.degree - 1), grid(frame_values, self.degree))
 
     def _bind(self, algebroid, value, sym_map, op_map) -> None:
         self.algebroid = algebroid
@@ -152,7 +139,7 @@ class _IMFormBase:
     @property
     def exact(self) -> bool:
         """Whether the form carries its Exprs (else it is sampled)."""
-        return self.frame_values is not None
+        return self.op_map.exprs is not None
 
     @property
     def value_rank(self) -> int:
@@ -174,10 +161,7 @@ class IMOneForm(_IMFormBase):
         if len(l) != rV or any(len(row) != r for row in l):
             raise ValueError("symbol must be an r_V x r Expr matrix")
         self.l = tuple(tuple(fold(x) for x in row) for row in l)
-        symbols = [
-            CoeffForm(vb, 0, {(): [self.l[c][a] for c in range(rV)]})
-            for a in range(r)
-        ]
+        symbols = [[[self.l[c][a] for c in range(rV)]] for a in range(r)]
         super().__init__(algebroid, value, symbols, frame_values)
 
     def is_connection(self) -> bool:
@@ -199,18 +183,6 @@ class IMTwoForm(_IMFormBase):
     valued 1-forms, the operator to 2-forms."""
 
     degree = 2
-
-
-def _form_map(forms: Sequence[CoeffForm]) -> PointMap:
-    """One point map of forms of one bundle and degree: the a-th form's
-    value on the c-th strictly increasing index tuple at [a, c, v]."""
-    bundle, q = forms[0].bundle, forms[0].degree
-    keys = list(itertools.combinations(range(bundle.chart.dim), q))
-    grid = np.empty((len(forms), len(keys), bundle.rank), dtype=object)
-    for a, form in enumerate(forms):
-        for c, key in enumerate(keys):
-            grid[a, c] = form.component(key)
-    return PointMap.exact(grid)
 
 
 def fd_partial(fn: Callable[[np.ndarray], np.ndarray], j: int, p, h: float) -> np.ndarray:
@@ -447,7 +419,7 @@ class CouplingData:
         self.fiber = fiber
         self.gamma_map = gamma_map
         self.u_map = u_map
-        self._semidirect = None
+        self._semidirect = self._kernel_flat = None
 
     @property
     def exact(self) -> bool:
@@ -457,13 +429,6 @@ class CouplingData:
     @property
     def k(self) -> int:
         return self.fiber.bundle.rank
-
-    def u_form(self, a: int) -> CoeffForm:
-        """U on the a-th base frame element, as a fiber-valued 1-form."""
-        n = self.base.chart.dim
-        return CoeffForm(
-            self.fiber.bundle, 1, {(i,): list(self.U[a][i]) for i in range(n)}
-        )
 
     def skew_residual(self, plan: SamplePlan) -> float:
         """The largest entry of U(a, rho(b)) + U(b, rho(a)) at 30 sampled
@@ -492,6 +457,13 @@ class CouplingData:
             self._semidirect = build_semidirect(self)
         return self._semidirect
 
+    def kernel_flat_pair(self) -> "IMTwoForm":
+        """``kernel_flat_two_form`` of the coupling, built by the first
+        call and shared by every later one, which must not change it."""
+        if self._kernel_flat is None:
+            self._kernel_flat = kernel_flat_two_form(self)
+        return self._kernel_flat
+
 
 class NumericCouplingData(CouplingData):
     """Sampled coupling data: the fiber connection at [i, e, c] and the
@@ -518,8 +490,6 @@ def extract_coupling(
     ideal: IdealBundle,
     form: IMOneForm,
     plan: SamplePlan | None = None,
-    check: bool = True,
-    tol: float = 1e-8,
 ) -> CouplingData:
     """Read the coupling data off a connection form: the fiber
     connection from the ideal columns, the mixed tensor from the
@@ -530,22 +500,14 @@ def extract_coupling(
     if not form.is_connection():
         raise ValueError("symbol does not restrict to the identity on the ideal")
     plan = plan or SamplePlan()
-    if check:
-        rep = canonical_representation(A, ideal)
-        r = check_im_form(form, rep, plan.fork("imcheck"), tol=tol)
-        if not r.passed:
-            raise ConstructionRefused("form fails the compatibility identities", r)
-
     k, r, n = ideal.k, A.rank, A.chart.dim
     if k >= r:
         raise ValueError("coupling extraction needs a nontrivial quotient")
     B = quotient_algebroid(A, k, form.l)
     rB = r - k
 
-    gam = [
-        [[form.frame_values[a].component((i,))[c] for a in range(k)] for c in range(k)]
-        for i in range(n)
-    ]
+    O = form.op_map.exprs  # L(e_a) on d_i at [a, i, c]
+    gam = [[[O[a, i, c] for a in range(k)] for c in range(k)] for i in range(n)]
     nablaL = LinearConnection(ideal.bundle, gam)
 
     # U(e~_a, d_i) = -L(e~_a)_i, expanded through the extension rule.
@@ -555,11 +517,9 @@ def extract_coupling(
         for i in range(n):
             vec = []
             for c in range(k):
-                terms = [neg(form.frame_values[k + a].component((i,))[c])]
+                terms = [neg(O[k + a, i, c])]
                 for cc in range(k):
-                    terms.append(
-                        mul(form.l[cc][k + a], form.frame_values[cc].component((i,))[c])
-                    )
+                    terms.append(mul(form.l[cc][k + a], O[cc, i, c]))
                 terms.append(differentiate(form.l[c][k + a], i))
                 vec.append(fold(add(*terms)))
             row.append(vec)
@@ -579,7 +539,7 @@ def quotient_algebroid(
     for a in range(k, r):
         comps = [fold(neg(l[c][a])) for c in range(k)] + [ZERO] * (r - k)
         comps[a] = ONE
-        comp_secs.append(Section(A.bundle, comps))
+        comp_secs.append(comps)
 
     rB = r - k
     anchor = [[A.anchor[i][k + a] for a in range(rB)] for i in range(n)]
@@ -593,7 +553,7 @@ def quotient_algebroid(
                 structure[a][b] = [ZERO] * rB
                 continue
             w = bracket(A, comp_secs[a], comp_secs[b])
-            structure[a][b] = [w.components[k + c] for c in range(rB)]
+            structure[a][b] = [w[k + c] for c in range(rB)]
     return LieAlgebroid(Bundle(A.chart, rB), anchor, structure)
 
 
@@ -641,21 +601,12 @@ def build_semidirect(cd) -> LieAlgebroid:
     return LieAlgebroid(Bundle(B.chart, r), anchor, structure)
 
 
-def coupling_to_im(
-    cd: CouplingData,
-    plan: SamplePlan | None = None,
-    check: bool = True,
-    tol: float = 1e-8,
-) -> IMOneForm:
+def coupling_to_im(cd: CouplingData, plan: SamplePlan | None = None) -> IMOneForm:
     """The connection form of a coupling on its semidirect carrier:
     the symbol is the fiber projection and the frame values are the
     fiber connection on ideal elements and minus the mixed tensor on
     base elements."""
     plan = plan or SamplePlan()
-    if check:
-        rep = check_structure_equations(cd, plan=plan.fork("structeq"), tol=tol)
-        if not rep.passed:
-            raise ConstructionRefused("coupling fails the structure equations", rep)
     A = cd.semidirect()
     k, rB, n = cd.k, cd.base.rank, cd.base.chart.dim
     ideal = IdealBundle(A, k, plan=plan.fork("ideal"), verify=True)
@@ -663,24 +614,9 @@ def coupling_to_im(
         [ONE if c == a else ZERO for a in range(k)] + [ZERO] * rB
         for c in range(k)
     ]
-    frame_values = []
     Gam = cd.nablaL.christoffel
-    for c in range(k):
-        frame_values.append(
-            CoeffForm(
-                ideal.bundle,
-                1,
-                {(i,): [Gam[i][e][c] for e in range(k)] for i in range(n)},
-            )
-        )
-    for a in range(rB):
-        frame_values.append(
-            CoeffForm(
-                ideal.bundle,
-                1,
-                {(i,): [fold(neg(x)) for x in cd.U[a][i]] for i in range(n)},
-            )
-        )
+    frame_values = [[[Gam[i][e][c] for e in range(k)] for i in range(n)] for c in range(k)]
+    frame_values += [[[fold(neg(x)) for x in vec] for vec in cd.U[a]] for a in range(rB)]
     return IMOneForm(A, ideal, l, frame_values)
 
 
@@ -717,7 +653,7 @@ def check_structure_equations(
         report.add("U_center_valued", _center_residual_of_u(cd, pts), 1e-7)
         if not cd.exact:
             raise TypeError("the kernel-flat variant needs symbolic coupling data")
-        pair = kernel_flat_two_form(cd)
+        pair = cd.kernel_flat_pair()
         rep2 = check_im_form(pair, cd.base_rep_on_fiber(), plan.fork("kfpair"), tol=tol)
         report.merge(rep2, prefix="U_pair_")
     return report
@@ -815,52 +751,28 @@ def _center_residual_of_u(cd, pts) -> float:
 
 def kernel_flat_two_form(cd: CouplingData) -> IMTwoForm:
     """The degree-2 pair (covariant differential of U, U) on the base,
-    valued in the fiber bundle."""
-    B = cd.base
-    symbols = [cd.u_form(a) for a in range(B.rank)]
-    frames = [
-        exterior_covariant_derivative(cd.nablaL, cd.u_form(a)) for a in range(B.rank)
-    ]
-    return IMTwoForm(B, cd.fiber.bundle, symbols, frames)
+    valued in the fiber bundle: U on the a-th base frame element is a
+    fiber-valued 1-form.  ``CouplingData.kernel_flat_pair`` builds it
+    once per coupling."""
+    dU = [exterior_covariant_derivative(cd.nablaL, U_a, 1) for U_a in cd.U]
+    return IMTwoForm(cd.base, cd.fiber.bundle, cd.U, dU)
 
 
-def curvature_im(
-    cd: CouplingData,
-    plan: SamplePlan | None = None,
-    check: bool = True,
-    tol: float = 1e-8,
-) -> IMTwoForm:
+def curvature_im(cd: CouplingData) -> IMTwoForm:
     """Curvature 2-form pair of a coupling, on the semidirect carrier:
     the operator is the fiber curvature on ideal elements and minus the
     covariant differential of the mixed tensor on base elements; the
     symbol is minus the mixed tensor."""
-    plan = plan or SamplePlan()
-    if check:
-        rep = check_structure_equations(cd, plan=plan.fork("structeq"), tol=tol)
-        if not rep.passed:
-            raise ConstructionRefused("coupling fails the structure equations", rep)
     A = cd.semidirect()
-    k, rB, n = cd.k, cd.base.rank, cd.base.chart.dim
+    k, n = cd.k, cd.base.chart.dim
     ideal = IdealBundle(A, k, verify=False)
-    kb = ideal.bundle
     R = curvature_tensor(cd.nablaL)
-    symbols = []
-    frames = []
-    for c in range(k):
-        symbols.append(zero_form(kb, 1))
-        frames.append(
-            CoeffForm(
-                kb,
-                2,
-                {ij: [R[ij][e][c] for e in range(k)] for ij in R},
-            )
-        )
-    for a in range(rB):
-        symbols.append(
-            CoeffForm(kb, 1, {(i,): [fold(neg(x)) for x in cd.U[a][i]] for i in range(n)})
-        )
-        dU = exterior_covariant_derivative(cd.nablaL, cd.u_form(a))
-        frames.append(dU.scale(const(-1)))
+    symbols = [[[ZERO] * k for _ in range(n)] for _ in range(k)]
+    frames = [[[R[ij][e][c] for e in range(k)] for ij in R] for c in range(k)]
+    for U_a in cd.U:
+        symbols.append([[fold(neg(x)) for x in vec] for vec in U_a])
+        dU = exterior_covariant_derivative(cd.nablaL, U_a, 1)
+        frames.append([[fold(mul(const(-1), x)) for x in vec] for vec in dU])
     return IMTwoForm(A, ideal, symbols, frames)
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 
 from .algebroid import IdealBundle, LieAlgebroid
-from .bundles import Bundle, CoeffForm, FiberBracket, LinearConnection
+from .bundles import Bundle, FiberBracket, LinearConnection
 from .expr import Chart, Expr, ZERO, ParseError, fold, neg, parse, to_str
 from .groupoid import ActionGroupoid, MatrixGroup
 from .imforms import CouplingData, IMOneForm
@@ -300,11 +300,9 @@ class ModelFile:
                     f"dimension mismatch at /im_form/L/{a}: expected {n} rows "
                     f"of {rV} expressions"
                 )
-            comps = {
-                (i,): [self._parse(x, f"/im_form/L/{a}/{i}") for x in vec]
-                for i, vec in enumerate(block)
-            }
-            frames.append(CoeffForm(ideal.bundle, 1, comps))
+            frames.append(
+                [[self._parse(x, f"/im_form/L/{a}/{i}") for x in vec] for i, vec in enumerate(block)]
+            )
         return IMOneForm(A, ideal, l, frames)
 
     @_section("coupling")
@@ -535,15 +533,9 @@ def chart_to_json(chart: Chart) -> dict:
 
 
 def im_form_to_json(form: IMOneForm) -> dict:
-    A = form.algebroid
-    n, r, rV = A.chart.dim, A.rank, form.value_rank
+    r, rV = form.algebroid.rank, form.value_rank
     return {
         "l": [[to_str(form.l[c][a]) for a in range(r)] for c in range(rV)],
-        "L": [
-            [
-                [to_str(x) for x in form.frame_values[a].component((i,))]
-                for i in range(n)
-            ]
-            for a in range(r)
-        ],
+        # L(e_a) on d_i at [a, i].
+        "L": [[[to_str(x) for x in vec] for vec in op] for op in form.op_map.exprs],
     }

@@ -4,9 +4,10 @@ The library reads every object through point maps and turns each
 identity into a contraction over stacked reads.  The functions here
 build the same quantities as Exprs instead, one section or form at a
 time: random polynomial sections, the representation and the cochain
-contraction on sections, the covariant differential ``d_im`` on form
-pairs with its invariance precondition, and the sampled residuals that
-no subcommand reports.  No subcommand, demo or tool runs them.
+contraction on sections, with a signed lookup of a form's value on any
+index tuple, the covariant differential ``d_im`` on form pairs with its
+invariance precondition, and the sampled residuals that no subcommand
+reports.  No subcommand, demo or tool runs them.
 """
 
 from __future__ import annotations
@@ -25,16 +26,14 @@ from algebroids.algebroid import (
     directional,
 )
 from algebroids.bundles import (
-    CoeffForm,
     LinearConnection,
     PointMap,
-    Section,
     _curvature,
     _stack,
     exterior_covariant_derivative,
-    zero_form,
+    sort_with_sign,
 )
-from algebroids.expr import ZERO, Chart, Expr, add, const, coord, fold, mul, neg
+from algebroids.expr import ONE, ZERO, Chart, Expr, add, const, coord, fold, mul, neg
 from algebroids.groupoid import ActionGroupoid, MultForm
 from algebroids.imforms import IMOneForm, IMTwoForm
 from algebroids.sampling import Report, SamplePlan, polynomial_draws, sup
@@ -54,64 +53,79 @@ def random_polynomial(chart: Chart, rng: np.random.Generator) -> Expr:
     return polynomial(polynomial_draws(chart.dim, rng))
 
 
-def random_section(A: LieAlgebroid, rng: np.random.Generator) -> Section:
-    return Section(A.bundle, [random_polynomial(A.chart, rng) for _ in range(A.rank)])
+def random_section(A: LieAlgebroid, rng: np.random.Generator) -> list[Expr]:
+    return [random_polynomial(A.chart, rng) for _ in range(A.rank)]
+
+
+def frame_section(A: LieAlgebroid, a: int) -> list[Expr]:
+    """The a-th frame element e_a, as a section."""
+    return [ONE if b == a else ZERO for b in range(A.rank)]
 
 
 # -- forms and representations on sections ---------------------------------
+#
+# A form is in the layout of ``bundles``: one value vector per strictly
+# increasing index tuple, in ``itertools.combinations`` order.
 
 
-def form_sum(f: CoeffForm, g: CoeffForm) -> CoeffForm:
-    if g.bundle != f.bundle or g.degree != f.degree:
+def component(form, idx: Sequence[int], n: int, rank: int) -> list[Expr]:
+    """The signed value of a form of rank-``rank`` vectors on an
+    arbitrary tuple of the n chart directions."""
+    sign, key = sort_with_sign(idx)
+    if sign == 0:
+        return [ZERO] * rank
+    vec = form[list(itertools.combinations(range(n), len(key))).index(key)]
+    return list(vec) if sign == 1 else [fold(neg(v)) for v in vec]
+
+
+def scale(form, f: Expr) -> list[list[Expr]]:
+    return [[fold(mul(f, v)) for v in vec] for vec in form]
+
+
+def form_sum(f, g) -> list[list[Expr]]:
+    if len(f) != len(g):
         raise ValueError("form mismatch")
-    keys = set(f.comps) | set(g.comps)
-    return CoeffForm(
-        f.bundle, f.degree, {k: [a + b for a, b in zip(f.component(k), g.component(k))] for k in keys}
-    )
+    return [[a + b for a, b in zip(u, v)] for u, v in zip(f, g)]
 
 
-def form_difference(f: CoeffForm, g: CoeffForm) -> CoeffForm:
-    return form_sum(f, g.scale(const(-1)))
+def form_difference(f, g) -> list[list[Expr]]:
+    return form_sum(f, scale(g, const(-1)))
 
 
-def contract(form: CoeffForm, X: Sequence[Expr]) -> CoeffForm:
-    """Interior product i_X with a vector field (n Exprs): the first
-    slot is contracted."""
-    if form.degree == 0:
+def contract(form, X: Sequence[Expr], degree: int, n: int, rank: int) -> list[list[Expr]]:
+    """Interior product i_X of a form of the given degree with a vector
+    field (n Exprs): the first slot is contracted."""
+    if degree == 0:
         raise ValueError("cannot contract a 0-form")
-    n = form.bundle.chart.dim
-    out: dict[tuple[int, ...], list[Expr]] = {}
-    for rest in itertools.combinations(range(n), form.degree - 1):
-        vec = [ZERO] * form.bundle.rank
+    out = []
+    for rest in itertools.combinations(range(n), degree - 1):
+        vec = [ZERO] * rank
         for i in range(n):
-            comp = form.component((i,) + rest)
-            for c in range(form.bundle.rank):
+            comp = component(form, (i,) + rest, n, rank)
+            for c in range(rank):
                 vec[c] = add(vec[c], mul(X[i], comp[c]))
-        out[rest] = [fold(v) for v in vec]
-    return CoeffForm(form.bundle, form.degree - 1, out)
-
-
-def sym_of(form, alpha: Section) -> CoeffForm:
-    """The symbol of an exact form pair applied to a section (tensorial)."""
-    out = zero_form(form.value_bundle, form.degree - 1)
-    for a in range(form.algebroid.rank):
-        ca = alpha.components[a]
-        if ca == ZERO:
-            continue
-        out = form_sum(out, form.symbols[a].scale(ca))
+        out.append([fold(v) for v in vec])
     return out
 
 
-def l_of(form: IMOneForm, alpha: Section) -> list[Expr]:
+def sym_of(form, alpha: Sequence[Expr]) -> list[list[Expr]]:
+    """The symbol of an exact form pair applied to a section (tensorial):
+    a form of degree one less than the pair's."""
+    S = form.sym_map.exprs
+    out = [[ZERO] * form.value_rank for _ in S[0]]
+    for a in range(form.algebroid.rank):
+        if alpha[a] != ZERO:
+            out = form_sum(out, scale(S[a], alpha[a]))
+    return out
+
+
+def l_of(form: IMOneForm, alpha: Sequence[Expr]) -> list[Expr]:
     """The symbol matrix of a degree-1 pair applied to a section."""
     rV, r = form.value_rank, form.algebroid.rank
-    return [
-        fold(add(*(mul(form.l[c][a], alpha.components[a]) for a in range(r))))
-        for c in range(rV)
-    ]
+    return [fold(add(*(mul(form.l[c][a], alpha[a]) for a in range(r)))) for c in range(rV)]
 
 
-def apply(rep: ARepresentation, alpha: Section, comps: Sequence[Expr]) -> list[Expr]:
+def apply(rep: ARepresentation, alpha: Sequence[Expr], comps: Sequence[Expr]) -> list[Expr]:
     """nabla_alpha of a V-coefficient vector."""
     ra = rep.algebroid.rho_of(alpha)
     rV = rep.bundle.rank
@@ -119,12 +133,12 @@ def apply(rep: ARepresentation, alpha: Section, comps: Sequence[Expr]) -> list[E
     for d in range(rV):
         terms = [directional(ra, comps[d])]
         for b in range(rep.algebroid.rank):
-            if alpha.components[b] == ZERO:
+            if alpha[b] == ZERO:
                 continue
             for c in range(rV):
                 if comps[c] == ZERO or rep.coeffs[b][d][c] == ZERO:
                     continue
-                terms.append(mul(alpha.components[b], rep.coeffs[b][d][c], comps[c]))
+                terms.append(mul(alpha[b], rep.coeffs[b][d][c], comps[c]))
         out.append(fold(add(*terms)))
     return out
 
@@ -180,10 +194,10 @@ def d_im(
         raise ValueError("connection must live on the form's value bundle")
     symbols = []
     frames = []
-    for a in range(form.algebroid.rank):
-        dsym = exterior_covariant_derivative(conn, form.symbols[a])
-        symbols.append(form_difference(form.frame_values[a], dsym))
-        frames.append(exterior_covariant_derivative(conn, form.frame_values[a]))
+    for sym, op in zip(form.sym_map.exprs, form.op_map.exprs):
+        dsym = exterior_covariant_derivative(conn, sym, 0)
+        symbols.append(form_difference(op, dsym))
+        frames.append(exterior_covariant_derivative(conn, op, 1))
     value = form.ideal if form.ideal is not None else form.value_bundle
     return IMTwoForm(form.algebroid, value, symbols, frames)
 
@@ -193,13 +207,13 @@ def chain_map(form) -> Callable[..., list[Expr]]:
     symbol with anchors: omega(a_1, ..., a_k) = sym(a_1)(rho(a_2), ...)."""
     A = form.algebroid
 
-    def omega(*sections: Section) -> list[Expr]:
+    def omega(*sections: Sequence[Expr]) -> list[Expr]:
         if len(sections) != form.degree:
             raise ValueError(f"expected {form.degree} sections")
         out = sym_of(form, sections[0])
-        for s in sections[1:]:
-            out = contract(out, A.rho_of(s))
-        return list(out.component(()))
+        for q, s in zip(range(form.degree - 1, 0, -1), sections[1:]):
+            out = contract(out, A.rho_of(s), q, A.chart.dim, form.value_rank)
+        return list(out[0])
 
     return omega
 
@@ -209,7 +223,7 @@ def cochain_differential(rep: ARepresentation, omega: Callable[..., list[Expr]])
     representation for the coefficient action."""
     A = rep.algebroid
 
-    def d_omega(alpha: Section, beta: Section) -> list[Expr]:
+    def d_omega(alpha: Sequence[Expr], beta: Sequence[Expr]) -> list[Expr]:
         t1 = apply(rep, alpha, omega(beta))
         t2 = apply(rep, beta, omega(alpha))
         t3 = omega(bracket(A, alpha, beta))

@@ -112,8 +112,7 @@ def fixtures():
         build.fork("cartan"),
     )
     out["radial_cd"] = extract_coupling(
-        radial.algebroid, radial.ideal, out["radial_form"], build.fork("ext"),
-        check=False,
+        radial.algebroid, radial.ideal, out["radial_form"], build.fork("ext")
     )
     return out
 
@@ -156,16 +155,16 @@ def test_criterion_02_roundtrip_exactness(fixtures):
         cd = fixtures[name].coupling
         form = fixtures[name].im_form
         cd2 = extract_coupling(
-            form.algebroid, form.ideal, form, plan(f"c2-{name}"), check=False
+            form.algebroid, form.ideal, form, plan(f"c2-{name}")
         )
         worst = max(worst, _coupling_distance(cd, cd2, plan(f"c2d-{name}")))
-        form2 = coupling_to_im(cd2, plan=plan(f"c2f-{name}"), check=False)
+        form2 = coupling_to_im(cd2, plan=plan(f"c2f-{name}"))
         worst = max(worst, _form_distance(form, form2, plan(f"c2e-{name}")))
     # The connection-construction route as well.
     cd = fixtures["radial_cd"]
-    form2 = coupling_to_im(cd, plan=plan("c2-rad"), check=False)
+    form2 = coupling_to_im(cd, plan=plan("c2-rad"))
     cd2 = extract_coupling(
-        form2.algebroid, form2.ideal, form2, plan("c2-rad2"), check=False
+        form2.algebroid, form2.ideal, form2, plan("c2-rad2")
     )
     worst = max(worst, _coupling_distance(cd, cd2, plan("c2-rad3")))
     report_line(2, "round-trip exactness", worst < 1e-10, f"max {worst:.2e}")
@@ -237,7 +236,7 @@ def test_criterion_03_flatness_taxonomy(fixtures):
         ("rank_one", False),
     ):
         cd = fixtures[name].coupling
-        curv = curvature_im(cd, plan(f"c3-{name}"), check=False)
+        curv = curvature_im(cd)
         worst = 0.0
         for pt in plan(f"c3p-{name}").points(cd.base.chart, 30):
             for a in range(curv.algebroid.rank):
@@ -284,7 +283,7 @@ def test_criterion_04_kernel_flat_pair(fixtures):
             lam = np.zeros(cd.k)
             rho_b = np.array([evaluate(x, pt) for x in B.rho_of(be)])
             for a in range(B.rank):
-                ca = evaluate(al.components[a], pt)
+                ca = evaluate(al[a], pt)
                 for i in range(B.chart.dim):
                     lam += ca * rho_b[i] * cd.u_map.value(pt)[a, i]
             got = np.array([evaluate(x, pt) for x in vals])
@@ -306,8 +305,8 @@ def test_criterion_05_transitive_uniqueness():
     ok = out.passed and out.extra["connection_predicate"]
 
     # A second form with the same symbol through the coupling route.
-    cd = extract_coupling(m.algebroid, m.ideal, form, build.fork("ext"), check=False)
-    form2 = coupling_to_im(cd, plan=build.fork("c2i"), check=False)
+    cd = extract_coupling(m.algebroid, m.ideal, form, build.fork("ext"))
+    form2 = coupling_to_im(cd, plan=build.fork("c2i"))
     worst = 0.0
     for pt in plan("c5d").points(m.algebroid.chart, 40):
         for a in range(m.algebroid.rank):

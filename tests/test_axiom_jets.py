@@ -16,7 +16,7 @@ from algebroids.algebroid import (
     canonical_representation,
     check_axioms,
 )
-from algebroids.bundles import Bundle, PointMap, Section
+from algebroids.bundles import Bundle, PointMap
 from algebroids.expr import ONE, ZERO, Chart, add, const, coord, differentiate, fold, mul, neg
 from algebroids.factory import so3_constants
 from algebroids.modelio import load_model
@@ -94,9 +94,9 @@ def symbolic_defects(A, triple, points):
     jacobiator = [
         x + y + z
         for x, y, z in zip(
-            bracket(A, bracket(A, al, be), ga).components,
-            bracket(A, bracket(A, be, ga), al).components,
-            bracket(A, bracket(A, ga, al), be).components,
+            bracket(A, bracket(A, al, be), ga),
+            bracket(A, bracket(A, be, ga), al),
+            bracket(A, bracket(A, ga, al), be),
         )
     ]
     anchor_defect = PointMap.exact([
@@ -159,7 +159,7 @@ def symbolic_jets(A, alpha, beta, points):
     return (
         *with_partials(A.rho_of(alpha)),
         *with_partials(A.rho_of(beta)),
-        *with_partials(bracket(A, alpha, beta).components),
+        *with_partials(bracket(A, alpha, beta)),
     )
 
 
@@ -175,7 +175,7 @@ def assert_close(jet, sym):
 def test_jets_agree_with_the_symbolic_brackets(name):
     A = ALGEBROIDS[name]()
     for draws, points in algebroid._axiom_draws(A, SamplePlan(seed=9, samples=50)):
-        triple = [Section(A.bundle, [polynomial(t) for t in s]) for s in draws]
+        triple = [[polynomial(t) for t in s] for s in draws]
         jets = algebroid._axiom_defects(A, draws, points)
         for jet, sym in zip(jets, symbolic_defects(A, triple, points)):
             assert_close(jet, sym)

@@ -1,15 +1,13 @@
-"""Tests for bundles, coefficient forms, connections and curvature."""
+"""Tests for bundles, point maps, connections and curvature."""
 
 import numpy as np
 import pytest
 
 from algebroids.bundles import (
     Bundle,
-    CoeffForm,
     FiberBracket,
     LinearConnection,
     PointMap,
-    Section,
     _stack,
     alternating_array,
     connection_is_flat,
@@ -17,7 +15,6 @@ from algebroids.bundles import (
     exact_memo,
     exterior_covariant_derivative,
     sort_with_sign,
-    zero_form,
 )
 from algebroids.expr import (
     Chart,
@@ -60,16 +57,16 @@ def test_alternating_array():
 def test_exterior_derivative_rank_one_de_rham():
     V = Bundle(CH2, 1)
     conn = LinearConnection.trivial(V)
-    omega = CoeffForm(V, 1, {(1,): [coord(0)]})  # x1 dx2
-    d = exterior_covariant_derivative(conn, omega)
-    assert d.component((0, 1))[0] == const(1)  # dx1 ^ dx2
+    omega = [[ZERO], [coord(0)]]  # x1 dx2
+    d = exterior_covariant_derivative(conn, omega, 1)
+    assert d[0][0] == const(1)  # dx1 ^ dx2
 
 
 def test_exterior_derivative_zero():
     V = Bundle(CH2, 2)
     conn = LinearConnection.trivial(V)
-    d = exterior_covariant_derivative(conn, zero_form(V, 1))
-    assert not d.comps
+    d = exterior_covariant_derivative(conn, [[ZERO] * 2 for _ in range(2)], 1)
+    assert d == [[ZERO, ZERO]]
 
 
 def test_d_nabla_squared_equals_curvature():
@@ -83,13 +80,11 @@ def test_d_nabla_squared_equals_curvature():
     plan = SamplePlan(seed=1, samples=100)
     rng = np.random.default_rng(2)
     for _ in range(8):
-        s = Section(V, [random_polynomial(CH2, rng)])
-        dds = exterior_covariant_derivative(
-            conn, exterior_covariant_derivative(conn, CoeffForm(V, 0, {(): s.components}))
-        )
+        s = [random_polynomial(CH2, rng)]
+        dds = exterior_covariant_derivative(conn, exterior_covariant_derivative(conn, [s], 0), 1)
         for p in plan.points(CH2, 12):
-            lhs = PointMap.exact(dds.component((0, 1))).value(p)
-            rhs = evaluate(R[(0, 1)][0][0], p) * PointMap.exact(s.components).value(p)
+            lhs = PointMap.exact(dds[0]).value(p)
+            rhs = evaluate(R[(0, 1)][0][0], p) * PointMap.exact(s).value(p)
             assert abs(lhs[0] - rhs[0]) < 1e-9
 
 
@@ -106,14 +101,12 @@ def test_d_nabla_squared_higher_rank():
     plan = SamplePlan(seed=4, samples=100)
     rng = np.random.default_rng(8)
     for _ in range(6):
-        s = Section(V, [random_polynomial(CH2, rng) for _ in range(2)])
-        dds = exterior_covariant_derivative(
-            conn, exterior_covariant_derivative(conn, CoeffForm(V, 0, {(): s.components}))
-        )
+        s = [random_polynomial(CH2, rng) for _ in range(2)]
+        dds = exterior_covariant_derivative(conn, exterior_covariant_derivative(conn, [s], 0), 1)
         for p in plan.points(CH2, 10):
-            lhs = PointMap.exact(dds.component((0, 1))).value(p)
+            lhs = PointMap.exact(dds[0]).value(p)
             Rm = np.array([[evaluate(x, p) for x in row] for row in R[(0, 1)]])
-            rhs = Rm @ PointMap.exact(s.components).value(p)
+            rhs = Rm @ PointMap.exact(s).value(p)
             assert np.max(np.abs(lhs - rhs)) < 1e-9
 
 

@@ -20,11 +20,9 @@ from algebroids.algebroid import (
 )
 from algebroids.bundles import (
     Bundle,
-    CoeffForm,
     FiberBracket,
     LinearConnection,
     PointMap,
-    Section,
     alternating_array,
     sort_with_sign,
 )
@@ -114,7 +112,7 @@ def test_zero_form_passes_but_not_connection(product_model):
         A,
         ideal,
         [[ZERO] * r for _ in range(k)],
-        [CoeffForm(ideal.bundle, 1, {}) for _ in range(r)],
+        [[[ZERO] * k for _ in range(A.chart.dim)] for _ in range(r)],
     )
     out = check_im_form(zform, rep, SamplePlan(seed=3, samples=60))
     assert out.passed
@@ -125,10 +123,10 @@ def test_perturbed_form_fails_identity_3(product_model):
     m = product_model
     A, ideal = m.algebroid, m.ideal
     rep = canonical_representation(A, ideal)
-    frames = list(m.im_form.frame_values)
+    frames = list(m.im_form.op_map.exprs)
     k = ideal.k
     # Add x1 dx1 (x) e_1 to a base frame value: breaks the third identity.
-    pert = CoeffForm(ideal.bundle, 1, {(0,): [coord(0)] + [ZERO] * (k - 1)})
+    pert = [[coord(0) if (i, c) == (0, 0) else ZERO for c in range(k)] for i in range(A.chart.dim)]
     frames[k] = form_sum(frames[k], pert)
     bad = IMOneForm(A, ideal, [list(r) for r in m.im_form.l], frames)
     out = check_im_form(bad, rep, SamplePlan(seed=3, samples=60))
@@ -220,9 +218,10 @@ def test_verify_im_runs_one_tape_per_form_map_and_point(monkeypatch):
 
 def test_extract_product_trivial(product_model):
     m = product_model
-    cd = extract_coupling(
-        m.algebroid, m.ideal, m.im_form, SamplePlan(seed=5, samples=50)
-    )
+    plan = SamplePlan(seed=5, samples=50)
+    rep = canonical_representation(m.algebroid, m.ideal)
+    assert check_im_form(m.im_form, rep, plan.fork("imcheck")).passed
+    cd = extract_coupling(m.algebroid, m.ideal, m.im_form, plan)
     for i in range(2):
         assert all(x == ZERO for row in cd.nablaL.christoffel[i] for x in row)
         for a in range(cd.base.rank):
@@ -241,7 +240,7 @@ def test_extract_principal_type_reproduces_data():
         plan,
     )
     form = transitive_im_connection(m.algebroid, m.tau, plan.fork("tau"))
-    cd = extract_coupling(m.algebroid, m.ideal, form, plan.fork("ext"), check=False)
+    cd = extract_coupling(m.algebroid, m.ideal, form, plan.fork("ext"))
     # nablaL is d + ad(theta): Gamma_1 = ad(x2 E1), Gamma_2 = 0.
     eps = np.zeros((3, 3, 3))
     for a, b, c in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
@@ -260,11 +259,9 @@ def test_extract_principal_type_reproduces_data():
 def test_roundtrip_exact(radial_model, radial_form):
     m = radial_model
     plan = SamplePlan(seed=9, samples=50)
-    cd = extract_coupling(m.algebroid, m.ideal, radial_form, plan, check=False)
-    form2 = coupling_to_im(cd, plan=plan.fork("c2i"), check=False)
-    cd2 = extract_coupling(
-        form2.algebroid, form2.ideal, form2, plan.fork("x"), check=False
-    )
+    cd = extract_coupling(m.algebroid, m.ideal, radial_form, plan)
+    form2 = coupling_to_im(cd, plan=plan.fork("c2i"))
+    cd2 = extract_coupling(form2.algebroid, form2.ideal, form2, plan.fork("x"))
     n = m.algebroid.chart.dim
     for p in plan.points(m.algebroid.chart, 20):
         for i in range(n):
@@ -281,12 +278,11 @@ def test_roundtrip_exact(radial_model, radial_form):
 
 def test_coupling_to_im_degenerate():
     cd = rank_one_coupling(2)
-    form = coupling_to_im(cd, check=False)
+    form = coupling_to_im(cd)
     # Symbol is the fiber projection; frame values vanish, so the
     # operator is the plain differential of the fiber coordinate.
     assert form.l[0][0] == ONE and all(form.l[0][a] == ZERO for a in range(1, 3))
-    for fv in form.frame_values:
-        assert not fv.comps
+    assert all(x == ZERO for x in form.op_map.exprs.flat)
 
 
 def test_coupling_to_im_66_display():
@@ -302,16 +298,16 @@ def test_coupling_to_im_66_display():
     A = form.algebroid
     for _ in range(3):
         terms = [polynomial_draws(A.chart.dim, rng) for _ in range(A.rank)]
-        sec = Section(A.bundle, [polynomial(t) for t in terms])
+        sec = [polynomial(t) for t in terms]
         points = plan.points(CH2, 6)
         ((val, jac, _),) = _Jets(A, (terms,), points).sections
         L = _on_section(_form_reads(form, points), val, jac, None)[0]
         for q, p in enumerate(points):
-            v = PointMap.exact(sec.components).value(p)
+            v = PointMap.exact(sec).value(p)
             xi, al = v[:k], v[k:]
             for i in range(2):
                 # nabla_{d_i} xi part + derivative of the fiber part.
-                dxi = np.array([evaluate(differentiate(sec.components[c], i), p) for c in range(k)])
+                dxi = np.array([evaluate(differentiate(sec[c], i), p) for c in range(k)])
                 want = dxi + cd.gamma_map.value(p)[i] @ xi
                 for a in range(cd.base.rank):
                     want -= al[a] * cd.u_map.value(p)[a, i]
@@ -452,16 +448,14 @@ def test_base_rep_on_fiber_matches_its_fold_loop(source, params):
 # -- curvature -------------------------------------------------------------
 
 def test_curvature_product_zero(product_model):
-    curv = curvature_im(product_model.coupling, check=False)
-    for s in curv.symbols:
-        assert not s.comps
-    for f in curv.frame_values:
-        assert not f.comps
+    curv = curvature_im(product_model.coupling)
+    assert all(x == ZERO for x in curv.sym_map.exprs.flat)
+    assert all(x == ZERO for x in curv.op_map.exprs.flat)
 
 
 def test_curvature_67_values(flat67_model):
     cd = flat67_model.coupling
-    curv = curvature_im(cd, check=False)
+    curv = curvature_im(cd)
     k = cd.k
     plan = SamplePlan(seed=6, samples=30)
     for p in plan.points(CH2, 10):
@@ -489,13 +483,13 @@ def test_curvature_gauge_narrative():
     plan = SamplePlan(seed=8, samples=40)
     rng = plan.rng
 
-    def phi(sec: Section) -> Section:
+    def phi(sec):
         # (alpha, xi) -> (alpha, theta(rho(alpha)) + xi) in the
         # fiber-first frame.
-        xi = sec.components[0]
-        al = sec.components[1:]
+        xi = sec[0]
+        al = sec[1:]
         shift = fold(add(xi, *(mul(theta[i], al[i]) for i in range(2))))
-        return Section(A0.bundle, [shift] + list(al))
+        return [shift] + list(al)
 
     from algebroids.algebroid import bracket
 
@@ -505,7 +499,7 @@ def test_curvature_gauge_narrative():
         v = random_section(A1, rng)
         lhs = bracket(A0, phi(u), phi(v))
         rhs = phi(bracket(A1, u, v))
-        diff = PointMap.exact([a - b for a, b in zip(lhs.components, rhs.components)])
+        diff = PointMap.exact([a - b for a, b in zip(lhs, rhs)])
         for p in plan.points(CH2, 8):
             worst = max(worst, float(np.max(np.abs(diff.value(p)))))
     assert worst < 1e-9
@@ -546,7 +540,7 @@ def test_classify_leafwise_only():
 def test_curvature_zero_iff_totally_flat(product_model, flat67_model):
     plan = SamplePlan(seed=3, samples=30)
     for m, expect_zero in ((product_model, True), (flat67_model, False)):
-        curv = curvature_im(m.coupling, check=False)
+        curv = curvature_im(m.coupling)
         worst = 0.0
         n = m.coupling.base.chart.dim
         for p in plan.points(m.coupling.base.chart, 10):
@@ -612,7 +606,7 @@ def test_d_im_matches_curvature(flat67_model):
     form = flat67_model.im_form
     rep = canonical_representation(form.algebroid, form.ideal)
     dform = d_im(cd.nablaL, form, rep, SamplePlan(seed=6, samples=30))
-    curv = curvature_im(cd, check=False)
+    curv = curvature_im(cd)
     plan = SamplePlan(seed=7, samples=30)
     for p in plan.points(CH2, 10):
         for a in range(form.algebroid.rank):
@@ -628,13 +622,11 @@ def test_d_im_zero_form(flat67_model):
     zform = IMOneForm(
         A, ideal,
         [[ZERO] * A.rank for _ in range(ideal.k)],
-        [CoeffForm(ideal.bundle, 1, {}) for _ in range(A.rank)],
+        [[[ZERO] * ideal.k for _ in range(A.chart.dim)] for _ in range(A.rank)],
     )
     out = d_im(cd.nablaL, zform, rep, SamplePlan(seed=6, samples=30))
-    for s in out.symbols:
-        assert not s.comps
-    for f in out.frame_values:
-        assert not f.comps
+    assert all(x == ZERO for x in out.sym_map.exprs.flat)
+    assert all(x == ZERO for x in out.op_map.exprs.flat)
 
 
 def test_d_im_squares_to_zero_flat():
@@ -658,7 +650,7 @@ def test_d_im_squares_to_zero_flat():
     U = [[[U1[a][i]] for i in range(3)] for a in range(3)]
     cd = CouplingData(B, fiber, nablaL, U)
     assert check_structure_equations(cd, plan=SamplePlan(seed=3, samples=40)).passed
-    form = coupling_to_im(cd, check=False)
+    form = coupling_to_im(cd)
     rep = canonical_representation(form.algebroid, form.ideal)
     conn = LinearConnection(form.ideal.bundle, [[[t]] for t in theta])
     dform = d_im(conn, form, rep, SamplePlan(seed=4, samples=30))
@@ -666,13 +658,13 @@ def test_d_im_squares_to_zero_flat():
     # Second application on components: d(op) and op - d(sym) in
     # degree 3 must vanish.
     worst = 0.0
-    for a in range(form.algebroid.rank):
-        dd_op = exterior_covariant_derivative(conn, dform.frame_values[a])
-        sym2 = form_difference(dform.frame_values[a], exterior_covariant_derivative(conn, dform.symbols[a]))
+    for sym, op in zip(dform.sym_map.exprs, dform.op_map.exprs):
+        (dd_op,) = exterior_covariant_derivative(conn, op, 2)  # on (0, 1, 2)
+        sym2 = form_difference(op, exterior_covariant_derivative(conn, sym, 1))
         for p in plan.points(ch, 10):
-            worst = max(worst, float(np.max(np.abs(PointMap.exact(dd_op.component((0, 1, 2))).value(p)))))
-            for idx in [(0, 1), (0, 2), (1, 2)]:
-                worst = max(worst, float(np.max(np.abs(PointMap.exact(sym2.component(idx)).value(p)))))
+            worst = max(worst, float(np.max(np.abs(PointMap.exact(dd_op).value(p)))))
+            for vec in sym2:  # on (0, 1), (0, 2) and (1, 2)
+                worst = max(worst, float(np.max(np.abs(PointMap.exact(vec).value(p)))))
     assert worst < 1e-8
 
 
@@ -706,7 +698,7 @@ def test_chain_map_kernel_flat_lambda(flat67_model):
             lam = np.zeros(cd.k)
             rho_b = np.array([evaluate(x, p) for x in B.rho_of(be)])
             for a in range(B.rank):
-                ca = evaluate(al.components[a], p)
+                ca = evaluate(al[a], p)
                 for i in range(2):
                     lam += ca * rho_b[i] * cd.u_map.value(p)[a, i]
             got = np.array([evaluate(x, p) for x in vals])
@@ -761,8 +753,8 @@ def test_im_form_checker_agrees_across_backends(radial_model, radial_form):
     # evaluators of the exact entries.
     A, ideal = radial_model.algebroid, radial_model.ideal
     vb = radial_form.value_bundle
-    bump = CoeffForm(vb, 1, {(0,): [fold(mul(const(1e-3), parse("sin(x2)", A.chart)))]})
-    fv = list(radial_form.frame_values)
+    bump = [[fold(mul(const(1e-3), parse("sin(x2)", A.chart))) if i == 0 else ZERO] for i in range(A.chart.dim)]
+    fv = list(radial_form.op_map.exprs)
     bent = IMOneForm(A, ideal, radial_form.l, [fv[0], form_sum(fv[1], bump), fv[2]])
     rep = canonical_representation(A, ideal)
     outcomes = []
@@ -785,7 +777,10 @@ def test_im_form_checker_agrees_across_backends(radial_model, radial_form):
 
 def test_structure_equations_agree_across_backends(radial_model, radial_form):
     m = radial_model
-    radial = extract_coupling(m.algebroid, m.ideal, radial_form, SamplePlan(seed=1, samples=40))
+    plan = SamplePlan(seed=1, samples=40)
+    rep = canonical_representation(m.algebroid, m.ideal)
+    assert check_im_form(radial_form, rep, plan.fork("imcheck")).passed
+    radial = extract_coupling(m.algebroid, m.ideal, radial_form, plan)
     bad = load_model(str(MODELS / "bad_u.json")).coupling()
     outcomes = []
     for cd in (radial, bad):
@@ -1089,23 +1084,23 @@ def _im_cases():
         m = load_model(str(MODELS / f"{name}.json"))
         yield name, m.im_form(), canonical_representation(m.algebroid(), m.ideal())
     cd = load_model(str(MODELS / "principal_flat.json")).coupling()
-    curv = curvature_im(cd, SamplePlan(seed=42, samples=60).fork("curv"), check=False)
+    curv = curvature_im(cd)
     yield "curvature", curv, canonical_representation(curv.algebroid, curv.ideal)
     # The same forms bent off their identities, so that every term of the
     # contractions reaches the residuals.
     m = load_model(str(MODELS / "product_so3.json"))
     form, k = m.im_form(), m.ideal().k
     x1, x2 = coord(0), coord(1)
-    frames = list(form.frame_values)
-    frames[k] = form_sum(frames[k], CoeffForm(form.value_bundle, 1, {(0,): [fold(mul(x1, x2))] * k}))
+    frames = list(form.op_map.exprs)
+    frames[k] = form_sum(frames[k], [[fold(mul(x1, x2)) if i == 0 else ZERO] * k for i in range(form.algebroid.chart.dim)])
     l = [list(row) for row in form.l]
     l[0][k] = fold(add(l[0][k], x2))
     bent = IMOneForm(form.algebroid, form.ideal, l, frames)
     yield "bent", bent, canonical_representation(bent.algebroid, bent.ideal)
-    symbols, frames = list(curv.symbols), list(curv.frame_values)
-    vb = curv.value_bundle
-    symbols[-1] = form_sum(symbols[-1], CoeffForm(vb, 1, {(1,): [fold(mul(x1, x1))]}))
-    frames[-1] = form_sum(frames[-1], CoeffForm(vb, 2, {(0, 1): [x2]}))
+    symbols, frames = list(curv.sym_map.exprs), list(curv.op_map.exprs)
+    # On dx2, and on dx1 ^ dx2, of the rank-one value bundle.
+    symbols[-1] = form_sum(symbols[-1], [[ZERO], [fold(mul(x1, x1))]])
+    frames[-1] = form_sum(frames[-1], [[x2]])
     bent = IMTwoForm(curv.algebroid, curv.ideal, symbols, frames)
     yield "bent_curvature", bent, canonical_representation(bent.algebroid, bent.ideal)
 
@@ -1163,7 +1158,7 @@ def test_sampled_structure_equations_match_their_loop_forms():
 def test_im_identities_of_a_two_form_on_a_line_match_their_loop_forms():
     # On a 1-dimensional chart a 2-form has no pair of indices: the
     # operator reads nothing, while the symbol, a 1-form, still reaches
-    # identities 1 and 3.  CoeffForm refuses a 2-form on a line, so the
+    # identities 1 and 3.  An exact pair refuses a 2-form on a line, so the
     # form binds its point maps directly, as a sampled form does; the
     # operator's has no index tuple, but its value axis.
     plan = SamplePlan(seed=42, samples=60)
@@ -1183,3 +1178,16 @@ def test_im_identities_of_a_two_form_on_a_line_match_their_loop_forms():
     _assert_matches_reference(out, want)
     assert want["im_identity_2"] == 0.0
     assert want["im_identity_1"] > 1e-3 and want["im_identity_3"] > 1e-3
+
+
+def test_an_exact_two_form_pair_on_a_line_is_refused():
+    # A 2-form has no pair of indices on a 1-dimensional chart: an exact
+    # pair of degree 2 is refused there, whether its grids are given or
+    # curvature_im builds them.
+    m = make_example(ExampleSpec("product", {"dim": 1}), SamplePlan(seed=42, samples=60))
+    A, ideal = m.algebroid, m.ideal
+    symbols = [[[ZERO] * ideal.k] for _ in range(A.rank)]
+    with pytest.raises(ValueError, match="form degree out of range for chart"):
+        IMTwoForm(A, ideal, symbols, [[] for _ in range(A.rank)])
+    with pytest.raises(ValueError, match="form degree out of range for chart"):
+        curvature_im(m.coupling)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import algebroids
-from algebroids import cli
+from algebroids import cli, imforms
 from algebroids.bundles import PointMap
 from algebroids.cli import SUBCOMMANDS, run
 from algebroids.factory import ExampleSpec
@@ -1026,7 +1026,7 @@ def test_the_chain_map_check_reads_the_pairs_symbol(monkeypatch):
         return check
 
     assert chain_map_check().passed
-    pair_of = cli.kernel_flat_two_form
+    pair_of = imforms.kernel_flat_two_form
 
     def bent_pair(cd):
         pair = pair_of(cd)
@@ -1040,8 +1040,29 @@ def test_the_chain_map_check_reads_the_pairs_symbol(monkeypatch):
         pair.sym_map = PointMap(value, sym.partials)
         return pair
 
-    monkeypatch.setattr(cli, "kernel_flat_two_form", bent_pair)
+    monkeypatch.setattr(imforms, "kernel_flat_two_form", bent_pair)
     assert not chain_map_check().passed
+
+
+def test_the_kernel_flat_pair_is_built_once_per_coupling(monkeypatch):
+    # The structure equations and the chain-map check of
+    # principal_type_flat both read the coupling's degree-2 pair: one
+    # build serves both, and the next coupling gets its own.
+    built = []
+
+    class Counted(imforms.IMTwoForm):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(imforms, "IMTwoForm", Counted)
+    spec = ExampleSpec("principal_type_flat", {})
+    assert cli.run_example_suite(spec, SamplePlan(seed=42, samples=4), 1e-8).passed
+    assert len(built) == 1
+    assert cli.run_example_suite(spec, SamplePlan(seed=7, samples=4), 1e-8).passed
+    assert len(built) == 2
+    assert run(["check-structure", "--kernel-flat", "--model", str(MODELS / "principal_flat.json"), "--samples", "4"]) == 0
+    assert len(built) == 3
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -33,7 +33,7 @@ from algebroids.rankone import (
 )
 from algebroids.modelio import load_model
 from algebroids.sampling import SamplePlan, sup
-from reference import random_polynomial
+from reference import frame_section, random_polynomial
 
 CH2 = Chart(2)
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -266,7 +266,7 @@ def _ref_rank_one_residuals(data, pts):
     theta_map = PointMap.exact(data.theta)
     U_map = PointMap.exact(data.U1)
     dU_maps = [_ref_d_map(data.U1[a], n) for a in range(rB)]
-    rho_cols = [B.rho_of(B.frame_section(a)) for a in range(rB)]
+    rho_cols = [B.rho_of(frame_section(B, a)) for a in range(rB)]
     lie_map = PointMap.exact([
         [_ref_lie_derivative_one_form(rho_cols[a], list(data.U1[b]), n) for b in range(rB)]
         for a in range(rB)
