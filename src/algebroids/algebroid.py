@@ -10,6 +10,8 @@ frame elements (an adapted frame); users change frames with
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -20,6 +22,7 @@ from .bundles import (
     LinearConnection,
     PointMap,
     _stack,
+    antisymmetric_table,
 )
 from .expr import (
     Expr,
@@ -60,11 +63,13 @@ class ConstructionRefused(Exception):
 
 class LieAlgebroid:
     """Lie algebroid on a trivialized bundle: anchor matrix rho[i][a]
-    (n x r Exprs) and structure functions c[a][b] -> r-vector with
-    [e_a, e_b] = sum_c c[a][b][c] e_c.
+    (n x r Exprs) and structure functions, given on the increasing pairs
+    as the r-vectors of [e_a, e_b] = sum_c c[a][b][c] e_c for a < b, in
+    ``itertools.combinations`` order.
 
-    Antisymmetry of the structure functions is enforced structurally;
-    Jacobi and the anchor-morphism property are checkable, not assumed.
+    ``structure`` is the full table (``bundles.antisymmetric_table``),
+    antisymmetric by construction; Jacobi and the anchor-morphism
+    property are checkable, not assumed.
     """
 
     __slots__ = ("bundle", "anchor", "structure", "anchor_map", "structure_map")
@@ -73,7 +78,7 @@ class LieAlgebroid:
         self,
         bundle: Bundle,
         anchor: Sequence[Sequence[Expr]],
-        structure: Sequence[Sequence[Sequence[Expr]]],
+        structure: Sequence[Sequence[Expr]],
     ):
         n, r = bundle.chart.dim, bundle.rank
         if len(anchor) != n or any(len(row) != r for row in anchor):
@@ -81,9 +86,8 @@ class LieAlgebroid:
         self.bundle = bundle
         self.anchor = tuple(tuple(fold(x) for x in row) for row in anchor)
         self.anchor_map = PointMap.exact(self.anchor)
-        # Reuse the fiberwise container for storage + antisymmetry check.
-        fb = FiberBracket(bundle, structure)
-        self.structure, self.structure_map = fb.c, fb.c_map
+        self.structure = antisymmetric_table(structure, r, r)
+        self.structure_map = PointMap.exact(self.structure)
 
     @property
     def chart(self):
@@ -105,12 +109,8 @@ class LieAlgebroid:
     def fiber_bracket(self, k: int) -> FiberBracket:
         """Fiberwise bracket restricted to the first k frame elements.
         Only meaningful where the anchor vanishes on that span."""
-        sub = Bundle(self.chart, k)
-        struct = [
-            [[self.structure[a][b][c] for c in range(k)] for b in range(k)]
-            for a in range(k)
-        ]
-        return FiberBracket(sub, struct)
+        pairs = itertools.combinations(range(k), 2)
+        return FiberBracket(Bundle(self.chart, k), [self.structure[a][b][:k] for a, b in pairs])
 
 
 def directional(X: Sequence[Expr], f: Expr) -> Expr:
@@ -589,20 +589,12 @@ def change_frame(
         for i in range(n)
     ]
     cols = [[P[b][a] for b in range(r)] for a in range(r)]
-    structure = [[None] * r for _ in range(r)]
-    for a in range(r):
-        for b in range(r):
-            if b < a:
-                structure[a][b] = [fold(neg(x)) for x in structure[b][a]]
-                continue
-            if a == b:
-                structure[a][b] = [ZERO] * r
-                continue
-            w = bracket(A, cols[a], cols[b])
-            structure[a][b] = [
-                fold(add(*(mul(P_inv[c][d], w[d]) for d in range(r))))
-                for c in range(r)
-            ]
+    structure = []
+    for a, b in itertools.combinations(range(r), 2):
+        w = bracket(A, cols[a], cols[b])
+        structure.append(
+            [fold(add(*(mul(P_inv[c][d], w[d]) for d in range(r)))) for c in range(r)]
+        )
     return LieAlgebroid(Bundle(A.chart, r), anchor, structure)
 
 
@@ -648,5 +640,4 @@ def tangent_algebroid(chart) -> LieAlgebroid:
     n = chart.dim
     bundle = Bundle(chart, n)
     anchor = [[ONE if i == a else ZERO for a in range(n)] for i in range(n)]
-    zero = [[([ZERO] * n) for _ in range(n)] for _ in range(n)]
-    return LieAlgebroid(bundle, anchor, zero)
+    return LieAlgebroid(bundle, anchor, [[ZERO] * n] * math.comb(n, 2))

@@ -9,6 +9,12 @@ c-th its value on the c-th strictly increasing q-tuple of chart
 directions in ``itertools.combinations`` order; the entries on other
 tuples follow by antisymmetry (``alternating_array``), so it is
 structural.
+
+An antisymmetric table of vectors (structure functions c_ab, a twist
+2-form Omega_ij, a rank-one 2-cochain lambda_ab) is given the same way,
+by its vectors on the C(r, 2) increasing pairs (a, b);
+``antisymmetric_table`` derives the rest, once: the negation below the
+diagonal and zero vectors on it.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ from .expr import (
     compile_tape,
     differentiate,
     evaluate,
-    expr_equal,
     fold,
     mul,
     neg,
@@ -41,6 +46,7 @@ __all__ = [
     "Bundle",
     "PointMap",
     "exact_memo",
+    "antisymmetric_table",
     "LinearConnection",
     "FiberBracket",
     "exterior_covariant_derivative",
@@ -99,6 +105,27 @@ def alternating_array(entries: np.ndarray, n: int, q: int) -> np.ndarray:
             value = entries[..., c, :]
             out[(..., *perm, slice(None))] = value if sort_with_sign(perm)[0] == 1 else -value
     return out
+
+
+def antisymmetric_table(pairs: Sequence[Sequence[Expr]], r: int, width: int) -> tuple:
+    """The r x r table of an antisymmetric tensor from its vectors of
+    ``width`` Exprs on the increasing pairs (a, b) of range(r), in
+    ``itertools.combinations`` order: each vector, folded, at [a][b],
+    its negation ``fold(neg(x))`` at [b][a], and zero vectors on the
+    diagonal.  A pair count other than C(r, 2), or a vector of another
+    length, is refused."""
+    if len(pairs) != math.comb(r, 2):
+        raise ValueError(
+            f"{len(pairs)} vectors given; an antisymmetric table on {r} indices "
+            f"takes one per increasing pair, {math.comb(r, 2)}"
+        )
+    table = [[(ZERO,) * width] * r for _ in range(r)]
+    for (a, b), vec in zip(itertools.combinations(range(r), 2), pairs):
+        if len(vec) != width:
+            raise ValueError(f"the vector of pair ({a}, {b}) has {len(vec)} entries, not {width}")
+        table[a][b] = tuple(fold(x) for x in vec)
+        table[b][a] = tuple(fold(neg(x)) for x in table[a][b])
+    return tuple(tuple(row) for row in table)
 
 
 class PointMap:
@@ -353,67 +380,29 @@ def connection_is_flat(
 
 
 class FiberBracket:
-    """Fiberwise Lie bracket on a trivialized bundle, given by structure
-    functions c[a][b] -> coefficient vector of [e_a, e_b].
-
-    Storage is canonically antisymmetric: the strict lower triangle is
-    the structural negation of the upper one and the diagonal is zero.
-    Supplied entries that disagree structurally are validated by
-    sampled evaluation before being replaced by the canonical form.
+    """Fiberwise Lie bracket on a trivialized bundle, given by the
+    structure functions on the increasing pairs: the coefficient vector
+    of [e_a, e_b] for a < b, in ``itertools.combinations`` order.
+    ``c[a][b]`` is the full table (``antisymmetric_table``), so the
+    bracket is antisymmetric by construction.
     """
 
     __slots__ = ("bundle", "c", "c_map")
 
-    def __init__(self, bundle: Bundle, structure: Sequence[Sequence[Sequence[Expr]]]):
-        r = bundle.rank
-        if len(structure) != r or any(len(row) != r for row in structure):
-            raise ValueError("structure tensor must be rank x rank")
-        raw = [[None] * r for _ in range(r)]
-        for a in range(r):
-            for b in range(r):
-                vec = tuple(fold(x) for x in structure[a][b])
-                if len(vec) != r:
-                    raise ValueError("structure vectors must have length rank")
-                raw[a][b] = vec
-        c = [[None] * r for _ in range(r)]
-        for a in range(r):
-            c[a][a] = (ZERO,) * r
-            for k in range(r):
-                if raw[a][a][k] != ZERO and not expr_equal(
-                    raw[a][a][k], ZERO, bundle.chart
-                ):
-                    raise ValueError(
-                        f"diagonal structure entry [{a}][{a}][{k}] must vanish"
-                    )
-        for a in range(r):
-            for b in range(a + 1, r):
-                c[a][b] = raw[a][b]
-                derived = tuple(fold(neg(x)) for x in raw[a][b])
-                for k in range(r):
-                    if raw[b][a][k] != derived[k] and not expr_equal(
-                        raw[b][a][k], derived[k], bundle.chart
-                    ):
-                        raise ValueError(
-                            "structure functions must be antisymmetric in the "
-                            f"first two slots (violated at a={a}, b={b}, c={k})"
-                        )
-                c[b][a] = derived
+    def __init__(self, bundle: Bundle, structure: Sequence[Sequence[Expr]]):
         self.bundle = bundle
-        self.c = tuple(tuple(row) for row in c)
+        self.c = antisymmetric_table(structure, bundle.rank, bundle.rank)
         self.c_map = PointMap.exact(self.c)
 
     @classmethod
     def abelian(cls, bundle: Bundle) -> "FiberBracket":
         r = bundle.rank
-        zero = [ZERO] * r
-        return cls(bundle, [[list(zero) for _ in range(r)] for _ in range(r)])
+        return cls(bundle, [[ZERO] * r] * math.comb(r, 2))
 
     @classmethod
     def from_constants(cls, bundle: Bundle, c: np.ndarray) -> "FiberBracket":
-        """Structure constants c[a, b, k] as a numeric array."""
+        """Structure constants c[a, b, k] as a numeric array, read for
+        a < b."""
         r = bundle.rank
-        struct = [
-            [[const(float(c[a, b, k])) for k in range(r)] for b in range(r)]
-            for a in range(r)
-        ]
-        return cls(bundle, struct)
+        pairs = itertools.combinations(range(r), 2)
+        return cls(bundle, [[const(float(c[a, b, k])) for k in range(r)] for a, b in pairs])

@@ -333,18 +333,16 @@ def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float) -> Report
     rep.merge(ax, prefix="axioms_")
     arep = canonical_representation(model.algebroid, model.ideal)
 
-    if spec.name == "action":
-        form = cartan_build_connection(
-            model.algebroid, model.ideal, model.splitting, model.connection,
-            plan.fork("cartan"), tol=tol,
-        )
-        rep.merge(check_im_form(form, arep, plan.fork("im"), tol=tol), prefix="im_")
-        cd = extract_coupling(model.algebroid, model.ideal, form, plan.fork("ext"))
-        rep.merge(check_structure_equations(cd, plan=plan.fork("se"), tol=tol), prefix="coupling_")
-        return rep
-
-    if spec.name == "transitive":
-        form = transitive_im_connection(model.algebroid, model.tau, plan.fork("tau"))
+    if spec.name in ("action", "transitive"):
+        # The connection form: built from the splitting and the
+        # connection (action), or induced by the anchor splitting tau.
+        if spec.name == "action":
+            form = cartan_build_connection(
+                model.algebroid, model.ideal, model.splitting, model.connection,
+                plan.fork("cartan"), tol=tol,
+            )
+        else:
+            form = transitive_im_connection(model.algebroid, model.tau, plan.fork("tau"))
         rep.merge(check_im_form(form, arep, plan.fork("im"), tol=tol), prefix="im_")
         cd = extract_coupling(model.algebroid, model.ideal, form, plan.fork("ext"))
         rep.merge(check_structure_equations(cd, plan=plan.fork("se"), tol=tol), prefix="coupling_")

@@ -52,7 +52,6 @@ __all__ = [
     "to_str",
     "parse",
     "substitute",
-    "expr_equal",
     "ZERO",
     "ONE",
 ]
@@ -1024,38 +1023,6 @@ def parse(text: str, chart: Chart) -> Expr:
     if kind != "end":
         raise ParseError("trailing input", off)
     return fold(node)
-
-
-def expr_equal(
-    a: Expr,
-    b: Expr,
-    chart: Chart,
-    tol: float = 1e-10,
-) -> bool:
-    """Probabilistic expression equality: evaluate both sides on 32
-    random chart points, drawn with seed 7, and compare within ``tol``.
-    Points at which either side fails to evaluate (poles) are resampled;
-    a NaN or inf value on either side means the expressions are not
-    equal."""
-    rng = np.random.default_rng(7)
-    tape = compile_tape((a, b))
-    checked = 0
-    attempts = 0
-    while checked < 32:
-        attempts += 1
-        if attempts > 50 * 32:
-            raise EvalError("could not find enough pole-free sample points", a)
-        p = _sample_point(chart, rng)
-        try:
-            va, vb = evaluate(tape, p)
-        except EvalError:
-            continue
-        if not (math.isfinite(va) and math.isfinite(vb)):
-            return False
-        if abs(va - vb) > tol * (1.0 + max(abs(va), abs(vb))):
-            return False
-        checked += 1
-    return True
 
 
 def _sample_point(chart: Chart, rng: np.random.Generator) -> np.ndarray:

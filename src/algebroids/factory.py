@@ -14,6 +14,8 @@ model is.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -37,6 +39,7 @@ from .bundles import (
     _curvature,
     _d_nabla,
     _stack,
+    antisymmetric_table,
     connection_is_flat,
 )
 from .expr import (
@@ -178,18 +181,9 @@ def _parse_array(v, chart: Chart, shape: tuple[int, ...], what: str) -> list:
     return [entry(x) for x in v] if len(shape) == 1 else [[entry(x) for x in row] for row in v]
 
 
-def _parse_two_form(rows, chart: Chart, k: int) -> list:
-    """A fiber-valued 2-form given as one vector of k entries per
-    increasing pair (i, j) in lexicographic order, returned as
-    Omega[i][j] on all pairs i != j (None on the diagonal)."""
-    n = chart.dim
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    given = _parse_array(rows, chart, (len(pairs), k), "omega, one fiber vector per increasing pair,")
-    Om = [[None] * n for _ in range(n)]
-    for (i, j), vec in zip(pairs, given):
-        Om[i][j] = vec
-        Om[j][i] = [fold(neg(x)) for x in vec]
-    return Om
+# What ``_parse_array`` names in a refused omega, a twist 2-form given on
+# the increasing pairs (i, j) in ``itertools.combinations`` order.
+_OMEGA = "omega, one fiber vector per increasing pair,"
 
 
 def make_example(spec: ExampleSpec, plan: SamplePlan | None = None) -> ExampleModel:
@@ -253,26 +247,19 @@ def _build_lie_algebra_bundle(params: dict, plan: SamplePlan) -> ExampleModel:
     # Base: an abelian bundle of Lie algebras with zero anchor.
     Bb = Bundle(chart, base_rank)
     zero_anchor = [[ZERO] * base_rank for _ in range(dim)]
-    zero_struct = [[[ZERO] * base_rank for _ in range(base_rank)] for _ in range(base_rank)]
-    B = LieAlgebroid(Bb, zero_anchor, zero_struct)
+    B = LieAlgebroid(Bb, zero_anchor, [[ZERO] * base_rank] * math.comb(base_rank, 2))
     U = [[[ZERO] * fiber.bundle.rank for _ in range(dim)] for _ in range(base_rank)]
     return _coupled_model("lie_algebra_bundle", B, fiber, LinearConnection.trivial(fiber.bundle), U, plan)
 
 
-def _two_form_map(Omega, k: int) -> PointMap:
-    """The exact map of a fiber-valued 2-form given as Omega[i][j] on
-    all pairs i != j, with values at [i, j, e]."""
-    n = len(Omega)
-    return PointMap.exact([[Omega[i][j] if i != j else [ZERO] * k for j in range(n)] for i in range(n)])
-
-
 def _require_curvature_is_ad(fiber, nabla, Omega, plan, tol: float = 1e-8):
-    """Refuse a twist 2-form unless the curvature of the connection is
+    """Refuse a twist 2-form, given as its table Omega[i][j]
+    (``antisymmetric_table``), unless the curvature of the connection is
     its adjoint and it is covariantly closed (with three or more
     directions), at sampled points."""
     chart = fiber.bundle.chart
-    n, k = chart.dim, fiber.bundle.rank
-    Om_map = _two_form_map(Omega, k)
+    n = chart.dim
+    Om_map = PointMap.exact(Omega)
     i, j = np.triu_indices(n, 1)
     with np.errstate(invalid="ignore", over="ignore"):
         G, dG, Om, C = _stack(plan.points(chart, 25), nabla.gamma_map.value, nabla.gamma_map.partials, Om_map.value, fiber.c_map.value)
@@ -310,33 +297,24 @@ def _ad_connection(fiber: FiberBracket, theta: Sequence[Sequence[Expr]]) -> Line
 
 def _curvature_of_theta(fiber: FiberBracket, theta) -> list:
     """Omega = d theta + 1/2 [theta, theta] for a fiber-valued 1-form,
-    returned as Omega[i][j] vectors on all pairs."""
+    as its vectors Omega[i][j] on the increasing pairs (i, j)."""
     n, k = fiber.bundle.chart.dim, fiber.bundle.rank
-    Om = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            vec = []
-            for e in range(k):
-                t = add(
-                    differentiate(theta[j][e], i),
-                    neg(differentiate(theta[i][e], j)),
-                    *(
-                        mul(theta[i][a], theta[j][b], fiber.c[a][b][e])
-                        for a in range(k)
-                        for b in range(k)
-                    ),
-                )
-                vec.append(fold(t))
-            Om[i][j] = vec
+    Om = []
+    for i, j in itertools.combinations(range(n), 2):
+        vec = []
+        for e in range(k):
+            t = add(
+                differentiate(theta[j][e], i),
+                neg(differentiate(theta[i][e], j)),
+                *(
+                    mul(theta[i][a], theta[j][b], fiber.c[a][b][e])
+                    for a in range(k)
+                    for b in range(k)
+                ),
+            )
+            vec.append(fold(t))
+        Om.append(vec)
     return Om
-
-
-def _tangent_twist(Omega, k: int) -> list:
-    """The mixed tensor U[a][i] = Omega(d_a, d_i) over the tangent
-    base."""
-    return [[Omega[a][i] or [ZERO] * k for i in range(len(Omega))] for a in range(len(Omega))]
 
 
 def _twisted_tangent_model(
@@ -344,9 +322,11 @@ def _twisted_tangent_model(
 ) -> ExampleModel:
     """The semidirect of the tangent coupling with connection
     d + ad(theta) and mixed tensor the twist Omega (the curvature of
-    theta unless omega is given): a transitive algebroid.  The default
-    theta is x_{theta0 + 1} E_1 dx1, or zero if theta0 is None; the
-    twist preconditions draw from the fork ``tag``."""
+    theta unless omega is given): a transitive algebroid.  Over the
+    tangent base the mixed tensor U[a][i] = Omega(d_a, d_i) is the
+    twist's table.  The default theta is x_{theta0 + 1} E_1 dx1, or
+    zero if theta0 is None; the twist preconditions draw from the fork
+    ``tag``."""
     dim = _positive_int(params.pop("dim", 2), "dim")
     chart = Chart(dim)
     fiber = _fiber_from_name(chart, params.pop("fiber", fiber_name), rank=fiber_rank)
@@ -370,9 +350,10 @@ def _twisted_tangent_model(
     if omega is None:
         Om = _curvature_of_theta(fiber, theta)
     else:
-        Om = _parse_two_form(omega, chart, k)
+        Om = _parse_array(omega, chart, (math.comb(dim, 2), k), _OMEGA)
+    Om = antisymmetric_table(Om, dim, k)
     _require_curvature_is_ad(fiber, nabla, Om, plan.fork(tag))
-    return _coupled_model(name, tangent_algebroid(chart), fiber, nabla, _tangent_twist(Om, k), plan)
+    return _coupled_model(name, tangent_algebroid(chart), fiber, nabla, Om, plan)
 
 
 def _build_transitive(params: dict, plan: SamplePlan) -> ExampleModel:
@@ -403,11 +384,8 @@ def so3_radial_action(plan: SamplePlan | None = None) -> ExampleModel:
         [x[2], ZERO, neg(x[0])],
         [neg(x[1]), x[0], ZERO],
     ]
-    struct = [
-        [[const(float(eps[a, b, c])) for c in range(3)] for b in range(3)]
-        for a in range(3)
-    ]
-    A0 = LieAlgebroid(bund, anchor, struct)
+    pairs = itertools.combinations(range(3), 2)
+    A0 = LieAlgebroid(bund, anchor, [[const(float(eps[a, b, c])) for c in range(3)] for a, b in pairs])
 
     # Adapted frame: radial section first, then E_2, E_3 (valid since
     # the chart keeps x1 away from zero).
@@ -468,8 +446,8 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
     if omega is None:
         # dx1 ^ dx2 times the last fiber direction, central for the
         # stock fibers.
-        omega = [[ONE if (t, e) == (0, k - 1) else ZERO for e in range(k)] for t in range(dim * (dim - 1) // 2)]
-    Om = _parse_two_form(omega, chart, k)
+        omega = [[ONE if (t, e) == (0, k - 1) else ZERO for e in range(k)] for t in range(math.comb(dim, 2))]
+    Om = antisymmetric_table(_parse_array(omega, chart, (math.comb(dim, 2), k), _OMEGA), dim, k)
     if dim < 2:
         raise ValueError("form degree out of range for chart")
     # Preconditions: flat connection, center-valued and covariantly
@@ -477,7 +455,7 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
     rep = Report(command="principal-type-flat", seed=plan.seed, samples=plan.samples)
     flat, res = connection_is_flat(nablaL, plan.fork("flat"))
     rep.add("fiber_connection_flat", res, 1e-10)
-    Om_map = _two_form_map(Om, k)
+    Om_map = PointMap.exact(Om)
     i, j = np.triu_indices(dim, 1)
     with np.errstate(invalid="ignore", over="ignore"):
         pts = plan.points(chart, 25)
@@ -494,7 +472,7 @@ def _build_principal_type_flat(params: dict, plan: SamplePlan) -> ExampleModel:
             rep.add("twist_covariantly_closed", _d_nabla(G, Om_pts, dOm), 1e-9)
     if not rep.passed:
         raise ConstructionRefused("kernel-flat construction preconditions failed", rep)
-    return _coupled_model("principal_type_flat", tangent_algebroid(chart), fiber, nablaL, _tangent_twist(Om, k), plan)
+    return _coupled_model("principal_type_flat", tangent_algebroid(chart), fiber, nablaL, Om, plan)
 
 
 def _build_rank_one(params: dict, plan: SamplePlan) -> ExampleModel:

@@ -377,13 +377,8 @@ class ActionGroupoid:
                 ]
                 row.append(fold(neg(add(*terms))) if terms else ZERO)
             anchor.append(row)
-        struct = [
-            [
-                [const(float(self.group.structure[a, b, c])) for c in range(d)]
-                for b in range(d)
-            ]
-            for a in range(d)
-        ]
+        pairs = itertools.combinations(range(d), 2)
+        struct = [[const(float(x)) for x in self.group.structure[a, b]] for a, b in pairs]
         A0 = LieAlgebroid(Bundle(self.chart, d), anchor, struct)
         P = [[ZERO] * d for _ in range(d)]
         for j, sec in enumerate(self.ideal_frame):

@@ -31,6 +31,7 @@ residual, which fails.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Callable, Sequence
 
@@ -543,17 +544,8 @@ def quotient_algebroid(
 
     rB = r - k
     anchor = [[A.anchor[i][k + a] for a in range(rB)] for i in range(n)]
-    structure = [[None] * rB for _ in range(rB)]
-    for a in range(rB):
-        for b in range(rB):
-            if b < a:
-                structure[a][b] = [fold(neg(x)) for x in structure[b][a]]
-                continue
-            if a == b:
-                structure[a][b] = [ZERO] * rB
-                continue
-            w = bracket(A, comp_secs[a], comp_secs[b])
-            structure[a][b] = [w[k + c] for c in range(rB)]
+    pairs = itertools.combinations(range(rB), 2)
+    structure = [bracket(A, comp_secs[a], comp_secs[b])[k:] for a, b in pairs]
     return LieAlgebroid(Bundle(A.chart, rB), anchor, structure)
 
 
@@ -564,41 +556,35 @@ def build_semidirect(cd) -> LieAlgebroid:
         raise TypeError("build_semidirect needs symbolic coupling data")
     B, fiber = cd.base, cd.fiber
     k, rB, n = cd.k, B.rank, B.chart.dim
-    r = k + rB
     anchor = [[ZERO] * k + [B.anchor[i][a] for a in range(rB)] for i in range(n)]
-    structure = [[[ZERO] * r for _ in range(r)] for _ in range(r)]
     Gam = cd.nablaL.christoffel
-    for c in range(k):
-        for d in range(k):
-            for e in range(k):
-                structure[c][d][e] = fiber.c[c][d][e]
-    for a in range(rB):
-        for c in range(k):
+    structure = []
+    for c, d in itertools.combinations(range(k + rB), 2):
+        if d < k:
+            structure.append(list(fiber.c[c][d]) + [ZERO] * rB)
+        elif c < k:
+            # [e_c, e~_a] = -[e~_a, e_c]: minus the fiber connection
+            # along the anchor of e~_a.
+            a = d - k
             vec = [
-                fold(add(*(mul(B.anchor[i][a], Gam[i][e][c]) for i in range(n))))
+                neg(add(*(mul(B.anchor[i][a], Gam[i][e][c]) for i in range(n))))
                 for e in range(k)
             ]
-            for e in range(k):
-                structure[k + a][c][e] = vec[e]
-                structure[c][k + a][e] = fold(neg(vec[e]))
-    # Base-base brackets: quotient structure plus the fiber component
-    # coming from the mixed tensor contracted with the anchor.  Only
-    # the upper triangle is taken from the formula; the lower one is
-    # its structural negation (equal to the formula's value exactly
-    # when the mixed tensor is anchor-skew).
-    for a in range(rB):
-        for b in range(a + 1, rB):
-            for cc in range(rB):
-                structure[k + a][k + b][k + cc] = B.structure[a][b][cc]
-                structure[k + b][k + a][k + cc] = fold(neg(B.structure[a][b][cc]))
+            structure.append(vec + [ZERO] * rB)
+        else:
+            # Base-base brackets: quotient structure plus the fiber
+            # component coming from the mixed tensor contracted with the
+            # anchor.  The formula gives the increasing pairs; the
+            # antisymmetric table's negation below the diagonal equals
+            # its value there exactly when the mixed tensor is
+            # anchor-skew.
+            a, b = c - k, d - k
             vec = [
-                fold(add(*(mul(B.anchor[i][b], cd.U[a][i][e]) for i in range(n))))
+                add(*(mul(B.anchor[i][b], cd.U[a][i][e]) for i in range(n)))
                 for e in range(k)
             ]
-            for e in range(k):
-                structure[k + a][k + b][e] = vec[e]
-                structure[k + b][k + a][e] = fold(neg(vec[e]))
-    return LieAlgebroid(Bundle(B.chart, r), anchor, structure)
+            structure.append(vec + list(B.structure[a][b]))
+    return LieAlgebroid(Bundle(B.chart, k + rB), anchor, structure)
 
 
 def coupling_to_im(cd: CouplingData, plan: SamplePlan | None = None) -> IMOneForm:
@@ -640,6 +626,8 @@ def check_structure_equations(
     """
     if variant not in ("S1S3", "S1'S3'"):
         raise ValueError("variant must be 'S1S3' or \"S1'S3'\"")
+    if variant == "S1'S3'" and not cd.exact:
+        raise TypeError("the kernel-flat variant needs symbolic coupling data")
     plan = plan or SamplePlan()
     report = Report(command="check-structure", seed=plan.seed, samples=plan.samples)
     pts = plan.points(cd.fiber.bundle.chart, max(10, min(plan.samples, 40)))
@@ -651,8 +639,6 @@ def check_structure_equations(
     if variant == "S1'S3'":
         report.add("kernel_flat_curvature", defects["curvature"], tol)
         report.add("U_center_valued", _center_residual_of_u(cd, pts), 1e-7)
-        if not cd.exact:
-            raise TypeError("the kernel-flat variant needs symbolic coupling data")
         pair = cd.kernel_flat_pair()
         rep2 = check_im_form(pair, cd.base_rep_on_fiber(), plan.fork("kfpair"), tol=tol)
         report.merge(rep2, prefix="U_pair_")

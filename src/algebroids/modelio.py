@@ -10,6 +10,7 @@ row-major nested arrays.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Any
@@ -19,7 +20,7 @@ from jsonschema import Draft202012Validator
 
 from .algebroid import IdealBundle, LieAlgebroid
 from .bundles import Bundle, FiberBracket, LinearConnection
-from .expr import Chart, Expr, ZERO, ParseError, fold, neg, parse, to_str
+from .expr import Chart, Expr, ZERO, ParseError, parse, to_str
 from .groupoid import ActionGroupoid, MatrixGroup
 from .imforms import CouplingData, IMOneForm
 
@@ -224,15 +225,11 @@ class ModelFile:
         if section not in self.raw:
             raise ModelError(f"model is missing the '{section}' section")
 
-    def _parse(self, text: str, where: str) -> Expr:
+    def _parse(self, text: str, where: str, chart: Chart | None = None) -> Expr:
+        """``text`` parsed on ``chart`` (None: the model's chart); a
+        parse error is a ModelError at ``where``."""
         try:
-            return parse(text, self.chart)
-        except ParseError as e:
-            raise ModelError(f"at {where}: {e}") from e
-
-    def _parse_groupoid_expr(self, text: str, combined: Chart, where: str) -> Expr:
-        try:
-            return parse(text, combined)
+            return parse(text, chart or self.chart)
         except ParseError as e:
             raise ModelError(f"at {where}: {e}") from e
 
@@ -252,9 +249,7 @@ class ModelFile:
                     f"{where}/anchor/{i} ({len(row)} columns)"
                 )
             anchor.append([self._parse(x, f"{where}/anchor/{i}") for x in row])
-        structure = _structure_tensor(
-            sec.get("structure", {}), rank, rank, self, where + "/structure"
-        )
+        structure = _structure_pairs(sec.get("structure", {}), rank, self, where + "/structure")
         return LieAlgebroid(Bundle(self.chart, rank), anchor, structure)
 
     @_section("algebroid")
@@ -311,10 +306,7 @@ class ModelFile:
         kk = sec["fiber"]["rank"]
         fb = Bundle(self.chart, kk)
         fiber = FiberBracket(
-            fb,
-            _structure_tensor(
-                sec["fiber"].get("structure", {}), kk, kk, self, "/coupling/fiber/structure"
-            ),
+            fb, _structure_pairs(sec["fiber"].get("structure", {}), kk, self, "/coupling/fiber/structure")
         )
         n = self.chart.dim
         nab = sec["nablaL"]
@@ -375,7 +367,7 @@ class ModelFile:
             raise ModelError(f"/groupoid: {e}") from e
         combined = Chart(N * N + self.chart.dim)
         action = [
-            self._parse_groupoid_expr(x, combined, f"/groupoid/action/{i}")
+            self._parse(x, f"/groupoid/action/{i}", combined)
             for i, x in enumerate(sec["action"])
         ]
         if len(action) != self.chart.dim:
@@ -427,10 +419,13 @@ class ModelFile:
         return out
 
 
-def _structure_tensor(mapping: dict, r: int, vec_len: int, model, where: str):
-    """Expand "a,b" keyed structure entries (1-indexed, a < b) into the
-    full antisymmetric tensor."""
-    structure = [[[ZERO] * vec_len for _ in range(r)] for _ in range(r)]
+def _structure_pairs(mapping: dict, r: int, model, where: str) -> list:
+    """The "a,b" keyed structure entries (1-indexed, a < b) as one vector
+    per increasing pair, in ``itertools.combinations`` order, zero where
+    no key is given: the structure input of ``LieAlgebroid`` and
+    ``FiberBracket``."""
+    index = {pair: t for t, pair in enumerate(itertools.combinations(range(r), 2))}
+    structure = [[ZERO] * r for _ in index]
     for key, vec in mapping.items():
         a_s, b_s = key.split(",")
         a, b = int(a_s) - 1, int(b_s) - 1
@@ -438,14 +433,9 @@ def _structure_tensor(mapping: dict, r: int, vec_len: int, model, where: str):
             raise ModelError(f"at {where}/{key}: frame index out of range for rank {r}")
         if a >= b:
             raise ModelError(f"at {where}/{key}: keys must have a < b")
-        if len(vec) != vec_len:
-            raise ModelError(
-                f"at {where}/{key}: expected {vec_len} expressions, got {len(vec)}"
-            )
-        exprs = [model._parse(x, f"{where}/{key}") for x in vec]
-        for c in range(vec_len):
-            structure[a][b][c] = exprs[c]
-            structure[b][a][c] = fold(neg(exprs[c]))
+        if len(vec) != r:
+            raise ModelError(f"at {where}/{key}: expected {r} expressions, got {len(vec)}")
+        structure[index[a, b]] = [model._parse(x, f"{where}/{key}") for x in vec]
     return structure
 
 
@@ -486,33 +476,31 @@ def load_model(path: str) -> ModelFile:
     return model
 
 
+def _structure_to_json(table) -> dict:
+    """The "a,b" keyed entries of a structure table on its increasing
+    pairs (1-indexed), the zero vectors left out."""
+    pairs = itertools.combinations(range(len(table)), 2)
+    return {
+        f"{a + 1},{b + 1}": [to_str(x) for x in table[a][b]]
+        for a, b in pairs
+        if any(x != ZERO for x in table[a][b])
+    }
+
+
 def algebroid_to_json(A: LieAlgebroid) -> dict:
     n, r = A.chart.dim, A.rank
-    structure = {}
-    for a in range(r):
-        for b in range(a + 1, r):
-            vec = [A.structure[a][b][c] for c in range(r)]
-            if any(x != ZERO for x in vec):
-                structure[f"{a + 1},{b + 1}"] = [to_str(x) for x in vec]
     return {
         "rank": r,
         "anchor": [[to_str(A.anchor[i][a]) for a in range(r)] for i in range(n)],
-        "structure": structure,
+        "structure": _structure_to_json(A.structure),
     }
 
 
 def coupling_to_json(cd: CouplingData) -> dict:
     n, kk = cd.base.chart.dim, cd.k
-    fiber_structure = {}
-    for a in range(kk):
-        for b in range(a + 1, kk):
-            vec = [cd.fiber.c[a][b][c] for c in range(kk)]
-            if any(x != ZERO for x in vec):
-                fiber_structure[f"{a + 1},{b + 1}"] = [to_str(x) for x in vec]
-    base = algebroid_to_json(cd.base)
     return {
-        "base": base,
-        "fiber": {"rank": kk, "structure": fiber_structure},
+        "base": algebroid_to_json(cd.base),
+        "fiber": {"rank": kk, "structure": _structure_to_json(cd.fiber.c)},
         "nablaL": [
             [[to_str(x) for x in row] for row in cd.nablaL.christoffel[i]]
             for i in range(n)

@@ -15,14 +15,24 @@ form theta and mixed tensor U1.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .algebroid import LieAlgebroid
-from .bundles import Bundle, FiberBracket, LinearConnection, PointMap, _d_nabla, _stack
-from .expr import Expr, ZERO, add, differentiate, div, fold, mul, neg
+from .bundles import (
+    Bundle,
+    FiberBracket,
+    LinearConnection,
+    PointMap,
+    _d_nabla,
+    _stack,
+    antisymmetric_table,
+)
+from .expr import Expr, ZERO, add, differentiate, div, fold, mul
 from .imforms import CouplingData, _structure_defects
 from .sampling import Report, SamplePlan, sup
 
@@ -50,7 +60,10 @@ class RankOneData:
 
     theta: scalar connection 1-form (n Exprs);
     V: degree-1 base cochain (one Expr per base frame element);
-    lam: antisymmetric degree-2 base cochain (r_B x r_B Exprs);
+    lam: antisymmetric degree-2 base cochain, given by its C(r_B, 2)
+         values lambda_ab on the increasing pairs a < b of base frame
+         elements, in ``itertools.combinations`` order, and stored as
+         the full r_B x r_B table (``bundles.antisymmetric_table``);
     U1: the mixed tensor as a map base frame -> scalar 1-form.
     """
 
@@ -64,17 +77,10 @@ class RankOneData:
         n, rB = self.base.chart.dim, self.base.rank
         self.theta = tuple(fold(x) for x in self.theta)
         self.V = tuple(fold(x) for x in self.V)
-        lam = [[fold(x) for x in row] for row in self.lam]
         if len(self.theta) != n or len(self.V) != rB:
             raise ValueError("theta must have n entries and V one per base frame")
-        if len(lam) != rB or any(len(row) != rB for row in lam):
-            raise ValueError("lambda must be r_B x r_B")
-        for a in range(rB):
-            if lam[a][a] != ZERO:
-                raise ValueError("lambda must have zero diagonal")
-            for b in range(a + 1, rB):
-                lam[b][a] = fold(neg(lam[a][b]))
-        self.lam = tuple(tuple(row) for row in lam)
+        table = antisymmetric_table([[x] for x in self.lam], rB, 1)
+        self.lam = tuple(tuple(vec[0] for vec in row) for row in table)
         U1 = [[fold(x) for x in row] for row in self.U1]
         if len(U1) != rB or any(len(row) != n for row in U1):
             raise ValueError("U1 must be r_B x n")
@@ -96,19 +102,13 @@ def extract_rank_one(cd: CouplingData) -> RankOneData:
         for a in range(rB)
     ]
     U1 = [[cd.U[a][i][0] for i in range(n)] for a in range(rB)]
-    lam = [[ZERO] * rB for _ in range(rB)]
-    for a in range(rB):
-        for b in range(rB):
-            lam[a][b] = fold(
-                add(*(mul(U1[a][i], B.anchor[i][b]) for i in range(n)))
-            )
-    # Canonicalize the antisymmetric storage (the two triangles agree by
-    # the anchor-skew property of the mixed tensor).
-    for a in range(rB):
-        lam[a][a] = ZERO
-        for b in range(a + 1, rB):
-            lam[b][a] = fold(neg(lam[a][b]))
-    return RankOneData(B, tuple(theta), tuple(V), tuple(tuple(r) for r in lam), U1)
+    # On the increasing pairs: the rest follows by antisymmetry, which
+    # the anchor-skew property of the mixed tensor gives.
+    lam = [
+        fold(add(*(mul(U1[a][i], B.anchor[i][b]) for i in range(n))))
+        for a, b in itertools.combinations(range(rB), 2)
+    ]
+    return RankOneData(B, tuple(theta), tuple(V), tuple(lam), U1)
 
 
 def _coupling(B: LieAlgebroid, theta: Sequence[Expr], U1) -> CouplingData:
@@ -183,10 +183,10 @@ def gauge_transform(data: RankOneData, h: Expr) -> RankOneData:
         fold(add(v, *(mul(dlog[i], B.anchor[i][a]) for i in range(n))))
         for a, v in enumerate(data.V)
     ]
-    lam = [[fold(div(x, h)) for x in row] for row in data.lam]
+    pairs = itertools.combinations(range(B.rank), 2)
+    lam = [fold(div(data.lam[a][b], h)) for a, b in pairs]
     U1 = [[fold(div(x, h)) for x in row] for row in data.U1]
-    return RankOneData(B, tuple(theta), tuple(V),
-                       tuple(tuple(r) for r in lam), tuple(tuple(r) for r in U1))
+    return RankOneData(B, tuple(theta), tuple(V), tuple(lam), tuple(tuple(r) for r in U1))
 
 
 def verify_witness(
@@ -281,13 +281,9 @@ def verify_witness(
         Om = witnesses.get("Omega")
         if Om is None:
             raise ValueError("principal_type needs an 'Omega' 2-form witness")
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        if len(Om) != len(pairs):
+        if len(Om) != math.comb(n, 2):
             raise ValueError("Omega must list one entry per increasing pair")
-        OmM = [[[ZERO] for _ in range(n)] for _ in range(n)]
-        for (i, j), x in zip(pairs, map(fold, Om)):
-            OmM[i][j], OmM[j][i] = [x], [fold(neg(x))]
-        Om_map = PointMap.exact(OmM)
+        Om_map = PointMap.exact(antisymmetric_table([[x] for x in Om], n, 1))
         Omega, dOmega = _stack(pts, Om_map.value, Om_map.partials)
         # Covariant closedness: d Omega + theta ^ Omega = 0, the covariant
         # exterior derivative of the connection Gamma_i = [[theta_i]].

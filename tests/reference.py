@@ -3,16 +3,18 @@
 The library reads every object through point maps and turns each
 identity into a contraction over stacked reads.  The functions here
 build the same quantities as Exprs instead, one section or form at a
-time: random polynomial sections, the representation and the cochain
-contraction on sections, with a signed lookup of a form's value on any
-index tuple, the covariant differential ``d_im`` on form pairs with its
-invariance precondition, and the sampled residuals that no subcommand
-reports.  No subcommand, demo or tool runs them.
+time: a probabilistic equality of two Exprs, random polynomial
+sections, the representation and the cochain contraction on sections,
+with a signed lookup of a form's value on any index tuple, the
+covariant differential ``d_im`` on form pairs with its invariance
+precondition, and the sampled residuals that no subcommand reports.
+No subcommand, demo or tool runs them.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,10 +35,60 @@ from algebroids.bundles import (
     exterior_covariant_derivative,
     sort_with_sign,
 )
-from algebroids.expr import ONE, ZERO, Chart, Expr, add, const, coord, fold, mul, neg
+from algebroids.expr import (
+    ONE,
+    ZERO,
+    Chart,
+    EvalError,
+    Expr,
+    _sample_point,
+    add,
+    compile_tape,
+    const,
+    coord,
+    evaluate,
+    fold,
+    mul,
+    neg,
+)
 from algebroids.groupoid import ActionGroupoid, MultForm
 from algebroids.imforms import IMOneForm, IMTwoForm
 from algebroids.sampling import Report, SamplePlan, polynomial_draws, sup
+
+# -- expressions -----------------------------------------------------------
+
+
+def expr_equal(
+    a: Expr,
+    b: Expr,
+    chart: Chart,
+    tol: float = 1e-10,
+) -> bool:
+    """Probabilistic expression equality: evaluate both sides on 32
+    random chart points, drawn with seed 7, and compare within ``tol``.
+    Points at which either side fails to evaluate (poles) are resampled;
+    a NaN or inf value on either side means the expressions are not
+    equal."""
+    rng = np.random.default_rng(7)
+    tape = compile_tape((a, b))
+    checked = 0
+    attempts = 0
+    while checked < 32:
+        attempts += 1
+        if attempts > 50 * 32:
+            raise EvalError("could not find enough pole-free sample points", a)
+        p = _sample_point(chart, rng)
+        try:
+            va, vb = evaluate(tape, p)
+        except EvalError:
+            continue
+        if not (math.isfinite(va) and math.isfinite(vb)):
+            return False
+        if abs(va - vb) > tol * (1.0 + max(abs(va), abs(vb))):
+            return False
+        checked += 1
+    return True
+
 
 # -- random sections -------------------------------------------------------
 

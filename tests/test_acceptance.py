@@ -2,7 +2,6 @@
 tolerances, with the stock defaults (200 samples, seed 42).  Each test
 prints a single pass/fail line."""
 
-import json
 from pathlib import Path
 
 import numpy as np
@@ -37,14 +36,12 @@ from algebroids.factory import (
     transitive_im_connection,
 )
 from algebroids.groupoid import (
-    EquivarianceError,
     check_groupoid_properties,
     connection_from_splitting,
     covariant_exterior_D,
     d_nabla_s,
     differentiate_to_im,
     numeric_extract_coupling,
-    simplicial_delta,
 )
 from algebroids.imforms import (
     CouplingData,
@@ -217,7 +214,7 @@ def test_criterion_03_flatness_taxonomy(fixtures):
     from algebroids.algebroid import LieAlgebroid
 
     ch = Chart(2)
-    B = LieAlgebroid(Bundle(ch, 1), [[ZERO], [ZERO]], [[[ZERO]]])
+    B = LieAlgebroid(Bundle(ch, 1), [[ZERO], [ZERO]], [])
     fiber = FiberBracket.abelian(Bundle(ch, 1))
     nablaL = LinearConnection(fiber.bundle, [[[coord(1)]], [[ZERO]]])
     cd_leaf = CouplingData(B, fiber, nablaL, [[[ZERO], [ZERO]]])

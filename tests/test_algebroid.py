@@ -2,6 +2,7 @@
 invariant connections, basic curvature and the connection-based
 construction of connection forms."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,6 @@ from algebroids.algebroid import (
     bracket,
     canonical_representation,
     cartan_build_connection,
-    change_frame,
     check_axioms,
     symbolic_inverse,
     tangent_algebroid,
@@ -36,7 +36,6 @@ from algebroids.expr import (
     coord,
     differentiate,
     evaluate,
-    expr_equal,
     fold,
     mul,
     neg,
@@ -44,7 +43,7 @@ from algebroids.expr import (
 from algebroids.factory import so3_constants
 from algebroids.modelio import load_model
 from algebroids.sampling import SamplePlan, sup
-from reference import apply, cartan_residual, check_A_invariant, frame_section, random_polynomial, random_section
+from reference import apply, cartan_residual, check_A_invariant, expr_equal, frame_section, random_polynomial, random_section
 
 CH2 = Chart(2)
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -59,12 +58,29 @@ def so3_action_algebroid():
         [x[2], ZERO, neg(x[0])],
         [neg(x[1]), x[0], ZERO],
     ]
+    return LieAlgebroid(Bundle(CH3, 3), anchor, so3_pairs())
+
+
+def so3_pairs():
+    """The rotation algebra's structure constants on the increasing
+    pairs (1, 2), (1, 3), (2, 3)."""
     eps = so3_constants()
-    struct = [
-        [[const(float(eps[a, b, c])) for c in range(3)] for b in range(3)]
-        for a in range(3)
-    ]
-    return LieAlgebroid(Bundle(CH3, 3), anchor, struct)
+    pairs = itertools.combinations(range(3), 2)
+    return [[const(float(eps[a, b, c])) for c in range(3)] for a, b in pairs]
+
+
+@pytest.mark.parametrize(
+    "structure, message",
+    [
+        ([[ZERO] * 3] * 2, "one per increasing pair, 3"),
+        ([[ZERO] * 3] * 9, "one per increasing pair, 3"),
+        ([[ZERO] * 3, [ZERO] * 3, [ZERO] * 4], r"pair \(1, 2\) has 4 entries, not 3"),
+    ],
+)
+def test_lie_algebroid_refuses_a_wrong_pair_count_or_vector_length(structure, message):
+    anchor = [[ZERO] * 3 for _ in range(3)]
+    with pytest.raises(ValueError, match=message):
+        LieAlgebroid(Bundle(CH3, 3), anchor, structure)
 
 
 def test_bracket_structure_constants():
@@ -138,14 +154,8 @@ def test_check_axioms_radial_ideal(radial_model):
 
 def test_check_axioms_perturbed_fails():
     A = so3_action_algebroid()
-    eps = so3_constants()
-    struct = [
-        [[const(float(eps[a, b, c])) for c in range(3)] for b in range(3)]
-        for a in range(3)
-    ]
-    pert = fold(add(ONE, coord(0)))
-    struct[0][1][2] = pert
-    struct[1][0][2] = fold(neg(pert))
+    struct = so3_pairs()
+    struct[0][2] = fold(add(ONE, coord(0)))  # the pair (1, 2)
     bad = LieAlgebroid(A.bundle, A.anchor, struct)
     rep = check_axioms(bad, plan=SamplePlan(seed=5, samples=120))
     jac = next(c for c in rep.checks if c.name == "jacobi")
@@ -166,7 +176,7 @@ def test_canonical_representation_abelian_zero():
     n = 2
     B = Bundle(CH2, 3)
     anchor = [[ZERO] * 3 for _ in range(n)]
-    struct = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
+    struct = [[ZERO] * 3 for _ in range(3)]
     A = LieAlgebroid(B, anchor, struct)
     ideal = IdealBundle(A, 2)
     rep = canonical_representation(A, ideal)
@@ -184,12 +194,8 @@ def test_canonical_representation_full_ideal_is_adjoint():
     # Vanishing anchor and the whole bundle as the ideal: the canonical
     # representation collapses to the fiberwise adjoint.
     eps = so3_constants()
-    struct = [
-        [[const(float(eps[a, b, c])) for c in range(3)] for b in range(3)]
-        for a in range(3)
-    ]
     anchor = [[ZERO] * 3 for _ in range(2)]
-    A = LieAlgebroid(Bundle(CH2, 3), anchor, struct)
+    A = LieAlgebroid(Bundle(CH2, 3), anchor, so3_pairs())
     ideal = IdealBundle(A, 3)
     rep = canonical_representation(A, ideal)
     for b in range(3):
@@ -201,7 +207,7 @@ def test_canonical_representation_full_ideal_is_adjoint():
 def test_check_A_invariant_zero_anchor():
     B = Bundle(CH2, 2)
     anchor = [[ZERO] * 2 for _ in range(2)]
-    struct = [[[ZERO] * 2 for _ in range(2)] for _ in range(2)]
+    struct = [[ZERO] * 2]
     A = LieAlgebroid(B, anchor, struct)
     V = Bundle(CH2, 1)
     conn = LinearConnection.trivial(V)

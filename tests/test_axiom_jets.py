@@ -3,6 +3,7 @@ sections' closed-form jets against their symbolic partials, and ideal
 construction that checks only its defining clauses, on the random
 stream of ``check_axioms``."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -32,9 +33,8 @@ def near_ideal(defect, anchor_defect=ZERO):
     """Rank 3 over the plane with e_1 almost an ideal: [e_2, e_1] has
     ``defect`` along e_3, and the anchor of e_1 is ``anchor_defect``
     along x_1; everything else vanishes."""
-    struct = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
-    struct[1][0][2] = defect
-    struct[0][1][2] = fold(neg(defect))
+    # On the pairs (1, 2), (1, 3), (2, 3): [e_1, e_2] has -defect along e_3.
+    struct = [[ZERO, ZERO, fold(neg(defect))], [ZERO] * 3, [ZERO] * 3]
     anchor = [[anchor_defect, ZERO, ZERO], [ZERO, ZERO, ZERO]]
     return LieAlgebroid(Bundle(CH2, 3), anchor, struct)
 
@@ -123,13 +123,9 @@ def perturbed_so3():
         [neg(x[1]), x[0], ZERO],
     ]
     eps = so3_constants()
-    struct = [
-        [[const(float(eps[a, b, c])) for c in range(3)] for b in range(3)]
-        for a in range(3)
-    ]
-    pert = fold(add(ONE, coord(0)))
-    struct[0][1][2] = pert
-    struct[1][0][2] = fold(neg(pert))
+    pairs = itertools.combinations(range(3), 2)
+    struct = [[const(float(eps[a, b, c])) for c in range(3)] for a, b in pairs]
+    struct[0][2] = fold(add(ONE, coord(0)))  # the pair (1, 2)
     return LieAlgebroid(Bundle(Chart(3), 3), anchor, struct)
 
 

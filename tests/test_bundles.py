@@ -10,6 +10,7 @@ from algebroids.bundles import (
     PointMap,
     _stack,
     alternating_array,
+    antisymmetric_table,
     connection_is_flat,
     curvature_tensor,
     exact_memo,
@@ -18,18 +19,20 @@ from algebroids.bundles import (
 )
 from algebroids.expr import (
     Chart,
+    ONE,
     PoleError,
     ZERO,
+    add,
     const,
     coord,
     differentiate,
     evaluate,
-    expr_equal,
+    neg,
     parse,
 )
 from algebroids.imforms import sampled_map
 from algebroids.sampling import SamplePlan, sup
-from reference import random_polynomial
+from reference import expr_equal, random_polynomial
 
 CH2 = Chart(2)
 
@@ -163,6 +166,9 @@ def test_connection_is_flat_matches_its_curvature_tensor_form():
 
 
 def test_fiber_bracket_antisymmetry_validation():
+    # The structure is given on the increasing pairs, so it is
+    # antisymmetric by construction: a full square, here a symmetric
+    # one, is refused by its pair count.
     V = Bundle(CH2, 2)
     bad = [
         [[ZERO, ZERO], [const(1), ZERO]],
@@ -170,6 +176,36 @@ def test_fiber_bracket_antisymmetry_validation():
     ]
     with pytest.raises(ValueError):
         FiberBracket(V, bad)
+    assert FiberBracket(V, [[const(1), ZERO]]).c == (
+        ((ZERO, ZERO), (const(1), ZERO)),
+        ((const(-1), ZERO), (ZERO, ZERO)),
+    )
+
+
+def test_antisymmetric_table_derives_the_lower_triangle():
+    x1 = coord(0)
+    T = antisymmetric_table([[x1, add(ONE, ONE)], [ZERO, ZERO], [const(2), neg(x1)]], 3, 2)
+    # Each pair's vector folded, its negation below the diagonal, zero
+    # vectors on it.
+    assert T[0][1] == (x1, const(2)) and T[1][0] == (neg(x1), const(-2))
+    assert T[0][2] == (ZERO, ZERO) and T[2][0] == (ZERO, ZERO)
+    assert T[1][2] == (const(2), neg(x1)) and T[2][1] == (const(-2), x1)
+    assert all(T[a][a] == (ZERO, ZERO) for a in range(3))
+    # One vector on no pair: a table of one index is its zero diagonal.
+    assert antisymmetric_table([], 1, 2) == (((ZERO, ZERO),),)
+
+
+@pytest.mark.parametrize(
+    "structure, message",
+    [
+        ([[ZERO] * 3] * 2, "one per increasing pair, 3"),
+        ([[ZERO] * 3] * 4, "one per increasing pair, 3"),
+        ([[ZERO] * 3, [ZERO] * 2, [ZERO] * 3], r"pair \(0, 2\) has 2 entries, not 3"),
+    ],
+)
+def test_fiber_bracket_refuses_a_wrong_pair_count_or_vector_length(structure, message):
+    with pytest.raises(ValueError, match=message):
+        FiberBracket(Bundle(CH2, 3), structure)
 
 
 def test_point_map_exact_partials_match_stencil():

@@ -27,7 +27,6 @@ from algebroids.expr import (
     div,
     evaluate,
     exp,
-    expr_equal,
     fold,
     log,
     mul,
@@ -37,7 +36,7 @@ from algebroids.expr import (
     sin,
     to_str,
 )
-from reference import random_polynomial
+from reference import expr_equal, random_polynomial
 
 CH2 = Chart(2)
 

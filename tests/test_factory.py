@@ -2,6 +2,7 @@
 checker suite; defective parameters are refused."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,13 +19,13 @@ from algebroids.bundles import (
     FiberBracket,
     LinearConnection,
     PointMap,
+    antisymmetric_table,
     curvature_tensor,
     exterior_covariant_derivative,
 )
-from algebroids.expr import Chart, ZERO, ONE, coord, evaluate, fold, neg, parse
+from algebroids.expr import Chart, ZERO, ONE, fold, neg, parse
 from algebroids.factory import (
     ExampleSpec,
-    ExampleModel,
     make_example,
     so3_basis,
     so3_constants,
@@ -187,8 +188,10 @@ def test_factory_rejects_unknown_params():
 
 # The transitive algebroid as it was built before it became the tangent
 # coupling's semidirect: the fiber bracket, the Christoffel symbols on
-# (base, fiber) pairs and the twist on base pairs, each written into the
-# structure tensor by hand. It stays here as an unshared reference.
+# (fiber, base) pairs and the twist (given on the increasing pairs of
+# chart directions) on base pairs, each written by hand into the upper
+# triangle of the structure tensor, whose increasing pairs the algebroid
+# takes. It stays here as an unshared reference.
 def _ref_transitive_algebroid(fiber, nabla, Omega):
     chart = fiber.bundle.chart
     n, k = chart.dim, fiber.bundle.rank
@@ -196,21 +199,18 @@ def _ref_transitive_algebroid(fiber, nabla, Omega):
     anchor = [[ZERO] * k + [ONE if i == a else ZERO for a in range(n)] for i in range(n)]
     structure = [[[ZERO] * r for _ in range(r)] for _ in range(r)]
     for c in range(k):
-        for d in range(k):
+        for d in range(c + 1, k):
             for e in range(k):
                 structure[c][d][e] = fiber.c[c][d][e]
     for i in range(n):
         for c in range(k):
-            vec = [nabla.christoffel[i][e][c] for e in range(k)]
             for e in range(k):
-                structure[k + i][c][e] = vec[e]
-                structure[c][k + i][e] = fold(neg(vec[e]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for e in range(k):
-                structure[k + i][k + j][e] = Omega[i][j][e]
-                structure[k + j][k + i][e] = fold(neg(Omega[i][j][e]))
-    return LieAlgebroid(Bundle(chart, r), anchor, structure)
+                structure[c][k + i][e] = fold(neg(nabla.christoffel[i][e][c]))
+    for (i, j), vec in zip(itertools.combinations(range(n), 2), Omega):
+        for e in range(k):
+            structure[k + i][k + j][e] = vec[e]
+    pairs = itertools.combinations(range(r), 2)
+    return LieAlgebroid(Bundle(chart, r), anchor, [structure[a][b] for a, b in pairs])
 
 
 @pytest.mark.parametrize(
@@ -234,7 +234,7 @@ def test_transitive_algebroid_matches_its_hand_built_tensor(params):
         theta = factory._parse_array(params["theta"], chart, (dim, k), "theta")
     nabla = factory._ad_connection(fiber, theta)
     if "omega" in params:
-        Omega = factory._parse_two_form(params["omega"], chart, k)
+        Omega = factory._parse_array(params["omega"], chart, (math.comb(dim, 2), k), "omega")
     else:
         Omega = factory._curvature_of_theta(fiber, theta)
     ref = _ref_transitive_algebroid(fiber, nabla, Omega)
@@ -263,22 +263,18 @@ def _ref_sup(m, pts, f=lambda v, p: v):
     return sup(*(f(m.value(p), p) for p in pts))
 
 
-def _two_form_comps(Omega, n):
-    """A 2-form given on all pairs i != j, in the layout of forms."""
-    return [[fold(x) for x in Omega[i][j]] for i, j in itertools.combinations(range(n), 2)]
-
-
 # The twist preconditions as they were written before they became
 # contractions of stacked reads: the curvature from curvature_tensor less
 # the adjoint of the twist point by point (ad_defect), the symbolic
 # covariant exterior derivative of the twist, and its part off the
 # center through center_basis point by point (off_center). They stay
-# here as unshared references, reading the points the checks read.
+# here as unshared references, reading the points the checks read. The
+# twist is given on the increasing pairs, the keys of curvature_tensor.
 def _ref_twist_residuals(fiber, nabla, Omega, plan):
     chart = fiber.bundle.chart
     n = chart.dim
     R = {ij: PointMap.exact(M) for ij, M in curvature_tensor(nabla).items()}
-    Om = {ij: PointMap.exact(Omega[ij[0]][ij[1]]) for ij in R}
+    Om = {ij: PointMap.exact(vec) for ij, vec in zip(R, Omega)}
     ad = []
     for p in plan.points(chart, 25):
         cvals = fiber.c_map.value(p)
@@ -286,19 +282,14 @@ def _ref_twist_residuals(fiber, nabla, Omega, plan):
             ad.append(R[ij].value(p) - np.einsum("f,fce->ce", Om[ij].value(p), cvals).T)
     closed = 0.0
     if n >= 3:
-        dOm = exterior_covariant_derivative(nabla, _two_form_comps(Omega, n), 2)
+        dOm = exterior_covariant_derivative(nabla, Omega, 2)
         closed = _ref_sup(PointMap.exact(dOm), plan.points(chart, 25))
     return {"curvature_equals_ad_of_twist": sup(*ad), "twist_covariantly_closed": closed}
 
 
 def _random_twist(chart, k, rng):
-    n = chart.dim
-    Omega = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            Omega[i][j] = [random_polynomial(chart, rng) for _ in range(k)]
-            Omega[j][i] = [fold(neg(x)) for x in Omega[i][j]]
-    return Omega
+    """A random twist on the increasing pairs of chart directions."""
+    return [[random_polynomial(chart, rng) for _ in range(k)] for _ in range(math.comb(chart.dim, 2))]
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -315,7 +306,7 @@ def test_twist_preconditions_match_their_reference(dim):
     )
     Omega = _random_twist(chart, 3, rng)
     with pytest.raises(ConstructionRefused) as ei:
-        factory._require_curvature_is_ad(fiber, nabla, Omega, SamplePlan(seed=42, samples=60))
+        factory._require_curvature_is_ad(fiber, nabla, antisymmetric_table(Omega, dim, 3), SamplePlan(seed=42, samples=60))
     want = _ref_twist_residuals(fiber, nabla, Omega, SamplePlan(seed=42, samples=60))
     got = {c.name: c.max_residual for c in ei.value.report.checks}
     assert list(got) == list(want)
@@ -334,7 +325,7 @@ def test_twist_of_its_own_connection_passes_its_reference():
     theta = [[random_polynomial(chart, rng) for _ in range(3)] for _ in range(3)]
     nabla = factory._ad_connection(fiber, theta)
     Omega = factory._curvature_of_theta(fiber, theta)
-    factory._require_curvature_is_ad(fiber, nabla, Omega, SamplePlan(seed=42, samples=60))
+    factory._require_curvature_is_ad(fiber, nabla, antisymmetric_table(Omega, 3, 3), SamplePlan(seed=42, samples=60))
     want = _ref_twist_residuals(fiber, nabla, Omega, SamplePlan(seed=42, samples=60))
     assert max(want.values()) < 1e-8
 
@@ -355,7 +346,7 @@ def test_kernel_flat_preconditions_match_their_reference():
     fiber = factory._fiber_from_name(chart, "so3_center")
     th = [parse(t, chart) for t in theta]
     nablaL = LinearConnection(fiber.bundle, [[[t if a == b else ZERO for b in range(4)] for a in range(4)] for t in th])
-    Om = _two_form_comps(factory._parse_two_form(omega, chart, 4), 3)
+    Om = factory._parse_array(omega, chart, (3, 4), "omega")
     plan = SamplePlan(seed=42, samples=60)
     flat = _ref_sup(PointMap.exact(list(curvature_tensor(nablaL).values())), plan.fork("flat").points(chart, 64))
     Om_map = PointMap.exact(Om)

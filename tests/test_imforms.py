@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from algebroids.algebroid import (
-    ConstructionRefused,
     IdealBundle,
     LieAlgebroid,
     _Jets,
@@ -66,7 +65,6 @@ from algebroids.imforms import (
     sampled_map,
 )
 from algebroids.modelio import load_model
-from algebroids.rankone import extract_rank_one
 from algebroids.sampling import SamplePlan, polynomial_draws, sup
 from reference import chain_map, cochain_differential, d_im, form_difference, form_sum, l_of, polynomial, random_section
 
@@ -527,7 +525,7 @@ def test_classify_leafwise_only():
     # Vanishing base anchor, curved fiber connection, no mixed tensor.
     ch = Chart(2)
     Bb = Bundle(ch, 1)
-    B = LieAlgebroid(Bb, [[ZERO], [ZERO]], [[[ZERO]]])
+    B = LieAlgebroid(Bb, [[ZERO], [ZERO]], [])
     fiber = FiberBracket.abelian(Bundle(ch, 1))
     nablaL = LinearConnection(fiber.bundle, [[[coord(1)]], [[ZERO]]])
     U = [[[ZERO], [ZERO]]]
@@ -569,9 +567,7 @@ def test_center_basis_and_degeneracy():
     # x1 vanishes.
     V = Bundle(ch, 3)
     x1 = coord(0)
-    struct = [[[ZERO] * 3 for _ in range(3)] for _ in range(3)]
-    struct[0][1][2] = x1
-    struct[1][0][2] = fold(neg(x1))
+    struct = [[ZERO, ZERO, x1], [ZERO] * 3, [ZERO] * 3]  # [e_1, e_2] = x1 e_3
     fiber = FiberBracket(V, struct)
     Z = center_basis(fiber, np.array([0.5, 0.0]))
     assert Z.shape[1] == 1  # center is the third direction
@@ -797,6 +793,27 @@ def test_structure_equations_agree_across_backends(radial_model, radial_form):
         with pytest.raises(TypeError):
             check_structure_equations(sampled, variant="S1'S3'", plan=plan.fork("kf"))
     assert outcomes == [True, False]
+
+
+def test_the_kernel_flat_variant_refuses_sampled_data_before_reading_it():
+    # The refusal needs no residual, so no sampled map is read before it;
+    # the plain variant reads them, which shows the count works.
+    cd = load_model(str(MODELS / "bad_u.json")).coupling()
+    reads = []
+
+    def counted(fn):
+        def read(p):
+            reads.append(p)
+            return fn(p)
+
+        return read
+
+    sampled = NumericCouplingData(cd.base, cd.fiber, counted(cd.gamma_map.value), counted(cd.u_map.value))
+    with pytest.raises(TypeError, match="kernel-flat variant needs symbolic coupling data"):
+        check_structure_equations(sampled, variant="S1'S3'", plan=SamplePlan(seed=3, samples=10))
+    assert len(reads) == 0
+    check_structure_equations(sampled, plan=SamplePlan(seed=3, samples=10))
+    assert len(reads) > 0
 
 
 def _ref_sampled_map(fn, h):

@@ -930,9 +930,6 @@ UNREACHED = {
     "expr.Expr.__sub__": "Expr protocol",
     "expr.Expr.__truediv__": "Expr protocol",
     "expr.ParseError.__init__": "error path",
-    # Structure entries that are not structurally antisymmetric are
-    # compared by value before they are refused or replaced.
-    "expr.expr_equal": "error path",
     "expr.log": "Expr protocol",
     "expr.sin": "Expr protocol",
     "groupoid.EquivarianceError.__init__": "error path",

@@ -1,6 +1,7 @@
 """Tests for the rank-one trivialized checkers, gauge transformations
 and witness verification."""
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from algebroids.expr import (
     neg,
     parse,
 )
-from algebroids.factory import ExampleSpec, make_example, so3_constants
+from algebroids.factory import so3_constants
 from algebroids.imforms import CouplingData, check_structure_equations
 from algebroids.rankone import (
     RankOneData,
@@ -70,7 +71,7 @@ def test_extract_67_lambda_is_pullback():
 
 
 def test_gauge_change_rules():
-    from algebroids.expr import expr_equal
+    from reference import expr_equal
 
     cd = area_coupling()
     data = extract_rank_one(cd)
@@ -113,17 +114,23 @@ def test_tangentiality_zero_anchor():
     # nonzero 2-cochain cannot be tangential.
     ch = Chart(2)
     Bb = Bundle(ch, 2)
-    B = LieAlgebroid(Bb, [[ZERO, ZERO], [ZERO, ZERO]], [[[ZERO] * 2] * 2] * 2)
-    lam = [[ZERO, ONE], [const(-1), ZERO]]
+    B = LieAlgebroid(Bb, [[ZERO, ZERO], [ZERO, ZERO]], [[ZERO] * 2])
+    lam = [ONE]  # lambda(e_1, e_2)
     data = RankOneData(B, (ZERO, ZERO), (ZERO, ZERO), lam, ((ZERO, ZERO), (ZERO, ZERO)))
     out = check_rank_one(data, SamplePlan(seed=3, samples=50))
     tang = next(c for c in out.checks if c.name == "tangential_representatives")
     assert tang.max_residual > 1e-3
-    zero = RankOneData(
-        B, (ZERO, ZERO), (ZERO, ZERO), [[ZERO, ZERO], [ZERO, ZERO]],
-        ((ZERO, ZERO), (ZERO, ZERO)),
-    )
+    zero = RankOneData(B, (ZERO, ZERO), (ZERO, ZERO), [ZERO], ((ZERO, ZERO), (ZERO, ZERO)))
     assert check_rank_one(zero, SamplePlan(seed=3, samples=50)).passed
+
+
+@pytest.mark.parametrize("lam", [[], [ONE, ZERO], [[ZERO, ONE], [const(-1), ZERO]]])
+def test_rank_one_data_refuses_a_wrong_pair_count(lam):
+    # Over a rank-2 base lambda has one increasing pair, (1, 2): no value,
+    # two values, or the full square are refused.
+    B = tangent_algebroid(CH2)
+    with pytest.raises(ValueError, match="one per increasing pair, 1"):
+        RankOneData(B, (ZERO, ZERO), (ZERO, ZERO), lam, ((ZERO, ZERO), (ZERO, ZERO)))
 
 
 def test_witness_product():
@@ -309,8 +316,7 @@ def _affine_base():
     rho(e2) = x1 d1 + x2 d2, [e1, e2] = e1."""
     x1, x2 = coord(0), coord(1)
     anchor = [[ONE, x1], [ZERO, x2]]
-    struct = [[[ZERO, ZERO], [ONE, ZERO]], [[const(-1), ZERO], [ZERO, ZERO]]]
-    return LieAlgebroid(Bundle(CH2, 2), anchor, struct)
+    return LieAlgebroid(Bundle(CH2, 2), anchor, [[ONE, ZERO]])
 
 
 def _rank_one_case(name):
@@ -322,8 +328,7 @@ def _rank_one_case(name):
     x1, x2 = coord(0), coord(1)
     theta = (fold(mul(x1, x2)), parse("x1^2 - x2", CH2))
     U1 = ((x2, parse("1 + x1*x2", CH2)), (const(-1), parse("x1^2", CH2)))
-    zero = ((ZERO, ZERO), (ZERO, ZERO))
-    return RankOneData(_affine_base(), theta, (ZERO, ZERO), zero, U1)
+    return RankOneData(_affine_base(), theta, (ZERO, ZERO), (ZERO,), U1)
 
 
 @pytest.mark.parametrize("case", ["principal_flat", "bad_u", "rank_one", "bent"])
@@ -387,9 +392,10 @@ def _rotation_data():
         [neg(x[1]), x[0], ZERO],
     ]
     eps = so3_constants()
-    struct = [[[const(float(eps[a, b, c])) for c in range(3)] for b in range(3)] for a in range(3)]
+    pairs = itertools.combinations(range(3), 2)
+    struct = [[const(float(eps[a, b, c])) for c in range(3)] for a, b in pairs]
     B = LieAlgebroid(Bundle(Chart(3), 3), anchor, struct)
-    lam = ((ZERO, x[0], mul(x[1], x[2])), (ZERO, ZERO, ONE), (ZERO, ZERO, ZERO))
+    lam = (x[0], mul(x[1], x[2]), ONE)  # on (1, 2), (1, 3), (2, 3)
     zero = ((ZERO,) * 3,) * 3
     return RankOneData(B, (ZERO,) * 3, (x[1], ONE, mul(x[0], x[0])), lam, zero)
 
@@ -503,7 +509,7 @@ def _bent_witnesses(gauge):
     def poly():
         return random_polynomial(ch, rng)
 
-    lam = [[poly() if a < b else ZERO for b in range(3)] for a in range(3)]
+    lam = [poly() for _ in range(3)]  # on the increasing pairs
     data = RankOneData(B, [poly() for _ in range(3)], [poly() for _ in range(3)], lam, [[poly() for _ in range(3)] for _ in range(3)])
     w = {
         "Z": [poly() for _ in range(3)],

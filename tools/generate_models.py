@@ -150,8 +150,6 @@ def main() -> None:
     # Rotation group acting on the punctured box, radial ideal,
     # orthogonal-projection splitting.
     gbasis = []
-    import numpy as np
-
     from algebroids.factory import so3_basis
 
     for X in so3_basis():
