@@ -112,8 +112,8 @@ def antisymmetric_table(pairs: Sequence[Sequence[Expr]], r: int, width: int) -> 
     ``width`` Exprs on the increasing pairs (a, b) of range(r), in
     ``itertools.combinations`` order: each vector, folded, at [a][b],
     its negation ``fold(neg(x))`` at [b][a], and zero vectors on the
-    diagonal.  A pair count other than C(r, 2), or a vector of another
-    length, is refused."""
+    diagonal.  A pair count other than C(r, 2), a vector of another
+    length, or an entry that is not an Expr, is refused."""
     if len(pairs) != math.comb(r, 2):
         raise ValueError(
             f"{len(pairs)} vectors given; an antisymmetric table on {r} indices "
@@ -123,6 +123,8 @@ def antisymmetric_table(pairs: Sequence[Sequence[Expr]], r: int, width: int) -> 
     for (a, b), vec in zip(itertools.combinations(range(r), 2), pairs):
         if len(vec) != width:
             raise ValueError(f"the vector of pair ({a}, {b}) has {len(vec)} entries, not {width}")
+        if not all(isinstance(x, Expr) for x in vec):
+            raise ValueError(f"the vector of pair ({a}, {b}) holds an entry that is not an Expr")
         table[a][b] = tuple(fold(x) for x in vec)
         table[b][a] = tuple(fold(neg(x)) for x in table[a][b])
     return tuple(tuple(row) for row in table)

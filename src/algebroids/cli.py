@@ -7,6 +7,11 @@ curvature pairs, the semidirect rebuild) still build Exprs.  Reports
 are deterministic for a fixed (model, seed, samples) triple and are
 emitted either as a human table or as a single JSON document.
 
+A process imports only the checkers its subcommand runs: each handler
+imports them when it is called, and ``run`` catches the refusals that
+``groupoid`` and ``imforms`` raise through their classes in
+``sampling``.
+
 Exit codes: 0 all checks passed, 1 at least one check failed,
 2 usage/unknown subcommand, 3 model errors.
 """
@@ -30,30 +35,17 @@ from .algebroid import (
 )
 from .bundles import _anchored, _stack
 from .expr import EvalError, ParseError, SamplingError
-from .factory import ExampleSpec, make_example, transitive_im_connection
-from .imforms import (
+from .modelio import ExampleSpec, ModelError, load_model
+from .sampling import (
     CenterDegeneracyError,
-    FLATNESS_ORDER,
-    build_semidirect,
-    check_im_form,
-    check_structure_equations,
-    classify_flatness,
-    coupling_to_im,
-    curvature_im,
-    extract_coupling,
-)
-from .groupoid import (
     EquivarianceError,
     FlowRegionError,
-    check_groupoid_properties,
-    connection_from_splitting,
-    covariant_exterior_D,
-    differentiate_to_im,
-    numeric_extract_coupling,
+    Report,
+    SamplePlan,
+    polynomial_draws,
+    polynomial_jets,
+    sup,
 )
-from .modelio import ModelError, load_model
-from .rankone import check_rank_one, extract_rank_one, verify_witness
-from .sampling import Report, SamplePlan, polynomial_draws, polynomial_jets, sup
 
 __all__ = ["run", "main", "SUBCOMMANDS"]
 
@@ -160,6 +152,8 @@ def _cmd_verify_ideal(args, plan, tol):
 
 
 def _cmd_verify_im(args, plan, tol):
+    from .imforms import check_im_form
+
     model = _require_model(args)
     A = model.algebroid()
     ideal = model.ideal()
@@ -171,6 +165,8 @@ def _cmd_verify_im(args, plan, tol):
 
 
 def _cmd_coupling(args, plan, tol):
+    from .imforms import coupling_to_im, extract_coupling
+
     model = _require_model(args)
     cd = model.coupling()
     tol = tol or 1e-10
@@ -200,6 +196,8 @@ def _cmd_coupling(args, plan, tol):
 
 
 def _cmd_check_structure(args, plan, tol):
+    from .imforms import check_structure_equations
+
     model = _require_model(args)
     cd = _two_form_coupling(model) if args.kernel_flat else model.coupling()
     variant = "S1'S3'" if args.kernel_flat else "S1S3"
@@ -208,6 +206,8 @@ def _cmd_check_structure(args, plan, tol):
 
 
 def _cmd_build_semidirect(args, plan, tol):
+    from .imforms import build_semidirect
+
     model = _require_model(args)
     cd = model.coupling()
     A = build_semidirect(cd)
@@ -219,6 +219,8 @@ def _cmd_build_semidirect(args, plan, tol):
 
 
 def _cmd_curvature(args, plan, tol):
+    from .imforms import check_im_form, curvature_im
+
     model = _require_model(args)
     cd = _two_form_coupling(model)
     tol = tol or 1e-8
@@ -234,6 +236,8 @@ def _cmd_curvature(args, plan, tol):
 
 
 def _cmd_classify(args, plan, tol):
+    from .imforms import FLATNESS_ORDER, classify_flatness
+
     model = _require_model(args)
     cd = model.coupling()
     classes, inner = classify_flatness(cd, plan, tol=tol or 1e-9)
@@ -249,6 +253,8 @@ def _cmd_classify(args, plan, tol):
 
 
 def _cmd_rank_one(args, plan, tol):
+    from .rankone import check_rank_one, extract_rank_one, verify_witness
+
     model = _require_model(args)
     cd = model.coupling()
     try:
@@ -271,6 +277,8 @@ def _cmd_rank_one(args, plan, tol):
 
 
 def _cmd_groupoid_verify(args, plan, tol):
+    from .groupoid import check_groupoid_properties, connection_from_splitting, covariant_exterior_D
+
     model = _require_model(args)
     gpd = model.groupoid()
     rep = gpd.verify(plan.fork("structure"))
@@ -286,6 +294,9 @@ def _cmd_groupoid_verify(args, plan, tol):
 
 
 def _cmd_lie_functor(args, plan, tol):
+    from .groupoid import connection_from_splitting, differentiate_to_im, numeric_extract_coupling
+    from .imforms import check_im_form, check_structure_equations
+
     model = _require_model(args)
     gpd = model.groupoid()
     tol = tol or 1e-6
@@ -324,6 +335,15 @@ def _cmd_example(args, plan, tol):
 
 def run_example_suite(spec: ExampleSpec, plan: SamplePlan, tol: float) -> Report:
     """Family-appropriate checker suite over a factory output."""
+    from .factory import make_example, transitive_im_connection
+    from .imforms import (
+        FLATNESS_ORDER,
+        check_im_form,
+        check_structure_equations,
+        classify_flatness,
+        extract_coupling,
+    )
+
     try:
         model = make_example(spec, plan.fork("build"))
     except (ValueError, ParseError) as e:

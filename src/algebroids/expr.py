@@ -124,6 +124,8 @@ class Chart:
         bd = []
         for lo, hi in bounds:
             lo, hi = float(lo), float(hi)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"non-finite coordinate bound in [{lo}, {hi}]")
             if not lo < hi:
                 raise ValueError(f"empty coordinate interval [{lo}, {hi}]")
             bd.append((lo, hi))

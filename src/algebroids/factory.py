@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -63,6 +63,7 @@ from .imforms import (
     center_basis,
     coupling_to_im,
 )
+from .modelio import EXAMPLE_NAMES, ExampleSpec, _positive_int
 from .sampling import Report, SamplePlan, sup
 
 __all__ = [
@@ -75,16 +76,6 @@ __all__ = [
     "so3_radial_action",
     "EXAMPLE_NAMES",
 ]
-
-EXAMPLE_NAMES = (
-    "product",
-    "lie_algebra_bundle",
-    "transitive",
-    "action",
-    "principal_type",
-    "principal_type_flat",
-    "rank_one",
-)
 
 
 def so3_constants() -> np.ndarray:
@@ -103,21 +94,6 @@ def so3_basis() -> list[np.ndarray]:
     return [-eps[a] for a in range(3)]
 
 
-@dataclass(frozen=True)
-class ExampleSpec:
-    """Family name plus family-specific parameters; validated by the
-    matching builder before construction."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.name not in EXAMPLE_NAMES:
-            raise ValueError(
-                f"unknown example family {self.name!r}; choose from {EXAMPLE_NAMES}"
-            )
-
-
 @dataclass
 class ExampleModel:
     """Constructed model: always an algebroid with its ideal; a coupling
@@ -131,14 +107,6 @@ class ExampleModel:
     connection: LinearConnection | None = None
     splitting: list | None = None
     tau: list | None = None
-
-
-def _positive_int(v, what: str) -> int:
-    """``v`` if it is a positive int (a bool is not), else a ValueError
-    naming ``what``: a dimension or rank is never rounded."""
-    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-        raise ValueError(f"{what} must be a positive integer, not {v!r}")
-    return v
 
 
 def _fiber_from_name(chart: Chart, name, rank: int | None = None) -> FiberBracket:

@@ -44,7 +44,7 @@ from .expr import (
 )
 from .bundles import PointMap, _as_point, alternating_array, exact_memo
 from .imforms import NumericCouplingData, NumericIMOneForm, quotient_algebroid
-from .sampling import Report, SamplePlan, sup
+from .sampling import EquivarianceError, FlowRegionError, Report, SamplePlan, sup
 
 __all__ = [
     "MatrixGroup",
@@ -116,18 +116,6 @@ def _flow_memo(group: MatrixGroup) -> Callable[[int, float], np.ndarray]:
 class StepSizeWarning(UserWarning):
     """Halving the finite-difference step moved the result by more than
     an order of magnitude: the step is in a noise-dominated regime."""
-
-
-class EquivarianceError(Exception):
-    """A splitting failed its equivariance precondition; carries the report."""
-
-    def __init__(self, message, report):
-        super().__init__(message)
-        self.report = report
-
-
-class FlowRegionError(Exception):
-    """A left-invariant flow left the padded sampling region."""
 
 
 class MatrixGroup:

@@ -68,7 +68,7 @@ from .expr import (
     mul,
     neg,
 )
-from .sampling import Report, SamplePlan, polynomial_draws, sup
+from .sampling import CenterDegeneracyError, Report, SamplePlan, polynomial_draws, sup
 
 __all__ = [
     "IMOneForm",
@@ -91,10 +91,6 @@ __all__ = [
 ]
 
 FLATNESS_ORDER = ("totally", "leafwise", "kernel")
-
-
-class CenterDegeneracyError(Exception):
-    """The fiberwise center does not have constant rank over the sample."""
 
 
 def _value_bundle(value) -> Bundle:

@@ -5,6 +5,13 @@ ideal, im_form, coupling, groupoid, example, rank_one_witness); all
 expressions are strings in the surface grammar, structure functions are
 keyed by 1-indexed increasing frame pairs "a,b", and matrices are
 row-major nested arrays.
+
+A loaded model builds only the sections it has: the IM-form and
+coupling sections import ``imforms``, the groupoid section
+``groupoid``, where they build.  A document is read against
+``MODEL_SCHEMA`` by ``_conforms``, a strict reading of the schema's
+keywords; jsonschema is imported only when that reading is in doubt,
+to find and word the first violation.
 """
 
 from __future__ import annotations
@@ -12,19 +19,21 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
-from jsonschema import Draft202012Validator
 
 from .algebroid import IdealBundle, LieAlgebroid
 from .bundles import Bundle, FiberBracket, LinearConnection
 from .expr import Chart, Expr, ZERO, ParseError, parse, to_str
-from .groupoid import ActionGroupoid, MatrixGroup
-from .imforms import CouplingData, IMOneForm
 
-__all__ = ["ModelError", "ModelFile", "load_model", "MODEL_SCHEMA"]
+if TYPE_CHECKING:
+    from .groupoid import ActionGroupoid
+    from .imforms import CouplingData, IMOneForm
+
+__all__ = ["ModelError", "ModelFile", "load_model", "MODEL_SCHEMA", "ExampleSpec", "EXAMPLE_NAMES"]
 
 
 class ModelError(Exception):
@@ -186,7 +195,116 @@ REPORT_SCHEMA = {
     "additionalProperties": True,
 }
 
-_VALIDATOR = Draft202012Validator(MODEL_SCHEMA)
+# The Python type of each JSON Schema type a document may hold: a bool
+# is no integer or number, and a float such as 3.0 no integer.
+_TYPES = {
+    "object": (dict,),
+    "array": (list,),
+    "string": (str,),
+    "boolean": (bool,),
+    "integer": (int,),
+    "number": (int, float),
+}
+_OBJECT_KEYWORDS = ("properties", "patternProperties", "additionalProperties")
+
+
+def _conforms(value, schema: dict) -> bool:
+    """Whether ``value`` surely satisfies ``schema``.  Only the keywords
+    ``MODEL_SCHEMA`` uses are read, each strictly: any other keyword,
+    or any doubt (a float for an integer, ``True`` for ``const: 1``, a
+    key no property or pattern names), gives False, and jsonschema then
+    decides."""
+    for key, want in schema.items():
+        if key == "$schema" or key in _OBJECT_KEYWORDS:
+            continue
+        if key == "type":
+            ok = isinstance(want, str) and type(value) in _TYPES.get(want, ())
+        elif key == "const":
+            ok = type(value) is type(want) and value == want
+        elif key == "required":
+            ok = type(value) is dict and all(k in value for k in want)
+        elif key == "minItems":
+            ok = type(value) is list and len(value) >= want
+        elif key == "maxItems":
+            ok = type(value) is list and len(value) <= want
+        elif key == "minLength":
+            ok = type(value) is str and len(value) >= want
+        elif key == "minimum":
+            ok = type(value) in (int, float) and value >= want
+        elif key == "items":
+            ok = type(value) is list and all(_conforms(x, want) for x in value)
+        else:
+            return False
+        if not ok:
+            return False
+    if not any(k in schema for k in _OBJECT_KEYWORDS):
+        return True
+    if type(value) is not dict:
+        return False
+    properties, patterns = schema.get("properties", {}), schema.get("patternProperties", {})
+    for k, v in value.items():
+        subschemas = [properties[k]] if k in properties else []
+        subschemas += [sub for pattern, sub in patterns.items() if re.search(pattern, k)]
+        if not subschemas or not all(_conforms(v, sub) for sub in subschemas):
+            return False
+    return True
+
+
+def _refuse_schema_violation(raw) -> None:
+    """Raise the ModelError of the first violation of ``MODEL_SCHEMA``
+    that jsonschema finds in ``raw``, in path order; return if it finds
+    none."""
+    from jsonschema import Draft202012Validator
+
+    errors = sorted(Draft202012Validator(MODEL_SCHEMA).iter_errors(raw), key=lambda e: list(e.absolute_path))
+    if errors:
+        e = errors[0]
+        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
+        raise ModelError(f"schema violation at {pointer}: {e.message}")
+
+
+def _positive_int(v, what: str) -> int:
+    """``v`` if it is a positive int (a bool is not), else a ValueError
+    naming ``what``: a dimension or rank is never rounded."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < 1:
+        raise ValueError(f"{what} must be a positive integer, not {v!r}")
+    return v
+
+
+def _count(sec: dict, key: str, where: str) -> int:
+    """The dimension or rank ``sec[key]`` of the section at ``where``.
+    JSON Schema counts a float such as 3.0 as an integer, so the schema
+    lets it through; it is refused here."""
+    try:
+        return _positive_int(sec[key], key)
+    except ValueError as e:
+        raise ModelError(f"at {where}: {e}") from e
+
+
+EXAMPLE_NAMES = (
+    "product",
+    "lie_algebra_bundle",
+    "transitive",
+    "action",
+    "principal_type",
+    "principal_type_flat",
+    "rank_one",
+)
+
+
+@dataclass(frozen=True)
+class ExampleSpec:
+    """Family name plus family-specific parameters; validated by the
+    matching builder before construction."""
+
+    name: str
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.name not in EXAMPLE_NAMES:
+            raise ValueError(
+                f"unknown example family {self.name!r}; choose from {EXAMPLE_NAMES}"
+            )
 
 
 def _section(name: str):
@@ -234,7 +352,7 @@ class ModelFile:
             raise ModelError(f"at {where}: {e}") from e
 
     def _load_algebroid_section(self, sec: dict, where: str) -> LieAlgebroid:
-        rank = sec["rank"]
+        rank = _count(sec, "rank", where)
         anchor_rows = sec["anchor"]
         if len(anchor_rows) != self.chart.dim:
             raise ModelError(
@@ -260,7 +378,7 @@ class ModelFile:
     def ideal(self, sec: dict) -> IdealBundle:
         """The bundle of ideals, unverified: ``verify-ideal`` checks it."""
         A = self.algebroid()
-        k = sec["k"]
+        k = _count(sec, "k", "/ideal")
         if k > A.rank:
             raise ModelError(
                 f"dimension mismatch between /ideal/k ({k}) and /algebroid/rank ({A.rank})"
@@ -269,6 +387,8 @@ class ModelFile:
 
     @_section("im_form")
     def im_form(self, sec: dict) -> IMOneForm:
+        from .imforms import IMOneForm
+
         A = self.algebroid()
         ideal = self.ideal()
         rV, r, n = ideal.k, A.rank, self.chart.dim
@@ -302,8 +422,10 @@ class ModelFile:
 
     @_section("coupling")
     def coupling(self, sec: dict) -> CouplingData:
+        from .imforms import CouplingData
+
         B = self._load_algebroid_section(sec["base"], "/coupling/base")
-        kk = sec["fiber"]["rank"]
+        kk = _count(sec["fiber"], "rank", "/coupling/fiber")
         fb = Bundle(self.chart, kk)
         fiber = FiberBracket(
             fb, _structure_pairs(sec["fiber"].get("structure", {}), kk, self, "/coupling/fiber/structure")
@@ -352,7 +474,9 @@ class ModelFile:
 
     @_section("groupoid")
     def groupoid(self, sec: dict) -> ActionGroupoid:
-        N = sec["ambient"]
+        from .groupoid import ActionGroupoid, MatrixGroup
+
+        N = _count(sec, "ambient", "/groupoid")
         basis = []
         for b, flat in enumerate(sec["basis"]):
             if len(flat) != N * N:
@@ -396,9 +520,7 @@ class ModelFile:
             raise ModelError(f"/groupoid: {e}") from e
 
     @_section("example")
-    def example_spec(self, sec: dict):
-        from .factory import ExampleSpec
-
+    def example_spec(self, sec: dict) -> ExampleSpec:
         return ExampleSpec(sec["name"], sec.get("params", {}))
 
     @_section("rank_one_witness")
@@ -450,15 +572,13 @@ def load_model(path: str) -> ModelFile:
         raise ModelError(f"model file not found: {path}") from e
     except json.JSONDecodeError as e:
         raise ModelError(f"invalid JSON in {path}: {e}") from e
-    errors = sorted(_VALIDATOR.iter_errors(raw), key=lambda e: list(e.absolute_path))
-    if errors:
-        e = errors[0]
-        pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-        raise ModelError(f"schema violation at {pointer}: {e.message}")
+    if not _conforms(raw, MODEL_SCHEMA):
+        _refuse_schema_violation(raw)
     csec = raw["chart"]
+    dim = _count(csec, "dim", "/chart")
     try:
         chart = Chart(
-            csec["dim"],
+            dim,
             bounds=csec.get("bounds"),
             excluded_origin=csec.get("excluded_origin", False),
         )

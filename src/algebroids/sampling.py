@@ -19,7 +19,8 @@ import numpy as np
 from .expr import Chart, _sample_point
 
 __all__ = [
-    "SamplePlan", "sup", "Check", "Report", "polynomial_draws", "polynomial_jets"
+    "SamplePlan", "sup", "Check", "Report", "polynomial_draws", "polynomial_jets",
+    "EquivarianceError", "FlowRegionError", "CenterDegeneracyError",
 ]
 
 
@@ -220,3 +221,24 @@ class Report:
             )
         lines.append(f"overall: {'pass' if self.passed else 'FAIL'}")
         return "\n".join(lines)
+
+
+# The refusals of the groupoid and IM-form checkers, kept here so that
+# the command line catches them without importing those checkers;
+# ``groupoid`` and ``imforms`` export them under their own names.
+
+
+class EquivarianceError(Exception):
+    """A splitting failed its equivariance precondition; carries the report."""
+
+    def __init__(self, message, report):
+        super().__init__(message)
+        self.report = report
+
+
+class FlowRegionError(Exception):
+    """A left-invariant flow left the padded sampling region."""
+
+
+class CenterDegeneracyError(Exception):
+    """The fiberwise center does not have constant rank over the sample."""

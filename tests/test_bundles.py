@@ -208,6 +208,18 @@ def test_fiber_bracket_refuses_a_wrong_pair_count_or_vector_length(structure, me
         FiberBracket(Bundle(CH2, 3), structure)
 
 
+@pytest.mark.parametrize("container", [list, tuple])
+def test_a_full_square_of_the_pair_count_is_refused_as_a_layout(container):
+    # At rank 3 a full square has C(3, 2) = 3 rows of 3 vectors: the pair
+    # count and the vector length of the pair layout.  Its entries are
+    # vectors, not Exprs, and are refused like any other wrong layout.
+    square = container(container(container([ZERO] * 3) for _ in range(3)) for _ in range(3))
+    with pytest.raises(ValueError, match=r"pair \(0, 1\) holds an entry that is not an Expr"):
+        FiberBracket(Bundle(CH2, 3), square)
+    with pytest.raises(ValueError, match="not an Expr"):
+        antisymmetric_table(square, 3, 3)
+
+
 def test_point_map_exact_partials_match_stencil():
     # Exact partials are the evaluated symbolic derivatives, bit for
     # bit; the 4-point stencil reproduces them on quadratics up to

@@ -541,6 +541,14 @@ def test_chart_validation():
     Chart(2, bounds=[(0.01, 0.02), (-0.05, 0.1)], excluded_origin=True)
 
 
+@pytest.mark.parametrize("bound", [(-1.0, math.inf), (-math.inf, 1.0), (-math.inf, math.inf)])
+def test_chart_refuses_a_non_finite_bound(bound):
+    # The sampler draws uniformly from the box: an infinite side has no
+    # uniform draw.
+    with pytest.raises(ValueError, match="non-finite coordinate bound"):
+        Chart(2, bounds=[bound, (-1.0, 1.0)])
+
+
 def _random_expr(rng, chart, depth):
     """Random expression tree of bounded depth (test-local generator)."""
     if depth <= 0 or rng.uniform() < 0.25:

@@ -13,8 +13,7 @@ import algebroids
 from algebroids import cli, imforms
 from algebroids.bundles import PointMap
 from algebroids.cli import SUBCOMMANDS, run
-from algebroids.factory import ExampleSpec
-from algebroids.modelio import ModelError, load_model
+from algebroids.modelio import MODEL_SCHEMA, ExampleSpec, ModelError, _conforms, load_model
 from algebroids.sampling import SamplePlan
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -72,6 +71,185 @@ def test_load_errors(tmp_path):
 def test_every_model_fixture_loads():
     for path in sorted(MODELS.glob("*.json")):
         load_model(str(path))
+
+
+def _integer_pointers(schema, pointer=""):
+    """The JSON pointer of every integer field of ``schema``."""
+    if schema.get("type") == "integer":
+        yield pointer
+    for key, sub in schema.get("properties", {}).items():
+        yield from _integer_pointers(sub, f"{pointer}/{key}")
+
+
+# Each integer field of MODEL_SCHEMA, with a shipped model that has it
+# and a subcommand that loads that model.
+INTEGER_FIELDS = {
+    "/chart/dim": ("product_so3", "verify-algebroid"),
+    "/algebroid/rank": ("product_so3", "verify-algebroid"),
+    "/ideal/k": ("product_so3", "verify-ideal"),
+    "/coupling/base/rank": ("product_so3", "check-structure"),
+    "/coupling/fiber/rank": ("product_so3", "check-structure"),
+    "/groupoid/ambient": ("so2_groupoid", "groupoid-verify"),
+}
+
+
+def test_the_integer_fields_are_those_of_the_schema():
+    assert sorted(_integer_pointers(MODEL_SCHEMA)) == sorted(INTEGER_FIELDS)
+
+
+@pytest.mark.parametrize("pointer", sorted(INTEGER_FIELDS))
+def test_a_float_for_an_integer_field_is_a_model_error(tmp_path, capsys, pointer):
+    # JSON Schema counts 3.0 as an integer, so the schema lets it
+    # through; a dimension or rank is never rounded, and the float is
+    # refused at its path.
+    model, command = INTEGER_FIELDS[pointer]
+    doc = json.loads((MODELS / f"{model}.json").read_text())
+    *parents, key = pointer.strip("/").split("/")
+    sec = doc
+    for name in parents:
+        sec = sec[name]
+    sec[key] = float(sec[key])
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    code, out = invoke([command, "--model", str(p), "--json", "--samples", "4"])
+    assert (code, out) == (3, "")
+    where = pointer.rsplit("/", 1)[0]
+    assert capsys.readouterr().err == f"model error: at {where}: {key} must be a positive integer, not {sec[key]!r}\n"
+
+
+def test_an_infinite_chart_bound_is_a_model_error(tmp_path, capsys):
+    # 1e400 parses as inf; the sampler cannot draw from an infinite side.
+    doc = json.loads((MODELS / "product_so3.json").read_text())
+    doc["chart"]["bounds"][0][1] = "BOUND"
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc).replace('"BOUND"', "1e400"))
+    code, out = invoke(["verify-algebroid", "--model", str(p), "--json", "--samples", "4"])
+    assert (code, out) == (3, "")
+    assert capsys.readouterr().err == "model error: at /chart: non-finite coordinate bound in [-1.0, inf]\n"
+
+
+def _places(value, path=()):
+    """The path of every value within ``value``, its own included."""
+    yield path
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value)
+    else:
+        return
+    for key, sub in items:
+        yield from _places(sub, path + (key,))
+
+
+# Values a mutation puts in place of another: wrong types, a bool where
+# an integer or the const 1 goes, floats with and without a fraction,
+# empty strings and containers.
+REPLACEMENTS = (True, False, None, 0, 1, -1, 3, 1.0, 3.0, 1.5, "", "x", [], [[]], ["1"], {})
+# Structure keys the "a,b" pattern refuses, or matches only up to the
+# final newline.
+BAD_KEYS = ("0,1", "1,2\n", "a,b", "1,2,3", "1, 2", "01,2", ",", "1,2 ")
+
+
+def _mutate(doc, rng):
+    """A copy of ``doc`` changed at one seeded place: a replaced value,
+    an emptied, shortened or lengthened list, or an object with a key
+    removed (a required one, often), an unknown key or a bad pair key."""
+    out = json.loads(json.dumps(doc))
+    places = list(_places(out))
+    path = places[rng.integers(len(places))]
+    parent, value = None, out
+    for key in path:
+        parent, value = value, value[key]
+    kinds = ["replace"] if parent is not None else []
+    if isinstance(value, dict):
+        kinds += ["unknown key", "bad pair key"] + (["drop key"] if value else [])
+    if isinstance(value, list):
+        kinds += ["empty", "append"] + (["pop"] if value else [])
+    kind = kinds[rng.integers(len(kinds))]
+    if kind == "replace":
+        parent[path[-1]] = REPLACEMENTS[rng.integers(len(REPLACEMENTS))]
+    elif kind == "unknown key":
+        value["unknown"] = "0"
+    elif kind == "bad pair key":
+        value[BAD_KEYS[rng.integers(len(BAD_KEYS))]] = ["0"]
+    elif kind == "drop key":
+        del value[sorted(value)[rng.integers(len(value))]]
+    elif kind == "empty":
+        value.clear()
+    elif kind == "append":
+        value.append(json.loads(json.dumps(value[0])) if value else "0")
+    else:
+        value.pop()
+    return out
+
+
+def test_every_shipped_model_conforms_on_the_fast_path():
+    # A shipped model is read by the strict reading alone: jsonschema is
+    # never imported to load it.
+    for path in sorted(MODELS.glob("*.json")):
+        assert _conforms(json.loads(path.read_text()), MODEL_SCHEMA), path.name
+
+
+def test_the_strict_reading_never_passes_what_jsonschema_refuses(tmp_path):
+    # A document the strict reading passes is one jsonschema finds no
+    # error in; where it is in doubt, jsonschema decides and load_model
+    # words its first error in path order.
+    from jsonschema import Draft202012Validator
+
+    validator = Draft202012Validator(MODEL_SCHEMA)
+    rng = np.random.default_rng(2024)
+    outcomes = {(True, True): 0, (False, True): 0, (False, False): 0}
+    p = tmp_path / "model.json"
+    for path in sorted(MODELS.glob("*.json")):
+        doc = json.loads(path.read_text())
+        mutants = [_mutate(doc, rng) for _ in range(60)]
+        for sec in (doc.get("algebroid"), doc.get("coupling", {}).get("fiber")):
+            if sec is not None:
+                for key in BAD_KEYS:
+                    sec.setdefault("structure", {})[key] = ["0"] * sec["rank"]
+                    mutants.append(json.loads(json.dumps(doc)))
+                    del sec["structure"][key]
+        for mutant in mutants:
+            errors = sorted(validator.iter_errors(mutant), key=lambda e: list(e.absolute_path))
+            conforms = _conforms(mutant, MODEL_SCHEMA)
+            assert not (conforms and errors), mutant
+            outcomes[conforms, not errors] += 1
+            if errors:
+                p.write_text(json.dumps(mutant))
+                with pytest.raises(ModelError) as ei:
+                    load_model(str(p))
+                pointer = "/" + "/".join(str(k) for k in errors[0].absolute_path)
+                assert str(ei.value) == f"schema violation at {pointer}: {errors[0].message}"
+    # Every outcome occurs: mutants that conform, doubts jsonschema
+    # passes (such as 3.0 for an integer), and refusals.
+    assert min(outcomes.values()) > 0, outcomes
+
+
+@pytest.mark.parametrize(
+    "argv, unloaded",
+    [
+        (["verify-algebroid", "--model", "bad_structure"], ("jsonschema", "groupoid", "imforms", "rankone", "factory")),
+        (["verify-algebroid", "--model", "so3_radial"], ("jsonschema", "groupoid", "imforms", "rankone", "factory")),
+        (["check-structure", "--model", "bad_u"], ("jsonschema", "groupoid", "factory", "rankone")),
+    ],
+)
+def test_a_subcommand_loads_only_the_modules_it_runs(argv, unloaded):
+    # A fresh process: a CLI run imports the checkers its subcommand
+    # runs, the model sections it builds and nothing else; jsonschema
+    # only to word a refusal.
+    *args, model = argv
+    args += [str(MODELS / f"{model}.json"), "--json", "--samples", "4"]
+    snippet = (
+        "import json, sys, algebroids.cli;"
+        f"code = algebroids.cli.run({args!r});"
+        "print(json.dumps([code, sorted(sys.modules)]))"
+    )
+    out = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    code, loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert code == (0 if model == "so3_radial" else 1)
+    assert "algebroids.modelio" in loaded and "algebroids.algebroid" in loaded
+    assert [m for m in unloaded if m in loaded or f"algebroids.{m}" in loaded] == []
 
 
 def test_classify_product_json():
@@ -645,7 +823,7 @@ def test_a_subcommand_reads_the_sections_load_model_built(monkeypatch):
 
     built = []
 
-    class CountedIMOneForm(modelio.IMOneForm):
+    class CountedIMOneForm(imforms.IMOneForm):
         def __init__(self, *args):
             built.append("im_form")
             super().__init__(*args)
@@ -657,7 +835,8 @@ def test_a_subcommand_reads_the_sections_load_model_built(monkeypatch):
             built.append("witness expression")
         return parse(self, text, where)
 
-    monkeypatch.setattr(modelio, "IMOneForm", CountedIMOneForm)
+    # The builder imports IMOneForm from imforms when it builds.
+    monkeypatch.setattr(imforms, "IMOneForm", CountedIMOneForm)
     monkeypatch.setattr(modelio.ModelFile, "_parse", counted_parse)
     code, _ = invoke(["verify-im", "--model", str(MODELS / "product_so3.json"), "--json", "--samples", "20"])
     assert code == 0
@@ -915,6 +1094,7 @@ TRACED_RUNS = [
 # Exprs with, and the hash and repr of the value types).  A function
 # only tests call belongs with them, in tests/reference.py.
 UNREACHED = {
+    "__init__.__getattr__": "import time",
     "cli.main": "entry point",
     "expr.Chart.__hash__": "Expr protocol",
     "expr.Chart.__repr__": "Expr protocol",
@@ -932,9 +1112,10 @@ UNREACHED = {
     "expr.ParseError.__init__": "error path",
     "expr.log": "Expr protocol",
     "expr.sin": "Expr protocol",
-    "groupoid.EquivarianceError.__init__": "error path",
+    "modelio._refuse_schema_violation": "error path",
     "modelio._section": "import time",
     "modelio._section.<locals>.accessor": "import time",
+    "sampling.EquivarianceError.__init__": "error path",
 }
 
 # CO_OPTIMIZED | CO_NEWLOCALS: a function's code, not a class body's.
@@ -1073,17 +1254,14 @@ def test_every_exported_name_resolves(module):
 
 
 def test_every_name_the_package_imports_resolves():
-    import ast
+    # The package exports its names lazily, from one table of names to
+    # the modules that define them.
     import importlib
 
     import algebroids
 
-    tree = ast.parse(Path(algebroids.__file__).read_text())
-    imported = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
+    imported = [(m, name) for m, names in algebroids._EXPORTS.items() for name in names]
     assert len(imported) > 30
     assert [(m, name) for m, name in imported if not hasattr(importlib.import_module(f"algebroids.{m}"), name)] == []
+    assert sorted(algebroids.__all__) == sorted(name for _, name in imported)
+    assert all(getattr(algebroids, name) is getattr(importlib.import_module(f"algebroids.{m}"), name) for m, name in imported)
