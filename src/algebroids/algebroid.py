@@ -82,7 +82,9 @@ class LieAlgebroid:
     ):
         n, r = bundle.chart.dim, bundle.rank
         if len(anchor) != n or any(len(row) != r for row in anchor):
-            raise ValueError("anchor must be an n x r matrix of Exprs")
+            raise ValueError(
+                f"anchor must be an n x r matrix of Exprs, {n} x {r} for the chart dimension and rank"
+            )
         self.bundle = bundle
         self.anchor = tuple(tuple(fold(x) for x in row) for row in anchor)
         self.anchor_map = PointMap.exact(self.anchor)
@@ -165,7 +167,7 @@ class IdealBundle:
         verify: bool = True,
     ):
         if not 1 <= k <= parent.rank:
-            raise ValueError("ideal rank out of range")
+            raise ValueError(f"ideal rank {k} out of range 1..{parent.rank}")
         self.parent = parent
         self.k = k
         self.fiber = parent.fiber_bracket(k)

@@ -125,7 +125,14 @@ class MatrixGroup:
 
     def __init__(self, ambient: int, basis: Sequence[np.ndarray]):
         self.N = int(ambient)
-        self.basis = [np.asarray(X, dtype=float).reshape(self.N, self.N) for X in basis]
+        self.basis = []
+        for b, X in enumerate(basis):
+            X = np.asarray(X, dtype=float)
+            if X.size != self.N**2:
+                raise ValueError(f"basis element {b} has {X.size} entries, not {self.N} x {self.N}")
+            if not np.isfinite(X).all():
+                raise ValueError(f"basis element {b} holds a non-finite entry")
+            self.basis.append(X.reshape(self.N, self.N))
         self.dim = len(self.basis)
         if not self.dim:
             raise ValueError("Lie algebra basis is empty")

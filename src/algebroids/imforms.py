@@ -119,12 +119,20 @@ class _IMFormBase:
         if self.degree > n:
             raise ValueError("form degree out of range for chart")
 
-        def grid(forms, q):
+        def grid(forms, q, what):
             # The explicit shape keeps the value axis of a range with no q-tuples.
+            shape = (r, math.comb(n, q), v)
+            blocks_fit = len(forms) == r and all(len(form) == shape[1] for form in forms)
+            if not blocks_fit or any(len(vec) != v for form in forms for vec in form):
+                raise ValueError(
+                    f"{what} must have shape {shape}: frame element, increasing {q}-tuple "
+                    f"of chart directions, value entry"
+                )
             entries = [[[fold(x) for x in vec] for vec in form] for form in forms]
-            return PointMap.exact(np.array(entries, dtype=object).reshape(r, math.comb(n, q), v))
+            return PointMap.exact(np.array(entries, dtype=object).reshape(shape))
 
-        self._bind(algebroid, value, grid(symbols, self.degree - 1), grid(frame_values, self.degree))
+        sym_map = grid(symbols, self.degree - 1, "symbols")
+        self._bind(algebroid, value, sym_map, grid(frame_values, self.degree, "frame values"))
 
     def _bind(self, algebroid, value, sym_map, op_map) -> None:
         self.algebroid = algebroid
@@ -156,7 +164,7 @@ class IMOneForm(_IMFormBase):
         vb = _value_bundle(value)
         rV, r = vb.rank, algebroid.rank
         if len(l) != rV or any(len(row) != r for row in l):
-            raise ValueError("symbol must be an r_V x r Expr matrix")
+            raise ValueError(f"symbol must be an r_V x r Expr matrix, {rV} x {r}")
         self.l = tuple(tuple(fold(x) for x in row) for row in l)
         symbols = [[[self.l[c][a] for c in range(rV)]] for a in range(r)]
         super().__init__(algebroid, value, symbols, frame_values)

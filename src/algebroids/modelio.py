@@ -8,10 +8,13 @@ row-major nested arrays.
 
 A loaded model builds only the sections it has: the IM-form and
 coupling sections import ``imforms``, the groupoid section
-``groupoid``, where they build.  A document is read against
-``MODEL_SCHEMA`` by ``_conforms``, a strict reading of the schema's
-keywords; jsonschema is imported only when that reading is in doubt,
-to find and word the first violation.
+``groupoid``, where they build.  A builder parses each expression at
+its JSON path and passes the parsed lists to the section's
+constructors, which decide every shape: a constructor's refusal, the
+one a library caller gets, is a ModelError at the section's path.
+A document is read against ``MODEL_SCHEMA`` by ``_conforms``, a
+strict reading of the schema's keywords; jsonschema is imported only
+when that reading is in doubt, to find and word the first violation.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ import json
 import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
-
-import numpy as np
 
 from .algebroid import IdealBundle, LieAlgebroid
 from .bundles import Bundle, FiberBracket, LinearConnection
@@ -37,8 +38,9 @@ __all__ = ["ModelError", "ModelFile", "load_model", "MODEL_SCHEMA", "ExampleSpec
 
 
 class ModelError(Exception):
-    """Schema violation, expression parse failure, or dimensional
-    inconsistency; the message carries the JSON-pointer-ish path."""
+    """Schema violation, expression parse failure, or a shape or value
+    a constructor refuses; the message carries the JSON-pointer-ish
+    path."""
 
 
 _EXPR = {"type": "string", "minLength": 1}
@@ -271,14 +273,21 @@ def _positive_int(v, what: str) -> int:
     return v
 
 
+def _construct(where: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, where ``make`` builds an object from
+    a section; its refusal of the input (a ValueError, such as a shape
+    it does not take) is a ModelError prefixed with ``where``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as e:
+        raise ModelError(f"{where}: {e}") from e
+
+
 def _count(sec: dict, key: str, where: str) -> int:
     """The dimension or rank ``sec[key]`` of the section at ``where``.
     JSON Schema counts a float such as 3.0 as an integer, so the schema
     lets it through; it is refused here."""
-    try:
-        return _positive_int(sec[key], key)
-    except ValueError as e:
-        raise ModelError(f"at {where}: {e}") from e
+    return _construct(f"at {where}", _positive_int, sec[key], key)
 
 
 EXAMPLE_NAMES = (
@@ -329,7 +338,10 @@ def _section(name: str):
 class ModelFile:
     """Validated in-memory model.  Each section is built once, by the
     first call of its accessor (``load_model`` calls them all), and that
-    build is shared with every later caller, who must not change it."""
+    build is shared with every later caller, who must not change it.
+    A builder only parses (``_exprs``) and reads the file format's own
+    rules (counts, structure keys); the constructor it calls owns every
+    shape."""
 
     path: str
     raw: dict
@@ -351,24 +363,19 @@ class ModelFile:
         except ParseError as e:
             raise ModelError(f"at {where}: {e}") from e
 
+    def _exprs(self, value, where: str):
+        """``value``, an expression string or nested lists of them,
+        parsed with its nesting kept; each string is parsed at its own
+        JSON path, such as ``/algebroid/anchor/0/1``."""
+        if isinstance(value, str):
+            return self._parse(value, where)
+        return [self._exprs(x, f"{where}/{i}") for i, x in enumerate(value)]
+
     def _load_algebroid_section(self, sec: dict, where: str) -> LieAlgebroid:
         rank = _count(sec, "rank", where)
-        anchor_rows = sec["anchor"]
-        if len(anchor_rows) != self.chart.dim:
-            raise ModelError(
-                f"dimension mismatch between /chart (dim {self.chart.dim}) and "
-                f"{where}/anchor ({len(anchor_rows)} rows)"
-            )
-        anchor = []
-        for i, row in enumerate(anchor_rows):
-            if len(row) != rank:
-                raise ModelError(
-                    f"dimension mismatch between {where}/rank ({rank}) and "
-                    f"{where}/anchor/{i} ({len(row)} columns)"
-                )
-            anchor.append([self._parse(x, f"{where}/anchor/{i}") for x in row])
-        structure = _structure_pairs(sec.get("structure", {}), rank, self, where + "/structure")
-        return LieAlgebroid(Bundle(self.chart, rank), anchor, structure)
+        anchor = self._exprs(sec["anchor"], f"{where}/anchor")
+        structure = _structure_pairs(sec.get("structure", {}), rank, self, f"{where}/structure")
+        return _construct(f"at {where}", LieAlgebroid, Bundle(self.chart, rank), anchor, structure)
 
     @_section("algebroid")
     def algebroid(self, sec: dict) -> LieAlgebroid:
@@ -378,47 +385,16 @@ class ModelFile:
     def ideal(self, sec: dict) -> IdealBundle:
         """The bundle of ideals, unverified: ``verify-ideal`` checks it."""
         A = self.algebroid()
-        k = _count(sec, "k", "/ideal")
-        if k > A.rank:
-            raise ModelError(
-                f"dimension mismatch between /ideal/k ({k}) and /algebroid/rank ({A.rank})"
-            )
-        return IdealBundle(A, k, verify=False)
+        return _construct("at /ideal", IdealBundle, A, _count(sec, "k", "/ideal"), verify=False)
 
     @_section("im_form")
     def im_form(self, sec: dict) -> IMOneForm:
         from .imforms import IMOneForm
 
-        A = self.algebroid()
-        ideal = self.ideal()
-        rV, r, n = ideal.k, A.rank, self.chart.dim
-        l_rows = sec["l"]
-        if len(l_rows) != rV or any(len(row) != r for row in l_rows):
-            raise ModelError(
-                f"dimension mismatch: /im_form/l must be {rV} x {r} for "
-                f"/ideal/k and /algebroid/rank"
-            )
-        l = [
-            [self._parse(x, f"/im_form/l/{c}") for x in row]
-            for c, row in enumerate(l_rows)
-        ]
-        L_rows = sec["L"]
-        if len(L_rows) != r:
-            raise ModelError(
-                f"dimension mismatch: /im_form/L needs one block per frame "
-                f"element ({r}), got {len(L_rows)}"
-            )
-        frames = []
-        for a, block in enumerate(L_rows):
-            if len(block) != n or any(len(vec) != rV for vec in block):
-                raise ModelError(
-                    f"dimension mismatch at /im_form/L/{a}: expected {n} rows "
-                    f"of {rV} expressions"
-                )
-            frames.append(
-                [[self._parse(x, f"/im_form/L/{a}/{i}") for x in vec] for i, vec in enumerate(block)]
-            )
-        return IMOneForm(A, ideal, l, frames)
+        A, ideal = self.algebroid(), self.ideal()
+        l = self._exprs(sec["l"], "/im_form/l")
+        frames = self._exprs(sec["L"], "/im_form/L")
+        return _construct("at /im_form", IMOneForm, A, ideal, l, frames)
 
     @_section("coupling")
     def coupling(self, sec: dict) -> CouplingData:
@@ -427,97 +403,28 @@ class ModelFile:
         B = self._load_algebroid_section(sec["base"], "/coupling/base")
         kk = _count(sec["fiber"], "rank", "/coupling/fiber")
         fb = Bundle(self.chart, kk)
-        fiber = FiberBracket(
-            fb, _structure_pairs(sec["fiber"].get("structure", {}), kk, self, "/coupling/fiber/structure")
-        )
-        n = self.chart.dim
-        nab = sec["nablaL"]
-        if len(nab) != n:
-            raise ModelError(
-                f"dimension mismatch: /coupling/nablaL needs {n} matrices for /chart"
-            )
-        mats = []
-        for i, M in enumerate(nab):
-            if len(M) != kk or any(len(row) != kk for row in M):
-                raise ModelError(
-                    f"dimension mismatch at /coupling/nablaL/{i}: expected "
-                    f"{kk} x {kk} for /coupling/fiber/rank"
-                )
-            mats.append(
-                [[self._parse(x, f"/coupling/nablaL/{i}") for x in row] for row in M]
-            )
-        nablaL = LinearConnection(fb, mats)
-        U_rows = sec["U"]
-        if len(U_rows) != B.rank:
-            raise ModelError(
-                f"dimension mismatch: /coupling/U needs one block per base "
-                f"frame element ({B.rank}), got {len(U_rows)}"
-            )
-        U = []
-        for a, block in enumerate(U_rows):
-            if len(block) != n or any(len(vec) != kk for vec in block):
-                raise ModelError(
-                    f"dimension mismatch at /coupling/U/{a}: expected {n} rows "
-                    f"of {kk} expressions"
-                )
-            U.append(
-                [
-                    [self._parse(x, f"/coupling/U/{a}/{i}") for x in vec]
-                    for i, vec in enumerate(block)
-                ]
-            )
+        structure = _structure_pairs(sec["fiber"].get("structure", {}), kk, self, "/coupling/fiber/structure")
+        fiber = _construct("at /coupling/fiber", FiberBracket, fb, structure)
+        christoffel = self._exprs(sec["nablaL"], "/coupling/nablaL")
+        nablaL = _construct("at /coupling/nablaL", LinearConnection, fb, christoffel)
+        U = self._exprs(sec["U"], "/coupling/U")
         verify_skew = sec.get("verify_skew", True)
-        try:
-            return CouplingData(B, fiber, nablaL, U, verify_skew=verify_skew)
-        except ValueError as e:
-            raise ModelError(f"/coupling/U: {e}") from e
+        return _construct("/coupling/U", CouplingData, B, fiber, nablaL, U, verify_skew=verify_skew)
 
     @_section("groupoid")
     def groupoid(self, sec: dict) -> ActionGroupoid:
         from .groupoid import ActionGroupoid, MatrixGroup
 
         N = _count(sec, "ambient", "/groupoid")
-        basis = []
-        for b, flat in enumerate(sec["basis"]):
-            if len(flat) != N * N:
-                raise ModelError(
-                    f"dimension mismatch at /groupoid/basis/{b}: expected "
-                    f"{N * N} entries for ambient {N}"
-                )
-            basis.append(np.array(flat, dtype=float).reshape(N, N))
-        try:
-            group = MatrixGroup(N, basis)
-        except ValueError as e:
-            raise ModelError(f"/groupoid: {e}") from e
+        group = _construct("/groupoid", MatrixGroup, N, sec["basis"])
         combined = Chart(N * N + self.chart.dim)
-        action = [
-            self._parse(x, f"/groupoid/action/{i}", combined)
-            for i, x in enumerate(sec["action"])
-        ]
-        if len(action) != self.chart.dim:
-            raise ModelError(
-                "dimension mismatch between /groupoid/action and /chart/dim"
-            )
-        ideal_frame = [
-            [self._parse(x, f"/groupoid/ideal_frame/{j}") for x in row]
-            for j, row in enumerate(sec["ideal_frame"])
-        ]
-        complement = [
-            [self._parse(x, f"/groupoid/complement/{j}") for x in row]
-            for j, row in enumerate(sec.get("complement", []))
-        ]
-        splitting = None
-        if "splitting" in sec:
-            splitting = [
-                [self._parse(x, f"/groupoid/splitting/{c}") for x in row]
-                for c, row in enumerate(sec["splitting"])
-            ]
-        try:
-            return ActionGroupoid(
-                group, self.chart, action, ideal_frame, complement, splitting
-            )
-        except ValueError as e:
-            raise ModelError(f"/groupoid: {e}") from e
+        action = [self._parse(x, f"/groupoid/action/{i}", combined) for i, x in enumerate(sec["action"])]
+        ideal_frame = self._exprs(sec["ideal_frame"], "/groupoid/ideal_frame")
+        complement = self._exprs(sec.get("complement", []), "/groupoid/complement")
+        splitting = self._exprs(sec["splitting"], "/groupoid/splitting") if "splitting" in sec else None
+        return _construct(
+            "/groupoid", ActionGroupoid, group, self.chart, action, ideal_frame, complement, splitting
+        )
 
     @_section("example")
     def example_spec(self, sec: dict) -> ExampleSpec:
@@ -526,45 +433,41 @@ class ModelFile:
     @_section("rank_one_witness")
     def witness(self, sec: dict) -> dict:
         out: dict[str, Any] = {"kind": sec["kind"]}
-        if "h" in sec:
-            out["h"] = self._parse(sec["h"], "/rank_one_witness/h")
-        for key in ("Z", "theta", "Omega"):
+        for key in ("h", "Z", "theta", "Omega", "U1"):
             if key in sec:
-                out[key] = [
-                    self._parse(x, f"/rank_one_witness/{key}") for x in sec[key]
-                ]
-        if "U1" in sec:
-            out["U1"] = [
-                [self._parse(x, "/rank_one_witness/U1") for x in row]
-                for row in sec["U1"]
-            ]
+                out[key] = self._exprs(sec[key], f"/rank_one_witness/{key}")
         return out
+
+
+# A structure key: two 1-indexed frame numbers.  The schema's pattern
+# ends in $, which also matches before a final newline.
+_PAIR_KEY = re.compile(r"([1-9][0-9]*),([1-9][0-9]*)")
 
 
 def _structure_pairs(mapping: dict, r: int, model, where: str) -> list:
     """The "a,b" keyed structure entries (1-indexed, a < b) as one vector
     per increasing pair, in ``itertools.combinations`` order, zero where
     no key is given: the structure input of ``LieAlgebroid`` and
-    ``FiberBracket``."""
+    ``FiberBracket``, which check each vector's length."""
     index = {pair: t for t, pair in enumerate(itertools.combinations(range(r), 2))}
     structure = [[ZERO] * r for _ in index]
     for key, vec in mapping.items():
-        a_s, b_s = key.split(",")
-        a, b = int(a_s) - 1, int(b_s) - 1
+        pair = _PAIR_KEY.fullmatch(key)
+        if pair is None:
+            raise ModelError(f"at {where}: pair key {key!r} is not of the form a,b")
+        a, b = int(pair[1]) - 1, int(pair[2]) - 1
         if not (0 <= a < r and 0 <= b < r):
             raise ModelError(f"at {where}/{key}: frame index out of range for rank {r}")
         if a >= b:
             raise ModelError(f"at {where}/{key}: keys must have a < b")
-        if len(vec) != r:
-            raise ModelError(f"at {where}/{key}: expected {r} expressions, got {len(vec)}")
-        structure[index[a, b]] = [model._parse(x, f"{where}/{key}") for x in vec]
+        structure[index[a, b]] = model._exprs(vec, f"{where}/{key}")
     return structure
 
 
 def load_model(path: str) -> ModelFile:
     """Load and validate a model file; schema violations report the
-    JSON-pointer path, expression errors the byte offset, and
-    dimensional inconsistencies both section names."""
+    JSON-pointer path, expression errors the entry's path and byte
+    offset, and a shape a constructor refuses the section's path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -576,14 +479,9 @@ def load_model(path: str) -> ModelFile:
         _refuse_schema_violation(raw)
     csec = raw["chart"]
     dim = _count(csec, "dim", "/chart")
-    try:
-        chart = Chart(
-            dim,
-            bounds=csec.get("bounds"),
-            excluded_origin=csec.get("excluded_origin", False),
-        )
-    except ValueError as e:
-        raise ModelError(f"at /chart: {e}") from e
+    chart = _construct(
+        "at /chart", Chart, dim, bounds=csec.get("bounds"), excluded_origin=csec.get("excluded_origin", False)
+    )
     model = ModelFile(path=path, raw=raw, chart=chart)
     # Eagerly validate every supplied section so load errors surface here.
     for section in ("algebroid", "ideal", "im_form", "coupling", "groupoid"):

@@ -223,6 +223,9 @@ def verify_witness(
     Z = witnesses.get("Z")
     if Z is not None and len(Z) != rB:
         raise ValueError("Z must have one entry per base frame element")
+    theta_w = witnesses.get("theta")
+    if theta_w is not None and len(theta_w) != n:
+        raise ValueError("theta must have one entry per chart direction")
     # A non-finite read gives a non-finite residual, which fails.
     with np.errstate(invalid="ignore", over="ignore"):
         rho, V, lam = _stack(
@@ -241,7 +244,6 @@ def verify_witness(
             report.add("lambda_vanishes_after_shift", lam, tol)
             return report
 
-        theta_w = witnesses.get("theta")
         if theta_w is None:
             raise ValueError(f"witness kind {kind!r} needs a 'theta' 1-form")
         theta_w = [fold(t) for t in theta_w]

@@ -171,6 +171,22 @@ def test_matrix_group_rejects_empty_basis():
         MatrixGroup(2, [])
 
 
+@pytest.mark.parametrize(
+    "basis, message",
+    [
+        ([[0.0, -1.0, 1.0, np.inf]], r"basis element 0 holds a non-finite entry"),
+        ([[0.0, -1.0, 1.0, 0.0], [np.nan, 0.0, 0.0, 0.0]], r"basis element 1 holds a non-finite entry"),
+        ([[0.0, -1.0, 1.0]], r"basis element 0 has 3 entries, not 2 x 2"),
+        ([np.eye(3)], r"basis element 0 has 9 entries, not 2 x 2"),
+    ],
+)
+def test_matrix_group_names_a_malformed_basis_element(basis, message):
+    # Each is refused before the rank test, which would call an inf
+    # entry linear dependence, or the reshape, which names no element.
+    with pytest.raises(ValueError, match=message):
+        MatrixGroup(2, basis)
+
+
 def test_groupoid_invariants():
     for gpd in (so2_groupoid(), so3_radial_groupoid()):
         assert gpd.verify(SamplePlan(seed=1, samples=80)).passed

@@ -117,6 +117,22 @@ def test_zero_form_passes_but_not_connection(product_model):
     assert out.extra["connection_predicate"] is False
 
 
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda frames: [frames[0][:-1], *frames[1:]], id="short_block"),
+        # Two blocks of five vectors hold the 30 entries of five blocks
+        # of two: a reshape alone would take them in the wrong order.
+        pytest.param(lambda frames: [list(col) for col in zip(*frames)], id="transposed"),
+    ],
+)
+def test_a_frame_value_block_of_the_wrong_shape_is_refused_by_its_shape(product_model, edit):
+    m = product_model
+    frames = edit([list(block) for block in m.im_form.op_map.exprs])
+    with pytest.raises(ValueError, match=r"frame values must have shape \(5, 2, 3\)"):
+        IMOneForm(m.algebroid, m.ideal, [list(r) for r in m.im_form.l], frames)
+
+
 def test_perturbed_form_fails_identity_3(product_model):
     m = product_model
     A, ideal = m.algebroid, m.ideal

@@ -39,8 +39,8 @@ def test_load_product_model_sections():
 
 
 def test_load_errors(tmp_path):
-    # Anchor with the wrong number of columns: dimension mismatch names
-    # both sections.
+    # Anchor with the wrong number of columns: the refusal names the
+    # anchor and the rank it must match.
     doc = {
         "schema_version": 1,
         "chart": {"dim": 2},
@@ -1020,6 +1020,102 @@ def test_a_malformed_groupoid_section_is_a_model_error(tmp_path, capsys, command
     assert code == 3 and out == ""
     assert err.startswith("model error: /groupoid: ") and message in err
     assert "Traceback" not in err
+
+
+# A shipped model with each section, and a subcommand that loads it.
+SECTION_RUNS = {
+    "algebroid": ("product_so3", "verify-algebroid"),
+    "ideal": ("product_so3", "verify-ideal"),
+    "im_form": ("product_so3", "verify-im"),
+    "coupling": ("product_so3", "check-structure"),
+    "groupoid": ("so3_radial_groupoid", "groupoid-verify"),
+}
+
+# One mutation of a section for each shape its constructor decides.
+SHAPE_MISMATCHES = [
+    pytest.param("algebroid", lambda s: s["anchor"].pop(), id="missing_anchor_row"),
+    pytest.param("algebroid", lambda s: s["anchor"][0].pop(), id="short_anchor_row"),
+    pytest.param("algebroid", lambda s: s["structure"]["1,2"].pop(), id="short_structure_vector"),
+    pytest.param("ideal", lambda s: s.update(k=6), id="ideal_above_rank"),
+    pytest.param("im_form", lambda s: s["l"].pop(), id="missing_symbol_row"),
+    pytest.param("im_form", lambda s: s["l"][0].pop(), id="short_symbol_row"),
+    pytest.param("im_form", lambda s: s["L"].pop(), id="missing_frame_value_block"),
+    pytest.param("im_form", lambda s: s["L"][0].pop(), id="short_frame_value_block"),
+    pytest.param("im_form", lambda s: s["L"][0][0].pop(), id="short_frame_value_vector"),
+    pytest.param("coupling", lambda s: s["nablaL"].pop(), id="missing_christoffel_matrix"),
+    pytest.param("coupling", lambda s: s["nablaL"][0][0].append("0"), id="long_christoffel_row"),
+    pytest.param("coupling", lambda s: s["U"].pop(), id="missing_U_block"),
+    pytest.param("coupling", lambda s: s["U"][0][0].append("0"), id="long_U_vector"),
+    pytest.param("groupoid", lambda s: s["basis"][0].pop(), id="short_basis_element"),
+    pytest.param("groupoid", lambda s: s["action"].pop(), id="missing_action_entry"),
+    pytest.param("groupoid", lambda s: s["ideal_frame"][0].pop(), id="short_ideal_frame_row"),
+    pytest.param("groupoid", lambda s: s["complement"][0].pop(), id="short_complement_row"),
+    pytest.param("groupoid", lambda s: s["splitting"][0].pop(), id="short_splitting_row"),
+]
+
+
+@pytest.mark.parametrize("section, edit", SHAPE_MISMATCHES)
+def test_a_shape_mismatch_is_a_model_error_naming_its_section(tmp_path, capsys, section, edit):
+    model, command = SECTION_RUNS[section]
+    doc = json.loads((MODELS / f"{model}.json").read_text())
+    edit(doc[section])
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    code, out = invoke([command, "--model", str(p), "--samples", "4", "--json"])
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    first = err.splitlines()[0]
+    assert first.startswith("model error:") and f"/{section}" in first
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "structure",
+    [{"1,2\n": ["0", "1"]}, {"1,2": ["0", "1"], "1,2\n": ["1", "0"]}],
+    ids=["alone", "beside_its_pair"],
+)
+def test_a_pair_key_with_a_final_newline_is_a_model_error(tmp_path, capsys, structure):
+    # The schema's key pattern ends in $, which matches before a final
+    # newline, so jsonschema passes "1,2\n"; it is refused, not read as
+    # the pair (1, 2) in place of, or over, the vector keyed "1,2".
+    doc = {
+        "schema_version": 1,
+        "chart": {"dim": 1},
+        "algebroid": {"rank": 2, "anchor": [["0", "0"]], "structure": structure},
+    }
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    code, out = invoke(["verify-algebroid", "--model", str(p), "--samples", "4", "--json"])
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    assert err.startswith("model error: at /algebroid/structure") and repr("1,2\n") in err
+
+
+@pytest.mark.parametrize("entry", ["1e400", "-1e400", "NaN"])
+def test_a_non_finite_basis_entry_is_a_model_error_saying_so(tmp_path, capsys, entry):
+    # 1e400 parses as inf: the rank test called it linear dependence.
+    doc = json.loads((MODELS / "so2_groupoid.json").read_text())
+    doc["groupoid"]["basis"][0][3] = "ENTRY"
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc).replace('"ENTRY"', entry))
+    code, out = invoke(["groupoid-verify", "--model", str(p), "--samples", "4", "--json"])
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    assert err.startswith("model error: /groupoid: ") and "non-finite" in err
+    assert "linearly dependent" not in err
+
+
+def test_a_witness_theta_of_the_wrong_length_is_refused_as_theta(tmp_path, capsys):
+    # rank_one's chart is 2-dimensional: a third theta entry is refused
+    # by its own name, not as the connection built from it.
+    doc = json.loads((MODELS / "rank_one.json").read_text())
+    doc["rank_one_witness"]["theta"].append("0")
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    code, out = invoke(["rank-one", "--witness", "principal_type", "--model", str(p), "--samples", "4", "--json"])
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    assert err == "model error: theta must have one entry per chart direction\n"
 
 
 def test_example_cli():
