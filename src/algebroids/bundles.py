@@ -19,6 +19,7 @@ diagonal and zero vectors on it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -87,24 +88,48 @@ def sort_with_sign(idx: Sequence[int]) -> tuple[int, tuple[int, ...]]:
     return sign, tuple(idx)
 
 
+@functools.cache
+def _alternating_index(n: int, q: int) -> tuple[np.ndarray, bool, bool]:
+    """The row that ``alternating_array`` takes each position of an
+    (n,) * q array from (row-major), in the rows of ``entries``, then of
+    ``-entries`` if some position is an odd reordering of its tuple,
+    then of one zero row if some position repeats an index; and whether
+    those two blocks are needed."""
+    C = math.comb(n, q)
+    rows = np.full(n**q, -1, dtype=np.intp)
+    for c, idx in enumerate(itertools.combinations(range(n), q)):
+        for perm in itertools.permutations(idx):
+            flat = sum(a * n ** (q - 1 - j) for j, a in enumerate(perm))
+            rows[flat] = c if sort_with_sign(perm)[0] == 1 else C + c
+    odd = bool((rows >= C).any())
+    zero = rows < 0
+    rows[zero] = 2 * C if odd else C
+    rows.flags.writeable = False  # shared by every caller
+    return rows, odd, bool(zero.any())
+
+
 def alternating_array(entries: np.ndarray, n: int, q: int) -> np.ndarray:
     """The antisymmetric array, with q axes of length n before the value
     axis, from ``entries[..., c, v]``: the value at the c-th increasing
     q-tuple of range(n) (in ``itertools.combinations`` order).  Where
     there is no such tuple (q > n), ``entries`` still needs its tuple
     axis, of length 0, and its value axis; a tuple axis of another
-    length is refused."""
+    length is refused.  One ``take`` fills it, by the positions of each
+    (n, q), found once."""
     if entries.ndim < 2 or entries.shape[-2] != math.comb(n, q):
         raise ValueError(
             f"entries of shape {entries.shape} do not hold one value per "
             f"increasing {q}-tuple of {n} indices"
         )
-    out = np.zeros(entries.shape[:-2] + (n,) * q + entries.shape[-1:], dtype=entries.dtype)
-    for c, idx in enumerate(itertools.combinations(range(n), q)):
-        for perm in itertools.permutations(idx):
-            value = entries[..., c, :]
-            out[(..., *perm, slice(None))] = value if sort_with_sign(perm)[0] == 1 else -value
-    return out
+    rows, odd, zero = _alternating_index(n, q)
+    batch, v = entries.shape[:-2], entries.shape[-1:]
+    blocks = [entries]
+    if odd:
+        blocks.append(-entries)
+    if zero:
+        blocks.append(np.zeros(batch + (1,) + v, dtype=entries.dtype))
+    source = np.concatenate(blocks, axis=-2) if len(blocks) > 1 else entries
+    return source.take(rows, axis=-2).reshape(batch + (n,) * q + v)
 
 
 def antisymmetric_table(pairs: Sequence[Sequence[Expr]], r: int, width: int) -> tuple:

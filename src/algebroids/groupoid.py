@@ -423,6 +423,10 @@ class MultForm:
     point x.  A tangent at (g, x) is a pair (v, w) in left-trivialized
     coordinates: v holds the algebra coordinates of g^-1 xi for the
     group tangent xi at g, and w is the chart vector.
+
+    A builder that has the form's values on the stock fields at hand sets
+    ``_stock_read`` to a function of (g, x) that returns them whole, as
+    ``_on_stock`` does.
     """
 
     def __init__(self, gpd: ActionGroupoid, degree: int, evaluator: Callable):
@@ -431,11 +435,27 @@ class MultForm:
         self.gpd = gpd
         self.degree = degree
         self._eval = evaluator
+        self._stock_read: Callable | None = None
 
     def __call__(self, g, x, *tangents) -> np.ndarray:
         if len(tangents) != self.degree:
             raise ValueError(f"form of degree {self.degree} needs {self.degree} tangents")
         return np.asarray(self._eval(g, x, *tangents))
+
+    def _on_stock(self, g, x) -> np.ndarray:
+        """The values at (g, x) on the increasing degree-tuples of the
+        stock fields (``_w_basis_tangent``), in ``itertools.combinations``
+        order: a (C(m, degree), k) array.  Read by ``_stock_read`` where a
+        builder set one, else by one evaluation per tuple."""
+        if self._stock_read is not None:
+            return self._stock_read(g, x)
+        gpd = self.gpd
+        m = gpd.group.dim + gpd.chart.dim
+        values = [
+            self(g, x, *(_w_basis_tangent(gpd, mu) for mu in idx))
+            for idx in itertools.combinations(range(m), self.degree)
+        ]
+        return np.reshape(values, (len(values), gpd.k))
 
 
 _SPLITTING_MEMO_ENTRIES = 64
@@ -494,7 +514,12 @@ def connection_from_splitting(
     def evaluator(g, x, T):
         return l_at(x) @ T[0]
 
-    return MultForm(gpd, 1, evaluator)
+    # On the stock fields: the splitting's columns, then zero on the
+    # chart fields.
+    chart_rows = np.zeros((n, k))
+    alpha = MultForm(gpd, 1, evaluator)
+    alpha._stock_read = lambda g, x: np.concatenate([l_at(x).T, chart_rows])
+    return alpha
 
 
 def simplicial_delta(gpd: ActionGroupoid, omega: MultForm) -> Callable:
@@ -544,6 +569,91 @@ def _move(gpd: ActionGroupoid, g, x, mu: int, s: float, flow: Callable):
     return g, y
 
 
+def _dot1(c: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``np.tensordot(c, M, axes=1)`` for a vector c: the same ``np.dot``
+    of c as one row with M's first axis, without tensordot's shape
+    bookkeeping."""
+    return np.dot(c.reshape(1, -1), M.reshape(len(c), -1)).reshape(M.shape[1:])
+
+
+def _contract(M: np.ndarray, tangents) -> np.ndarray:
+    """A table contracted with each tangent's coordinates in turn, the
+    first tangent on the first axis."""
+    for T in tangents:
+        M = _dot1(np.concatenate(T), M)
+    return M
+
+
+def _stencil(
+    gpd: ActionGroupoid, omega: MultForm, conn: LinearConnection, step: float
+) -> Callable[..., np.ndarray]:
+    """The table of ``d_nabla_s`` at an arrow, as a function of (g, x):
+    the antisymmetric array of its values on the stock fields, memoized
+    by the exact arrow, at most one Bianchi stencil (an arrow and its 2m
+    moves).  Each table reads omega whole on the stock fields at the
+    arrow and at each move, 2m + 1 reads."""
+    p = omega.degree
+    if p not in (1, 2):
+        raise ValueError(f"only forms of degree 1 or 2 are differentiated, not degree {p}")
+    d, m, k = gpd.group.dim, gpd.group.dim + gpd.chart.dim, gpd.k
+    structure = gpd.group.structure
+    flow = _flow_memo(gpd.group)
+    row = {idx: c for c, idx in enumerate(itertools.combinations(range(m), p))}
+    tuples = list(itertools.combinations(range(m), p + 1))
+    # Term t of each (p + 1)-tuple idx: the field a = idx[t] it moves
+    # along, the row of the p-tuple without a, and among these the
+    # chart fields (as a - d) with their rows, which Gamma reads.
+    terms = []
+    for t in range(p + 1):
+        a = np.array([idx[t] for idx in tuples], dtype=np.intp)
+        rest = np.array([row[idx[:t] + idx[t + 1 :]] for idx in tuples], dtype=np.intp)
+        chart = np.flatnonzero(a >= d)
+        terms.append((a, rest, chart, a[chart] - d, rest[chart]))
+    # Slots s < t: the tuples whose fields there bracket (both group
+    # fields), each with the number of the bracketed pair and its other
+    # fields, which index the pair's contraction with omega.
+    pairs = {ab: c for c, ab in enumerate(itertools.combinations(range(d), 2))}
+    brackets = []
+    for s, t in itertools.combinations(range(p + 1), 2):
+        hit = [c for c, idx in enumerate(tuples) if idx[t] < d]
+        if hit:
+            at = [
+                (pairs[idx[s], idx[t]], *(idx[r] for r in range(p + 1) if r not in (s, t)))
+                for idx in (tuples[c] for c in hit)
+            ]
+            brackets.append(((s + t) % 2, np.array(hit), tuple(np.array(at).T)))
+
+    def table(g, x):
+        W0 = omega._on_stock(g, x)
+        up, down = (
+            np.stack([omega._on_stock(*_move(gpd, g, x, mu, s, flow)) for mu in range(m)])
+            for s in (step, -step)
+        )
+        G = conn.gamma_map.value(x)
+        GW = np.matmul(G[:, None], W0[None, :, :, None])[..., 0]  # [i, c]: G_i on row c
+        # Per entry as in the formula: the differences with their Gamma
+        # terms, slot by slot, then the brackets.
+        out = np.zeros((len(tuples), k))
+        for t, (a, rest, chart, i, c) in enumerate(terms):
+            dval = (up[a, rest] - down[a, rest]) / (2 * step)
+            dval[chart] += GW[i, c]
+            if t % 2:
+                out -= dval
+            else:
+                out += dval
+        if brackets:
+            W = alternating_array(W0, m, p)
+            B = np.stack([_dot1(structure[a, b], W[:d]) for a, b in pairs])
+            for odd, hit, at in brackets:
+                if odd:
+                    out[hit] -= B[at]
+                else:
+                    out[hit] += B[at]
+        return alternating_array(out, m, p + 1)
+
+    return exact_memo(table, 2 * m + 1)
+
+
 def d_nabla_s(
     gpd: ActionGroupoid,
     omega: MultForm,
@@ -560,58 +670,24 @@ def d_nabla_s(
 
     Gamma reads the chart part of a field; only pairs of group fields
     bracket, by the structure constants.  The table of values on the
-    stock fields depends on the arrow only, so it is memoized by the
-    exact arrow, at most one Bianchi stencil (an arrow and its 2m
-    moves); each tangent's coordinates are contracted against it.  This
-    relies on omega being a pure function of its arguments.
+    stock fields depends on the arrow only: it is built from 2m + 1
+    whole reads of omega on the stock fields (at the arrow and at its 2m
+    moves), for all tuples at once, and memoized by the exact arrow, at
+    most one Bianchi stencil; each tangent's coordinates are contracted
+    against it, and its rows are the result's own read on the stock
+    fields.  This relies on omega being a pure function of its
+    arguments.
     """
-    p = omega.degree
-    if p not in (1, 2):
-        raise ValueError(f"only forms of degree 1 or 2 are differentiated, not degree {p}")
-    d, m, k = gpd.group.dim, gpd.group.dim + gpd.chart.dim, gpd.k
-    structure = gpd.group.structure
-    flow = _flow_memo(gpd.group)
-
-    def on_stock(g, x, idx):
-        return omega(g, x, *(_w_basis_tangent(gpd, mu) for mu in idx))
-
-    def table(g, x):
-        at = {idx: on_stock(g, x, idx) for idx in itertools.combinations(range(m), p)}
-        W = alternating_array(np.reshape(list(at.values()), (len(at), k)), m, p)
-        moved = [
-            (_move(gpd, g, x, mu, step, flow), _move(gpd, g, x, mu, -step, flow))
-            for mu in range(m)
-        ]
-        out, G = [], None
-        for idx in itertools.combinations(range(m), p + 1):
-            val = np.zeros(k)
-            for t, a in enumerate(idx):
-                rest = idx[:t] + idx[t + 1 :]
-                (gp, xp), (gm, xm) = moved[a]
-                dval = (on_stock(gp, xp, rest) - on_stock(gm, xm, rest)) / (2 * step)
-                if a >= d:
-                    # Gamma read whole at x, where it is first needed.
-                    G = conn.gamma_map.value(x) if G is None else G
-                    dval += G[a - d] @ at[rest]
-                val += -dval if t % 2 else dval
-            for s, t in itertools.combinations(range(p + 1), 2):
-                a, b = idx[s], idx[t]
-                if b < d:
-                    rest = idx[:s] + idx[s + 1 : t] + idx[t + 1 :]
-                    br = np.tensordot(structure[a, b], W[:d], axes=1)[rest]
-                    val += -br if (s + t) % 2 else br
-            out.append(val)
-        return alternating_array(np.reshape(out, (len(out), k)), m, p + 1)
-
-    matrix = exact_memo(table, 2 * m + 1)
+    matrix = _stencil(gpd, omega, conn, step)
+    m, q = gpd.group.dim + gpd.chart.dim, omega.degree + 1
 
     def evaluator(g, x, *tangents):
-        M = matrix(g, x)
-        for T in tangents:
-            M = np.tensordot(np.concatenate(T), M, axes=1)
-        return M
+        return _contract(matrix(g, x), tangents)
 
-    return MultForm(gpd, p + 1, evaluator)
+    form = MultForm(gpd, q, evaluator)
+    tuples = np.array(list(itertools.combinations(range(m), q)), dtype=np.intp).reshape(-1, q)
+    form._stock_read = lambda g, x: matrix(g, x)[tuple(tuples.T)]
+    return form
 
 
 def horizontal_projection(gpd: ActionGroupoid, alpha: MultForm):
@@ -636,45 +712,72 @@ def covariant_exterior_D(
     projections (with respect to the connection form alpha, defaulting
     to omega itself for degree 1; a degree-2 form needs alpha).
 
-    For degree 1, on the first evaluation the result is recomputed at
-    half the step; if the two values disagree by more than an order of
-    magnitude of their size, a StepSizeWarning is emitted.
+    For degree 1 the result is a curvature, whose values on the stock
+    fields are the ``d_nabla_s`` table contracted with the m horizontal
+    projections of the stock fields, computed once per arrow and
+    memoized by the exact arrow, 2m + 1 of them.  On its first read, a
+    tangent evaluation or a read on the stock fields, the result is
+    recomputed at half the step; if the two disagree by more than an
+    order of magnitude of their size, a StepSizeWarning is emitted.
     """
     if alpha is None and omega.degree == 2:
         raise ValueError("a form of degree 2 needs its connection form alpha")
     alpha = alpha if alpha is not None else omega
     h = horizontal_projection(gpd, alpha)
-    dnabla = d_nabla_s(gpd, omega, conn, step=step)
+    matrix = _stencil(gpd, omega, conn, step)
 
     def horizontal(g, x, *tangents):
-        return dnabla(g, x, *(h(g, x, T) for T in tangents))
+        return _contract(matrix(g, x), [h(g, x, T) for T in tangents])
 
     if omega.degree == 2:
         return MultForm(gpd, 3, horizontal)
 
-    dnabla_half = d_nabla_s(gpd, omega, conn, step=step / 2)
+    m, k = gpd.group.dim + gpd.chart.dim, gpd.k
+    half = _stencil(gpd, omega, conn, step / 2)
     checked = [False]
+
+    def probe(val, at_half: Callable):
+        if checked[0]:
+            return
+        checked[0] = True
+        val_half = at_half()
+        drift = sup(val - val_half)
+        scale = sup(val, val_half)
+        # Honest second-order differences agree to several digits;
+        # disagreement beyond a tenth of the magnitude means the step
+        # is noise-dominated.
+        if drift * 10.0 > scale + 1e-8:
+            warnings.warn(
+                f"step-size failure: values at steps h and h/2 "
+                f"disagree by {drift:.2e} (scale {scale:.2e})",
+                StepSizeWarning,
+                stacklevel=3,
+            )
 
     def evaluator(g, x, T1, T2):
         val = horizontal(g, x, T1, T2)
-        if not checked[0]:
-            checked[0] = True
-            val_half = dnabla_half(g, x, h(g, x, T1), h(g, x, T2))
-            drift = sup(val - val_half)
-            scale = sup(val, val_half)
-            # Honest second-order differences agree to several
-            # digits; disagreement beyond a tenth of the magnitude
-            # means the step is noise-dominated.
-            if drift * 10.0 > scale + 1e-8:
-                warnings.warn(
-                    f"step-size failure: values at steps h and h/2 "
-                    f"disagree by {drift:.2e} (scale {scale:.2e})",
-                    StepSizeWarning,
-                    stacklevel=2,
-                )
+        probe(val, lambda: _contract(half(g, x), [h(g, x, T1), h(g, x, T2)]))
         return val
 
-    return MultForm(gpd, 2, evaluator)
+    def on_stock(M, g, x):
+        """M contracted as ``horizontal`` does on each increasing pair of
+        stock fields, each field's projection and first contraction
+        computed once."""
+        H = [np.concatenate(h(g, x, _w_basis_tangent(gpd, mu))) for mu in range(m)]
+        HM = [_dot1(c, M) for c in H]
+        values = [_dot1(H[b], HM[a]) for a, b in itertools.combinations(range(m), 2)]
+        return np.reshape(values, (len(values), k))
+
+    curvature = exact_memo(lambda g, x: on_stock(matrix(g, x), g, x), 2 * m + 1)
+
+    def stock_read(g, x):
+        val = curvature(g, x)
+        probe(val, lambda: on_stock(half(g, x), g, x))
+        return val
+
+    Omega = MultForm(gpd, 2, evaluator)
+    Omega._stock_read = stock_read
+    return Omega
 
 
 def check_groupoid_properties(
@@ -813,13 +916,13 @@ def differentiate_to_im(
             Fy = gpd.kframe(y)
             ge_inv = flow_inv(b, eps)
             Fz = gpd.kframe(gpd.act(ge, y))
-            out = np.zeros((n, k), dtype=complex)
+            cols = []
             for i in range(n):
                 val = alpha(ge, y, (np.zeros(d), J[:, i]))
                 V = gpd.group.to_matrix(Fy @ val)
-                w = gpd.group.coords(ge @ V @ ge_inv)
-                out[i] = np.linalg.lstsq(Fz, w, rcond=None)[0]
-            return out
+                cols.append(gpd.group.coords(ge @ V @ ge_inv))
+            # One solve for all chart directions.
+            return np.linalg.lstsq(Fz, np.stack(cols, axis=1), rcond=None)[0].T
 
         return F(1j * _COMPLEX_STEP).imag / _COMPLEX_STEP
 

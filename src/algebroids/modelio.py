@@ -340,8 +340,8 @@ class ModelFile:
     first call of its accessor (``load_model`` calls them all), and that
     build is shared with every later caller, who must not change it.
     A builder only parses (``_exprs``) and reads the file format's own
-    rules (counts, structure keys); the constructor it calls owns every
-    shape."""
+    rules (counts, structure keys and the length of each keyed vector);
+    the constructor it calls owns every other shape."""
 
     path: str
     raw: dict
@@ -448,7 +448,9 @@ def _structure_pairs(mapping: dict, r: int, model, where: str) -> list:
     """The "a,b" keyed structure entries (1-indexed, a < b) as one vector
     per increasing pair, in ``itertools.combinations`` order, zero where
     no key is given: the structure input of ``LieAlgebroid`` and
-    ``FiberBracket``, which check each vector's length."""
+    ``FiberBracket``.  A vector of a length other than r is refused here,
+    at its key as the file writes it; the constructors count pairs from
+    0."""
     index = {pair: t for t, pair in enumerate(itertools.combinations(range(r), 2))}
     structure = [[ZERO] * r for _ in index]
     for key, vec in mapping.items():
@@ -460,6 +462,8 @@ def _structure_pairs(mapping: dict, r: int, model, where: str) -> list:
             raise ModelError(f"at {where}/{key}: frame index out of range for rank {r}")
         if a >= b:
             raise ModelError(f"at {where}/{key}: keys must have a < b")
+        if len(vec) != r:
+            raise ModelError(f"at {where}/{key}: the vector has {len(vec)} entries, not {r}")
         structure[index[a, b]] = model._exprs(vec, f"{where}/{key}")
     return structure
 

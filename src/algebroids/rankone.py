@@ -226,6 +226,9 @@ def verify_witness(
     theta_w = witnesses.get("theta")
     if theta_w is not None and len(theta_w) != n:
         raise ValueError("theta must have one entry per chart direction")
+    U1w = witnesses.get("U1")
+    if U1w is not None and (len(U1w) != rB or any(len(row) != n for row in U1w)):
+        raise ValueError("U1 must be indexed by base frame x chart direction")
     # A non-finite read gives a non-finite residual, which fails.
     with np.errstate(invalid="ignore", over="ignore"):
         rho, V, lam = _stack(
@@ -266,7 +269,6 @@ def verify_witness(
             return report
 
         if kind == "kernel_flat":
-            U1w = witnesses.get("U1")
             if U1w is None:
                 raise ValueError("kernel_flat needs a 'U1' witness matrix")
             U1w = [[fold(x) for x in row] for row in U1w]

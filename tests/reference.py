@@ -7,8 +7,10 @@ time: a probabilistic equality of two Exprs, random polynomial
 sections, the representation and the cochain contraction on sections,
 with a signed lookup of a form's value on any index tuple, the
 covariant differential ``d_im`` on form pairs with its invariance
-precondition, and the sampled residuals that no subcommand reports.
-No subcommand, demo or tool runs them.
+precondition, and the sampled residuals that no subcommand reports;
+and the permutation loop that spread increasing-tuple values over an
+antisymmetric array before ``bundles.alternating_array`` read cached
+positions.  No subcommand, demo or tool runs them.
 """
 
 from __future__ import annotations
@@ -54,6 +56,20 @@ from algebroids.expr import (
 from algebroids.groupoid import ActionGroupoid, MultForm
 from algebroids.imforms import IMOneForm, IMTwoForm
 from algebroids.sampling import Report, SamplePlan, polynomial_draws, sup
+
+# -- arrays ----------------------------------------------------------------
+
+
+def alternating_by_permutations(entries: np.ndarray, n: int, q: int) -> np.ndarray:
+    """``bundles.alternating_array`` by a loop over the reorderings of
+    each increasing q-tuple, each written with its sign."""
+    out = np.zeros(entries.shape[:-2] + (n,) * q + entries.shape[-1:], dtype=entries.dtype)
+    for c, idx in enumerate(itertools.combinations(range(n), q)):
+        for perm in itertools.permutations(idx):
+            value = entries[..., c, :]
+            out[(..., *perm, slice(None))] = value if sort_with_sign(perm)[0] == 1 else -value
+    return out
+
 
 # -- expressions -----------------------------------------------------------
 

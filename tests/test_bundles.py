@@ -1,5 +1,7 @@
 """Tests for bundles, point maps, connections and curvature."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,35 @@ def test_alternating_array():
     for entries, n in ((np.zeros((5, 1, 0)), 1), (np.zeros((3, 2)), 2)):
         with pytest.raises(ValueError, match="increasing 2-tuple"):
             alternating_array(entries, n, 2)
+
+
+# (batch axes, n, q): the stock-field tables of d_nabla_s on m = 2, 3
+# and 6 fields at degrees 1 to 3 (q > n on two fields), and the stacked
+# symbol and operator reads of imforms._form_reads, with their point and
+# partial axes, at q = 0, 1 and 2.
+ALTERNATING_CASES = [
+    *(((), m, q) for m in (2, 3, 6) for q in (1, 2, 3)),
+    ((4, 3), 2, 0),
+    ((4, 2, 3), 2, 0),
+    ((4, 5), 3, 1),
+    ((4, 3, 5), 3, 2),
+    ((2, 5), 1, 2),
+    ((2, 1, 5), 1, 2),
+]
+
+
+@pytest.mark.parametrize("batch, n, q", ALTERNATING_CASES)
+def test_alternating_array_matches_the_permutation_loop(batch, n, q):
+    from reference import alternating_by_permutations
+
+    rng = np.random.default_rng(n * 10 + q)
+    entries = rng.normal(size=batch + (math.comb(n, q), 2))
+    # Signed zeros and an infinity keep their bits through the signs.
+    entries.reshape(-1)[: min(3, entries.size)] = [0.0, -0.0, -np.inf][: min(3, entries.size)]
+    for x in (entries, entries * (1 + 2j)):
+        got, want = alternating_array(x, n, q), alternating_by_permutations(x, n, q)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def test_exterior_derivative_rank_one_de_rham():

@@ -2,7 +2,6 @@
 validation against the symbolic side."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -384,6 +383,63 @@ def test_step_size_warning():
     assert not any(issubclass(w.category, StepSizeWarning) for w in caught)
 
 
+def test_step_size_warning_on_a_first_read_on_the_stock_fields():
+    # The noisy form of test_step_size_warning, its curvature first read
+    # whole on the stock fields, as the Bianchi stencil reads it: the
+    # probe runs on that read, and a later tangent evaluation adds no
+    # second probe.
+    import warnings
+
+    from algebroids.groupoid import StepSizeWarning
+
+    gpd = so2_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    rng = np.random.default_rng(0)
+    noisy_form = MultForm(gpd, 1, lambda g, x, T: alpha(g, x, T) + rng.normal(scale=1e-3, size=1))
+    zero_alpha = MultForm(gpd, 1, lambda g, x, T: np.zeros(1))
+    conn = gpd.induced_connection()
+    Om = covariant_exterior_D(gpd, noisy_form, conn, alpha=zero_alpha)
+    g, x = gpd.sample_arrow(np.random.default_rng(1))
+    T1, T2, T3 = (gpd.sample_tangent(np.random.default_rng(s)) for s in (2, 3, 4))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        d_nabla_s(gpd, Om, conn)(g, x, T1, T2, T3)
+    assert [w.category for w in caught] == [StepSizeWarning]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        Om(g, x, T1, T2)
+    assert not caught
+
+
+def test_a_table_reads_the_connection_form_whole_2m_plus_1_times():
+    # The connection form's stock read is the splitting's columns: a
+    # d_nabla_s table reads it at the arrow and its 2m moves and never
+    # evaluates the form on a tangent; a hit reads nothing.  The read
+    # equals the tangent evaluations bit for bit.
+    gpd = so3_radial_groupoid()
+    m = gpd.group.dim + gpd.chart.dim
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    conn = gpd.induced_connection()
+    reads, tangent_calls = [], []
+    stock_read, evaluate_on = alpha._stock_read, alpha._eval
+    alpha._stock_read = lambda g, x: reads.append(1) or stock_read(g, x)
+    alpha._eval = lambda *args: tangent_calls.append(1) or evaluate_on(*args)
+    dn = d_nabla_s(gpd, alpha, conn)
+    rng = np.random.default_rng(16)
+    g, x = gpd.sample_arrow(rng)
+    T1, T2 = gpd.sample_tangent(rng), gpd.sample_tangent(rng)
+    dn(g, x, T1, T2)
+    assert (len(reads), len(tangent_calls)) == (2 * m + 1, 0)
+    dn(g, x, T2, T1)
+    assert (len(reads), len(tangent_calls)) == (2 * m + 1, 0)
+    by_tangents = [alpha(g, x, _stock(gpd, mu)) for mu in range(m)]
+    assert _same_bits(alpha._on_stock(g, x), np.reshape(by_tangents, (m, gpd.k)))
+    # The table's own read: its rows on the increasing pairs.
+    pairs = list(itertools.combinations(range(m), 2))
+    by_tangents = [dn(g, x, _stock(gpd, a), _stock(gpd, b)) for a, b in pairs]
+    assert np.array_equal(dn._on_stock(g, x), np.reshape(by_tangents, (len(pairs), gpd.k)))
+
+
 def test_flow_region_guard():
     # With a razor-thin padding, a point at the edge of the chart: the
     # complex step moves the flow's arrows off x by an imaginary part
@@ -749,11 +805,13 @@ def test_d_nabla_s_and_curvature_match_the_unshared_stencil(model):
         for g, x, (T1, T2, _) in cases:
             assert _same_bits(new(g, x, T1, T2), ref(g, x, T1, T2))
 
-    # One table costs m + 2m(m - 1) form values; a hit costs none.
+    # One table costs 2m + 1 reads of the form on the stock fields, at
+    # the arrow and at each of its 2m moves; a hit costs none.
     calls = []
-    counted = MultForm(gpd, 1, lambda g, x, T: calls.append(1) or alpha(g, x, T))
+    counted = MultForm(gpd, 1, alpha)
+    counted._stock_read = lambda g, x: calls.append(1) or alpha._on_stock(g, x)
     new = d_nabla_s(gpd, counted, conn)
-    per_table = m + 2 * m * (m - 1)
+    per_table = 2 * m + 1
     seen = []
     for g, x, (T1, T2, _) in cases:
         before = len(calls)
@@ -783,12 +841,14 @@ def test_bianchi_matches_the_unshared_stencil(model):
     for g, x, Ts in cases:
         assert _same_bits(DOm(g, x, *Ts), DOm_ref(g, x, *Ts))
 
-    # One degree-2 table costs C(m, 2) + 6 C(m, 3) values of the 2-form;
-    # a hit costs none.  Four distinct arrows leave the memo unfilled.
+    # One degree-2 table costs 2m + 1 reads of the 2-form on the stock
+    # fields; a hit costs none.  Four distinct arrows leave the memo
+    # unfilled.
     calls = []
-    counted = MultForm(gpd, 2, lambda g, x, T1, T2: calls.append(1) or Om(g, x, T1, T2))
+    counted = MultForm(gpd, 2, Om)
+    counted._stock_read = lambda g, x: calls.append(1) or Om._on_stock(g, x)
     new = d_nabla_s(gpd, counted, conn, step=2e-4)
-    per_table = math.comb(m, 2) + 6 * math.comb(m, 3)
+    per_table = 2 * m + 1
     seen = []
     for g, x, Ts in cases:
         before = len(calls)

@@ -1118,6 +1118,32 @@ def test_a_witness_theta_of_the_wrong_length_is_refused_as_theta(tmp_path, capsy
     assert err == "model error: theta must have one entry per chart direction\n"
 
 
+def test_a_witness_U1_of_the_wrong_shape_is_refused_as_U1(tmp_path, capsys):
+    # rank_one's base has 2 frame elements over a 2-dimensional chart: a
+    # 2 x 3 U1 is refused by its own name, not as the coupling's U.
+    doc = json.loads((MODELS / "rank_one.json").read_text())
+    doc["rank_one_witness"] = {"kind": "kernel_flat", "theta": ["0", "0"], "U1": [["0"] * 3] * 2}
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    code, out = invoke(["rank-one", "--witness", "kernel_flat", "--model", str(p), "--samples", "4", "--json"])
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    assert err == "model error: U1 must be indexed by base frame x chart direction\n"
+
+
+def test_a_short_structure_vector_is_named_by_its_key(tmp_path, capsys):
+    # The file keys structure vectors by 1-indexed pairs: the refusal
+    # names the key "1,2" as written, not the pair (0, 1) counted from 0.
+    doc = json.loads((MODELS / "product_so3.json").read_text())
+    doc["algebroid"]["structure"]["1,2"].pop()
+    p = tmp_path / "model.json"
+    p.write_text(json.dumps(doc))
+    code, out = invoke(["verify-algebroid", "--model", str(p), "--samples", "4", "--json"])
+    err = capsys.readouterr().err
+    assert (code, out) == (3, "")
+    assert err == "model error: at /algebroid/structure/1,2: the vector has 4 entries, not 5\n"
+
+
 def test_example_cli():
     code, out = invoke(["example", "product", "--json", "--samples", "60"])
     assert code == 0
