@@ -158,28 +158,32 @@ def antisymmetric_table(pairs: Sequence[Sequence[Expr]], r: int, width: int) -> 
 class PointMap:
     """An array-valued map on the chart with first partials:
     ``value(p)`` returns an array and ``partials(p)`` its derivatives
-    along every coordinate j at [j, ...].  A form, a coupling's Gamma or
-    U, or a connection is one map, and a check reads it whole: a read
-    of ``partials(p)`` evaluates every direction and raises the first
-    error of any entry.
+    along every coordinate j at [j, ...]; ``values(points)`` reads the
+    values at a (P, n) stack of points as one (P, ...) array, raising
+    the first error of a loop of ``value`` over the points.  A form, a
+    coupling's Gamma or U, or a connection is one map, and a check reads
+    it whole: a read of ``partials(p)`` evaluates every direction and
+    raises the first error of any entry.
 
     Exact maps (``PointMap.exact``) carry their entries as Exprs in
     ``exprs``, the only copy an exact form pair keeps of them (an
     [a, c, v] grid of the a-th frame element's form, see
     ``imforms._IMFormBase``); ``PointMap.exact`` is the one place
     outside ``expr`` that evaluates Exprs.  Sampled ones (``imforms.sampled_map``) carry only
-    a point callable, differentiated by the finite-difference stencil,
-    and ``exprs`` is None.  Checks read maps at their points with
+    an evaluator of stacks of points, differentiated by the
+    finite-difference stencil, and ``exprs`` is None.  Checks read maps at their points with
     ``_stack`` and hand the contracted defects to ``Report.add``, which
-    reduces them through ``sampling.sup``.
+    reduces them through ``sampling.sup``.  Without its own ``values``,
+    a map reads a stack by a loop of ``value``.
     """
 
-    __slots__ = ("value", "partials", "exprs")
+    __slots__ = ("value", "partials", "exprs", "values")
 
-    def __init__(self, value, partials=None, exprs=None):
+    def __init__(self, value, partials=None, exprs=None, values=None):
         self.value = value
         self.partials = partials
         self.exprs = exprs
+        self.values = values or (lambda points: np.array([value(p) for p in points]))
 
     @classmethod
     def exact(cls, entries) -> "PointMap":
@@ -189,20 +193,30 @@ class PointMap:
         another on the first read of a partial; each run of a tape
         evaluates every distinct subtree of its entries once, with the
         values and the first error of ``evaluate`` over the entries in
-        row-major order.  At a complex point the values are complex."""
+        row-major order.  At a complex point the values are complex.
+        ``values`` runs the value tape at each point of the stack in
+        order, into one array."""
         grid = np.array(entries, dtype=object)
         flat, shape = list(grid.flat), grid.shape
         tapes: dict = {}  # None: the values; n: the partials along x_1..x_n
 
-        def at(n, p) -> np.ndarray:
+        def tape_of(n):
             tape = tapes.get(n)
             if tape is None:
                 exprs = flat if n is None else [differentiate(x, j) for j in range(n) for x in flat]
                 tape = tapes[n] = compile_tape(exprs)
-            out = np.array(evaluate(tape, p), dtype=complex if _is_complex_point(p) else float)
+            return tape
+
+        def at(n, p) -> np.ndarray:
+            out = np.array(evaluate(tape_of(n), p), dtype=complex if _is_complex_point(p) else float)
             return out.reshape(shape if n is None else (n, *shape))
 
-        return cls(lambda p: at(None, p), lambda p: at(len(p), p), entries)
+        def values(points) -> np.ndarray:
+            points, tape = _as_point(points), tape_of(None)
+            out = np.array([evaluate(tape, p) for p in points], dtype=points.dtype)
+            return out.reshape(len(points), *shape)
+
+        return cls(lambda p: at(None, p), lambda p: at(len(p), p), entries, values)
 
 
 def _stack(points, *reads) -> list[np.ndarray]:
@@ -285,14 +299,40 @@ def exact_memo(
         out = memo.get(key)
         if out is None:
             args = [a if isinstance(a, _BY_VALUE) else _as_point(a) for a in args]
-            out = np.array(fn(*args))
-            out.flags.writeable = False
-            if bound is not None and len(memo) >= bound:
-                del memo[next(iter(memo))]
-            memo[key] = out
+            out = _store(memo, bound, key, fn(*args))
         return out
 
     return call
+
+
+def _store(memo: dict, bound: int | None, key, value) -> np.ndarray:
+    """Store a read-only copy of ``value`` under ``key``, first dropping
+    the oldest result if the memo holds ``bound`` (None: never)."""
+    out = np.array(value)
+    out.flags.writeable = False
+    if bound is not None and len(memo) >= bound:
+        del memo[next(iter(memo))]
+    memo[key] = out
+    return out
+
+
+def _memo_rows(memo: dict, bound: int | None, fn, points) -> list[np.ndarray]:
+    """The results of an evaluator of stacks at each row of a stack of
+    points, through a memo keyed as ``exact_memo`` keys a point, by
+    ``(None, p)``.  The hits are read first; the rows the memo lacks,
+    each distinct one once in order of first appearance, are evaluated
+    by one call of ``fn`` on their stack, and their results stored in
+    that order (``_store``).  An exception of ``fn`` propagates and
+    nothing is stored for it."""
+    points = _as_point(points)
+    keys = [(None, _point_key(p)) for p in points]
+    out = [memo.get(key) for key in keys]
+    misses = {key: r for r, (key, hit) in enumerate(zip(keys, out)) if hit is None}
+    if misses:
+        got = fn(points[list(misses.values())])
+        new = {key: _store(memo, bound, key, value) for key, value in zip(misses, got)}
+        out = [new[key] if hit is None else hit for key, hit in zip(keys, out)]
+    return out
 
 
 class LinearConnection:

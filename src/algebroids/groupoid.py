@@ -246,17 +246,22 @@ class ActionGroupoid:
         self._alg = None
 
     # Numeric evaluation helpers; a complex arrow gives complex values.
-    def _combined(self, g: np.ndarray, x) -> np.ndarray:
-        return np.concatenate([_as_point(g).ravel(), _as_point(x)])
+    # A stack of arrows, g at [q, :, :] and x at [q, :], is read by one
+    # batched read of the map, with the stack axis first in the result.
+    @staticmethod
+    def _read(m: PointMap, g: np.ndarray, x) -> np.ndarray:
+        x = _as_point(x)
+        p = np.concatenate([_as_point(g).reshape(*x.shape[:-1], -1), x], axis=-1)
+        return m.value(p) if p.ndim == 1 else m.values(p)
 
     def act(self, g: np.ndarray, x) -> np.ndarray:
-        return self._action.value(self._combined(g, x))
+        return self._read(self._action, g, x)
 
     def act_jac_x(self, g: np.ndarray, x) -> np.ndarray:
-        return self._jac_x.value(self._combined(g, x))
+        return self._read(self._jac_x, g, x)
 
     def act_jac_g(self, g: np.ndarray, x) -> np.ndarray:
-        return self._jac_g.value(self._combined(g, x))
+        return self._read(self._jac_g, g, x)
 
     def action_field(self, v: np.ndarray, x) -> np.ndarray:
         """Naive infinitesimal action: d/dt of exp(tv).x at t = 0."""
@@ -264,7 +269,9 @@ class ActionGroupoid:
         return self.act_jac_g(I, x) @ self.group.to_matrix(v).ravel()
 
     def kframe(self, x) -> np.ndarray:
-        return self._frame.value(x).T  # d x k
+        x = _as_point(x)
+        F = self._frame.value(x) if x.ndim == 1 else self._frame.values(x)
+        return F.swapaxes(-1, -2)  # d x k
 
     def kcoords(self, x, w: np.ndarray) -> np.ndarray:
         F = self.kframe(x)
@@ -442,17 +449,21 @@ class MultForm:
             raise ValueError(f"form of degree {self.degree} needs {self.degree} tangents")
         return np.asarray(self._eval(g, x, *tangents))
 
-    def _on_stock(self, g, x) -> np.ndarray:
+    def _on_stock(self, g, x, moved: int | None = None) -> np.ndarray:
         """The values at (g, x) on the increasing degree-tuples of the
         stock fields (``_w_basis_tangent``), in ``itertools.combinations``
         order: a (C(m, degree), k) array.  Read by ``_stock_read`` where a
-        builder set one, else by one evaluation per tuple."""
+        builder set one, else by one evaluation per tuple; there, at an
+        arrow moved along the field ``moved``, only on the tuples without
+        it, the ones the ``d_nabla_s`` stencil reads, and zero on the
+        others."""
         if self._stock_read is not None:
             return self._stock_read(g, x)
         gpd = self.gpd
         m = gpd.group.dim + gpd.chart.dim
+        zero = np.zeros(gpd.k)
         values = [
-            self(g, x, *(_w_basis_tangent(gpd, mu) for mu in idx))
+            zero if moved in idx else self(g, x, *(_w_basis_tangent(gpd, mu) for mu in idx))
             for idx in itertools.combinations(range(m), self.degree)
         ]
         return np.reshape(values, (len(values), gpd.k))
@@ -590,8 +601,9 @@ def _stencil(
     """The table of ``d_nabla_s`` at an arrow, as a function of (g, x):
     the antisymmetric array of its values on the stock fields, memoized
     by the exact arrow, at most one Bianchi stencil (an arrow and its 2m
-    moves).  Each table reads omega whole on the stock fields at the
-    arrow and at each move, 2m + 1 reads."""
+    moves).  Each table reads omega on the stock fields at the arrow
+    and at each move, 2m + 1 reads; a move's read needs only the tuples
+    without the moved field."""
     p = omega.degree
     if p not in (1, 2):
         raise ValueError(f"only forms of degree 1 or 2 are differentiated, not degree {p}")
@@ -626,7 +638,7 @@ def _stencil(
     def table(g, x):
         W0 = omega._on_stock(g, x)
         up, down = (
-            np.stack([omega._on_stock(*_move(gpd, g, x, mu, s, flow)) for mu in range(m)])
+            np.stack([omega._on_stock(*_move(gpd, g, x, mu, s, flow), moved=mu) for mu in range(m)])
             for s in (step, -step)
         )
         G = conn.gamma_map.value(x)
@@ -878,77 +890,143 @@ def differentiate_to_im(
     complex step (Squire and Trapp, SIAM Review 40, 1998): one
     evaluation of the pushed-forward form at t = ih, so ``alpha`` must
     accept complex arrows and keep their values complex, as
-    ``connection_from_splitting`` does.
+    ``connection_from_splitting`` does.  The step h and the flows
+    exp(+-ih U_b) of the constant basis sections, with inv(exp(ih U_b)),
+    are fixed when the pair is built.
+
+    Both evaluators take a stack of points.  The operator's evaluator
+    pushes every (point, b) pair it needs through the flow at once: one
+    batched read each of the action, its chart Jacobian and the ideal
+    frame, then per pair the region check, n form calls and one
+    ``lstsq``.  If anything raises, the stack is run again pair by
+    pair in the order the per-point loop needs them, which raises that
+    loop's first error.
     """
     A, ideal, P = gpd.action_algebroid()
-    d, n, k = gpd.group.dim, gpd.chart.dim, gpd.k
-    I = np.eye(gpd.group.N)
+    G = gpd.group
+    d, n, k = G.dim, gpd.chart.dim, gpd.k
+    I = np.eye(G.N)
+    basis = np.eye(d)
+    step = _COMPLEX_STEP
+    eps = 1j * step
+    flow = _flow_memo(G)
+    ge = np.stack([flow(b, eps) for b in range(d)])
+    gi = np.stack([flow(b, -eps) for b in range(d)])
+    # The adjoint takes inv(ge), not gi: the two need not agree to the
+    # last bit.
+    ge_inv = np.stack([np.linalg.inv(flow(b, eps)) for b in range(d)])
 
     # Row a: column a of P, the a-th adapted frame element in the group
     # basis.
     frame = PointMap.exact([[P[b][a] for b in range(d)] for a in range(d)])
-    flow = _flow_memo(gpd.group)
-    flow_inv = exact_memo(lambda b, s: np.linalg.inv(flow(b, s)))
-
-    def l_const(v: np.ndarray, x) -> np.ndarray:
-        """Symbol on the constant section with coordinates v, at x."""
-        w = -gpd.action_field(v, x)
-        return alpha(I, np.asarray(x, dtype=float), (v, w))
-
-    def L_const(b: int, x) -> np.ndarray:
-        """Operator value on the b-th constant basis section: an
-        (n x k) array of flow derivatives, Im F(ih) / h for the flow's
-        push-forward F of the form at x."""
-
-        def F(eps: complex) -> np.ndarray:
-            ge = flow(b, eps)
-            gi = flow(b, -eps)
-            y = gpd.act(gi, x)
-            if not gpd.chart.contains(y, pad=region_pad):
-                raise FlowRegionError(
-                    "left-invariant flow left the padded sampling region"
-                )
-            J = gpd.act_jac_x(gi, x)  # columns: d(exp(-eps u).x)/dx_i
-            # Push each value over y through the arrow (ge, y): adjoint
-            # action on its algebra vector, coefficients over ge.y.  The
-            # adjoint takes inv(ge), not gi: the two need not agree to
-            # the last bit.
-            Fy = gpd.kframe(y)
-            ge_inv = flow_inv(b, eps)
-            Fz = gpd.kframe(gpd.act(ge, y))
-            cols = []
-            for i in range(n):
-                val = alpha(ge, y, (np.zeros(d), J[:, i]))
-                V = gpd.group.to_matrix(Fy @ val)
-                cols.append(gpd.group.coords(ge @ V @ ge_inv))
-            # One solve for all chart directions.
-            return np.linalg.lstsq(Fz, np.stack(cols, axis=1), rcond=None)[0].T
-
-        return F(1j * _COMPLEX_STEP).imag / _COMPLEX_STEP
-
-    # The symbol and the operator at x read the same quantities: each is
-    # computed once per (exact x, or b and exact x), the frame P(x), the
-    # flow derivative L_const(b, x) and the symbol l_const(e_b, x) alike.
-    # Unbounded: a bound would recompute flow derivatives.
+    # The symbol and the operator read the frame P(x) at the same
+    # points: it runs once per exact x.  Unbounded: a bound would run it
+    # again.
     P_at = exact_memo(frame.value)
-    L_at = exact_memo(L_const)
-    l_basis = exact_memo(lambda b, x: l_const(np.eye(d)[b], x))
 
-    def sym_fn(x: np.ndarray) -> np.ndarray:
-        return np.array([l_const(Pa, x) for Pa in P_at(x)])
+    def l_const(v: np.ndarray, x: np.ndarray, jac_g: np.ndarray) -> np.ndarray:
+        """Symbol on the constant section with coordinates v, at x, where
+        the action's group Jacobian at the identity is jac_g."""
+        w = -(jac_g @ G.to_matrix(v).ravel())
+        return alpha(I, x, (v, w))
 
-    def op_fn(x: np.ndarray) -> np.ndarray:
-        out = np.zeros((d, n, k))
-        P, dP = P_at(x), frame.partials(x)
-        for a, i in itertools.product(range(d), range(n)):
-            for b in range(d):
-                if P[a, b] != 0.0:
-                    out[a, i] += P[a, b] * L_at(b, x)[i]
-                if dP[i, a, b] != 0.0:
-                    out[a, i] += dP[i, a, b] * l_basis(b, x)
+    def pushed(X: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The flow derivative Im F(ih) / h at each pair (X[q], b[q]), for
+        the push-forward F of the form on the chart directions along the
+        b-th constant flow: a (Q, n, k) array."""
+        GE, GI, GEI = ge[b], gi[b], ge_inv[b]
+        Y = gpd.act(GI, X)
+        for y in Y:
+            if not gpd.chart.contains(y, pad=region_pad):
+                raise FlowRegionError("left-invariant flow left the padded sampling region")
+        J = gpd.act_jac_x(GI, X)  # columns: d(exp(-eps u).x)/dx_i
+        FY = gpd.kframe(Y)
+        FZ = gpd.kframe(gpd.act(GE, Y))
+        zero = np.zeros(d)
+        vals = np.array(
+            [[alpha(GE[q], Y[q], (zero, J[q, :, i])) for i in range(n)] for q in range(len(b))]
+        )
+        # Push each value over y through the arrow (ge, y): adjoint
+        # action on its algebra vector, coefficients over ge.y.  Each
+        # product is the 2-d one of to_matrix, of ge @ V @ inv(ge) and
+        # of coords, over the (pair, direction) axes.
+        W = np.matmul(FY[:, None], vals[..., None])[..., 0]
+        V = np.matmul(W[..., None, :], G._rows).reshape(*W.shape[:2], G.N, G.N)
+        M = np.matmul(np.matmul(GE[:, None], V), GEI[:, None])
+        C = np.matmul(G._pinv, M.reshape(*W.shape[:2], -1, 1))[..., 0]
+        # One solve for all chart directions of a pair.
+        out = np.empty((len(b), n, k))
+        for q in range(len(b)):
+            out[q] = np.linalg.lstsq(FZ[q], C[q].T, rcond=None)[0].T.imag / step
         return out
 
+    def needs(Px: np.ndarray, dPx: np.ndarray) -> list[tuple[bool, int]]:
+        """The flow derivatives (True, b) and symbols (False, b) on the
+        constant basis sections that the operator at a point reads, in
+        the order its entries [a, i] first need them."""
+        Px, dPx = Px.tolist(), dPx.tolist()
+        order = {}
+        for a, i, b in itertools.product(range(d), range(n), range(d)):
+            if Px[a][b] != 0.0:
+                order.setdefault((True, b))
+            if dPx[i][a][b] != 0.0:
+                order.setdefault((False, b))
+        return list(order)
+
+    def operators(X: np.ndarray, one_by_one: bool = False) -> np.ndarray:
+        """The operator at each point of X, [p, a, i, v]: the flow
+        derivatives and symbols on the basis sections, combined by the
+        frame and its partials entry by entry, b by b, as
+            out[a, i] = sum_b P[a, b] L_b[i] + dP[i, a, b] l_b.
+        ``one_by_one`` reads them in the order ``needs`` lists them."""
+        Ps = np.array([P_at(x) for x in X])
+        dPs = np.array([frame.partials(x) for x in X])
+        events = [(p, flows, b) for p in range(len(X)) for flows, b in needs(Ps[p], dPs[p])]
+        L = np.zeros((len(X), d, n, k))
+        sym = np.zeros((len(X), d, k))
+        jac_g = {}
+        pairs = [(p, b) for p, flows, b in events if flows]
+        if pairs and not one_by_one:
+            p, b = np.array(pairs).T
+            L[p, b] = pushed(X[p], b)
+        for p, flows, b in events:
+            if flows and one_by_one:
+                L[p, b] = pushed(X[[p]], np.array([b]))[0]
+            elif not flows:
+                if p not in jac_g:
+                    jac_g[p] = gpd.act_jac_g(I, X[p])
+                sym[p, b] = l_const(basis[b], X[p], jac_g[p])
+        out = np.zeros((len(X), d, n, k))
+        for b in range(d):
+            _add_where(out, Ps[:, :, b, None, None], L[:, None, b])
+            _add_where(out, dPs[:, :, :, b].transpose(0, 2, 1)[..., None], sym[:, None, None, b])
+        return out
+
+    def op_fn(X: np.ndarray) -> np.ndarray:
+        try:
+            return operators(X)
+        except Exception:
+            for x in X:
+                operators(x[None], one_by_one=True)
+            raise
+
+    def sym_fn(X: np.ndarray) -> np.ndarray:
+        out = []
+        for x in X:
+            Px = P_at(x)
+            jac_g = gpd.act_jac_g(I, x)
+            out.append([l_const(Pa, x, jac_g) for Pa in Px])
+        return np.array(out)
+
     return NumericIMOneForm(A, ideal, sym_fn, op_fn, fd_step=5e-4)
+
+
+def _add_where(out: np.ndarray, coef: np.ndarray, vec: np.ndarray) -> None:
+    """out += coef * vec at the entries where coef is not 0, leaving the
+    others untouched, as a loop that skips the zero coefficients adds."""
+    mask = np.broadcast_to(coef != 0.0, out.shape)
+    terms = np.multiply(coef, vec, out=np.zeros(out.shape), where=mask)
+    np.add(out, terms, out=out, where=mask)
 
 
 def numeric_extract_coupling(
@@ -972,9 +1050,9 @@ def numeric_extract_coupling(
         for c in range(k)
     ]
 
-    def gamma_fn(p):
+    def gamma_fn(X):
         # Gamma_i[e, c] is the operator on the c-th ideal element.
-        return form.op_map.value(p)[:k].transpose(1, 2, 0)
+        return form.op_map.values(X)[:, :k].transpose(0, 2, 3, 1)
 
     if k == r:
         # Full ideal: the quotient is rank zero and only the fiber
@@ -986,14 +1064,14 @@ def numeric_extract_coupling(
     # complement frame element.
     l_cols = PointMap.exact([[l_ad[c][k + a] for c in range(k)] for a in range(r - k)])
 
-    def u_fn(p):
-        O, lval, dl = form.op_map.value(p), l_cols.value(p), l_cols.partials(p)
-        out = -O[k:]
-        for a, i in itertools.product(range(r - k), range(n)):
-            for c in range(k):
-                if lval[a, c] != 0.0:
-                    out[a, i] += lval[a, c] * O[c, i]
-            out[a, i] += dl[i, a]
-        return out
+    def u_fn(X):
+        # Entry by entry, c by c, the terms of
+        #   U[a, i] = -O[k + a, i] + sum_c l[a, c] O[c, i] + d_i l[a].
+        O, lval = form.op_map.values(X), l_cols.values(X)
+        dl = np.array([l_cols.partials(p) for p in X])
+        out = -O[:, k:]
+        for c in range(k):
+            _add_where(out, lval[:, :, c, None, None], O[:, None, c])
+        return out + dl.transpose(0, 2, 1, 3)
 
     return NumericCouplingData(B, ideal.fiber, gamma_fn, u_fn)

@@ -12,8 +12,9 @@ form its symbol ``sym_map`` and its operator ``op_map``, a coupling
 its Gamma ``gamma_map`` and its mixed tensor ``u_map``.  Exact data
 fills the maps from its Exprs, with symbolic partials; sampled data
 from the groupoid side (``NumericIMOneForm``, ``NumericCouplingData``)
-fills them from point evaluators of whole arrays, with partials by the
-one finite-difference stencil ``fd_partial``.  Both run through the
+fills them from evaluators of whole arrays at stacks of points
+(``sampled_map``), with partials by the one finite-difference stencil
+``fd_partial``.  Both run through the
 same checkers; ``exact`` tells them apart where a check needs the
 Exprs themselves.  A caller that wants one entry slices a whole read,
 ``form.op_map.value(p)[a, c]`` or ``cd.u_map.partials(p)[j, a, i]``.
@@ -50,11 +51,14 @@ from .bundles import (
     LinearConnection,
     PointMap,
     _anchored,
+    _as_point,
     _curvature,
+    _memo_rows,
+    _point_key,
     _stack,
+    _store,
     alternating_array,
     curvature_tensor,
-    exact_memo,
     exterior_covariant_derivative,
 )
 from .expr import (
@@ -109,7 +113,7 @@ class _IMFormBase:
     from the symbol and operator of each frame element, forms in the
     layout of ``bundles``, and its maps hold them, folded, as their
     ``exprs`` grids, its only copy of them; a sampled form has only
-    point evaluators.
+    evaluators of stacks of points.
     """
 
     degree: int
@@ -190,6 +194,11 @@ class IMTwoForm(_IMFormBase):
     degree = 2
 
 
+# The points of fd_partial's stencil along a coordinate, as multiples of
+# the step h, in the order it reads them.
+_FD_SHIFTS = (2, 1, -1, -2)
+
+
 def fd_partial(fn: Callable[[np.ndarray], np.ndarray], j: int, p, h: float) -> np.ndarray:
     """Fourth-order central difference of a point evaluator along the
     j-th coordinate; keeps finite-difference noise well below the
@@ -201,7 +210,20 @@ def fd_partial(fn: Callable[[np.ndarray], np.ndarray], j: int, p, h: float) -> n
         q[j] += s
         return np.asarray(fn(q))
 
-    return (-at(2 * h) + 8 * at(h) - 8 * at(-h) + at(-2 * h)) / (12 * h)
+    far, near, back, far_back = (at(s * h) for s in _FD_SHIFTS)
+    return (-far + 8 * near - 8 * back + far_back) / (12 * h)
+
+
+def _stencil_points(p: np.ndarray, h: float) -> np.ndarray:
+    """The 4n points at which ``fd_partial`` reads an evaluator for the
+    partials at p along x_1..x_n, in the order it reads them: x_j by
+    x_j, each at the shifts ``_FD_SHIFTS`` of h."""
+    n = len(p)
+    out = np.repeat(p[None], 4 * n, axis=0)
+    shifts = np.array(_FD_SHIFTS) * h
+    for j in range(n):
+        out[4 * j : 4 * j + 4, j] += shifts
+    return out
 
 
 # One point of a 3-dimensional chart fills 14 entries of a map's memo
@@ -211,26 +233,50 @@ SAMPLED_MEMO_ENTRIES = 64
 
 
 def sampled_map(fn: Callable[[np.ndarray], np.ndarray], h: float) -> PointMap:
-    """Point map of a point evaluator; partials by ``fd_partial`` with
-    step h, looping over the directions j in order.
+    """Point map of an evaluator of stacks: ``fn`` maps a (P, n) stack
+    of points to the (P, ...) stack of the values there, raising the
+    first error that a loop over the points would raise.  Partials are
+    by ``fd_partial`` with step h, along x_1..x_n in order.
 
-    Values and partials share one ``exact_memo`` keyed by ``(None or n,
-    p)`` and bounded at ``SAMPLED_MEMO_ENTRIES``, and the stencil reads
-    its shifted values through it, so a pure evaluator runs once per
-    distinct point while the memo holds it.
+    Values and partials share one memo keyed by ``(None or n, p)``,
+    bounded at ``SAMPLED_MEMO_ENTRIES`` (oldest first out), whose
+    results are read-only.  A partials read gathers the 4n points of
+    the stencil in ``fd_partial``'s order (``_stencil_points``),
+    evaluates those the memo lacks by one call of ``fn``, and stores
+    their values in that order, then the partials; a value read is a
+    stack of one, and ``values`` serves the memo's hits and makes one
+    call for the misses.  So a pure evaluator runs once per distinct
+    point while the memo holds it, a stencil costs at most one call,
+    and an error of ``fn`` stores nothing.
     """
-    at = exact_memo(  # None: the value; n: the partials along x_1..x_n
-        lambda n, p: fn(p) if n is None else [fd_partial(value, j, p, h) for j in range(n)],
-        SAMPLED_MEMO_ENTRIES,
+    memo: dict = {}
+
+    def rows(points) -> list:
+        return _memo_rows(memo, SAMPLED_MEMO_ENTRIES, fn, points)
+
+    def partials(p) -> np.ndarray:
+        p = _as_point(p)
+        key = (len(p), _point_key(p))
+        out = memo.get(key)
+        if out is None:
+            points = _stencil_points(p, h)
+            at = {q.tobytes(): v for q, v in zip(points, rows(points))}
+            out = np.array([fd_partial(lambda q: at[q.tobytes()], j, p, h) for j in range(len(p))])
+            _store(memo, SAMPLED_MEMO_ENTRIES, key, out)
+        return out
+
+    return PointMap(
+        lambda p: rows(_as_point(p)[None])[0],
+        partials,
+        values=lambda points: np.array(rows(points)),
     )
-    value = functools.partial(at, None)
-    return PointMap(value, lambda p: at(len(p), p))
 
 
 class NumericIMOneForm(_IMFormBase):
-    """Sampled connection form from the groupoid side: the symbol at [a,
-    v] and the operator at [a, i, v], on each frame element a and chart
-    direction i, are point evaluators, differentiated by the
+    """Sampled connection form from the groupoid side: ``sym_fn`` gives
+    the symbol at [p, a, v] and ``op_fn`` the operator at [p, a, i, v],
+    on each frame element a and chart direction i, at each point p of a
+    (P, n) stack; each is one ``sampled_map``, differentiated by the
     finite-difference stencil."""
 
     degree = 1
@@ -243,7 +289,7 @@ class NumericIMOneForm(_IMFormBase):
         op_fn: Callable[[np.ndarray], np.ndarray],
         fd_step: float = 2e-3,
     ):
-        sym_map = sampled_map(lambda x: sym_fn(x)[:, None], fd_step)
+        sym_map = sampled_map(lambda X: sym_fn(X)[:, :, None], fd_step)
         self._bind(algebroid, ideal, sym_map, sampled_map(op_fn, fd_step))
 
 
@@ -471,11 +517,12 @@ class CouplingData:
 
 
 class NumericCouplingData(CouplingData):
-    """Sampled coupling data: the fiber connection at [i, e, c] and the
-    mixed tensor at [a, i, e] are point evaluators (base and fiber stay
-    symbolic), differentiated by the finite-difference stencil with step
-    2e-3.  A ``None`` base encodes the degenerate full-ideal case
-    (rank-zero quotient), for which only the bracket-preservation
+    """Sampled coupling data: ``gamma_fn`` gives the fiber connection at
+    [p, i, e, c] and ``u_fn`` the mixed tensor at [p, a, i, e], at each
+    point p of a (P, n) stack (base and fiber stay symbolic); each is
+    one ``sampled_map``, differentiated by the finite-difference stencil
+    with step 2e-3.  A ``None`` base encodes the degenerate full-ideal
+    case (rank-zero quotient), for which only the bracket-preservation
     equation carries content and ``u_fn`` is never called."""
 
     nablaL = U = None

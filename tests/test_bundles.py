@@ -260,7 +260,7 @@ def test_point_map_exact_partials_match_stencil():
     for _ in range(20):
         entries = [[random_polynomial(ch, rng) for _ in range(3)] for _ in range(2)]
         exact = PointMap.exact(entries)
-        sampled = sampled_map(exact.value, 1e-3)
+        sampled = sampled_map(exact.values, 1e-3)
         p = rng.uniform(-0.9, 0.9, size=3)
         want = np.array([[evaluate(x, p) for x in row] for row in entries])
         assert exact.value(p).shape == (2, 3)
@@ -281,7 +281,7 @@ def test_point_map_passes_pole_errors_through():
         m.partials(at_pole)[1]
     # The stencil point x2 - 2h of the sampled map lands on the pole.
     with pytest.raises(PoleError) as sampled:
-        sampled_map(m.value, 0.25).partials(np.array([0.5, 0.5]))[1]
+        sampled_map(m.values, 0.25).partials(np.array([0.5, 0.5]))[1]
     assert str(sampled.value) == str(exact.value)
     assert sampled.value.subtree is exact.value.subtree
 

@@ -2,6 +2,7 @@
 validation against the symbolic side."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -438,6 +439,34 @@ def test_a_table_reads_the_connection_form_whole_2m_plus_1_times():
     pairs = list(itertools.combinations(range(m), 2))
     by_tangents = [dn(g, x, _stock(gpd, a), _stock(gpd, b)) for a, b in pairs]
     assert np.array_equal(dn._on_stock(g, x), np.reshape(by_tangents, (len(pairs), gpd.k)))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_a_table_evaluates_a_form_on_the_tuples_its_stencil_reads(degree):
+    # A form with an evaluator alone is read on the stock fields by
+    # evaluation: on so3 (m = 6) one d_nabla_s table evaluates it on the
+    # C(6, p) tuples at the arrow and on the C(5, p) tuples without the
+    # moved field at each of the 2m moves, 6 + 12 * 5 = 66 times for a
+    # 1-form and 15 + 12 * 10 = 135 times for a 2-form.  The table is
+    # bit for bit the one built from whole reads.
+    gpd = so3_radial_groupoid()
+    m = gpd.group.dim + gpd.chart.dim
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    conn = gpd.induced_connection()
+    form = _tilted(gpd, alpha)
+    if degree == 2:
+        form = covariant_exterior_D(gpd, form, conn, alpha=alpha)
+    calls = []
+    counted = MultForm(gpd, degree, lambda *args: calls.append(1) or form(*args))
+    whole = MultForm(gpd, degree, form)
+    tuples = list(itertools.combinations(range(m), degree))
+    whole._stock_read = lambda g, x: np.reshape(
+        [form(g, x, *(_stock(gpd, mu) for mu in idx)) for idx in tuples], (len(tuples), gpd.k)
+    )
+    g, x = gpd.sample_arrow(np.random.default_rng(17))
+    table = d_nabla_s(gpd, counted, conn)._on_stock(g, x)
+    assert len(calls) == math.comb(m, degree) + 2 * m * math.comb(m - 1, degree)
+    assert _same_bits(table, d_nabla_s(gpd, whole, conn)._on_stock(g, x))
 
 
 def test_flow_region_guard():
@@ -978,7 +1007,8 @@ def test_complex_step_matches_the_flow_stencil(model, monkeypatch):
     # On a form whose operator values do not vanish, the complex step
     # agrees with the four-point stencil it replaced, to the stencil's
     # truncation error; and a step 1e10 times smaller moves no value by
-    # more than rounding.
+    # more than rounding of the operator's size at the point.  Each pair
+    # keeps the step it was built with, so the two do differ.
     from algebroids import groupoid
 
     gpd = so2_groupoid() if model == "so2" else so3_radial_groupoid()
@@ -989,16 +1019,70 @@ def test_complex_step_matches_the_flow_stencil(model, monkeypatch):
     tiny = differentiate_to_im(gpd, form)
     points = SamplePlan(seed=10, samples=20).points(gpd.chart, 4)
     d, n = gpd.group.dim, gpd.chart.dim
-    scale = 0.0
+    scale, moved = 0.0, False
     for p in points:
+        bound = 1e-14 * np.abs(nform.op_map.value(p)).max()
         for a in range(d):
             for i in range(n):
                 got = nform.op_map.value(p)[a, i]
                 want = _ref_op_value(gpd, form, a, i, p, L_const=_stencil_L_const)
                 assert np.abs(got - want).max() <= 1e-9
-                assert np.abs(tiny.op_map.value(p)[a, i] - got).max() <= 1e-14 * np.abs(got).max()
+                assert np.abs(tiny.op_map.value(p)[a, i] - got).max() <= bound
+                moved = moved or not _same_bits(tiny.op_map.value(p)[a, i], got)
                 scale = max(scale, np.abs(got).max())
     assert scale > 0.5
+    assert moved
+
+
+def test_a_stacked_push_forward_raises_the_first_error_of_the_pair_loop(monkeypatch):
+    # At the edge of the chart with a razor-thin padding, the stencil of
+    # the operator's partials along x2 steps out of the padded region.
+    # Its points (in fd_partial's order), each with the constant flows b
+    # in the order the operator's entries first need them, are the
+    # pairs the per-pair loop pushes forward.  The stack raises that
+    # loop's first error: the region check of the first pair outside,
+    # and a form's error at an earlier pair, though the region check
+    # of every pair could run first.
+    from algebroids.bundles import PointMap
+    from algebroids.expr import PoleError
+    from algebroids.groupoid import FlowRegionError
+    from algebroids.imforms import fd_partial
+
+    gpd = so3_radial_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    d, basis = gpd.group.dim, gpd.group.basis
+    _, _, P = gpd.action_algebroid()
+    frame = PointMap.exact([[P[b][a] for b in range(d)] for a in range(d)])
+    edge = np.array([0.41, 0.7999, 0.7999])
+    points = []
+    for j in range(3):
+        fd_partial(lambda q: points.append(q) or np.zeros(1), j, edge, 5e-4)
+    pairs = [(q, b) for q in points for b in dict.fromkeys(np.flatnonzero(frame.value(q)) % d)]
+    pushed = [gpd.act(expm(-1e-20j * basis[b]), q) for q, b in pairs]
+    inside = [gpd.chart.contains(y, pad=1e-6) for y in pushed]
+    first = inside.index(False)
+    assert first > 0
+
+    checked = []
+    contains = Chart.contains
+
+    def spy(self, p, pad=0.0):
+        checked.append(np.array(p))
+        return contains(self, p, pad)
+
+    monkeypatch.setattr(Chart, "contains", spy)
+    with pytest.raises(FlowRegionError):
+        differentiate_to_im(gpd, alpha, region_pad=1e-6).op_map.partials(edge)
+    assert _same_bits(checked[-1], pushed[first])
+
+    def form(g, x, T):
+        if np.array_equal(x, pushed[first - 1]):
+            raise PoleError("pole of the test form", ONE)
+        return alpha(g, x, T)
+
+    nform = differentiate_to_im(gpd, MultForm(gpd, 1, form), region_pad=1e-6)
+    with pytest.raises(PoleError, match="pole of the test form"):
+        nform.op_map.partials(edge)
 
 
 def test_differentiate_to_im_keeps_the_imaginary_part():
@@ -1068,12 +1152,13 @@ def test_groupoid_verify_exponentiates_each_flow_once(monkeypatch):
 def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
     # lie-functor on so3 at seed 42 and 4 samples: the symbol and the
     # operator are one sampled map each, whose evaluator gives every
-    # entry at a point, and each runs once per distinct point: 134 and
-    # 234 times.  Stored per entry, the maps ran the entry evaluators
-    # 342 and 2,178 times (3,318 and 4,830 without a memo), under the
-    # bounds 400 and 2,200 runs of one entry; a run here evaluates the
-    # 3 entries of the symbol and the 9 of the operator.
-    # The flow steps (one act_jac_x each) are not moved by the memo.
+    # entry at each point of a stack, and each evaluates a distinct
+    # point once: 134 and 234 points.  Stored per entry, the maps ran
+    # the entry evaluators 342 and 2,178 times (3,318 and 4,830 without
+    # a memo), under the bounds 400 and 2,200 runs of one entry; a point
+    # here evaluates the 3 entries of the symbol and the 9 of the
+    # operator.  The flow steps (one act_jac_x row each) are not moved
+    # by the memo.
     import contextlib
     import io
     from pathlib import Path
@@ -1086,22 +1171,22 @@ def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
     numeric = groupoid.NumericIMOneForm
 
     def counted(A, ideal, sym_fn, op_fn, fd_step):
-        def sym(x):
-            counts["sym"] += 1
-            sym_points.add(x.tobytes())
-            return sym_fn(x)
+        def sym(X):
+            counts["sym"] += len(X)
+            sym_points.update(x.tobytes() for x in X)
+            return sym_fn(X)
 
-        def op(x):
-            counts["op"] += 1
-            op_points.add(x.tobytes())
-            return op_fn(x)
+        def op(X):
+            counts["op"] += len(X)
+            op_points.update(x.tobytes() for x in X)
+            return op_fn(X)
 
         return numeric(A, ideal, sym, op, fd_step=fd_step)
 
     jac_x = ActionGroupoid.act_jac_x
 
     def flow_step(self, g, x):
-        counts["flow"] += 1
+        counts["flow"] += len(np.atleast_2d(x))
         return jac_x(self, g, x)
 
     # Runs of the frame map, whose row a is the column P_a, recorded by

@@ -774,8 +774,8 @@ def test_im_form_checker_agrees_across_backends(radial_model, radial_form):
         sampled = NumericIMOneForm(
             A,
             ideal,
-            lambda x, f=form: f.sym_map.value(x)[:, 0],
-            lambda x, f=form: f.op_map.value(x),
+            lambda X, f=form: f.sym_map.values(X)[:, :, 0],
+            lambda X, f=form: f.op_map.values(X),
         )
         assert form.exact and not sampled.exact
         exact_rep = check_im_form(form, rep, SamplePlan(seed=3, samples=40), tol=1e-6)
@@ -796,7 +796,7 @@ def test_structure_equations_agree_across_backends(radial_model, radial_form):
     bad = load_model(str(MODELS / "bad_u.json")).coupling()
     outcomes = []
     for cd in (radial, bad):
-        sampled = NumericCouplingData(cd.base, cd.fiber, cd.gamma_map.value, cd.u_map.value)
+        sampled = NumericCouplingData(cd.base, cd.fiber, cd.gamma_map.values, cd.u_map.values)
         assert cd.exact and not sampled.exact
         plan = SamplePlan(seed=3, samples=40)
         exact_rep = check_structure_equations(cd, plan=plan.fork("se"), tol=1e-6)
@@ -818,13 +818,13 @@ def test_the_kernel_flat_variant_refuses_sampled_data_before_reading_it():
     reads = []
 
     def counted(fn):
-        def read(p):
-            reads.append(p)
-            return fn(p)
+        def read(points):
+            reads.extend(points)
+            return fn(points)
 
         return read
 
-    sampled = NumericCouplingData(cd.base, cd.fiber, counted(cd.gamma_map.value), counted(cd.u_map.value))
+    sampled = NumericCouplingData(cd.base, cd.fiber, counted(cd.gamma_map.values), counted(cd.u_map.values))
     with pytest.raises(TypeError, match="kernel-flat variant needs symbolic coupling data"):
         check_structure_equations(sampled, variant="S1'S3'", plan=SamplePlan(seed=3, samples=10))
     assert len(reads) == 0
@@ -833,23 +833,31 @@ def test_the_kernel_flat_variant_refuses_sampled_data_before_reading_it():
 
 
 def _ref_sampled_map(fn, h):
-    """The sampled map without a memo: every read runs the evaluator."""
-    return PointMap(
-        lambda p: np.asarray(fn(np.asarray(p, dtype=float))),
-        lambda p: np.array([fd_partial(fn, j, p, h) for j in range(len(p))]),
-    )
+    """The sampled map without a memo: every read runs the evaluator,
+    one point at a time."""
+
+    def at(p):
+        return np.asarray(fn(np.asarray(p, dtype=float)[None]))[0]
+
+    return PointMap(at, lambda p: np.array([fd_partial(at, j, p, h) for j in range(len(p))]))
 
 
-def _noisy(calls):
-    """A point evaluator whose every bit depends on every bit of the
-    point (a 1-ulp move of a coordinate moves sin(1e9 x) by about
-    1e-7), with a pole where x1 > 0.9."""
+def _noisy(calls, stacks=None):
+    """An evaluator of stacks whose every bit at a point depends on every
+    bit of the point (a 1-ulp move of a coordinate moves sin(1e9 x) by
+    about 1e-7), with a pole where x1 > 0.9; it runs point by point,
+    recording each point in ``calls`` and each stack in ``stacks``."""
 
-    def fn(p):
-        calls.append(p.tobytes())
-        if p[0] > 0.9:
-            raise PoleError("pole of the test evaluator", ONE)
-        return np.array([np.sin(1e9 * p[0]) * p[1], np.cos(3e8 * (p[0] - p[1])), p[0] * p[1]])
+    def fn(points):
+        if stacks is not None:
+            stacks.append([p.tobytes() for p in points])
+        out = []
+        for p in points:
+            calls.append(p.tobytes())
+            if p[0] > 0.9:
+                raise PoleError("pole of the test evaluator", ONE)
+            out.append([np.sin(1e9 * p[0]) * p[1], np.cos(3e8 * (p[0] - p[1])), p[0] * p[1]])
+        return np.array(out)
 
     return fn
 
@@ -928,6 +936,38 @@ def test_sampled_map_evaluates_each_point_once_and_stores_no_error():
     for i in range(1, SAMPLED_MEMO_ENTRIES):
         m.value(np.array([0.01 * i, 0.5]))
     assert len(calls) == before + 1
+
+
+def test_a_stencil_evaluates_the_points_the_memo_lacks_in_one_call():
+    # Two stencil points read first are hits; the partials read makes
+    # one call, on the other shifted points in fd_partial's order, and
+    # its values are those of the unmemoized map bit for bit.
+    h = 5e-4
+    calls, stacks = [], []
+    m = sampled_map(_noisy(calls, stacks), h)
+    p = np.array([0.3, -0.2])
+    order = []
+    for j in range(2):
+        fd_partial(lambda q: order.append(q.tobytes()) or np.zeros(3), j, p, h)
+    assert len(order) == len(set(order)) == 8
+    for j, s in ((0, h), (1, -2 * h)):
+        q = p.copy()
+        q[j] += s
+        m.value(q)
+    read = calls[:]
+    stacks.clear()
+    got = m.partials(p)
+    assert stacks == [[q for q in order if q not in read]]
+    assert _same_read(got, _ref_sampled_map(_noisy([]), h).partials(p))
+    # A second read, and values on stencil points, are hits.
+    m.partials(p.copy())
+    assert m.values(np.array([p + [2 * h, 0.0], p - [0.0, h]])).shape == (2, 3)
+    assert len(stacks) == 1
+    # A stack of values makes one call for the points it lacks, once each.
+    r, q = np.array([0.1, 0.1]), p + [h, 0.0]
+    got = m.values(np.array([r, q, r]))
+    assert stacks[1:] == [[r.tobytes()]]
+    assert _same_read(got, np.array([m.value(r), m.value(q), m.value(r)]))
 
 
 # -- the checkers against their loop forms ---------------------------------
