@@ -12,7 +12,6 @@ from algebroids.groupoid import (
     MatrixGroup,
     check_groupoid_properties,
     connection_from_splitting,
-    covariant_exterior_D,
     differentiate_to_im,
     numeric_extract_coupling,
 )
@@ -46,10 +45,9 @@ print("connection form from the equivariant splitting; curvature by")
 print("finite differences; multiplicativity, structure equation, Bianchi:")
 alpha = connection_from_splitting(gpd, plan=plan.fork("c"))
 conn = gpd.induced_connection()
-Omega = covariant_exterior_D(gpd, alpha, conn)
 print(
     check_groupoid_properties(
-        gpd, alpha, Omega, conn, plan.fork("props"), n_pairs=60, n_points=15
+        gpd, alpha, conn, plan.fork("props"), n_pairs=60, n_points=15
     ).table()
 )
 

@@ -220,7 +220,10 @@ class ARepresentation:
         """Max residual of nabla_[a,b] = [nabla_a, nabla_b] on random
         polynomial sections a, b and s, drawn as terms and read as
         closed-form jets (a and b through ``_Jets``), and the stacked
-        coefficient matrices M[p, b] and their partials dM[p, j, b]."""
+        coefficient matrices M[p, b] and their partials dM[p, j, b].  A
+        count below 1 is refused: no pair drawn would read as flat."""
+        if n_pairs < 1:
+            raise ValueError(f"n_pairs must be >= 1, not {n_pairs}")
         A = self.algebroid
         n = A.chart.dim
         defects = []

@@ -277,7 +277,7 @@ def _cmd_rank_one(args, plan, tol):
 
 
 def _cmd_groupoid_verify(args, plan, tol):
-    from .groupoid import check_groupoid_properties, connection_from_splitting, covariant_exterior_D
+    from .groupoid import check_groupoid_properties, connection_from_splitting
 
     model = _require_model(args)
     gpd = model.groupoid()
@@ -285,9 +285,8 @@ def _cmd_groupoid_verify(args, plan, tol):
     rep.command = "groupoid-verify"
     alpha = connection_from_splitting(gpd, plan=plan.fork("conn"))
     conn = gpd.induced_connection()
-    Om = covariant_exterior_D(gpd, alpha, conn)
     props = check_groupoid_properties(
-        gpd, alpha, Om, conn, plan.fork("props"), tol=tol or 1e-4
+        gpd, alpha, conn, plan.fork("props"), tol=tol or 1e-4
     )
     rep.merge(props)
     return rep

@@ -595,15 +595,31 @@ def _contract(M: np.ndarray, tangents) -> np.ndarray:
     return M
 
 
-def _stencil(
-    gpd: ActionGroupoid, omega: MultForm, conn: LinearConnection, step: float
-) -> Callable[..., np.ndarray]:
-    """The table of ``d_nabla_s`` at an arrow, as a function of (g, x):
-    the antisymmetric array of its values on the stock fields, memoized
-    by the exact arrow, at most one Bianchi stencil (an arrow and its 2m
-    moves).  Each table reads omega on the stock fields at the arrow
-    and at each move, 2m + 1 reads; a move's read needs only the tuples
-    without the moved field."""
+def d_nabla_s(
+    gpd: ActionGroupoid,
+    omega: MultForm,
+    conn: LinearConnection,
+    step: float = 1e-5,
+) -> MultForm:
+    """Covariant exterior derivative (no horizontal projection) of a
+    form of degree p = 1 or 2 with respect to the source-pullback of a
+    fiber connection, by central differences along the stock vector
+    fields X_0, ..., X_{m-1}:
+
+        sum_t (-1)^t (X_t + Gamma(X_t)) omega(..., X_t omitted, ...)
+          + sum_{s<t} (-1)^(s+t) omega([X_s, X_t], ..., X_s, X_t omitted, ...).
+
+    Gamma reads the chart part of a field; only pairs of group fields
+    bracket, by the structure constants.  The table of values on the
+    stock fields, an antisymmetric array, depends on the arrow only: it
+    is built from 2m + 1 whole reads of omega on the stock fields (at
+    the arrow and at its 2m moves, where a read needs only the tuples
+    without the moved field), for all tuples at once, and memoized by
+    the exact arrow, at most one Bianchi stencil; each tangent's
+    coordinates are contracted against it, and its rows are the
+    result's own read on the stock fields.  This relies on omega being
+    a pure function of its arguments.
+    """
     p = omega.degree
     if p not in (1, 2):
         raise ValueError(f"only forms of degree 1 or 2 are differentiated, not degree {p}")
@@ -663,42 +679,14 @@ def _stencil(
                     out[hit] += B[at]
         return alternating_array(out, m, p + 1)
 
-    return exact_memo(table, 2 * m + 1)
-
-
-def d_nabla_s(
-    gpd: ActionGroupoid,
-    omega: MultForm,
-    conn: LinearConnection,
-    step: float = 1e-5,
-) -> MultForm:
-    """Covariant exterior derivative (no horizontal projection) of a
-    form of degree p = 1 or 2 with respect to the source-pullback of a
-    fiber connection, by central differences along the stock vector
-    fields X_0, ..., X_{m-1}:
-
-        sum_t (-1)^t (X_t + Gamma(X_t)) omega(..., X_t omitted, ...)
-          + sum_{s<t} (-1)^(s+t) omega([X_s, X_t], ..., X_s, X_t omitted, ...).
-
-    Gamma reads the chart part of a field; only pairs of group fields
-    bracket, by the structure constants.  The table of values on the
-    stock fields depends on the arrow only: it is built from 2m + 1
-    whole reads of omega on the stock fields (at the arrow and at its 2m
-    moves), for all tuples at once, and memoized by the exact arrow, at
-    most one Bianchi stencil; each tangent's coordinates are contracted
-    against it, and its rows are the result's own read on the stock
-    fields.  This relies on omega being a pure function of its
-    arguments.
-    """
-    matrix = _stencil(gpd, omega, conn, step)
-    m, q = gpd.group.dim + gpd.chart.dim, omega.degree + 1
+    matrix = exact_memo(table, 2 * m + 1)
 
     def evaluator(g, x, *tangents):
         return _contract(matrix(g, x), tangents)
 
-    form = MultForm(gpd, q, evaluator)
-    tuples = np.array(list(itertools.combinations(range(m), q)), dtype=np.intp).reshape(-1, q)
-    form._stock_read = lambda g, x: matrix(g, x)[tuple(tuples.T)]
+    form = MultForm(gpd, p + 1, evaluator)
+    rows = tuple(np.array(tuples, dtype=np.intp).reshape(-1, p + 1).T)
+    form._stock_read = lambda g, x: matrix(g, x)[rows]
     return form
 
 
@@ -712,6 +700,30 @@ def horizontal_projection(gpd: ActionGroupoid, alpha: MultForm):
     return h
 
 
+def _on_horizontals(gpd: ActionGroupoid, form: MultForm, alpha: MultForm) -> MultForm:
+    """The form read on the horizontal projections of its tangents with
+    respect to the connection form alpha.  Its read on the stock fields
+    is the form's table contracted with the m projected stock fields as
+    a tangent evaluation contracts it, memoized by the exact arrow, at
+    most 2m + 1 of them."""
+    h = horizontal_projection(gpd, alpha)
+    m, p = gpd.group.dim + gpd.chart.dim, form.degree
+    tuples = list(itertools.combinations(range(m), p))
+
+    def evaluator(g, x, *tangents):
+        return form(g, x, *(h(g, x, T) for T in tangents))
+
+    def stock_read(g, x):
+        M = alternating_array(form._on_stock(g, x), m, p)
+        H = [h(g, x, _w_basis_tangent(gpd, mu)) for mu in range(m)]
+        values = [_contract(M, [H[mu] for mu in idx]) for idx in tuples]
+        return np.reshape(values, (len(values), gpd.k))
+
+    out = MultForm(gpd, p, evaluator)
+    out._stock_read = exact_memo(stock_read, 2 * m + 1)
+    return out
+
+
 def covariant_exterior_D(
     gpd: ActionGroupoid,
     omega: MultForm,
@@ -719,83 +731,22 @@ def covariant_exterior_D(
     alpha: MultForm | None = None,
     step: float = 1e-5,
 ) -> MultForm:
-    """Exterior covariant derivative of a form of degree 1 or 2: the
-    covariant differential ``d_nabla_s`` evaluated on horizontal
-    projections (with respect to the connection form alpha, defaulting
-    to omega itself for degree 1; a degree-2 form needs alpha).
-
-    For degree 1 the result is a curvature, whose values on the stock
-    fields are the ``d_nabla_s`` table contracted with the m horizontal
-    projections of the stock fields, computed once per arrow and
-    memoized by the exact arrow, 2m + 1 of them.  On its first read, a
-    tangent evaluation or a read on the stock fields, the result is
-    recomputed at half the step; if the two disagree by more than an
-    order of magnitude of their size, a StepSizeWarning is emitted.
+    """Exterior covariant derivative of a form of degree 1 or 2: its
+    ``d_nabla_s`` at the step, read on horizontal projections with
+    respect to the connection form alpha, which defaults to omega
+    itself for degree 1 (the curvature); a degree-2 form needs alpha.
+    Each read of the result is a pure function of its arguments; the
+    step-size probe is a step of ``check_groupoid_properties``.
     """
     if alpha is None and omega.degree == 2:
         raise ValueError("a form of degree 2 needs its connection form alpha")
-    alpha = alpha if alpha is not None else omega
-    h = horizontal_projection(gpd, alpha)
-    matrix = _stencil(gpd, omega, conn, step)
-
-    def horizontal(g, x, *tangents):
-        return _contract(matrix(g, x), [h(g, x, T) for T in tangents])
-
-    if omega.degree == 2:
-        return MultForm(gpd, 3, horizontal)
-
-    m, k = gpd.group.dim + gpd.chart.dim, gpd.k
-    half = _stencil(gpd, omega, conn, step / 2)
-    checked = [False]
-
-    def probe(val, at_half: Callable):
-        if checked[0]:
-            return
-        checked[0] = True
-        val_half = at_half()
-        drift = sup(val - val_half)
-        scale = sup(val, val_half)
-        # Honest second-order differences agree to several digits;
-        # disagreement beyond a tenth of the magnitude means the step
-        # is noise-dominated.
-        if drift * 10.0 > scale + 1e-8:
-            warnings.warn(
-                f"step-size failure: values at steps h and h/2 "
-                f"disagree by {drift:.2e} (scale {scale:.2e})",
-                StepSizeWarning,
-                stacklevel=3,
-            )
-
-    def evaluator(g, x, T1, T2):
-        val = horizontal(g, x, T1, T2)
-        probe(val, lambda: _contract(half(g, x), [h(g, x, T1), h(g, x, T2)]))
-        return val
-
-    def on_stock(M, g, x):
-        """M contracted as ``horizontal`` does on each increasing pair of
-        stock fields, each field's projection and first contraction
-        computed once."""
-        H = [np.concatenate(h(g, x, _w_basis_tangent(gpd, mu))) for mu in range(m)]
-        HM = [_dot1(c, M) for c in H]
-        values = [_dot1(H[b], HM[a]) for a, b in itertools.combinations(range(m), 2)]
-        return np.reshape(values, (len(values), k))
-
-    curvature = exact_memo(lambda g, x: on_stock(matrix(g, x), g, x), 2 * m + 1)
-
-    def stock_read(g, x):
-        val = curvature(g, x)
-        probe(val, lambda: on_stock(half(g, x), g, x))
-        return val
-
-    Omega = MultForm(gpd, 2, evaluator)
-    Omega._stock_read = stock_read
-    return Omega
+    alpha = omega if alpha is None else alpha
+    return _on_horizontals(gpd, d_nabla_s(gpd, omega, conn, step), alpha)
 
 
 def check_groupoid_properties(
     gpd: ActionGroupoid,
     alpha: MultForm,
-    Omega,
     conn: LinearConnection,
     plan: SamplePlan | None = None,
     tol: float = 1e-4,
@@ -806,7 +757,17 @@ def check_groupoid_properties(
     curvature, the structure equation, and the differential Bianchi
     identity, all by sampled finite differences, the last two at steps
     1e-5 and 2e-4.  Residuals but the first are relative to the sampled
-    curvature scale."""
+    curvature scale.
+
+    The curvature is the structure equation's ``d_nabla_s`` of alpha,
+    read on horizontal projections: one table per arrow serves both.
+    At the first sample the curvature is probed at half the step; if
+    the two values disagree by more than an order of magnitude of their
+    size, a StepSizeWarning is emitted.  A count below 1 is refused:
+    every residual of an empty sample would be 0.0.
+    """
+    if n_pairs < 1 or n_points < 1:
+        raise ValueError(f"n_pairs and n_points must be >= 1, not {n_pairs} and {n_points}")
     plan = plan or SamplePlan()
     rng = plan.rng
     report = Report(command="groupoid-verify", seed=plan.seed, samples=plan.samples)
@@ -825,13 +786,36 @@ def check_groupoid_properties(
     report.add("delta_alpha", np.array(defects), 1e-7)
 
     # Scale of the curvature over the sample, for relative residuals.
-    samples = []
+    # (b) The structure equation Omega = d^nabla alpha + [alpha, alpha]-half,
+    # read at each sample while its arrow's table is in the memo.
+    dn_alpha = d_nabla_s(gpd, alpha, conn)
+    Omega = _on_horizontals(gpd, dn_alpha, alpha)
+    samples, structure = [], []
     for _ in range(n_points):
         g, x = gpd.sample_arrow(rng)
         T1 = gpd.sample_tangent(rng)
         T2 = gpd.sample_tangent(rng)
-        samples.append((g, x, T1, T2, Omega(g, x, T1, T2)))
+        v = Omega(g, x, T1, T2)
+        samples.append((g, x, T1, T2, v))
+        c = gpd.fiber_structure(x)
+        half_bracket = np.einsum("a,b,abc->c", alpha(g, x, T1), alpha(g, x, T2), c)
+        structure.append(v - dn_alpha(g, x, T1, T2) - half_bracket)
     denom = 1.0 + sup(np.array([s[-1] for s in samples]))
+
+    # The step-size probe.  Honest second-order differences agree to
+    # several digits; disagreement beyond a tenth of the magnitude
+    # means the step is noise-dominated.
+    g, x, T1, T2, val = samples[0]
+    val_half = covariant_exterior_D(gpd, alpha, conn, step=5e-6)(g, x, T1, T2)
+    drift = sup(val - val_half)
+    scale = sup(val, val_half)
+    if drift * 10.0 > scale + 1e-8:
+        warnings.warn(
+            f"step-size failure: values at steps h and h/2 "
+            f"disagree by {drift:.2e} (scale {scale:.2e})",
+            StepSizeWarning,
+            stacklevel=2,
+        )
 
     def relative(defects: list) -> float:
         # A non-finite curvature scale must fail the check, not divide
@@ -846,17 +830,7 @@ def check_groupoid_properties(
         g2, _ = gpd.sample_arrow(rng)
         defects.append(d_Omega(g1, g2, x, pair_tangent(), pair_tangent()))
     report.add("delta_Omega", relative(defects), tol)
-
-    # (b) structure equation Omega = d^nabla alpha + [alpha, alpha]-half.
-    dn_alpha = d_nabla_s(gpd, alpha, conn)
-    defects = []
-    for g, x, T1, T2, v in samples:
-        c = gpd.fiber_structure(x)
-        a1 = alpha(g, x, T1)
-        a2 = alpha(g, x, T2)
-        half_bracket = np.einsum("a,b,abc->c", a1, a2, c)
-        defects.append(v - dn_alpha(g, x, T1, T2) - half_bracket)
-    report.add("structure_equation", relative(defects), tol)
+    report.add("structure_equation", relative(structure), tol)
 
     # (c) Bianchi: D Omega = 0.
     DOmega = covariant_exterior_D(gpd, Omega, conn, alpha=alpha, step=2e-4)

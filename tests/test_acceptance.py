@@ -417,9 +417,8 @@ def test_criterion_08_groupoid_side():
         p = plan(f"c8-{name}")
         alpha = connection_from_splitting(gpd, plan=p.fork("conn"))
         conn = gpd.induced_connection()
-        Om = covariant_exterior_D(gpd, alpha, conn)
         rep = check_groupoid_properties(
-            gpd, alpha, Om, conn, p.fork("props"), tol=1e-4,
+            gpd, alpha, conn, p.fork("props"), tol=1e-4,
             n_pairs=100, n_points=25,
         )
         ok = ok and rep.passed

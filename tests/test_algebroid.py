@@ -190,6 +190,15 @@ def test_canonical_representation_radial_flat(radial_model):
     assert res < 1e-8
 
 
+def test_flatness_residual_refuses_an_empty_sample(radial_model):
+    # No pair drawn would give the 0.0 of an empty sample, which reads
+    # as flat.
+    rep = canonical_representation(radial_model.algebroid, radial_model.ideal)
+    for n_pairs in (0, -1):
+        with pytest.raises(ValueError, match=">= 1"):
+            rep.flatness_residual(SamplePlan(seed=11, samples=60), n_pairs=n_pairs)
+
+
 def test_canonical_representation_full_ideal_is_adjoint():
     # Vanishing anchor and the whole bundle as the ideal: the canonical
     # representation collapses to the fiberwise adjoint.

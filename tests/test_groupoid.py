@@ -311,11 +311,24 @@ def test_groupoid_properties_so3():
     plan = SamplePlan(seed=42, samples=60)
     alpha = connection_from_splitting(gpd, plan=plan.fork("c"))
     conn = gpd.induced_connection()
-    Om = covariant_exterior_D(gpd, alpha, conn)
     rep = check_groupoid_properties(
-        gpd, alpha, Om, conn, plan.fork("props"), n_pairs=60, n_points=15
+        gpd, alpha, conn, plan.fork("props"), n_pairs=60, n_points=15
     )
     assert rep.passed
+
+
+@pytest.mark.parametrize("counts", [(0, 5), (5, 0), (-1, 5)])
+def test_groupoid_properties_refuse_an_empty_sample(counts):
+    # With no pair or no point drawn, every residual would be the 0.0
+    # of an empty sample and the check would pass on nothing.
+    gpd = so2_groupoid()
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
+    n_pairs, n_points = counts
+    with pytest.raises(ValueError, match=">= 1"):
+        check_groupoid_properties(
+            gpd, alpha, gpd.induced_connection(), SamplePlan(seed=5),
+            n_pairs=n_pairs, n_points=n_points,
+        )
 
 
 def test_structure_equation_step_convergence():
@@ -348,50 +361,36 @@ def test_structure_equation_step_convergence():
 
 
 def test_step_size_warning():
-    # A noisy integrand makes the finite-difference derivative
-    # noise-dominated; the first evaluation must warn.  The projection
-    # is disabled (zero connection form) so the noisy mixed
-    # group/chart derivatives actually enter.
+    # A noisy connection form makes the finite-difference curvature
+    # noise-dominated: check_groupoid_properties, which probes the
+    # curvature at its first sample against half the step, warns once.
+    # The splitting's connection form stays silent.
     import warnings
 
     from algebroids.groupoid import StepSizeWarning
 
     gpd = so2_groupoid()
-    plan = SamplePlan(seed=42, samples=20)
-    alpha = connection_from_splitting(gpd, plan=plan)
+    alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
     rng = np.random.default_rng(0)
-
-    def noisy(g, x, T):
-        return alpha(g, x, T) + rng.normal(scale=1e-3, size=1)
-
-    noisy_form = MultForm(gpd, 1, noisy)
-    zero_alpha = MultForm(gpd, 1, lambda g, x, T: np.zeros(1))
+    noisy = MultForm(gpd, 1, lambda g, x, T: alpha(g, x, T) + rng.normal(scale=1e-3, size=1))
     conn = gpd.induced_connection()
-    Om = covariant_exterior_D(gpd, noisy_form, conn, alpha=zero_alpha)
-    g, x = gpd.sample_arrow(np.random.default_rng(1))
-    T1 = gpd.sample_tangent(np.random.default_rng(2))
-    T2 = gpd.sample_tangent(np.random.default_rng(3))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        Om(g, x, T1, T2)
-    assert any(issubclass(w.category, StepSizeWarning) for w in caught)
-
-    # A smooth form at the stock step stays silent.
-    Om2 = covariant_exterior_D(gpd, alpha, conn)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        Om2(g, x, T1, T2)
-    assert not any(issubclass(w.category, StepSizeWarning) for w in caught)
+    for form, warned in ((noisy, 1), (alpha, 0)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            check_groupoid_properties(
+                gpd, form, conn, SamplePlan(seed=5, samples=20), n_pairs=2, n_points=3
+            )
+        assert [w.category for w in caught].count(StepSizeWarning) == warned
 
 
-def test_step_size_warning_on_a_first_read_on_the_stock_fields():
-    # The noisy form of test_step_size_warning, its curvature first read
-    # whole on the stock fields, as the Bianchi stencil reads it: the
-    # probe runs on that read, and a later tangent evaluation adds no
-    # second probe.
+def test_a_curvature_probes_no_step_size():
+    # The probe is a step of check_groupoid_properties, not of the form:
+    # a noisy form's curvature (the projection disabled by a zero
+    # connection form, so that the noisy mixed group/chart derivatives
+    # enter), read again and again by tangents and whole on the stock
+    # fields, as the Bianchi stencil reads it, keeps no state and warns
+    # never.
     import warnings
-
-    from algebroids.groupoid import StepSizeWarning
 
     gpd = so2_groupoid()
     alpha = connection_from_splitting(gpd, plan=SamplePlan(seed=42, samples=20))
@@ -404,11 +403,10 @@ def test_step_size_warning_on_a_first_read_on_the_stock_fields():
     T1, T2, T3 = (gpd.sample_tangent(np.random.default_rng(s)) for s in (2, 3, 4))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        d_nabla_s(gpd, Om, conn)(g, x, T1, T2, T3)
-    assert [w.category for w in caught] == [StepSizeWarning]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        Om(g, x, T1, T2)
+        for _ in range(2):
+            Om(g, x, T1, T2)
+            Om._on_stock(g, x)
+            d_nabla_s(gpd, Om, conn)(g, x, T1, T2, T3)
     assert not caught
 
 
@@ -1130,8 +1128,13 @@ def test_flow_derivatives_are_cached_by_exact_point():
 
 
 def test_groupoid_verify_exponentiates_each_flow_once(monkeypatch):
-    # Each stencil's flows exp(+-h U) are computed once per form, not
-    # once per move: the sampled group elements account for most calls.
+    # so3 groupoid-verify at 4 samples.  Each step's flows exp(+-h U)
+    # are computed once, not once per move or per stencil of the same
+    # form, so no matrix is exponentiated twice.  The curvature and the
+    # structure equation read one d_nabla_s table of alpha per sample
+    # arrow: alpha is read on the stock fields at each arrow once, but
+    # for the first sample arrow, which the step-size probe's table at
+    # half the step reads again.
     import contextlib
     import io
     from pathlib import Path
@@ -1139,14 +1142,25 @@ def test_groupoid_verify_exponentiates_each_flow_once(monkeypatch):
     from algebroids import groupoid
     from algebroids.cli import run
 
-    calls = []
+    args = []
     expm = groupoid.expm
-    monkeypatch.setattr(groupoid, "expm", lambda a: calls.append(1) or expm(a))
+    monkeypatch.setattr(groupoid, "expm", lambda a: args.append(np.asarray(a).tobytes()) or expm(a))
+    reads = []
+    build = groupoid.connection_from_splitting
+
+    def counted(*a, **kw):
+        alpha = build(*a, **kw)
+        read = alpha._stock_read
+        alpha._stock_read = lambda g, x: reads.append((g.tobytes(), x.tobytes())) or read(g, x)
+        return alpha
+
+    monkeypatch.setattr(groupoid, "connection_from_splitting", counted)
     model = Path(__file__).resolve().parent.parent / "models" / "so3_radial_groupoid.json"
     with contextlib.redirect_stdout(io.StringIO()):
         code = run(["groupoid-verify", "--model", str(model), "--samples", "4", "--json"])
     assert code == 0
-    assert 0 < len(calls) < 1000
+    assert args and len(set(args)) == len(args)
+    assert reads and len(reads) - len(set(reads)) == 1
 
 
 def test_lie_functor_evaluates_each_sampled_entry_once_per_point(monkeypatch):
